@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceededError, NotInvertibleError
-from .linalg import Matrix, smith_normal_form, solve_membership
-from .rings import ZZ, BaseRing
+from .linalg import Matrix, lift_with_modulus, smith_normal_form, solve_membership
+from .rings import BaseRing
 from .validation import ValidationReport
 
 __all__ = [
@@ -404,22 +404,11 @@ def _left_mult_on_An(A: Algebra, n: int, g) -> Matrix:
 
 
 def _bijective_over_base(L: Matrix) -> bool:
-    ring = L.ring
-    if ring.is_field:
-        return smith_normal_form(L).rank == L.nrows
-    if ring.kind == "Zmod":
-        m = ring.modulus
-        lifted = Matrix(
-            ZZ,
-            [[int(x) for x in row] + [m if i == j else 0 for j in range(L.nrows)] for i, row in enumerate(L.rows)],
-            L.ncols + L.nrows,
-        )
-        dec = smith_normal_form(lifted)
-        return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
-    if ring.kind == "Z":
-        dec = smith_normal_form(L)
-        return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
-    raise CapExceededError(f"bijectivity test over {ring} is not enumerable")
+    """Whether the square matrix L is invertible over its base ring."""
+    if L.ring.kind == "Zmod":
+        L = lift_with_modulus(L)
+    dec = smith_normal_form(L)
+    return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
 
 
 def general_linear_group(A: Algebra, n: int, cap: int = ENUMERATION_CAP) -> GeneralLinearData:

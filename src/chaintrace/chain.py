@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .linalg import Matrix, SmithDecomposition, SparseMap, smith_normal_form
+from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form
 from .rings import ZZ, BaseRing
 
 __all__ = ["FPAbelianGroup", "FPModule", "ChainComplex", "HomologyData", "homology"]
@@ -242,13 +242,11 @@ def _homology_zmod(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> H
     m = ring.modulus
     r_n = d_n.ncols
     lift_n = Matrix(ZZ, [_ints(row) for row in d_n.rows], r_n)
-    lift_np1 = Matrix(ZZ, [_ints(row) for row in d_np1.rows], d_np1.ncols)
     dec1 = smith_normal_form(lift_n)
     rank1 = dec1.rank
     weights = [m // math.gcd(int(dec1.S.rows[i][i]), m) if i < rank1 else 1 for i in range(r_n)]
 
-    rel_cols = lift_np1.cols() + [tuple(m if i == j else 0 for i in range(r_n)) for j in range(r_n)]
-    W = dec1.Vinv.mul(Matrix.from_cols(ZZ, rel_cols, r_n))
+    W = dec1.Vinv.mul(lift_with_modulus(d_np1))
     rel_rows = []
     for i in range(r_n):
         w = weights[i]
@@ -259,7 +257,7 @@ def _homology_zmod(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> H
                 raise InternalInvariantError("relation escaped the mod-m kernel lattice")
             row.append(q)
         rel_rows.append(row)
-    Rel = Matrix(ZZ, rel_rows, len(rel_cols))
+    Rel = Matrix(ZZ, rel_rows, W.ncols)
     dec2 = smith_normal_form(Rel)
     if dec2.rank != r_n:
         raise InternalInvariantError("mod-m relation matrix must have full rank")

@@ -45,7 +45,7 @@ from .algebra import (
     validate_algebra,
     validate_group,
 )
-from .chain import FPAbelianGroup
+from .chain import FPAbelianGroup, homology
 from .errors import (
     CapExceededError,
     ChainTraceError,
@@ -68,7 +68,7 @@ from .formats import (
 from .hochschild import (
     HochschildHomology,
     cyclic_bar,
-    cyclic_homology,
+    cyclic_total_complex,
     validate_cyclic_module,
 )
 from .rings import GF, QQ, ZZ, BaseRing
@@ -282,7 +282,8 @@ def _handle_hh(config: JobConfig) -> tuple[int, str]:
 
 def _handle_hc(config: JobConfig) -> tuple[int, str]:
     A = _resolve_algebra(config.inputs[0], config.ring)
-    groups = [cyclic_homology(A, d) for d in range(config.max_degree + 1)]
+    tot = cyclic_total_complex(A, config.max_degree)
+    groups = [homology(tot, d).group for d in range(config.max_degree + 1)]
     lines = [_algebra_line(A)]
     lines += [f"HC_{d} = {g}" for d, g in enumerate(groups)]
     result = {

@@ -42,6 +42,7 @@ __all__ = [
     "hochschild_homology",
     "connes_b",
     "cyclic_homology",
+    "cyclic_total_complex",
     "induced_chain_map",
     "tensor_power_map",
     "LEVEL_CAP",
@@ -478,21 +479,21 @@ def hochschild_homology(A: Algebra, n: int, cap: int = LEVEL_CAP):
     return HochschildHomology(A, n, cap).group(n)
 
 
-def cyclic_homology(A: Algebra, n: int, cap: int = LEVEL_CAP) -> FPModule:
-    """HC_n(A) over Q via the total complex of the normalized (b, B) bicomplex.
+def cyclic_total_complex(A: Algebra, max_degree: int, cap: int = LEVEL_CAP) -> ChainComplex:
+    """Total complex of the normalized (b, B) bicomplex of A over Q.
 
     Tot_m = sum over p >= 0 of the normalized level m-2p; the differential is
     b + B, whose square vanishing is exactly b^2 = 0, B^2 = 0, bB + Bb = 0,
     all of which hold on the nose and are re-checked by the chain complex
-    constructor.
+    constructor.  Its homology in degrees 0..max_degree is HC_*(A).
     """
     if A.ring.kind != "Q":
         raise UnsupportedRingError("cyclic homology is computed over Q only")
-    if n < 0:
+    if max_degree < 0:
         raise DegreeOutOfRangeError("degree must be >= 0")
-    work = HochschildHomology(A, n, cap)
-    norm = work.normalized
-    top = n + 1
+    reduced, _, _ = unit_first_presentation(A)
+    norm = NormalizedComplex(cyclic_bar(reduced, max_degree, cap))
+    top = max_degree + 1
 
     offsets: dict[int, list[int]] = {}
     totals: dict[int, int] = {}
@@ -526,9 +527,9 @@ def cyclic_homology(A: Algebra, n: int, cap: int = LEVEL_CAP) -> FPModule:
                         col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
         diffs[m] = SparseMap.from_col_dicts(ring, totals[m - 1], cols)
 
-    tot = ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
-    data = homology(tot, n)
-    group = data.group
-    if not isinstance(group, FPModule):
-        raise UnsupportedRingError("cyclic homology total complex must be over a field")
-    return group
+    return ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
+
+
+def cyclic_homology(A: Algebra, n: int, cap: int = LEVEL_CAP) -> FPModule:
+    """HC_n(A) over Q; see cyclic_total_complex."""
+    return homology(cyclic_total_complex(A, n, cap), n).group

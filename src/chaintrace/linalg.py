@@ -7,6 +7,16 @@ touches floating point.  Two representations coexist:
 * SparseMap: column-sparse storage for structured operators (face maps,
   boundary operators, induced chain maps), which are almost entirely zero.
 
+Matrix(ring, rows) is where entries are normalized: it is the constructor
+for values from outside (parsers, callers, tests).  Matrices built here from
+entries that ring arithmetic already produced (products, sums, transposes,
+Smith factors) skip that pass.
+
+smith_normal_form is the package's only elimination: ranks, kernels,
+membership, bijectivity and homology are all read off its result.  Image
+questions over Z/m go through the integer lift [M | m*I] built by
+lift_with_modulus, which is exact for every modulus.
+
 smith_normal_form(M) returns (U, S, V) with S = U * M * V, U and V
 invertible over the ring, S diagonal with the divisibility chain
 d_1 | d_2 | ... | d_r.  The pivot rule is fixed for determinism: among the
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, UnsupportedRingError
-from .rings import BaseRing
+from .rings import ZZ, BaseRing
 
 __all__ = [
     "Matrix",
@@ -33,6 +43,7 @@ __all__ = [
     "kernel_basis",
     "solve_membership",
     "MembershipResult",
+    "lift_with_modulus",
     "PIVOT_RULE",
 ]
 
@@ -65,9 +76,19 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(cls, ring: BaseRing, rows: list[list], ncols: int) -> "Matrix":
+        """Wrap rows (mutable lists) whose entries are already canonical."""
+        m = cls.__new__(cls)
+        m.ring = ring
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def zeros(cls, ring: BaseRing, nrows: int, ncols: int) -> "Matrix":
         z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._canonical(ring, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, ring: BaseRing, n: int) -> "Matrix":
@@ -85,11 +106,7 @@ class Matrix:
         return cls(ring, [[cols[j][i] for j in range(len(cols))] for i in range(n)], len(cols))
 
     def copy(self) -> "Matrix":
-        m = Matrix.__new__(Matrix)
-        m.ring = self.ring
-        m.nrows, m.ncols = self.nrows, self.ncols
-        m.rows = [row[:] for row in self.rows]
-        return m
+        return Matrix._canonical(self.ring, [row[:] for row in self.rows], self.ncols)
 
     # -- access ------------------------------------------------------------
 
@@ -142,7 +159,7 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         ring = self.ring
-        return Matrix(
+        return Matrix._canonical(
             ring,
             [[ring.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -152,7 +169,7 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
         ring = self.ring
-        return Matrix(
+        return Matrix._canonical(
             ring,
             [[ring.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -160,10 +177,11 @@ class Matrix:
 
     def neg(self) -> "Matrix":
         ring = self.ring
-        return Matrix(ring, [[ring.neg(a) for a in row] for row in self.rows], self.ncols)
+        return Matrix._canonical(ring, [[ring.neg(a) for a in row] for row in self.rows], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, [self.col(i) for i in range(self.ncols)], self.nrows)
+        rows = self.rows
+        return Matrix._canonical(self.ring, [[row[j] for row in rows] for j in range(self.ncols)], self.nrows)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -462,6 +480,9 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
                 eliminate_at(t + 1)
                 normalize_diag(t + 1)
                 changed = True
+    # re-elimination may swap an already normalized entry out of place
+    for t in range(rank):
+        normalize_diag(t)
     return U, Uinv, S, V, Vinv
 
 
@@ -477,13 +498,13 @@ def smith_normal_form(mat: Matrix) -> SmithDecomposition:
             f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
         )
     U, Uinv, S, V, Vinv = _smith_engine(ring, mat)
-    mk = lambda rows, ncols: Matrix(ring, rows, ncols)  # noqa: E731
+    nr, nc = mat.nrows, mat.ncols
     dec = SmithDecomposition(
-        U=mk(U, mat.nrows),
-        S=mk(S, mat.ncols),
-        V=mk(V, mat.ncols),
-        Uinv=mk(Uinv, mat.nrows),
-        Vinv=mk(Vinv, mat.ncols),
+        U=Matrix._canonical(ring, U, nr),
+        S=Matrix._canonical(ring, S, nc),
+        V=Matrix._canonical(ring, V, nc),
+        Uinv=Matrix._canonical(ring, Uinv, nr),
+        Vinv=Matrix._canonical(ring, Vinv, nc),
     )
     if __debug__ and mat.nrows * mat.ncols <= 2500:
         # cheap self-check on small inputs; the property suite covers the rest
@@ -491,6 +512,18 @@ def smith_normal_form(mat: Matrix) -> SmithDecomposition:
         if check != dec.S:
             raise InternalInvariantError("Smith decomposition failed U*M*V == S")
     return dec
+
+
+def lift_with_modulus(mat: Matrix) -> Matrix:
+    """The integer matrix [lift(M) | m*I] of a matrix M over Z/m.
+
+    Its column image in Z^r is the preimage of the column image of M, so
+    eliminating it over Z answers image questions over Z/m for every m.
+    Column order is fixed: the columns of M, then m*e_i in row order.
+    """
+    m, n = mat.ring.modulus, mat.nrows
+    rows = [[int(x) for x in row] + [m if i == j else 0 for j in range(n)] for i, row in enumerate(mat.rows)]
+    return Matrix._canonical(ZZ, rows, mat.ncols + n)
 
 
 def kernel_basis(mat: Matrix) -> list[tuple]:
@@ -518,23 +551,15 @@ class MembershipResult:
 def solve_membership(mat: Matrix, vec: Sequence) -> MembershipResult:
     """Decide v in column-image of M and produce an exact witness.
 
-    Works over Z, Q, GF(p), and Z/m for arbitrary m >= 2 (via an integer
-    lift augmented by m*I, which is exact for every modulus).
+    Works over Z, Q, GF(p), and Z/m for arbitrary m >= 2 (via the integer
+    lift [M | m*I], which is exact for every modulus).
     """
     ring = mat.ring
     vec = tuple(ring.normalize(x) for x in vec)
     if len(vec) != mat.nrows:
         raise ValueError("vector length mismatch")
     if ring.kind == "Zmod":
-        from .rings import ZZ
-
-        m = ring.modulus
-        lifted = Matrix(
-            ZZ,
-            [list(row) + [m if i == j else 0 for j in range(mat.nrows)] for i, row in enumerate(mat.rows)],
-            mat.ncols + mat.nrows,
-        )
-        res = solve_membership(lifted, [int(x) for x in vec])
+        res = solve_membership(lift_with_modulus(mat), [int(x) for x in vec])
         if not res.found:
             return MembershipResult(False, None, res.reason)
         return MembershipResult(True, tuple(ring.normalize(x) for x in res.witness[: mat.ncols]))

@@ -69,33 +69,42 @@ def _tuple_index(order: int, tup) -> int:
     return idx
 
 
-def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int, cap: int = LEVEL_CAP) -> ChainComplex:
-    """Unnormalized inhomogeneous bar complex: level q is R[G^q].
+def _bar_boundary(G: FiniteGroup, ring: BaseRing, tuples, row_of) -> list[dict]:
+    """Columns of the inhomogeneous bar boundary on the given q-tuples.
 
     boundary(g_1, ..., g_q) = (g_2, ..., g_q)
         + sum_{i=1}^{q-1} (-1)^i (g_1, ..., g_i g_{i+1}, ..., g_q)
         + (-1)^q (g_1, ..., g_{q-1}).
+
+    row_of maps a (q-1)-tuple to its row, or to None for a face the
+    complex drops.
     """
+    plus, minus = ring.one, ring.neg(ring.one)
+    cols = []
+    for tup in tuples:
+        q = len(tup)
+        faces = [(tup[1:], plus)]
+        for i in range(1, q):
+            merged = tup[: i - 1] + (G.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :]
+            faces.append((merged, minus if i % 2 else plus))
+        faces.append((tup[:-1], minus if q % 2 else plus))
+        col: dict[int, object] = {}
+        for target, sign in faces:
+            row = row_of(target)
+            if row is not None:
+                col[row] = ring.add(col.get(row, ring.zero), sign)
+        cols.append(col)
+    return cols
+
+
+def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int, cap: int = LEVEL_CAP) -> ChainComplex:
+    """Unnormalized inhomogeneous bar complex: level q is R[G^q]."""
     n = G.order
     if n**max_d > cap:
         raise CapExceededError(f"bar level {max_d} has rank {n}^{max_d} > cap {cap}")
     diffs = {}
     for q in range(1, max_d + 1):
-        cols = []
-        for tup in itertools.product(range(n), repeat=q):
-            col: dict[int, object] = {}
-
-            def put(target, sign_is_plus):
-                i = _tuple_index(n, target)
-                delta = ring.one if sign_is_plus else ring.neg(ring.one)
-                col[i] = ring.add(col.get(i, ring.zero), delta)
-
-            put(tup[1:], True)
-            for i in range(1, q):
-                merged = tup[: i - 1] + (G.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :]
-                put(merged, i % 2 == 0)
-            put(tup[:-1], q % 2 == 0)
-            cols.append(col)
+        cols = _bar_boundary(G, ring, itertools.product(range(n), repeat=q), lambda t: _tuple_index(n, t))
         diffs[q] = SparseMap.from_col_dicts(ring, n ** (q - 1), cols)
     return ChainComplex(ring, [n**q for q in range(max_d + 1)], diffs)
 
@@ -125,24 +134,8 @@ class GroupHomology:
         diffs = {}
         self.level_tuples(0)
         for q in range(1, top + 1):
-            self.level_tuples(q)
-            cols = []
-            for tup in self.level_tuples(q):
-                col: dict[int, object] = {}
-
-                def put(target, sign_is_plus):
-                    if any(t == G.identity for t in target):
-                        return
-                    i = self._index[len(target)][target]
-                    delta = ring.one if sign_is_plus else ring.neg(ring.one)
-                    col[i] = ring.add(col.get(i, ring.zero), delta)
-
-                put(tup[1:], True)
-                for i in range(1, q):
-                    merged = tup[: i - 1] + (G.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :]
-                    put(merged, i % 2 == 0)
-                put(tup[:-1], q % 2 == 0)
-                cols.append(col)
+            # faces containing the identity are degenerate and have no row
+            cols = _bar_boundary(G, ring, self.level_tuples(q), self._index[q - 1].get)
             diffs[q] = SparseMap.from_col_dicts(ring, self.rank(q - 1), cols)
         self.complex = ChainComplex(ring, [self.rank(q) for q in range(top + 1)], diffs)
         self._data: dict[int, HomologyData] = {}

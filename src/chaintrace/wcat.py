@@ -382,29 +382,6 @@ class WCategory:
 # ---------------------------------------------------------------------------
 
 
-def _rank_mod_p(rows: tuple, p: int) -> int:
-    """Rank of a matrix over GF(p), given as a tuple of row tuples."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if mat[r][col] % p), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p) if p > 2 else 1
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col] % p:
-                c = mat[r][col]
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 class VectCategory(WCategory):
     """Finite-dimensional vector spaces over GF(q), dimensions 0..bound.
 
@@ -449,13 +426,10 @@ class VectCategory(WCategory):
 
     def _is_cofibration(self, payload, a, b):
         src = self._obj_payloads[a]
-        return _rank_mod_p(payload, self.q) == src if src else True
+        return smith_normal_form(Matrix(self.ring, payload, ncols=src)).rank == src
 
     def _is_weq(self, payload, a, b):
-        src, dst = self._obj_payloads[a], self._obj_payloads[b]
-        if src != dst:
-            return False
-        return _rank_mod_p(payload, self.q) == src if src else True
+        return self._obj_payloads[a] == self._obj_payloads[b] and self._is_cofibration(payload, a, b)
 
     def _pushout_witness(self, i, f):
         a = self._obj_payloads[self._mor_src[i]]

@@ -27,6 +27,7 @@ from chaintrace.hochschild import (
     connes_b,
     cyclic_bar,
     cyclic_homology,
+    cyclic_total_complex,
     hochschild_complex,
     hochschild_homology,
     induced_chain_map,
@@ -196,6 +197,8 @@ def test_cyclic_homology_group_algebra_oracle():
     A = group_algebra(cyclic_group(2), QQ)
     got = [str(cyclic_homology(A, n)) for n in range(5)]
     assert got == ["Q^2", "0", "Q^2", "0", "Q^2"]
+    tot = cyclic_total_complex(A, 4)
+    assert [str(homology(tot, n).group) for n in range(5)] == got
     oracle = connes_lambda_complex(A, 3)
     for n in range(3):
         assert homology(oracle, n).group == cyclic_homology(A, n)

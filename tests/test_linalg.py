@@ -8,6 +8,7 @@ from chaintrace.linalg import (
     Matrix,
     SparseMap,
     kernel_basis,
+    lift_with_modulus,
     smith_normal_form,
     solve_membership,
 )
@@ -57,6 +58,16 @@ def test_snf_over_field_counts_rank():
     assert diag(assert_decomposition(M2)) == [1, 1]
 
 
+def test_snf_frozen_chain_after_refold():
+    # the divisibility fix-up swaps a finished entry out of place; its sign
+    # must still come out canonical
+    M = Matrix(ZZ, [[0, 0, 3], [4, 0, 0], [0, 4, 0]])
+    dec = assert_decomposition(M)
+    assert diag(dec) == [1, 4, 12]
+    cx = ChainComplex(ZZ, (3, 3), {1: SparseMap.from_matrix(M)})
+    assert homology(cx, 0).group == FPAbelianGroup(0, (4, 12))
+
+
 def test_snf_prime_power_modulus():
     M = Matrix(Zmod(4), [[2, 0], [0, 2]])
     dec = assert_decomposition(M)
@@ -103,6 +114,15 @@ def test_solve_membership_not_found():
     res = solve_membership(M, (1, 0))
     assert not res.found
     assert res.reason
+
+
+def test_solve_membership_composite_modulus():
+    M = Matrix(Zmod(6), [[2, 0], [0, 3]])
+    assert lift_with_modulus(M).rows == [[2, 0, 6, 0], [0, 3, 0, 6]]
+    res = solve_membership(M, (4, 3))
+    assert res.found
+    assert M.apply(res.witness) == (4, 3)
+    assert not solve_membership(M, (1, 0)).found
 
 
 def test_sparse_map_roundtrip():
