@@ -14,6 +14,15 @@ Everything is driven by Smith normal form, so output is deterministic for
 the fixed pivot rule.  Over Z/m the modulus must be a prime power; other
 moduli raise UnsupportedRingError (the composite case is deliberately out
 of contract even where the integer-lattice method would cope).
+
+reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
+the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction): each pair
+(j in C_n, i in C_{n-1}) with d_n[i, j] a unit splits off an acyclic
+summand, so every homology group is unchanged while the complex shrinks,
+usually to a small core that homology() then eliminates densely.  The core
+has no basis in common with C, so callers that print only isomorphism
+types use it, and callers that need generators or class coordinates call
+homology() on C itself.
 """
 
 from __future__ import annotations
@@ -30,7 +39,15 @@ from .errors import (
 from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form
 from .rings import ZZ, BaseRing
 
-__all__ = ["FPAbelianGroup", "FPModule", "ChainComplex", "HomologyData", "homology"]
+__all__ = [
+    "FPAbelianGroup",
+    "FPModule",
+    "ChainComplex",
+    "HomologyData",
+    "homology",
+    "reduce_complex",
+    "rank_over_field",
+]
 
 
 @dataclass(frozen=True)
@@ -317,3 +334,105 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
             )
         return _homology_zmod(ring, d_n, d_np1, n)
     raise UnsupportedRingError(f"homology over {ring} is not supported")
+
+
+def _sparse_columns(d: SparseMap, skip=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:
+    """Mutable copy of d: live columns as {row: entry} and rows as column sets."""
+    cols = {j: dict(col) for j, col in enumerate(d.cols) if j not in skip}
+    rows: dict[int, set] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    return cols, rows
+
+
+def _cancel_unit_pivots(ring: BaseRing, cols: dict[int, dict], rows: dict[int, set]) -> list[tuple[int, int]]:
+    """Cancel unit pivots of one sparse matrix in place; return the (column, row) pairs.
+
+    Cancelling (j, i) with a = M[i, j] a unit subtracts M[i, j'] a^-1 times
+    column j from every other column j' meeting row i, then deletes column j
+    and row i: the Schur complement D - c a^-1 b on the affected columns
+    only.  Columns are visited shortest first (ties by index) in repeated
+    passes until a pass cancels nothing; in a column the pivot is the unit
+    whose row is shortest (ties by index), which keeps fill-in low.
+    """
+    is_unit, is_zero, mul, sub, zero = ring.is_unit, ring.is_zero, ring.mul, ring.sub, ring.zero
+    pairs: list[tuple[int, int]] = []
+    while True:
+        before = len(pairs)
+        for j in sorted(cols, key=lambda j: (len(cols[j]), j)):
+            col = cols[j]
+            best = None
+            for i, x in col.items():
+                if is_unit(x) and (best is None or (len(rows[i]), i) < best):
+                    best = (len(rows[i]), i)
+            if best is None:
+                continue
+            i = best[1]
+            del cols[j]
+            for k in col:
+                rows[k].discard(j)
+            a_inv = ring.inv(col.pop(i))
+            for j2 in rows.pop(i):
+                target = cols[j2]
+                f = mul(target.pop(i), a_inv)
+                for k, c in col.items():
+                    v = sub(target.get(k, zero), mul(f, c))
+                    if is_zero(v):
+                        if k in target:
+                            del target[k]
+                            rows[k].discard(j2)
+                    else:
+                        if k not in target:
+                            rows[k].add(j2)
+                        target[k] = v
+            pairs.append((j, i))
+        if len(pairs) == before:
+            return pairs
+
+
+def reduce_complex(complex_: ChainComplex) -> ChainComplex:
+    """A small complex with the same homology as complex_ in degrees below the top.
+
+    Unit pivots are cancelled in every differential from the top down.  A
+    pair (j, i) cancelled in d_n removes j from C_n and i from C_{n-1},
+    rewrites d_n on the surviving basis, and deletes row j of d_{n+1} and
+    column i of d_{n-1}.  Zero columns of the top differential bound
+    nothing and are dropped too.  The result goes through the ChainComplex
+    constructor, so d o d = 0 is checked again on it.
+    """
+    ring = complex_.ring
+    top = complex_.top_degree
+    dead: list[set[int]] = [set() for _ in range(top + 1)]
+    reduced: dict[int, dict[int, dict]] = {}
+    for n in range(top, 0, -1):
+        cols, rows = _sparse_columns(complex_.differential(n), skip=dead[n])
+        for j, i in _cancel_unit_pivots(ring, cols, rows):
+            dead[n].add(j)
+            dead[n - 1].add(i)
+        reduced[n] = cols
+    keep = [[b for b in range(complex_.rank(n)) if b not in dead[n]] for n in range(top + 1)]
+    if top >= 1:
+        gone = dead[top - 1]
+        keep[top] = [j for j in keep[top] if any(i not in gone for i in reduced[top][j])]
+    diffs = {}
+    for n in range(1, top + 1):
+        position = {b: p for p, b in enumerate(keep[n - 1])}
+        cols = reduced[n]
+        diffs[n] = SparseMap.from_col_dicts(
+            ring,
+            len(keep[n - 1]),
+            [{position[i]: c for i, c in cols[j].items() if i in position} for j in keep[n]],
+        )
+    return ChainComplex(ring, [len(k) for k in keep], diffs)
+
+
+def rank_over_field(d: SparseMap) -> int:
+    """Rank of a linear map over a field, by unit-pivot cancellation.
+
+    Over a field every nonzero entry is a unit, so cancellation only stops
+    at the zero matrix and each cancelled pair adds one to the rank.
+    """
+    if not d.ring.is_field:
+        raise UnsupportedRingError(f"rank_over_field needs a field, got {d.ring}")
+    return len(_cancel_unit_pivots(d.ring, *_sparse_columns(d)))

@@ -30,7 +30,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (
     Algebra,
@@ -45,13 +45,12 @@ from .algebra import (
     validate_algebra,
     validate_group,
 )
-from .chain import FPAbelianGroup, homology
+from .chain import FPAbelianGroup, homology, reduce_complex
 from .errors import (
     CapExceededError,
     ChainTraceError,
     DegreeOutOfRangeError,
     InputParseError,
-    InternalInvariantError,
     NotInvertibleError,
     UnsupportedRingError,
     ValidationError,
@@ -77,7 +76,7 @@ from .trace import GroupHomology, dennis_trace_k1, group_to_hh, morita_map, mult
 from .trace import dennis_trace_homology
 from .validation import ValidationReport
 from .wcat import category_from_selector, validate_waldhausen
-from .waldhausen import grothendieck_k0, k0_presentation, k0_retract_holds, k0_via_sdot
+from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_sdot
 
 __all__ = ["JobConfig", "run", "main", "algebra_from_selector", "group_from_selector"]
 
@@ -282,8 +281,8 @@ def _handle_hh(config: JobConfig) -> tuple[int, str]:
 
 def _handle_hc(config: JobConfig) -> tuple[int, str]:
     A = _resolve_algebra(config.inputs[0], config.ring)
-    tot = cyclic_total_complex(A, config.max_degree)
-    groups = [homology(tot, d).group for d in range(config.max_degree + 1)]
+    core = reduce_complex(cyclic_total_complex(A, config.max_degree))
+    groups = [homology(core, d).group for d in range(config.max_degree + 1)]
     lines = [_algebra_line(A)]
     lines += [f"HC_{d} = {g}" for d, g in enumerate(groups)]
     result = {

@@ -24,13 +24,12 @@ converted back to the caller's original basis at the boundary of the API.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology
+from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology, reduce_complex
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
-from .linalg import Matrix, SparseMap
-from .rings import BaseRing
+from .linalg import SparseMap
 from .validation import ValidationReport
 
 __all__ = [
@@ -411,7 +410,9 @@ class HochschildHomology:
     Representatives and input cycles use the caller's basis of A^tensor(q+1);
     internally everything runs on the normalized complex of a unit-first
     presentation, and the two are bridged by tensor powers of the change of
-    basis.
+    basis.  group() reads isomorphism types off the reduced core of that
+    complex; homology_data() and everything built on it use the complex
+    itself.
     """
 
     def __init__(self, A: Algebra, max_degree: int, cap: int = LEVEL_CAP):
@@ -438,8 +439,13 @@ class HochschildHomology:
             self._data[n] = homology(self.complex, n)
         return self._data[n]
 
+    @cached_property
+    def core(self) -> ChainComplex:
+        """reduce_complex of the normalized complex, built on first use."""
+        return reduce_complex(self.complex)
+
     def group(self, n: int) -> FPAbelianGroup | FPModule:
-        return self.homology_data(n).group
+        return homology(self.core, n).group
 
     def to_normalized(self, q: int) -> SparseMap:
         """Original-basis level q -> normalized level q."""
@@ -532,4 +538,4 @@ def cyclic_total_complex(A: Algebra, max_degree: int, cap: int = LEVEL_CAP) -> C
 
 def cyclic_homology(A: Algebra, n: int, cap: int = LEVEL_CAP) -> FPModule:
     """HC_n(A) over Q; see cyclic_total_complex."""
-    return homology(cyclic_total_complex(A, n, cap), n).group
+    return homology(reduce_complex(cyclic_total_complex(A, n, cap)), n).group

@@ -12,10 +12,15 @@ for values from outside (parsers, callers, tests).  Matrices built here from
 entries that ring arithmetic already produced (products, sums, transposes,
 Smith factors) skip that pass.
 
-smith_normal_form is the package's only elimination: ranks, kernels,
-membership, bijectivity and homology are all read off its result.  Image
-questions over Z/m go through the integer lift [M | m*I] built by
-lift_with_modulus, which is exact for every modulus.
+smith_normal_form is the package's one dense elimination: kernels,
+membership, bijectivity and homology() are read off its result.  Sparse
+unit-pivot cancellation (chain.reduce_complex) runs before it where only
+isomorphism types are printed, and feeds it a small core with the same
+homology; ranks over a field come from the same cancellation
+(chain.rank_over_field).  Generators and class coordinates still come from
+homology() on the full complex.  Image questions over Z/m go through the
+integer lift [M | m*I] built by lift_with_modulus, which is exact for every
+modulus.
 
 smith_normal_form(M) returns (U, S, V) with S = U * M * V, U and V
 invertible over the ring, S diagonal with the divisibility chain
@@ -30,7 +35,7 @@ Z/p^k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantError, UnsupportedRingError
 from .rings import ZZ, BaseRing

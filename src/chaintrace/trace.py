@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     Algebra,
-    AlgebraHom,
     FiniteGroup,
     GeneralLinearData,
     NonUnitCertificate,
@@ -34,12 +34,11 @@ from .algebra import (
     matrix_entries_to_vec,
     unit_inverse,
 )
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology
+from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology, reduce_complex
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
 from .hochschild import HochschildHomology, LEVEL_CAP, tensor_power_map
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .rings import BaseRing
-from .validation import ValidationReport
 
 __all__ = [
     "bar_complex",
@@ -114,6 +113,8 @@ class GroupHomology:
 
     Normalized level q has basis the tuples of non-identity elements; bar
     faces that produce the identity are killed by the projection.
+    group_at() reads isomorphism types off the reduced core of the complex;
+    homology_data() uses the complex itself.
     """
 
     def __init__(self, G: FiniteGroup, ring: BaseRing, max_degree: int, cap: int = LEVEL_CAP):
@@ -163,8 +164,13 @@ class GroupHomology:
             self._data[n] = homology(self.complex, n)
         return self._data[n]
 
+    @cached_property
+    def core(self) -> ChainComplex:
+        """reduce_complex of the normalized bar complex, built on first use."""
+        return reduce_complex(self.complex)
+
     def group_at(self, n: int) -> FPAbelianGroup | FPModule:
-        return self.homology_data(n).group
+        return homology(self.core, n).group
 
 
 def group_homology(G: FiniteGroup, ring: BaseRing, n: int, cap: int = LEVEL_CAP):
@@ -266,7 +272,7 @@ def dennis_trace_k1(
     if work is None:
         work = HochschildHomology(A, 1, cap)
     coords = work.coordinates(1, cycle)
-    return HomologyClass(1, coords, cycle, work.group(1))
+    return HomologyClass(1, coords, cycle, work.homology_data(1).group)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .chain import rank_over_field
 from .errors import (
-    CapExceededError,
     InputParseError,
     InternalInvariantError,
     ValidationError,
 )
 from .rings import GF
-from .linalg import Matrix, smith_normal_form
+from .linalg import Matrix, SparseMap, smith_normal_form
 from .validation import ValidationReport
 
 __all__ = [
@@ -426,7 +426,8 @@ class VectCategory(WCategory):
 
     def _is_cofibration(self, payload, a, b):
         src = self._obj_payloads[a]
-        return smith_normal_form(Matrix(self.ring, payload, ncols=src)).rank == src
+        cols = [{r: row[s] for r, row in enumerate(payload)} for s in range(src)]
+        return rank_over_field(SparseMap.from_col_dicts(self.ring, len(payload), cols)) == src
 
     def _is_weq(self, payload, a, b):
         return self._obj_payloads[a] == self._obj_payloads[b] and self._is_cofibration(payload, a, b)

@@ -158,3 +158,17 @@ def test_criterion_7_spectrum_level_results_out_of_scope():
             readme = handle.read()
         assert "spectrum-level" in readme.lower()
         assert "THH" in readme
+
+
+def test_criterion_8_hochschild_of_z_c5_via_cli(capsys):
+    with criterion(8, "CLI hh table for Z[C5] is Z^5, (Z/5)^5, 0, (Z/5)^5, 0", 10.0):
+        assert main(["hh", "Z[C5]", "--max-degree", "4"]) == 0
+        out = capsys.readouterr().out
+        five = " x ".join(["Z/5"] * 5)
+        assert out.splitlines()[1:] == [
+            "HH_0 = Z^5",
+            f"HH_1 = {five}",
+            "HH_2 = 0",
+            f"HH_3 = {five}",
+            "HH_4 = 0",
+        ]

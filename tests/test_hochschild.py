@@ -19,7 +19,7 @@ from chaintrace.algebra import (
     matrix_algebra,
     truncated_polynomial,
 )
-from chaintrace.chain import ChainComplex, FPModule, homology
+from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology
 from chaintrace.errors import CapExceededError, UnsupportedRingError
 from chaintrace.hochschild import (
     B_CONVENTION,
@@ -35,7 +35,8 @@ from chaintrace.hochschild import (
     validate_cyclic_module,
 )
 from chaintrace.linalg import Matrix, SparseMap, kernel_basis, solve_membership
-from chaintrace.rings import GF, QQ, ZZ
+from chaintrace.rings import GF, QQ, ZZ, Zmod
+from chaintrace.trace import GroupHomology
 
 
 def test_cyclic_bar_levels_and_identities():
@@ -119,6 +120,26 @@ def test_hh_matrix_algebra_matches_base():
     M = matrix_algebra(A, 2)
     for d in range(3):
         assert hochschild_homology(M, d) == hochschild_homology(A, d)
+
+
+def direct_power(group, m):
+    """The direct sum of m copies of a group, in canonical form."""
+    if isinstance(group, FPModule):
+        return FPModule(group.field, m * group.dimension)
+    return FPAbelianGroup(m * group.free_rank, tuple(sorted(group.invariant_factors * m)))
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5), Zmod(4)], ids=str)
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_hh_burghelea_splitting_of_cyclic_group_algebras(ring, m):
+    # Burghelea (Comment. Math. Helv. 1985): for abelian G the conjugacy
+    # classes are the elements, each with centralizer G, so
+    # HH_n(R[C_m]) = H_n(C_m; R)^m
+    G = cyclic_group(m)
+    work = HochschildHomology(group_algebra(G, ring), 4)
+    oracle = GroupHomology(G, ring, 4)
+    for n in range(5):
+        assert work.group(n) == direct_power(oracle.group_at(n), m), n
 
 
 def test_hh_class_coordinates_roundtrip():
