@@ -17,8 +17,11 @@ Conventions, fixed once and recorded in CLI output:
 The normalized complex is realized by first moving the algebra to a
 unit-first basis (unit = basis vector 0); degenerate chains are then spanned
 by basis tensors with a unit in some slot >= 1, and the quotient has the
-honest basis of tuples avoiding index 0 past slot 0.  Homology results are
-converted back to the caller's original basis at the boundary of the API.
+honest basis of the r(r-1)^q tuples avoiding index 0 past slot 0.  b and B
+are written directly on these unit-free tuples (Loday, Cyclic Homology,
+2.1), dropping terms that land on a degenerate tuple, so the full levels are
+never built for them; _face is the one face writer, for both b's.  Homology
+results are converted back to the caller's original basis at the API boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "hochschild_complex",
     "HochschildHomology",
     "hochschild_homology",
-    "connes_b",
     "cyclic_homology",
     "cyclic_total_complex",
     "induced_chain_map",
@@ -90,21 +92,11 @@ class CyclicModule:
             raise DegreeOutOfRangeError(f"face index {i} outside 0..{q}")
         key = ("d", q, i)
         if key not in self._cache:
-            A, ring = self.algebra, self.ring
-            cols = []
-            for tup in self.tuples(q):
-                if i < q:
-                    prod = A.table[tup[i]][tup[i + 1]]
-                    rest_head, rest_tail = tup[:i], tup[i + 2 :]
-                    col = {
-                        self.tuple_index(rest_head + (k,) + rest_tail): c for k, c in prod
-                    }
-                else:
-                    prod = A.table[tup[q]][tup[0]]
-                    body = tup[1:q]
-                    col = {self.tuple_index((k,) + body): c for k, c in prod}
-                cols.append(col)
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q - 1), cols)
+            cols = [
+                {self.tuple_index(target): c for target, c in _face(self.algebra, tup, i)}
+                for tup in self.tuples(q)
+            ]
+            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
         return self._cache[key]
 
     def degeneracy(self, q: int, j: int) -> SparseMap:
@@ -126,23 +118,6 @@ class CyclicModule:
             self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q + 1), cols)
         return self._cache[key]
 
-    def extra_degeneracy(self, q: int) -> SparseMap:
-        """s_e: level q -> level q+1, placing the unit in slot 0."""
-        self._check_level(q)
-        self._check_level(q + 1)
-        key = ("se", q)
-        if key not in self._cache:
-            A, ring = self.algebra, self.ring
-            cols = []
-            for tup in self.tuples(q):
-                col = {}
-                for k, c in enumerate(A.unit):
-                    if not ring.is_zero(c):
-                        col[self.tuple_index((k,) + tup)] = c
-                cols.append(col)
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q + 1), cols)
-        return self._cache[key]
-
     def cyclic(self, q: int) -> SparseMap:
         """t: level q -> level q, last slot to the front, no sign."""
         self._check_level(q)
@@ -160,13 +135,8 @@ class CyclicModule:
         self._check_level(q, lo=1)
         key = ("b", q)
         if key not in self._cache:
-            ring = self.ring
-            acc = self.face(q, 0)
-            sign = ring.one
-            for i in range(1, q + 1):
-                sign = ring.neg(sign)
-                acc = acc.add(self.face(q, i).scale(sign))
-            self._cache[key] = acc
+            cols = _hochschild_boundary(self.algebra, self.tuples(q), self.tuple_index)
+            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
         return self._cache[key]
 
     def signed_cyclic(self, q: int) -> SparseMap:
@@ -174,15 +144,38 @@ class CyclicModule:
         t = self.cyclic(q)
         return t if q % 2 == 0 else t.neg()
 
-    def cyclic_norm(self, q: int) -> SparseMap:
-        """N = sum_{i=0}^{q} t_s^i at level q."""
-        ts = self.signed_cyclic(q)
-        acc = SparseMap.identity(self.ring, self.level_rank(q))
-        power = acc
-        for _ in range(q):
-            power = ts.compose(power)
-            acc = acc.add(power)
-        return acc
+
+def _face(A: Algebra, tup: tuple, i: int) -> list:
+    """d_i of the basis tensor tup as (tuple, coeff) pairs.
+
+    For i < q slots i and i+1 multiply; d_q multiplies the last slot onto
+    the first.
+    """
+    q = len(tup) - 1
+    if i < q:
+        head, tail = tup[:i], tup[i + 2 :]
+        return [(head + (k,) + tail, c) for k, c in A.table[tup[i]][tup[i + 1]]]
+    body = tup[1:q]
+    return [((k,) + body, c) for k, c in A.table[tup[q]][tup[0]]]
+
+
+def _hochschild_boundary(A: Algebra, tuples, row_of) -> list[dict]:
+    """Columns of b = sum_i (-1)^i d_i on the given basis tensors.
+
+    row_of maps a tensor one level down to its row, or to None for a term
+    the complex drops.
+    """
+    ring = A.ring
+    cols = []
+    for tup in tuples:
+        col: dict[int, object] = {}
+        for i in range(len(tup)):
+            for target, c in _face(A, tup, i):
+                row = row_of(target)
+                if row is not None:
+                    col[row] = ring.add(col.get(row, ring.zero), ring.neg(c) if i % 2 else c)
+        cols.append(col)
+    return cols
 
 
 def cyclic_bar(A: Algebra, N: int, cap: int = LEVEL_CAP) -> CyclicModule:
@@ -269,7 +262,8 @@ class NormalizedComplex:
 
     Requires the algebra's unit to be basis vector 0; then degenerate chains
     are spanned by tuples with 0 in a slot >= 1 and the quotient basis is
-    the set of tuples avoiding 0 past slot 0.
+    the set of tuples avoiding 0 past slot 0.  b and B are written on these
+    unit-free tuples; only projection and inclusion touch the full levels.
     """
 
     def __init__(self, C: CyclicModule):
@@ -287,12 +281,7 @@ class NormalizedComplex:
     def level_tuples(self, q: int) -> list:
         if q not in self._tuples:
             r = self.cyclic_module.algebra.rank
-            tups = [
-                (first,) + rest
-                for first in range(r)
-                for rest in itertools.product(range(1, r), repeat=q)
-            ]
-            tups.sort()
+            tups = list(itertools.product(range(r), *[range(1, r)] * q))
             self._tuples[q] = tups
             self._index[q] = {t: i for i, t in enumerate(tups)}
         return self._tuples[q]
@@ -302,16 +291,20 @@ class NormalizedComplex:
             return 0
         return len(self.level_tuples(q))
 
+    def _row_of(self, q: int):
+        """Row lookup on normalized level q; None for a degenerate tuple."""
+        self.level_tuples(q)
+        return self._index[q].get
+
     def projection(self, q: int) -> SparseMap:
         """Full level q -> normalized level q (kill degenerate tuples)."""
         key = ("proj", q)
         if key not in self._cache:
-            self.level_tuples(q)
-            index = self._index[q]
+            row_of = self._row_of(q)
             ring = self.ring
             cols = []
             for tup in self.cyclic_module.tuples(q):
-                pos = index.get(tup)
+                pos = row_of(tup)
                 cols.append({} if pos is None else {pos: ring.one})
             self._cache[key] = SparseMap.from_col_dicts(ring, self.rank(q), cols)
         return self._cache[key]
@@ -327,38 +320,43 @@ class NormalizedComplex:
         return self._cache[key]
 
     def boundary(self, q: int) -> SparseMap:
-        """Induced Hochschild boundary on the normalized complex."""
+        """Induced Hochschild boundary: b with degenerate faces dropped."""
         key = ("b", q)
         if key not in self._cache:
-            cm = self.cyclic_module
-            self._cache[key] = (
-                self.projection(q - 1).compose(cm.boundary(q)).compose(self.inclusion(q))
+            self.cyclic_module._check_level(q, lo=1)
+            cols = _hochschild_boundary(
+                self.cyclic_module.algebra, self.level_tuples(q), self._row_of(q - 1)
             )
+            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.rank(q - 1), cols)
         return self._cache[key]
 
     def connes_b(self, q: int) -> SparseMap:
-        """Induced Connes boundary B: normalized level q -> q+1."""
+        """Induced Connes boundary B: normalized level q -> q+1.
+
+        B(a) = sum_{i=0}^{q} (-1)^(qi) (0, t^i a): t^i moves the last i slots
+        to the front, and a term with index 0 past slot 0 is degenerate.
+        """
         key = ("B", q)
         if key not in self._cache:
-            cm = self.cyclic_module
-            full = connes_b(cm, q)
-            self._cache[key] = self.projection(q + 1).compose(full).compose(self.inclusion(q))
+            self.cyclic_module._check_level(q + 1, lo=1)
+            ring = self.ring
+            signs = [ring.neg(ring.one) if q * i % 2 else ring.one for i in range(q + 1)]
+            row_of = self._row_of(q + 1)
+            cols = []
+            for tup in self.level_tuples(q):
+                col: dict[int, object] = {}
+                for i, sign in enumerate(signs):
+                    row = row_of((0,) + tup[q + 1 - i :] + tup[: q + 1 - i])
+                    if row is not None:
+                        col[row] = ring.add(col.get(row, ring.zero), sign)
+                cols.append(col)
+            self._cache[key] = SparseMap.from_col_dicts(ring, self.rank(q + 1), cols)
         return self._cache[key]
 
     def chain_complex(self, top: int) -> ChainComplex:
         ranks = [self.rank(q) for q in range(top + 1)]
         diffs = {q: self.boundary(q) for q in range(1, top + 1)}
         return ChainComplex(self.ring, ranks, diffs)
-
-
-def connes_b(C: CyclicModule, q: int) -> SparseMap:
-    """B = (1 - t_s) s_e N: level q -> level q+1 (descends to normalized)."""
-    if q + 1 > C.max_level:
-        raise DegreeOutOfRangeError(f"B at level {q} needs level {q + 1} <= {C.max_level}")
-    n = C.cyclic_norm(q)
-    se = C.extra_degeneracy(q)
-    one_minus_t = SparseMap.identity(C.ring, C.level_rank(q + 1)).sub(C.signed_cyclic(q + 1))
-    return one_minus_t.compose(se).compose(n)
 
 
 def hochschild_complex(C: CyclicModule, normalized: bool = True) -> ChainComplex:

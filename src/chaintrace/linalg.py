@@ -10,7 +10,9 @@ touches floating point.  Two representations coexist:
 Matrix(ring, rows) is where entries are normalized: it is the constructor
 for values from outside (parsers, callers, tests).  Matrices built here from
 entries that ring arithmetic already produced (products, sums, transposes,
-Smith factors) skip that pass.
+Smith factors) skip that pass, and so does every SparseMap:
+SparseMap.from_col_dicts takes ring values (ring arithmetic, the normalized
+tables of an Algebra) and only drops zeros.
 
 smith_normal_form is the package's one dense elimination: kernels,
 membership, bijectivity and homology() are read off its result.  Sparse
@@ -216,15 +218,11 @@ class SparseMap:
 
     @classmethod
     def from_col_dicts(cls, ring: BaseRing, nrows: int, col_dicts: Sequence[dict]) -> "SparseMap":
-        cols = []
-        for d in col_dicts:
-            entries = []
-            for row in sorted(d):
-                c = ring.normalize(d[row])
-                if not ring.is_zero(c):
-                    entries.append((row, c))
-            cols.append(tuple(entries))
-        return cls(ring, nrows, len(col_dicts), tuple(cols))
+        """Columns given as {row: ring value}; zeros are dropped, nothing is normalized."""
+        cols = tuple(
+            tuple((row, d[row]) for row in sorted(d) if not ring.is_zero(d[row])) for d in col_dicts
+        )
+        return cls(ring, nrows, len(cols), cols)
 
     @classmethod
     def zero(cls, ring: BaseRing, nrows: int, ncols: int) -> "SparseMap":
@@ -261,7 +259,7 @@ class SparseMap:
             for k, c in col:
                 for i, a in self.cols[k]:
                     acc[i] = ring.add(acc.get(i, ring.zero), ring.mul(a, c))
-            cols.append({i: v for i, v in acc.items() if not ring.is_zero(v)})
+            cols.append(acc)
         return SparseMap.from_col_dicts(ring, self.nrows, cols)
 
     def add(self, other: "SparseMap") -> "SparseMap":

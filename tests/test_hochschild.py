@@ -18,13 +18,15 @@ from chaintrace.algebra import (
     group_algebra_hom,
     matrix_algebra,
     truncated_polynomial,
+    unit_first_presentation,
 )
-from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology
-from chaintrace.errors import CapExceededError, UnsupportedRingError
+from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, reduce_complex
+from chaintrace.cli import algebra_from_selector
+from chaintrace.errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError
 from chaintrace.hochschild import (
     B_CONVENTION,
     HochschildHomology,
-    connes_b,
+    NormalizedComplex,
     cyclic_bar,
     cyclic_homology,
     cyclic_total_complex,
@@ -86,12 +88,43 @@ def test_connes_b_identities():
             assert anti.is_zero_map()
 
 
-def test_connes_b_descends_from_full_level():
-    A = group_algebra(cyclic_group(2), QQ)
+@pytest.mark.parametrize(
+    "sel", ["Z[C3]", "GF:2[x]/x^2", "M2(GF:2)", "Zmod:4[C2]", "Q[C3]", "Z[x]/x^3"]
+)
+def test_normalized_operators_match_full_level_composites(sel):
+    # oracle: projection . operator . inclusion through the full levels, with
+    # b summed from the faces and B = (1 - t_s) s_e N built here as pinned in
+    # B_CONVENTION
+    A, _, _ = unit_first_presentation(algebra_from_selector(sel))
+    ring = A.ring
     cm = cyclic_bar(A, 2)
-    full = connes_b(cm, 1)
-    assert full.nrows == cm.level_rank(2)
-    assert full.ncols == cm.level_rank(1)
+    norm = NormalizedComplex(cm)
+    for q in range(1, 4):
+        b = cm.face(q, 0)
+        for i in range(1, q + 1):
+            b = b.add(cm.face(q, i).neg() if i % 2 else cm.face(q, i))
+        assert norm.boundary(q) == norm.projection(q - 1).compose(b).compose(norm.inclusion(q))
+    for q in range(3):
+        ts = cm.signed_cyclic(q)
+        n = power = SparseMap.identity(ring, cm.level_rank(q))
+        for _ in range(q):
+            power = ts.compose(power)
+            n = n.add(power)
+        se = SparseMap.from_col_dicts(
+            ring,
+            cm.level_rank(q + 1),
+            [
+                {cm.tuple_index((k,) + tup): c for k, c in enumerate(A.unit) if c != 0}
+                for tup in cm.tuples(q)
+            ],
+        )
+        one_minus_ts = SparseMap.identity(ring, cm.level_rank(q + 1)).sub(cm.signed_cyclic(q + 1))
+        full = one_minus_ts.compose(se).compose(n)
+        assert norm.connes_b(q) == norm.projection(q + 1).compose(full).compose(norm.inclusion(q))
+    with pytest.raises(DegreeOutOfRangeError):
+        norm.boundary(cm.max_level + 1)
+    with pytest.raises(DegreeOutOfRangeError):
+        norm.connes_b(cm.max_level)
 
 
 def test_hh_frozen_tables():
@@ -140,6 +173,36 @@ def test_hh_burghelea_splitting_of_cyclic_group_algebras(ring, m):
     oracle = GroupHomology(G, ring, 4)
     for n in range(5):
         assert work.group(n) == direct_power(oracle.group_at(n), m), n
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(5), ZZ], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hh_truncated_polynomial_closed_form(n, ring):
+    # the 2-periodic resolution of A = R[x]/x^n gives HH_0 = A,
+    # HH_(2i-1) = A/(n x^(n-1)) and HH_(2i) = Ann_A(n x^(n-1)) for i >= 1
+    work = HochschildHomology(truncated_polynomial(ring, n), 4)
+    for m in range(5):
+        if ring == ZZ:
+            expected = FPAbelianGroup(n if m == 0 else n - 1, (n,) if m % 2 else ())
+        else:
+            expected = FPModule(ring, n if m == 0 else n - 1)
+        assert work.group(m) == expected, m
+
+
+def test_hh_truncated_polynomial_in_dividing_characteristic():
+    # n x^(n-1) = 0 when the characteristic divides n: both quotient and
+    # annihilator are all of A
+    work = HochschildHomology(truncated_polynomial(GF(3), 3), 4)
+    assert [work.group(m) for m in range(5)] == [FPModule(GF(3), 3)] * 5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hc_truncated_polynomial_closed_form(n):
+    # over Q: HC_even = Q^n and HC_odd = 0; the B of this total complex is
+    # the direct one, on an algebra with nilpotents
+    core = reduce_complex(cyclic_total_complex(truncated_polynomial(QQ, n), 4))
+    got = [homology(core, m).group for m in range(5)]
+    assert got == [FPModule(QQ, 0 if m % 2 else n) for m in range(5)]
 
 
 def test_hh_class_coordinates_roundtrip():

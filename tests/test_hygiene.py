@@ -1,9 +1,12 @@
-"""Source hygiene: every module of the package uses what it imports.
+"""Source hygiene: every module of the package uses what it imports and
+binds what it exports.
 
-The scan is syntactic: an imported name counts as used when it appears as
+The scans are syntactic.  An imported name counts as used when it appears as
 a name anywhere else in the module (including annotations) or is listed in
 the module's ``__all__``.  ``from __future__`` imports are directives, not
-names, and are skipped.
+names, and are skipped.  A name in ``__all__`` counts as bound when a
+module-level statement (also inside if/try/with blocks) defines, assigns or
+imports it.
 """
 
 import ast
@@ -40,6 +43,27 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _bound(body: list) -> set[str]:
+    names: set[str] = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                names |= _bound(getattr(node, field, []))
+    return names
+
+
+def unbound_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return sorted(_exported(tree) - _bound(tree.body))
+
+
 def test_scan_flags_unused_and_spares_exports():
     source = "from os import path, sep\nimport sys\n__all__ = ['sep']\nprint(sys.argv)\n"
     assert unused_imports(source) == [(1, "path")]
@@ -48,3 +72,18 @@ def test_scan_flags_unused_and_spares_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_unbound_exports():
+    source = (
+        "import os\nfrom sys import argv as args\nX, (Y, Z) = 1, (2, 3)\n"
+        "try:\n    import json\nexcept ImportError:\n    json = None\n"
+        "def f():\n    inner = 1\nclass C:\n    attr = 1\n"
+        "__all__ = ['os', 'args', 'X', 'Z', 'json', 'f', 'C', 'inner', 'attr', 'gone']\n"
+    )
+    assert unbound_exports(source) == ["attr", "gone", "inner"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exports_are_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
