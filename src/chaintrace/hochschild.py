@@ -57,13 +57,15 @@ B_CONVENTION = "B = (1 - (-1)^q t) s_e N on the normalized complex; b = sum (-1)
 class CyclicModule:
     """Levels A^tensor(q+1) for q = 0..max_level with the cyclic structure.
 
-    All operators are column-sparse maps, built lazily and cached.
+    All operators are column-sparse maps, built lazily and cached.  A full
+    level of rank above ``cap`` is refused when an operator on it is built.
     """
 
-    def __init__(self, algebra: Algebra, max_level: int):
+    def __init__(self, algebra: Algebra, max_level: int, cap: int = LEVEL_CAP):
         self.algebra = algebra
         self.ring = algebra.ring
         self.max_level = max_level
+        self.cap = cap
         self._cache: dict = {}
 
     def level_rank(self, q: int) -> int:
@@ -71,7 +73,16 @@ class CyclicModule:
             return 0
         return self.algebra.rank ** (q + 1)
 
+    def check_full_level(self, q: int) -> None:
+        """Raise CapExceededError if full level q has rank above the cap."""
+        r = self.algebra.rank
+        if r ** (q + 1) > self.cap:
+            raise CapExceededError(
+                f"cyclic bar level {q} has rank {r}^{q + 1} = {r ** (q + 1)} > cap {self.cap}"
+            )
+
     def tuples(self, q: int):
+        self.check_full_level(q)
         return itertools.product(range(self.algebra.rank), repeat=q + 1)
 
     def tuple_index(self, tup) -> int:
@@ -179,15 +190,21 @@ def _hochschild_boundary(A: Algebra, tuples, row_of) -> list[dict]:
 
 
 def cyclic_bar(A: Algebra, N: int, cap: int = LEVEL_CAP) -> CyclicModule:
-    """Cyclic module of A with levels 0..N+1 (enough to compute HH_0..HH_N)."""
+    """Cyclic module of A with levels 0..N+1 (enough to compute HH_0..HH_N).
+
+    The cap bounds the normalized level N+1, of rank r(r-1)^(N+1), which is
+    what homology eliminates; a full level, of rank r^(q+1), is checked
+    only when an operator on it is built (see CyclicModule.check_full_level).
+    """
     if N < 0:
         raise DegreeOutOfRangeError("N must be >= 0")
-    top = A.rank ** (N + 2)
+    r = A.rank
+    top = r * (r - 1) ** (N + 1)
     if top > cap:
         raise CapExceededError(
-            f"cyclic bar level {N + 1} has rank {A.rank}^{N + 2} = {top} > cap {cap}"
+            f"cyclic bar level {N + 1} has rank {r}*{r - 1}^{N + 1} = {top} > cap {cap}"
         )
-    return CyclicModule(A, N + 1)
+    return CyclicModule(A, N + 1, cap)
 
 
 def validate_cyclic_module(C: CyclicModule, through_level: int | None = None) -> ValidationReport:
@@ -448,6 +465,7 @@ class HochschildHomology:
     def to_normalized(self, q: int) -> SparseMap:
         """Original-basis level q -> normalized level q."""
         if q not in self._to_norm:
+            self.cyclic_module.check_full_level(q)
             self._to_norm[q] = self.normalized.projection(q).compose(
                 tensor_power_map(self._tinv_map, q + 1)
             )
@@ -456,6 +474,7 @@ class HochschildHomology:
     def from_normalized(self, q: int) -> SparseMap:
         """Normalized level q -> original-basis level q."""
         if q not in self._from_norm:
+            self.cyclic_module.check_full_level(q)
             self._from_norm[q] = tensor_power_map(self._t_map, q + 1).compose(
                 self.normalized.inclusion(q)
             )

@@ -29,6 +29,7 @@ from .waldhausen import (
     STRING_CAP,
     PointedSimplicialSet,
     SCategory,
+    _weq_strings,
     reindex_s_morphism,
     reindex_s_object,
 )
@@ -72,28 +73,9 @@ def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> Pointed
     levels = []
     index_of = []
     for l in range(w_max + 1):
-        bp = (C.zero_index(), (C.identity_id(C.zero_index()),) * l)
-        elts = [bp]
-        seen = {bp}
-
-        def extend(x0: int, prefix: tuple, depth: int):
-            if depth == l:
-                e = (x0, prefix)
-                if e not in seen:
-                    seen.add(e)
-                    elts.append(e)
-                if len(elts) > string_cap:
-                    raise CapExceededError(
-                        f"nerve level {l} of {C.name} exceeds {string_cap} strings"
-                    )
-                return
-            src = x0 if depth == 0 else C.mor_target(prefix[-1])
-            for b in range(C.object_count()):
-                for g in C.weq_ids(src, b):
-                    extend(x0, prefix + (g,), depth + 1)
-
-        for x0 in range(C.object_count()):
-            extend(x0, (), 0)
+        elts = _weq_strings(
+            C, l, string_cap, f"nerve level {l} of {C.name} exceeds {string_cap} strings"
+        )
         levels.append(tuple(elts))
         index_of.append({e: t for t, e in enumerate(elts)})
 

@@ -330,8 +330,8 @@ def morita_map(A: Algebra, n: int, max_degree: int, cap: int = LEVEL_CAP) -> lis
     WA = HochschildHomology(A, max_degree, cap)
     out = []
     for d in range(max_degree + 1):
-        tr = multitrace(A, n, d)
-        bridge = WA.to_normalized(d).compose(tr).compose(WM.from_normalized(d))
+        from_m = WM.from_normalized(d)  # refuses an over-cap full level of M first
+        bridge = WA.to_normalized(d).compose(multitrace(A, n, d)).compose(from_m)
         src = WM.homology_data(d)
         tgt = WA.homology_data(d)
         cols = [tgt.coordinates(bridge.apply(gen)) for gen in src.generators]

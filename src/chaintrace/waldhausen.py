@@ -233,7 +233,7 @@ def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> l
                         hrow.append(base.hom_ids(z, row[j + 1])[0])
                     for l in range(j + 1, n - 1):
                         d_l, u_l, v_l = combo[l - j - 1]
-                        p = base.compose_ids(combo[l - j], prev_h[l])
+                        p = base.compose_ids(combo[l - j][1], prev_h[l])
                         (q,) = base.hom_ids(z, row[l + 1])
                         meds = base.mediating_ids(u_l, v_l, p, q)
                         if len(meds) != 1:
@@ -308,6 +308,14 @@ class SCategory(WCategory):
     X(0,j) u_{X(0,j-1)} Y(0,j-1) -> Y(0,j) are again cofibrations; when
     the comparison pushout does not fit within the bound the map is
     conservatively not a cofibration.
+
+    Hom sets and weak-equivalence sets are found slot by slot in row-major
+    order.  A component X(i,j) -> Y(i,j) must close the square with the
+    component to its left and the one above; the candidates come from the
+    base grouped by their composite with the incoming arrow of X (cached
+    per arrow and target), so each search node reads the one group that
+    matches the arrow of Y after the earlier component.  Groups keep hom
+    order, so morphisms come out in the order of a plain scan.
     """
 
     def __init__(self, base: WCategory, k: int, k_cap: int = DEFAULT_K_CAP):
@@ -350,33 +358,36 @@ class SCategory(WCategory):
 
     def _nat_search(self, Xp, Yp, weq_only: bool) -> list:
         base, k, n = self.base, self.k, self.k + 1
-        Xe, Xh, Xv = Xp[0], Xp[1], Xp[2]
-        Ye, Yh, Yv = Yp[0], Yp[1], Yp[2]
-        slots = self._slots
+        Xe, Xh, Xv = Xp
+        Ye, Yh, Yv = Yp
         slot_pos = self._slot_pos
-        comps = [0] * len(slots)
+        # per slot: its endpoints and, for each square closing there, the
+        # earlier slot, the arrow of X into this slot and the arrow of Y
+        plan = []
+        for i, j in self._slots:
+            left = (slot_pos[(i, j - 1)], Xh[i * k + j - 1], Yh[i * k + j - 1]) if i < j - 1 else None
+            up = (slot_pos[(i - 1, j)], Xv[(i - 1) * n + j], Yv[(i - 1) * n + j]) if i >= 1 else None
+            plan.append((Xe[i * n + j], Ye[i * n + j], left, up))
+        comps = [0] * len(plan)
         out = []
 
         def pick(t: int):
-            if t == len(slots):
+            if t == len(plan):
                 out.append(tuple(comps))
                 return
-            i, j = slots[t]
-            xs, ys = Xe[i * n + j], Ye[i * n + j]
-            cands = base.weq_ids(xs, ys) if weq_only else base.hom_ids(xs, ys)
+            xs, ys, left, up = plan[t]
+            first = left or up
+            if first is None:
+                cands = base.weq_ids(xs, ys) if weq_only else base.hom_ids(xs, ys)
+            else:
+                s, x_arrow, y_arrow = first
+                target = base.compose_ids(y_arrow, comps[s])
+                cands = base._by_composite(x_arrow, ys, weq_only).get(target, ())
+                if left and up:
+                    s, x_arrow, y_arrow = up
+                    target = base.compose_ids(y_arrow, comps[s])
+                    cands = [c for c in cands if base.compose_ids(c, x_arrow) == target]
             for c in cands:
-                if i < j - 1:
-                    left = comps[slot_pos[(i, j - 1)]]
-                    if base.compose_ids(c, Xh[i * k + j - 1]) != base.compose_ids(
-                        Yh[i * k + j - 1], left
-                    ):
-                        continue
-                if i >= 1:
-                    up = comps[slot_pos[(i - 1, j)]]
-                    if base.compose_ids(c, Xv[(i - 1) * n + j]) != base.compose_ids(
-                        Yv[(i - 1) * n + j], up
-                    ):
-                        continue
                 comps[t] = c
                 pick(t + 1)
 
@@ -662,6 +673,35 @@ class PointedSimplicialSet:
         return report
 
 
+def _weq_strings(C: WCategory, length: int, string_cap: int, too_many: str) -> list:
+    """Strings of ``length`` composable weak equivalences of C.
+
+    Each string is a pair (start object, morphism tuple).  The basepoint,
+    the identity string on the zero object, comes first; the rest follow
+    depth first over target objects and weak-equivalence sets.  Raises
+    CapExceededError with the message ``too_many`` once the list holds
+    more than ``string_cap`` strings.
+    """
+    bp = (C.zero_index(), (C.identity_id(C.zero_index()),) * length)
+    elts = [bp]
+
+    def extend(x0: int, prefix: tuple, src: int):
+        if len(prefix) == length:
+            # distinct paths give distinct strings; only bp comes up twice
+            if (x0, prefix) != bp:
+                elts.append((x0, prefix))
+            if len(elts) > string_cap:
+                raise CapExceededError(too_many)
+            return
+        for b in range(C.object_count()):
+            for g in C.weq_ids(src, b):
+                extend(x0, prefix + (g,), b)
+
+    for x0 in range(C.object_count()):
+        extend(x0, (), x0)
+    return elts
+
+
 def ws_diagonal(
     C: WCategory, n_max: int = 2, string_cap: int = STRING_CAP
 ) -> PointedSimplicialSet:
@@ -678,28 +718,9 @@ def ws_diagonal(
     elements_of = []
 
     for n, S in enumerate(scats):
-        bp = (S.zero_index(), (S.identity_id(S.zero_index()),) * n)
-        elts = [bp]
-        seen = {bp}
-
-        def extend(x0: int, prefix: tuple, depth: int):
-            if depth == n:
-                e = (x0, prefix)
-                if e not in seen:
-                    seen.add(e)
-                    elts.append(e)
-                if len(elts) > string_cap:
-                    raise CapExceededError(
-                        f"level {n} of the diagonal of {C.name} exceeds {string_cap} strings"
-                    )
-                return
-            src = x0 if depth == 0 else S.mor_target(prefix[-1])
-            for b in range(S.object_count()):
-                for g in S.weq_ids(src, b):
-                    extend(x0, prefix + (g,), depth + 1)
-
-        for x0 in range(S.object_count()):
-            extend(x0, (), 0)
+        elts = _weq_strings(
+            S, n, string_cap, f"level {n} of the diagonal of {C.name} exceeds {string_cap} strings"
+        )
         levels.append(tuple(elts))
         index_of.append({e: t for t, e in enumerate(elts)})
         elements_of.append(elts)

@@ -97,6 +97,7 @@ class WCategory:
         self._weq_cache: dict = {}
         self._inverse_cache: dict = {}
         self._witness_cache: dict = {}
+        self._composite_index: dict = {}
 
     # -- hooks a subclass must implement ------------------------------------
 
@@ -289,26 +290,41 @@ class WCategory:
             self._witness_cache[key] = self._pushout_witness(i, f)
         return self._witness_cache[key]
 
+    def _by_composite(self, f: int, e: int, weq_only: bool = False) -> dict:
+        """Maps h: tgt(f) -> e grouped by h∘f, each group in hom order.
+
+        With ``weq_only`` only the weak equivalences are grouped.  Built once
+        per (f, e) and cached, so a search that asks "which candidates
+        compose with f to a given map" reads one group instead of composing
+        every candidate.
+        """
+        key = (f, e, weq_only)
+        got = self._composite_index.get(key)
+        if got is None:
+            d = self._mor_tgt[f]
+            got = {}
+            for h in self.weq_ids(d, e) if weq_only else self.hom_ids(d, e):
+                got.setdefault(self.compose_ids(h, f), []).append(h)
+            self._composite_index[key] = got
+        return got
+
     def mediating_ids(self, u: int, v: int, p: int, q: int) -> tuple:
-        """All h out of the shared target of u, v with h∘u = p and h∘v = q."""
-        d = self._mor_tgt[u]
-        e = self._mor_tgt[p]
-        out = []
-        for h in self.hom_ids(d, e):
-            if self.compose_ids(h, u) == p and self.compose_ids(h, v) == q:
-                out.append(h)
-        return tuple(out)
+        """All h out of the shared target of u, v with h∘u = p and h∘v = q.
+
+        Candidates are the maps into the target e of p grouped by their
+        composite with u (``_by_composite``, cached per (u, e)): only the
+        group of p is read, in hom order, and filtered by h∘v = q.
+        """
+        group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
+        return tuple(h for h in group if self.compose_ids(h, v) == q)
 
     def is_pushout(self, i: int, f: int, d: int, u: int, v: int) -> bool:
         """Universal-property check for the square (i, f, u, v) by enumeration."""
         if self.compose_ids(u, i) != self.compose_ids(v, f):
             return False
-        b, c = self._mor_tgt[i], self._mor_tgt[f]
+        b = self._mor_tgt[i]
         for e in range(self.object_count()):
-            hom_ce = self.hom_ids(c, e)
-            legs = {}
-            for q in hom_ce:
-                legs.setdefault(self.compose_ids(q, f), []).append(q)
+            legs = self._by_composite(f, e)
             for p in self.hom_ids(b, e):
                 for q in legs.get(self.compose_ids(p, i), ()):
                     if len(self.mediating_ids(u, v, p, q)) != 1:
@@ -317,15 +333,12 @@ class WCategory:
 
     def pushout_candidates(self, i: int, f: int, first_only: bool = False) -> list:
         """All (d, u, v) within the bound satisfying the universal property."""
-        b, c = self._mor_tgt[i], self._mor_tgt[f]
+        b = self._mor_tgt[i]
         out = []
         for d in range(self.object_count()):
-            hom_cd = self.hom_ids(c, d)
+            legs = self._by_composite(f, d)
             for u in self.hom_ids(b, d):
-                ui = self.compose_ids(u, i)
-                for v in hom_cd:
-                    if ui != self.compose_ids(v, f):
-                        continue
+                for v in legs.get(self.compose_ids(u, i), ()):
                     if self.is_pushout(i, f, d, u, v):
                         out.append((d, u, v))
                         if first_only:
@@ -1011,13 +1024,9 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
             for alpha in C.weq_ids(a, a2):
                 ia = C.compose_ids(i2, alpha)
                 fa = C.compose_ids(f2, alpha)
-                for beta in C.weq_ids(b, b2):
-                    if C.compose_ids(beta, i) != ia:
-                        continue
+                for beta in C._by_composite(i, b2, weq_only=True).get(ia, ()):
                     ub = C.compose_ids(u2, beta)
-                    for gamma in C.weq_ids(c, c2):
-                        if C.compose_ids(gamma, f) != fa:
-                            continue
+                    for gamma in C._by_composite(f, c2, weq_only=True).get(fa, ()):
                         report.checks_run += 1
                         med = C.mediating_ids(u, v, ub, C.compose_ids(v2, gamma))
                         if len(med) != 1:

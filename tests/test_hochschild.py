@@ -60,6 +60,22 @@ def test_cyclic_bar_cap():
         cyclic_bar(A, 4)
 
 
+def test_cyclic_bar_cap_bounds_the_normalized_level():
+    # HH_11 eliminates normalized levels of rank 3*2^q (12288 at q = 12),
+    # far inside the cap, although the full level 12 has 3^13 tuples
+    A = group_algebra(cyclic_group(3), ZZ)
+    work = HochschildHomology(A, 11)
+    assert work.group(11) == FPAbelianGroup(0, (3, 3, 3))
+    # the coordinate paths build full levels, and 3^12 is over the cap
+    with pytest.raises(CapExceededError):
+        work.to_normalized(11)
+    with pytest.raises(CapExceededError):
+        work.from_normalized(11)
+    with pytest.raises(CapExceededError):
+        work.cyclic_module.face(12, 0)
+    assert work.to_normalized(2).ncols == 3**3
+
+
 def test_b_convention_is_pinned():
     assert B_CONVENTION == (
         "B = (1 - (-1)^q t) s_e N on the normalized complex; "

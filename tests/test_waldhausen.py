@@ -49,6 +49,18 @@ def test_s_objects_validate():
         assert obj.entry(0, 0) == v22.zero_index()
 
 
+def test_s_3_grids_validate_and_restrict_to_s_2():
+    # every triple of a grid on [3] x [3] is a pushout square, and each
+    # coface restriction lands on an enumerated grid on [2] x [2]
+    for C in (vect_gf(2, 1), pointed_sets(2), vect_gf(2, 2), finite_modules(2, 4)):
+        for obj in s_k_objects(C, 3):
+            assert validate_s_object(C, obj).ok
+        S3, S2 = SCategory(C, 3), SCategory(C, 2)
+        for a in range(S3.object_count()):
+            for i in range(4):
+                reindex_s_object(S3, S2, tuple(t for t in range(4) if t != i), a)
+
+
 def test_k_cap():
     with pytest.raises(CapExceededError):
         s_k_objects(vect_gf(2, 2), 4)
