@@ -83,7 +83,6 @@ __all__ = [
     "serialize_category",
     "conventions_block",
     "render_structured",
-    "group_str",
 ]
 
 
@@ -553,11 +552,6 @@ def conventions_block() -> dict:
             "pushout_search_cap": PUSHOUT_SEARCH_CAP,
         },
     }
-
-
-def group_str(g) -> str:
-    """Display form of an FPAbelianGroup/FPModule as printed in tables."""
-    return str(g)
 
 
 def render_structured(command: str, config: dict, result: dict) -> str:

@@ -17,11 +17,20 @@ Entry sizes grow fast: the two-direction entry (2; 2, 2) over
 weak-equivalence strings already at nerve level 1, so entries whose
 category exceeds an object cap are materialized at nerve level 0 only
 and every such truncation is recorded as a skip, never silently.
+
+Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
+with the string operators there, and restriction along a monotone
+operator in one direction is ``waldhausen.reindex_functor``.  The other
+structure maps (inserting a direction, acting on an inner direction
+entrywise, and transposing two directions) are built here from those,
+each as a memoized (object map, morphism map) pair, and act on strings
+through ``waldhausen.map_string``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import CapExceededError, InputParseError, InternalInvariantError
 from .validation import ValidationReport
@@ -29,9 +38,10 @@ from .waldhausen import (
     STRING_CAP,
     PointedSimplicialSet,
     SCategory,
-    _weq_strings,
-    reindex_s_morphism,
-    reindex_s_object,
+    _memo1,
+    map_string,
+    reindex_functor,
+    weq_nerve,
 )
 from .wcat import WCategory
 
@@ -47,74 +57,6 @@ __all__ = [
 # Entries whose category has more objects than this are materialized at
 # nerve level 0 only; the truncation is recorded as a skip.
 ENTRY_OBJECT_CAP = 100
-
-
-def _memo1(fn):
-    cache: dict = {}
-
-    def wrapped(x):
-        got = cache.get(x)
-        if got is None:
-            got = fn(x)
-            cache[x] = got
-        return got
-
-    return wrapped
-
-
-def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> PointedSimplicialSet:
-    """The nerve of the weak equivalences of C, truncated at level w_max.
-
-    Level l lists the strings of l composable weak equivalences as pairs
-    (start object, morphism tuple); the basepoint is the zero object's
-    empty string at index 0.  Faces drop or compose, degeneracies insert
-    identities.
-    """
-    levels = []
-    index_of = []
-    for l in range(w_max + 1):
-        elts = _weq_strings(
-            C, l, string_cap, f"nerve level {l} of {C.name} exceeds {string_cap} strings"
-        )
-        levels.append(tuple(elts))
-        index_of.append({e: t for t, e in enumerate(elts)})
-
-    faces = [()]
-    for n in range(1, w_max + 1):
-        tables = []
-        for i in range(n + 1):
-            table = []
-            for x0, gs in levels[n]:
-                if i == 0:
-                    e = (C.mor_target(gs[0]), gs[1:])
-                elif i == n:
-                    e = (x0, gs[:-1])
-                else:
-                    merged = C.compose_ids(gs[i], gs[i - 1])
-                    e = (x0, gs[: i - 1] + (merged,) + gs[i + 1 :])
-                table.append(index_of[n - 1][e])
-            tables.append(tuple(table))
-        faces.append(tuple(tables))
-
-    degens = []
-    for n in range(w_max):
-        tables = []
-        for i in range(n + 1):
-            table = []
-            for x0, gs in levels[n]:
-                mid = x0 if i == 0 else C.mor_target(gs[i - 1])
-                e = (x0, gs[:i] + (C.identity_id(mid),) + gs[i:])
-                table.append(index_of[n + 1][e])
-            tables.append(tuple(table))
-        degens.append(tuple(tables))
-    degens.append(())
-
-    return PointedSimplicialSet(
-        name=f"w-nerve({C.name})",
-        levels=tuple(levels),
-        faces=tuple(faces),
-        degens=tuple(degens),
-    )
 
 
 def _identity_op(k: int) -> tuple:
@@ -139,16 +81,12 @@ class SigmaDeltaDiagram:
     keys: tuple
     skips: list = field(default_factory=list)
     _entries: dict = field(default_factory=dict, repr=False)
-    _indexes: dict = field(default_factory=dict, repr=False)
     _act: object = field(default=None, repr=False)
 
     def entry(self, key) -> PointedSimplicialSet:
         if key not in self._entries:
             raise InputParseError(f"no entry at index {key}")
         return self._entries[key]
-
-    def element_index(self, key, level: int, elt) -> int:
-        return self._indexes[key][level][elt]
 
     def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
         """Image of element ``idx`` of level ``level`` under (f, phis).
@@ -160,17 +98,32 @@ class SigmaDeltaDiagram:
         return self._act(src_key, dst_key, f, phis, level, idx)
 
 
+def _check_morphism(src_key, dst_key, f: tuple, phis: tuple) -> None:
+    """Raise InputParseError unless (f, phis) is a morphism src_key -> dst_key.
+
+    ``f`` must be an injection of {1..m} into {1..n} and ``phis[i-1]`` a
+    monotone map from [k_i] into the width of direction i: the source width
+    of the direction that f sends to i, or 1 for an inserted direction.
+    """
+    m_, js = src_key
+    n_, ks = dst_key
+    if len(f) != m_ or len(phis) != n_:
+        raise InputParseError("injection or operator arity does not match the keys")
+    if len(set(f)) != m_ or any(not 1 <= t <= n_ for t in f):
+        raise InputParseError(f"{f} is not an injection into {{1..{n_}}}")
+    for i in range(1, n_ + 1):
+        width = js[f.index(i)] if i in f else 1
+        phi = phis[i - 1]
+        if len(phi) != ks[i - 1] + 1 or any(x < 0 or x > width for x in phi):
+            raise InputParseError(f"operator into direction {i} is not a map into [{width}]")
+        if any(a > b for a, b in zip(phi, phi[1:])):
+            raise InputParseError(f"operator into direction {i} is not monotone")
+
+
 def _diagram_keys(n_max: int, k_cap: int) -> tuple:
-    keys = []
-    for n in range(n_max + 1):
-        if n == 0:
-            keys.append((0, ()))
-        else:
-            stack = [()]
-            for _ in range(n):
-                stack = [ks + (k,) for ks in stack for k in range(k_cap + 1)]
-            keys.extend((n, ks) for ks in stack)
-    return tuple(keys)
+    return tuple(
+        (n, ks) for n in range(n_max + 1) for ks in product(range(k_cap + 1), repeat=n)
+    )
 
 
 def ktheory_sigma_delta(
@@ -185,8 +138,9 @@ def ktheory_sigma_delta(
 
     Structure maps are built from four reusable functors: wrapping an
     object as a one-column flag grid (direction insertion), reindexing
-    the outer direction along a monotone map, reindexing an inner
-    direction entrywise, and transposing the two directions.  Entries
+    the outer direction along a monotone map (``reindex_functor``),
+    reindexing an inner direction entrywise, and transposing the two
+    directions.  Entries
     whose category exceeds ``entry_object_cap`` objects keep nerve level
     0 only, with the truncation recorded.
     """
@@ -221,11 +175,7 @@ def ktheory_sigma_delta(
                 f"entry {(n, ks)}: nerve levels 1..{w_cap} not materialized "
                 f"({cat.object_count()} objects exceed the cap {entry_object_cap})"
             )
-        ps = weq_nerve(cat, w_top, string_cap)
-        diagram._entries[(n, ks)] = ps
-        diagram._indexes[(n, ks)] = tuple(
-            {e: t for t, e in enumerate(level)} for level in ps.levels
-        )
+        diagram._entries[(n, ks)] = weq_nerve(cat, w_top, string_cap)
 
     # -- reusable functors; each is an (object map, morphism map) pair ------
 
@@ -246,16 +196,6 @@ def ktheory_sigma_delta(
         def mor_fn(m: int) -> int:
             return S1.intern_morphism(
                 (m,), obj(B.mor_source(m)), obj(B.mor_target(m))
-            )
-
-        return obj, _memo1(mor_fn)
-
-    def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple):
-        obj = _memo1(lambda a: reindex_s_object(src, dst, alpha, a))
-
-        def mor_fn(m: int) -> int:
-            return reindex_s_morphism(
-                src, dst, alpha, m, obj(src.mor_source(m)), obj(src.mor_target(m))
             )
 
         return obj, _memo1(mor_fn)
@@ -389,18 +329,9 @@ def ktheory_sigma_delta(
         got = functor_cache.get(key)
         if got is not None:
             return got
+        _check_morphism(src_key, dst_key, f, phis)
         m_, js = src_key
         n_, ks = dst_key
-        if len(f) != m_ or len(phis) != n_:
-            raise InputParseError("injection or operator arity does not match the keys")
-        for i in range(1, n_ + 1):
-            width = js[f.index(i)] if i in f else 1
-            phi = phis[i - 1]
-            if len(phi) != ks[i - 1] + 1 or any(x < 0 or x > width for x in phi):
-                raise InputParseError(f"operator into direction {i} is not a map into [{width}]")
-            if any(a > b for a, b in zip(phi, phi[1:])):
-                raise InputParseError(f"operator into direction {i} is not monotone")
-
         if m_ == 2 and f == (2, 1):
             t_key = (2, (js[1], js[0]))
             pre = transpose_functor(category_for(js), category_for(t_key[1]))
@@ -469,10 +400,8 @@ def ktheory_sigma_delta(
             raise CapExceededError(
                 f"nerve level {level} is not materialized on both entries"
             )
-        obj_fn, mor_fn = build_functor(src_key, dst_key, f, phis)
-        x0, gs = ps_src.levels[level][idx]
-        e = (obj_fn(x0), tuple(mor_fn(g) for g in gs))
-        return diagram._indexes[dst_key][level][e]
+        functor = build_functor(src_key, dst_key, f, phis)
+        return ps_dst.index(level, map_string(functor, ps_src.levels[level][idx]))
 
     diagram._act = act
     return diagram
@@ -501,52 +430,31 @@ def free_sigma_delta(
     )
 
     for n, ks in diagram.keys:
-        elts = [None]
-        for y in range(1, points + 1):
-            stack = [()]
-            for k in ks:
-                stack = [cs + (c,) for cs in stack for c in range(1, k + 1)]
-            elts.extend((y, cs) for cs in stack)
-        elts[0] = (0, ())
-        count = len(elts)
-        full = tuple(range(count))
-        levels = tuple(tuple(elts) for _ in range(w_cap + 1))
-        faces = tuple(
-            () if n2 == 0 else tuple(full for _ in range(n2 + 1))
-            for n2 in range(w_cap + 1)
-        )
-        degens = tuple(
-            tuple(full for _ in range(n2 + 1)) if n2 < w_cap else ()
-            for n2 in range(w_cap + 1)
-        )
-        diagram._entries[(n, ks)] = PointedSimplicialSet(
-            name=f"free entry {(n, ks)}",
-            levels=levels,
-            faces=faces,
-            degens=degens,
-        )
-        diagram._indexes[(n, ks)] = tuple(
-            {e: t for t, e in enumerate(level)} for level in levels
+        cuts = list(product(*(range(1, k + 1) for k in ks)))
+        elts = [(0, ())] + [(y, cs) for y in range(1, points + 1) for cs in cuts]
+        diagram._entries[(n, ks)] = PointedSimplicialSet.tabulate(
+            f"free entry {(n, ks)}",
+            [elts] * (w_cap + 1),
+            lambda n2, i: lambda e: e,
+            lambda n2, i: lambda e: e,
         )
 
     def act(src_key, dst_key, f, phis, level, idx):
-        m_, js = src_key
+        ps_src, ps_dst = diagram.entry(src_key), diagram.entry(dst_key)
+        _check_morphism(src_key, dst_key, f, phis)
         n_, ks = dst_key
         if idx == 0:
             return 0
-        y, cs = diagram.entry(src_key).levels[level][idx]
+        y, cs = ps_src.levels[level][idx]
         out = []
         for i in range(1, n_ + 1):
             phi = phis[i - 1]
-            width = js[f.index(i)] if i in f else 1
-            if len(phi) != ks[i - 1] + 1 or any(x < 0 or x > width for x in phi):
-                raise InputParseError(f"operator into direction {i} is not a map into [{width}]")
             cut = cs[f.index(i)] if i in f else 1
             t = sum(1 for p in phi if p < cut)
             if t == 0 or t == ks[i - 1] + 1:
                 return 0
             out.append(t)
-        return diagram._indexes[dst_key][level][(y, tuple(out))]
+        return ps_dst.index(level, (y, tuple(out)))
 
     diagram._act = act
     return diagram

@@ -19,13 +19,24 @@ can be iterated), and extracts K_0 two ways:
   nonzero objects modulo [a] = [a'] for every flagged weak equivalence
   and [b] = [a] + [b/a] for every enumerated cofiber sequence.
 
-The two computations share no code beyond integer Smith reduction, so
-their agreement on a category is a genuine cross-check.
+Both read the same enumerated grids on [2] x [2] and reduce by the same
+integer Smith normal form, so their agreement does not test the grid
+enumeration.  What it checks is the S_. structure: the simplicial route
+takes faces by restricting grids along cofaces and composing weak
+equivalences, while the presentation reads the slots of each grid
+directly, so agreement confirms the face maps against the presentation.
+
+Every simplicial set of weak-equivalence strings (``weq_nerve``, the
+diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
+is built by ``PointedSimplicialSet.tabulate`` from the one pair of string
+operators here, composed with the memoized ``reindex_functor`` where a
+direction of flags is restricted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .chain import ChainComplex, FPAbelianGroup, HomologyData, homology
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -44,13 +55,15 @@ __all__ = [
     "SCategory",
     "reindex_s_object",
     "reindex_s_morphism",
+    "reindex_functor",
     "PointedSimplicialSet",
+    "map_string",
+    "weq_nerve",
     "ws_diagonal",
     "k0_via_sdot",
     "K0Presentation",
     "k0_presentation",
     "grothendieck_k0",
-    "k0_functor_matrix",
     "k0_retract_holds",
 ]
 
@@ -221,7 +234,7 @@ def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> l
                 for l in range(j + 1, n):
                     i_comp = _hcomp(base, k, prev_pay, 0, j, l)
                     cand_sets.append(base.cokernel_candidates(i_comp))
-                for combo in _product(cand_sets):
+                for combo in product(*cand_sets):
                     row = [z] * n
                     vrow = [idz] * j + [base.hom_ids(prev[j], z)[0]]
                     hrow = [idz] * min(j, k)
@@ -269,17 +282,6 @@ def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> l
     if len(out) > cap:
         raise CapExceededError(f"more than {cap} flag grids over {base.name}")
     return out
-
-
-def _product(cand_sets: list):
-    """Cartesian product tolerating the empty-list-of-sets case."""
-    if not cand_sets:
-        yield ()
-        return
-    head, tail = cand_sets[0], cand_sets[1:]
-    for c in head:
-        for rest in _product(tail):
-            yield (c,) + rest
 
 
 def s_k_objects(C: WCategory, k: int, k_cap: int = DEFAULT_K_CAP) -> list:
@@ -447,10 +449,8 @@ class SCategory(WCategory):
 
     def _pushout_witness(self, i: int, f: int):
         base, k, n = self.base, self.k, self.k + 1
-        ia, ib = self._mor_src[i], self._mor_tgt[i]
-        ic = self._mor_tgt[f]
         ip, fp = self._mor_payload[i], self._mor_payload[f]
-        Bp, Cp = self._obj_payloads[ib], self._obj_payloads[ic]
+        Bp, Cp = self._obj_payloads[self._mor_tgt[i]], self._obj_payloads[self._mor_tgt[f]]
         z = base.zero_index()
         idz = base.identity_id(z)
 
@@ -489,41 +489,28 @@ class SCategory(WCategory):
                 )
             return meds[0]
 
-        harr = []
-        for si in range(n):
-            for sj in range(k):
-                harr.append(
-                    induced(
-                        (si, sj),
-                        (si, sj + 1),
-                        Bp[1][si * k + sj],
-                        Cp[1][si * k + sj],
-                    )
-                )
-        varr = []
-        for si in range(k):
-            for sj in range(n):
-                varr.append(
-                    induced(
-                        (si, sj),
-                        (si + 1, sj),
-                        Bp[2][si * n + sj],
-                        Cp[2][si * n + sj],
-                    )
-                )
-        d_payload = (entries, tuple(harr), tuple(varr))
+        harr = tuple(
+            induced((si, sj), (si, sj + 1), Bp[1][si * k + sj], Cp[1][si * k + sj])
+            for si in range(n)
+            for sj in range(k)
+        )
+        varr = tuple(
+            induced((si, sj), (si + 1, sj), Bp[2][si * n + sj], Cp[2][si * n + sj])
+            for si in range(k)
+            for sj in range(n)
+        )
+        d_payload = (entries, harr, varr)
         if d_payload not in self._obj_index:
             raise InternalInvariantError(
                 "levelwise pushout grid is not an enumerated flag grid; "
                 "is the base category valid?"
             )
-        d_idx = self._obj_index[d_payload]
-        u_payload = tuple(slot_u[s] for s in self._slots)
-        v_payload = tuple(slot_v[s] for s in self._slots)
-        return (
-            d_idx,
-            self.intern_morphism(u_payload, ib, d_idx),
-            self.intern_morphism(v_payload, ic, d_idx),
+        return self._witness(
+            i,
+            f,
+            d_payload,
+            tuple(slot_u[s] for s in self._slots),
+            tuple(slot_v[s] for s in self._slots),
         )
 
 
@@ -585,6 +572,32 @@ def reindex_s_morphism(
     return dst.intern_morphism(tuple(comps), a2, b2)
 
 
+def _memo1(fn):
+    """``fn`` with its results cached by argument."""
+    cache: dict = {}
+
+    def wrapped(x):
+        got = cache.get(x)
+        if got is None:
+            got = fn(x)
+            cache[x] = got
+        return got
+
+    return wrapped
+
+
+def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
+    """Restriction along ``alpha`` as a memoized (object map, morphism map) pair."""
+    obj = _memo1(lambda a: reindex_s_object(src, dst, alpha, a))
+
+    def mor_fn(m: int) -> int:
+        return reindex_s_morphism(
+            src, dst, alpha, m, obj(src.mor_source(m)), obj(src.mor_target(m))
+        )
+
+    return obj, _memo1(mor_fn)
+
+
 def _delta(i: int, k: int) -> tuple:
     """The injection 0..k-1 -> 0..k skipping i."""
     return tuple(t for t in range(k + 1) if t != i)
@@ -596,7 +609,7 @@ def _sigma(i: int, k: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the diagonal simplicial set and K_0
+# simplicial sets of weak-equivalence strings, and K_0
 # ---------------------------------------------------------------------------
 
 
@@ -604,20 +617,50 @@ def _sigma(i: int, k: int) -> tuple:
 class PointedSimplicialSet:
     """A levelwise-finite pointed simplicial set truncated at a top level.
 
-    ``levels[n]`` lists the n-simplices with the basepoint at index 0.
-    ``faces[n][i]`` (for n >= 1) and ``degens[n][i]`` (for n < top) are
-    index maps; the simplicial identities are checked on the stored range
-    by ``validate``.
+    ``levels[n]`` lists the n-simplices with the basepoint at index 0, and
+    ``index(n, x)`` is the position of x in ``levels[n]``.  ``faces[n][i]``
+    (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps; the
+    simplicial identities are checked on the stored range by ``validate``.
     """
 
     name: str
     levels: tuple
     faces: tuple
     degens: tuple
+    _index: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = tuple({x: t for t, x in enumerate(level)} for level in self.levels)
+
+    @classmethod
+    def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
+        """The set on ``levels`` with operators given element by element.
+
+        ``face(n, i)`` returns d_i as a map from elements of level n to
+        elements of level n-1, and ``degeneracy(n, i)`` returns s_i from
+        level n to level n+1; both are read off into index tables.
+        """
+        X = cls(name, tuple(tuple(level) for level in levels), (), ())
+
+        def table(op, n: int, target: int) -> tuple:
+            into = X._index[target]
+            return tuple([into[op(x)] for x in X.levels[n]])
+
+        top = X.top_level
+        X.faces = ((),) + tuple(
+            tuple(table(face(n, i), n, n - 1) for i in range(n + 1)) for n in range(1, top + 1)
+        )
+        X.degens = tuple(
+            tuple(table(degeneracy(n, i), n, n + 1) for i in range(n + 1)) for n in range(top)
+        ) + ((),)
+        return X
 
     @property
     def top_level(self) -> int:
         return len(self.levels) - 1
+
+    def index(self, n: int, x) -> int:
+        return self._index[n][x]
 
     def face(self, n: int, i: int, x: int) -> int:
         return self.faces[n][i][x]
@@ -702,98 +745,100 @@ def _weq_strings(C: WCategory, length: int, string_cap: int, too_many: str) -> l
     return elts
 
 
+def _string_face(C: WCategory, s: tuple, i: int) -> tuple:
+    """The nerve face d_i of the string s of C: drop its first or last map
+    (i = 0 or i = len), otherwise compose maps i-1 and i."""
+    x0, gs = s
+    if i == 0:
+        return (C.mor_target(gs[0]), gs[1:])
+    if i == len(gs):
+        return (x0, gs[:-1])
+    return (x0, gs[: i - 1] + (C.compose_ids(gs[i], gs[i - 1]),) + gs[i + 1 :])
+
+
+def _string_degeneracy(C: WCategory, s: tuple, i: int) -> tuple:
+    """The nerve degeneracy s_i of the string s of C: an identity inserted
+    as map i."""
+    x0, gs = s
+    mid = x0 if i == 0 else C.mor_target(gs[i - 1])
+    return (x0, gs[:i] + (C.identity_id(mid),) + gs[i:])
+
+
+def map_string(functor: tuple, s: tuple) -> tuple:
+    """Image of the string s under an (object map, morphism map) pair."""
+    obj, mor = functor
+    x0, gs = s
+    return (obj(x0), tuple(mor(g) for g in gs))
+
+
+def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> PointedSimplicialSet:
+    """The nerve of the weak equivalences of C, truncated at level w_max.
+
+    Level l lists the strings of l composable weak equivalences as pairs
+    (start object, morphism tuple); the basepoint is the zero object's
+    identity string at index 0.  Faces drop or compose, degeneracies insert
+    identities.
+    """
+    levels = [
+        _weq_strings(C, l, string_cap, f"nerve level {l} of {C.name} exceeds {string_cap} strings")
+        for l in range(w_max + 1)
+    ]
+    return PointedSimplicialSet.tabulate(
+        f"w-nerve({C.name})",
+        levels,
+        lambda n, i: lambda s: _string_face(C, s, i),
+        lambda n, i: lambda s: _string_degeneracy(C, s, i),
+    )
+
+
 def ws_diagonal(
     C: WCategory, n_max: int = 2, string_cap: int = STRING_CAP
 ) -> PointedSimplicialSet:
-    """The diagonal simplicial set n |-> ob w_n S_n C, truncated at n_max.
+    """The diagonal n |-> w_n S_n C of the bisimplicial set (p, q) |-> w_q S_p C.
 
-    Level n holds the strings of n composable weak equivalences of flag
-    grids on [n] x [n]; the basepoint is the identity string on the zero
-    grid.  Faces act by restricting grids along the coface map and then
-    dropping or composing string entries; degeneracies insert identities.
+    Truncated at n_max.  Level n holds the strings of n composable weak
+    equivalences of flag grids on [n] x [n]; the basepoint is the identity
+    string on the zero grid.  The face d_i is d_i^v o d_i^h: the horizontal
+    face d_i^h restricts every grid and map of the string along the coface
+    [n-1] -> [n] that skips i, landing in w_n S_{n-1} C, and the vertical
+    face d_i^v is the nerve face of w S_{n-1} C.  Likewise s_i restricts
+    along the codegeneracy [n+1] -> [n] that repeats i and then inserts an
+    identity.
     """
     scats = [SCategory(C, n) for n in range(n_max + 1)]
-    levels = []
-    index_of = []
-    elements_of = []
-
-    for n, S in enumerate(scats):
-        elts = _weq_strings(
+    levels = [
+        _weq_strings(
             S, n, string_cap, f"level {n} of the diagonal of {C.name} exceeds {string_cap} strings"
         )
-        levels.append(tuple(elts))
-        index_of.append({e: t for t, e in enumerate(elts)})
-        elements_of.append(elts)
+        for n, S in enumerate(scats)
+    ]
 
-    obj_maps: dict = {}
-    mor_maps: dict = {}
+    def face(n: int, i: int):
+        F, S = reindex_functor(scats[n], scats[n - 1], _delta(i, n)), scats[n - 1]
+        return lambda s: _string_face(S, map_string(F, s), i)
 
-    def mapped_obj(n: int, alpha: tuple, dst: SCategory, a: int) -> int:
-        key = (n, alpha, a)
-        got = obj_maps.get(key)
-        if got is None:
-            got = reindex_s_object(scats[n], dst, alpha, a)
-            obj_maps[key] = got
-        return got
+    def degeneracy(n: int, i: int):
+        F, S = reindex_functor(scats[n], scats[n + 1], _sigma(i, n)), scats[n + 1]
+        return lambda s: _string_degeneracy(S, map_string(F, s), i)
 
-    def mapped_mor(n: int, alpha: tuple, dst: SCategory, m: int) -> int:
-        key = (n, alpha, m)
-        got = mor_maps.get(key)
-        if got is None:
-            S = scats[n]
-            a2 = mapped_obj(n, alpha, dst, S.mor_source(m))
-            b2 = mapped_obj(n, alpha, dst, S.mor_target(m))
-            got = reindex_s_morphism(S, dst, alpha, m, a2, b2)
-            mor_maps[key] = got
-        return got
+    return PointedSimplicialSet.tabulate(f"diag wS({C.name})", levels, face, degeneracy)
 
-    faces = [()]
-    for n in range(1, n_max + 1):
-        dst = scats[n - 1]
-        tables = []
-        for i in range(n + 1):
-            alpha = _delta(i, n)
-            table = []
-            for x0, gs in elements_of[n]:
-                gs2 = tuple(mapped_mor(n, alpha, dst, g) for g in gs)
-                if i == 0:
-                    y0 = dst.mor_target(gs2[0])
-                    e = (y0, gs2[1:])
-                elif i == n:
-                    e = (mapped_obj(n, alpha, dst, x0), gs2[:-1])
-                else:
-                    merged = dst.compose_ids(gs2[i], gs2[i - 1])
-                    e = (
-                        mapped_obj(n, alpha, dst, x0),
-                        gs2[: i - 1] + (merged,) + gs2[i + 1 :],
-                    )
-                table.append(index_of[n - 1][e])
-            tables.append(tuple(table))
-        faces.append(tuple(tables))
 
-    degens = []
-    for n in range(n_max):
-        dst = scats[n + 1]
-        tables = []
-        for i in range(n + 1):
-            alpha = _sigma(i, n)
-            table = []
-            for x0, gs in elements_of[n]:
-                gs2 = tuple(mapped_mor(n, alpha, dst, g) for g in gs)
-                x02 = mapped_obj(n, alpha, dst, x0)
-                mid = x02 if i == 0 else dst.mor_target(gs2[i - 1])
-                e = (x02, gs2[:i] + (dst.identity_id(mid),) + gs2[i:])
-                table.append(index_of[n + 1][e])
-            tables.append(tuple(table))
-        degens.append(tuple(tables))
-    degens.append(())
+def _relation_cokernel(nrows: int, columns) -> tuple:
+    """Distinct relation columns, sorted, and H_0 of Z^nrows modulo them.
 
-    return PointedSimplicialSet(
-        name=f"diag wS({C.name})",
-        levels=tuple(levels),
-        faces=tuple(faces),
-        degens=tuple(degens),
-    )
+    ``columns`` yields {row: coefficient} dicts; zero coefficients and
+    empty columns are dropped before duplicates are collapsed.
+    """
+    distinct = set()
+    for col in columns:
+        colt = tuple(sorted((r, c) for r, c in col.items() if c != 0))
+        if colt:
+            distinct.add(colt)
+    cols = sorted(distinct)
+    mat = SparseMap.from_col_dicts(ZZ, nrows, [dict(c) for c in cols])
+    cx = ChainComplex(ZZ, (nrows, len(cols)), {1: mat} if cols else {})
+    return cols, homology(cx, 0)
 
 
 def k0_via_sdot(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
@@ -807,24 +852,18 @@ def k0_via_sdot(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
     X = ws_diagonal(C, 2, string_cap)
     if len(X.levels[0]) != 1:
         raise InternalInvariantError("level 0 of the diagonal is not a single point")
-    n1 = len(X.levels[1]) - 1
     degenerate = set(X.degens[1][0]) | set(X.degens[1][1])
-    columns = set()
-    for x in range(len(X.levels[2])):
-        if x == 0 or x in degenerate:
-            continue
+
+    def boundary(x: int) -> dict:
         col: dict = {}
         for i, sign in ((0, 1), (1, -1), (2, 1)):
             y = X.face(2, i, x)
             if y != 0:
                 col[y - 1] = col.get(y - 1, 0) + sign
-        colt = tuple(sorted((r, c) for r, c in col.items() if c != 0))
-        if colt:
-            columns.add(colt)
-    cols = sorted(columns)
-    mat = SparseMap.from_col_dicts(ZZ, n1, [dict(c) for c in cols])
-    cx = ChainComplex(ZZ, (n1, len(cols)), {1: mat} if cols else {})
-    return homology(cx, 0).group
+        return col
+
+    nondegenerate = (x for x in range(1, len(X.levels[2])) if x not in degenerate)
+    return _relation_cokernel(len(X.levels[1]) - 1, map(boundary, nondegenerate))[1].group
 
 
 # ---------------------------------------------------------------------------
@@ -861,35 +900,24 @@ def k0_presentation(C: WCategory) -> K0Presentation:
     z = C.zero_index()
     gens = tuple(a for a in range(C.object_count()) if a != z)
     pos = {a: t for t, a in enumerate(gens)}
-    columns = set()
 
-    for a in range(C.object_count()):
-        for b in range(C.object_count()):
-            for _m in C.weq_ids(a, b):
-                col: dict = {}
-                if a != z:
-                    col[pos[a]] = col.get(pos[a], 0) + 1
-                if b != z:
-                    col[pos[b]] = col.get(pos[b], 0) - 1
-                colt = tuple(sorted((r, c) for r, c in col.items() if c != 0))
-                if colt:
-                    columns.add(colt)
-
-    for payload in _enumerate_s_payloads(C, 2):
-        entries = payload[0]
-        a01, a02, a12 = entries[1], entries[2], entries[5]
-        col = {}
-        for obj, sign in ((a02, 1), (a01, -1), (a12, -1)):
+    def column(*terms) -> dict:
+        col: dict = {}
+        for obj, sign in terms:
             if obj != z:
                 col[pos[obj]] = col.get(pos[obj], 0) + sign
-        colt = tuple(sorted((r, c) for r, c in col.items() if c != 0))
-        if colt:
-            columns.add(colt)
+        return col
 
-    cols = sorted(columns)
-    mat = SparseMap.from_col_dicts(ZZ, len(gens), [dict(c) for c in cols])
-    cx = ChainComplex(ZZ, (len(gens), len(cols)), {1: mat} if cols else {})
-    return K0Presentation(C, gens, cols, homology(cx, 0))
+    def relations():
+        for a in range(C.object_count()):
+            for b in range(C.object_count()):
+                for _m in C.weq_ids(a, b):
+                    yield column((a, 1), (b, -1))
+        for entries, _h, _v in _enumerate_s_payloads(C, 2):
+            yield column((entries[2], 1), (entries[1], -1), (entries[5], -1))
+
+    cols, hd = _relation_cokernel(len(gens), relations())
+    return K0Presentation(C, gens, cols, hd)
 
 
 def grothendieck_k0(C: WCategory) -> FPAbelianGroup:
@@ -908,14 +936,6 @@ def _push_vector(F: ExactFunctor, src: K0Presentation, dst: K0Presentation, vec)
         if obj != dz:
             out[dpos[obj]] += coeff
     return tuple(out)
-
-
-def k0_functor_matrix(F: ExactFunctor, src: K0Presentation, dst: K0Presentation) -> tuple:
-    """Images of the source K_0 generators under F, in target coordinates."""
-    return tuple(
-        dst.homology.coordinates(_push_vector(F, src, dst, g))
-        for g in src.homology.generators
-    )
 
 
 def k0_retract_holds(C: WCategory) -> bool:

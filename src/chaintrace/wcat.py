@@ -138,6 +138,15 @@ class WCategory:
             return cand
         return None
 
+    def _witness(self, i: int, f: int, d_payload, u_payload, v_payload) -> tuple:
+        """Intern the witness (d, u, v) of b <-i- a -f-> c given by payloads."""
+        d = self.object_index(d_payload)
+        return (
+            d,
+            self.intern_morphism(u_payload, self._mor_tgt[i], d),
+            self.intern_morphism(v_payload, self._mor_tgt[f], d),
+        )
+
     # -- objects -------------------------------------------------------------
 
     def object_count(self) -> int:
@@ -462,13 +471,7 @@ class VectCategory(WCategory):
         proj = [[dec.U.rows[r][s] for s in range(b + c)] for r in range(rank, b + c)]
         u_payload = tuple(tuple(int(x) % self.q for x in row[:b]) for row in proj)
         v_payload = tuple(tuple(int(x) % self.q for x in row[b:]) for row in proj)
-        d_idx = self.object_index(d)
-        bi, ci = self._mor_tgt[i], self._mor_tgt[f]
-        return (
-            d_idx,
-            self.intern_morphism(u_payload, bi, d_idx),
-            self.intern_morphism(v_payload, ci, d_idx),
-        )
+        return self._witness(i, f, d, u_payload, v_payload)
 
 
 class PointedSetsCategory(WCategory):
@@ -527,13 +530,7 @@ class PointedSetsCategory(WCategory):
                 u[y - 1] = fresh
         u_payload = tuple(u)
         v_payload = tuple(range(1, c + 1))
-        d_idx = self.object_index(d)
-        bi, ci = self._mor_tgt[i], self._mor_tgt[f]
-        return (
-            d_idx,
-            self.intern_morphism(u_payload, bi, d_idx),
-            self.intern_morphism(v_payload, ci, d_idx),
-        )
+        return self._witness(i, f, d, u_payload, v_payload)
 
 
 class FiniteModulesCategory(WCategory):
@@ -691,13 +688,7 @@ class FiniteModulesCategory(WCategory):
         v_payload = tuple(
             tuple(int(dec.U.rows[r][rb + t]) % diag[r] for t in range(rc)) for r in keep
         )
-        d_idx = self.object_index(factors)
-        bi, ci = self._mor_tgt[i], self._mor_tgt[f]
-        return (
-            d_idx,
-            self.intern_morphism(u_payload, bi, d_idx),
-            self.intern_morphism(v_payload, ci, d_idx),
-        )
+        return self._witness(i, f, factors, u_payload, v_payload)
 
 
 def trivial_category() -> WCategory:
@@ -871,13 +862,7 @@ class TableCategory(WCategory):
         if got is None:
             return None
         d, u, v = got
-        d_idx = self.object_index(d)
-        bi, ci = self._mor_tgt[i], self._mor_tgt[f]
-        return (
-            d_idx,
-            self.intern_morphism(u, bi, d_idx),
-            self.intern_morphism(v, ci, d_idx),
-        )
+        return self._witness(i, f, d, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,13 +1108,7 @@ class EndCategory(WCategory):
                 "is the base category valid?"
             )
         d_payload = (d, med[0])
-        d_idx = self.object_index(d_payload)
-        bi, ci = self._mor_tgt[i], self._mor_tgt[f]
-        return (
-            d_idx,
-            self.intern_morphism(u, bi, d_idx),
-            self.intern_morphism(v, ci, d_idx),
-        )
+        return self._witness(i, f, d_payload, u, v)
 
 
 @dataclass(frozen=True)

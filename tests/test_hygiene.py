@@ -1,5 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports and
-binds what it exports.
+"""Source hygiene: every module of the package uses what it imports, binds
+what it exports, and exports only names that some code refers to.
 
 The scans are syntactic.  An imported name counts as used when it appears as
 a name anywhere else in the module (including annotations) or is listed in
@@ -87,3 +87,69 @@ def test_scan_flags_unbound_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_exports_are_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = SRC.parent.parent
+REFERENCE_DIRS = (SRC, ROOT / "tests", ROOT / "perfbench")
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads: loaded names and attributes, imported names and
+    string constants (which reach names through ``getattr``), leaving out
+    the module's own ``__all__`` strings."""
+    tree = ast.parse(source)
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skip.update(id(elt) for elt in ast.walk(node.value))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+            out.add(node.value)
+    return out
+
+
+def dead_exports(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.name`` for every ``__all__`` name that no module and no other
+    source refers to beyond its definition and its ``__all__`` entry.
+
+    Dunder names such as ``__version__`` are read by tools, not by code, and
+    are left out.
+    """
+    used = set()
+    for source in list(modules.values()) + others:
+        used |= references(source)
+    return sorted(
+        f"{mod}.{name}"
+        for mod, source in modules.items()
+        for name in _exported(ast.parse(source))
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_scan_flags_dead_exports():
+    lib = (
+        "LIMIT = 3\ndef used():\n    return LIMIT\ndef by_string():\n    pass\n"
+        "def dead():\n    pass\n__version__ = '1'\n"
+        "__all__ = ['LIMIT', 'used', 'by_string', 'dead', '__version__']\n"
+    )
+    client = "from lib import used\nimport lib\ngetattr(lib, 'by_string')()\nused()\n"
+    assert dead_exports({"lib": lib}, [client]) == ["lib.dead"]
+
+
+def test_every_export_is_referenced():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    others = [
+        p.read_text(encoding="utf-8")
+        for folder in REFERENCE_DIRS[1:]
+        for p in sorted(folder.glob("*.py"))
+    ]
+    assert dead_exports(modules, others) == []

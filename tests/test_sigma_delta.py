@@ -144,3 +144,26 @@ def test_weq_nerve_of_trivial_category():
     ps = weq_nerve(trivial_category(), 2)
     assert [len(level) for level in ps.levels] == [1, 1, 1]
     assert ps.validate().ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: free_sigma_delta(2), lambda: ktheory_sigma_delta(trivial_category())],
+    ids=["free", "ktheory"],
+)
+@pytest.mark.parametrize(
+    "f, phis",
+    [
+        ((1,), ((1, 0, 2),)),  # not monotone
+        ((1,), ()),  # too few operators
+        ((1,), ((0, 3, 3),)),  # leaves [2]
+        ((2,), ((0, 1, 1),)),  # not an injection into {1}
+    ],
+    ids=["non-monotone", "short-phis", "out-of-range", "bad-injection"],
+)
+def test_structure_maps_reject_non_morphisms(build, f, phis):
+    d = build()
+    key = (1, (2,))
+    last = len(d.entry(key).levels[0]) - 1
+    with pytest.raises(InputParseError):
+        d.act_index(key, key, f, phis, 0, last)
