@@ -76,7 +76,7 @@ from .trace import GroupHomology, dennis_trace_k1, group_to_hh, morita_map, mult
 from .trace import dennis_trace_homology
 from .validation import ValidationReport
 from .wcat import category_from_selector, validate_waldhausen
-from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_sdot
+from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_diagonal, k0_via_sdot
 
 __all__ = ["JobConfig", "run", "main", "algebra_from_selector", "group_from_selector"]
 
@@ -529,11 +529,11 @@ def _suite_waldhausen_families() -> ValidationReport:
 
 
 def _suite_k0() -> ValidationReport:
-    report = ValidationReport(subject="K0 two ways and the retract property")
+    report = ValidationReport(subject="K0 three ways and the retract property")
     for sel in ("trivial", "vect_gf:2:2", "finite_modules:2:4"):
         C = category_from_selector(sel)
         report.checks_run += 2
-        if grothendieck_k0(C) != k0_via_sdot(C):
+        if not grothendieck_k0(C) == k0_via_sdot(C) == k0_via_diagonal(C):
             report.record(f"K0 methods disagree on {sel}")
         if not k0_retract_holds(C):
             report.record(f"K0 retract property fails on {sel}")

@@ -120,6 +120,12 @@ def _check_morphism(src_key, dst_key, f: tuple, phis: tuple) -> None:
             raise InputParseError(f"operator into direction {i} is not monotone")
 
 
+def _check_level(ps_src: PointedSimplicialSet, ps_dst: PointedSimplicialSet, level: int) -> None:
+    """Raise CapExceededError unless nerve ``level`` exists on both entries."""
+    if not 0 <= level <= min(ps_src.top_level, ps_dst.top_level):
+        raise CapExceededError(f"nerve level {level} is not materialized on both entries")
+
+
 def _diagram_keys(n_max: int, k_cap: int) -> tuple:
     return tuple(
         (n, ks) for n in range(n_max + 1) for ks in product(range(k_cap + 1), repeat=n)
@@ -396,10 +402,7 @@ def ktheory_sigma_delta(
     def act(src_key, dst_key, f, phis, level, idx):
         ps_src = diagram.entry(src_key)
         ps_dst = diagram.entry(dst_key)
-        if level > ps_src.top_level or level > ps_dst.top_level:
-            raise CapExceededError(
-                f"nerve level {level} is not materialized on both entries"
-            )
+        _check_level(ps_src, ps_dst, level)
         functor = build_functor(src_key, dst_key, f, phis)
         return ps_dst.index(level, map_string(functor, ps_src.levels[level][idx]))
 
@@ -441,6 +444,7 @@ def free_sigma_delta(
 
     def act(src_key, dst_key, f, phis, level, idx):
         ps_src, ps_dst = diagram.entry(src_key), diagram.entry(dst_key)
+        _check_level(ps_src, ps_dst, level)
         _check_morphism(src_key, dst_key, f, phis)
         n_, ks = dst_key
         if idx == 0:

@@ -8,23 +8,36 @@ X(i,l)/X(i,j).  Equivalently an object is a chain of cofibrations
 0 >-> X(0,1) >-> ... >-> X(0,k) together with compatible choices of all
 subquotients.  This module enumerates those grids over a bounded base,
 packages S_k as a bounded category in its own right (so the construction
-can be iterated), and extracts K_0 two ways:
+can be iterated), and extracts K_0 three ways:
 
-* ``k0_via_sdot``: H_1 of the diagonal simplicial set n |-> ob w_n S_n C,
-  whose 1-simplices are weak-equivalence strings of flag grids.  The
-  level-0 set is a single point, the fundamental group of the diagonal
-  is K_0 and is abelian, so H_1 computes it; only levels <= 2 are needed
-  and the boundary matrix is reduced by Smith normal form over Z.
+* ``k0_via_sdot``: H_1 of |wS_.C| from the total complex of the
+  bisimplicial set (p, q) |-> w_q S_p C.  By the generalized
+  Eilenberg-Zilber theorem (Dold-Puppe 1961; Goerss-Jardine, Simplicial
+  Homotopy Theory, IV.2) reduced chains on the diagonal are chain
+  homotopy equivalent to the total complex of the normalized bicomplex.
+  Every w_q S_0 C is the basepoint, so total degrees <= 2 need only the
+  objects of S_1, the grids of S_2 and the weak equivalences of S_1: a
+  few hundred generators where level 2 of the diagonal holds about
+  2.7e11 strings for vect_gf(2,3).
+* ``k0_via_diagonal``: H_1 of the diagonal simplicial set
+  n |-> ob w_n S_n C itself, whose 1-simplices are weak-equivalence
+  strings of flag grids.  The level-0 set is a single point, the
+  fundamental group of the diagonal is K_0 and is abelian, so H_1
+  computes it from levels <= 2.  Level 2 holds every pair of composable
+  weak equivalences of S_2, so this is an oracle for small bases.
 * ``grothendieck_k0``: the textbook presentation, free abelian on the
   nonzero objects modulo [a] = [a'] for every flagged weak equivalence
   and [b] = [a] + [b/a] for every enumerated cofiber sequence.
 
-Both read the same enumerated grids on [2] x [2] and reduce by the same
-integer Smith normal form, so their agreement does not test the grid
-enumeration.  What it checks is the S_. structure: the simplicial route
-takes faces by restricting grids along cofaces and composing weak
-equivalences, while the presentation reads the slots of each grid
-directly, so agreement confirms the face maps against the presentation.
+All three read the same enumerated grids on [2] x [2] and reduce by the
+same integer Smith normal form, so their agreement does not test the grid
+enumeration.  What it checks is the S_. structure: the simplicial routes
+take faces by restricting grids along cofaces (and the diagonal also by
+composing weak equivalences), while the presentation reads the slots of
+each grid directly.  In total degrees <= 2 the relations of the total
+complex are those of the presentation by theory, so that agreement checks
+the face maps and not the Eilenberg-Zilber theorem; the diagonal, which
+builds every 2-simplex, stays the stronger check where it fits.
 
 Every simplicial set of weak-equivalence strings (``weq_nerve``, the
 diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
@@ -61,6 +74,7 @@ __all__ = [
     "weq_nerve",
     "ws_diagonal",
     "k0_via_sdot",
+    "k0_via_diagonal",
     "K0Presentation",
     "k0_presentation",
     "grothendieck_k0",
@@ -69,7 +83,8 @@ __all__ = [
 
 # Flag grids are enumerated exhaustively, so the column count k is capped.
 DEFAULT_K_CAP = 3
-# Largest simplicial level ws_diagonal will materialize.
+# Largest set of weak-equivalence strings materialized at one level: a
+# level of ws_diagonal or weq_nerve, or w_1 S_1 in k0_via_sdot.
 STRING_CAP = 200_000
 # Largest grid count s_k_objects will enumerate.
 S_OBJECT_CAP = 200_000
@@ -824,6 +839,26 @@ def ws_diagonal(
     return PointedSimplicialSet.tabulate(f"diag wS({C.name})", levels, face, degeneracy)
 
 
+def _object_columns(C: WCategory) -> tuple:
+    """The nonzero objects of C, and a builder of relation columns on them.
+
+    The builder takes (object, sign) terms and sums them into a
+    {row: coefficient} dict, skipping the zero object.
+    """
+    z = C.zero_index()
+    gens = tuple(a for a in range(C.object_count()) if a != z)
+    pos = {a: t for t, a in enumerate(gens)}
+
+    def column(*terms) -> dict:
+        col: dict = {}
+        for obj, sign in terms:
+            if obj != z:
+                col[pos[obj]] = col.get(pos[obj], 0) + sign
+        return col
+
+    return gens, column
+
+
 def _relation_cokernel(nrows: int, columns) -> tuple:
     """Distinct relation columns, sorted, and H_0 of Z^nrows modulo them.
 
@@ -841,13 +876,61 @@ def _relation_cokernel(nrows: int, columns) -> tuple:
     return cols, homology(cx, 0)
 
 
+def _total_complex_relations(C: WCategory, string_cap: int = STRING_CAP) -> tuple:
+    """H_1 of the total complex of (p, q) |-> w_q S_p C, with its relations.
+
+    Returns (S_1, generators, relation columns, homology data): generators
+    are the nonzero objects of S_1 (total degree 1; every w_q S_0 C is the
+    basepoint), and the columns are the boundaries of total degree 2.  A
+    grid x of S_2 (bidegree (2, 0)) gives sum (-1)^i [d_i x] with d_i the
+    restriction along the coface skipping i; a weak equivalence a -> b of
+    S_1 (bidegree (1, 1)) gives -([b] - [a]), the vertical differential
+    with the sign (-1)^p.  Degenerate simplices give empty columns, which
+    ``_relation_cokernel`` drops with the duplicates.
+    """
+    if SCategory(C, 0).object_count() != 1:
+        raise InternalInvariantError("S_0 of the flag construction is not a single point")
+    S1, S2 = SCategory(C, 1), SCategory(C, 2)
+    gens, column = _object_columns(S1)
+    faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
+    weqs = _weq_strings(S1, 1, string_cap, f"w_1 S_1 of {C.name} exceeds {string_cap} strings")
+
+    def relations():
+        for x in range(S2.object_count()):
+            yield column(*((d(x), (-1) ** i) for i, d in enumerate(faces)))
+        for s in weqs[1:]:
+            yield column((_string_face(S1, s, 0)[0], -1), (_string_face(S1, s, 1)[0], 1))
+
+    cols, hd = _relation_cokernel(len(gens), relations())
+    return S1, gens, cols, hd
+
+
 def k0_via_sdot(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
-    """K_0 as H_1 of the diagonal of the flag construction.
+    """K_0 as H_1 of |wS_.C|, from the total complex of (p, q) |-> w_q S_p C.
+
+    By the generalized Eilenberg-Zilber theorem (Dold-Puppe; Goerss-Jardine
+    IV.2) the reduced chains on the diagonal n |-> w_n S_n C are chain
+    homotopy equivalent to the total complex of the normalized bicomplex,
+    so this is still H_1 of the diagonal.  Total degree <= 2 needs only the
+    objects of S_1, the grids of S_2 and the weak equivalences of S_1;
+    ``string_cap`` bounds the last.  The faces of S_2 are taken by
+    reindexing grids, not by reading their slots, so agreement with
+    ``grothendieck_k0`` checks the S_. face maps; in these degrees the
+    relations coincide with the presentation's by theory, so it does not
+    check the theorem.  ``k0_via_diagonal`` builds the diagonal itself.
+    """
+    return _total_complex_relations(C, string_cap)[3].group
+
+
+def k0_via_diagonal(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
+    """K_0 as H_1 of the diagonal of the flag construction, built level by level.
 
     The level-0 set is a single point, so the reduced complex has zero
     differential out of degree 1 and K_0 is the cokernel of the degree-2
     boundary on the nondegenerate 2-simplices, computed by integer Smith
-    normal form.  Duplicate boundary columns are collapsed first.
+    normal form.  Duplicate boundary columns are collapsed first.  Level 2
+    holds every pair of composable weak equivalences of S_2, so this is
+    the oracle for ``k0_via_sdot`` on small families.
     """
     X = ws_diagonal(C, 2, string_cap)
     if len(X.levels[0]) != 1:
@@ -897,16 +980,7 @@ class K0Presentation:
 
 
 def k0_presentation(C: WCategory) -> K0Presentation:
-    z = C.zero_index()
-    gens = tuple(a for a in range(C.object_count()) if a != z)
-    pos = {a: t for t, a in enumerate(gens)}
-
-    def column(*terms) -> dict:
-        col: dict = {}
-        for obj, sign in terms:
-            if obj != z:
-                col[pos[obj]] = col.get(pos[obj], 0) + sign
-        return col
+    gens, column = _object_columns(C)
 
     def relations():
         for a in range(C.object_count()):

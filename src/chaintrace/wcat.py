@@ -358,20 +358,44 @@ class WCategory:
         """Isomorphisms a -> b, found among the weak equivalences.
 
         Complete whenever isomorphisms carry the weak-equivalence flag,
-        which the first axiom guarantees in any valid category.
+        which the first axiom guarantees in any valid category.  An
+        endomorphism of a finite category is invertible iff one of its
+        powers is the identity, so Aut(a) is found by iterating powers.
+        Iso(a, b) is an Aut(a)-torsor: once one isomorphism e is found by
+        an inverse search, the others are e after Aut(a).  Either way the
+        result keeps ``weq_ids`` order.
         """
         got = self._iso_hom_cache.get((a, b))
         if got is None:
-            ida, idb = self.identity_id(a), self.identity_id(b)
-            out = []
-            for m in self.weq_ids(a, b):
-                for n in self.weq_ids(b, a):
-                    if self.compose_ids(n, m) == ida and self.compose_ids(m, n) == idb:
-                        out.append(m)
-                        break
-            got = tuple(out)
+            if a == b:
+                ida = self.identity_id(a)
+                got = tuple(m for m in self.weq_ids(a, a) if self._has_identity_power(m, ida))
+            else:
+                e = next((m for m in self.weq_ids(a, b) if self._inverse_among_weqs(m)), None)
+                orbit = {self.compose_ids(e, g) for g in self.iso_ids(a, a)} if e is not None else ()
+                got = tuple(m for m in self.weq_ids(a, b) if m in orbit)
             self._iso_hom_cache[(a, b)] = got
         return got
+
+    def _has_identity_power(self, m: int, ida: int) -> bool:
+        """Whether some power m^k (k >= 1) of the endomorphism m is ``ida``."""
+        seen = set()
+        p = m
+        while p not in seen:
+            if p == ida:
+                return True
+            seen.add(p)
+            p = self.compose_ids(m, p)
+        return False
+
+    def _inverse_among_weqs(self, m: int) -> bool:
+        """Whether some weak equivalence is a two-sided inverse of m."""
+        a, b = self._mor_src[m], self._mor_tgt[m]
+        ida, idb = self.identity_id(a), self.identity_id(b)
+        return any(
+            self.compose_ids(n, m) == ida and self.compose_ids(m, n) == idb
+            for n in self.weq_ids(b, a)
+        )
 
     def cokernel_candidates(self, i: int) -> list:
         """All quotient data (q, p) making (i, a -> 0) -> q a pushout square.
@@ -1000,13 +1024,18 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
                         f"{C.mor_label(i)} is not flagged as a cofibration"
                     )
 
-    for i, f, d, u, v in witnesses:
-        a, b, c = C.mor_source(i), C.mor_target(i), C.mor_target(f)
-        for i2, f2, d2, u2, v2 in witnesses:
-            a2, b2, c2 = C.mor_source(i2), C.mor_target(i2), C.mor_target(f2)
-            if not (C.weq_ids(a, a2) and C.weq_ids(b, b2) and C.weq_ids(c, c2)):
-                continue
-            for alpha in C.weq_ids(a, a2):
+    # corners (a, b, c) of each witness; for each distinct triple, the
+    # witnesses whose corners are weakly equivalent to it, in witness order
+    corners = [(C.mor_source(i), C.mor_target(i), C.mor_target(f)) for i, f, *_ in witnesses]
+    triples = list(dict.fromkeys(corners))
+    related = {}
+    for t in triples:
+        near = {t2 for t2 in triples if all(C.weq_ids(x, y) for x, y in zip(t, t2))}
+        related[t] = [(w2, t2) for w2, t2 in zip(witnesses, corners) if t2 in near]
+
+    for (i, f, d, u, v), t in zip(witnesses, corners):
+        for (i2, f2, d2, u2, v2), (a2, b2, c2) in related[t]:
+            for alpha in C.weq_ids(t[0], a2):
                 ia = C.compose_ids(i2, alpha)
                 fa = C.compose_ids(f2, alpha)
                 for beta in C._by_composite(i, b2, weq_only=True).get(ia, ()):

@@ -172,3 +172,17 @@ def test_criterion_8_hochschild_of_z_c5_via_cli(capsys):
             f"HH_3 = {five}",
             "HH_4 = 0",
         ]
+
+
+def test_criterion_9_k0_of_families_past_the_diagonal_cap(capsys):
+    # level 2 of the diagonal of vect_gf(2,3) holds about 2.7e11 strings;
+    # the total complex needs only S_1, the grids of S_2 and w_1 S_1
+    with criterion(9, "CLI k0 prints Z both ways and AGREE past the diagonal's STRING_CAP", 10.0):
+        for sel in ("vect_gf:2:3", "finite_modules:3:9", "pointed_sets:4", "vect_gf:3:2"):
+            assert main(["k0", sel]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[1:] == [
+                "K0 via Grothendieck presentation: Z",
+                "K0 via w.S-construction diagonal: Z",
+                "verdict: AGREE",
+            ]

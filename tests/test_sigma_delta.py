@@ -133,6 +133,19 @@ def test_acting_on_truncated_level(vect_diagram):
         vect_diagram.act_index(key, key, (1, 2), ((0, 1, 2), (0, 1, 2)), 1, 0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: free_sigma_delta(2), lambda: ktheory_sigma_delta(trivial_category())],
+    ids=["free", "ktheory"],
+)
+def test_acting_above_the_top_level(build):
+    # both diagrams keep nerve levels 0..2; level 3 is a cap, not an index
+    d = build()
+    key = (1, (2,))
+    with pytest.raises(CapExceededError, match="nerve level 3 is not materialized"):
+        d.act_index(key, key, (1,), ((0, 1, 2),), 3, len(d.entry(key).levels[0]) - 1)
+
+
 def test_direction_and_width_caps():
     with pytest.raises(CapExceededError):
         ktheory_sigma_delta(vect_gf(2, 2), n_max=3)

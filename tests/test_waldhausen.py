@@ -3,11 +3,14 @@
 import pytest
 
 from chaintrace.errors import CapExceededError
+from chaintrace.formats import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
     SCategory,
+    _total_complex_relations,
     grothendieck_k0,
     k0_presentation,
     k0_retract_holds,
+    k0_via_diagonal,
     k0_via_sdot,
     reindex_s_object,
     s_k_objects,
@@ -15,6 +18,8 @@ from chaintrace.waldhausen import (
     ws_diagonal,
 )
 from chaintrace.wcat import (
+    category_from_selector,
+    end_category,
     finite_modules,
     pointed_sets,
     trivial_category,
@@ -131,6 +136,79 @@ def test_k0_methods_agree(make, rank):
     assert groups_equal(direct, simplicial)
     assert direct.free_rank == rank
     assert direct.invariant_factors == ()
+
+
+def family(sel):
+    """A built-in category; "End X" is the endomorphism category of X, and
+    "weq-lines" is vect_gf(2,2) with its injections F2 >-> F2^2 also
+    flagged as weak equivalences (it fails the gluing axiom, which the
+    K_0 computations do not use)."""
+    if sel.startswith("End "):
+        return end_category(category_from_selector(sel[4:]))[0]
+    if sel == "weq-lines":
+        C = vect_gf(2, 2)
+        # the serializer names morphisms m0, m1, ... in hom order
+        homs = [m for a in range(3) for b in range(3) for m in C.hom_ids(a, b)]
+        names = {m: f"m{t}" for t, m in enumerate(homs)}
+        flags = "".join(f"weq {names[m]}\n" for m in C.hom_ids(1, 2) if C.is_cofibration_id(m))
+        return parse_category_text(serialize_category(C) + flags, where=sel, validate=False)
+    return category_from_selector(sel)
+
+
+# every built-in family whose diagonal fits under STRING_CAP at level 2.  In
+# a valid category an invertible weak equivalence a -> b gives the same
+# relation as the grid 0 >-> a >-> b, so only "weq-lines", whose new weak
+# equivalences are not invertible, needs the columns of w_1 S_1
+DIAGONAL_FITS = [
+    "trivial",
+    "vect_gf:2:1",
+    "vect_gf:2:2",
+    "vect_gf:3:1",
+    "vect_gf:5:1",
+    "pointed_sets:0",
+    "pointed_sets:1",
+    "pointed_sets:2",
+    "pointed_sets:3",
+    "finite_modules:2:1",
+    "finite_modules:2:2",
+    "finite_modules:2:3",
+    "finite_modules:2:4",
+    "finite_modules:3:2",
+    "End vect_gf:2:1",
+    "End pointed_sets:2",
+    "weq-lines",
+]
+
+
+@pytest.mark.parametrize("sel", DIAGONAL_FITS)
+def test_total_complex_equals_diagonal(sel):
+    C = family(sel)
+    assert k0_via_sdot(C) == k0_via_diagonal(C)
+
+
+def up_to_sign(col):
+    return max(col, tuple((r, -c) for r, c in col))
+
+
+@pytest.mark.parametrize("sel", DIAGONAL_FITS + ["End vect_gf:2:2"])
+def test_total_complex_relations_are_the_presentation(sel):
+    # S_1 is C through the entry at (0, 1); the total complex takes faces
+    # of S_2 by reindexing grids, the presentation reads their slots
+    C = family(sel)
+    S1, gens, cols, _ = _total_complex_relations(C)
+    pres = k0_presentation(C)
+    pos = {a: t for t, a in enumerate(pres.generators)}
+    to_pres = [pos[S1.slot_entry(a, 0, 1)] for a in gens]
+    assert sorted(to_pres) == list(range(len(pres.generators)))
+    mapped = {up_to_sign(tuple(sorted((to_pres[r], c) for r, c in col))) for col in cols}
+    assert mapped == {up_to_sign(col) for col in pres.relations}
+
+
+def test_total_complex_string_cap():
+    # w_1 S_1 of vect_gf(2, 2) holds the basepoint and 7 automorphisms
+    with pytest.raises(CapExceededError, match="w_1 S_1"):
+        k0_via_sdot(vect_gf(2, 2), string_cap=7)
+    assert k0_via_sdot(vect_gf(2, 2), string_cap=8).free_rank == 1
 
 
 def classify(pres, label):

@@ -1,11 +1,14 @@
 """Tests for the finite cofibration-category tables and their validator."""
 
+import hashlib
+import json
 import os
 
 import pytest
 
 from chaintrace.errors import InputParseError, ValidationError
 from chaintrace.formats import parse_category_file
+from chaintrace.waldhausen import SCategory
 from chaintrace.wcat import (
     category_from_selector,
     end_category,
@@ -90,6 +93,85 @@ def test_iso_ids():
     assert len(C.iso_ids(1, 2)) == 0
     for m in C.iso_ids(2, 2):
         assert C.is_weq_id(m)
+
+
+def nested_iso_scan(C, a, b):
+    """Isomorphisms a -> b by trying every weak equivalence b -> a as an inverse."""
+    ida, idb = C.identity_id(a), C.identity_id(b)
+    return tuple(
+        m
+        for m in C.weq_ids(a, b)
+        if any(C.compose_ids(n, m) == ida and C.compose_ids(m, n) == idb for n in C.weq_ids(b, a))
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        trivial_category,
+        lambda: vect_gf(2, 1),
+        lambda: vect_gf(2, 2),
+        lambda: vect_gf(2, 3),
+        lambda: pointed_sets(2),
+        lambda: pointed_sets(3),
+        lambda: finite_modules(2, 4),
+        lambda: SCategory(vect_gf(2, 2), 1),
+        lambda: SCategory(vect_gf(2, 2), 2),
+        # flags every endomorphism of F2^2 as a weak equivalence, so not
+        # every weak equivalence is invertible
+        lambda: parse_category_file(os.path.join(DATA, "corrupt_axiom5.txt"), validate=False),
+    ],
+    ids=[
+        "trivial", "vect21", "vect22", "vect23", "pointed2", "pointed3", "mod24",
+        "S1vect22", "S2vect22", "noninvertible-weqs",
+    ],
+)
+def test_iso_ids_match_the_nested_inverse_scan(make):
+    C = make()
+    pairs = [(a, b) for a in range(C.object_count()) for b in range(C.object_count())]
+    # both orders of asking: automorphisms first, and a torsor before its Aut(a)
+    for order in (pairs, pairs[::-1]):
+        fresh = make()
+        for a, b in order:
+            assert fresh.iso_ids(a, b) == nested_iso_scan(fresh, a, b), (a, b)
+
+
+def report_digest(report) -> str:
+    data = json.dumps([report.subject, report.checks_run, report.issues, report.skipped])
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+# checks_run and a digest of (subject, checks_run, issues, skipped), recorded
+# before axiom 5 looked up the related witnesses once per corner triple
+PINNED_REPORTS = {
+    "trivial": (9, "0b9329843a8282d7"),
+    "pointed_sets:0": (9, "4de0992384870823"),
+    "pointed_sets:1": (48, "5bc8f73de12cb6ac"),
+    "pointed_sets:2": (602, "de8da4b5ec2fee9f"),
+    "vect_gf:2:1": (48, "b2ca6ef72618f9ce"),
+    "vect_gf:2:2": (22794, "9a2943675adf792b"),
+    "vect_gf:3:1": (122, "2257c396dc1a4822"),
+    "vect_gf:5:1": (1470, "50a6eeee5b980173"),
+    "finite_modules:2:3": (48, "c184c4e7f496e38a"),
+    "finite_modules:2:4": (25322, "a4261cae8722989b"),
+    "finite_modules:2:5": (25322, "1577c4f68f2c0be7"),
+    "finite_modules:3:2": (9, "7ef4ad6bcc46453e"),
+    "corrupt_axiom1.txt": (16086, "5f13f3a66377e3a1"),
+    "corrupt_axiom2.txt": (22784, "536f430d13737818"),
+    "corrupt_axiom3.txt": (22792, "fdc13b7643412798"),
+    "corrupt_axiom4.txt": (22754, "f30be6111acc93e9"),
+    "corrupt_axiom5.txt": (237828, "553193aadcc84805"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_validator_reports_are_pinned(name):
+    if name.endswith(".txt"):
+        C = parse_category_file(os.path.join(DATA, name), validate=False)
+    else:
+        C = category_from_selector(name)
+    report = validate_waldhausen(C)
+    assert (report.checks_run, report_digest(report)) == PINNED_REPORTS[name]
 
 
 def test_pushout_witness_of_two_lines():
