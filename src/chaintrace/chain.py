@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
+    CapExceededError,
     DegreeOutOfRangeError,
     InternalInvariantError,
     UnsupportedRingError,
@@ -47,7 +48,16 @@ __all__ = [
     "homology",
     "reduce_complex",
     "rank_over_field",
+    "predicted_dense_cells",
+    "DENSE_CELL_CAP",
 ]
+
+# Dense cells (S, U, V and their inverses) that homology() may allocate in
+# one degree.  The largest prediction among the tests and the benchmark
+# jobs is about 9e5 cells, and morita GF:2[x]/x^2 --size 2 --max-degree 2
+# needs 1.7e7; the morita runs of Z[C3] and of GF:2[x]/x^2 one degree
+# higher would need 5.4e8 and 8.2e8, gigabytes of list slots.
+DENSE_CELL_CAP = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -193,19 +203,20 @@ def _homology_pid(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> Ho
     rank1 = dec1.rank
     r_n = d_n.ncols
     k = r_n - rank1  # nullity
-    kernel_cols = [dec1.V.col(j) for j in range(rank1, r_n)]
 
     # express boundaries in the kernel basis: rows rank1.. of V^-1 * d_{n+1}
     Y = dec1.Vinv.mul(d_np1)
     for i in range(rank1):
         if any(not ring.is_zero(x) for x in Y.rows[i]):
             raise InternalInvariantError("boundary column escaped the kernel lattice")
-    X = Matrix(ring, Y.rows[rank1:], d_np1.ncols)
+    X = Matrix._canonical(ring, Y.rows[rank1:], d_np1.ncols)
     dec2 = smith_normal_form(X)
     s = dec2.rank
     diag = [dec2.S.rows[i][i] for i in range(min(k, X.ncols))]
 
-    gen_matrix = Matrix.from_cols(ring, kernel_cols, r_n).mul(dec2.Uinv) if k else Matrix.zeros(ring, r_n, 0)
+    # the kernel basis is the last k columns of V
+    kernel = Matrix._canonical(ring, [row[rank1:] for row in dec1.V.rows], k)
+    gen_matrix = kernel.mul(dec2.Uinv) if k else Matrix.zeros(ring, r_n, 0)
 
     kept: list[int] = []
     orders: list[int] = []
@@ -317,23 +328,46 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
 
     Degrees run 0..top_degree-1 so that the incoming boundary from degree
     n+1 exists; asking for the top degree raises DegreeOutOfRangeError.
+    Before any matrix is built, the dense cells of both Smith eliminations
+    are predicted from the ranks (predicted_dense_cells); above
+    DENSE_CELL_CAP it raises CapExceededError instead.
     """
     if n < 0 or n >= complex_.top_degree:
         raise DegreeOutOfRangeError(
             f"degree {n} outside computable range 0..{complex_.top_degree - 1}"
         )
     ring = complex_.ring
+    if ring.kind == "Zmod" and ring.prime_power() is None:
+        raise UnsupportedRingError(
+            f"homology over Z/{ring.modulus} is supported for prime powers only"
+        )
+    ranks = (complex_.rank(n - 1), complex_.rank(n), complex_.rank(n + 1))
+    cells = predicted_dense_cells(ring, *ranks)
+    if cells > DENSE_CELL_CAP:
+        raise CapExceededError(
+            f"homology in degree {n} (ranks {ranks[0]}, {ranks[1]}, {ranks[2]}) needs "
+            f"{cells} dense cells of Smith elimination, above the cap {DENSE_CELL_CAP}"
+        )
     d_n = complex_.differential(n).to_matrix()
     d_np1 = complex_.differential(n + 1).to_matrix()
-    if ring.kind in ("Z",) or ring.is_field:
-        return _homology_pid(ring, d_n, d_np1, n)
     if ring.kind == "Zmod":
-        if ring.prime_power() is None:
-            raise UnsupportedRingError(
-                f"homology over Z/{ring.modulus} is supported for prime powers only"
-            )
         return _homology_zmod(ring, d_n, d_np1, n)
-    raise UnsupportedRingError(f"homology over {ring} is not supported")
+    return _homology_pid(ring, d_n, d_np1, n)
+
+
+def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:
+    """Cells of S, U, V, Uinv and Vinv over both eliminations of homology().
+
+    a, b, c are the ranks in degrees n-1, n, n+1.  The first elimination
+    takes d_n (a x b).  The second takes the boundaries in the kernel basis,
+    at most b rows by c columns; over Z/p^k it takes the lift
+    [d_{n+1} | mI] in that basis, b rows by c + b columns.
+    """
+    if ring.kind == "Zmod":
+        c += b
+    first = a * b + 2 * a * a + 2 * b * b
+    second = b * c + 2 * b * b + 2 * c * c
+    return first + second
 
 
 def _sparse_columns(d: SparseMap, skip=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:

@@ -32,11 +32,22 @@ measure (|x| over Z, p-adic valuation over Z/p^k, any nonzero over a field),
 breaking ties in row-major order.  Diagonal entries are normalized to
 canonical unit multiples (positive over Z, 1 over fields, p-powers over
 Z/p^k).
+
+Storage stays dense, but the kernel's cost follows the nonzero entries:
+each row or column operation, scaling and pivot search skips zeros, since
+x - q*0 is x again in value and in type, and Matrix.mul multiplies only
+nonzero pairs.  The boundaries of the complexes here are a few percent
+nonzero, so dense arithmetic would mostly compute x - q*0.  What stays
+quadratic is memory: homology() therefore predicts the dense cells of its
+eliminations from the ranks and refuses above chain.DENSE_CELL_CAP before
+building any matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InternalInvariantError, UnsupportedRingError
@@ -145,18 +156,15 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         ring = self.ring
+        add, mul = ring.add, ring.mul
         out = Matrix.zeros(ring, self.nrows, other.ncols)
-        is_zero = ring.is_zero
-        for k in range(other.nrows):
-            orow = other.rows[k]
-            for i in range(self.nrows):
-                a = self.rows[i][k]
-                if is_zero(a):
-                    continue
-                trow = out.rows[i]
-                for j, b in enumerate(orow):
-                    if not is_zero(b):
-                        trow[j] = ring.add(trow[j], ring.mul(a, b))
+        # the nonzero entries of each row of other, read once
+        nonzero = [[(j, orow[j]) for j in _support(orow)] for orow in other.rows]
+        for srow, trow in zip(self.rows, out.rows):
+            for k in _support(srow):
+                a = srow[k]
+                for j, b in nonzero[k]:
+                    trow[j] = add(trow[j], mul(a, b))
         return out
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -330,17 +338,33 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal if not ring.is_zero(d))
 
 
-def _find_pivot(ring: BaseRing, S: list[list], t: int, nrows: int, ncols: int):
+def _support(row: list, start: int = 0) -> list:
+    """Indices of the nonzero entries of row from start on.
+
+    Entries are ints or Fractions, so truthiness is the zero test, and
+    compress runs the scan in C.
+    """
+    return list(compress(range(start, len(row)), row[start:]))
+
+
+def _rows_with(M: list[list], *cols: int) -> list[list]:
+    """The rows of M that are nonzero in one of the given columns."""
+    column = itemgetter(*cols)
+    return list(compress(M, map(column, M) if len(cols) == 1 else map(any, map(column, M))))
+
+
+def _find_pivot(ring: BaseRing, S: list[list], t: int):
+    # no nonzero element measures below floor: a unit over Z/p^k has
+    # valuation 0, every other nonzero measure is at least 1
+    floor = 0 if ring.kind == "Zmod" else 1
     best = None
-    for i in range(t, nrows):
+    for i in range(t, len(S)):
         row = S[i]
-        for j in range(t, ncols):
+        for j in _support(row, t):
             m = ring.pivot_measure(row[j])
-            if m is None:
-                continue
             if best is None or m < best[0]:
                 best = (m, i, j)
-                if ring.is_field:
+                if m == floor:
                     return best
     return best
 
@@ -353,82 +377,93 @@ def _quotient(ring: BaseRing, a, b):
 
 
 def _smith_engine(ring: BaseRing, mat: Matrix):
-    """Core elimination; returns (U, Uinv, S, V, Vinv) as row lists."""
+    """Core elimination; returns (U, Uinv, S, V, Vinv) as row lists.
+
+    Storage is dense, but every operation visits only nonzero entries: an
+    update x - q*0 is x again, so skipping it changes no value and no type.
+    A column operation finds the rows it touches with one scan of the
+    column, run in C by compress over itemgetter.
+    """
     nr, nc = mat.nrows, mat.ncols
+    add, sub, mul, one = ring.add, ring.sub, ring.mul, ring.one
     S = [row[:] for row in mat.rows]
-    U = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
-    Uinv = [row[:] for row in U]
-    V = [[ring.one if i == j else ring.zero for j in range(nc)] for i in range(nc)]
-    Vinv = [row[:] for row in V]
+    U, Uinv = Matrix.identity(ring, nr).rows, Matrix.identity(ring, nr).rows
+    V, Vinv = Matrix.identity(ring, nc).rows, Matrix.identity(ring, nc).rows
 
-    def row_sub(i, t, q):  # row_i -= q * row_t ; Uinv col_t += q * Uinv col_i
-        if ring.is_zero(q):
+    def row_sub(i, t, q, s_cols, u_cols):  # row_i -= q * row_t ; Uinv col_t += q * Uinv col_i
+        if not q:
             return
-        for M in (S, U):
-            ri, rt = M[i], M[t]
-            for j in range(len(ri)):
-                ri[j] = ring.sub(ri[j], ring.mul(q, rt[j]))
-        for r in Uinv:
-            r[t] = ring.add(r[t], ring.mul(q, r[i]))
+        for ri, rt, cols in ((S[i], S[t], s_cols), (U[i], U[t], u_cols)):
+            for j in cols:
+                ri[j] = sub(ri[j], mul(q, rt[j]))
+        for r in _rows_with(Uinv, i):
+            r[t] = add(r[t], mul(q, r[i]))
 
-    def col_sub(j, t, q):  # col_j -= q * col_t ; Vinv row_t += q * Vinv row_j
-        if ring.is_zero(q):
+    def col_sub(j, t, q, s_rows, v_rows):  # col_j -= q * col_t ; Vinv row_t += q * Vinv row_j
+        if not q:
             return
-        for M in (S,):
-            for r in M:
-                r[j] = ring.sub(r[j], ring.mul(q, r[t]))
-        for r in V:
-            r[j] = ring.sub(r[j], ring.mul(q, r[t]))
+        for rows in (s_rows, v_rows):
+            for r in rows:
+                r[j] = sub(r[j], mul(q, r[t]))
         rt, rj = Vinv[t], Vinv[j]
-        for b in range(len(rt)):
-            rt[b] = ring.add(rt[b], ring.mul(q, rj[b]))
+        for b in _support(rj):
+            rt[b] = add(rt[b], mul(q, rj[b]))
 
     def row_swap(i, t):
         if i == t:
             return
         S[i], S[t] = S[t], S[i]
         U[i], U[t] = U[t], U[i]
-        for r in Uinv:
+        for r in _rows_with(Uinv, i, t):
             r[i], r[t] = r[t], r[i]
 
     def col_swap(j, t):
         if j == t:
             return
-        for r in S:
-            r[j], r[t] = r[t], r[j]
-        for r in V:
-            r[j], r[t] = r[t], r[j]
+        for M in (S, V):
+            for r in _rows_with(M, j, t):
+                r[j], r[t] = r[t], r[j]
         Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
 
     def row_scale(i, u):  # row_i *= u (unit); Uinv col_i *= u^-1
+        if u == one:
+            return
+        for r in (S[i], U[i]):
+            for j in _support(r):
+                r[j] = mul(u, r[j])
         uinv = ring.inv(u)
-        S[i] = [ring.mul(u, x) for x in S[i]]
-        U[i] = [ring.mul(u, x) for x in U[i]]
-        for r in Uinv:
-            r[i] = ring.mul(uinv, r[i])
+        for r in _rows_with(Uinv, i):
+            r[i] = mul(uinv, r[i])
 
     def eliminate_at(t):
         while True:
-            piv = _find_pivot(ring, S, t, nr, nc)
+            piv = _find_pivot(ring, S, t)
             if piv is None:
                 return False
             _, pi, pj = piv
             row_swap(pi, t)
             col_swap(pj, t)
+            st = S[t]
             clean = True
-            for i in range(t + 1, nr):
-                if not ring.is_zero(S[i][t]):
-                    row_sub(i, t, _quotient(ring, S[i][t], S[t][t]))
-                    if not ring.is_zero(S[i][t]):
+            # row t stays fixed while rows below it change, and column t
+            # while columns to its right change
+            below = list(compress(range(t + 1, nr), map(itemgetter(t), S[t + 1 :])))
+            if below:
+                s_cols, u_cols = _support(st), _support(U[t])
+                for i in below:
+                    row_sub(i, t, _quotient(ring, S[i][t], st[t]), s_cols, u_cols)
+                    if S[i][t]:
                         clean = False
-            for j in range(t + 1, nc):
-                if not ring.is_zero(S[t][j]):
-                    col_sub(j, t, _quotient(ring, S[t][j], S[t][t]))
-                    if not ring.is_zero(S[t][j]):
+            right = _support(st, t + 1)
+            if right:
+                s_rows, v_rows = _rows_with(S, t), _rows_with(V, t)
+                for j in right:
+                    col_sub(j, t, _quotient(ring, st[j], st[t]), s_rows, v_rows)
+                    if st[j]:
                         clean = False
-            if clean and all(ring.is_zero(S[i][t]) for i in range(t + 1, nr)) and all(
-                ring.is_zero(S[t][j]) for j in range(t + 1, nc)
-            ):
+            # a row or column operation changes only its own row or column,
+            # so a clean pass leaves row t and column t zero off the pivot
+            if clean:
                 return True
 
     def normalize_diag(t):
@@ -471,13 +506,12 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
             a, b = S[t][t], S[t + 1][t + 1]
             if not ring.divides(a, b):
                 # fold column t+1 into column t and re-eliminate
-                for r in S:
-                    r[t] = ring.add(r[t], r[t + 1])
-                for r in V:
-                    r[t] = ring.add(r[t], r[t + 1])
-                row_t1 = Vinv[t + 1]
-                row_t = Vinv[t]
-                Vinv[t + 1] = [ring.sub(row_t1[j], row_t[j]) for j in range(nc)]
+                for M in (S, V):
+                    for r in _rows_with(M, t + 1):
+                        r[t] = add(r[t], r[t + 1])
+                r1, rt = Vinv[t + 1], Vinv[t]
+                for k in _support(rt):
+                    r1[k] = sub(r1[k], rt[k])
                 eliminate_at(t)
                 normalize_diag(t)
                 eliminate_at(t + 1)

@@ -218,7 +218,18 @@ def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> l
     complete candidate set).  Horizontal arrows of the new row are the
     unique mediating maps, so the grid axioms for triples (j-1, j, l)
     hold by construction; the remaining triples are checked afterwards.
+
+    The list is memoized on the base, so the presentation and the total
+    complex read one enumeration; a refusal is not cached and is raised
+    again on every call.
     """
+    got = base._s_payload_cache.get((k, cap))
+    if got is None:
+        got = base._s_payload_cache[(k, cap)] = _build_s_payloads(base, k, cap)
+    return got
+
+
+def _build_s_payloads(base: WCategory, k: int, cap: int) -> list:
     z = base.zero_index()
     idz = base.identity_id(z)
     n = k + 1

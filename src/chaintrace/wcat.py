@@ -98,6 +98,7 @@ class WCategory:
         self._inverse_cache: dict = {}
         self._witness_cache: dict = {}
         self._composite_index: dict = {}
+        self._s_payload_cache: dict = {}
 
     # -- hooks a subclass must implement ------------------------------------
 

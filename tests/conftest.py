@@ -10,12 +10,16 @@ must give the same group in every degree.  The dense oracle is skipped in a
 degree whose two boundaries exceed ORACLE_CELLS dense entries, because that
 elimination is what reduce_complex exists to avoid; those degrees are held
 by the closed-form tests instead (Burghelea's splitting, frozen tables).
+Each differential of such a complex with at most REFERENCE_CELLS entries
+is also eliminated by the reference engine of tests/smith_reference.py,
+and the five Smith factors must agree with smith_normal_form's.
 """
 
 import pytest
 
 from chaintrace.chain import ChainComplex, homology, reduce_complex
 from chaintrace.errors import UnsupportedRingError
+from smith_reference import assert_same_factors
 
 try:
     from hypothesis import settings
@@ -26,6 +30,8 @@ else:
     settings.load_profile("chaintrace")
 
 ORACLE_CELLS = 20_000
+REFERENCE_CELLS = 20_000
+_matched_reference: set = set()  # differentials already compared, across tests
 
 
 def _outcome(complex_, n):
@@ -65,3 +71,10 @@ def every_complex_matches_its_core():
         ChainComplex.__init__ = init
     for complex_ in built:
         assert_core_matches(complex_, max_cells=ORACLE_CELLS)
+        ring = complex_.ring
+        if ring.kind == "Zmod" and ring.prime_power() is None:
+            continue  # no Smith form over composite Z/m
+        for d in complex_.differentials.values():
+            if d.nrows * d.ncols <= REFERENCE_CELLS and d not in _matched_reference:
+                assert_same_factors(d.to_matrix())
+                _matched_reference.add(d)

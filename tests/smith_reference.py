@@ -1,0 +1,183 @@
+"""The dense Smith elimination as it stood before its loops went sparse.
+
+This is the reference engine for ``assert_same_factors``: every
+row and column operation walks whole rows and columns, so it shares no
+loop with ``chaintrace.linalg._smith_engine``.  The pivot rule and the
+order of operations are the same, so both engines must return the same
+five factors, entry for entry and type for type.  Kept as it was; do not
+optimize it.
+"""
+
+from chaintrace.errors import UnsupportedRingError
+from chaintrace.linalg import Matrix, smith_normal_form
+from chaintrace.rings import BaseRing
+
+
+def _find_pivot(ring: BaseRing, S: list[list], t: int, nrows: int, ncols: int):
+    best = None
+    for i in range(t, nrows):
+        row = S[i]
+        for j in range(t, ncols):
+            m = ring.pivot_measure(row[j])
+            if m is None:
+                continue
+            if best is None or m < best[0]:
+                best = (m, i, j)
+                if ring.is_field:
+                    return best
+    return best
+
+
+def _quotient(ring: BaseRing, a, b):
+    """q with a - q*b reduced: exact where b | a, floor division over Z."""
+    if ring.kind == "Z":
+        return a // b
+    return ring.exact_div(a, b) if ring.divides(b, a) else ring.zero
+
+
+def _smith_engine(ring: BaseRing, mat: Matrix):
+    """Core elimination; returns (U, Uinv, S, V, Vinv) as row lists."""
+    nr, nc = mat.nrows, mat.ncols
+    S = [row[:] for row in mat.rows]
+    U = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
+    Uinv = [row[:] for row in U]
+    V = [[ring.one if i == j else ring.zero for j in range(nc)] for i in range(nc)]
+    Vinv = [row[:] for row in V]
+
+    def row_sub(i, t, q):  # row_i -= q * row_t ; Uinv col_t += q * Uinv col_i
+        if ring.is_zero(q):
+            return
+        for M in (S, U):
+            ri, rt = M[i], M[t]
+            for j in range(len(ri)):
+                ri[j] = ring.sub(ri[j], ring.mul(q, rt[j]))
+        for r in Uinv:
+            r[t] = ring.add(r[t], ring.mul(q, r[i]))
+
+    def col_sub(j, t, q):  # col_j -= q * col_t ; Vinv row_t += q * Vinv row_j
+        if ring.is_zero(q):
+            return
+        for M in (S,):
+            for r in M:
+                r[j] = ring.sub(r[j], ring.mul(q, r[t]))
+        for r in V:
+            r[j] = ring.sub(r[j], ring.mul(q, r[t]))
+        rt, rj = Vinv[t], Vinv[j]
+        for b in range(len(rt)):
+            rt[b] = ring.add(rt[b], ring.mul(q, rj[b]))
+
+    def row_swap(i, t):
+        if i == t:
+            return
+        S[i], S[t] = S[t], S[i]
+        U[i], U[t] = U[t], U[i]
+        for r in Uinv:
+            r[i], r[t] = r[t], r[i]
+
+    def col_swap(j, t):
+        if j == t:
+            return
+        for r in S:
+            r[j], r[t] = r[t], r[j]
+        for r in V:
+            r[j], r[t] = r[t], r[j]
+        Vinv[j], Vinv[t] = Vinv[t], Vinv[j]
+
+    def row_scale(i, u):  # row_i *= u (unit); Uinv col_i *= u^-1
+        uinv = ring.inv(u)
+        S[i] = [ring.mul(u, x) for x in S[i]]
+        U[i] = [ring.mul(u, x) for x in U[i]]
+        for r in Uinv:
+            r[i] = ring.mul(uinv, r[i])
+
+    def eliminate_at(t):
+        while True:
+            piv = _find_pivot(ring, S, t, nr, nc)
+            if piv is None:
+                return False
+            _, pi, pj = piv
+            row_swap(pi, t)
+            col_swap(pj, t)
+            clean = True
+            for i in range(t + 1, nr):
+                if not ring.is_zero(S[i][t]):
+                    row_sub(i, t, _quotient(ring, S[i][t], S[t][t]))
+                    if not ring.is_zero(S[i][t]):
+                        clean = False
+            for j in range(t + 1, nc):
+                if not ring.is_zero(S[t][j]):
+                    col_sub(j, t, _quotient(ring, S[t][j], S[t][t]))
+                    if not ring.is_zero(S[t][j]):
+                        clean = False
+            if clean and all(ring.is_zero(S[i][t]) for i in range(t + 1, nr)) and all(
+                ring.is_zero(S[t][j]) for j in range(t + 1, nc)
+            ):
+                return True
+
+    def normalize_diag(t):
+        d = S[t][t]
+        if ring.is_zero(d):
+            return
+        if ring.kind == "Z":
+            if d < 0:
+                row_scale(t, -1)
+        elif ring.is_field:
+            row_scale(t, ring.inv(d))
+        else:
+            pk = ring.prime_power()
+            if pk is None:
+                raise UnsupportedRingError(
+                    f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
+                )
+            p, _ = pk
+            v, dd = 0, int(d)
+            while dd % p == 0:
+                dd //= p
+                v += 1
+            # d = unit * p^v; scale the unit away
+            row_scale(t, ring.inv(ring.normalize(dd)))
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        if not eliminate_at(t):
+            break
+        normalize_diag(t)
+        t += 1
+    rank = t
+
+    # enforce the divisibility chain d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for t in range(rank - 1):
+            a, b = S[t][t], S[t + 1][t + 1]
+            if not ring.divides(a, b):
+                # fold column t+1 into column t and re-eliminate
+                for r in S:
+                    r[t] = ring.add(r[t], r[t + 1])
+                for r in V:
+                    r[t] = ring.add(r[t], r[t + 1])
+                row_t1 = Vinv[t + 1]
+                row_t = Vinv[t]
+                Vinv[t + 1] = [ring.sub(row_t1[j], row_t[j]) for j in range(nc)]
+                eliminate_at(t)
+                normalize_diag(t)
+                eliminate_at(t + 1)
+                normalize_diag(t + 1)
+                changed = True
+    # re-elimination may swap an already normalized entry out of place
+    for t in range(rank):
+        normalize_diag(t)
+    return U, Uinv, S, V, Vinv
+
+
+
+def assert_same_factors(mat: Matrix) -> None:
+    """smith_normal_form(mat) equals the reference in all five factors, types included."""
+    dec = smith_normal_form(mat)
+    U, Uinv, S, V, Vinv = _smith_engine(mat.ring, mat)
+    for name, rows in (("U", U), ("S", S), ("V", V), ("Uinv", Uinv), ("Vinv", Vinv)):
+        got = getattr(dec, name).rows
+        assert got == rows, name
+        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in rows], name

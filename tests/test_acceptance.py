@@ -13,6 +13,7 @@ import time
 import pytest
 
 from chaintrace.algebra import base_algebra, cyclic_group, group_algebra, truncated_polynomial
+from chaintrace.chain import DENSE_CELL_CAP
 from chaintrace.cli import main
 from chaintrace.formats import parse_category_file
 from chaintrace.hochschild import HochschildHomology, cyclic_homology
@@ -186,3 +187,29 @@ def test_criterion_9_k0_of_families_past_the_diagonal_cap(capsys):
                 "K0 via w.S-construction diagonal: Z",
                 "verdict: AGREE",
             ]
+
+
+def test_criterion_10_morita_through_the_sparse_smith_kernel(capsys):
+    # the full normalized complex of M_2(GF(2)[x]/x^2) has 2744 columns at level 3
+    with criterion(10, "CLI morita GF:2[x]/x^2 --size 2 --max-degree 2 prints ISO", 8.0):
+        assert main(["morita", "GF:2[x]/x^2", "--size", "2", "--max-degree", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [
+            f"degree {n}: HH_{n}(M_2(A)) = GF(2)^2 -> HH_{n}(A) = GF(2)^2  [ISO]" for n in range(3)
+        ] + ["verdict: ISO"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["morita", "Z[C3]", "--size", "2", "--max-degree", "2"],
+        ["morita", "GF:2[x]/x^2", "--size", "2", "--max-degree", "3"],
+    ),
+    ids=("Z[C3]-2", "GF:2[x]/x^2-3"),
+)
+def test_criterion_11_dense_cell_cap_refuses_quickly(argv, capsys):
+    # Smith elimination with transforms would need 5.4e8 and 8.2e8 dense cells
+    with criterion(11, f"CLI {' '.join(argv)} exits 4 on the dense cell cap", 5.0):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"above the cap {DENSE_CELL_CAP}" in err

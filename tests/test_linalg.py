@@ -2,8 +2,11 @@
 
 import pytest
 
-from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology
-from chaintrace.errors import DegreeOutOfRangeError, UnsupportedRingError, ValidationError
+from chaintrace import chain, linalg
+from chaintrace.algebra import base_algebra, cyclic_group, group_algebra
+from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, predicted_dense_cells
+from chaintrace.errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
+from chaintrace.hochschild import HochschildHomology
 from chaintrace.linalg import (
     Matrix,
     SparseMap,
@@ -198,3 +201,45 @@ def test_homology_needs_next_degree():
     cx = ChainComplex(ZZ, (1, 1), {1: SparseMap.zero(ZZ, 1, 1)})
     with pytest.raises(DegreeOutOfRangeError):
         homology(cx, 1)
+
+
+def _engine_cells(monkeypatch):
+    """Record the cells of S, U, V, Uinv and Vinv of every Smith elimination."""
+    cells = []
+    engine = linalg._smith_engine
+
+    def counting_engine(ring, mat):
+        r, c = mat.nrows, mat.ncols
+        cells.append(r * c + 2 * r * r + 2 * c * c)
+        return engine(ring, mat)
+
+    monkeypatch.setattr(linalg, "_smith_engine", counting_engine)
+    return cells
+
+
+@pytest.mark.parametrize("ring", (ZZ, QQ, GF(2), Zmod(4), Zmod(9)), ids=str)
+def test_predicted_dense_cells_bound_the_eliminations(ring, monkeypatch):
+    cx = HochschildHomology(group_algebra(cyclic_group(2), ring), 3).complex
+    cells = _engine_cells(monkeypatch)
+    for n in range(cx.top_degree):
+        cells.clear()
+        homology(cx, n)
+        assert len(cells) == 2
+        predicted = predicted_dense_cells(ring, cx.rank(n - 1), cx.rank(n), cx.rank(n + 1))
+        assert sum(cells) <= predicted
+        if n == 0:  # d_0 = 0, so the kernel is all of C_0 and the bound is met
+            assert sum(cells) == predicted
+
+
+def test_homology_refuses_past_the_dense_cell_cap_before_eliminating(monkeypatch):
+    cx = HochschildHomology(base_algebra(GF(2)), 3).complex
+    ranks = (cx.rank(0), cx.rank(1), cx.rank(2))
+    predicted = predicted_dense_cells(GF(2), *ranks)
+    cells = _engine_cells(monkeypatch)
+    monkeypatch.setattr(chain, "DENSE_CELL_CAP", predicted - 1)
+    with pytest.raises(CapExceededError, match=f"needs {predicted} dense cells.* above the cap {predicted - 1}"):
+        homology(cx, 1)
+    assert cells == []
+    monkeypatch.setattr(chain, "DENSE_CELL_CAP", predicted)
+    homology(cx, 1)
+    assert len(cells) == 2

@@ -1,6 +1,6 @@
 """Property test of smith_normal_form on small random matrices.
 
-Over Z, GF(p) and Z/p^k it checks the decomposition U*M*V = S with U, V
+Over Z, Q, GF(p) and Z/p^k it checks the decomposition U*M*V = S with U, V
 invertible, that S is diagonal with the divisibility chain, and that every
 nonzero diagonal entry is canonical: positive over Z, 1 over a field, a
 power of p over Z/p^k.  Besides dense matrices it draws monomial ones (one
@@ -14,11 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from chaintrace.linalg import Matrix  # noqa: E402
-from chaintrace.rings import GF, ZZ, Zmod  # noqa: E402
+from chaintrace.rings import GF, QQ, ZZ, Zmod  # noqa: E402
 
 from test_linalg import assert_decomposition  # noqa: E402
 
-RINGS = (ZZ, GF(2), GF(3), GF(5), Zmod(4), Zmod(8), Zmod(9), Zmod(25))
+RINGS = (ZZ, QQ, GF(2), GF(3), GF(5), Zmod(4), Zmod(8), Zmod(9), Zmod(25))
 
 
 @st.composite

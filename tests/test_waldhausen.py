@@ -2,10 +2,12 @@
 
 import pytest
 
+from chaintrace import waldhausen
 from chaintrace.errors import CapExceededError
 from chaintrace.formats import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
     SCategory,
+    _enumerate_s_payloads,
     _total_complex_relations,
     grothendieck_k0,
     k0_presentation,
@@ -242,3 +244,27 @@ def test_k0_retract():
         finite_modules(2, 4),
     ):
         assert k0_retract_holds(C)
+
+
+def test_k0_routes_share_one_flag_grid_enumeration(monkeypatch):
+    calls = []
+    build = waldhausen._build_s_payloads
+
+    def counting_build(base, k, cap):
+        calls.append(k)
+        return build(base, k, cap)
+
+    monkeypatch.setattr(waldhausen, "_build_s_payloads", counting_build)
+    C = vect_gf(2, 2)
+    direct = grothendieck_k0(C)
+    simplicial = k0_via_sdot(C)
+    assert groups_equal(direct, simplicial)
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_refused_flag_grid_enumeration_is_raised_every_time():
+    C = vect_gf(2, 2)
+    for _ in range(2):
+        with pytest.raises(CapExceededError):
+            _enumerate_s_payloads(C, 2, cap=2)
+    assert len(_enumerate_s_payloads(C, 2)) == 18
