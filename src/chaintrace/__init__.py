@@ -16,63 +16,70 @@ The package computes, with exact integer and rational arithmetic:
 
 Everything is desk-scale and brute-force verified; no floating point, no
 randomized algorithms, no approximation.
+
+Importing the package loads no submodule.  A public name is imported from
+the submodule that owns it on first access (PEP 562), so a command line job
+pays only for the modules it runs.  The imports under ``TYPE_CHECKING`` are
+the same table, written for type checkers.
 """
 
-from .rings import ZZ, QQ, GF, BaseRing, Zmod
-from .linalg import Matrix, SparseMap, smith_normal_form, solve_membership
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology
-from .algebra import (
-    Algebra,
-    FiniteGroup,
-    base_algebra,
-    cyclic_group,
-    general_linear_group,
-    group_algebra,
-    make_algebra,
-    matrix_algebra,
-    truncated_polynomial,
-    validate_algebra,
-    validate_group,
-)
-from .hochschild import (
-    cyclic_bar,
-    cyclic_homology,
-    hochschild_homology,
-    validate_cyclic_module,
-)
-from .trace import (
-    dennis_trace_homology,
-    dennis_trace_k1,
-    group_homology,
-    group_to_hh,
-    morita_map,
-    multitrace,
-)
-from .wcat import (
-    category_from_selector,
-    end_category,
-    finite_modules,
-    pointed_sets,
-    trivial_category,
-    validate_waldhausen,
-    vect_gf,
-)
-from .waldhausen import (
-    SCategory,
-    grothendieck_k0,
-    k0_presentation,
-    k0_retract_holds,
-    k0_via_sdot,
-    s_k_objects,
-    ws_diagonal,
-)
-from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
-from .formats import (
-    parse_algebra_file,
-    parse_category_file,
-    parse_group_file,
-    serialize_category,
-)
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .rings import ZZ, QQ, GF, BaseRing, Zmod
+    from .linalg import Matrix, SparseMap, smith_normal_form, solve_membership
+    from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology
+    from .algebra import (
+        Algebra,
+        FiniteGroup,
+        base_algebra,
+        cyclic_group,
+        general_linear_group,
+        group_algebra,
+        make_algebra,
+        matrix_algebra,
+        truncated_polynomial,
+        validate_algebra,
+        validate_group,
+    )
+    from .hochschild import (
+        cyclic_bar,
+        cyclic_homology,
+        hochschild_homology,
+        validate_cyclic_module,
+    )
+    from .trace import (
+        dennis_trace_homology,
+        dennis_trace_k1,
+        group_homology,
+        group_to_hh,
+        morita_map,
+        multitrace,
+    )
+    from .wcat import (
+        category_from_selector,
+        end_category,
+        finite_modules,
+        pointed_sets,
+        trivial_category,
+        validate_waldhausen,
+        vect_gf,
+    )
+    from .waldhausen import (
+        SCategory,
+        grothendieck_k0,
+        k0_presentation,
+        k0_retract_holds,
+        k0_via_sdot,
+        s_k_objects,
+        ws_diagonal,
+    )
+    from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
+    from .formats import (
+        parse_algebra_file,
+        parse_category_file,
+        parse_group_file,
+        serialize_category,
+    )
 
 __version__ = "0.1.0"
 
@@ -135,3 +142,70 @@ __all__ = [
     "serialize_category",
     "__version__",
 ]
+
+# The submodule owning each public name: the TYPE_CHECKING imports above as
+# data, which tests/test_public_api.py holds equal to them.
+_OWNERS = {
+    "rings": ("ZZ", "QQ", "GF", "BaseRing", "Zmod"),
+    "linalg": ("Matrix", "SparseMap", "smith_normal_form", "solve_membership"),
+    "chain": ("ChainComplex", "FPAbelianGroup", "FPModule", "HomologyData", "homology"),
+    "algebra": (
+        "Algebra",
+        "FiniteGroup",
+        "base_algebra",
+        "cyclic_group",
+        "general_linear_group",
+        "group_algebra",
+        "make_algebra",
+        "matrix_algebra",
+        "truncated_polynomial",
+        "validate_algebra",
+        "validate_group",
+    ),
+    "hochschild": ("cyclic_bar", "cyclic_homology", "hochschild_homology", "validate_cyclic_module"),
+    "trace": (
+        "dennis_trace_homology",
+        "dennis_trace_k1",
+        "group_homology",
+        "group_to_hh",
+        "morita_map",
+        "multitrace",
+    ),
+    "wcat": (
+        "category_from_selector",
+        "end_category",
+        "finite_modules",
+        "pointed_sets",
+        "trivial_category",
+        "validate_waldhausen",
+        "vect_gf",
+    ),
+    "waldhausen": (
+        "SCategory",
+        "grothendieck_k0",
+        "k0_presentation",
+        "k0_retract_holds",
+        "k0_via_sdot",
+        "s_k_objects",
+        "ws_diagonal",
+    ),
+    "sigma_delta": ("free_sigma_delta", "ktheory_sigma_delta", "sigma_delta_validate"),
+    "formats": ("parse_algebra_file", "parse_category_file", "parse_group_file", "serialize_category"),
+}
+_OWNER = {name: module for module, names in _OWNERS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access.
+
+    Any other name raises AttributeError, so ``from chaintrace import wcat``
+    falls back to importing the submodule ``chaintrace.wcat``.
+    """
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

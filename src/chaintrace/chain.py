@@ -49,6 +49,7 @@ __all__ = [
     "reduce_complex",
     "rank_over_field",
     "predicted_dense_cells",
+    "check_dense_cells",
     "DENSE_CELL_CAP",
 ]
 
@@ -328,9 +329,8 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
 
     Degrees run 0..top_degree-1 so that the incoming boundary from degree
     n+1 exists; asking for the top degree raises DegreeOutOfRangeError.
-    Before any matrix is built, the dense cells of both Smith eliminations
-    are predicted from the ranks (predicted_dense_cells); above
-    DENSE_CELL_CAP it raises CapExceededError instead.
+    Before any matrix is built, check_dense_cells refuses a degree whose
+    eliminations would exceed DENSE_CELL_CAP.
     """
     if n < 0 or n >= complex_.top_degree:
         raise DegreeOutOfRangeError(
@@ -341,18 +341,24 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
         raise UnsupportedRingError(
             f"homology over Z/{ring.modulus} is supported for prime powers only"
         )
-    ranks = (complex_.rank(n - 1), complex_.rank(n), complex_.rank(n + 1))
-    cells = predicted_dense_cells(ring, *ranks)
-    if cells > DENSE_CELL_CAP:
-        raise CapExceededError(
-            f"homology in degree {n} (ranks {ranks[0]}, {ranks[1]}, {ranks[2]}) needs "
-            f"{cells} dense cells of Smith elimination, above the cap {DENSE_CELL_CAP}"
-        )
+    check_dense_cells(complex_, n)
     d_n = complex_.differential(n).to_matrix()
     d_np1 = complex_.differential(n + 1).to_matrix()
     if ring.kind == "Zmod":
         return _homology_zmod(ring, d_n, d_np1, n)
     return _homology_pid(ring, d_n, d_np1, n)
+
+
+def check_dense_cells(complex_: ChainComplex, n: int) -> None:
+    """Raise CapExceededError if homology(complex_, n) would allocate more
+    than DENSE_CELL_CAP dense cells (predicted_dense_cells of the ranks)."""
+    ranks = (complex_.rank(n - 1), complex_.rank(n), complex_.rank(n + 1))
+    cells = predicted_dense_cells(complex_.ring, *ranks)
+    if cells > DENSE_CELL_CAP:
+        raise CapExceededError(
+            f"homology in degree {n} (ranks {ranks[0]}, {ranks[1]}, {ranks[2]}) needs "
+            f"{cells} dense cells of Smith elimination, above the cap {DENSE_CELL_CAP}"
+        )
 
 
 def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:

@@ -21,31 +21,21 @@ Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource cap
 exceeded, 5 internal invariant breach (never expected).  Output is
 deterministic for a fixed config and seed; ``--format structured`` emits a
 sorted JSON envelope that records the conventions behind every number.
+
+Each handler, resolver and selftest suite imports the modules it runs when
+it runs, so a command loads only what it computes with: ``hh`` never loads
+the category modules, ``k0`` never loads the Hochschild ones, and
+``--help`` loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import re
 import sys
 from dataclasses import dataclass
 
-from .algebra import (
-    Algebra,
-    FiniteGroup,
-    base_algebra,
-    cyclic_group,
-    group_algebra,
-    matrix_algebra,
-    trivial_group,
-    truncated_polynomial,
-    unit_inverse,
-    validate_algebra,
-    validate_group,
-)
-from .chain import FPAbelianGroup, homology, reduce_complex
 from .errors import (
     CapExceededError,
     ChainTraceError,
@@ -64,19 +54,12 @@ from .formats import (
     ring_from_spec,
     ring_spec,
 )
-from .hochschild import (
-    HochschildHomology,
-    cyclic_bar,
-    cyclic_total_complex,
-    validate_cyclic_module,
-)
 from .rings import GF, QQ, ZZ, BaseRing
-from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
-from .trace import GroupHomology, dennis_trace_k1, group_to_hh, morita_map, multitrace
-from .trace import dennis_trace_homology
 from .validation import ValidationReport
-from .wcat import category_from_selector, validate_waldhausen
-from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_diagonal, k0_via_sdot
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .algebra import Algebra, FiniteGroup
 
 __all__ = ["JobConfig", "run", "main", "algebra_from_selector", "group_from_selector"]
 
@@ -144,6 +127,8 @@ def _ring_token(tok: str) -> BaseRing:
 
 def algebra_from_selector(sel: str, ring_override: str | None = None) -> Algebra:
     """Built-in algebra named by a selector; see the module docstring."""
+    from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, truncated_polynomial
+
     sel = sel.strip()
     m = re.fullmatch(r"M(\d+)\((.+)\)", sel)
     if m:
@@ -169,6 +154,8 @@ def algebra_from_selector(sel: str, ring_override: str | None = None) -> Algebra
 
 
 def group_from_selector(sel: str) -> FiniteGroup:
+    from .algebra import cyclic_group, trivial_group
+
     sel = sel.strip()
     if sel == "trivial":
         return trivial_group()
@@ -225,6 +212,8 @@ def _resolve_group(inp: str) -> FiniteGroup:
 def _resolve_category(inp: str, bound: int | None, validate: bool = False):
     if os.path.isfile(inp):
         return parse_category_file(inp, validate=validate)
+    from .wcat import category_from_selector
+
     try:
         return category_from_selector(_category_selector_with_bound(inp, bound))
     except InputParseError as exc:
@@ -244,6 +233,8 @@ def _coords_str(ring: BaseRing, coords) -> str:
 
 
 def _group_json(g) -> dict:
+    from .chain import FPAbelianGroup
+
     if isinstance(g, FPAbelianGroup):
         return {
             "display": str(g),
@@ -265,6 +256,8 @@ def _emit(config: JobConfig, lines: list[str], result: dict) -> str:
 
 
 def _handle_hh(config: JobConfig) -> tuple[int, str]:
+    from .hochschild import HochschildHomology
+
     A = _resolve_algebra(config.inputs[0], config.ring)
     work = HochschildHomology(A, config.max_degree)
     groups = [work.group(d) for d in range(config.max_degree + 1)]
@@ -280,6 +273,9 @@ def _handle_hh(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_hc(config: JobConfig) -> tuple[int, str]:
+    from .chain import homology, reduce_complex
+    from .hochschild import cyclic_total_complex
+
     A = _resolve_algebra(config.inputs[0], config.ring)
     core = reduce_complex(cyclic_total_complex(A, config.max_degree))
     groups = [homology(core, d).group for d in range(config.max_degree + 1)]
@@ -295,6 +291,8 @@ def _handle_hc(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
+    from .trace import GroupHomology
+
     G = _resolve_group(config.inputs[0])
     ring = ring_from_spec(config.ring or "Z")
     work = GroupHomology(G, ring, config.max_degree)
@@ -311,6 +309,8 @@ def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_trace_k1(config: JobConfig) -> tuple[int, str]:
+    from .trace import dennis_trace_k1
+
     A = _resolve_algebra(config.inputs[0], config.ring)
     g = parse_matrix_literal(A, config.inputs[1])
     cls = dennis_trace_k1(A, g)
@@ -333,6 +333,8 @@ def _handle_trace_k1(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_trace_homology(config: JobConfig) -> tuple[int, str]:
+    from .trace import dennis_trace_homology
+
     A = _resolve_algebra(config.inputs[0], config.ring)
     res = dennis_trace_homology(A, config.size, config.degree)
     lines = [
@@ -360,6 +362,8 @@ def _handle_trace_homology(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_morita(config: JobConfig) -> tuple[int, str]:
+    from .trace import morita_map
+
     A = _resolve_algebra(config.inputs[0], config.ring)
     results = morita_map(A, config.size, config.max_degree)
     lines = [_algebra_line(A), f"matrix size: {config.size}"]
@@ -392,6 +396,8 @@ def _handle_morita(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_k0(config: JobConfig) -> tuple[int, str]:
+    from .waldhausen import grothendieck_k0, k0_via_sdot
+
     C = _resolve_category(config.inputs[0], config.bound)
     via_pres = grothendieck_k0(C)
     via_sdot = k0_via_sdot(C)
@@ -430,16 +436,24 @@ def _handle_validate(config: JobConfig) -> tuple[int, str]:
     if os.path.isfile(inp):
         kind = _sniff_file_kind(inp)
         if kind == "algebra":
+            from .algebra import validate_algebra
+
             report = validate_algebra(parse_algebra_file(inp, validate=False))
         elif kind == "group":
+            from .algebra import validate_group
+
             report = validate_group(parse_group_file(inp, validate=False))
         elif kind == "category":
+            from .wcat import validate_waldhausen
+
             report = validate_waldhausen(parse_category_file(inp, validate=False))
         else:
             raise InputParseError(
                 f"{inp}: first keyword {kind!r} is not one of algebra, group, category"
             )
     else:
+        from .wcat import validate_waldhausen
+
         report = validate_waldhausen(_resolve_category(inp, config.bound))
     lines = [report.summary()]
     lines += [f"issue: {msg}" for msg in report.issues]
@@ -461,6 +475,8 @@ def _handle_validate(config: JobConfig) -> tuple[int, str]:
 
 
 def _suite_cyclic_identities() -> ValidationReport:
+    from .hochschild import cyclic_bar, validate_cyclic_module
+
     report = ValidationReport(subject="cyclic module identities")
     for sel in ("Z", "GF:2[x]/x^2", "Z[C2]", "M2(GF:2)"):
         A = algebra_from_selector(sel)
@@ -469,6 +485,8 @@ def _suite_cyclic_identities() -> ValidationReport:
 
 
 def _suite_b_bb(max_degree: int = 3) -> ValidationReport:
+    from .hochschild import HochschildHomology
+
     report = ValidationReport(subject="b^2 = 0, B^2 = 0, bB + Bb = 0")
     for sel in ("Q[C2]", "GF:2[x]/x^2", "Z[C2]"):
         A = algebra_from_selector(sel)
@@ -492,7 +510,9 @@ def _suite_b_bb(max_degree: int = 3) -> ValidationReport:
 
 
 def _suite_chain_maps() -> ValidationReport:
-    from .trace import bar_complex
+    from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra
+    from .hochschild import cyclic_bar
+    from .trace import bar_complex, group_to_hh, multitrace
 
     report = ValidationReport(subject="chain map identities")
     for n in (2, 3):
@@ -522,6 +542,8 @@ def _suite_chain_maps() -> ValidationReport:
 
 
 def _suite_waldhausen_families() -> ValidationReport:
+    from .wcat import category_from_selector, validate_waldhausen
+
     report = ValidationReport(subject="Waldhausen axiom validator on built-in families")
     for sel in ("trivial", "vect_gf:2:1", "vect_gf:2:2", "pointed_sets:2", "finite_modules:2:4"):
         report.merge(validate_waldhausen(category_from_selector(sel)))
@@ -529,6 +551,9 @@ def _suite_waldhausen_families() -> ValidationReport:
 
 
 def _suite_k0() -> ValidationReport:
+    from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_diagonal, k0_via_sdot
+    from .wcat import category_from_selector
+
     report = ValidationReport(subject="K0 three ways and the retract property")
     for sel in ("trivial", "vect_gf:2:2", "finite_modules:2:4"):
         C = category_from_selector(sel)
@@ -541,6 +566,9 @@ def _suite_k0() -> ValidationReport:
 
 
 def _suite_sigma_delta() -> ValidationReport:
+    from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
+    from .wcat import category_from_selector
+
     report = ValidationReport(subject="Sigma-Delta diagram axioms")
     report.merge(sigma_delta_validate(ktheory_sigma_delta(category_from_selector("vect_gf:2:2"))))
     report.merge(sigma_delta_validate(free_sigma_delta(2)))
@@ -548,6 +576,12 @@ def _suite_sigma_delta() -> ValidationReport:
 
 
 def _suite_trace_additivity(seed: int) -> ValidationReport:
+    import random
+
+    from .algebra import unit_inverse
+    from .hochschild import HochschildHomology
+    from .trace import dennis_trace_k1
+
     report = ValidationReport(subject="Dennis trace additivity on random unit pairs")
     rng = random.Random(seed)
 

@@ -1,0 +1,36 @@
+"""Conventions and caps that pin down every number the engine prints.
+
+The structured output's ``conventions`` block is made of these constants
+(formats.conventions_block), and the modules that enforce them import them
+from here, so rendering an envelope loads no compute module.
+"""
+
+__all__ = [
+    "B_CONVENTION",
+    "PIVOT_RULE",
+    "LEVEL_CAP",
+    "DEGREE_CAP",
+    "GROUP_ORDER_CAP",
+    "PUSHOUT_SEARCH_CAP",
+]
+
+# Connes' operator and the Hochschild boundary (hochschild).
+B_CONVENTION = "B = (1 - (-1)^q t) s_e N on the normalized complex; b = sum (-1)^i d_i; d_q merges last onto first"
+
+# Smith normal form pivot choice (linalg.smith_normal_form).
+PIVOT_RULE = (
+    "pivot of smallest measure (|x| over Z, p-adic valuation over Z/p^k, any "
+    "nonzero over a field), ties broken row-major; diagonal normalized to "
+    "canonical unit multiples"
+)
+
+# Largest level rank a Hochschild, cyclic or bar complex builds (hochschild, trace).
+LEVEL_CAP = 500_000
+
+# Largest group-homology degree and GL_n(A) order the Dennis trace on
+# group homology accepts (trace.dennis_trace_homology).
+DEGREE_CAP = 3
+GROUP_ORDER_CAP = 24
+
+# Steps a brute-force pushout search may take (wcat.WCategory.pushout_candidates).
+PUSHOUT_SEARCH_CAP = 2_000_000

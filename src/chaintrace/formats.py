@@ -48,27 +48,31 @@ Structured (JSON) output for the command line lives here too: a fixed
 envelope holding the config, the resolved caps and conventions (Connes B
 convention string, Smith pivot rule), and a command-specific result.  The
 rendering is sorted and indentation-stable, so identical configs produce
-byte-identical bytes.
+byte-identical bytes.  The caps and conventions come from the conventions
+module, and the parsers import algebra and wcat only when they run, so
+rendering an envelope loads no compute module.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebra import Algebra, FiniteGroup, make_algebra, validate_algebra, validate_group
-from .errors import InputParseError, ValidationError
-from .hochschild import B_CONVENTION, LEVEL_CAP
-from .linalg import PIVOT_RULE
-from .rings import GF, QQ, ZZ, BaseRing, Zmod
-from .trace import DEGREE_CAP, GROUP_ORDER_CAP
-from .validation import ValidationReport
-from .wcat import (
+from .conventions import (
+    B_CONVENTION,
+    DEGREE_CAP,
+    GROUP_ORDER_CAP,
+    LEVEL_CAP,
+    PIVOT_RULE,
     PUSHOUT_SEARCH_CAP,
-    TableCategory,
-    WCategory,
-    category_from_selector,
-    validate_waldhausen,
 )
+from .errors import InputParseError, ValidationError
+from .rings import GF, QQ, ZZ, BaseRing, Zmod
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .algebra import Algebra, FiniteGroup
+    from .validation import ValidationReport
+    from .wcat import WCategory
 
 __all__ = [
     "ring_from_spec",
@@ -239,6 +243,8 @@ def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = Tru
             entry[k] = coeff(lineno, c_tok)
         products[(i, j)] = entry
 
+    from .algebra import make_algebra, validate_algebra
+
     A = make_algebra(ring, basis, unit, products, name=name)
     if validate:
         _require_ok(validate_algebra(A))
@@ -312,6 +318,8 @@ def parse_group_text(text: str, where: str = "<group>", validate: bool = True) -
             break
     if identity is None:
         raise ValidationError(f"{where}: multiplication table has no identity element")
+    from .algebra import FiniteGroup, validate_group
+
     G = FiniteGroup(
         table=tuple(table), identity=identity, names=tuple(elements), name=name
     )
@@ -411,6 +419,8 @@ def parse_category_text(
 
     if name is None:
         raise InputParseError(f"{where}: missing category line")
+    from .wcat import TableCategory, category_from_selector, validate_waldhausen
+
     if family is not None:
         if table_keys:
             raise InputParseError(f"{where}: family form does not take table lines")

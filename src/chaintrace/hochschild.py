@@ -31,6 +31,7 @@ from functools import cached_property
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
 from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology, reduce_complex
+from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import SparseMap
 from .validation import ValidationReport
@@ -49,9 +50,6 @@ __all__ = [
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
-
-LEVEL_CAP = 500_000
-B_CONVENTION = "B = (1 - (-1)^q t) s_e N on the normalized complex; b = sum (-1)^i d_i; d_q merges last onto first"
 
 
 class CyclicModule:

@@ -26,12 +26,12 @@ modulus.
 
 smith_normal_form(M) returns (U, S, V) with S = U * M * V, U and V
 invertible over the ring, S diagonal with the divisibility chain
-d_1 | d_2 | ... | d_r.  The pivot rule is fixed for determinism: among the
-nonzero entries of the working block, choose the one of smallest pivot
-measure (|x| over Z, p-adic valuation over Z/p^k, any nonzero over a field),
-breaking ties in row-major order.  Diagonal entries are normalized to
-canonical unit multiples (positive over Z, 1 over fields, p-powers over
-Z/p^k).
+d_1 | d_2 | ... | d_r.  The pivot rule (conventions.PIVOT_RULE) is fixed
+for determinism: among the nonzero entries of the working block, choose the
+one of smallest pivot measure (|x| over Z, p-adic valuation over Z/p^k, any
+nonzero over a field), breaking ties in row-major order.  Diagonal entries
+are normalized to canonical unit multiples (positive over Z, 1 over fields,
+p-powers over Z/p^k).
 
 Storage stays dense, but the kernel's cost follows the nonzero entries:
 each row or column operation, scaling and pivot search skips zeros, since
@@ -48,10 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Sequence
 
 from .errors import InternalInvariantError, UnsupportedRingError
 from .rings import ZZ, BaseRing
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 __all__ = [
     "Matrix",
@@ -62,14 +65,7 @@ __all__ = [
     "solve_membership",
     "MembershipResult",
     "lift_with_modulus",
-    "PIVOT_RULE",
 ]
-
-PIVOT_RULE = (
-    "pivot of smallest measure (|x| over Z, p-adic valuation over Z/p^k, any "
-    "nonzero over a field), ties broken row-major; diagonal normalized to "
-    "canonical unit multiples"
-)
 
 
 class Matrix:

@@ -34,9 +34,18 @@ from .algebra import (
     matrix_entries_to_vec,
     unit_inverse,
 )
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology, reduce_complex
+from .chain import (
+    ChainComplex,
+    FPAbelianGroup,
+    FPModule,
+    HomologyData,
+    check_dense_cells,
+    homology,
+    reduce_complex,
+)
+from .conventions import DEGREE_CAP, GROUP_ORDER_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
-from .hochschild import HochschildHomology, LEVEL_CAP, tensor_power_map
+from .hochschild import HochschildHomology, tensor_power_map
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .rings import BaseRing
 
@@ -56,9 +65,6 @@ __all__ = [
     "DEGREE_CAP",
     "GROUP_ORDER_CAP",
 ]
-
-DEGREE_CAP = 3
-GROUP_ORDER_CAP = 24
 
 
 def _tuple_index(order: int, tup) -> int:
@@ -324,13 +330,21 @@ def fp_map_is_iso(
 
 
 def morita_map(A: Algebra, n: int, max_degree: int, cap: int = LEVEL_CAP) -> list[MoritaResult]:
-    """Multitrace-induced maps HH_d(M_n(A)) -> HH_d(A) for d = 0..max_degree."""
+    """Multitrace-induced maps HH_d(M_n(A)) -> HH_d(A) for d = 0..max_degree.
+
+    The caps of every degree are checked, in the order the loop would meet
+    them, before the first elimination: a refusal costs no homology work.
+    """
     M = matrix_algebra(A, n)
     WM = HochschildHomology(M, max_degree, cap)
     WA = HochschildHomology(A, max_degree, cap)
+    for d in range(max_degree + 1):
+        WM.cyclic_module.check_full_level(d)  # M's full level is the larger one
+        check_dense_cells(WM.complex, d)
+        check_dense_cells(WA.complex, d)
     out = []
     for d in range(max_degree + 1):
-        from_m = WM.from_normalized(d)  # refuses an over-cap full level of M first
+        from_m = WM.from_normalized(d)
         bridge = WA.to_normalized(d).compose(multitrace(A, n, d)).compose(from_m)
         src = WM.homology_data(d)
         tgt = WA.homology_data(d)

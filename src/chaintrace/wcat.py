@@ -24,7 +24,9 @@ import itertools
 from dataclasses import dataclass
 
 from .chain import rank_over_field
+from .conventions import PUSHOUT_SEARCH_CAP
 from .errors import (
+    CapExceededError,
     InputParseError,
     InternalInvariantError,
     ValidationError,
@@ -50,9 +52,6 @@ __all__ = [
     "EndCategory",
     "end_category",
 ]
-
-# Largest hom set a brute-force pushout search will enumerate cocones over.
-PUSHOUT_SEARCH_CAP = 2_000_000
 
 
 class WCategory:
@@ -328,31 +327,47 @@ class WCategory:
         group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
         return tuple(h for h in group if self.compose_ids(h, v) == q)
 
-    def is_pushout(self, i: int, f: int, d: int, u: int, v: int) -> bool:
-        """Universal-property check for the square (i, f, u, v) by enumeration."""
-        if self.compose_ids(u, i) != self.compose_ids(v, f):
-            return False
+    def _cocones(self, i: int, f: int):
+        """Every commuting square (e, p, q) under b <-i- a -f-> c, p∘i = q∘f,
+        by target object, then p in hom order, then q in hom order."""
         b = self._mor_tgt[i]
         for e in range(self.object_count()):
             legs = self._by_composite(f, e)
             for p in self.hom_ids(b, e):
                 for q in legs.get(self.compose_ids(p, i), ()):
-                    if len(self.mediating_ids(u, v, p, q)) != 1:
-                        return False
-        return True
+                    yield e, p, q
+
+    def is_pushout(self, i: int, f: int, d: int, u: int, v: int) -> bool:
+        """Universal-property check for the square (i, f, u, v) by enumeration."""
+        if self.compose_ids(u, i) != self.compose_ids(v, f):
+            return False
+        return all(len(self.mediating_ids(u, v, p, q)) == 1 for _, p, q in self._cocones(i, f))
 
     def pushout_candidates(self, i: int, f: int, first_only: bool = False) -> list:
-        """All (d, u, v) within the bound satisfying the universal property."""
-        b = self._mor_tgt[i]
+        """All (d, u, v) within the bound satisfying the universal property.
+
+        Every commuting square is a candidate, tested against the squares in
+        order until one lacks a unique mediating map.  One such test is a
+        step; past PUSHOUT_SEARCH_CAP steps the search raises
+        CapExceededError.
+        """
+        cocones = tuple(self._cocones(i, f))
         out = []
-        for d in range(self.object_count()):
-            legs = self._by_composite(f, d)
-            for u in self.hom_ids(b, d):
-                for v in legs.get(self.compose_ids(u, i), ()):
-                    if self.is_pushout(i, f, d, u, v):
-                        out.append((d, u, v))
-                        if first_only:
-                            return out
+        steps = 0
+        for d, u, v in cocones:
+            for _, p, q in cocones:
+                steps += 1
+                if steps > PUSHOUT_SEARCH_CAP:
+                    raise CapExceededError(
+                        f"pushout search for ({self.mor_label(i)}, {self.mor_label(f)}) over "
+                        f"{len(cocones)} commuting squares passed {PUSHOUT_SEARCH_CAP} steps"
+                    )
+                if len(self.mediating_ids(u, v, p, q)) != 1:
+                    break
+            else:
+                out.append((d, u, v))
+                if first_only:
+                    return out
         return out
 
     def iso_ids(self, a: int, b: int) -> tuple:

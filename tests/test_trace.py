@@ -160,6 +160,24 @@ def test_morita_map_over_integers():
     assert all(r.isomorphism for r in results)
 
 
+def test_morita_map_refuses_before_any_elimination(monkeypatch):
+    # degrees 0-2 fit under DENSE_CELL_CAP and degree 3 does not: the
+    # refusal comes before degree 0 is eliminated
+    from chaintrace import chain
+
+    calls = []
+    smith = chain.smith_normal_form
+
+    def counted(mat):
+        calls.append((mat.nrows, mat.ncols))
+        return smith(mat)
+
+    monkeypatch.setattr(chain, "smith_normal_form", counted)
+    with pytest.raises(CapExceededError, match="homology in degree 3 .* above the cap"):
+        morita_map(truncated_polynomial(GF(2), 2), 2, 3)
+    assert calls == []
+
+
 def test_fp_map_iso_on_trivial_groups():
     from chaintrace.chain import FPAbelianGroup
     from chaintrace.linalg import Matrix

@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from chaintrace.errors import InputParseError, ValidationError
+from chaintrace import wcat
+from chaintrace.cli import main
+from chaintrace.errors import CapExceededError, InputParseError, ValidationError
 from chaintrace.formats import parse_category_file
 from chaintrace.waldhausen import SCategory
 from chaintrace.wcat import (
@@ -184,6 +186,36 @@ def test_pushout_witness_of_two_lines():
         assert C.mor_target(leg) == 2
     # The cobase change of a cofibration is a cofibration.
     assert C.is_cofibration_id(u)
+
+
+def test_pushout_search_stops_at_its_step_cap(monkeypatch, capsys):
+    # corrupt_axiom3 drops the witness of (m1, m1), so the validator's
+    # brute-force search runs and finds the pushout.  One step is one
+    # mediating-map test of a candidate square against a commuting square.
+    path = os.path.join(DATA, "corrupt_axiom3.txt")
+    C = parse_category_file(path, validate=False)
+    n = C.object_count()
+    (m1,) = [m for a in range(n) for b in range(n) for m in C.hom_ids(a, b) if C.mor_label(m) == "m1"]
+    steps = []
+    mediating = wcat.WCategory.mediating_ids
+
+    def counted(self, *args):
+        steps.append(args)
+        return mediating(self, *args)
+
+    monkeypatch.setattr(wcat.WCategory, "mediating_ids", counted)
+    found = C.pushout_candidates(m1, m1, first_only=True)
+    assert len(found) == 1 and len(steps) == 48
+
+    monkeypatch.setattr(wcat, "PUSHOUT_SEARCH_CAP", 48)
+    assert C.pushout_candidates(m1, m1, first_only=True) == found
+    monkeypatch.setattr(wcat, "PUSHOUT_SEARCH_CAP", 47)
+    with pytest.raises(CapExceededError, match=r"\(m1, m1\) over \d+ commuting squares passed 47 steps"):
+        C.pushout_candidates(m1, m1, first_only=True)
+    with pytest.raises(CapExceededError):
+        validate_waldhausen(C)
+    assert main(["validate", path]) == 4
+    assert "error (cap): pushout search" in capsys.readouterr().err
 
 
 def test_cokernel_candidate_counts():
