@@ -17,12 +17,12 @@ R[GL_n(A)] -> M_n(A).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import CapExceededError, NotInvertibleError
 from .linalg import Matrix, lift_with_modulus, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .validation import ValidationReport
+from .values import Value
 
 __all__ = [
     "Algebra",
@@ -47,15 +47,25 @@ __all__ = [
 ENUMERATION_CAP = 65536
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Structure-constant algebra; table[i][j] is the sparse product e_i e_j."""
 
-    ring: BaseRing
-    basis_names: tuple[str, ...]
-    unit: tuple
-    table: tuple[tuple[tuple[tuple[int, object], ...], ...], ...]
-    name: str = ""
+    __slots__ = ("ring", "basis_names", "unit", "table", "name")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        ring: BaseRing,
+        basis_names: tuple[str, ...],
+        unit: tuple,
+        table: tuple[tuple[tuple[tuple[int, object], ...], ...], ...],
+        name: str = "",
+    ) -> None:
+        self.ring = ring
+        self.basis_names = basis_names
+        self.unit = unit
+        self.table = table
+        self.name = name
 
     @property
     def rank(self) -> int:
@@ -174,14 +184,17 @@ def validate_algebra(A: Algebra) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class AlgebraHom:
+class AlgebraHom(Value):
     """Base-linear map between algebras, expected to be unital multiplicative."""
 
-    source: Algebra
-    target: Algebra
-    matrix: Matrix  # target.rank x source.rank
-    name: str = ""
+    __slots__ = ("source", "target", "matrix", "name")
+    _fields = __slots__
+
+    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, name: str = "") -> None:
+        self.source = source
+        self.target = target
+        self.matrix = matrix  # target.rank x source.rank
+        self.name = name
 
     def apply(self, u) -> tuple:
         return self.matrix.apply(self.source.normalize_vec(u))
@@ -213,14 +226,19 @@ class AlgebraHom:
 # -- finite groups ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """Multiplication table group; element 0..order-1, table[i][j] = i*j."""
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    names: tuple[str, ...]
-    name: str = ""
+    __slots__ = ("table", "identity", "names", "name")
+    _fields = __slots__
+
+    def __init__(
+        self, table: tuple[tuple[int, ...], ...], identity: int, names: tuple[str, ...], name: str = ""
+    ) -> None:
+        self.table = table
+        self.identity = identity
+        self.names = names
+        self.name = name
 
     @property
     def order(self) -> int:
@@ -364,15 +382,20 @@ def vec_to_matrix_entries(A: Algebra, n: int, vec):
 # -- GL_n over a finite base -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneralLinearData:
+class GeneralLinearData(Value):
     """GL_n(A) with its elements and the embedding R[GL_n(A)] -> M_n(A)."""
 
-    group: FiniteGroup
-    elements: tuple  # element g -> n x n tuple of A coefficient tuples
-    n: int
-    algebra: Algebra
-    embedding: AlgebraHom
+    __slots__ = ("group", "elements", "n", "algebra", "embedding")
+    _fields = __slots__
+
+    def __init__(
+        self, group: FiniteGroup, elements: tuple, n: int, algebra: Algebra, embedding: AlgebraHom
+    ) -> None:
+        self.group = group
+        self.elements = elements  # element g -> n x n tuple of A coefficient tuples
+        self.n = n
+        self.algebra = algebra
+        self.embedding = embedding
 
 
 def _matrix_over_A_mul(A: Algebra, n: int, g, h):
@@ -465,11 +488,14 @@ def general_linear_group(A: Algebra, n: int, cap: int = ENUMERATION_CAP) -> Gene
     return GeneralLinearData(group=group, elements=tuple(elements), n=n, algebra=A, embedding=embedding)
 
 
-@dataclass(frozen=True)
-class NonUnitCertificate:
+class NonUnitCertificate(Value):
     """Witness that an element is not invertible."""
 
-    reason: str
+    __slots__ = ("reason",)
+    _fields = __slots__
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
 
     def __bool__(self) -> bool:
         return False

@@ -28,7 +28,6 @@ homology() on C itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     CapExceededError,
@@ -39,6 +38,7 @@ from .errors import (
 )
 from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form
 from .rings import ZZ, BaseRing
+from .values import Value
 
 __all__ = [
     "FPAbelianGroup",
@@ -61,25 +61,26 @@ __all__ = [
 DENSE_CELL_CAP = 30_000_000
 
 
-@dataclass(frozen=True)
-class FPAbelianGroup:
+class FPAbelianGroup(Value):
     """Finitely generated abelian group: Z^free_rank + sum Z/d_i.
 
     invariant_factors is the canonical divisibility chain d_1 | d_2 | ...,
     every d_i >= 2, so equality of groups is plain equality of fields.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "invariant_factors")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...] = ()) -> None:
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors must form a divisibility chain, got {self.invariant_factors}")
-        if any(d < 2 for d in self.invariant_factors):
+                raise ValueError(f"invariant factors must form a divisibility chain, got {invariant_factors}")
+        if any(d < 2 for d in invariant_factors):
             raise ValueError("invariant factors must be >= 2")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        self.free_rank = free_rank
+        self.invariant_factors = invariant_factors
 
     @property
     def is_trivial(self) -> bool:
@@ -95,18 +96,19 @@ class FPAbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class FPModule:
+class FPModule(Value):
     """Finite-dimensional vector space over an exact field."""
 
-    field: BaseRing
-    dimension: int
+    __slots__ = ("field", "dimension")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if not self.field.is_field:
-            raise ValueError(f"{self.field} is not a field")
-        if self.dimension < 0:
+    def __init__(self, field: BaseRing, dimension: int) -> None:
+        if not field.is_field:
+            raise ValueError(f"{field} is not a field")
+        if dimension < 0:
             raise ValueError("dimension must be >= 0")
+        self.field = field
+        self.dimension = dimension
 
     @property
     def is_trivial(self) -> bool:
@@ -165,17 +167,29 @@ def _ints(vec) -> list[int]:
     return [int(x) for x in vec]
 
 
-@dataclass
-class HomologyData:
+class HomologyData(Value):
     """Homology group in one degree plus canonical reduction machinery."""
 
-    ring: BaseRing
-    degree: int
-    group: FPAbelianGroup | FPModule
-    generators: tuple[tuple, ...]
-    orders: tuple[int, ...]  # order of each generator; 0 means infinite/free
-    _reduce: object = field(repr=False, default=None)
-    _cycle_test: object = field(repr=False, default=None)
+    _fields = ("ring", "degree", "group", "generators", "orders")
+    __hash__ = None
+
+    def __init__(
+        self,
+        ring: BaseRing,
+        degree: int,
+        group: FPAbelianGroup | FPModule,
+        generators: tuple[tuple, ...],
+        orders: tuple[int, ...],  # order of each generator; 0 means infinite/free
+        _reduce=None,
+        _cycle_test=None,
+    ) -> None:
+        self.ring = ring
+        self.degree = degree
+        self.group = group
+        self.generators = generators
+        self.orders = orders
+        self._reduce = _reduce
+        self._cycle_test = _cycle_test
 
     def is_cycle(self, vec) -> bool:
         return self._cycle_test(tuple(self.ring.normalize(x) for x in vec))

@@ -22,19 +22,20 @@ exceeded, 5 internal invariant breach (never expected).  Output is
 deterministic for a fixed config and seed; ``--format structured`` emits a
 sorted JSON envelope that records the conventions behind every number.
 
-Each handler, resolver and selftest suite imports the modules it runs when
-it runs, so a command loads only what it computes with: ``hh`` never loads
-the category modules, ``k0`` never loads the Hochschild ones, and
-``--help`` loads neither.
+Each handler and resolver imports the modules it runs when it runs, so a
+command loads only what it computes with: ``hh`` never loads the category
+modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
+neither.  Every job compiles this module, so the selftest suites live in
+chaintrace.selftest, which only ``selftest`` imports, and the selector
+parsers in formats.  No command loads dataclasses (and with it inspect),
+and only work over Q loads fractions (and with it decimal).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CapExceededError,
@@ -46,6 +47,8 @@ from .errors import (
     ValidationError,
 )
 from .formats import (
+    algebra_from_selector,
+    group_from_selector,
     parse_algebra_file,
     parse_category_file,
     parse_group_file,
@@ -54,8 +57,8 @@ from .formats import (
     ring_from_spec,
     ring_spec,
 )
-from .rings import GF, QQ, ZZ, BaseRing
-from .validation import ValidationReport
+from .rings import BaseRing
+from .values import Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
@@ -70,100 +73,53 @@ _EXIT_CAP = 4
 _EXIT_INTERNAL = 5
 
 
-@dataclass
-class JobConfig:
+class JobConfig(Value):
     """One command invocation; every field is plain data."""
 
-    command: str
-    inputs: tuple[str, ...] = ()
-    max_degree: int = 4
-    ring: str | None = None
-    bound: int | None = None
-    format: str = "table"
-    seed: int = 0
-    size: int = 2
-    degree: int = 1
+    _fields = ("command", "inputs", "max_degree", "ring", "bound", "format", "seed", "size", "degree")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        if self.format not in ("table", "structured"):
-            raise InputParseError(f"unknown output format {self.format!r}")
-        if self.max_degree < 0:
+    def __init__(
+        self,
+        command: str,
+        inputs: tuple[str, ...] = (),
+        max_degree: int = 4,
+        ring: str | None = None,
+        bound: int | None = None,
+        format: str = "table",
+        seed: int = 0,
+        size: int = 2,
+        degree: int = 1,
+    ) -> None:
+        if format not in ("table", "structured"):
+            raise InputParseError(f"unknown output format {format!r}")
+        if max_degree < 0:
             raise InputParseError("--max-degree must be >= 0")
-        if self.bound is not None and self.bound < 0:
+        if bound is not None and bound < 0:
             raise InputParseError("--bound must be >= 0")
-        if self.size < 1:
+        if size < 1:
             raise InputParseError("--size must be >= 1")
-        if self.degree < 0:
+        if degree < 0:
             raise InputParseError("--degree must be >= 0")
-        self.inputs = tuple(self.inputs)
+        self.command = command
+        self.inputs = tuple(inputs)
+        self.max_degree = max_degree
+        self.ring = ring
+        self.bound = bound
+        self.format = format
+        self.seed = seed
+        self.size = size
+        self.degree = degree
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "max_degree": self.max_degree,
-            "ring": self.ring,
-            "bound": self.bound,
-            "format": self.format,
-            "seed": self.seed,
-            "size": self.size,
-            "degree": self.degree,
-        }
+        out = {name: getattr(self, name) for name in self._fields}
+        out["inputs"] = list(self.inputs)
+        return out
 
 
 # ---------------------------------------------------------------------------
 # input resolution
 # ---------------------------------------------------------------------------
-
-_ALIAS_RE = re.compile(r"F(\d+)\Z")
-
-
-def _ring_token(tok: str) -> BaseRing:
-    m = _ALIAS_RE.fullmatch(tok)
-    if m:
-        tok = f"GF:{m.group(1)}"
-    return ring_from_spec(tok)
-
-
-def algebra_from_selector(sel: str, ring_override: str | None = None) -> Algebra:
-    """Built-in algebra named by a selector; see the module docstring."""
-    from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, truncated_polynomial
-
-    sel = sel.strip()
-    m = re.fullmatch(r"M(\d+)\((.+)\)", sel)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise InputParseError(f"matrix size in {sel!r} must be >= 1")
-        return matrix_algebra(algebra_from_selector(m.group(2), ring_override), n)
-    m = re.fullmatch(r"(.+)\[C(\d+)\]", sel)
-    if m:
-        n = int(m.group(2))
-        if n < 1:
-            raise InputParseError(f"cyclic group order in {sel!r} must be >= 1")
-        ring = _ring_token(ring_override or m.group(1))
-        return group_algebra(cyclic_group(n), ring)
-    m = re.fullmatch(r"(.+)\[x\]/x\^(\d+)", sel)
-    if m:
-        n = int(m.group(2))
-        if n < 1:
-            raise InputParseError(f"truncation order in {sel!r} must be >= 1")
-        ring = _ring_token(ring_override or m.group(1))
-        return truncated_polynomial(ring, n)
-    return base_algebra(_ring_token(ring_override or sel))
-
-
-def group_from_selector(sel: str) -> FiniteGroup:
-    from .algebra import cyclic_group, trivial_group
-
-    sel = sel.strip()
-    if sel == "trivial":
-        return trivial_group()
-    m = re.fullmatch(r"C(\d+)", sel)
-    if m and int(m.group(1)) >= 1:
-        return cyclic_group(int(m.group(1)))
-    raise InputParseError(f"unknown group selector {sel!r}; expected trivial or Cn")
-
 
 def _category_selector_with_bound(sel: str, bound: int | None) -> str:
     if bound is None:
@@ -469,175 +425,13 @@ def _handle_validate(config: JobConfig) -> tuple[int, str]:
     return status, _emit(config, lines, result)
 
 
-# ---------------------------------------------------------------------------
-# selftest suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_cyclic_identities() -> ValidationReport:
-    from .hochschild import cyclic_bar, validate_cyclic_module
-
-    report = ValidationReport(subject="cyclic module identities")
-    for sel in ("Z", "GF:2[x]/x^2", "Z[C2]", "M2(GF:2)"):
-        A = algebra_from_selector(sel)
-        report.merge(validate_cyclic_module(cyclic_bar(A, 1)))
-    return report
-
-
-def _suite_b_bb(max_degree: int = 3) -> ValidationReport:
-    from .hochschild import HochschildHomology
-
-    report = ValidationReport(subject="b^2 = 0, B^2 = 0, bB + Bb = 0")
-    for sel in ("Q[C2]", "GF:2[x]/x^2", "Z[C2]"):
-        A = algebra_from_selector(sel)
-        norm = HochschildHomology(A, max_degree).normalized
-        top = max_degree + 1
-        for q in range(1, top):
-            report.checks_run += 1
-            if not norm.boundary(q + 1).compose(norm.connes_b(q)).add(
-                norm.connes_b(q - 1).compose(norm.boundary(q))
-            ).is_zero_map():
-                report.record(f"{sel}: bB + Bb is nonzero at level {q}")
-        for q in range(top - 1):
-            report.checks_run += 1
-            if not norm.connes_b(q + 1).compose(norm.connes_b(q)).is_zero_map():
-                report.record(f"{sel}: B^2 is nonzero at level {q}")
-        for q in range(2, top + 1):
-            report.checks_run += 1
-            if not norm.boundary(q - 1).compose(norm.boundary(q)).is_zero_map():
-                report.record(f"{sel}: b^2 is nonzero at level {q}")
-    return report
-
-
-def _suite_chain_maps() -> ValidationReport:
-    from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra
-    from .hochschild import cyclic_bar
-    from .trace import bar_complex, group_to_hh, multitrace
-
-    report = ValidationReport(subject="chain map identities")
-    for n in (2, 3):
-        G = cyclic_group(n)
-        ring = ZZ
-        A = group_algebra(G, ring)
-        cm = cyclic_bar(A, 2)
-        bar = bar_complex(G, ring, 2)
-        for q in (1, 2):
-            phi_q = group_to_hh(G, ring, q)
-            phi_q1 = group_to_hh(G, ring, q - 1)
-            report.checks_run += 1
-            lhs = cm.boundary(q).compose(phi_q)
-            if not lhs.sub(phi_q1.compose(bar.differential(q))).is_zero_map():
-                report.record(f"group_to_hh is not a chain map for C{n} at q={q}")
-    A = base_algebra(GF(2))
-    M = matrix_algebra(A, 2)
-    cm_m = cyclic_bar(M, 2)
-    cm_a = cyclic_bar(A, 2)
-    for q in (1, 2):
-        report.checks_run += 1
-        lhs = cm_a.boundary(q).compose(multitrace(A, 2, q))
-        rhs = multitrace(A, 2, q - 1).compose(cm_m.boundary(q))
-        if not lhs.sub(rhs).is_zero_map():
-            report.record(f"multitrace is not a chain map for M2(F2) at q={q}")
-    return report
-
-
-def _suite_waldhausen_families() -> ValidationReport:
-    from .wcat import category_from_selector, validate_waldhausen
-
-    report = ValidationReport(subject="Waldhausen axiom validator on built-in families")
-    for sel in ("trivial", "vect_gf:2:1", "vect_gf:2:2", "pointed_sets:2", "finite_modules:2:4"):
-        report.merge(validate_waldhausen(category_from_selector(sel)))
-    return report
-
-
-def _suite_k0() -> ValidationReport:
-    from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_diagonal, k0_via_sdot
-    from .wcat import category_from_selector
-
-    report = ValidationReport(subject="K0 three ways and the retract property")
-    for sel in ("trivial", "vect_gf:2:2", "finite_modules:2:4"):
-        C = category_from_selector(sel)
-        report.checks_run += 2
-        if not grothendieck_k0(C) == k0_via_sdot(C) == k0_via_diagonal(C):
-            report.record(f"K0 methods disagree on {sel}")
-        if not k0_retract_holds(C):
-            report.record(f"K0 retract property fails on {sel}")
-    return report
-
-
-def _suite_sigma_delta() -> ValidationReport:
-    from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
-    from .wcat import category_from_selector
-
-    report = ValidationReport(subject="Sigma-Delta diagram axioms")
-    report.merge(sigma_delta_validate(ktheory_sigma_delta(category_from_selector("vect_gf:2:2"))))
-    report.merge(sigma_delta_validate(free_sigma_delta(2)))
-    return report
-
-
-def _suite_trace_additivity(seed: int) -> ValidationReport:
-    import random
-
-    from .algebra import unit_inverse
-    from .hochschild import HochschildHomology
-    from .trace import dennis_trace_k1
-
-    report = ValidationReport(subject="Dennis trace additivity on random unit pairs")
-    rng = random.Random(seed)
-
-    def random_unit(A, sampler):
-        while True:
-            u = tuple(sampler() for _ in range(A.rank))
-            if not isinstance(unit_inverse(A, u), tuple):
-                continue
-            return u
-
-    for sel, sampler in (
-        ("Q[C2]", lambda: QQ.normalize(rng.randint(-4, 4))),
-        ("Z[C2]", None),
-    ):
-        A = algebra_from_selector(sel)
-        work = HochschildHomology(A, 1)
-        units = None
-        if sampler is None:
-            units = [u for u in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-        for _ in range(5):
-            if units is None:
-                u, v = random_unit(A, sampler), random_unit(A, sampler)
-            else:
-                u, v = rng.choice(units), rng.choice(units)
-                u = A.normalize_vec(u)
-                v = A.normalize_vec(v)
-            uv = A.mul_vec(u, v)
-            c_uv = dennis_trace_k1(A, ((uv,),), work=work)
-            c_u = dennis_trace_k1(A, ((u,),), work=work)
-            c_v = dennis_trace_k1(A, ((v,),), work=work)
-            diff = tuple(
-                A.ring.sub(A.ring.sub(a, b), c)
-                for a, b, c in zip(c_uv.representative, c_u.representative, c_v.representative)
-            )
-            report.checks_run += 1
-            if not work.is_boundary(1, diff):
-                report.record(f"{sel}: trace of a product is not additive on {u}, {v}")
-    return report
-
-
-_SELF_TEST_SUITES = (
-    ("cyclic-identities", lambda seed: _suite_cyclic_identities()),
-    ("b-and-B", lambda seed: _suite_b_bb()),
-    ("chain-maps", lambda seed: _suite_chain_maps()),
-    ("waldhausen-families", lambda seed: _suite_waldhausen_families()),
-    ("k0-agreement", lambda seed: _suite_k0()),
-    ("sigma-delta", lambda seed: _suite_sigma_delta()),
-    ("trace-additivity", _suite_trace_additivity),
-)
-
-
 def _handle_selftest(config: JobConfig) -> tuple[int, str]:
+    from .selftest import SUITES
+
     lines = []
     suites = []
     all_ok = True
-    for name, fn in _SELF_TEST_SUITES:
+    for name, fn in SUITES:
         report = fn(config.seed)
         ok = report.ok
         all_ok = all_ok and ok
@@ -654,7 +448,7 @@ def _handle_selftest(config: JobConfig) -> tuple[int, str]:
         )
     lines.append(
         f"selftest: {'all suites passed' if all_ok else 'FAILED'} "
-        f"({len(_SELF_TEST_SUITES)} suites, seed {config.seed})"
+        f"({len(SUITES)} suites, seed {config.seed})"
     )
     result = {"seed": config.seed, "suites": suites, "ok": all_ok}
     return (_EXIT_OK if all_ok else _EXIT_VALIDATION), _emit(config, lines, result)

@@ -44,6 +44,12 @@ format with canonical names (objects ``o0, o1, ...`` in object order,
 morphisms ``m0, m1, ...`` in hom-set enumeration order), so its output is
 byte-deterministic and re-parses to a structurally equal table.
 
+The built-in selectors the command line accepts in place of a file are
+parsed here too (``algebra_from_selector``, ``group_from_selector``; the
+category selectors belong to wcat): algebras nest as ``Mn(...)``,
+``R[Cn]`` and ``R[x]/x^n`` around a base ring ``Z``, ``Q``, ``Zmod:m`` or
+``GF:p`` (alias ``Fp``); groups are ``trivial`` and ``Cn``.
+
 Structured (JSON) output for the command line lives here too: a fixed
 envelope holding the config, the resolved caps and conventions (Connes B
 convention string, Smith pivot rule), and a command-specific result.  The
@@ -56,6 +62,7 @@ rendering an envelope loads no compute module.
 from __future__ import annotations
 
 import json
+import re
 
 from .conventions import (
     B_CONVENTION,
@@ -77,6 +84,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ring_from_spec",
     "ring_spec",
+    "algebra_from_selector",
+    "group_from_selector",
     "parse_algebra_text",
     "parse_algebra_file",
     "parse_group_text",
@@ -118,6 +127,63 @@ def ring_spec(ring: BaseRing) -> str:
     if ring.kind in ("Z", "Q"):
         return ring.kind
     return f"{ring.kind}:{ring.modulus}"
+
+
+# ---------------------------------------------------------------------------
+# built-in selectors
+# ---------------------------------------------------------------------------
+
+_ALIAS_RE = re.compile(r"F(\d+)\Z")
+
+
+def _ring_token(tok: str) -> BaseRing:
+    m = _ALIAS_RE.fullmatch(tok)
+    if m:
+        tok = f"GF:{m.group(1)}"
+    return ring_from_spec(tok)
+
+
+def algebra_from_selector(sel: str, ring_override: str | None = None) -> Algebra:
+    """Built-in algebra named by a selector; see the module docstring.
+
+    ``ring_override`` replaces the innermost base ring.
+    """
+    from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, truncated_polynomial
+
+    sel = sel.strip()
+    m = re.fullmatch(r"M(\d+)\((.+)\)", sel)
+    if m:
+        n = int(m.group(1))
+        if n < 1:
+            raise InputParseError(f"matrix size in {sel!r} must be >= 1")
+        return matrix_algebra(algebra_from_selector(m.group(2), ring_override), n)
+    m = re.fullmatch(r"(.+)\[C(\d+)\]", sel)
+    if m:
+        n = int(m.group(2))
+        if n < 1:
+            raise InputParseError(f"cyclic group order in {sel!r} must be >= 1")
+        ring = _ring_token(ring_override or m.group(1))
+        return group_algebra(cyclic_group(n), ring)
+    m = re.fullmatch(r"(.+)\[x\]/x\^(\d+)", sel)
+    if m:
+        n = int(m.group(2))
+        if n < 1:
+            raise InputParseError(f"truncation order in {sel!r} must be >= 1")
+        ring = _ring_token(ring_override or m.group(1))
+        return truncated_polynomial(ring, n)
+    return base_algebra(_ring_token(ring_override or sel))
+
+
+def group_from_selector(sel: str) -> FiniteGroup:
+    from .algebra import cyclic_group, trivial_group
+
+    sel = sel.strip()
+    if sel == "trivial":
+        return trivial_group()
+    m = re.fullmatch(r"C(\d+)", sel)
+    if m and int(m.group(1)) >= 1:
+        return cyclic_group(int(m.group(1)))
+    raise InputParseError(f"unknown group selector {sel!r}; expected trivial or Cn")
 
 
 # ---------------------------------------------------------------------------

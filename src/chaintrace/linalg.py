@@ -45,12 +45,12 @@ building any matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
 from .errors import InternalInvariantError, UnsupportedRingError
 from .rings import ZZ, BaseRing
+from .values import Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
@@ -211,14 +211,19 @@ class Matrix:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SparseMap:
+class SparseMap(Value):
     """Column-sparse linear map; cols[j] lists (row, coeff) with coeff != 0."""
 
-    ring: BaseRing
-    nrows: int
-    ncols: int
-    cols: tuple[tuple[tuple[int, object], ...], ...]
+    __slots__ = ("ring", "nrows", "ncols", "cols")
+    _fields = __slots__
+
+    def __init__(
+        self, ring: BaseRing, nrows: int, ncols: int, cols: tuple[tuple[tuple[int, object], ...], ...]
+    ) -> None:
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self.cols = cols
 
     @classmethod
     def from_col_dicts(cls, ring: BaseRing, nrows: int, col_dicts: Sequence[dict]) -> "SparseMap":
@@ -309,15 +314,18 @@ class SparseMap:
         return sum(len(col) for col in self.cols)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Value):
     """U * M * V = S with U, V invertible and S in Smith normal form."""
 
-    U: Matrix
-    S: Matrix
-    V: Matrix
-    Uinv: Matrix
-    Vinv: Matrix
+    __slots__ = ("U", "S", "V", "Uinv", "Vinv")
+    _fields = __slots__
+
+    def __init__(self, U: Matrix, S: Matrix, V: Matrix, Uinv: Matrix, Vinv: Matrix) -> None:
+        self.U = U
+        self.S = S
+        self.V = V
+        self.Uinv = Uinv
+        self.Vinv = Vinv
 
     @property
     def diagonal(self) -> tuple:
@@ -572,13 +580,16 @@ def kernel_basis(mat: Matrix) -> list[tuple]:
     return [dec.V.col(j) for j in range(rank, mat.ncols)]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Value):
     """Witness for v in im(M) (found, x with M x = v) or a refusal reason."""
 
-    found: bool
-    witness: tuple | None = None
-    reason: str = ""
+    __slots__ = ("found", "witness", "reason")
+    _fields = __slots__
+
+    def __init__(self, found: bool, witness: tuple | None = None, reason: str = "") -> None:
+        self.found = found
+        self.witness = witness
+        self.reason = reason
 
 
 def solve_membership(mat: Matrix, vec: Sequence) -> MembershipResult:

@@ -8,15 +8,20 @@ Z/m is supported for any m >= 2 at the arithmetic level.  Operations that
 need a principal-ideal structure (Smith normal form, homology) additionally
 require m to be a prime power and raise UnsupportedRingError otherwise; the
 callers that can work over general m via integer lifts say so explicitly.
+
+Every command imports this module, but only work over Q needs fractions,
+which in turn loads decimal.  ``Fraction`` here is a stand-in that imports
+the class on its first call and rebinds the module's name to it, so a job
+over Z, Z/m or GF(p) loads neither module and Q arithmetic calls the class
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotInvertibleError, UnsupportedRingError
+from .values import Value
 
 __all__ = ["BaseRing", "ZZ", "QQ", "Zmod", "GF"]
 
@@ -35,26 +40,35 @@ def _factor_prime_power(m: int) -> tuple[int, int] | None:
     return (m, 1)
 
 
-@dataclass(frozen=True)
-class BaseRing:
+def Fraction(*args):
+    """fractions.Fraction; the first call imports it and rebinds this name."""
+    global Fraction
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
+class BaseRing(Value):
     """One of Z, Q, Z/m, GF(p), identified by kind and optional modulus."""
 
-    kind: str  # "Z" | "Q" | "Zmod" | "GF"
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus")
+    _fields = __slots__
 
-    def __post_init__(self) -> None:
-        if self.kind in ("Z", "Q"):
-            if self.modulus is not None:
-                raise ValueError(f"{self.kind} takes no modulus")
-        elif self.kind == "Zmod":
-            if self.modulus is None or self.modulus < 2:
+    def __init__(self, kind: str, modulus: int | None = None) -> None:
+        if kind in ("Z", "Q"):
+            if modulus is not None:
+                raise ValueError(f"{kind} takes no modulus")
+        elif kind == "Zmod":
+            if modulus is None or modulus < 2:
                 raise ValueError("Zmod needs a modulus >= 2")
-        elif self.kind == "GF":
-            pk = _factor_prime_power(self.modulus or 0)
+        elif kind == "GF":
+            pk = _factor_prime_power(modulus or 0)
             if pk is None or pk[1] != 1:
                 raise ValueError("GF needs a prime modulus")
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise ValueError(f"unknown ring kind {kind!r}")
+        self.kind = kind  # "Z" | "Q" | "Zmod" | "GF"
+        self.modulus = modulus
 
     # -- basic structure ---------------------------------------------------
 
@@ -86,7 +100,7 @@ class BaseRing:
         """Coerce an int/Fraction into canonical element form."""
         if self.kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
+        if not isinstance(x, int):  # a Fraction; only Q makes them
             if x.denominator != 1:
                 if self.modulus is None:
                     raise ValueError(f"{x} is not an integer element")

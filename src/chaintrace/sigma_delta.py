@@ -29,11 +29,11 @@ through ``waldhausen.map_string``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import CapExceededError, InputParseError, InternalInvariantError
 from .validation import ValidationReport
+from .values import Value
 from .waldhausen import (
     STRING_CAP,
     PointedSimplicialSet,
@@ -63,8 +63,7 @@ def _identity_op(k: int) -> tuple:
     return tuple(range(k + 1))
 
 
-@dataclass
-class SigmaDeltaDiagram:
+class SigmaDeltaDiagram(Value):
     """A truncated diagram of pointed simplicial sets over the flag indexing.
 
     ``keys`` lists every materialized index (n, (k_1..k_n)); ``entry``
@@ -74,14 +73,18 @@ class SigmaDeltaDiagram:
     by level index.
     """
 
-    name: str
-    n_max: int
-    k_cap: int
-    w_cap: int
-    keys: tuple
-    skips: list = field(default_factory=list)
-    _entries: dict = field(default_factory=dict, repr=False)
-    _act: object = field(default=None, repr=False)
+    _fields = ("name", "n_max", "k_cap", "w_cap", "keys", "skips")
+    __hash__ = None
+
+    def __init__(self, name: str, n_max: int, k_cap: int, w_cap: int, keys: tuple) -> None:
+        self.name = name
+        self.n_max = n_max
+        self.k_cap = k_cap
+        self.w_cap = w_cap
+        self.keys = keys
+        self.skips: list = []
+        self._entries: dict = {}
+        self._act = None
 
     def entry(self, key) -> PointedSimplicialSet:
         if key not in self._entries:

@@ -21,7 +21,6 @@ return the class of tr(g^-1 x g) in HH_1(A).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
@@ -48,6 +47,7 @@ from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
 from .hochschild import HochschildHomology, tensor_power_map
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .rings import BaseRing
+from .values import Value
 
 __all__ = [
     "bar_complex",
@@ -224,14 +224,19 @@ def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
     return SparseMap.from_col_dicts(A.ring, target_rank, cols)
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Value):
     """A homology class: canonical coordinates plus one representative."""
 
-    degree: int
-    coordinates: tuple
-    representative: tuple
-    group: FPAbelianGroup | FPModule
+    __slots__ = ("degree", "coordinates", "representative", "group")
+    _fields = __slots__
+
+    def __init__(
+        self, degree: int, coordinates: tuple, representative: tuple, group: FPAbelianGroup | FPModule
+    ) -> None:
+        self.degree = degree
+        self.coordinates = coordinates
+        self.representative = representative
+        self.group = group
 
     @property
     def is_zero(self) -> bool:
@@ -281,16 +286,27 @@ def dennis_trace_k1(
     return HomologyClass(1, coords, cycle, work.homology_data(1).group)
 
 
-@dataclass(frozen=True)
-class MoritaResult:
+class MoritaResult(Value):
     """Multitrace-induced map HH_d(M_n(A)) -> HH_d(A) per degree."""
 
-    degree: int
-    source: FPAbelianGroup | FPModule
-    target: FPAbelianGroup | FPModule
-    matrix: Matrix  # target coordinates of source generators
-    surjective: bool
-    isomorphism: bool
+    __slots__ = ("degree", "source", "target", "matrix", "surjective", "isomorphism")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        degree: int,
+        source: FPAbelianGroup | FPModule,
+        target: FPAbelianGroup | FPModule,
+        matrix: Matrix,  # target coordinates of source generators
+        surjective: bool,
+        isomorphism: bool,
+    ) -> None:
+        self.degree = degree
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        self.surjective = surjective
+        self.isomorphism = isomorphism
 
 
 def fp_map_is_iso(
@@ -364,18 +380,33 @@ def morita_map(A: Algebra, n: int, max_degree: int, cap: int = LEVEL_CAP) -> lis
     return out
 
 
-@dataclass
-class DennisTraceResult:
+class DennisTraceResult(Value):
     """Image of H_d(BGL_n(A); R) in HH_d(A) under the chain-level trace."""
 
-    degree: int
-    gl: GeneralLinearData
-    source: FPAbelianGroup | FPModule
-    target: FPAbelianGroup | FPModule
-    matrix: Matrix  # HH_d coordinates of each group homology generator image
-    classes: tuple[HomologyClass, ...]
-    group_homology: GroupHomology
-    hochschild: HochschildHomology
+    _fields = (
+        "degree", "gl", "source", "target", "matrix", "classes", "group_homology", "hochschild"
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        degree: int,
+        gl: GeneralLinearData,
+        source: FPAbelianGroup | FPModule,
+        target: FPAbelianGroup | FPModule,
+        matrix: Matrix,  # HH_d coordinates of each group homology generator image
+        classes: tuple[HomologyClass, ...],
+        group_homology: GroupHomology,
+        hochschild: HochschildHomology,
+    ) -> None:
+        self.degree = degree
+        self.gl = gl
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        self.classes = classes
+        self.group_homology = group_homology
+        self.hochschild = hochschild
 
 
 def dennis_trace_homology(

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ValidationError
+from .values import Value
 
 __all__ = ["ValidationReport"]
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Value):
     """Outcome of an exhaustive validator: what was checked, what failed.
 
     ``skipped`` records check instances that were not run because their
@@ -18,10 +16,20 @@ class ValidationReport:
     ``ok``; they exist so a caller can tell "passed" from "not attempted".
     """
 
-    subject: str
-    checks_run: int = 0
-    issues: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    _fields = ("subject", "checks_run", "issues", "skipped")
+    __hash__ = None
+
+    def __init__(
+        self,
+        subject: str,
+        checks_run: int = 0,
+        issues: list[str] | None = None,
+        skipped: list[str] | None = None,
+    ) -> None:
+        self.subject = subject
+        self.checks_run = checks_run
+        self.issues = [] if issues is None else issues
+        self.skipped = [] if skipped is None else skipped
 
     @property
     def ok(self) -> bool:

@@ -48,7 +48,6 @@ direction of flags is restricted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .chain import ChainComplex, FPAbelianGroup, HomologyData, homology
@@ -56,6 +55,7 @@ from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .linalg import SparseMap
 from .rings import ZZ
 from .validation import ValidationReport
+from .values import Value
 from .wcat import ExactFunctor, WCategory, end_category
 
 __all__ = [
@@ -95,8 +95,7 @@ S_OBJECT_CAP = 200_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SObject:
+class SObject(Value):
     """A staircase grid of cofibrations and chosen quotients over a base.
 
     ``entries[i*(k+1)+j]`` is the object index at position (i, j);
@@ -105,10 +104,14 @@ class SObject:
     to the base category the grid was enumerated over.
     """
 
-    k: int
-    entries: tuple
-    horizontal: tuple
-    vertical: tuple
+    __slots__ = ("k", "entries", "horizontal", "vertical")
+    _fields = __slots__
+
+    def __init__(self, k: int, entries: tuple, horizontal: tuple, vertical: tuple) -> None:
+        self.k = k
+        self.entries = entries
+        self.horizontal = horizontal
+        self.vertical = vertical
 
     @property
     def payload(self) -> tuple:
@@ -639,8 +642,7 @@ def _sigma(i: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PointedSimplicialSet:
+class PointedSimplicialSet(Value):
     """A levelwise-finite pointed simplicial set truncated at a top level.
 
     ``levels[n]`` lists the n-simplices with the basepoint at index 0, and
@@ -649,14 +651,15 @@ class PointedSimplicialSet:
     simplicial identities are checked on the stored range by ``validate``.
     """
 
-    name: str
-    levels: tuple
-    faces: tuple
-    degens: tuple
-    _index: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("name", "levels", "faces", "degens")
+    __hash__ = None
 
-    def __post_init__(self):
-        self._index = tuple({x: t for t, x in enumerate(level)} for level in self.levels)
+    def __init__(self, name: str, levels: tuple, faces: tuple, degens: tuple) -> None:
+        self.name = name
+        self.levels = levels
+        self.faces = faces
+        self.degens = degens
+        self._index = tuple({x: t for t, x in enumerate(level)} for level in levels)
 
     @classmethod
     def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
@@ -965,18 +968,23 @@ def k0_via_diagonal(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGrou
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class K0Presentation:
+class K0Presentation(Value):
     """K_0 presented on the nonzero objects, reduced by Smith normal form.
 
     Relations: [a] = [b] for every flagged weak equivalence a -> b, and
     [X(0,2)] = [X(0,1)] + [X(1,2)] for every flag grid on [2] x [2].
     """
 
-    category: WCategory
-    generators: tuple
-    relations: tuple
-    homology: HomologyData = field(repr=False)
+    _fields = ("category", "generators", "relations")
+    __hash__ = None
+
+    def __init__(
+        self, category: WCategory, generators: tuple, relations: tuple, homology: HomologyData
+    ) -> None:
+        self.category = category
+        self.generators = generators
+        self.relations = relations
+        self.homology = homology
 
     @property
     def group(self) -> FPAbelianGroup:

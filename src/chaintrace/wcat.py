@@ -16,12 +16,20 @@ that derived constructions (endomorphism categories, iterated flag
 categories) stay fast.  Handles are allocation-order dependent; all public
 output is phrased in terms of labels and canonical orderings, never raw
 handles.
+
+Two caps bound what a category may cost before the work starts.  A
+category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
+sets are interned as they are enumerated, so a refusal never holds the
+whole hom set.  ``validate_waldhausen`` predicts the composable triples of
+its associativity scan from the hom-set sizes and refuses above
+``TRIPLE_CAP`` before it composes anything.  Both raise CapExceededError
+(exit 4).  Neither is in the structured ``conventions`` block: no result
+they let through depends on them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .chain import rank_over_field
 from .conventions import PUSHOUT_SEARCH_CAP
@@ -34,6 +42,7 @@ from .errors import (
 from .rings import GF
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .validation import ValidationReport
+from .values import Value
 
 __all__ = [
     "WCategory",
@@ -51,7 +60,21 @@ __all__ = [
     "validate_exact_functor",
     "EndCategory",
     "end_category",
+    "MORPHISM_CAP",
+    "TRIPLE_CAP",
 ]
+
+# Morphisms one category may intern.  The largest count among the tests is
+# 27,874 (every hom set of S_2(pointed_sets(3))) and among the benchmark
+# jobs 2,790 (selftest); pointed_sets(7) has 3.8e6 and would exhaust memory.
+MORPHISM_CAP = 100_000
+
+# Composable triples h∘g∘f that validate_waldhausen's associativity scan may
+# visit, predicted from the hom-set sizes before the scan.  The largest
+# among the tests and the benchmark jobs is 15,418 (finite_modules(2, 4));
+# pointed_sets(3) has 7.0e5 and validates in a few seconds, pointed_sets(4)
+# has 5.8e8.
+TRIPLE_CAP = 1_000_000
 
 
 class WCategory:
@@ -110,8 +133,12 @@ class WCategory:
     def _zero_payload(self):
         raise NotImplementedError
 
-    def _enumerate_hom(self, a_payload, b_payload) -> list:
-        """All morphism payloads a -> b, in a deterministic order."""
+    def _enumerate_hom(self, a_payload, b_payload):
+        """All morphism payloads a -> b, in a deterministic order.
+
+        An iterable: hom_ids interns the payloads as they come, so a hom set
+        above MORPHISM_CAP is refused before it is held in memory.
+        """
         raise NotImplementedError
 
     def _compose(self, g_payload, f_payload, a: int, b: int, c: int):
@@ -174,6 +201,10 @@ class WCategory:
         handle = self._mor_handle.get(key)
         if handle is None:
             handle = len(self._mor_payload)
+            if handle >= MORPHISM_CAP:
+                raise CapExceededError(
+                    f"category {self.name} has more than {MORPHISM_CAP} morphisms (MORPHISM_CAP)"
+                )
             self._mor_handle[key] = handle
             self._mor_payload.append(payload)
             self._mor_src.append(a)
@@ -473,7 +504,7 @@ class VectCategory(WCategory):
 
     def _enumerate_hom(self, m, n):
         cells = itertools.product(range(self.q), repeat=n * m)
-        return [tuple(tuple(c[r * m : (r + 1) * m]) for r in range(n)) for c in cells]
+        return (tuple(tuple(c[r * m : (r + 1) * m]) for r in range(n)) for c in cells)
 
     def _compose(self, g, f, a, b, c):
         sa, sb, sc = self._obj_payloads[a], self._obj_payloads[b], self._obj_payloads[c]
@@ -538,7 +569,7 @@ class PointedSetsCategory(WCategory):
         return f"S{self._obj_payloads[a]}"
 
     def _enumerate_hom(self, m, n):
-        return [tuple(t) for t in itertools.product(range(n + 1), repeat=m)]
+        return itertools.product(range(n + 1), repeat=m)
 
     def _compose(self, g, f, a, b, c):
         return tuple(g[x - 1] if x else 0 for x in f)
@@ -765,7 +796,7 @@ def category_from_selector(selector: str) -> WCategory:
             return pointed_sets(int(args[0]))
         if head == "finite_modules" and len(args) == 2:
             return finite_modules(int(args[0]), int(args[1]))
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise InputParseError(f"bad category selector {selector!r}: {exc}") from exc
     raise InputParseError(
         f"unknown category selector {selector!r}; expected trivial, "
@@ -926,9 +957,21 @@ def _structure_checks(C: WCategory, report: ValidationReport) -> None:
                 f"found {len(C.hom_ids(a, z))}"
             )
     all_mors = []
+    sizes = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            all_mors.extend(C.hom_ids(a, b))
+            homs = C.hom_ids(a, b)
+            sizes[a][b] = len(homs)
+            all_mors.extend(homs)
+    # the associativity scan below visits every h∘g∘f with g: b -> c once
+    into = [sum(row[b] for row in sizes) for b in range(n)]
+    out_of = [sum(row) for row in sizes]
+    triples = sum(into[b] * sizes[b][c] * out_of[c] for b in range(n) for c in range(n))
+    if triples > TRIPLE_CAP:
+        raise CapExceededError(
+            f"category {C.name} has {triples} composable triples to check for "
+            f"associativity, above {TRIPLE_CAP} (TRIPLE_CAP)"
+        )
     for m in all_mors:
         report.checks_run += 1
         try:
@@ -1156,19 +1199,24 @@ class EndCategory(WCategory):
         return self._witness(i, f, d_payload, u, v)
 
 
-@dataclass(frozen=True)
-class ExactFunctor:
+class ExactFunctor(Value):
     """A functor between bounded Waldhausen categories, stored pointwise.
 
     ``object_map[a]`` is the target object index for source object ``a``;
     ``mor_map`` maps source morphism handles to target handles (callable).
     """
 
-    name: str
-    source: WCategory
-    target: WCategory
-    object_map: tuple
-    mor_map: object
+    __slots__ = ("name", "source", "target", "object_map", "mor_map")
+    _fields = __slots__
+
+    def __init__(
+        self, name: str, source: WCategory, target: WCategory, object_map: tuple, mor_map
+    ) -> None:
+        self.name = name
+        self.source = source
+        self.target = target
+        self.object_map = object_map
+        self.mor_map = mor_map
 
     def apply_obj(self, a: int) -> int:
         return self.object_map[a]

@@ -282,3 +282,20 @@ def test_cli_selftest_deterministic(capsys):
     assert "all suites passed" in first
     code, second, _ = run_cli(capsys, "selftest", "--seed", "7")
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["k0", "validate"])
+@pytest.mark.parametrize(
+    "selector, reason",
+    [
+        ("vect_gf:4:1", "GF needs a prime modulus"),
+        ("finite_modules:4:2", "finite_modules requires a prime p"),
+        ("pointed_sets:-1", "size bound must be nonnegative"),
+        ("vect_gf:2:-1", "size bound must be nonnegative"),
+        ("finite_modules:2:-3", "size bound must be nonnegative"),
+    ],
+)
+def test_bad_category_parameters_are_parse_errors(capsys, command, selector, reason):
+    code, out, err = run_cli(capsys, command, selector)
+    assert code == 2 and out == ""
+    assert f"bad category selector {selector!r}: {reason}" in err

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -216,6 +220,92 @@ def test_pushout_search_stops_at_its_step_cap(monkeypatch, capsys):
         validate_waldhausen(C)
     assert main(["validate", path]) == 4
     assert "error (cap): pushout search" in capsys.readouterr().err
+
+
+def composable_triples(C) -> int:
+    """h∘g∘f counted by walking the hom sets, as the associativity scan does."""
+    n = C.object_count()
+    mors = [m for a in range(n) for b in range(n) for m in C.hom_ids(a, b)]
+    out_of = {}
+    for m in mors:
+        out_of.setdefault(C.mor_source(m), []).append(m)
+    return sum(
+        len(out_of.get(C.mor_target(g), ())) for f in mors for g in out_of.get(C.mor_target(f), ())
+    )
+
+
+@pytest.mark.parametrize(
+    "make, triples",
+    [(lambda: pointed_sets(2), 2457), (lambda: vect_gf(2, 2), 8507), (lambda: finite_modules(2, 4), 15418)],
+    ids=["pointed2", "vect22", "mod24"],
+)
+def test_triple_cap_is_checked_on_the_predicted_count(monkeypatch, make, triples):
+    assert composable_triples(make()) == triples
+    monkeypatch.setattr(wcat, "TRIPLE_CAP", triples)
+    assert validate_waldhausen(make()).ok
+    monkeypatch.setattr(wcat, "TRIPLE_CAP", triples - 1)
+    with pytest.raises(CapExceededError, match=f"has {triples} composable triples .* above {triples - 1}"):
+        validate_waldhausen(make())
+
+
+def test_morphism_cap_counts_interned_morphisms(monkeypatch):
+    # pointed_sets(2) has 23 morphisms: (n + 1)^m from m to n points
+    C = pointed_sets(2)
+    n = C.object_count()
+    assert sum(len(C.hom_ids(a, b)) for a in range(n) for b in range(n)) == len(C._mor_payload) == 23
+    monkeypatch.setattr(wcat, "MORPHISM_CAP", 23)
+    assert validate_waldhausen(pointed_sets(2)).ok
+    monkeypatch.setattr(wcat, "MORPHISM_CAP", 22)
+    with pytest.raises(CapExceededError, match="more than 22 morphisms"):
+        validate_waldhausen(pointed_sets(2))
+
+
+def test_caps_sit_above_the_largest_tested_categories():
+    # the composite-index test enumerates every hom set of S_2(pointed_sets(3))
+    assert wcat.MORPHISM_CAP > 27874
+    assert wcat.TRIPLE_CAP > composable_triples(pointed_sets(3)) == 704836
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_limited(argv, address_space=1 << 30):
+    """The CLI in a subprocess whose address space is capped, with its wall time."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaintrace.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit,
+    )
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["validate", "pointed_sets:4"], "TRIPLE_CAP"),
+        (["validate", "vect_gf:2:3"], "TRIPLE_CAP"),
+        (["validate", "pointed_sets:7"], "MORPHISM_CAP"),
+        (["validate", "pointed_sets", "--bound", "9"], "MORPHISM_CAP"),
+        (["validate", "vect_gf:2:5"], "MORPHISM_CAP"),
+    ],
+)
+def test_validate_refuses_large_categories_quickly(argv, cap):
+    proc, seconds = run_limited(argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error (cap): category ") and f"({cap})" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert seconds < 5, seconds
 
 
 def test_cokernel_candidate_counts():
