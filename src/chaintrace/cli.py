@@ -5,7 +5,9 @@ over Q), ``group-homology``, ``trace-k1`` (Dennis trace of an invertible
 matrix literal), ``trace-homology`` (trace on group homology generators),
 ``morita`` (multitrace-induced maps HH(M_n(A)) -> HH(A)), ``k0`` (both K_0
 methods plus an agreement verdict), ``validate`` (algebra, group, or
-category), and ``selftest`` (the structural property suites).
+category), and ``selftest`` (the structural property suites, run in
+worker processes, one per available CPU and longest first, and printed in
+their fixed order; see chaintrace.selftest).
 
 Inputs are either file paths (formats documented in formats.py and the
 README) or built-in selectors:
@@ -25,9 +27,10 @@ sorted JSON envelope that records the conventions behind every number.
 Each handler and resolver imports the modules it runs when it runs, so a
 command loads only what it computes with: ``hh`` never loads the category
 modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
-neither.  Every job compiles this module, so the selftest suites live in
-chaintrace.selftest, which only ``selftest`` imports, and the selector
-parsers in formats.  No command loads dataclasses (and with it inspect),
+neither.  Every job compiles this module, so the selftest suites and
+their worker pool live in chaintrace.selftest, which only ``selftest``
+imports (no other command loads concurrent.futures or multiprocessing),
+and the selector parsers in formats.  No command loads dataclasses (and with it inspect),
 and only work over Q loads fractions (and with it decimal).
 """
 
@@ -426,13 +429,12 @@ def _handle_validate(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_selftest(config: JobConfig) -> tuple[int, str]:
-    from .selftest import SUITES
+    from .selftest import SUITES, run_suites
 
     lines = []
     suites = []
     all_ok = True
-    for name, fn in SUITES:
-        report = fn(config.seed)
+    for (name, _), report in zip(SUITES, run_suites(config.seed)):
         ok = report.ok
         all_ok = all_ok and ok
         lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {report.checks_run} checks")

@@ -17,14 +17,16 @@ categories) stay fast.  Handles are allocation-order dependent; all public
 output is phrased in terms of labels and canonical orderings, never raw
 handles.
 
-Two caps bound what a category may cost before the work starts.  A
+Three caps bound what a category may cost before the work starts.  A
 category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
 sets are interned as they are enumerated, so a refusal never holds the
 whole hom set.  ``validate_waldhausen`` predicts the composable triples of
 its associativity scan from the hom-set sizes and refuses above
-``TRIPLE_CAP`` before it composes anything.  Both raise CapExceededError
-(exit 4).  Neither is in the structured ``conventions`` block: no result
-they let through depends on them.
+``TRIPLE_CAP`` before it composes anything; once the pushout witnesses are
+recorded, it bounds the checks of its axiom-5 scan (``axiom5_bound``) and
+refuses above ``AXIOM5_CAP`` before it checks any witness.  All three
+raise CapExceededError (exit 4).  None is in the structured
+``conventions`` block: no result they let through depends on them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ __all__ = [
     "validate_exact_functor",
     "EndCategory",
     "end_category",
+    "axiom5_bound",
     "MORPHISM_CAP",
     "TRIPLE_CAP",
+    "AXIOM5_CAP",
 ]
 
 # Morphisms one category may intern.  The largest count among the tests is
@@ -75,6 +79,14 @@ MORPHISM_CAP = 100_000
 # pointed_sets(3) has 7.0e5 and validates in a few seconds, pointed_sets(4)
 # has 5.8e8.
 TRIPLE_CAP = 1_000_000
+
+# Weak-equivalence triples (alpha, beta, gamma) that validate_waldhausen's
+# axiom-5 scan may visit, bounded by axiom5_bound from the recorded pushout
+# witnesses before axiom 3 checks them.  The largest among the tests is
+# 3.8e7 (the corrupt_axiom5 table) and among the benchmark jobs 2.1e6
+# (finite_modules(2, 4)); pointed_sets(3) has 3.4e7 and validates in about
+# 4 s, vect_gf(3, 2) and finite_modules(3, 9) have 1.7e12.
+AXIOM5_CAP = 100_000_000
 
 
 class WCategory:
@@ -1004,6 +1016,26 @@ def _structure_checks(C: WCategory, report: ValidationReport) -> None:
                     report.record(f"structure: {exc}")
 
 
+def axiom5_bound(C: WCategory, spans) -> int:
+    """Checks validate_waldhausen's axiom-5 scan may run over these witnesses.
+
+    ``spans`` are the pairs (i, f) with a recorded pushout witness.  Two
+    witnesses with corners (a, b, c) and (a2, b2, c2) cost the scan one
+    check per (alpha, beta, gamma) in weq(a, a2) x weq(b, b2) x weq(c, c2)
+    at most, and nothing unless all three are nonempty.  The bound sums
+    that product over every ordered pair of witnesses, grouped by corners.
+    """
+    count = {}
+    for i, f in spans:
+        t = (C.mor_source(i), C.mor_target(i), C.mor_target(f))
+        count[t] = count.get(t, 0) + 1
+    return sum(
+        k * k2 * len(C.weq_ids(a, a2)) * len(C.weq_ids(b, b2)) * len(C.weq_ids(c, c2))
+        for (a, b, c), k in count.items()
+        for (a2, b2, c2), k2 in count.items()
+    )
+
+
 def validate_waldhausen(C: WCategory) -> ValidationReport:
     """Exhaustively check the five Waldhausen axioms in bounded form.
 
@@ -1015,7 +1047,8 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
     cofibration, (5) weakly equivalent pushout data induce weakly equivalent
     pushouts.  Category laws (identities, associativity, zero-object
     uniqueness) are checked first; axiom checks proceed regardless so one
-    report collects everything.
+    report collects everything.  Raises CapExceededError above TRIPLE_CAP
+    before the associativity scan and above AXIOM5_CAP before axiom 3.
     """
     report = ValidationReport(subject=f"waldhausen category {C.name}")
     _structure_checks(C, report)
@@ -1050,38 +1083,44 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
         for b in range(n):
             cofibs.extend(m for m in C.hom_ids(a, b) if C.is_cofibration_id(m))
 
+    spans = [(i, f) for i in cofibs for c in range(n) for f in C.hom_ids(C.mor_source(i), c)]
+    recorded = [(i, f) for i, f in spans if C.pushout_witness(i, f) is not None]
+    bound = axiom5_bound(C, recorded)
+    if bound > AXIOM5_CAP:
+        raise CapExceededError(
+            f"category {C.name} has {bound} weak-equivalence triples between pushout "
+            f"witnesses to check for axiom 5, above {AXIOM5_CAP} (AXIOM5_CAP)"
+        )
+
     witnesses = []
-    for i in cofibs:
-        a = C.mor_source(i)
-        for c in range(n):
-            for f in C.hom_ids(a, c):
-                report.checks_run += 1
-                w = C.pushout_witness(i, f)
-                if w is None:
-                    if C.pushout_candidates(i, f, first_only=True):
-                        report.record(
-                            f"axiom 3: pushout of ({C.mor_label(i)}, {C.mor_label(f)}) "
-                            f"exists within the bound but no witness is recorded"
-                        )
-                    continue
-                d, u, v = w
-                if C.object_size(d) > C.bound:
-                    report.record(
-                        f"axiom 3: witness object {C.object_label(d)} exceeds the bound"
-                    )
-                if not C.is_pushout(i, f, d, u, v):
-                    report.record(
-                        f"axiom 3: recorded witness for ({C.mor_label(i)}, {C.mor_label(f)}) "
-                        f"is not a pushout"
-                    )
-                    continue
-                witnesses.append((i, f, d, u, v))
-                report.checks_run += 1
-                if not C.is_cofibration_id(v):
-                    report.record(
-                        f"axiom 4: cobase change {C.mor_label(v)} of cofibration "
-                        f"{C.mor_label(i)} is not flagged as a cofibration"
-                    )
+    for i, f in spans:
+        report.checks_run += 1
+        w = C.pushout_witness(i, f)
+        if w is None:
+            if C.pushout_candidates(i, f, first_only=True):
+                report.record(
+                    f"axiom 3: pushout of ({C.mor_label(i)}, {C.mor_label(f)}) "
+                    f"exists within the bound but no witness is recorded"
+                )
+            continue
+        d, u, v = w
+        if C.object_size(d) > C.bound:
+            report.record(
+                f"axiom 3: witness object {C.object_label(d)} exceeds the bound"
+            )
+        if not C.is_pushout(i, f, d, u, v):
+            report.record(
+                f"axiom 3: recorded witness for ({C.mor_label(i)}, {C.mor_label(f)}) "
+                f"is not a pushout"
+            )
+            continue
+        witnesses.append((i, f, d, u, v))
+        report.checks_run += 1
+        if not C.is_cofibration_id(v):
+            report.record(
+                f"axiom 4: cobase change {C.mor_label(v)} of cofibration "
+                f"{C.mor_label(i)} is not flagged as a cofibration"
+            )
 
     # corners (a, b, c) of each witness; for each distinct triple, the
     # witnesses whose corners are weakly equivalent to it, in witness order

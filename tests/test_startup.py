@@ -24,6 +24,12 @@ CATEGORY_SIDE = {"wcat", "waldhausen", "sigma_delta"}
 # dataclasses loads inspect (and with it ast, dis, tokenize); fractions
 # loads decimal.  No command needs them unless it computes over Q.
 HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
+# Only selftest runs a worker pool; no other command loads these packages.
+POOL_PACKAGES = {"concurrent", "multiprocessing"}
+
+
+def pool_modules(names: set[str]) -> set[str]:
+    return {n for n in names if n.split(".", 1)[0] in POOL_PACKAGES}
 
 
 def imported(args: list[str]) -> set[str]:
@@ -97,6 +103,7 @@ def test_command_loads_only_its_modules(command):
 def test_command_skips_heavy_stdlib_modules(command):
     _, others = command_imports(command.split())
     assert not others & HEAVY_STDLIB, sorted(others & HEAVY_STDLIB)
+    assert not pool_modules(others), sorted(pool_modules(others))
 
 
 def test_rational_coefficients_load_fractions():
@@ -108,3 +115,4 @@ def test_selftest_loads_every_module_but_dataclasses():
     ours, others = command_imports(["selftest"])
     assert ours == PACKAGE, sorted(PACKAGE ^ ours)
     assert "dataclasses" not in others
+    assert {"concurrent.futures.process", "multiprocessing"} <= pool_modules(others)

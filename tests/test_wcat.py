@@ -16,6 +16,7 @@ from chaintrace.errors import CapExceededError, InputParseError, ValidationError
 from chaintrace.formats import parse_category_file
 from chaintrace.waldhausen import SCategory
 from chaintrace.wcat import (
+    axiom5_bound,
     category_from_selector,
     end_category,
     finite_modules,
@@ -260,10 +261,72 @@ def test_morphism_cap_counts_interned_morphisms(monkeypatch):
         validate_waldhausen(pointed_sets(2))
 
 
-def test_caps_sit_above_the_largest_tested_categories():
+def axiom5_work(monkeypatch, C) -> tuple[int, int]:
+    """(axiom5_bound, checks the axiom-5 scan runs) for one validation of C.
+
+    Each axiom-5 check asks for the mediating maps once, straight from
+    validate_waldhausen; axioms 3 and 4 ask through is_pushout and
+    pushout_candidates.
+    """
+    bounds = []
+    checks = []
+    mediating = wcat.WCategory.mediating_ids
+
+    def recorded_bound(*args):
+        bounds.append(axiom5_bound(*args))
+        return bounds[-1]
+
+    def counted(self, *args):
+        if sys._getframe(1).f_code is validate_waldhausen.__code__:
+            checks.append(args)
+        return mediating(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(wcat, "axiom5_bound", recorded_bound)
+        m.setattr(wcat.WCategory, "mediating_ids", counted)
+        validate_waldhausen(C)
+    (bound,) = bounds
+    return bound, len(checks)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        trivial_category,
+        lambda: vect_gf(2, 1),
+        lambda: vect_gf(2, 2),
+        lambda: pointed_sets(2),
+        lambda: finite_modules(2, 4),
+        lambda: end_category(vect_gf(2, 1))[0],
+        lambda: SCategory(vect_gf(2, 1), 2),
+        lambda: parse_category_file(os.path.join(DATA, "corrupt_axiom5.txt"), validate=False),
+    ],
+    ids=["trivial", "vect21", "vect22", "pointed2", "mod24", "end-vect21", "s2-vect21", "corrupt-axiom5"],
+)
+def test_axiom5_bound_covers_the_scan(monkeypatch, make):
+    bound, checks = axiom5_work(monkeypatch, make())
+    assert 0 < checks <= bound
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: pointed_sets(2), 2935), (lambda: vect_gf(2, 2), 2013075)],
+    ids=["pointed2", "vect22"],
+)
+def test_axiom5_cap_refuses_exactly_above_the_bound(monkeypatch, make, bound):
+    monkeypatch.setattr(wcat, "AXIOM5_CAP", bound)
+    assert validate_waldhausen(make()).ok
+    monkeypatch.setattr(wcat, "AXIOM5_CAP", bound - 1)
+    with pytest.raises(CapExceededError, match=f"has {bound} weak-equivalence triples .* above {bound - 1}"):
+        validate_waldhausen(make())
+
+
+def test_caps_sit_above_the_largest_tested_categories(monkeypatch):
     # the composite-index test enumerates every hom set of S_2(pointed_sets(3))
     assert wcat.MORPHISM_CAP > 27874
     assert wcat.TRIPLE_CAP > composable_triples(pointed_sets(3)) == 704836
+    corrupt = parse_category_file(os.path.join(DATA, "corrupt_axiom5.txt"), validate=False)
+    assert wcat.AXIOM5_CAP > axiom5_work(monkeypatch, corrupt)[0] == 37906425
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -298,6 +361,8 @@ def run_limited(argv, address_space=1 << 30):
         (["validate", "pointed_sets:7"], "MORPHISM_CAP"),
         (["validate", "pointed_sets", "--bound", "9"], "MORPHISM_CAP"),
         (["validate", "vect_gf:2:5"], "MORPHISM_CAP"),
+        (["validate", "vect_gf:3:2"], "AXIOM5_CAP"),
+        (["validate", "finite_modules:3:9"], "AXIOM5_CAP"),
     ],
 )
 def test_validate_refuses_large_categories_quickly(argv, cap):
