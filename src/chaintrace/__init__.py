@@ -10,9 +10,11 @@ The package computes, with exact integer and rational arithmetic:
   composite H_*(BGL_n(A)) -> HH_*(A) (trace);
 * Waldhausen-category bookkeeping: S-construction grids, the w.S diagonal,
   K_0 two ways, and the Sigma_Delta diagram of iterated S-constructions
-  (wcat, waldhausen, sigma_delta);
-* a deterministic command line front end (cli) with text file formats
-  (formats).
+  (wcat, waldhausen, sigma_delta), and the endomorphism category End(C)
+  with the K_0 retract through it (endo);
+* a deterministic command line front end (cli) with selectors and JSON
+  output (formats), text file formats (tables) and the structural
+  property suites (selftest).
 
 Everything is desk-scale and brute-force verified; no floating point, no
 randomized algorithms, no approximation.
@@ -38,15 +40,8 @@ if TYPE_CHECKING:
         make_algebra,
         matrix_algebra,
         truncated_polynomial,
-        validate_algebra,
-        validate_group,
     )
-    from .hochschild import (
-        cyclic_bar,
-        cyclic_homology,
-        hochschild_homology,
-        validate_cyclic_module,
-    )
+    from .hochschild import cyclic_bar, cyclic_homology, hochschild_homology
     from .trace import (
         dennis_trace_homology,
         dennis_trace_k1,
@@ -57,7 +52,6 @@ if TYPE_CHECKING:
     )
     from .wcat import (
         category_from_selector,
-        end_category,
         finite_modules,
         pointed_sets,
         trivial_category,
@@ -68,18 +62,21 @@ if TYPE_CHECKING:
         SCategory,
         grothendieck_k0,
         k0_presentation,
-        k0_retract_holds,
         k0_via_sdot,
         s_k_objects,
         ws_diagonal,
     )
     from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
-    from .formats import (
+    from .endo import end_category, k0_retract_holds
+    from .tables import (
         parse_algebra_file,
         parse_category_file,
         parse_group_file,
         serialize_category,
+        validate_algebra,
+        validate_group,
     )
+    from .selftest import validate_cyclic_module
 
 __version__ = "0.1.0"
 
@@ -159,10 +156,8 @@ _OWNERS = {
         "make_algebra",
         "matrix_algebra",
         "truncated_polynomial",
-        "validate_algebra",
-        "validate_group",
     ),
-    "hochschild": ("cyclic_bar", "cyclic_homology", "hochschild_homology", "validate_cyclic_module"),
+    "hochschild": ("cyclic_bar", "cyclic_homology", "hochschild_homology"),
     "trace": (
         "dennis_trace_homology",
         "dennis_trace_k1",
@@ -173,7 +168,6 @@ _OWNERS = {
     ),
     "wcat": (
         "category_from_selector",
-        "end_category",
         "finite_modules",
         "pointed_sets",
         "trivial_category",
@@ -184,13 +178,21 @@ _OWNERS = {
         "SCategory",
         "grothendieck_k0",
         "k0_presentation",
-        "k0_retract_holds",
         "k0_via_sdot",
         "s_k_objects",
         "ws_diagonal",
     ),
     "sigma_delta": ("free_sigma_delta", "ktheory_sigma_delta", "sigma_delta_validate"),
-    "formats": ("parse_algebra_file", "parse_category_file", "parse_group_file", "serialize_category"),
+    "endo": ("end_category", "k0_retract_holds"),
+    "tables": (
+        "parse_algebra_file",
+        "parse_category_file",
+        "parse_group_file",
+        "serialize_category",
+        "validate_algebra",
+        "validate_group",
+    ),
+    "selftest": ("validate_cyclic_module",),
 }
 _OWNER = {name: module for module, names in _OWNERS.items() for name in names}
 

@@ -3,8 +3,9 @@
 An Algebra is a free module of finite rank over a BaseRing together with a
 multiplication table on basis vectors and a distinguished unit vector.
 Elements are plain coefficient tuples.  Nothing is assumed about the table:
-validate_algebra checks associativity and unitality exhaustively and names
-the failing triple when there is one.
+the exhaustive validators of tables given by hand (validate_algebra,
+validate_group) live with the file parsers in chaintrace.tables, because
+only file inputs need them.
 
 Constructors: group algebras R[G], matrix algebras M_n(A), truncated
 polynomial rings R[x]/x^n.  general_linear_group enumerates GL_n(A) for a
@@ -29,8 +30,6 @@ __all__ = [
     "AlgebraHom",
     "FiniteGroup",
     "NonUnitCertificate",
-    "validate_algebra",
-    "validate_group",
     "trivial_group",
     "cyclic_group",
     "group_algebra",
@@ -161,29 +160,6 @@ def make_algebra(ring: BaseRing, basis_names, unit, products: dict, name: str = 
     )
 
 
-def validate_algebra(A: Algebra) -> ValidationReport:
-    """Exhaustive associativity and unit check on basis triples/pairs."""
-    report = ValidationReport(subject=A.name or "algebra")
-    names = A.basis_names
-    for i in range(A.rank):
-        e_i = A.basis_vector(i)
-        left = A.mul_vec(A.unit, e_i)
-        right = A.mul_vec(e_i, A.unit)
-        report.checks_run += 2
-        if left != e_i:
-            report.record(f"unit fails on the left of {names[i]}")
-        if right != e_i:
-            report.record(f"unit fails on the right of {names[i]}")
-    basis = [A.basis_vector(i) for i in range(A.rank)]
-    for i, j, k in itertools.product(range(A.rank), repeat=3):
-        lhs = A.mul_vec(A.mul_vec(basis[i], basis[j]), basis[k])
-        rhs = A.mul_vec(basis[i], A.mul_vec(basis[j], basis[k]))
-        report.checks_run += 1
-        if lhs != rhs:
-            report.record(f"associativity fails on ({names[i]}, {names[j]}, {names[k]})")
-    return report
-
-
 class AlgebraHom(Value):
     """Base-linear map between algebras, expected to be unital multiplicative."""
 
@@ -258,29 +234,6 @@ class FiniteGroup(Value):
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
-
-
-def validate_group(G: FiniteGroup) -> ValidationReport:
-    report = ValidationReport(subject=G.name or "group")
-    n = G.order
-    for i in range(n):
-        report.checks_run += 2
-        if G.table[G.identity][i] != i:
-            report.record(f"identity fails on the left of {G.names[i]}")
-        if G.table[i][G.identity] != i:
-            report.record(f"identity fails on the right of {G.names[i]}")
-        report.checks_run += 1
-        if all(G.table[i][j] != G.identity for j in range(n)):
-            report.record(f"{G.names[i]} has no inverse")
-    for i, j, k in itertools.product(range(n), repeat=3):
-        report.checks_run += 1
-        if G.table[G.table[i][j]][k] != G.table[i][G.table[j][k]]:
-            report.record(f"associativity fails on ({G.names[i]}, {G.names[j]}, {G.names[k]})")
-    for row in G.table:
-        for v in row:
-            if not (0 <= v < n):
-                report.record(f"table entry {v} outside the group")
-    return report
 
 
 def trivial_group() -> FiniteGroup:

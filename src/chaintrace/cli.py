@@ -30,8 +30,10 @@ modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
 neither.  Every job compiles this module, so the selftest suites and
 their worker pool live in chaintrace.selftest, which only ``selftest``
 imports (no other command loads concurrent.futures or multiprocessing),
-and the selector parsers in formats.  No command loads dataclasses (and with it inspect),
-and only work over Q loads fractions (and with it decimal).
+and the selector parsers in formats.  The file parsers live in
+chaintrace.tables, imported only when an input names an existing file.
+No command loads dataclasses (and with it inspect), and only work over Q
+loads fractions (and with it decimal).
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ from .errors import (
 from .formats import (
     algebra_from_selector,
     group_from_selector,
-    parse_algebra_file,
-    parse_category_file,
-    parse_group_file,
     parse_matrix_literal,
     render_structured,
     ring_from_spec,
@@ -148,6 +147,8 @@ def _resolve_algebra(inp: str, ring_override: str | None) -> Algebra:
     if os.path.isfile(inp):
         if ring_override:
             raise InputParseError("--ring overrides built-in selectors, not algebra files")
+        from .tables import parse_algebra_file
+
         return parse_algebra_file(inp)
     try:
         return algebra_from_selector(inp, ring_override)
@@ -159,6 +160,8 @@ def _resolve_algebra(inp: str, ring_override: str | None) -> Algebra:
 
 def _resolve_group(inp: str) -> FiniteGroup:
     if os.path.isfile(inp):
+        from .tables import parse_group_file
+
         return parse_group_file(inp)
     try:
         return group_from_selector(inp)
@@ -170,6 +173,8 @@ def _resolve_group(inp: str) -> FiniteGroup:
 
 def _resolve_category(inp: str, bound: int | None, validate: bool = False):
     if os.path.isfile(inp):
+        from .tables import parse_category_file
+
         return parse_category_file(inp, validate=validate)
     from .wcat import category_from_selector
 
@@ -395,14 +400,15 @@ def _handle_validate(config: JobConfig) -> tuple[int, str]:
     if os.path.isfile(inp):
         kind = _sniff_file_kind(inp)
         if kind == "algebra":
-            from .algebra import validate_algebra
+            from .tables import parse_algebra_file, validate_algebra
 
             report = validate_algebra(parse_algebra_file(inp, validate=False))
         elif kind == "group":
-            from .algebra import validate_group
+            from .tables import parse_group_file, validate_group
 
             report = validate_group(parse_group_file(inp, validate=False))
         elif kind == "category":
+            from .tables import parse_category_file
             from .wcat import validate_waldhausen
 
             report = validate_waldhausen(parse_category_file(inp, validate=False))

@@ -1,0 +1,310 @@
+"""The endomorphism category End(C), its exact functors, and the K_0 retract.
+
+End(C) is the source category of the paper's trace K End(C) -> THH(C).
+Its objects are pairs (a, f: a -> a) of C and its morphisms are the maps
+of C that commute with the endomorphisms; cofibrations, weak equivalences
+and pushout witnesses come from C (``EndCategory``).  ``end_category``
+builds it together with the exact functors iota_0 and iota_1 (zero and
+identity endomorphism) and forget, and ``k0_retract_holds`` checks that
+K_0(C) -> K_0(End C) -> K_0(C) through iota_1 and forget is the identity.
+
+Only the retract check uses End(C) so far, so no command but ``selftest``
+compiles this module.
+
+Every ordered pair of objects of End(C) has at least the zero map between
+them, so a category with n objects has at least n^2 morphisms.
+``EndCategory`` refuses with CapExceededError once its objects are known
+and n^2 exceeds ``wcat.MORPHISM_CAP``, before it enumerates any hom set.
+"""
+
+from __future__ import annotations
+
+from . import wcat
+from .errors import CapExceededError, InternalInvariantError
+from .validation import ValidationReport
+from .values import Value
+from .waldhausen import k0_presentation
+from .wcat import WCategory
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .waldhausen import K0Presentation
+
+__all__ = [
+    "EndCategory",
+    "ExactFunctor",
+    "validate_exact_functor",
+    "end_category",
+    "k0_retract_holds",
+]
+
+
+class EndCategory(WCategory):
+    """Endomorphisms of a bounded Waldhausen category.
+
+    Objects are pairs (a, f: a -> a); morphisms (a, f) -> (b, g) are base
+    morphisms i: a -> b with i∘f = g∘i.  Cofibration and weak-equivalence
+    flags are inherited from i, and pushout witnesses are the base witnesses
+    with the induced endomorphism on the pushout.
+    """
+
+    def __init__(self, base: WCategory):
+        self.base = base
+        super().__init__(f"End({base.name})", base.bound)
+        # every ordered pair of objects has at least the zero map, so n
+        # objects mean at least n^2 morphisms: refuse before any hom set
+        n = self.object_count()
+        cap = wcat.MORPHISM_CAP
+        if n * n > cap:
+            raise CapExceededError(
+                f"category {self.name} has more than {cap} morphisms (MORPHISM_CAP)"
+            )
+
+    def _objects(self):
+        out = []
+        for a in range(self.base.object_count()):
+            for f in self.base.hom_ids(a, a):
+                out.append((a, f))
+        return tuple(out)
+
+    def _object_size(self, payload):
+        return self.base.object_size(payload[0])
+
+    def _zero_payload(self):
+        z = self.base.zero_index()
+        return (z, self.base.identity_id(z))
+
+    def object_label(self, a: int) -> str:
+        obj, endo = self._obj_payloads[a]
+        return f"({self.base.object_label(obj)},{self.base.mor_label(endo)})"
+
+    def _enumerate_hom(self, src_payload, dst_payload):
+        a, f = src_payload
+        b, g = dst_payload
+        base = self.base
+        return [
+            i
+            for i in base.hom_ids(a, b)
+            if base.compose_ids(i, f) == base.compose_ids(g, i)
+        ]
+
+    def _compose(self, g, f, a, b, c):
+        return self.base.compose_ids(g, f)
+
+    def _identity(self, payload):
+        return self.base.identity_id(payload[0])
+
+    def _is_cofibration(self, payload, a, b):
+        return self.base.is_cofibration_id(payload)
+
+    def _is_weq(self, payload, a, b):
+        return self.base.is_weq_id(payload)
+
+    def _pushout_witness(self, i, f):
+        base = self.base
+        src_i = self._obj_payloads[self._mor_src[i]]
+        tgt_i = self._obj_payloads[self._mor_tgt[i]]
+        tgt_f = self._obj_payloads[self._mor_tgt[f]]
+        w = base.pushout_witness(self._mor_payload[i], self._mor_payload[f])
+        if w is None:
+            return None
+        d, u, v = w
+        med = base.mediating_ids(
+            u,
+            v,
+            base.compose_ids(u, tgt_i[1]),
+            base.compose_ids(v, tgt_f[1]),
+        )
+        if len(med) != 1:
+            raise InternalInvariantError(
+                "base pushout witness does not induce a unique endomorphism; "
+                "is the base category valid?"
+            )
+        d_payload = (d, med[0])
+        return self._witness(i, f, d_payload, u, v)
+
+
+class ExactFunctor(Value):
+    """A functor between bounded Waldhausen categories, stored pointwise.
+
+    ``object_map[a]`` is the target object index for source object ``a``;
+    ``mor_map`` maps source morphism handles to target handles (callable).
+    """
+
+    __slots__ = ("name", "source", "target", "object_map", "mor_map")
+    _fields = __slots__
+
+    def __init__(
+        self, name: str, source: WCategory, target: WCategory, object_map: tuple, mor_map
+    ) -> None:
+        self.name = name
+        self.source = source
+        self.target = target
+        self.object_map = object_map
+        self.mor_map = mor_map
+
+    def apply_obj(self, a: int) -> int:
+        return self.object_map[a]
+
+    def apply_mor(self, m: int) -> int:
+        return self.mor_map(m)
+
+
+def validate_exact_functor(F: ExactFunctor) -> ValidationReport:
+    """Check functoriality and exactness of ``F`` by exhaustive enumeration.
+
+    Exactness means: the zero object, cofibration flags, weak-equivalence
+    flags, and recorded pushout witnesses are preserved (witnesses on the
+    nose, as produced by the constructions in this module).
+    """
+    report = ValidationReport(subject=f"exact functor {F.name}")
+    S, T = F.source, F.target
+    report.checks_run += 1
+    if F.apply_obj(S.zero_index()) != T.zero_index():
+        report.record("zero object is not preserved")
+    all_mors = []
+    for a in range(S.object_count()):
+        for b in range(S.object_count()):
+            all_mors.extend(S.hom_ids(a, b))
+    for a in range(S.object_count()):
+        report.checks_run += 1
+        if F.apply_mor(S.identity_id(a)) != T.identity_id(F.apply_obj(a)):
+            report.record(f"identity of {S.object_label(a)} is not preserved")
+    for m in all_mors:
+        fm = F.apply_mor(m)
+        report.checks_run += 1
+        if T.mor_source(fm) != F.apply_obj(S.mor_source(m)) or T.mor_target(
+            fm
+        ) != F.apply_obj(S.mor_target(m)):
+            report.record(f"endpoints of {S.mor_label(m)} are not preserved")
+            continue
+        if S.is_cofibration_id(m) and not T.is_cofibration_id(fm):
+            report.record(f"cofibration flag of {S.mor_label(m)} is not preserved")
+        if S.is_weq_id(m) and not T.is_weq_id(fm):
+            report.record(f"weak-equivalence flag of {S.mor_label(m)} is not preserved")
+    by_source = {}
+    for m in all_mors:
+        by_source.setdefault(S.mor_source(m), []).append(m)
+    for f in all_mors:
+        for g in by_source.get(S.mor_target(f), ()):
+            report.checks_run += 1
+            if F.apply_mor(S.compose_ids(g, f)) != T.compose_ids(
+                F.apply_mor(g), F.apply_mor(f)
+            ):
+                report.record(
+                    f"composition {S.mor_label(g)} ∘ {S.mor_label(f)} is not preserved"
+                )
+    for i in all_mors:
+        if not S.is_cofibration_id(i):
+            continue
+        a = S.mor_source(i)
+        for c in range(S.object_count()):
+            for f in S.hom_ids(a, c):
+                w = S.pushout_witness(i, f)
+                if w is None:
+                    continue
+                report.checks_run += 1
+                d, u, v = w
+                tw = T.pushout_witness(F.apply_mor(i), F.apply_mor(f))
+                if tw is None:
+                    report.record(
+                        f"pushout witness of ({S.mor_label(i)},{S.mor_label(f)}) "
+                        f"has no counterpart in the target"
+                    )
+                    continue
+                if tw != (F.apply_obj(d), F.apply_mor(u), F.apply_mor(v)):
+                    report.record(
+                        f"pushout witness of ({S.mor_label(i)},{S.mor_label(f)}) "
+                        f"is not preserved"
+                    )
+    return report
+
+
+def end_category(C: WCategory, validate: bool = True):
+    """Build End(C) together with the functors iota_0, iota_1, and forget.
+
+    iota_0 equips each object with its zero endomorphism, iota_1 with the
+    identity endomorphism, and forget drops the endomorphism.  With
+    ``validate`` set, all three functors are checked to be exact and a
+    ValidationError is raised on failure.
+    """
+    E = EndCategory(C)
+
+    def make_obj_maps():
+        iota0_obj = []
+        iota1_obj = []
+        for a in range(C.object_count()):
+            zero_endo = C.zero_map_id(a, a)
+            iota0_obj.append(E.object_index((a, zero_endo)))
+            iota1_obj.append(E.object_index((a, C.identity_id(a))))
+        forget_obj = tuple(payload[0] for payload in E._obj_payloads)
+        return tuple(iota0_obj), tuple(iota1_obj), forget_obj
+
+    iota0_obj, iota1_obj, forget_obj = make_obj_maps()
+
+    def lift(obj_map):
+        def mor_map(m: int) -> int:
+            a, b = C.mor_source(m), C.mor_target(m)
+            ea, eb = obj_map[a], obj_map[b]
+            E.hom_ids(ea, eb)
+            got = E._mor_handle.get((ea, eb, m))
+            if got is None:
+                raise InternalInvariantError(
+                    f"morphism {C.mor_label(m)} does not lift to End({C.name})"
+                )
+            return got
+
+        return mor_map
+
+    def drop(m: int) -> int:
+        return E.mor_payload(m)
+
+    iota0 = ExactFunctor("iota_0", C, E, iota0_obj, lift(iota0_obj))
+    iota1 = ExactFunctor("iota_1", C, E, iota1_obj, lift(iota1_obj))
+    forget = ExactFunctor("forget", E, C, forget_obj, drop)
+    if validate:
+        for functor in (iota0, iota1, forget):
+            validate_exact_functor(functor).require_ok()
+    return E, iota0, iota1, forget
+
+
+# ---------------------------------------------------------------------------
+# K_0 through End(C)
+# ---------------------------------------------------------------------------
+
+
+def _push_vector(F: ExactFunctor, src: K0Presentation, dst: K0Presentation, vec) -> tuple:
+    out = [0] * len(dst.generators)
+    dz = dst.category.zero_index()
+    dpos = {a: t for t, a in enumerate(dst.generators)}
+    for t, coeff in enumerate(vec):
+        if coeff == 0:
+            continue
+        obj = F.apply_obj(src.generators[t])
+        if obj != dz:
+            out[dpos[obj]] += coeff
+    return tuple(out)
+
+
+def k0_retract_holds(C: WCategory) -> bool:
+    """Whether K_0(C) -> K_0(End C) -> K_0(C) composes to the identity.
+
+    The first map is induced by the identity-endomorphism inclusion, the
+    second by forgetting the endomorphism; the middle class is reduced to
+    canonical coordinates in K_0(End C) before coming back, so this
+    exercises both presentations.
+    """
+    E, _iota0, iota1, forget = end_category(C)
+    pres_c = k0_presentation(C)
+    pres_e = k0_presentation(E)
+    for gen in pres_c.homology.generators:
+        mid = _push_vector(iota1, pres_c, pres_e, gen)
+        coords = pres_e.homology.coordinates(mid)
+        rep = [0] * len(pres_e.generators)
+        for c, gv in zip(coords, pres_e.homology.generators):
+            for t, x in enumerate(gv):
+                rep[t] += c * x
+        back = _push_vector(forget, pres_e, pres_c, tuple(rep))
+        if not pres_c.homology.classes_equal(back, gen):
+            return False
+    return True

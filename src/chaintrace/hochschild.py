@@ -22,6 +22,10 @@ are written directly on these unit-free tuples (Loday, Cyclic Homology,
 2.1), dropping terms that land on a degenerate tuple, so the full levels are
 never built for them; _face is the one face writer, for both b's.  Homology
 results are converted back to the caller's original basis at the API boundary.
+
+The exhaustive check of the simplicial and cyclic identities on a cyclic
+module (``validate_cyclic_module``) lives in chaintrace.selftest, its only
+caller, so no Hochschild job compiles it.
 """
 
 from __future__ import annotations
@@ -34,12 +38,10 @@ from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homolog
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import SparseMap
-from .validation import ValidationReport
 
 __all__ = [
     "CyclicModule",
     "cyclic_bar",
-    "validate_cyclic_module",
     "hochschild_complex",
     "HochschildHomology",
     "hochschild_homology",
@@ -203,73 +205,6 @@ def cyclic_bar(A: Algebra, N: int, cap: int = LEVEL_CAP) -> CyclicModule:
             f"cyclic bar level {N + 1} has rank {r}*{r - 1}^{N + 1} = {top} > cap {cap}"
         )
     return CyclicModule(A, N + 1, cap)
-
-
-def validate_cyclic_module(C: CyclicModule, through_level: int | None = None) -> ValidationReport:
-    """Exhaustively check the simplicial and cyclic operator identities."""
-    top = C.max_level if through_level is None else min(through_level, C.max_level)
-    report = ValidationReport(subject=f"cyclic module of {C.algebra.name or 'algebra'}")
-
-    def eq(lhs: SparseMap, rhs: SparseMap, label: str) -> None:
-        report.checks_run += 1
-        if lhs.cols != rhs.cols:
-            report.record(label)
-
-    for q in range(2, top + 1):
-        for j in range(q + 1):
-            for i in range(j):
-                eq(
-                    C.face(q - 1, i).compose(C.face(q, j)),
-                    C.face(q - 1, j - 1).compose(C.face(q, i)),
-                    f"d_{i} d_{j} != d_{j - 1} d_{i} at level {q}",
-                )
-    for q in range(0, top - 1):
-        for i in range(q + 1):
-            for j in range(i, q + 1):
-                eq(
-                    C.degeneracy(q + 1, i).compose(C.degeneracy(q, j)),
-                    C.degeneracy(q + 1, j + 1).compose(C.degeneracy(q, i)),
-                    f"s_i s_j identity fails (i={i}, j={j}) at level {q}",
-                )
-    for q in range(0, top):
-        ident = SparseMap.identity(C.ring, C.level_rank(q))
-        for j in range(q + 1):
-            for i in range(q + 2):
-                lhs = C.face(q + 1, i).compose(C.degeneracy(q, j))
-                if i < j:
-                    eq(lhs, C.degeneracy(q - 1, j - 1).compose(C.face(q, i)), f"d_{i} s_{j} != s_{j-1} d_{i} at level {q}")
-                elif i in (j, j + 1):
-                    eq(lhs, ident, f"d_{i} s_{j} != id at level {q}")
-                else:
-                    eq(lhs, C.degeneracy(q - 1, j).compose(C.face(q, i - 1)), f"d_{i} s_{j} != s_{j} d_{i-1} at level {q}")
-    for q in range(0, top + 1):
-        t = C.cyclic(q)
-        power = SparseMap.identity(C.ring, C.level_rank(q))
-        for _ in range(q + 1):
-            power = t.compose(power)
-        eq(power, SparseMap.identity(C.ring, C.level_rank(q)), f"t^{q + 1} != id at level {q}")
-    for q in range(1, top + 1):
-        t = C.cyclic(q)
-        eq(C.face(q, 0).compose(t), C.face(q, q), f"d_0 t != d_q at level {q}")
-        for i in range(1, q + 1):
-            eq(
-                C.face(q, i).compose(t),
-                C.cyclic(q - 1).compose(C.face(q, i - 1)),
-                f"d_{i} t != t d_{i - 1} at level {q}",
-            )
-        if q < top:
-            eq(
-                C.degeneracy(q, 0).compose(t),
-                C.cyclic(q + 1).compose(C.cyclic(q + 1)).compose(C.degeneracy(q, q)),
-                f"s_0 t != t^2 s_q at level {q}",
-            )
-            for i in range(1, q + 1):
-                eq(
-                    C.degeneracy(q, i).compose(t),
-                    C.cyclic(q + 1).compose(C.degeneracy(q, i - 1)),
-                    f"s_{i} t != t s_{i - 1} at level {q}",
-                )
-    return report
 
 
 class NormalizedComplex:

@@ -6,7 +6,10 @@ b^2 = B^2 = bB + Bb = 0, the chain maps of the trace pipeline, the
 Waldhausen axioms on built-in families, K_0 three ways, the Sigma-Delta
 diagram axioms, and additivity of the Dennis trace.  ``SUITES`` lists
 them in the order the command prints them; each entry takes the run's
-seed.  Only the ``selftest`` command imports this module.
+seed.  Only the ``selftest`` command imports this module, so the checks
+that only a suite runs live here too: ``validate_cyclic_module`` (the
+simplicial and cyclic operator identities), which would otherwise compile
+in every Hochschild job.
 
 No suite reads another's result, so ``run_suites`` runs them in worker
 processes, one per CPU this process may run on and never more than there
@@ -24,16 +27,85 @@ import threading
 import time
 
 from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, unit_inverse
+from .endo import k0_retract_holds
 from .formats import algebra_from_selector
-from .hochschild import HochschildHomology, cyclic_bar, validate_cyclic_module
+from .hochschild import CyclicModule, HochschildHomology, cyclic_bar
+from .linalg import SparseMap
 from .rings import GF, QQ, ZZ
 from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
 from .trace import bar_complex, dennis_trace_k1, group_to_hh, multitrace
 from .validation import ValidationReport
-from .waldhausen import grothendieck_k0, k0_retract_holds, k0_via_diagonal, k0_via_sdot
+from .waldhausen import grothendieck_k0, k0_via_diagonal, k0_via_sdot
 from .wcat import category_from_selector, validate_waldhausen
 
-__all__ = ["SUITES", "LONGEST_FIRST", "run_suites"]
+__all__ = ["SUITES", "LONGEST_FIRST", "run_suites", "validate_cyclic_module"]
+
+
+def validate_cyclic_module(C: CyclicModule, through_level: int | None = None) -> ValidationReport:
+    """Exhaustively check the simplicial and cyclic operator identities."""
+    top = C.max_level if through_level is None else min(through_level, C.max_level)
+    report = ValidationReport(subject=f"cyclic module of {C.algebra.name or 'algebra'}")
+
+    def eq(lhs: SparseMap, rhs: SparseMap, label: str) -> None:
+        report.checks_run += 1
+        if lhs.cols != rhs.cols:
+            report.record(label)
+
+    for q in range(2, top + 1):
+        for j in range(q + 1):
+            for i in range(j):
+                eq(
+                    C.face(q - 1, i).compose(C.face(q, j)),
+                    C.face(q - 1, j - 1).compose(C.face(q, i)),
+                    f"d_{i} d_{j} != d_{j - 1} d_{i} at level {q}",
+                )
+    for q in range(0, top - 1):
+        for i in range(q + 1):
+            for j in range(i, q + 1):
+                eq(
+                    C.degeneracy(q + 1, i).compose(C.degeneracy(q, j)),
+                    C.degeneracy(q + 1, j + 1).compose(C.degeneracy(q, i)),
+                    f"s_i s_j identity fails (i={i}, j={j}) at level {q}",
+                )
+    for q in range(0, top):
+        ident = SparseMap.identity(C.ring, C.level_rank(q))
+        for j in range(q + 1):
+            for i in range(q + 2):
+                lhs = C.face(q + 1, i).compose(C.degeneracy(q, j))
+                if i < j:
+                    eq(lhs, C.degeneracy(q - 1, j - 1).compose(C.face(q, i)), f"d_{i} s_{j} != s_{j-1} d_{i} at level {q}")
+                elif i in (j, j + 1):
+                    eq(lhs, ident, f"d_{i} s_{j} != id at level {q}")
+                else:
+                    eq(lhs, C.degeneracy(q - 1, j).compose(C.face(q, i - 1)), f"d_{i} s_{j} != s_{j} d_{i-1} at level {q}")
+    for q in range(0, top + 1):
+        t = C.cyclic(q)
+        power = SparseMap.identity(C.ring, C.level_rank(q))
+        for _ in range(q + 1):
+            power = t.compose(power)
+        eq(power, SparseMap.identity(C.ring, C.level_rank(q)), f"t^{q + 1} != id at level {q}")
+    for q in range(1, top + 1):
+        t = C.cyclic(q)
+        eq(C.face(q, 0).compose(t), C.face(q, q), f"d_0 t != d_q at level {q}")
+        for i in range(1, q + 1):
+            eq(
+                C.face(q, i).compose(t),
+                C.cyclic(q - 1).compose(C.face(q, i - 1)),
+                f"d_{i} t != t d_{i - 1} at level {q}",
+            )
+        if q < top:
+            eq(
+                C.degeneracy(q, 0).compose(t),
+                C.cyclic(q + 1).compose(C.cyclic(q + 1)).compose(C.degeneracy(q, q)),
+                f"s_0 t != t^2 s_q at level {q}",
+            )
+            for i in range(1, q + 1):
+                eq(
+                    C.degeneracy(q, i).compose(t),
+                    C.cyclic(q + 1).compose(C.degeneracy(q, i - 1)),
+                    f"s_{i} t != t s_{i - 1} at level {q}",
+                )
+    return report
 
 
 def _suite_cyclic_identities() -> ValidationReport:

@@ -44,6 +44,10 @@ diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
 is built by ``PointedSimplicialSet.tabulate`` from the one pair of string
 operators here, composed with the memoized ``reindex_functor`` where a
 direction of flags is restricted.
+
+The endomorphism category End(C) and the retract check K_0(C) ->
+K_0(End C) -> K_0(C) built on ``k0_presentation`` live in chaintrace.endo,
+which no ``k0`` job loads.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .linalg import SparseMap
 from .rings import ZZ
 from .validation import ValidationReport
 from .values import Value
-from .wcat import ExactFunctor, WCategory, end_category
+from .wcat import WCategory
 
 __all__ = [
     "DEFAULT_K_CAP",
@@ -78,7 +82,6 @@ __all__ = [
     "K0Presentation",
     "k0_presentation",
     "grothendieck_k0",
-    "k0_retract_holds",
 ]
 
 # Flag grids are enumerated exhaustively, so the column count k is capped.
@@ -1016,40 +1019,3 @@ def k0_presentation(C: WCategory) -> K0Presentation:
 def grothendieck_k0(C: WCategory) -> FPAbelianGroup:
     """K_0 from the object-and-relation presentation; the independent oracle."""
     return k0_presentation(C).group
-
-
-def _push_vector(F: ExactFunctor, src: K0Presentation, dst: K0Presentation, vec) -> tuple:
-    out = [0] * len(dst.generators)
-    dz = dst.category.zero_index()
-    dpos = {a: t for t, a in enumerate(dst.generators)}
-    for t, coeff in enumerate(vec):
-        if coeff == 0:
-            continue
-        obj = F.apply_obj(src.generators[t])
-        if obj != dz:
-            out[dpos[obj]] += coeff
-    return tuple(out)
-
-
-def k0_retract_holds(C: WCategory) -> bool:
-    """Whether K_0(C) -> K_0(End C) -> K_0(C) composes to the identity.
-
-    The first map is induced by the identity-endomorphism inclusion, the
-    second by forgetting the endomorphism; the middle class is reduced to
-    canonical coordinates in K_0(End C) before coming back, so this
-    exercises both presentations.
-    """
-    E, _iota0, iota1, forget = end_category(C)
-    pres_c = k0_presentation(C)
-    pres_e = k0_presentation(E)
-    for gen in pres_c.homology.generators:
-        mid = _push_vector(iota1, pres_c, pres_e, gen)
-        coords = pres_e.homology.coordinates(mid)
-        rep = [0] * len(pres_e.generators)
-        for c, gv in zip(coords, pres_e.homology.generators):
-            for t, x in enumerate(gv):
-                rep[t] += c * x
-        back = _push_vector(forget, pres_e, pres_c, tuple(rep))
-        if not pres_c.homology.classes_equal(back, gen):
-            return False
-    return True

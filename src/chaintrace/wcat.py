@@ -17,6 +17,12 @@ categories) stay fast.  Handles are allocation-order dependent; all public
 output is phrased in terms of labels and canonical orderings, never raw
 handles.
 
+Every ``k0`` and ``validate`` job loads this module, so it holds the base
+class, the built-in families, their selectors and the validator.  Two
+subclasses that few jobs run live elsewhere: ``TableCategory``, the
+explicit tables of category files, in chaintrace.tablecat, and
+``EndCategory`` with its exact functors in chaintrace.endo.
+
 Three caps bound what a category may cost before the work starts.  A
 category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
 sets are interned as they are enumerated, so a refusal never holds the
@@ -44,11 +50,9 @@ from .errors import (
 from .rings import GF
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .validation import ValidationReport
-from .values import Value
 
 __all__ = [
     "WCategory",
-    "TableCategory",
     "VectCategory",
     "PointedSetsCategory",
     "FiniteModulesCategory",
@@ -58,10 +62,6 @@ __all__ = [
     "finite_modules",
     "category_from_selector",
     "validate_waldhausen",
-    "ExactFunctor",
-    "validate_exact_functor",
-    "EndCategory",
-    "end_category",
     "axiom5_bound",
     "MORPHISM_CAP",
     "TRIPLE_CAP",
@@ -817,138 +817,6 @@ def category_from_selector(selector: str) -> WCategory:
 
 
 # ---------------------------------------------------------------------------
-# explicit tables
-# ---------------------------------------------------------------------------
-
-
-class TableCategory(WCategory):
-    """A Waldhausen-category presentation given by explicit finite tables.
-
-    ``objects`` is a list of (name, size); ``morphisms`` a list of
-    (name, src, dst); ``compose`` maps (g_name, f_name) to the name of g∘f;
-    ``identities`` maps object names to morphism names; ``pushouts`` is a
-    list of (i, f, d, u, v) name tuples.  Laws (associativity, axiom
-    conformance) are deliberately not checked here: feed the instance to
-    ``validate_waldhausen``.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        objects,
-        zero: str,
-        morphisms,
-        identities,
-        compose,
-        cofibrations,
-        weak_equivalences,
-        pushouts,
-        bound: int,
-    ):
-        obj_names = [nm for nm, _ in objects]
-        if len(set(obj_names)) != len(obj_names):
-            raise InputParseError("duplicate object name")
-        self._tbl_sizes = {nm: int(sz) for nm, sz in objects}
-        if zero not in self._tbl_sizes:
-            raise InputParseError(f"zero object {zero!r} is not a listed object")
-        self._tbl_zero = zero
-        self._tbl_obj_names = tuple(obj_names)
-        mor_names = [nm for nm, _, _ in morphisms]
-        if len(set(mor_names)) != len(mor_names):
-            raise InputParseError("duplicate morphism name")
-        self._tbl_mor = {}
-        self._tbl_hom = {}
-        for nm, src, dst in morphisms:
-            if src not in self._tbl_sizes or dst not in self._tbl_sizes:
-                raise InputParseError(f"morphism {nm!r} references an unknown object")
-            self._tbl_mor[nm] = (src, dst)
-            self._tbl_hom.setdefault((src, dst), []).append(nm)
-        for o, nm in identities.items():
-            if o not in self._tbl_sizes:
-                raise InputParseError(f"identity listed for unknown object {o!r}")
-            if nm not in self._tbl_mor:
-                raise InputParseError(f"identity {nm!r} is not a listed morphism")
-            if self._tbl_mor[nm] != (o, o):
-                raise InputParseError(f"identity {nm!r} must be an endomorphism of {o!r}")
-        missing = set(obj_names) - set(identities)
-        if missing:
-            raise InputParseError(f"objects without identities: {sorted(missing)}")
-        self._tbl_id = dict(identities)
-        for (g, f), h in compose.items():
-            for nm in (g, f, h):
-                if nm not in self._tbl_mor:
-                    raise InputParseError(f"compose table references unknown morphism {nm!r}")
-            if self._tbl_mor[f][1] != self._tbl_mor[g][0]:
-                raise InputParseError(f"compose entry ({g!r},{f!r}) is not composable")
-            if self._tbl_mor[h] != (self._tbl_mor[f][0], self._tbl_mor[g][1]):
-                raise InputParseError(f"compose entry ({g!r},{f!r}) has mismatched result")
-        self._tbl_compose = dict(compose)
-        for nm in itertools.chain(cofibrations, weak_equivalences):
-            if nm not in self._tbl_mor:
-                raise InputParseError(f"flag references unknown morphism {nm!r}")
-        self._tbl_cof = frozenset(cofibrations)
-        self._tbl_weq = frozenset(weak_equivalences)
-        self._tbl_push = {}
-        for i, f, d, u, v in pushouts:
-            for nm in (i, f, u, v):
-                if nm not in self._tbl_mor:
-                    raise InputParseError(f"pushout line references unknown morphism {nm!r}")
-            if d not in self._tbl_sizes:
-                raise InputParseError(f"pushout line references unknown object {d!r}")
-            if self._tbl_mor[i][0] != self._tbl_mor[f][0]:
-                raise InputParseError(f"pushout legs {i!r}, {f!r} do not share a source")
-            if self._tbl_mor[u] != (self._tbl_mor[i][1], d):
-                raise InputParseError(f"pushout map {u!r} has wrong endpoints")
-            if self._tbl_mor[v] != (self._tbl_mor[f][1], d):
-                raise InputParseError(f"pushout map {v!r} has wrong endpoints")
-            if (i, f) in self._tbl_push:
-                raise InputParseError(f"duplicate pushout witness for ({i!r},{f!r})")
-            self._tbl_push[(i, f)] = (d, u, v)
-        super().__init__(name, bound)
-
-    def _objects(self):
-        return self._tbl_obj_names
-
-    def _object_size(self, payload):
-        return self._tbl_sizes[payload]
-
-    def _zero_payload(self):
-        return self._tbl_zero
-
-    def object_label(self, a: int) -> str:
-        return self._obj_payloads[a]
-
-    def mor_label(self, m: int) -> str:
-        return self._mor_payload[m]
-
-    def _enumerate_hom(self, a_payload, b_payload):
-        return list(self._tbl_hom.get((a_payload, b_payload), ()))
-
-    def _compose(self, g, f, a, b, c):
-        got = self._tbl_compose.get((g, f))
-        if got is None:
-            raise ValidationError(f"composition table has no entry for ({g!r},{f!r})")
-        return got
-
-    def _identity(self, a_payload):
-        return self._tbl_id[a_payload]
-
-    def _is_cofibration(self, payload, a, b):
-        return payload in self._tbl_cof
-
-    def _is_weq(self, payload, a, b):
-        return payload in self._tbl_weq
-
-    def _pushout_witness(self, i, f):
-        key = (self._mor_payload[i], self._mor_payload[f])
-        got = self._tbl_push.get(key)
-        if got is None:
-            return None
-        d, u, v = got
-        return self._witness(i, f, d, u, v)
-
-
-# ---------------------------------------------------------------------------
 # the validator
 # ---------------------------------------------------------------------------
 
@@ -1154,229 +1022,3 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
                                 f"weakly equivalent pushout data is not a weak equivalence"
                             )
     return report
-
-
-# ---------------------------------------------------------------------------
-# the endomorphism category and its exact functors
-# ---------------------------------------------------------------------------
-
-
-class EndCategory(WCategory):
-    """Endomorphisms of a bounded Waldhausen category.
-
-    Objects are pairs (a, f: a -> a); morphisms (a, f) -> (b, g) are base
-    morphisms i: a -> b with i∘f = g∘i.  Cofibration and weak-equivalence
-    flags are inherited from i, and pushout witnesses are the base witnesses
-    with the induced endomorphism on the pushout.
-    """
-
-    def __init__(self, base: WCategory):
-        self.base = base
-        super().__init__(f"End({base.name})", base.bound)
-
-    def _objects(self):
-        out = []
-        for a in range(self.base.object_count()):
-            for f in self.base.hom_ids(a, a):
-                out.append((a, f))
-        return tuple(out)
-
-    def _object_size(self, payload):
-        return self.base.object_size(payload[0])
-
-    def _zero_payload(self):
-        z = self.base.zero_index()
-        return (z, self.base.identity_id(z))
-
-    def object_label(self, a: int) -> str:
-        obj, endo = self._obj_payloads[a]
-        return f"({self.base.object_label(obj)},{self.base.mor_label(endo)})"
-
-    def _enumerate_hom(self, src_payload, dst_payload):
-        a, f = src_payload
-        b, g = dst_payload
-        base = self.base
-        return [
-            i
-            for i in base.hom_ids(a, b)
-            if base.compose_ids(i, f) == base.compose_ids(g, i)
-        ]
-
-    def _compose(self, g, f, a, b, c):
-        return self.base.compose_ids(g, f)
-
-    def _identity(self, payload):
-        return self.base.identity_id(payload[0])
-
-    def _is_cofibration(self, payload, a, b):
-        return self.base.is_cofibration_id(payload)
-
-    def _is_weq(self, payload, a, b):
-        return self.base.is_weq_id(payload)
-
-    def _pushout_witness(self, i, f):
-        base = self.base
-        src_i = self._obj_payloads[self._mor_src[i]]
-        tgt_i = self._obj_payloads[self._mor_tgt[i]]
-        tgt_f = self._obj_payloads[self._mor_tgt[f]]
-        w = base.pushout_witness(self._mor_payload[i], self._mor_payload[f])
-        if w is None:
-            return None
-        d, u, v = w
-        med = base.mediating_ids(
-            u,
-            v,
-            base.compose_ids(u, tgt_i[1]),
-            base.compose_ids(v, tgt_f[1]),
-        )
-        if len(med) != 1:
-            raise InternalInvariantError(
-                "base pushout witness does not induce a unique endomorphism; "
-                "is the base category valid?"
-            )
-        d_payload = (d, med[0])
-        return self._witness(i, f, d_payload, u, v)
-
-
-class ExactFunctor(Value):
-    """A functor between bounded Waldhausen categories, stored pointwise.
-
-    ``object_map[a]`` is the target object index for source object ``a``;
-    ``mor_map`` maps source morphism handles to target handles (callable).
-    """
-
-    __slots__ = ("name", "source", "target", "object_map", "mor_map")
-    _fields = __slots__
-
-    def __init__(
-        self, name: str, source: WCategory, target: WCategory, object_map: tuple, mor_map
-    ) -> None:
-        self.name = name
-        self.source = source
-        self.target = target
-        self.object_map = object_map
-        self.mor_map = mor_map
-
-    def apply_obj(self, a: int) -> int:
-        return self.object_map[a]
-
-    def apply_mor(self, m: int) -> int:
-        return self.mor_map(m)
-
-
-def validate_exact_functor(F: ExactFunctor) -> ValidationReport:
-    """Check functoriality and exactness of ``F`` by exhaustive enumeration.
-
-    Exactness means: the zero object, cofibration flags, weak-equivalence
-    flags, and recorded pushout witnesses are preserved (witnesses on the
-    nose, as produced by the constructions in this module).
-    """
-    report = ValidationReport(subject=f"exact functor {F.name}")
-    S, T = F.source, F.target
-    report.checks_run += 1
-    if F.apply_obj(S.zero_index()) != T.zero_index():
-        report.record("zero object is not preserved")
-    all_mors = []
-    for a in range(S.object_count()):
-        for b in range(S.object_count()):
-            all_mors.extend(S.hom_ids(a, b))
-    for a in range(S.object_count()):
-        report.checks_run += 1
-        if F.apply_mor(S.identity_id(a)) != T.identity_id(F.apply_obj(a)):
-            report.record(f"identity of {S.object_label(a)} is not preserved")
-    for m in all_mors:
-        fm = F.apply_mor(m)
-        report.checks_run += 1
-        if T.mor_source(fm) != F.apply_obj(S.mor_source(m)) or T.mor_target(
-            fm
-        ) != F.apply_obj(S.mor_target(m)):
-            report.record(f"endpoints of {S.mor_label(m)} are not preserved")
-            continue
-        if S.is_cofibration_id(m) and not T.is_cofibration_id(fm):
-            report.record(f"cofibration flag of {S.mor_label(m)} is not preserved")
-        if S.is_weq_id(m) and not T.is_weq_id(fm):
-            report.record(f"weak-equivalence flag of {S.mor_label(m)} is not preserved")
-    by_source = {}
-    for m in all_mors:
-        by_source.setdefault(S.mor_source(m), []).append(m)
-    for f in all_mors:
-        for g in by_source.get(S.mor_target(f), ()):
-            report.checks_run += 1
-            if F.apply_mor(S.compose_ids(g, f)) != T.compose_ids(
-                F.apply_mor(g), F.apply_mor(f)
-            ):
-                report.record(
-                    f"composition {S.mor_label(g)} ∘ {S.mor_label(f)} is not preserved"
-                )
-    for i in all_mors:
-        if not S.is_cofibration_id(i):
-            continue
-        a = S.mor_source(i)
-        for c in range(S.object_count()):
-            for f in S.hom_ids(a, c):
-                w = S.pushout_witness(i, f)
-                if w is None:
-                    continue
-                report.checks_run += 1
-                d, u, v = w
-                tw = T.pushout_witness(F.apply_mor(i), F.apply_mor(f))
-                if tw is None:
-                    report.record(
-                        f"pushout witness of ({S.mor_label(i)},{S.mor_label(f)}) "
-                        f"has no counterpart in the target"
-                    )
-                    continue
-                if tw != (F.apply_obj(d), F.apply_mor(u), F.apply_mor(v)):
-                    report.record(
-                        f"pushout witness of ({S.mor_label(i)},{S.mor_label(f)}) "
-                        f"is not preserved"
-                    )
-    return report
-
-
-def end_category(C: WCategory, validate: bool = True):
-    """Build End(C) together with the functors iota_0, iota_1, and forget.
-
-    iota_0 equips each object with its zero endomorphism, iota_1 with the
-    identity endomorphism, and forget drops the endomorphism.  With
-    ``validate`` set, all three functors are checked to be exact and a
-    ValidationError is raised on failure.
-    """
-    E = EndCategory(C)
-
-    def make_obj_maps():
-        iota0_obj = []
-        iota1_obj = []
-        for a in range(C.object_count()):
-            zero_endo = C.zero_map_id(a, a)
-            iota0_obj.append(E.object_index((a, zero_endo)))
-            iota1_obj.append(E.object_index((a, C.identity_id(a))))
-        forget_obj = tuple(payload[0] for payload in E._obj_payloads)
-        return tuple(iota0_obj), tuple(iota1_obj), forget_obj
-
-    iota0_obj, iota1_obj, forget_obj = make_obj_maps()
-
-    def lift(obj_map):
-        def mor_map(m: int) -> int:
-            a, b = C.mor_source(m), C.mor_target(m)
-            ea, eb = obj_map[a], obj_map[b]
-            E.hom_ids(ea, eb)
-            got = E._mor_handle.get((ea, eb, m))
-            if got is None:
-                raise InternalInvariantError(
-                    f"morphism {C.mor_label(m)} does not lift to End({C.name})"
-                )
-            return got
-
-        return mor_map
-
-    def drop(m: int) -> int:
-        return E.mor_payload(m)
-
-    iota0 = ExactFunctor("iota_0", C, E, iota0_obj, lift(iota0_obj))
-    iota1 = ExactFunctor("iota_1", C, E, iota1_obj, lift(iota1_obj))
-    forget = ExactFunctor("forget", E, C, forget_obj, drop)
-    if validate:
-        for functor in (iota0, iota1, forget):
-            validate_exact_functor(functor).require_ok()
-    return E, iota0, iota1, forget

@@ -30,7 +30,7 @@ import os
 import re
 import sys
 
-from chaintrace.formats import parse_category_text, serialize_category
+from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.wcat import validate_waldhausen, vect_gf
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -15,9 +15,9 @@ import pytest
 from chaintrace.algebra import base_algebra, cyclic_group, group_algebra, truncated_polynomial
 from chaintrace.chain import DENSE_CELL_CAP
 from chaintrace.cli import main
-from chaintrace.formats import parse_category_file
 from chaintrace.hochschild import HochschildHomology, cyclic_homology
 from chaintrace.rings import GF, QQ, ZZ
+from chaintrace.tables import parse_category_file
 from chaintrace.trace import dennis_trace_homology, dennis_trace_k1, morita_map
 from chaintrace.waldhausen import grothendieck_k0, k0_via_sdot
 from chaintrace.wcat import (

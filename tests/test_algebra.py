@@ -16,12 +16,11 @@ from chaintrace.algebra import (
     truncated_polynomial,
     unit_first_presentation,
     unit_inverse,
-    validate_algebra,
-    validate_group,
     vec_to_matrix_entries,
 )
 from chaintrace.errors import ValidationError
 from chaintrace.rings import GF, QQ, ZZ, Zmod
+from chaintrace.tables import validate_algebra, validate_group
 
 
 def test_base_algebra_is_valid():

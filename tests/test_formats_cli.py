@@ -8,16 +8,15 @@ import pytest
 from chaintrace.algebra import cyclic_group, group_algebra
 from chaintrace.cli import main
 from chaintrace.errors import InputParseError, ValidationError
-from chaintrace.formats import (
+from chaintrace.formats import parse_matrix_literal, ring_from_spec
+from chaintrace.rings import ZZ
+from chaintrace.tables import (
     parse_algebra_text,
     parse_category_file,
     parse_category_text,
     parse_group_text,
-    parse_matrix_literal,
-    ring_from_spec,
     serialize_category,
 )
-from chaintrace.rings import ZZ
 from chaintrace.wcat import validate_waldhausen, vect_gf
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

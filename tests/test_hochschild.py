@@ -34,10 +34,10 @@ from chaintrace.hochschild import (
     hochschild_homology,
     induced_chain_map,
     tensor_power_map,
-    validate_cyclic_module,
 )
 from chaintrace.linalg import Matrix, SparseMap, kernel_basis, solve_membership
 from chaintrace.rings import GF, QQ, ZZ, Zmod
+from chaintrace.selftest import validate_cyclic_module
 from chaintrace.trace import GroupHomology
 
 

@@ -22,7 +22,7 @@ st = hypothesis.strategies
 
 from chaintrace.cli import main  # noqa: E402
 from chaintrace.errors import ChainTraceError  # noqa: E402
-from chaintrace.formats import (  # noqa: E402
+from chaintrace.tables import (  # noqa: E402
     parse_algebra_text,
     parse_category_text,
     parse_group_text,

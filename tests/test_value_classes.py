@@ -19,6 +19,7 @@ from chaintrace.algebra import (
 )
 from chaintrace.chain import FPAbelianGroup, FPModule, HomologyData
 from chaintrace.cli import JobConfig
+from chaintrace.endo import ExactFunctor
 from chaintrace.errors import InputParseError
 from chaintrace.linalg import Matrix, MembershipResult, SmithDecomposition, SparseMap
 from chaintrace.rings import GF, ZZ, BaseRing, Zmod
@@ -26,7 +27,7 @@ from chaintrace.sigma_delta import SigmaDeltaDiagram
 from chaintrace.trace import DennisTraceResult, HomologyClass, MoritaResult
 from chaintrace.validation import ValidationReport
 from chaintrace.waldhausen import K0Presentation, PointedSimplicialSet, SObject
-from chaintrace.wcat import ExactFunctor, pointed_sets
+from chaintrace.wcat import pointed_sets
 
 I2 = Matrix(ZZ, [[1, 0], [0, 1]])
 G1 = FPAbelianGroup(1)

@@ -3,15 +3,15 @@
 import pytest
 
 from chaintrace import waldhausen
+from chaintrace.endo import end_category, k0_retract_holds
 from chaintrace.errors import CapExceededError
-from chaintrace.formats import parse_category_text, serialize_category
+from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
     SCategory,
     _enumerate_s_payloads,
     _total_complex_relations,
     grothendieck_k0,
     k0_presentation,
-    k0_retract_holds,
     k0_via_diagonal,
     k0_via_sdot,
     reindex_s_object,
@@ -21,7 +21,6 @@ from chaintrace.waldhausen import (
 )
 from chaintrace.wcat import (
     category_from_selector,
-    end_category,
     finite_modules,
     pointed_sets,
     trivial_category,

@@ -12,17 +12,16 @@ import pytest
 
 from chaintrace import wcat
 from chaintrace.cli import main
+from chaintrace.endo import end_category, validate_exact_functor
 from chaintrace.errors import CapExceededError, InputParseError, ValidationError
-from chaintrace.formats import parse_category_file
+from chaintrace.tables import parse_category_file
 from chaintrace.waldhausen import SCategory
 from chaintrace.wcat import (
     axiom5_bound,
     category_from_selector,
-    end_category,
     finite_modules,
     pointed_sets,
     trivial_category,
-    validate_exact_functor,
     validate_waldhausen,
     vect_gf,
 )
