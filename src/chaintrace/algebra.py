@@ -96,15 +96,6 @@ class Algebra(Value):
         ring = self.ring
         return tuple(ring.add(a, b) for a, b in zip(u, v))
 
-    def sub_vec(self, u, v) -> tuple:
-        ring = self.ring
-        return tuple(ring.sub(a, b) for a, b in zip(u, v))
-
-    def scale_vec(self, c, u) -> tuple:
-        ring = self.ring
-        c = ring.normalize(c)
-        return tuple(ring.mul(c, a) for a in u)
-
     def normalize_vec(self, u) -> tuple:
         if len(u) != self.rank:
             raise ValueError(f"element has {len(u)} coefficients, algebra rank is {self.rank}")
@@ -115,22 +106,6 @@ class Algebra(Value):
         return Matrix.from_cols(
             self.ring, [self.mul_vec(u, self.basis_vector(j)) for j in range(self.rank)], self.rank
         )
-
-    def element_str(self, u) -> str:
-        ring = self.ring
-        parts = [
-            f"{ring.format_element(a)}*{name}" if a != ring.one else name
-            for a, name in zip(u, self.basis_names)
-            if not ring.is_zero(a)
-        ]
-        return " + ".join(parts) if parts else "0"
-
-    def enumerate_elements(self):
-        """All coefficient vectors; finite base rings only."""
-        m = self.ring.modulus
-        if m is None:
-            raise CapExceededError(f"cannot enumerate elements over infinite ring {self.ring}")
-        return itertools.product(range(m), repeat=self.rank)
 
     def __repr__(self) -> str:
         label = self.name or "Algebra"
@@ -387,20 +362,20 @@ def _bijective_over_base(L: Matrix) -> bool:
     return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
 
 
-def general_linear_group(A: Algebra, n: int, cap: int = ENUMERATION_CAP) -> GeneralLinearData:
+def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     """Enumerate GL_n(A) over a finite base ring.
 
     Invertibility of a candidate matrix g is decided by bijectivity of left
     multiplication by g on A^n as a base-ring linear map.  The number of
-    candidates |A|^(n^2) must stay within cap.
+    candidates |A|^(n^2) must stay within ENUMERATION_CAP.
     """
     ring = A.ring
     m = ring.modulus
     if m is None:
         raise CapExceededError(f"GL_n over infinite base ring {ring} is not enumerable")
     count = (m ** A.rank) ** (n * n)
-    if count > cap:
-        raise CapExceededError(f"|A|^(n^2) = {count} exceeds the enumeration cap {cap}")
+    if count > ENUMERATION_CAP:
+        raise CapExceededError(f"|A|^(n^2) = {count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
     elements = []
     single = list(itertools.product(range(m), repeat=A.rank))

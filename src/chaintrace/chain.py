@@ -191,9 +191,6 @@ class HomologyData(Value):
         self._reduce = _reduce
         self._cycle_test = _cycle_test
 
-    def is_cycle(self, vec) -> bool:
-        return self._cycle_test(tuple(self.ring.normalize(x) for x in vec))
-
     def coordinates(self, vec) -> tuple:
         """Canonical coordinates of the class of a cycle.
 

@@ -17,7 +17,14 @@ README) or built-in selectors:
   nested as in ``M2(GF:2)`` or ``M2(M2(GF:2))``;
 * groups: ``trivial``, ``Cn``;
 * categories: ``trivial``, ``vect_gf:q:bound``, ``pointed_sets:bound``,
-  ``finite_modules:p:bound``.
+  ``finite_modules:p:bound``; ``--bound B`` replaces the bound, or
+  supplies it when the selector omits it (``vect_gf:q --bound B``).
+
+A category table is validated as it is parsed, so ``k0`` refuses a table
+that is not a Waldhausen category with exit 3, as ``hh`` refuses a bad
+algebra file; a ``family`` file names a built-in family and is not
+checked again.  ``validate <file>`` parses without validating and reports
+every violated axiom.
 
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4 resource cap
 exceeded, 5 internal invariant breach (never expected).  Output is
@@ -135,11 +142,9 @@ def _category_selector_with_bound(sel: str, bound: int | None) -> str:
     if want == 0:
         raise InputParseError(f"--bound does not apply to the {head!r} category")
     if len(parts) == want:
-        return ":".join([*parts[:-1], str(bound)]) if len(parts) > 1 else f"{head}:{bound}"
+        return ":".join([*parts, str(bound)])
     if len(parts) == want + 1:
         return ":".join([*parts[:-1], str(bound)])
-    if len(parts) == 1 and want == 1:
-        return f"{head}:{bound}"
     raise InputParseError(f"cannot apply --bound to malformed selector {sel!r}")
 
 
@@ -171,11 +176,11 @@ def _resolve_group(inp: str) -> FiniteGroup:
         ) from exc
 
 
-def _resolve_category(inp: str, bound: int | None, validate: bool = False):
+def _resolve_category(inp: str, bound: int | None):
     if os.path.isfile(inp):
         from .tables import parse_category_file
 
-        return parse_category_file(inp, validate=validate)
+        return parse_category_file(inp)
     from .wcat import category_from_selector
 
     try:

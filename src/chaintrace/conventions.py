@@ -2,7 +2,9 @@
 
 The structured output's ``conventions`` block is made of these constants
 (formats.conventions_block), and the modules that enforce them import them
-from here, so rendering an envelope loads no compute module.
+from here, so rendering an envelope loads no compute module.  No function
+takes a cap as a parameter: each is read from its constant where it is
+enforced, so the block reports the caps every computation ran under.
 """
 
 __all__ = [
@@ -32,5 +34,5 @@ LEVEL_CAP = 500_000
 DEGREE_CAP = 3
 GROUP_ORDER_CAP = 24
 
-# Steps a brute-force pushout search may take (wcat.WCategory.pushout_candidates).
+# Steps a brute-force pushout search may take (wcat.WCategory.find_pushout).
 PUSHOUT_SEARCH_CAP = 2_000_000

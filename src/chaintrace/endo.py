@@ -220,13 +220,13 @@ def validate_exact_functor(F: ExactFunctor) -> ValidationReport:
     return report
 
 
-def end_category(C: WCategory, validate: bool = True):
+def end_category(C: WCategory):
     """Build End(C) together with the functors iota_0, iota_1, and forget.
 
     iota_0 equips each object with its zero endomorphism, iota_1 with the
-    identity endomorphism, and forget drops the endomorphism.  With
-    ``validate`` set, all three functors are checked to be exact and a
-    ValidationError is raised on failure.
+    identity endomorphism, and forget drops the endomorphism.  All three
+    functors are checked to be exact, and a ValidationError is raised on
+    failure.
     """
     E = EndCategory(C)
 
@@ -262,9 +262,8 @@ def end_category(C: WCategory, validate: bool = True):
     iota0 = ExactFunctor("iota_0", C, E, iota0_obj, lift(iota0_obj))
     iota1 = ExactFunctor("iota_1", C, E, iota1_obj, lift(iota1_obj))
     forget = ExactFunctor("forget", E, C, forget_obj, drop)
-    if validate:
-        for functor in (iota0, iota1, forget):
-            validate_exact_functor(functor).require_ok()
+    for functor in (iota0, iota1, forget):
+        validate_exact_functor(functor).require_ok()
     return E, iota0, iota1, forget
 
 

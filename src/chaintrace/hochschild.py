@@ -42,7 +42,6 @@ from .linalg import SparseMap
 __all__ = [
     "CyclicModule",
     "cyclic_bar",
-    "hochschild_complex",
     "HochschildHomology",
     "hochschild_homology",
     "cyclic_homology",
@@ -58,14 +57,13 @@ class CyclicModule:
     """Levels A^tensor(q+1) for q = 0..max_level with the cyclic structure.
 
     All operators are column-sparse maps, built lazily and cached.  A full
-    level of rank above ``cap`` is refused when an operator on it is built.
+    level of rank above LEVEL_CAP is refused when an operator on it is built.
     """
 
-    def __init__(self, algebra: Algebra, max_level: int, cap: int = LEVEL_CAP):
+    def __init__(self, algebra: Algebra, max_level: int):
         self.algebra = algebra
         self.ring = algebra.ring
         self.max_level = max_level
-        self.cap = cap
         self._cache: dict = {}
 
     def level_rank(self, q: int) -> int:
@@ -74,11 +72,11 @@ class CyclicModule:
         return self.algebra.rank ** (q + 1)
 
     def check_full_level(self, q: int) -> None:
-        """Raise CapExceededError if full level q has rank above the cap."""
+        """Raise CapExceededError if full level q has rank above LEVEL_CAP."""
         r = self.algebra.rank
-        if r ** (q + 1) > self.cap:
+        if r ** (q + 1) > LEVEL_CAP:
             raise CapExceededError(
-                f"cyclic bar level {q} has rank {r}^{q + 1} = {r ** (q + 1)} > cap {self.cap}"
+                f"cyclic bar level {q} has rank {r}^{q + 1} = {r ** (q + 1)} > cap {LEVEL_CAP}"
             )
 
     def tuples(self, q: int):
@@ -189,10 +187,10 @@ def _hochschild_boundary(A: Algebra, tuples, row_of) -> list[dict]:
     return cols
 
 
-def cyclic_bar(A: Algebra, N: int, cap: int = LEVEL_CAP) -> CyclicModule:
+def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
     """Cyclic module of A with levels 0..N+1 (enough to compute HH_0..HH_N).
 
-    The cap bounds the normalized level N+1, of rank r(r-1)^(N+1), which is
+    LEVEL_CAP bounds the normalized level N+1, of rank r(r-1)^(N+1), which is
     what homology eliminates; a full level, of rank r^(q+1), is checked
     only when an operator on it is built (see CyclicModule.check_full_level).
     """
@@ -200,11 +198,11 @@ def cyclic_bar(A: Algebra, N: int, cap: int = LEVEL_CAP) -> CyclicModule:
         raise DegreeOutOfRangeError("N must be >= 0")
     r = A.rank
     top = r * (r - 1) ** (N + 1)
-    if top > cap:
+    if top > LEVEL_CAP:
         raise CapExceededError(
-            f"cyclic bar level {N + 1} has rank {r}*{r - 1}^{N + 1} = {top} > cap {cap}"
+            f"cyclic bar level {N + 1} has rank {r}*{r - 1}^{N + 1} = {top} > cap {LEVEL_CAP}"
         )
-    return CyclicModule(A, N + 1, cap)
+    return CyclicModule(A, N + 1)
 
 
 class NormalizedComplex:
@@ -309,20 +307,6 @@ class NormalizedComplex:
         return ChainComplex(self.ring, ranks, diffs)
 
 
-def hochschild_complex(C: CyclicModule, normalized: bool = True) -> ChainComplex:
-    """Chain complex of the cyclic module; all available levels.
-
-    The normalized flavor requires the algebra to be in a unit-first basis
-    (see unit_first_presentation); use HochschildHomology for arbitrary
-    bases, which converts at the API boundary.
-    """
-    if normalized:
-        return NormalizedComplex(C).chain_complex(C.max_level)
-    ranks = [C.level_rank(q) for q in range(C.max_level + 1)]
-    diffs = {q: C.boundary(q) for q in range(1, C.max_level + 1)}
-    return ChainComplex(C.ring, ranks, diffs)
-
-
 def tensor_power_map(f: SparseMap, power: int) -> SparseMap:
     """f^tensor(power) with big-endian tuple indexing on both sides."""
     if power < 1:
@@ -363,7 +347,7 @@ class HochschildHomology:
     itself.
     """
 
-    def __init__(self, A: Algebra, max_degree: int, cap: int = LEVEL_CAP):
+    def __init__(self, A: Algebra, max_degree: int):
         if max_degree < 0:
             raise DegreeOutOfRangeError("max_degree must be >= 0")
         self.algebra = A
@@ -373,7 +357,7 @@ class HochschildHomology:
         self.reduced = reduced
         self._t_map = SparseMap.from_matrix(T)
         self._tinv_map = SparseMap.from_matrix(Tinv)
-        self.cyclic_module = cyclic_bar(reduced, max_degree, cap)
+        self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)
         self.complex = self.normalized.chain_complex(max_degree + 1)
         self._data: dict[int, HomologyData] = {}
@@ -426,16 +410,13 @@ class HochschildHomology:
     def is_boundary(self, n: int, vec) -> bool:
         return all(c == 0 for c in self.coordinates(n, vec))
 
-    def classes_equal(self, n: int, u, v) -> bool:
-        return self.coordinates(n, u) == self.coordinates(n, v)
 
-
-def hochschild_homology(A: Algebra, n: int, cap: int = LEVEL_CAP):
+def hochschild_homology(A: Algebra, n: int):
     """HH_n(A) as an FPAbelianGroup (over Z, Z/p^k) or FPModule (fields)."""
-    return HochschildHomology(A, n, cap).group(n)
+    return HochschildHomology(A, n).group(n)
 
 
-def cyclic_total_complex(A: Algebra, max_degree: int, cap: int = LEVEL_CAP) -> ChainComplex:
+def cyclic_total_complex(A: Algebra, max_degree: int) -> ChainComplex:
     """Total complex of the normalized (b, B) bicomplex of A over Q.
 
     Tot_m = sum over p >= 0 of the normalized level m-2p; the differential is
@@ -448,7 +429,7 @@ def cyclic_total_complex(A: Algebra, max_degree: int, cap: int = LEVEL_CAP) -> C
     if max_degree < 0:
         raise DegreeOutOfRangeError("degree must be >= 0")
     reduced, _, _ = unit_first_presentation(A)
-    norm = NormalizedComplex(cyclic_bar(reduced, max_degree, cap))
+    norm = NormalizedComplex(cyclic_bar(reduced, max_degree))
     top = max_degree + 1
 
     offsets: dict[int, list[int]] = {}
@@ -486,6 +467,6 @@ def cyclic_total_complex(A: Algebra, max_degree: int, cap: int = LEVEL_CAP) -> C
     return ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
 
 
-def cyclic_homology(A: Algebra, n: int, cap: int = LEVEL_CAP) -> FPModule:
+def cyclic_homology(A: Algebra, n: int) -> FPModule:
     """HC_n(A) over Q; see cyclic_total_complex."""
-    return homology(reduce_complex(cyclic_total_complex(A, n, cap)), n).group
+    return homology(reduce_complex(cyclic_total_complex(A, n)), n).group

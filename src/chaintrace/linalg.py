@@ -127,13 +127,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return tuple(self.rows[i][j] for i in range(self.nrows))
 
-    def cols(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
-
-    def is_zero(self) -> bool:
-        zero = self.ring.is_zero
-        return all(zero(x) for row in self.rows for x in row)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -185,14 +178,6 @@ class Matrix:
             [[ring.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
-
-    def neg(self) -> "Matrix":
-        ring = self.ring
-        return Matrix._canonical(ring, [[ring.neg(a) for a in row] for row in self.rows], self.ncols)
-
-    def transpose(self) -> "Matrix":
-        rows = self.rows
-        return Matrix._canonical(self.ring, [[row[j] for row in rows] for j in range(self.ncols)], self.nrows)
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:
@@ -309,9 +294,6 @@ class SparseMap(Value):
 
     def is_zero_map(self) -> bool:
         return all(not col for col in self.cols)
-
-    def nnz(self) -> int:
-        return sum(len(col) for col in self.cols)
 
 
 class SmithDecomposition(Value):

@@ -41,9 +41,9 @@ from .wcat import category_from_selector, validate_waldhausen
 __all__ = ["SUITES", "LONGEST_FIRST", "run_suites", "validate_cyclic_module"]
 
 
-def validate_cyclic_module(C: CyclicModule, through_level: int | None = None) -> ValidationReport:
+def validate_cyclic_module(C: CyclicModule) -> ValidationReport:
     """Exhaustively check the simplicial and cyclic operator identities."""
-    top = C.max_level if through_level is None else min(through_level, C.max_level)
+    top = C.max_level
     report = ValidationReport(subject=f"cyclic module of {C.algebra.name or 'algebra'}")
 
     def eq(lhs: SparseMap, rhs: SparseMap, label: str) -> None:

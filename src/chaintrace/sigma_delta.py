@@ -15,8 +15,9 @@ identity operators act by levelwise bijections.
 Entry sizes grow fast: the two-direction entry (2; 2, 2) over
 2-dimensional vector spaces has 950 objects but over a million
 weak-equivalence strings already at nerve level 1, so entries whose
-category exceeds an object cap are materialized at nerve level 0 only
-and every such truncation is recorded as a skip, never silently.
+category has more than ``ENTRY_OBJECT_CAP`` objects are materialized at
+nerve level 0 only and every such truncation is recorded as a skip, never
+silently.
 
 Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
 with the string operators there, and restriction along a monotone
@@ -35,7 +36,6 @@ from .errors import CapExceededError, InputParseError, InternalInvariantError
 from .validation import ValidationReport
 from .values import Value
 from .waldhausen import (
-    STRING_CAP,
     PointedSimplicialSet,
     SCategory,
     _memo1,
@@ -140,8 +140,6 @@ def ktheory_sigma_delta(
     n_max: int = 2,
     k_cap: int = 2,
     w_cap: int = 2,
-    entry_object_cap: int = ENTRY_OBJECT_CAP,
-    string_cap: int = STRING_CAP,
 ) -> SigmaDeltaDiagram:
     """The flag diagram of C: entry (n; k⃗) is the nerve of w S_{k_1}..S_{k_n} C.
 
@@ -150,7 +148,7 @@ def ktheory_sigma_delta(
     the outer direction along a monotone map (``reindex_functor``),
     reindexing an inner direction entrywise, and transposing the two
     directions.  Entries
-    whose category exceeds ``entry_object_cap`` objects keep nerve level
+    whose category exceeds ENTRY_OBJECT_CAP objects keep nerve level
     0 only, with the truncation recorded.
     """
     if n_max > 2:
@@ -178,13 +176,13 @@ def ktheory_sigma_delta(
     for n, ks in diagram.keys:
         cat = category_for(ks)
         w_top = w_cap
-        if cat.object_count() > entry_object_cap:
+        if cat.object_count() > ENTRY_OBJECT_CAP:
             w_top = 0
             diagram.skips.append(
                 f"entry {(n, ks)}: nerve levels 1..{w_cap} not materialized "
-                f"({cat.object_count()} objects exceed the cap {entry_object_cap})"
+                f"({cat.object_count()} objects exceed the cap {ENTRY_OBJECT_CAP})"
             )
-        diagram._entries[(n, ks)] = weq_nerve(cat, w_top, string_cap)
+        diagram._entries[(n, ks)] = weq_nerve(cat, w_top)
 
     # -- reusable functors; each is an (object map, morphism map) pair ------
 

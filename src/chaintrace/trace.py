@@ -102,11 +102,11 @@ def _bar_boundary(G: FiniteGroup, ring: BaseRing, tuples, row_of) -> list[dict]:
     return cols
 
 
-def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int, cap: int = LEVEL_CAP) -> ChainComplex:
+def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int) -> ChainComplex:
     """Unnormalized inhomogeneous bar complex: level q is R[G^q]."""
     n = G.order
-    if n**max_d > cap:
-        raise CapExceededError(f"bar level {max_d} has rank {n}^{max_d} > cap {cap}")
+    if n**max_d > LEVEL_CAP:
+        raise CapExceededError(f"bar level {max_d} has rank {n}^{max_d} > cap {LEVEL_CAP}")
     diffs = {}
     for q in range(1, max_d + 1):
         cols = _bar_boundary(G, ring, itertools.product(range(n), repeat=q), lambda t: _tuple_index(n, t))
@@ -123,12 +123,12 @@ class GroupHomology:
     homology_data() uses the complex itself.
     """
 
-    def __init__(self, G: FiniteGroup, ring: BaseRing, max_degree: int, cap: int = LEVEL_CAP):
+    def __init__(self, G: FiniteGroup, ring: BaseRing, max_degree: int):
         if max_degree < 0:
             raise DegreeOutOfRangeError("max_degree must be >= 0")
-        if (G.order - 1) ** (max_degree + 1) > cap:
+        if (G.order - 1) ** (max_degree + 1) > LEVEL_CAP:
             raise CapExceededError(
-                f"normalized bar level {max_degree + 1} exceeds cap {cap} for |G| = {G.order}"
+                f"normalized bar level {max_degree + 1} exceeds cap {LEVEL_CAP} for |G| = {G.order}"
             )
         self.group = G
         self.ring = ring
@@ -179,9 +179,9 @@ class GroupHomology:
         return homology(self.core, n).group
 
 
-def group_homology(G: FiniteGroup, ring: BaseRing, n: int, cap: int = LEVEL_CAP):
+def group_homology(G: FiniteGroup, ring: BaseRing, n: int):
     """H_n(BG; R) as an FPAbelianGroup or FPModule."""
-    return GroupHomology(G, ring, n, cap).group_at(n)
+    return GroupHomology(G, ring, n).group_at(n)
 
 
 def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
@@ -243,12 +243,7 @@ class HomologyClass(Value):
         return all(c == 0 for c in self.coordinates)
 
 
-def dennis_trace_k1(
-    A: Algebra,
-    g,
-    work: HochschildHomology | None = None,
-    cap: int = LEVEL_CAP,
-) -> HomologyClass:
+def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> HomologyClass:
     """Class of tr(g^-1 x g) in HH_1(A) for an invertible matrix g over A.
 
     g is given as an n x n nested tuple/list of A coefficient vectors.
@@ -281,7 +276,7 @@ def dennis_trace_k1(
                         cycle[k] = ring.add(cycle[k], ring.mul(a, b))
     cycle = tuple(cycle)
     if work is None:
-        work = HochschildHomology(A, 1, cap)
+        work = HochschildHomology(A, 1)
     coords = work.coordinates(1, cycle)
     return HomologyClass(1, coords, cycle, work.homology_data(1).group)
 
@@ -345,15 +340,15 @@ def fp_map_is_iso(
     return surjective, surjective and same
 
 
-def morita_map(A: Algebra, n: int, max_degree: int, cap: int = LEVEL_CAP) -> list[MoritaResult]:
+def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
     """Multitrace-induced maps HH_d(M_n(A)) -> HH_d(A) for d = 0..max_degree.
 
     The caps of every degree are checked, in the order the loop would meet
     them, before the first elimination: a refusal costs no homology work.
     """
     M = matrix_algebra(A, n)
-    WM = HochschildHomology(M, max_degree, cap)
-    WA = HochschildHomology(A, max_degree, cap)
+    WM = HochschildHomology(M, max_degree)
+    WA = HochschildHomology(A, max_degree)
     for d in range(max_degree + 1):
         WM.cyclic_module.check_full_level(d)  # M's full level is the larger one
         check_dense_cells(WM.complex, d)
@@ -409,14 +404,7 @@ class DennisTraceResult(Value):
         self.hochschild = hochschild
 
 
-def dennis_trace_homology(
-    A: Algebra,
-    n: int,
-    d: int,
-    degree_cap: int = DEGREE_CAP,
-    group_cap: int = GROUP_ORDER_CAP,
-    cap: int = LEVEL_CAP,
-) -> DennisTraceResult:
+def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     """Chain-level Dennis trace on group homology generators.
 
     Enumerates GL_n(A) (finite base ring required), computes
@@ -424,16 +412,15 @@ def dennis_trace_homology(
     generator through phi, the embedding, and the multitrace, and reduces in
     HH_d(A).
     """
-    if d > degree_cap:
-        raise CapExceededError(f"degree {d} above the trace pipeline cap {degree_cap}")
+    if d > DEGREE_CAP:
+        raise CapExceededError(f"degree {d} above the trace pipeline cap {DEGREE_CAP}")
     gl = general_linear_group(A, n)
     G = gl.group
-    if G.order > group_cap:
-        raise CapExceededError(f"|GL_{n}| = {G.order} above the group order cap {group_cap}")
+    if G.order > GROUP_ORDER_CAP:
+        raise CapExceededError(f"|GL_{n}| = {G.order} above the group order cap {GROUP_ORDER_CAP}")
     ring = A.ring
-    GH = GroupHomology(G, ring, d, cap)
-    WA = HochschildHomology(A, d, cap)
-    M = matrix_algebra(A, n)
+    GH = GroupHomology(G, ring, d)
+    WA = HochschildHomology(A, d)
 
     phi = group_to_hh(G, ring, d)
     iota_q = tensor_power_map(SparseMap.from_matrix(gl.embedding.matrix), d + 1)

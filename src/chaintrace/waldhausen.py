@@ -84,6 +84,7 @@ __all__ = [
     "grothendieck_k0",
 ]
 
+# Each cap below is read where it is enforced; none is a parameter.
 # Flag grids are enumerated exhaustively, so the column count k is capped.
 DEFAULT_K_CAP = 3
 # Largest set of weak-equivalence strings materialized at one level: a
@@ -122,14 +123,6 @@ class SObject(Value):
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * (self.k + 1) + j]
-
-    def horizontal_arrow(self, i: int, j: int) -> int:
-        """Handle of X(i,j) -> X(i,j+1); needs 0 <= j <= k-1."""
-        return self.horizontal[i * self.k + j]
-
-    def vertical_arrow(self, i: int, j: int) -> int:
-        """Handle of X(i,j) -> X(i+1,j); needs 0 <= i <= k-1."""
-        return self.vertical[i * (self.k + 1) + j]
 
 
 def _hcomp(base: WCategory, k: int, payload: tuple, i: int, j1: int, j2: int) -> int:
@@ -214,7 +207,7 @@ def validate_s_object(base: WCategory, obj: SObject) -> ValidationReport:
     return report
 
 
-def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> list:
+def _enumerate_s_payloads(base: WCategory, k: int) -> list:
     """All valid grid payloads over the base, sorted; complete within the bound.
 
     Rows are built downward: the top row ranges over cofibration chains
@@ -229,13 +222,13 @@ def _enumerate_s_payloads(base: WCategory, k: int, cap: int = S_OBJECT_CAP) -> l
     complex read one enumeration; a refusal is not cached and is raised
     again on every call.
     """
-    got = base._s_payload_cache.get((k, cap))
+    got = base._s_payload_cache.get(k)
     if got is None:
-        got = base._s_payload_cache[(k, cap)] = _build_s_payloads(base, k, cap)
+        got = base._s_payload_cache[k] = _build_s_payloads(base, k)
     return got
 
 
-def _build_s_payloads(base: WCategory, k: int, cap: int) -> list:
+def _build_s_payloads(base: WCategory, k: int) -> list:
     z = base.zero_index()
     idz = base.identity_id(z)
     n = k + 1
@@ -249,8 +242,8 @@ def _build_s_payloads(base: WCategory, k: int, cap: int) -> list:
             for m in base.cofibs_from(objs[-1]):
                 nxt.append((objs + (base.mor_target(m),), arrows + (m,)))
         chains = nxt
-        if len(chains) > cap:
-            raise CapExceededError(f"more than {cap} cofibration chains of length {k}")
+        if len(chains) > S_OBJECT_CAP:
+            raise CapExceededError(f"more than {S_OBJECT_CAP} cofibration chains of length {k}")
 
     out = []
     for top_objs, top_arrows in chains:
@@ -295,8 +288,8 @@ def _build_s_payloads(base: WCategory, k: int, cap: int) -> list:
                             (rows + (tuple(row),), hrows + (tuple(hrow),), vrows + (tuple(vrow),))
                         )
             grids = nxt
-            if len(grids) > cap:
-                raise CapExceededError(f"more than {cap} flag grids over {base.name}")
+            if len(grids) > S_OBJECT_CAP:
+                raise CapExceededError(f"more than {S_OBJECT_CAP} flag grids over {base.name}")
 
         for rows, hrows, vrows in grids:
             payload = (
@@ -311,17 +304,17 @@ def _build_s_payloads(base: WCategory, k: int, cap: int) -> list:
                 )
             out.append(payload)
     out.sort()
-    if len(out) > cap:
-        raise CapExceededError(f"more than {cap} flag grids over {base.name}")
+    if len(out) > S_OBJECT_CAP:
+        raise CapExceededError(f"more than {S_OBJECT_CAP} flag grids over {base.name}")
     return out
 
 
-def s_k_objects(C: WCategory, k: int, k_cap: int = DEFAULT_K_CAP) -> list:
+def s_k_objects(C: WCategory, k: int) -> list:
     """Every flag grid on [k] x [k] over C, validated, in canonical order."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    if k > k_cap:
-        raise CapExceededError(f"k = {k} exceeds the flag-grid cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise CapExceededError(f"k = {k} exceeds the flag-grid cap {DEFAULT_K_CAP}")
     combo = _enumerate_s_payloads(C, k)
     return [SObject(k, *payload) for payload in combo]
 
@@ -352,9 +345,9 @@ class SCategory(WCategory):
     order, so morphisms come out in the order of a plain scan.
     """
 
-    def __init__(self, base: WCategory, k: int, k_cap: int = DEFAULT_K_CAP):
-        if k > k_cap:
-            raise CapExceededError(f"k = {k} exceeds the flag-grid cap {k_cap}")
+    def __init__(self, base: WCategory, k: int):
+        if k > DEFAULT_K_CAP:
+            raise CapExceededError(f"k = {k} exceeds the flag-grid cap {DEFAULT_K_CAP}")
         self.base = base
         self.k = k
         self._slots = tuple(
@@ -382,10 +375,6 @@ class SCategory(WCategory):
     def slot_entry(self, a: int, i: int, j: int) -> int:
         """Base object index at grid position (i, j) of object a."""
         return self._obj_payloads[a][0][i * (self.k + 1) + j]
-
-    def slot_component(self, m: int, i: int, j: int) -> int:
-        """Base component of morphism m at slot (i, j), which must have i < j."""
-        return self._mor_payload[m][self._slot_pos[(i, j)]]
 
     def s_object(self, a: int) -> SObject:
         return SObject(self.k, *self._obj_payloads[a])
@@ -748,14 +737,14 @@ class PointedSimplicialSet(Value):
         return report
 
 
-def _weq_strings(C: WCategory, length: int, string_cap: int, too_many: str) -> list:
+def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
     """Strings of ``length`` composable weak equivalences of C.
 
     Each string is a pair (start object, morphism tuple).  The basepoint,
     the identity string on the zero object, comes first; the rest follow
     depth first over target objects and weak-equivalence sets.  Raises
     CapExceededError with the message ``too_many`` once the list holds
-    more than ``string_cap`` strings.
+    more than STRING_CAP strings.
     """
     bp = (C.zero_index(), (C.identity_id(C.zero_index()),) * length)
     elts = [bp]
@@ -765,7 +754,7 @@ def _weq_strings(C: WCategory, length: int, string_cap: int, too_many: str) -> l
             # distinct paths give distinct strings; only bp comes up twice
             if (x0, prefix) != bp:
                 elts.append((x0, prefix))
-            if len(elts) > string_cap:
+            if len(elts) > STRING_CAP:
                 raise CapExceededError(too_many)
             return
         for b in range(C.object_count()):
@@ -803,7 +792,7 @@ def map_string(functor: tuple, s: tuple) -> tuple:
     return (obj(x0), tuple(mor(g) for g in gs))
 
 
-def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> PointedSimplicialSet:
+def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     """The nerve of the weak equivalences of C, truncated at level w_max.
 
     Level l lists the strings of l composable weak equivalences as pairs
@@ -812,7 +801,7 @@ def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> Pointed
     identities.
     """
     levels = [
-        _weq_strings(C, l, string_cap, f"nerve level {l} of {C.name} exceeds {string_cap} strings")
+        _weq_strings(C, l, f"nerve level {l} of {C.name} exceeds {STRING_CAP} strings")
         for l in range(w_max + 1)
     ]
     return PointedSimplicialSet.tabulate(
@@ -823,9 +812,7 @@ def weq_nerve(C: WCategory, w_max: int, string_cap: int = STRING_CAP) -> Pointed
     )
 
 
-def ws_diagonal(
-    C: WCategory, n_max: int = 2, string_cap: int = STRING_CAP
-) -> PointedSimplicialSet:
+def ws_diagonal(C: WCategory, n_max: int = 2) -> PointedSimplicialSet:
     """The diagonal n |-> w_n S_n C of the bisimplicial set (p, q) |-> w_q S_p C.
 
     Truncated at n_max.  Level n holds the strings of n composable weak
@@ -839,9 +826,7 @@ def ws_diagonal(
     """
     scats = [SCategory(C, n) for n in range(n_max + 1)]
     levels = [
-        _weq_strings(
-            S, n, string_cap, f"level {n} of the diagonal of {C.name} exceeds {string_cap} strings"
-        )
+        _weq_strings(S, n, f"level {n} of the diagonal of {C.name} exceeds {STRING_CAP} strings")
         for n, S in enumerate(scats)
     ]
 
@@ -893,7 +878,7 @@ def _relation_cokernel(nrows: int, columns) -> tuple:
     return cols, homology(cx, 0)
 
 
-def _total_complex_relations(C: WCategory, string_cap: int = STRING_CAP) -> tuple:
+def _total_complex_relations(C: WCategory) -> tuple:
     """H_1 of the total complex of (p, q) |-> w_q S_p C, with its relations.
 
     Returns (S_1, generators, relation columns, homology data): generators
@@ -910,7 +895,7 @@ def _total_complex_relations(C: WCategory, string_cap: int = STRING_CAP) -> tupl
     S1, S2 = SCategory(C, 1), SCategory(C, 2)
     gens, column = _object_columns(S1)
     faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
-    weqs = _weq_strings(S1, 1, string_cap, f"w_1 S_1 of {C.name} exceeds {string_cap} strings")
+    weqs = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings")
 
     def relations():
         for x in range(S2.object_count()):
@@ -922,7 +907,7 @@ def _total_complex_relations(C: WCategory, string_cap: int = STRING_CAP) -> tupl
     return S1, gens, cols, hd
 
 
-def k0_via_sdot(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
+def k0_via_sdot(C: WCategory) -> FPAbelianGroup:
     """K_0 as H_1 of |wS_.C|, from the total complex of (p, q) |-> w_q S_p C.
 
     By the generalized Eilenberg-Zilber theorem (Dold-Puppe; Goerss-Jardine
@@ -930,16 +915,16 @@ def k0_via_sdot(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
     homotopy equivalent to the total complex of the normalized bicomplex,
     so this is still H_1 of the diagonal.  Total degree <= 2 needs only the
     objects of S_1, the grids of S_2 and the weak equivalences of S_1;
-    ``string_cap`` bounds the last.  The faces of S_2 are taken by
+    STRING_CAP bounds the last.  The faces of S_2 are taken by
     reindexing grids, not by reading their slots, so agreement with
     ``grothendieck_k0`` checks the S_. face maps; in these degrees the
     relations coincide with the presentation's by theory, so it does not
     check the theorem.  ``k0_via_diagonal`` builds the diagonal itself.
     """
-    return _total_complex_relations(C, string_cap)[3].group
+    return _total_complex_relations(C)[3].group
 
 
-def k0_via_diagonal(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGroup:
+def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
     """K_0 as H_1 of the diagonal of the flag construction, built level by level.
 
     The level-0 set is a single point, so the reduced complex has zero
@@ -949,7 +934,7 @@ def k0_via_diagonal(C: WCategory, string_cap: int = STRING_CAP) -> FPAbelianGrou
     holds every pair of composable weak equivalences of S_2, so this is
     the oracle for ``k0_via_sdot`` on small families.
     """
-    X = ws_diagonal(C, 2, string_cap)
+    X = ws_diagonal(C, 2)
     if len(X.levels[0]) != 1:
         raise InternalInvariantError("level 0 of the diagonal is not a single point")
     degenerate = set(X.degens[1][0]) | set(X.degens[1][1])

@@ -173,9 +173,7 @@ class WCategory:
         default searches by brute force; families override with a direct
         construction.
         """
-        for cand in self.pushout_candidates(i, f, first_only=True):
-            return cand
-        return None
+        return self.find_pushout(i, f)
 
     def _witness(self, i: int, f: int, d_payload, u_payload, v_payload) -> tuple:
         """Intern the witness (d, u, v) of b <-i- a -f-> c given by payloads."""
@@ -386,8 +384,8 @@ class WCategory:
             return False
         return all(len(self.mediating_ids(u, v, p, q)) == 1 for _, p, q in self._cocones(i, f))
 
-    def pushout_candidates(self, i: int, f: int, first_only: bool = False) -> list:
-        """All (d, u, v) within the bound satisfying the universal property.
+    def find_pushout(self, i: int, f: int):
+        """The first (d, u, v) within the bound with the universal property, or None.
 
         Every commuting square is a candidate, tested against the squares in
         order until one lacks a unique mediating map.  One such test is a
@@ -395,7 +393,6 @@ class WCategory:
         CapExceededError.
         """
         cocones = tuple(self._cocones(i, f))
-        out = []
         steps = 0
         for d, u, v in cocones:
             for _, p, q in cocones:
@@ -408,10 +405,8 @@ class WCategory:
                 if len(self.mediating_ids(u, v, p, q)) != 1:
                     break
             else:
-                out.append((d, u, v))
-                if first_only:
-                    return out
-        return out
+                return d, u, v
+        return None
 
     def iso_ids(self, a: int, b: int) -> tuple:
         """Isomorphisms a -> b, found among the weak equivalences.
@@ -965,7 +960,7 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
         report.checks_run += 1
         w = C.pushout_witness(i, f)
         if w is None:
-            if C.pushout_candidates(i, f, first_only=True):
+            if C.find_pushout(i, f) is not None:
                 report.record(
                     f"axiom 3: pushout of ({C.mor_label(i)}, {C.mor_label(f)}) "
                     f"exists within the bound but no witness is recorded"

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from chaintrace import wcat
 from chaintrace.algebra import cyclic_group, group_algebra
 from chaintrace.cli import main
 from chaintrace.errors import InputParseError, ValidationError
@@ -223,6 +224,37 @@ def test_cli_k0(capsys):
     assert "K0 via Grothendieck presentation: Z" in out
     assert "K0 via w.S-construction diagonal: Z" in out
     assert out.strip().endswith("verdict: AGREE")
+
+
+@pytest.mark.parametrize("axiom", [1, 2, 3, 4, 5])
+def test_cli_k0_validates_a_category_file(capsys, axiom):
+    path = os.path.join(DATA, f"corrupt_axiom{axiom}.txt")
+    code, out, err = run_cli(capsys, "k0", path)
+    assert code == 3 and out == ""
+    assert err.startswith("error (validation)") and f"axiom {axiom}" in err
+
+
+def test_cli_k0_family_file_computes_what_its_selector_computes(tmp_path, capsys, monkeypatch):
+    # a built-in family is valid by construction, so no validation cap may
+    # refuse its file where the selector is computed
+    monkeypatch.setattr(wcat, "TRIPLE_CAP", 0)
+    path = tmp_path / "family.txt"
+    path.write_text("category V\nfamily vect_gf:2:2\n")
+    assert run_cli(capsys, "k0", str(path)) == run_cli(capsys, "k0", "vect_gf:2:2")
+
+
+@pytest.mark.parametrize(
+    "omitted, full",
+    [
+        (("finite_modules:2", "--bound", "4"), "finite_modules:2:4"),
+        (("vect_gf:2", "--bound", "1"), "vect_gf:2:1"),
+        (("pointed_sets", "--bound", "2"), "pointed_sets:2"),
+    ],
+)
+def test_cli_bound_supplies_an_omitted_selector_bound(capsys, omitted, full):
+    code, out, _ = run_cli(capsys, "k0", *omitted)
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "k0", full)[:2]
 
 
 def test_cli_validate_family(capsys):

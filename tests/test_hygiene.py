@@ -153,3 +153,240 @@ def test_every_export_is_referenced():
         for p in sorted(folder.glob("*.py"))
     ]
     assert dead_exports(modules, others) == []
+
+
+def _sources(folders) -> list[str]:
+    return [p.read_text(encoding="utf-8") for folder in folders for p in sorted(folder.glob("*.py"))]
+
+
+def _named_class(annotation) -> str | None:
+    """The name an annotation gives, as in ``x: Matrix`` or ``-> "Matrix"``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value
+    return annotation.id if isinstance(annotation, ast.Name) else None
+
+
+def _decorators(fn: ast.FunctionDef) -> set[str]:
+    return {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+
+
+class _Index:
+    """The classes of the package, their public methods, and what returns what.
+
+    ``methods[name]`` lists (class, def) for every public method called
+    ``name``.  ``data`` holds the names some class keeps as a field (its
+    ``__slots__`` or ``_fields``, or a ``self.x = ...`` target) or as a
+    property: a bare read such as ``m.cols`` reaches those, not a method.
+    ``returns`` maps a function, or ``Class.method``, to the class its
+    return annotation names.
+    """
+
+    def __init__(self, modules: list[str]):
+        self.bases: dict[str, list[str]] = {}
+        self.methods: dict[str, list] = {}
+        self.data: set[str] = set()
+        self.returns: dict[str, str] = {}
+        for source in modules:
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.FunctionDef) and _named_class(node.returns):
+                    self.returns[node.name] = _named_class(node.returns)
+                elif isinstance(node, ast.ClassDef):
+                    self._add_class(node)
+
+    def _add_class(self, cls: ast.ClassDef) -> None:
+        self.bases[cls.name] = [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                self.data.add(node.attr)
+        for node in cls.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("__slots__", "_fields") for t in node.targets
+            ):
+                self.data.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if _named_class(node.returns):
+                self.returns[f"{cls.name}.{node.name}"] = _named_class(node.returns)
+            if _decorators(node) & {"property", "cached_property"}:
+                self.data.add(node.name)
+            elif not node.name.startswith("_"):
+                self.methods.setdefault(node.name, []).append((cls.name, node))
+
+    def lineage(self, cls: str) -> list[str]:
+        out = [cls]
+        for base in self.bases.get(cls, []):
+            out += self.lineage(base)
+        return out
+
+    def related(self, a: str, b: str) -> bool:
+        """Whether a call on an ``a`` may dispatch to a method of ``b``."""
+        return b in self.lineage(a) or a in self.lineage(b)
+
+    def method_returns(self, cls: str, name: str) -> str | None:
+        for owner in self.lineage(cls):
+            if f"{owner}.{name}" in self.returns:
+                return self.returns[f"{owner}.{name}"]
+        return None
+
+
+def _accepts(fn: ast.FunctionDef, call: ast.Call, on_class: bool) -> bool:
+    """Whether ``call`` fits fn's signature; called on the class itself, the
+    first argument may be an explicit self."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    params = fn.args.posonlyargs + fn.args.args
+    if "staticmethod" not in _decorators(fn):
+        params = params[1:]
+    required = len(params) - len(fn.args.defaults)
+    for given in {len(call.args), len(call.args) - on_class}:
+        if (given <= len(params) or fn.args.vararg) and given + len(call.keywords) >= required:
+            return True
+    return False
+
+
+def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
+    """(class, method) pairs that some attribute of ``source`` may reach.
+
+    The receiver's class is inferred where the source states it: ``self``,
+    an annotated parameter, a name bound to a constructor call or to a call
+    whose return annotation names a class, a class named directly.  A call
+    must fit the method's signature.  An unknown receiver may reach every
+    method of that name, except that a bare read (no call) of a name in
+    ``index.data`` counts for the data.  A string passed to a call, as to
+    ``getattr``, counts for every method of that name.
+    """
+    tree = ast.parse(source)
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    uses = set()
+
+    def infer(node, env) -> str | None:
+        if isinstance(node, ast.Name):
+            return env.get(node.id) or (node.id if node.id in index.bases else None)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name = node.func.id
+            return name if name in index.bases else index.returns.get(name)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = infer(node.func.value, env)
+            return index.method_returns(owner, node.func.attr) if owner else None
+        return None
+
+    def visit(scope, env: dict, cls: str | None) -> None:
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef):
+                visit(node, env, node.name)
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = dict(env) if isinstance(node, ast.Lambda) else {}
+                for i, arg in enumerate(node.args.posonlyargs + node.args.args):
+                    named = _named_class(arg.annotation)
+                    if named in index.bases:
+                        inner[arg.arg] = named
+                    elif i == 0 and arg.arg == "self" and cls:
+                        inner["self"] = cls
+                visit(node, inner, cls)
+                continue
+            if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+                named = infer(node.value, env)
+                if named:
+                    env[node.targets[0].id] = named
+                else:
+                    env.pop(node.targets[0].id, None)
+            if isinstance(node, ast.Call):
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                        uses.update((owner, arg.value) for owner, _ in index.methods.get(arg.value, ()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                receiver = infer(node.value, env)
+                on_class = isinstance(node.value, ast.Name) and node.value.id in index.bases
+                call = calls.get(id(node))
+                for owner, fn in index.methods.get(node.attr, ()):
+                    if receiver and not index.related(receiver, owner):
+                        continue
+                    if call is not None:
+                        reached = _accepts(fn, call, on_class)
+                    else:
+                        reached = bool(receiver) or node.attr not in index.data
+                    if reached:
+                        uses.add((owner, node.attr))
+            visit(node, env, cls)
+
+    visit(tree, {}, None)
+    return uses
+
+
+def dead_methods(modules: list[str], others: list[str]) -> list[str]:
+    """``Class.method`` for every public method of a package class that no
+    source may reach (see ``method_uses``)."""
+    index = _Index(modules)
+    used = set()
+    for source in modules + others:
+        used |= method_uses(index, source)
+    return sorted(
+        f"{cls}.{name}"
+        for name, owners in index.methods.items()
+        for cls, _ in owners
+        if (cls, name) not in used
+    )
+
+
+def test_scan_flags_dead_methods():
+    lib = (
+        "class Grid:\n"
+        "    __slots__ = ('cols',)\n"
+        "    def neg(self) -> 'Grid':\n        return self\n"
+        "    def cols(self):\n        return []\n"
+        "    def scale(self, c):\n        return self\n"
+        "    def flip(self):\n        return self.neg()\n"
+        "    @classmethod\n    def build(cls, n):\n        return cls()\n"
+        "class Ring:\n"
+        "    def neg(self, a):\n        return a\n"
+        "    def scale(self, c, a):\n        return a\n"
+        "    def unused(self):\n        pass\n"
+        "def make() -> Grid:\n    return Grid.build(2)\n"
+    )
+    client = (
+        "def f(r: Ring, x):\n"
+        "    g = make()\n"
+        "    g.flip()\n"
+        "    r.neg(x).scale(1, 2)\n"
+        "    return x.cols, getattr(r, 'unused')\n"
+    )
+    assert dead_methods([lib], [client]) == ["Grid.cols", "Grid.scale"]
+
+
+def test_every_public_method_is_referenced():
+    assert dead_methods(_sources([SRC]), _sources(REFERENCE_DIRS[1:])) == []
+
+
+def constant_defaults(source: str) -> list[str]:
+    """``function.parameter`` for every parameter whose default is an
+    upper-case module constant.  A cap belongs where it is enforced, read
+    from its module constant: as a default it becomes an option that can
+    run the engine under a cap the structured output does not report."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out += [
+                f"{node.name}.{arg.arg}"
+                for arg, default in pairs
+                if isinstance(default, ast.Name) and default.id.isupper()
+            ]
+    return out
+
+
+def test_scan_flags_constant_defaults():
+    source = (
+        "CAP = 3\nLevel = 2\n"
+        "def f(a, b=CAP, c=Level, d=None):\n    pass\n"
+        "class K:\n    def g(self, *, e=CAP, h=4):\n        pass\n"
+    )
+    assert constant_defaults(source) == ["f.b", "g.e"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_parameter_defaults_to_a_module_constant(path):
+    assert constant_defaults(path.read_text(encoding="utf-8")) == []

@@ -115,9 +115,10 @@ def test_ws_diagonal_trivial():
     assert ps.validate().ok
 
 
-def test_ws_diagonal_string_cap():
+def test_ws_diagonal_string_cap(monkeypatch):
+    monkeypatch.setattr(waldhausen, "STRING_CAP", 100)
     with pytest.raises(CapExceededError):
-        ws_diagonal(vect_gf(2, 2), 2, string_cap=100)
+        ws_diagonal(vect_gf(2, 2), 2)
 
 
 @pytest.mark.parametrize(
@@ -205,11 +206,13 @@ def test_total_complex_relations_are_the_presentation(sel):
     assert mapped == {up_to_sign(col) for col in pres.relations}
 
 
-def test_total_complex_string_cap():
+def test_total_complex_string_cap(monkeypatch):
     # w_1 S_1 of vect_gf(2, 2) holds the basepoint and 7 automorphisms
+    monkeypatch.setattr(waldhausen, "STRING_CAP", 7)
     with pytest.raises(CapExceededError, match="w_1 S_1"):
-        k0_via_sdot(vect_gf(2, 2), string_cap=7)
-    assert k0_via_sdot(vect_gf(2, 2), string_cap=8).free_rank == 1
+        k0_via_sdot(vect_gf(2, 2))
+    monkeypatch.setattr(waldhausen, "STRING_CAP", 8)
+    assert k0_via_sdot(vect_gf(2, 2)).free_rank == 1
 
 
 def classify(pres, label):
@@ -249,9 +252,9 @@ def test_k0_routes_share_one_flag_grid_enumeration(monkeypatch):
     calls = []
     build = waldhausen._build_s_payloads
 
-    def counting_build(base, k, cap):
+    def counting_build(base, k):
         calls.append(k)
-        return build(base, k, cap)
+        return build(base, k)
 
     monkeypatch.setattr(waldhausen, "_build_s_payloads", counting_build)
     C = vect_gf(2, 2)
@@ -261,9 +264,11 @@ def test_k0_routes_share_one_flag_grid_enumeration(monkeypatch):
     assert sorted(calls) == [0, 1, 2]
 
 
-def test_refused_flag_grid_enumeration_is_raised_every_time():
+def test_refused_flag_grid_enumeration_is_raised_every_time(monkeypatch):
     C = vect_gf(2, 2)
+    monkeypatch.setattr(waldhausen, "S_OBJECT_CAP", 2)
     for _ in range(2):
         with pytest.raises(CapExceededError):
-            _enumerate_s_payloads(C, 2, cap=2)
+            _enumerate_s_payloads(C, 2)
+    monkeypatch.undo()
     assert len(_enumerate_s_payloads(C, 2)) == 18

@@ -208,14 +208,14 @@ def test_pushout_search_stops_at_its_step_cap(monkeypatch, capsys):
         return mediating(self, *args)
 
     monkeypatch.setattr(wcat.WCategory, "mediating_ids", counted)
-    found = C.pushout_candidates(m1, m1, first_only=True)
-    assert len(found) == 1 and len(steps) == 48
+    found = C.find_pushout(m1, m1)
+    assert found is not None and len(steps) == 48
 
     monkeypatch.setattr(wcat, "PUSHOUT_SEARCH_CAP", 48)
-    assert C.pushout_candidates(m1, m1, first_only=True) == found
+    assert C.find_pushout(m1, m1) == found
     monkeypatch.setattr(wcat, "PUSHOUT_SEARCH_CAP", 47)
     with pytest.raises(CapExceededError, match=r"\(m1, m1\) over \d+ commuting squares passed 47 steps"):
-        C.pushout_candidates(m1, m1, first_only=True)
+        C.find_pushout(m1, m1)
     with pytest.raises(CapExceededError):
         validate_waldhausen(C)
     assert main(["validate", path]) == 4
@@ -265,7 +265,7 @@ def axiom5_work(monkeypatch, C) -> tuple[int, int]:
 
     Each axiom-5 check asks for the mediating maps once, straight from
     validate_waldhausen; axioms 3 and 4 ask through is_pushout and
-    pushout_candidates.
+    find_pushout.
     """
     bounds = []
     checks = []
