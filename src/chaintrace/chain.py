@@ -10,10 +10,23 @@ homology(C, n) returns a HomologyData handle carrying:
   coordinates (mod the generator orders), so that distinct callers agree on
   the meaning of "the class of z".
 
-Everything is driven by Smith normal form, so output is deterministic for
-the fixed pivot rule.  Over Z/m the modulus must be a prime power; other
-moduli raise UnsupportedRingError (the composite case is deliberately out
-of contract even where the integer-lattice method would cope).
+One routine computes all of it over every ring, with two Smith
+eliminations.  The first, of d_n, writes ker d_n in the V basis it gives:
+column i of V scaled by a weight w_i.  Below the rank of d_n,
+w_i = m / gcd(d_i, m) for the Smith entries d_i; past it, w_i = 1.  Over
+Z/m both eliminations run on integer lifts, and the basis spans the
+full-rank lattice of integer vectors x with d_n x = 0 mod m.  Over Z and
+fields the same formula with m = 0 gives w_i = 0, which drops column i.
+The second elimination takes the boundaries written in that basis, and
+over Z/m also the relations m e_i: the rows of V^-1 [d_{n+1} | mI]
+divided by their weights.  Its diagonal gives the group and the generator
+orders, V and its U^-1 give the generators, and V^-1 then U give the
+coordinates.
+
+Smith normal form has a fixed pivot rule, so output is deterministic.  Over
+Z/m the modulus must be a prime power; other moduli raise
+UnsupportedRingError (the composite case is deliberately out of contract
+even where the integer-lattice method would cope).
 
 reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
 the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction): each pair
@@ -82,10 +95,6 @@ class FPAbelianGroup(Value):
         self.free_rank = free_rank
         self.invariant_factors = invariant_factors
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -109,10 +118,6 @@ class FPModule(Value):
             raise ValueError("dimension must be >= 0")
         self.field = field
         self.dimension = dimension
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.dimension == 0
 
     def __str__(self) -> str:
         if self.dimension == 0:
@@ -163,10 +168,6 @@ class ChainComplex:
         return SparseMap.zero(self.ring, self.rank(n - 1), self.rank(n))
 
 
-def _ints(vec) -> list[int]:
-    return [int(x) for x in vec]
-
-
 class HomologyData(Value):
     """Homology group in one degree plus canonical reduction machinery."""
 
@@ -209,128 +210,73 @@ class HomologyData(Value):
         return self.coordinates(u) == self.coordinates(v)
 
 
-def _homology_pid(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> HomologyData:
-    """Z and field case: kernel is free, quotient read off one more SNF."""
-    dec1 = smith_normal_form(d_n)
-    rank1 = dec1.rank
+def _homology(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> HomologyData:
+    """H_n over Z, a field or Z/p^k by the two eliminations of the module
+    docstring; m is the modulus over Z/m and 0 otherwise."""
+    m = ring.modulus if ring.kind == "Zmod" else 0
     r_n = d_n.ncols
-    k = r_n - rank1  # nullity
-
-    # express boundaries in the kernel basis: rows rank1.. of V^-1 * d_{n+1}
-    Y = dec1.Vinv.mul(d_np1)
-    for i in range(rank1):
-        if any(not ring.is_zero(x) for x in Y.rows[i]):
-            raise InternalInvariantError("boundary column escaped the kernel lattice")
-    X = Matrix._canonical(ring, Y.rows[rank1:], d_np1.ncols)
-    dec2 = smith_normal_form(X)
+    first, second = (Matrix(ZZ, d_n.rows, r_n), lift_with_modulus(d_np1)) if m else (d_n, d_np1)
+    base = first.ring  # Z over Z/m
+    dec1 = smith_normal_form(first)
+    Y = dec1.Vinv.mul(second)
+    rank1 = dec1.rank
+    weights: list[int] = []
+    rel_rows = []
+    for i, row in enumerate(Y.rows):
+        w = m // math.gcd(int(dec1.S.rows[i][i]), m) if i < rank1 else 1
+        if not w:
+            if any(row):
+                raise InternalInvariantError("boundary column escaped the kernel lattice")
+            continue
+        if w > 1:
+            if any(x % w for x in row):
+                raise InternalInvariantError("relation escaped the mod-m kernel lattice")
+            row = [x // w for x in row]
+        weights.append(w)
+        rel_rows.append(row)
+    # the kernel basis is columns start.. of V scaled by the weights: only
+    # over Z and fields do rows drop out, and those are the first rank1
+    k = len(weights)
+    start = r_n - k
+    dec2 = smith_normal_form(Matrix._canonical(base, rel_rows, Y.ncols))
     s = dec2.rank
-    diag = [dec2.S.rows[i][i] for i in range(min(k, X.ncols))]
-
-    # the kernel basis is the last k columns of V
-    kernel = Matrix._canonical(ring, [row[rank1:] for row in dec1.V.rows], k)
-    gen_matrix = kernel.mul(dec2.Uinv) if k else Matrix.zeros(ring, r_n, 0)
+    if m and s != k:
+        raise InternalInvariantError("mod-m relation matrix must have full rank")
 
     kept: list[int] = []
-    orders: list[int] = []
-    factors: list[int] = []
+    orders: list[int] = []  # 0 for a free generator
     for j in range(k):
-        if j < s:
-            d = diag[j]
-            if ring.is_unit(d):
-                continue  # killed generator
+        d = dec2.S.rows[j][j] if j < s else 0
+        if not base.is_unit(d):
+            if d and m % d:
+                raise InternalInvariantError("generator order must divide the modulus")
             kept.append(j)
             orders.append(int(d))
-            factors.append(int(d))
-        else:
-            kept.append(j)
-            orders.append(0)
-    free_rank = k - s
     if ring.is_field:
-        group: FPAbelianGroup | FPModule = FPModule(ring, free_rank)
+        group: FPAbelianGroup | FPModule = FPModule(ring, k - s)
     else:
-        group = FPAbelianGroup(free_rank, tuple(factors))
+        group = FPAbelianGroup(k - s, tuple(d for d in orders if d))
 
-    generators = tuple(gen_matrix.col(j) for j in kept)
-    U2 = dec2.U
-    V1inv = dec1.Vinv
+    # generators: the kernel basis twisted by U2^-1, with the weights
+    # applied to the rows of U2^-1 rather than to the columns of V
+    kernel = Matrix._canonical(base, [row[start:] for row in dec1.V.rows], k)
+    twist = [[w * x for x in row] if w > 1 else row for w, row in zip(weights, dec2.Uinv.rows)]
+    gens = kernel.mul(Matrix._canonical(base, twist, k))
+    generators = tuple(tuple(map(ring.normalize, gens.col(j))) for j in kept)
+    V1inv, U2 = dec1.Vinv, dec2.U
 
-    def cycle_test(vec, _d_n=d_n) -> bool:
-        return all(ring.is_zero(x) for x in _d_n.apply(vec))
-
-    def reduce(vec) -> tuple:
-        y = V1inv.apply(vec)
-        tail = y[rank1:]
-        c = U2.apply(tail) if k else ()
-        out = []
-        for j, order in zip(kept, orders):
-            if order:
-                out.append(c[j] % order)
-            else:
-                out.append(c[j])
-        return tuple(out)
-
-    return HomologyData(ring, degree, group, generators, tuple(orders), reduce, cycle_test)
-
-
-def _homology_zmod(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> HomologyData:
-    """Z/p^k case via integer lifts.
-
-    The kernel of (x -> d_n x mod m) on Z^{r_n} is a full-rank lattice with
-    basis V * diag(w_i), w_i = m / gcd(d_i, m); homology is the cokernel of
-    the relation matrix [d_{n+1} | m I] rewritten in that basis.
-    """
-    m = ring.modulus
-    r_n = d_n.ncols
-    lift_n = Matrix(ZZ, [_ints(row) for row in d_n.rows], r_n)
-    dec1 = smith_normal_form(lift_n)
-    rank1 = dec1.rank
-    weights = [m // math.gcd(int(dec1.S.rows[i][i]), m) if i < rank1 else 1 for i in range(r_n)]
-
-    W = dec1.Vinv.mul(lift_with_modulus(d_np1))
-    rel_rows = []
-    for i in range(r_n):
-        w = weights[i]
-        row = []
-        for x in W.rows[i]:
-            q, r = divmod(x, w)
-            if r:
-                raise InternalInvariantError("relation escaped the mod-m kernel lattice")
-            row.append(q)
-        rel_rows.append(row)
-    Rel = Matrix(ZZ, rel_rows, W.ncols)
-    dec2 = smith_normal_form(Rel)
-    if dec2.rank != r_n:
-        raise InternalInvariantError("mod-m relation matrix must have full rank")
-    diag = [int(dec2.S.rows[i][i]) for i in range(r_n)]
-
-    # generators: kernel-lattice basis twisted by U2^-1, reduced mod m
-    M_ker = Matrix(ZZ, [[dec1.V.rows[i][j] * weights[j] for j in range(r_n)] for i in range(r_n)], r_n)
-    gen_int = M_ker.mul(dec2.Uinv)
-    kept = [j for j in range(r_n) if diag[j] != 1]
-    orders = [diag[j] for j in kept]
-    for d in orders:
-        if m % d != 0:
-            raise InternalInvariantError("generator order must divide the modulus")
-    group = FPAbelianGroup(0, tuple(d for d in orders))
-    generators = tuple(tuple(ring.normalize(gen_int.rows[i][j]) for i in range(r_n)) for j in kept)
-
-    V1inv = dec1.Vinv
-    U2 = dec2.U
-
-    def cycle_test(vec, _d_n=d_n) -> bool:
-        return all(ring.is_zero(x) for x in _d_n.apply(vec))
+    def cycle_test(vec) -> bool:
+        return all(ring.is_zero(x) for x in d_n.apply(vec))
 
     def reduce(vec) -> tuple:
-        u = V1inv.apply(_ints(vec))
-        x = []
-        for i in range(r_n):
-            w = weights[i]
-            q, r = divmod(u[i] % m, w)
-            if r:
+        x = V1inv.apply(vec)[start:]
+        if m:
+            x = [v % m for v in x]
+            if any(v % w for v, w in zip(x, weights)):
                 raise InternalInvariantError("cycle escaped the mod-m kernel lattice")
-            x.append(q)
+            x = [v // w for v, w in zip(x, weights)]
         c = U2.apply(x)
-        return tuple(c[j] % orders[idx] for idx, j in enumerate(kept))
+        return tuple(c[j] % order if order else c[j] for j, order in zip(kept, orders))
 
     return HomologyData(ring, degree, group, generators, tuple(orders), reduce, cycle_test)
 
@@ -353,11 +299,8 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
             f"homology over Z/{ring.modulus} is supported for prime powers only"
         )
     check_dense_cells(complex_, n)
-    d_n = complex_.differential(n).to_matrix()
-    d_np1 = complex_.differential(n + 1).to_matrix()
-    if ring.kind == "Zmod":
-        return _homology_zmod(ring, d_n, d_np1, n)
-    return _homology_pid(ring, d_n, d_np1, n)
+    d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
+    return _homology(ring, d_n.to_matrix(), d_np1.to_matrix(), n)
 
 
 def check_dense_cells(complex_: ChainComplex, n: int) -> None:

@@ -18,7 +18,8 @@ README) or built-in selectors:
 * groups: ``trivial``, ``Cn``;
 * categories: ``trivial``, ``vect_gf:q:bound``, ``pointed_sets:bound``,
   ``finite_modules:p:bound``; ``--bound B`` replaces the bound, or
-  supplies it when the selector omits it (``vect_gf:q --bound B``).
+  supplies it when the selector omits it (``vect_gf:q --bound B``); a
+  file input with ``--bound`` exits 2, as one with ``--ring`` does.
 
 A category table is validated as it is parsed, so ``k0`` refuses a table
 that is not a Waldhausen category with exit 3, as ``hh`` refuses a bad
@@ -176,8 +177,14 @@ def _resolve_group(inp: str) -> FiniteGroup:
         ) from exc
 
 
+def _refuse_bound_for_file(bound: int | None) -> None:
+    if bound is not None:
+        raise InputParseError("--bound sets the size of built-in selectors, not of input files")
+
+
 def _resolve_category(inp: str, bound: int | None):
     if os.path.isfile(inp):
+        _refuse_bound_for_file(bound)
         from .tables import parse_category_file
 
         return parse_category_file(inp)
@@ -403,6 +410,7 @@ def _sniff_file_kind(path: str) -> str:
 def _handle_validate(config: JobConfig) -> tuple[int, str]:
     inp = config.inputs[0]
     if os.path.isfile(inp):
+        _refuse_bound_for_file(config.bound)
         kind = _sniff_file_kind(inp)
         if kind == "algebra":
             from .tables import parse_algebra_file, validate_algebra

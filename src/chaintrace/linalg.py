@@ -22,7 +22,9 @@ homology; ranks over a field come from the same cancellation
 (chain.rank_over_field).  Generators and class coordinates still come from
 homology() on the full complex.  Image questions over Z/m go through the
 integer lift [M | m*I] built by lift_with_modulus, which is exact for every
-modulus.
+modulus: solve_membership eliminates it directly, and chain._homology, the
+one routine behind homology() over every ring, eliminates the lift of d_n
+and then [d_{n+1} | m*I] written in the kernel basis that elimination gives.
 
 smith_normal_form(M) returns (U, S, V) with S = U * M * V, U and V
 invertible over the ring, S diagonal with the divisibility chain

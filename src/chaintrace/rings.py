@@ -76,10 +76,6 @@ class BaseRing(Value):
     def is_field(self) -> bool:
         return self.kind in ("Q", "GF")
 
-    @property
-    def characteristic(self) -> int:
-        return self.modulus if self.modulus is not None else 0
-
     def prime_power(self) -> tuple[int, int] | None:
         """(p, k) when this is Z/p^k or GF(p); None for Z, Q, composite m."""
         if self.modulus is None:

@@ -57,6 +57,12 @@ __all__ = [
 # Entries whose category has more objects than this are materialized at
 # nerve level 0 only; the truncation is recorded as a skip.
 ENTRY_OBJECT_CAP = 100
+# Both diagrams hold the indices (n; k_1..k_n) with n <= N_MAX and every
+# k_i <= K_CAP, at nerve levels 0..W_CAP; a diagram records the three in
+# its fields of the same names.
+N_MAX = 2
+K_CAP = 2
+W_CAP = 2
 
 
 def _identity_op(k: int) -> tuple:
@@ -129,18 +135,13 @@ def _check_level(ps_src: PointedSimplicialSet, ps_dst: PointedSimplicialSet, lev
         raise CapExceededError(f"nerve level {level} is not materialized on both entries")
 
 
-def _diagram_keys(n_max: int, k_cap: int) -> tuple:
-    return tuple(
-        (n, ks) for n in range(n_max + 1) for ks in product(range(k_cap + 1), repeat=n)
-    )
+def _diagram(name: str) -> SigmaDeltaDiagram:
+    """An empty diagram over every index within N_MAX and K_CAP."""
+    keys = tuple((n, ks) for n in range(N_MAX + 1) for ks in product(range(K_CAP + 1), repeat=n))
+    return SigmaDeltaDiagram(name=name, n_max=N_MAX, k_cap=K_CAP, w_cap=W_CAP, keys=keys)
 
 
-def ktheory_sigma_delta(
-    C: WCategory,
-    n_max: int = 2,
-    k_cap: int = 2,
-    w_cap: int = 2,
-) -> SigmaDeltaDiagram:
+def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     """The flag diagram of C: entry (n; k⃗) is the nerve of w S_{k_1}..S_{k_n} C.
 
     Structure maps are built from four reusable functors: wrapping an
@@ -151,18 +152,7 @@ def ktheory_sigma_delta(
     whose category exceeds ENTRY_OBJECT_CAP objects keep nerve level
     0 only, with the truncation recorded.
     """
-    if n_max > 2:
-        raise CapExceededError(f"n_max = {n_max} exceeds the two-direction cap")
-    if k_cap > 2:
-        raise CapExceededError(f"k_cap = {k_cap} exceeds the flag-width cap 2")
-
-    diagram = SigmaDeltaDiagram(
-        name=f"flag diagram of {C.name}",
-        n_max=n_max,
-        k_cap=k_cap,
-        w_cap=w_cap,
-        keys=_diagram_keys(n_max, k_cap),
-    )
+    diagram = _diagram(f"flag diagram of {C.name}")
 
     cats: dict = {(): C}
 
@@ -175,11 +165,11 @@ def ktheory_sigma_delta(
 
     for n, ks in diagram.keys:
         cat = category_for(ks)
-        w_top = w_cap
+        w_top = W_CAP
         if cat.object_count() > ENTRY_OBJECT_CAP:
             w_top = 0
             diagram.skips.append(
-                f"entry {(n, ks)}: nerve levels 1..{w_cap} not materialized "
+                f"entry {(n, ks)}: nerve levels 1..{W_CAP} not materialized "
                 f"({cat.object_count()} objects exceed the cap {ENTRY_OBJECT_CAP})"
             )
         diagram._entries[(n, ks)] = weq_nerve(cat, w_top)
@@ -411,9 +401,7 @@ def ktheory_sigma_delta(
     return diagram
 
 
-def free_sigma_delta(
-    points: int, n_max: int = 2, k_cap: int = 2, w_cap: int = 2
-) -> SigmaDeltaDiagram:
+def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
     """The free diagram on a pointed set with ``points`` non-base points.
 
     Entry (n; k⃗) is the smash product of the pointed set with one
@@ -425,20 +413,14 @@ def free_sigma_delta(
     """
     if points < 0:
         raise InputParseError("the pointed set needs a nonnegative point count")
-    diagram = SigmaDeltaDiagram(
-        name=f"free diagram on {points} points",
-        n_max=n_max,
-        k_cap=k_cap,
-        w_cap=w_cap,
-        keys=_diagram_keys(n_max, k_cap),
-    )
+    diagram = _diagram(f"free diagram on {points} points")
 
     for n, ks in diagram.keys:
         cuts = list(product(*(range(1, k + 1) for k in ks)))
         elts = [(0, ())] + [(y, cs) for y in range(1, points + 1) for cs in cuts]
         diagram._entries[(n, ks)] = PointedSimplicialSet.tabulate(
             f"free entry {(n, ks)}",
-            [elts] * (w_cap + 1),
+            [elts] * (W_CAP + 1),
             lambda n2, i: lambda e: e,
             lambda n2, i: lambda e: e,
         )

@@ -92,6 +92,8 @@ DEFAULT_K_CAP = 3
 STRING_CAP = 200_000
 # Largest grid count s_k_objects will enumerate.
 S_OBJECT_CAP = 200_000
+# ws_diagonal tabulates levels 0..DIAGONAL_TOP, the levels K_0 = H_1 reads.
+DIAGONAL_TOP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +814,10 @@ def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     )
 
 
-def ws_diagonal(C: WCategory, n_max: int = 2) -> PointedSimplicialSet:
+def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     """The diagonal n |-> w_n S_n C of the bisimplicial set (p, q) |-> w_q S_p C.
 
-    Truncated at n_max.  Level n holds the strings of n composable weak
+    Truncated at DIAGONAL_TOP.  Level n holds the strings of n composable weak
     equivalences of flag grids on [n] x [n]; the basepoint is the identity
     string on the zero grid.  The face d_i is d_i^v o d_i^h: the horizontal
     face d_i^h restricts every grid and map of the string along the coface
@@ -824,7 +826,7 @@ def ws_diagonal(C: WCategory, n_max: int = 2) -> PointedSimplicialSet:
     along the codegeneracy [n+1] -> [n] that repeats i and then inserts an
     identity.
     """
-    scats = [SCategory(C, n) for n in range(n_max + 1)]
+    scats = [SCategory(C, n) for n in range(DIAGONAL_TOP + 1)]
     levels = [
         _weq_strings(S, n, f"level {n} of the diagonal of {C.name} exceeds {STRING_CAP} strings")
         for n, S in enumerate(scats)
@@ -934,7 +936,7 @@ def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
     holds every pair of composable weak equivalences of S_2, so this is
     the oracle for ``k0_via_sdot`` on small families.
     """
-    X = ws_diagonal(C, 2)
+    X = ws_diagonal(C)
     if len(X.levels[0]) != 1:
         raise InternalInvariantError("level 0 of the diagonal is not a single point")
     degenerate = set(X.degens[1][0]) | set(X.degens[1][1])

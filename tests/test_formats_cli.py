@@ -257,6 +257,15 @@ def test_cli_bound_supplies_an_omitted_selector_bound(capsys, omitted, full):
     assert (code, out) == run_cli(capsys, "k0", full)[:2]
 
 
+@pytest.mark.parametrize("command", ["k0", "validate"])
+def test_cli_bound_rejected_for_files(tmp_path, capsys, command):
+    path = tmp_path / "family.txt"
+    path.write_text("category V\nfamily vect_gf:2:2\n")
+    code, out, err = run_cli(capsys, command, str(path), "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error (parse)") and "--bound" in err
+
+
 def test_cli_validate_family(capsys):
     code, out, _ = run_cli(capsys, "validate", "finite_modules:2:4")
     assert code == 0

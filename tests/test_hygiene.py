@@ -170,11 +170,15 @@ def _decorators(fn: ast.FunctionDef) -> set[str]:
     return {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
 
 
+def _is_property(fn: ast.FunctionDef) -> bool:
+    return bool(_decorators(fn) & {"property", "cached_property"})
+
+
 class _Index:
     """The classes of the package, their public methods, and what returns what.
 
-    ``methods[name]`` lists (class, def) for every public method called
-    ``name``.  ``data`` holds the names some class keeps as a field (its
+    ``methods[name]`` lists (class, def) for every public method or property
+    called ``name``.  ``data`` holds the names some class keeps as a field (its
     ``__slots__`` or ``_fields``, or a ``self.x = ...`` target) or as a
     property: a bare read such as ``m.cols`` reaches those, not a method.
     ``returns`` maps a function, or ``Class.method``, to the class its
@@ -207,9 +211,9 @@ class _Index:
                 continue
             if _named_class(node.returns):
                 self.returns[f"{cls.name}.{node.name}"] = _named_class(node.returns)
-            if _decorators(node) & {"property", "cached_property"}:
+            if _is_property(node):
                 self.data.add(node.name)
-            elif not node.name.startswith("_"):
+            if not node.name.startswith("_"):
                 self.methods.setdefault(node.name, []).append((cls.name, node))
 
     def lineage(self, cls: str) -> list[str]:
@@ -252,7 +256,7 @@ def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
     whose return annotation names a class, a class named directly.  A call
     must fit the method's signature.  An unknown receiver may reach every
     method of that name, except that a bare read (no call) of a name in
-    ``index.data`` counts for the data.  A string passed to a call, as to
+    ``index.data`` counts for the data; any read reaches a property.  A string passed to a call, as to
     ``getattr``, counts for every method of that name.
     """
     tree = ast.parse(source)
@@ -302,7 +306,9 @@ def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
                 for owner, fn in index.methods.get(node.attr, ()):
                     if receiver and not index.related(receiver, owner):
                         continue
-                    if call is not None:
+                    if _is_property(fn):
+                        reached = True
+                    elif call is not None:
                         reached = _accepts(fn, call, on_class)
                     else:
                         reached = bool(receiver) or node.attr not in index.data
@@ -315,8 +321,8 @@ def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
 
 
 def dead_methods(modules: list[str], others: list[str]) -> list[str]:
-    """``Class.method`` for every public method of a package class that no
-    source may reach (see ``method_uses``)."""
+    """``Class.method`` for every public method or property of a package
+    class that no source may reach (see ``method_uses``)."""
     index = _Index(modules)
     used = set()
     for source in modules + others:
@@ -352,6 +358,22 @@ def test_scan_flags_dead_methods():
         "    return x.cols, getattr(r, 'unused')\n"
     )
     assert dead_methods([lib], [client]) == ["Grid.cols", "Grid.scale"]
+
+
+def test_scan_flags_dead_properties():
+    lib = (
+        "from functools import cached_property\n"
+        "class Grid:\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    @cached_property\n    def core(self):\n        return 2\n"
+        "    @property\n    def is_empty(self):\n        return False\n"
+        "    @cached_property\n    def spare(self):\n        return 3\n"
+        "class Ring:\n"
+        "    @property\n    def zero(self):\n        return 0\n"
+        "    @property\n    def core(self):\n        return 0\n"
+    )
+    client = "def f(g: Grid, x):\n    return x.size, g.core, x.zero\n"
+    assert dead_methods([lib], [client]) == ["Grid.is_empty", "Grid.spare", "Ring.core"]
 
 
 def test_every_public_method_is_referenced():

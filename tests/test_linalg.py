@@ -5,7 +5,13 @@ import pytest
 from chaintrace import chain, linalg
 from chaintrace.algebra import base_algebra, cyclic_group, group_algebra
 from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, predicted_dense_cells
-from chaintrace.errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
+from chaintrace.errors import (
+    CapExceededError,
+    DegreeOutOfRangeError,
+    InternalInvariantError,
+    UnsupportedRingError,
+    ValidationError,
+)
 from chaintrace.hochschild import HochschildHomology
 from chaintrace.linalg import (
     Matrix,
@@ -189,6 +195,24 @@ def test_coordinates_rejects_non_cycles():
     data = homology(cx, 1)
     with pytest.raises(ValidationError):
         data.coordinates((1, 0))
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        (ZZ, "boundary column escaped the kernel lattice"),
+        (Zmod(4), "relation escaped the mod-m kernel lattice"),
+    ],
+    ids=str,
+)
+def test_boundary_outside_the_kernel_is_an_internal_error(ring, message):
+    # d_1 d_2 = 2: the constructor refuses this, so the fields are set
+    # directly, as a faulty builder would leave them
+    cx = ChainComplex.__new__(ChainComplex)
+    cx.ring, cx.ranks = ring, (1, 1, 1)
+    cx.differentials = {1: SparseMap.from_col_dicts(ring, 1, [{0: 2}]), 2: SparseMap.identity(ring, 1)}
+    with pytest.raises(InternalInvariantError, match=message):
+        homology(cx, 1)
 
 
 def test_chain_complex_rejects_bad_composite():

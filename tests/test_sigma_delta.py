@@ -146,13 +146,6 @@ def test_acting_above_the_top_level(build):
         d.act_index(key, key, (1,), ((0, 1, 2),), 3, len(d.entry(key).levels[0]) - 1)
 
 
-def test_direction_and_width_caps():
-    with pytest.raises(CapExceededError):
-        ktheory_sigma_delta(vect_gf(2, 2), n_max=3)
-    with pytest.raises(CapExceededError):
-        ktheory_sigma_delta(vect_gf(2, 2), k_cap=3)
-
-
 def test_weq_nerve_of_trivial_category():
     ps = weq_nerve(trivial_category(), 2)
     assert [len(level) for level in ps.levels] == [1, 1, 1]

@@ -22,7 +22,7 @@ def table_digest(X) -> str:
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
-# selector: (ws_diagonal(C, 2), weq_nerve(C, 2), weq_nerve(SCategory(C, 2), 1))
+# selector: (ws_diagonal(C), weq_nerve(C, 2), weq_nerve(SCategory(C, 2), 1))
 PINNED = {
     "trivial": ("7653481df117f7c2", "7653481df117f7c2", "4446c7ea49a2cd7b"),
     "vect_gf:2:1": ("baa779fc5333e560", "3493a205cf4e0871", "c40431039654898b"),
@@ -53,7 +53,7 @@ FREE_PINNED = {
 def test_string_tables_are_pinned(selector):
     C = category_from_selector(selector)
     diagonal, nerve, s2_nerve = PINNED[selector]
-    assert table_digest(ws_diagonal(C, 2)) == diagonal
+    assert table_digest(ws_diagonal(C)) == diagonal
     assert table_digest(weq_nerve(C, 2)) == nerve
     assert table_digest(weq_nerve(SCategory(C, 2), 1)) == s2_nerve
 

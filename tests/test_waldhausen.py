@@ -102,7 +102,7 @@ def test_reindex_round_trip():
 
 
 def test_ws_diagonal_levels_and_identities():
-    ps = ws_diagonal(vect_gf(2, 2), 2)
+    ps = ws_diagonal(vect_gf(2, 2))
     assert [len(level) for level in ps.levels] == [1, 8, 15663]
     report = ps.validate()
     assert report.ok
@@ -110,7 +110,7 @@ def test_ws_diagonal_levels_and_identities():
 
 
 def test_ws_diagonal_trivial():
-    ps = ws_diagonal(trivial_category(), 2)
+    ps = ws_diagonal(trivial_category())
     assert [len(level) for level in ps.levels] == [1, 1, 1]
     assert ps.validate().ok
 
@@ -118,7 +118,7 @@ def test_ws_diagonal_trivial():
 def test_ws_diagonal_string_cap(monkeypatch):
     monkeypatch.setattr(waldhausen, "STRING_CAP", 100)
     with pytest.raises(CapExceededError):
-        ws_diagonal(vect_gf(2, 2), 2)
+        ws_diagonal(vect_gf(2, 2))
 
 
 @pytest.mark.parametrize(
