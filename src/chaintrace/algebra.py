@@ -311,18 +311,13 @@ def vec_to_matrix_entries(A: Algebra, n: int, vec):
 
 
 class GeneralLinearData(Value):
-    """GL_n(A) with its elements and the embedding R[GL_n(A)] -> M_n(A)."""
+    """GL_n(A) as a finite group, with the embedding R[GL_n(A)] -> M_n(A)."""
 
-    __slots__ = ("group", "elements", "n", "algebra", "embedding")
+    __slots__ = ("group", "embedding")
     _fields = __slots__
 
-    def __init__(
-        self, group: FiniteGroup, elements: tuple, n: int, algebra: Algebra, embedding: AlgebraHom
-    ) -> None:
+    def __init__(self, group: FiniteGroup, embedding: AlgebraHom) -> None:
         self.group = group
-        self.elements = elements  # element g -> n x n tuple of A coefficient tuples
-        self.n = n
-        self.algebra = algebra
         self.embedding = embedding
 
 
@@ -413,7 +408,7 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
         matrix=Matrix.from_cols(ring, cols, mat_alg.rank),
         name=f"{ring}[{group.name}] -> {mat_alg.name}",
     )
-    return GeneralLinearData(group=group, elements=tuple(elements), n=n, algebra=A, embedding=embedding)
+    return GeneralLinearData(group=group, embedding=embedding)
 
 
 class NonUnitCertificate(Value):

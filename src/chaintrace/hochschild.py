@@ -354,7 +354,6 @@ class HochschildHomology:
         self.ring = A.ring
         self.max_degree = max_degree
         reduced, T, Tinv = unit_first_presentation(A)
-        self.reduced = reduced
         self._t_map = SparseMap.from_matrix(T)
         self._tinv_map = SparseMap.from_matrix(Tinv)
         self.cyclic_module = cyclic_bar(reduced, max_degree)

@@ -23,23 +23,25 @@ Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
 with the string operators there, and restriction along a monotone
 operator in one direction is ``waldhausen.reindex_functor``.  The other
 structure maps (inserting a direction, acting on an inner direction
-entrywise, and transposing two directions) are built here from those,
-each as a memoized (object map, morphism map) pair, and act on strings
-through ``waldhausen.map_string``.
+entrywise, and transposing two directions) are built here, each by
+``waldhausen.payload_functor`` from the payloads of its images, so every
+structure map is a memoized (object map, morphism map) pair and an image
+outside the enumerated target is an InternalInvariantError.  Composites
+of these pairs act on strings through ``waldhausen.map_string``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .errors import CapExceededError, InputParseError, InternalInvariantError
+from .errors import CapExceededError, InputParseError
 from .validation import ValidationReport
 from .values import Value
 from .waldhausen import (
     PointedSimplicialSet,
     SCategory,
-    _memo1,
     map_string,
+    payload_functor,
     reindex_functor,
     weq_nerve,
 )
@@ -58,8 +60,7 @@ __all__ = [
 # nerve level 0 only; the truncation is recorded as a skip.
 ENTRY_OBJECT_CAP = 100
 # Both diagrams hold the indices (n; k_1..k_n) with n <= N_MAX and every
-# k_i <= K_CAP, at nerve levels 0..W_CAP; a diagram records the three in
-# its fields of the same names.
+# k_i <= K_CAP, at nerve levels 0..W_CAP.
 N_MAX = 2
 K_CAP = 2
 W_CAP = 2
@@ -79,14 +80,11 @@ class SigmaDeltaDiagram(Value):
     by level index.
     """
 
-    _fields = ("name", "n_max", "k_cap", "w_cap", "keys", "skips")
+    _fields = ("name", "keys", "skips")
     __hash__ = None
 
-    def __init__(self, name: str, n_max: int, k_cap: int, w_cap: int, keys: tuple) -> None:
+    def __init__(self, name: str, keys: tuple) -> None:
         self.name = name
-        self.n_max = n_max
-        self.k_cap = k_cap
-        self.w_cap = w_cap
         self.keys = keys
         self.skips: list = []
         self._entries: dict = {}
@@ -138,7 +136,7 @@ def _check_level(ps_src: PointedSimplicialSet, ps_dst: PointedSimplicialSet, lev
 def _diagram(name: str) -> SigmaDeltaDiagram:
     """An empty diagram over every index within N_MAX and K_CAP."""
     keys = tuple((n, ks) for n in range(N_MAX + 1) for ks in product(range(K_CAP + 1), repeat=n))
-    return SigmaDeltaDiagram(name=name, n_max=N_MAX, k_cap=K_CAP, w_cap=W_CAP, keys=keys)
+    return SigmaDeltaDiagram(name=name, keys=keys)
 
 
 def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
@@ -177,49 +175,34 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     # -- reusable functors; each is an (object map, morphism map) pair ------
 
     def wrap_functor(B: WCategory, S1: SCategory):
+        # an object a as the one-column flag grid 0 >-> a
         z = B.zero_index()
         idz = B.identity_id(z)
+        return payload_functor(
+            B,
+            S1,
+            lambda a: ((z, a, z, z), (B.hom_ids(z, a)[0], idz), (idz, B.hom_ids(a, z)[0])),
+            lambda m, a2, b2: (m,),
+        )
 
-        def obj_fn(a: int) -> int:
-            pay = (
-                (z, a, z, z),
-                (B.hom_ids(z, a)[0], idz),
-                (idz, B.hom_ids(a, z)[0]),
-            )
-            return S1.object_index(pay)
+    def entrywise_functor(src: SCategory, dst: SCategory, inner: tuple):
+        # the functor ``inner`` between the bases, applied to every entry
+        base_obj, base_mor = inner
 
-        obj = _memo1(obj_fn)
-
-        def mor_fn(m: int) -> int:
-            return S1.intern_morphism(
-                (m,), obj(B.mor_source(m)), obj(B.mor_target(m))
-            )
-
-        return obj, _memo1(mor_fn)
-
-    def entrywise_functor(src: SCategory, dst: SCategory, base_obj, base_mor):
-        def obj_fn(a: int) -> int:
+        def obj_payload(a: int) -> tuple:
             e, h, v = src.object_payload(a)
-            pay = (
+            return (
                 tuple(base_obj(x) for x in e),
                 tuple(base_mor(x) for x in h),
                 tuple(base_mor(x) for x in v),
             )
-            if pay not in dst._obj_index:
-                raise InternalInvariantError(
-                    f"entrywise image escaped the enumeration of {dst.name}"
-                )
-            return dst._obj_index[pay]
 
-        obj = _memo1(obj_fn)
-
-        def mor_fn(m: int) -> int:
-            pay = tuple(base_mor(c) for c in src.mor_payload(m))
-            return dst.intern_morphism(
-                pay, obj(src.mor_source(m)), obj(src.mor_target(m))
-            )
-
-        return obj, _memo1(mor_fn)
+        return payload_functor(
+            src,
+            dst,
+            obj_payload,
+            lambda m, a2, b2: tuple(base_mor(c) for c in src.mor_payload(m)),
+        )
 
     def transpose_functor(src: SCategory, dst: SCategory):
         # src = S_{k1}(S_{k2}(B)), dst = S_{k2}(S_{k1}(B))
@@ -234,7 +217,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                 return D1.mor_payload(h)[D1._slot_pos[(i2, j2)]]
             return idz
 
-        def obj_fn(a: int) -> int:
+        def obj_payload(a: int) -> tuple:
             e, h, v = src.object_payload(a)
             inner = {}
             for i2 in range(n2):
@@ -254,12 +237,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                         for i1 in range(k1)
                         for j1 in range(n1)
                     )
-                    pay = (pe, ph, pv)
-                    if pay not in D2._obj_index:
-                        raise InternalInvariantError(
-                            f"transposed grid escaped the enumeration of {D2.name}"
-                        )
-                    inner[(i2, j2)] = D2._obj_index[pay]
+                    inner[(i2, j2)] = D2.object_index((pe, ph, pv))
             harr2 = []
             for i2 in range(n2):
                 for j2 in range(k2):
@@ -280,23 +258,14 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                     varr2.append(
                         D2.intern_morphism(pay, inner[(i2, j2)], inner[(i2 + 1, j2)])
                     )
-            out = (
+            return (
                 tuple(inner[(i2, j2)] for i2 in range(n2) for j2 in range(n2)),
                 tuple(harr2),
                 tuple(varr2),
             )
-            if out not in dst._obj_index:
-                raise InternalInvariantError(
-                    f"transposed grid escaped the enumeration of {dst.name}"
-                )
-            return dst._obj_index[out]
 
-        obj = _memo1(obj_fn)
-
-        def mor_fn(m: int) -> int:
+        def mor_payload(m: int, a2: int, b2: int) -> tuple:
             pay = src.mor_payload(m)
-            a2 = obj(src.mor_source(m))
-            b2 = obj(src.mor_target(m))
             out = []
             for i2, j2 in dst._slots:
                 comp = tuple(
@@ -310,9 +279,9 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                         dst.slot_entry(b2, i2, j2),
                     )
                 )
-            return dst.intern_morphism(tuple(out), a2, b2)
+            return tuple(out)
 
-        return obj, _memo1(mor_fn)
+        return payload_functor(src, dst, obj_payload, mor_payload)
 
     def compose_functor(second, first):
         return (lambda a: second[0](first[0](a)), lambda m: second[1](first[1](m)))
@@ -344,7 +313,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                 else entrywise_functor(
                     category_for(js),
                     category_for((js[0],) + ks[1:]),
-                    *reindex_functor(inner_src, inner_dst, phis[1]),
+                    reindex_functor(inner_src, inner_dst, phis[1]),
                 )
             )
             step2 = (
@@ -366,7 +335,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
             w = entrywise_functor(
                 category_for(js),
                 category_for((js[0], 1)),
-                *wrap_functor(C, category_for((1,))),
+                wrap_functor(C, category_for((1,))),
             )
             rest = build_functor((2, (js[0], 1)), dst_key, (1, 2), phis)
             got = compose_functor(rest, w)
@@ -449,17 +418,10 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
 
 def _insertion_instances(diagram: SigmaDeltaDiagram):
     """Identity-operator injection instances that must act bijectively."""
-    out = []
-    if diagram.n_max >= 1 and diagram.k_cap >= 1:
-        out.append(((0, ()), (1, (1,)), (), (_identity_op(1),)))
-    for k in range(diagram.k_cap + 1):
-        if diagram.n_max >= 2 and ((1, (k,)) in diagram.keys):
-            out.append(
-                ((1, (k,)), (2, (k, 1)), (1,), (_identity_op(k), _identity_op(1)))
-            )
-            out.append(
-                ((1, (k,)), (2, (1, k)), (2,), (_identity_op(1), _identity_op(k)))
-            )
+    out = [((0, ()), (1, (1,)), (), (_identity_op(1),))]
+    for k in range(K_CAP + 1):
+        out.append(((1, (k,)), (2, (k, 1)), (1,), (_identity_op(k), _identity_op(1))))
+        out.append(((1, (k,)), (2, (1, k)), (2,), (_identity_op(1), _identity_op(k))))
     return out
 
 
@@ -542,51 +504,40 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
     for src_key, dst_key, f, phis in _insertion_instances(diagram):
         check_map(src_key, dst_key, f, phis, want_bijection=True)
 
-    if diagram.n_max >= 2:
-        for k1 in range(diagram.k_cap + 1):
-            for k2 in range(diagram.k_cap + 1):
-                a_key, b_key = (2, (k1, k2)), (2, (k2, k1))
-                swap = (2, 1)
-                phis_ab = (_identity_op(k2), _identity_op(k1))
-                phis_ba = (_identity_op(k1), _identity_op(k2))
-                fwd = check_map(a_key, b_key, swap, phis_ab, want_bijection=True)
-                top = min(
-                    diagram.entry(a_key).top_level, diagram.entry(b_key).top_level
-                )
-                for level in range(top + 1):
-                    for x in range(len(diagram.entry(a_key).levels[level])):
-                        report.checks_run += 1
-                        back = diagram.act_index(
-                            b_key, a_key, swap, phis_ba, level, fwd[level][x]
+    for k1 in range(K_CAP + 1):
+        for k2 in range(K_CAP + 1):
+            a_key, b_key = (2, (k1, k2)), (2, (k2, k1))
+            swap = (2, 1)
+            phis_ab = (_identity_op(k2), _identity_op(k1))
+            phis_ba = (_identity_op(k1), _identity_op(k2))
+            fwd = check_map(a_key, b_key, swap, phis_ab, want_bijection=True)
+            top = min(diagram.entry(a_key).top_level, diagram.entry(b_key).top_level)
+            for level in range(top + 1):
+                for x in range(len(diagram.entry(a_key).levels[level])):
+                    report.checks_run += 1
+                    back = diagram.act_index(b_key, a_key, swap, phis_ba, level, fwd[level][x])
+                    if back != x:
+                        report.record(
+                            f"transposing {a_key} twice is not the identity at level {level}"
                         )
-                        if back != x:
-                            report.record(
-                                f"transposing {a_key} twice is not the identity "
-                                f"at level {level}"
-                            )
 
-    # functoriality samples: composable pairs whose composite is also direct
-    samples = []
-    if diagram.n_max >= 2 and diagram.k_cap >= 1:
-        samples.append(
-            (
-                ((0, ()), (1, (1,)), (), (_identity_op(1),)),
-                ((1, (1,)), (2, (1, 1)), (1,), (_identity_op(1), _identity_op(1))),
-                ((0, ()), (2, (1, 1)), (), (_identity_op(1), _identity_op(1))),
-            )
-        )
-    if diagram.k_cap >= 2:
-        # a non-identity operator roundtrip inside one direction
-        phi_a = (0, 1)        # [1] -> [2]
-        phi_b = (0, 1, 1)     # [2] -> [1]
-        comp = tuple(phi_a[p] for p in phi_b)
-        samples.append(
-            (
-                ((1, (2,)), (1, (1,)), (1,), (phi_a,)),
-                ((1, (1,)), (1, (2,)), (1,), (phi_b,)),
-                ((1, (2,)), (1, (2,)), (1,), (comp,)),
-            )
-        )
+    # functoriality samples: composable pairs whose composite is also direct;
+    # the second is a non-identity operator roundtrip inside one direction
+    phi_a = (0, 1)        # [1] -> [2]
+    phi_b = (0, 1, 1)     # [2] -> [1]
+    comp = tuple(phi_a[p] for p in phi_b)
+    samples = [
+        (
+            ((0, ()), (1, (1,)), (), (_identity_op(1),)),
+            ((1, (1,)), (2, (1, 1)), (1,), (_identity_op(1), _identity_op(1))),
+            ((0, ()), (2, (1, 1)), (), (_identity_op(1), _identity_op(1))),
+        ),
+        (
+            ((1, (2,)), (1, (1,)), (1,), (phi_a,)),
+            ((1, (1,)), (1, (2,)), (1,), (phi_b,)),
+            ((1, (2,)), (1, (2,)), (1,), (comp,)),
+        ),
+    ]
     for first, second, direct in samples:
         src_key = first[0]
         mid_key = first[1]

@@ -284,7 +284,7 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
 class MoritaResult(Value):
     """Multitrace-induced map HH_d(M_n(A)) -> HH_d(A) per degree."""
 
-    __slots__ = ("degree", "source", "target", "matrix", "surjective", "isomorphism")
+    __slots__ = ("degree", "source", "target", "surjective", "isomorphism")
     _fields = __slots__
 
     def __init__(
@@ -292,14 +292,12 @@ class MoritaResult(Value):
         degree: int,
         source: FPAbelianGroup | FPModule,
         target: FPAbelianGroup | FPModule,
-        matrix: Matrix,  # target coordinates of source generators
         surjective: bool,
         isomorphism: bool,
     ) -> None:
         self.degree = degree
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.surjective = surjective
         self.isomorphism = isomorphism
 
@@ -367,7 +365,6 @@ def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
                 degree=d,
                 source=src.group,
                 target=tgt.group,
-                matrix=mat,
                 surjective=surjective,
                 isomorphism=iso,
             )
@@ -378,9 +375,7 @@ def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
 class DennisTraceResult(Value):
     """Image of H_d(BGL_n(A); R) in HH_d(A) under the chain-level trace."""
 
-    _fields = (
-        "degree", "gl", "source", "target", "matrix", "classes", "group_homology", "hochschild"
-    )
+    _fields = ("degree", "gl", "source", "target", "classes")
     __hash__ = None
 
     def __init__(
@@ -389,19 +384,13 @@ class DennisTraceResult(Value):
         gl: GeneralLinearData,
         source: FPAbelianGroup | FPModule,
         target: FPAbelianGroup | FPModule,
-        matrix: Matrix,  # HH_d coordinates of each group homology generator image
-        classes: tuple[HomologyClass, ...],
-        group_homology: GroupHomology,
-        hochschild: HochschildHomology,
+        classes: tuple[HomologyClass, ...],  # HH_d classes of the group homology generators
     ) -> None:
         self.degree = degree
         self.gl = gl
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.classes = classes
-        self.group_homology = group_homology
-        self.hochschild = hochschild
 
 
 def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
@@ -430,21 +419,10 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     src = GH.homology_data(d)
     tgt = WA.homology_data(d)
     classes = []
-    cols = []
     conv = WA.from_normalized(d)
     for gen in src.generators:
         img = bridge.apply(gen)
-        coords = tgt.coordinates(img)
-        cols.append(coords)
-        classes.append(HomologyClass(d, coords, conv.apply(img), tgt.group))
-    mat = Matrix.from_cols(ring, cols, len(tgt.generators))
+        classes.append(HomologyClass(d, tgt.coordinates(img), conv.apply(img), tgt.group))
     return DennisTraceResult(
-        degree=d,
-        gl=gl,
-        source=src.group,
-        target=tgt.group,
-        matrix=mat,
-        classes=tuple(classes),
-        group_homology=GH,
-        hochschild=WA,
+        degree=d, gl=gl, source=src.group, target=tgt.group, classes=tuple(classes)
     )

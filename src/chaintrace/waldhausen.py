@@ -39,11 +39,19 @@ complex are those of the presentation by theory, so that agreement checks
 the face maps and not the Eilenberg-Zilber theorem; the diagonal, which
 builds every 2-simplex, stays the stronger check where it fits.
 
+A functor between bounded categories is an (object map, morphism map)
+pair.  ``payload_functor`` builds one, memoized, from the payloads of the
+images: it looks each image object up among the target's enumerated
+objects and interns each image morphism between the mapped endpoints.
+Restriction of grids along a monotone map (``reindex_functor``) is built
+this way, as are the structure maps of ``sigma_delta`` and the inclusions
+of C into End(C) in chaintrace.endo.
+
 Every simplicial set of weak-equivalence strings (``weq_nerve``, the
 diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
 is built by ``PointedSimplicialSet.tabulate`` from the one pair of string
-operators here, composed with the memoized ``reindex_functor`` where a
-direction of flags is restricted.
+operators here, composed with ``reindex_functor`` (through ``map_string``)
+where a direction of flags is restricted.
 
 The endomorphism category End(C) and the retract check K_0(C) ->
 K_0(End C) -> K_0(C) built on ``k0_presentation`` live in chaintrace.endo,
@@ -70,8 +78,7 @@ __all__ = [
     "s_k_objects",
     "validate_s_object",
     "SCategory",
-    "reindex_s_object",
-    "reindex_s_morphism",
+    "payload_functor",
     "reindex_functor",
     "PointedSimplicialSet",
     "map_string",
@@ -522,103 +529,85 @@ class SCategory(WCategory):
             for si in range(k)
             for sj in range(n)
         )
-        d_payload = (entries, harr, varr)
-        if d_payload not in self._obj_index:
-            raise InternalInvariantError(
-                "levelwise pushout grid is not an enumerated flag grid; "
-                "is the base category valid?"
-            )
         return self._witness(
             i,
             f,
-            d_payload,
+            (entries, harr, varr),
             tuple(slot_u[s] for s in self._slots),
             tuple(slot_v[s] for s in self._slots),
         )
 
 
 # ---------------------------------------------------------------------------
-# reindexing along monotone maps
+# functors given on payloads, and reindexing along monotone maps
 # ---------------------------------------------------------------------------
 
 
-def reindex_s_object(src: SCategory, dst: SCategory, alpha: tuple, a: int) -> int:
-    """Object of dst obtained by restricting grid ``a`` along a monotone map.
+def payload_functor(src: WCategory, dst: WCategory, obj_payload, mor_payload) -> tuple:
+    """A functor src -> dst given on payloads, as a memoized (object map, morphism map) pair.
+
+    ``obj_payload(a)`` is the payload of the image of object ``a``, which
+    must be an enumerated object of dst (``object_index`` raises
+    InternalInvariantError otherwise).  ``mor_payload(m, a2, b2)`` is the
+    payload of the image of morphism ``m``, interned in dst between the
+    images ``a2`` and ``b2`` of its endpoints.
+    """
+    objs: dict = {}
+    mors: dict = {}
+
+    def obj(a: int) -> int:
+        got = objs.get(a)
+        if got is None:
+            got = objs[a] = dst.object_index(obj_payload(a))
+        return got
+
+    def mor(m: int) -> int:
+        got = mors.get(m)
+        if got is None:
+            a2, b2 = obj(src.mor_source(m)), obj(src.mor_target(m))
+            got = mors[m] = dst.intern_morphism(mor_payload(m, a2, b2), a2, b2)
+        return got
+
+    return obj, mor
+
+
+def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
+    """Restriction of flag grids along a monotone map, as a ``payload_functor``.
 
     ``alpha`` maps 0..dst.k into 0..src.k monotonically; the new grid has
     entry (i, j) equal to the old entry (alpha[i], alpha[j]), with arrows
-    the evident row and column composites.  Raises when the result is not
-    an enumerated grid, which cannot happen over a valid base because
-    reindexing never grows entry sizes.
+    the evident row and column composites, and a map of grids keeps its
+    components at the restricted slots.  Reindexing never grows entry
+    sizes, so over a valid base the image is always an enumerated grid.
     """
     base = src.base
     k1, k2 = src.k, dst.k
     n1, n2 = k1 + 1, k2 + 1
-    pay = src.object_payload(a)
-    entries = tuple(
-        pay[0][alpha[i] * n1 + alpha[j]] for i in range(n2) for j in range(n2)
-    )
-    harr = tuple(
-        _hcomp(base, k1, pay, alpha[i], alpha[j], alpha[j + 1])
-        for i in range(n2)
-        for j in range(k2)
-    )
-    varr = tuple(
-        _vcomp(base, k1, pay, alpha[i], alpha[i + 1], alpha[j])
-        for i in range(k2)
-        for j in range(n2)
-    )
-    payload = (entries, harr, varr)
-    if payload not in dst._obj_index:
-        raise InternalInvariantError(
-            f"reindexed grid escaped the enumeration of {dst.name}"
+
+    def obj_payload(a: int) -> tuple:
+        pay = src.object_payload(a)
+        entries = tuple(pay[0][alpha[i] * n1 + alpha[j]] for i in range(n2) for j in range(n2))
+        harr = tuple(
+            _hcomp(base, k1, pay, alpha[i], alpha[j], alpha[j + 1])
+            for i in range(n2)
+            for j in range(k2)
         )
-    return dst._obj_index[payload]
+        varr = tuple(
+            _vcomp(base, k1, pay, alpha[i], alpha[i + 1], alpha[j])
+            for i in range(k2)
+            for j in range(n2)
+        )
+        return (entries, harr, varr)
 
-
-def reindex_s_morphism(
-    src: SCategory, dst: SCategory, alpha: tuple, m: int, a2: int, b2: int
-) -> int:
-    """Morphism of dst obtained by restricting ``m`` along a monotone map.
-
-    ``a2`` and ``b2`` are the already-reindexed endpoints.
-    """
-    base = src.base
-    n1 = src.k + 1
-    z = base.zero_index()
-    idz = base.identity_id(z)
-    pay = src.mor_payload(m)
-    comps = []
-    for i, j in dst._slots:
-        si, sj = alpha[i], alpha[j]
-        comps.append(idz if si >= sj else pay[src._slot_pos[(si, sj)]])
-    return dst.intern_morphism(tuple(comps), a2, b2)
-
-
-def _memo1(fn):
-    """``fn`` with its results cached by argument."""
-    cache: dict = {}
-
-    def wrapped(x):
-        got = cache.get(x)
-        if got is None:
-            got = fn(x)
-            cache[x] = got
-        return got
-
-    return wrapped
-
-
-def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
-    """Restriction along ``alpha`` as a memoized (object map, morphism map) pair."""
-    obj = _memo1(lambda a: reindex_s_object(src, dst, alpha, a))
-
-    def mor_fn(m: int) -> int:
-        return reindex_s_morphism(
-            src, dst, alpha, m, obj(src.mor_source(m)), obj(src.mor_target(m))
+    def mor_payload(m: int, a2: int, b2: int) -> tuple:
+        idz = base.identity_id(base.zero_index())
+        pay = src.mor_payload(m)
+        return tuple(
+            idz if alpha[i] >= alpha[j] else pay[src._slot_pos[(alpha[i], alpha[j])]]
+            for i, j in dst._slots
         )
 
-    return obj, _memo1(mor_fn)
+    return payload_functor(src, dst, obj_payload, mor_payload)
 
 
 def _delta(i: int, k: int) -> tuple:

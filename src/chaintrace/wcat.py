@@ -169,11 +169,11 @@ class WCategory:
     def _pushout_witness(self, i: int, f: int):
         """Canonical witness (d, u_id, v_id) for b <-i- a -f-> c, or None.
 
-        None means the pushout does not fit within the size bound.  The
-        default searches by brute force; families override with a direct
-        construction.
+        None means the pushout does not fit within the size bound.  Every
+        family builds its witness directly; ``find_pushout`` is the
+        brute-force search that ``validate_waldhausen`` checks them against.
         """
-        return self.find_pushout(i, f)
+        raise NotImplementedError
 
     def _witness(self, i: int, f: int, d_payload, u_payload, v_payload) -> tuple:
         """Intern the witness (d, u, v) of b <-i- a -f-> c given by payloads."""
@@ -193,7 +193,15 @@ class WCategory:
         return self._obj_payloads[a]
 
     def object_index(self, payload) -> int:
-        return self._obj_index[payload]
+        """Index of the enumerated object with this payload.
+
+        A payload outside the enumeration is an internal fault, not a key
+        the caller may probe for.
+        """
+        got = self._obj_index.get(payload)
+        if got is None:
+            raise InternalInvariantError(f"{payload!r} is not an enumerated object of {self.name}")
+        return got
 
     def object_size(self, a: int) -> int:
         return self._sizes[a]
@@ -756,10 +764,6 @@ class FiniteModulesCategory(WCategory):
         factors = tuple(int(diag[r]) for r in keep)
         if self._order(factors) > self.bound:
             return None
-        if factors not in self._obj_index:
-            raise InternalInvariantError(
-                f"pushout invariant factors {factors} missing from object list"
-            )
         u_payload = tuple(
             tuple(int(dec.U.rows[r][t]) % diag[r] for t in range(rb)) for r in keep
         )

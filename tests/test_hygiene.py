@@ -380,6 +380,59 @@ def test_every_public_method_is_referenced():
     assert dead_methods(_sources([SRC]), _sources(REFERENCE_DIRS[1:])) == []
 
 
+def dead_attributes(modules: list[str], others: list[str]) -> list[str]:
+    """``Class.attr`` for every attribute a package class stores on ``self``
+    that no source reads: no source loads an attribute of that name or passes
+    the name to ``getattr`` as a string.  The scan goes by name only, so a
+    read of the same name on any object keeps the attribute."""
+    stored = set()
+    for source in modules:
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                stored.update(
+                    (cls.name, node.attr)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                )
+    read = set()
+    for source in modules + others:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                read.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
+    return sorted(f"{cls}.{attr}" for cls, attr in stored if attr not in read)
+
+
+def test_scan_flags_dead_attributes():
+    lib = (
+        "class Grid:\n"
+        "    _fields = ('rows', 'cols')\n"
+        "    def __init__(self, rows, cols):\n"
+        "        self.rows, self.cols = rows, cols\n"
+        "        self.size = rows * cols\n"
+        "        self._cache = {}\n"
+        "        self.count = 0\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        self._cache['k'] = 1\n"
+        "class Ring:\n"
+        "    def __init__(self, table):\n"
+        "        self.table = table\n"
+        "        other = Grid(1, 2)\n"
+        "        other.width = 3\n"
+    )
+    client = "def f(g, r):\n    return g.rows, getattr(r, 'table')\n"
+    assert dead_attributes([lib], [client]) == ["Grid.cols", "Grid.count", "Grid.size"]
+
+
+def test_every_stored_attribute_is_read():
+    assert dead_attributes(_sources([SRC]), _sources(REFERENCE_DIRS[1:])) == []
+
+
 def constant_defaults(source: str) -> list[str]:
     """``function.parameter`` for every parameter whose default is an
     upper-case module constant.  A cap belongs where it is enforced, read

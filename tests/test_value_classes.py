@@ -19,7 +19,6 @@ from chaintrace.algebra import (
 )
 from chaintrace.chain import FPAbelianGroup, FPModule, HomologyData
 from chaintrace.cli import JobConfig
-from chaintrace.endo import ExactFunctor
 from chaintrace.errors import InputParseError
 from chaintrace.linalg import Matrix, MembershipResult, SmithDecomposition, SparseMap
 from chaintrace.rings import GF, ZZ, BaseRing, Zmod
@@ -35,7 +34,7 @@ Z2 = FPAbelianGroup(0, (2,))
 A = base_algebra(ZZ)
 HOM = AlgebraHom(A, A, Matrix(ZZ, [[1]]))
 C1 = pointed_sets(1)
-GL = GeneralLinearData(cyclic_group(1), ((((1,),),),), 1, A, HOM)
+GL = GeneralLinearData(cyclic_group(1), HOM)
 
 
 def maker(cls, *args, **kwargs):
@@ -79,20 +78,20 @@ CASES = {
         True,
     ),
     "GeneralLinearData": (
-        maker(GeneralLinearData, cyclic_group(1), ((((1,),),),), 1, A, HOM),
-        maker(GeneralLinearData, cyclic_group(1), ((((1,),),),), 2, A, HOM),
+        maker(GeneralLinearData, cyclic_group(1), HOM),
+        maker(GeneralLinearData, cyclic_group(2), HOM),
         False,
     ),
     "NonUnitCertificate": (maker(NonUnitCertificate, "zero"), maker(NonUnitCertificate, "two"), True),
     "HomologyClass": (maker(HomologyClass, 1, (1,), (0, 1), Z2), maker(HomologyClass, 1, (0,), (0, 1), Z2), True),
     "MoritaResult": (
-        maker(MoritaResult, 0, G1, G1, Matrix(ZZ, [[1]]), True, True),
-        maker(MoritaResult, 0, G1, G1, Matrix(ZZ, [[1]]), True, False),
+        maker(MoritaResult, 0, G1, G1, True, True),
+        maker(MoritaResult, 0, G1, G1, True, False),
         False,
     ),
     "DennisTraceResult": (
-        maker(DennisTraceResult, 1, GL, G1, G1, I2, (), None, None),
-        maker(DennisTraceResult, 2, GL, G1, G1, I2, (), None, None),
+        maker(DennisTraceResult, 1, GL, G1, G1, ()),
+        maker(DennisTraceResult, 2, GL, G1, G1, ()),
         False,
     ),
     "SObject": (maker(SObject, 1, (0, 1), (3,), ()), maker(SObject, 1, (0, 1), (4,), ()), True),
@@ -106,15 +105,10 @@ CASES = {
         maker(K0Presentation, C1, (1,), ((1,),), None),
         False,
     ),
-    "ExactFunctor": (
-        maker(ExactFunctor, "id", C1, C1, (0, 1), abs),
-        maker(ExactFunctor, "id", C1, C1, (0, 0), abs),
-        True,
-    ),
     "ValidationReport": (maker(ValidationReport, "s", 2), maker(ValidationReport, "s", 3), False),
     "SigmaDeltaDiagram": (
-        maker(SigmaDeltaDiagram, name="D", n_max=1, k_cap=1, w_cap=1, keys=()),
-        maker(SigmaDeltaDiagram, name="D", n_max=2, k_cap=1, w_cap=1, keys=()),
+        maker(SigmaDeltaDiagram, name="D", keys=()),
+        maker(SigmaDeltaDiagram, name="D", keys=((0, ()),)),
         False,
     ),
     "JobConfig": (maker(JobConfig, "hh", ("Z",)), maker(JobConfig, "hh", ("Q",)), False),
@@ -187,7 +181,7 @@ def test_reports_and_diagrams_get_fresh_lists():
     a.record("broken")
     a.skip("too big")
     assert b.issues == [] and b.skipped == []
-    d1 = SigmaDeltaDiagram(name="D", n_max=1, k_cap=1, w_cap=1, keys=())
-    d2 = SigmaDeltaDiagram(name="D", n_max=1, k_cap=1, w_cap=1, keys=())
+    d1 = SigmaDeltaDiagram(name="D", keys=())
+    d2 = SigmaDeltaDiagram(name="D", keys=())
     d1.skips.append("x")
     assert d2.skips == []

@@ -4,7 +4,7 @@ import pytest
 
 from chaintrace import waldhausen
 from chaintrace.endo import end_category, k0_retract_holds
-from chaintrace.errors import CapExceededError
+from chaintrace.errors import CapExceededError, InternalInvariantError
 from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
     SCategory,
@@ -14,7 +14,8 @@ from chaintrace.waldhausen import (
     k0_presentation,
     k0_via_diagonal,
     k0_via_sdot,
-    reindex_s_object,
+    payload_functor,
+    reindex_functor,
     s_k_objects,
     validate_s_object,
     ws_diagonal,
@@ -64,7 +65,7 @@ def test_s_3_grids_validate_and_restrict_to_s_2():
         S3, S2 = SCategory(C, 3), SCategory(C, 2)
         for a in range(S3.object_count()):
             for i in range(4):
-                reindex_s_object(S3, S2, tuple(t for t in range(4) if t != i), a)
+                reindex_functor(S3, S2, tuple(t for t in range(4) if t != i))[0](a)
 
 
 def test_k_cap():
@@ -93,12 +94,24 @@ def test_reindex_round_trip():
     S2 = SCategory(v22, 2)
     for a in range(S1.object_count()):
         # Degenerate along s_0, then restrict back along the section.
-        s = reindex_s_object(S1, S2, (0, 0, 1), a)
-        assert reindex_s_object(S2, S1, (0, 2), s) == a
+        s = reindex_functor(S1, S2, (0, 0, 1))[0](a)
+        assert reindex_functor(S2, S1, (0, 2))[0](s) == a
     for a in range(S2.object_count()):
         # The (0, 1) face keeps the top-left entry of the staircase.
-        b = reindex_s_object(S2, S1, (0, 1), a)
+        b = reindex_functor(S2, S1, (0, 1))[0](a)
         assert S1.s_object(b).entry(0, 1) == S2.s_object(a).entry(0, 1)
+
+
+def test_payload_functor_refuses_an_object_outside_the_target():
+    C = vect_gf(2, 1)
+    S1 = SCategory(C, 1)
+    # every object of C sent to the payload of the zero grid, except F2^1
+    obj, mor = payload_functor(
+        C, S1, lambda a: S1.object_payload(0) if a == 0 else ("no", "such", "grid"), None
+    )
+    assert obj(0) == 0
+    with pytest.raises(InternalInvariantError, match=r"not an enumerated object of S_1\(vect_gf\(2,1\)\)"):
+        obj(1)
 
 
 def test_ws_diagonal_levels_and_identities():

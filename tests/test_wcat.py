@@ -387,12 +387,31 @@ def test_end_category_and_functors():
     # Objects of End(C) are pairs (object, endomorphism).
     assert E.object_count() == 3
     assert validate_waldhausen(E).ok
-    for functor in (iota0, iota1, forget):
-        assert validate_exact_functor(functor).ok
+    for name, S, T, functor in (
+        ("iota_0", C, E, iota0), ("iota_1", C, E, iota1), ("forget", E, C, forget)
+    ):
+        assert validate_exact_functor(name, S, T, functor).ok
     # forget is a retraction of both sections on objects.
     for a in range(C.object_count()):
-        assert forget.apply_obj(iota0.apply_obj(a)) == a
-        assert forget.apply_obj(iota1.apply_obj(a)) == a
+        assert forget[0](iota0[0](a)) == a
+        assert forget[0](iota1[0](a)) == a
+
+
+def test_validate_exact_functor_records_each_failure():
+    C = vect_gf(2, 1)
+    (to_zero,) = C.hom_ids(1, 0)
+    zero, ident = C.hom_ids(1, 1)
+    # the identity functor, except that F2 -> 0 goes to a map F2 -> F2 and
+    # the identity and zero endomorphisms of F2 trade places
+    swap = {to_zero: ident, zero: ident, ident: zero}
+    report = validate_exact_functor("broken", C, C, (lambda a: a, lambda m: swap.get(m, m)))
+    assert not report.ok
+    for failure in (
+        "endpoints of Hom(F2^1,0)[0] are not preserved",
+        "cofibration flag of Hom(F2^1,F2^1)[1] is not preserved",
+        "composition Hom(F2^1,F2^1)[1] ∘ Hom(F2^1,F2^1)[0] is not preserved",
+    ):
+        assert failure in report.issues
 
 
 def test_category_from_selector():
