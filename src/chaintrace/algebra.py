@@ -353,7 +353,7 @@ def _bijective_over_base(L: Matrix) -> bool:
     """Whether the square matrix L is invertible over its base ring."""
     if L.ring.kind == "Zmod":
         L = lift_with_modulus(L)
-    dec = smith_normal_form(L)
+    dec = smith_normal_form(L, factors=())
     return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
 
 
@@ -461,7 +461,7 @@ def unit_first_presentation(A: Algebra) -> tuple[Algebra, Matrix, Matrix]:
     from .errors import InternalInvariantError, ValidationError
 
     col = Matrix.from_cols(ring, [A.unit], A.rank)
-    dec = smith_normal_form(col)
+    dec = smith_normal_form(col, factors=("U", "Uinv", "Vinv"))
     g = dec.S.rows[0][0]
     if not ring.is_unit(g):
         raise ValidationError("unit coefficients do not generate the unit ideal; not a unital algebra")

@@ -21,7 +21,8 @@ The second elimination takes the boundaries written in that basis, and
 over Z/m also the relations m e_i: the rows of V^-1 [d_{n+1} | mI]
 divided by their weights.  Its diagonal gives the group and the generator
 orders, V and its U^-1 give the generators, and V^-1 then U give the
-coordinates.
+coordinates.  So the first elimination builds only V and V^-1 and the
+second only U and U^-1.
 
 Smith normal form has a fixed pivot rule, so output is deterministic.  Over
 Z/m the modulus must be a prime power; other moduli raise
@@ -49,7 +50,7 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form
+from .linalg import Matrix, SparseMap, lift_with_modulus, smith_cells, smith_normal_form
 from .rings import ZZ, BaseRing
 from .values import Value
 
@@ -66,11 +67,11 @@ __all__ = [
     "DENSE_CELL_CAP",
 ]
 
-# Dense cells (S, U, V and their inverses) that homology() may allocate in
-# one degree.  The largest prediction among the tests and the benchmark
-# jobs is about 9e5 cells, and morita GF:2[x]/x^2 --size 2 --max-degree 2
-# needs 1.7e7; the morita runs of Z[C3] and of GF:2[x]/x^2 one degree
-# higher would need 5.4e8 and 8.2e8, gigabytes of list slots.
+# Dense cells of the Smith factors that homology() builds in one degree
+# (predicted_dense_cells).  morita GF:2[x]/x^2 --size 2 --max-degree 2
+# needs 1.7e6 of them; morita Z[C3] --size 2 --max-degree 2 and
+# GF:2[x]/x^2 one degree higher would need 3.2e7 and 8.4e7, hundreds of
+# megabytes of list slots.
 DENSE_CELL_CAP = 30_000_000
 
 
@@ -217,7 +218,7 @@ def _homology(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> Homolo
     r_n = d_n.ncols
     first, second = (Matrix(ZZ, d_n.rows, r_n), lift_with_modulus(d_np1)) if m else (d_n, d_np1)
     base = first.ring  # Z over Z/m
-    dec1 = smith_normal_form(first)
+    dec1 = smith_normal_form(first, factors=("V", "Vinv"))
     Y = dec1.Vinv.mul(second)
     rank1 = dec1.rank
     weights: list[int] = []
@@ -238,7 +239,7 @@ def _homology(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> Homolo
     # over Z and fields do rows drop out, and those are the first rank1
     k = len(weights)
     start = r_n - k
-    dec2 = smith_normal_form(Matrix._canonical(base, rel_rows, Y.ncols))
+    dec2 = smith_normal_form(Matrix._canonical(base, rel_rows, Y.ncols), factors=("U", "Uinv"))
     s = dec2.rank
     if m and s != k:
         raise InternalInvariantError("mod-m relation matrix must have full rank")
@@ -286,8 +287,9 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
 
     Degrees run 0..top_degree-1 so that the incoming boundary from degree
     n+1 exists; asking for the top degree raises DegreeOutOfRangeError.
-    Before any matrix is built, check_dense_cells refuses a degree whose
-    eliminations would exceed DENSE_CELL_CAP.
+    The first elimination builds only V and Vinv, the second only U and
+    Uinv.  Before any matrix is built, check_dense_cells refuses a degree
+    whose Smith factors would exceed DENSE_CELL_CAP dense cells.
     """
     if n < 0 or n >= complex_.top_degree:
         raise DegreeOutOfRangeError(
@@ -304,8 +306,9 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
 
 
 def check_dense_cells(complex_: ChainComplex, n: int) -> None:
-    """Raise CapExceededError if homology(complex_, n) would allocate more
-    than DENSE_CELL_CAP dense cells (predicted_dense_cells of the ranks)."""
+    """Raise CapExceededError if the Smith factors of homology(complex_, n)
+    could hold more than DENSE_CELL_CAP dense cells (predicted_dense_cells
+    of the ranks)."""
     ranks = (complex_.rank(n - 1), complex_.rank(n), complex_.rank(n + 1))
     cells = predicted_dense_cells(complex_.ring, *ranks)
     if cells > DENSE_CELL_CAP:
@@ -316,18 +319,21 @@ def check_dense_cells(complex_: ChainComplex, n: int) -> None:
 
 
 def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:
-    """Cells of S, U, V, Uinv and Vinv over both eliminations of homology().
+    """An upper bound of the dense cells of the Smith factors that the two
+    eliminations of homology() build (linalg.smith_cells).
 
     a, b, c are the ranks in degrees n-1, n, n+1.  The first elimination
-    takes d_n (a x b).  The second takes the boundaries in the kernel basis,
-    at most b rows by c columns; over Z/p^k it takes the lift
-    [d_{n+1} | mI] in that basis, b rows by c + b columns.
+    takes d_n (a x b) and builds S, V and Vinv.  The second takes one row
+    per kernel generator, b over Z/p^k and at least b - a otherwise, and c
+    columns, or c + b over Z/p^k for the lift [d_{n+1} | mI]; it builds S,
+    U and Uinv.  Both count U and V where a small input is self-checked.
     """
     if ring.kind == "Zmod":
-        c += b
-    first = a * b + 2 * a * a + 2 * b * b
-    second = b * c + 2 * b * b + 2 * c * c
-    return first + second
+        c, fewest = c + b, b
+    else:
+        fewest = max(b - a, 0)
+    first = smith_cells(range(a, a + 1), b, ("V", "Vinv"))
+    return first + smith_cells(range(fewest, b + 1), c, ("U", "Uinv"))
 
 
 def _sparse_columns(d: SparseMap, skip=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:

@@ -26,23 +26,27 @@ modulus: solve_membership eliminates it directly, and chain._homology, the
 one routine behind homology() over every ring, eliminates the lift of d_n
 and then [d_{n+1} | m*I] written in the kernel basis that elimination gives.
 
-smith_normal_form(M) returns (U, S, V) with S = U * M * V, U and V
-invertible over the ring, S diagonal with the divisibility chain
-d_1 | d_2 | ... | d_r.  The pivot rule (conventions.PIVOT_RULE) is fixed
-for determinism: among the nonzero entries of the working block, choose the
-one of smallest pivot measure (|x| over Z, p-adic valuation over Z/p^k, any
-nonzero over a field), breaking ties in row-major order.  Diagonal entries
-are normalized to canonical unit multiples (positive over Z, 1 over fields,
-p-powers over Z/p^k).
+smith_normal_form(M) returns S = U * M * V, with U and V invertible over
+the ring and S diagonal with the divisibility chain d_1 | d_2 | ... | d_r.
+The pivot rule (conventions.PIVOT_RULE) is fixed for determinism: among the
+nonzero entries of the working block, choose the one of smallest pivot
+measure (|x| over Z, p-adic valuation over Z/p^k, any nonzero over a field),
+breaking ties in row-major order.  Diagonal entries are normalized to
+canonical unit multiples (positive over Z, 1 over fields, p-powers over
+Z/p^k).
 
-Storage stays dense, but the kernel's cost follows the nonzero entries:
-each row or column operation, scaling and pivot search skips zeros, since
-x - q*0 is x again in value and in type, and Matrix.mul multiplies only
-nonzero pairs.  The boundaries of the complexes here are a few percent
-nonzero, so dense arithmetic would mostly compute x - q*0.  What stays
-quadratic is memory: homology() therefore predicts the dense cells of its
-eliminations from the ranks and refuses above chain.DENSE_CELL_CAP before
-building any matrix.
+Of the transforms U, V, Uinv and Vinv, the elimination builds only those
+its caller names: homology() reads V and Vinv of its first elimination and
+U and Uinv of its second, and a bijectivity test reads S alone.  Each
+transform's updates read S and itself only, so a built factor has the same
+entries whichever others are built.  The kernel's cost follows the nonzero
+entries: each row or column operation, scaling and pivot search skips
+zeros, since x - q*0 is x again in value and in type, and Matrix.mul
+multiplies only nonzero pairs.  The boundaries of the complexes here are a
+few percent nonzero, so dense arithmetic would mostly compute x - q*0.
+What stays quadratic is memory, since storage stays dense: S and an n x n
+square for each transform built.  smith_cells counts those cells, and
+homology() refuses above chain.DENSE_CELL_CAP before building any matrix.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ __all__ = [
     "SparseMap",
     "SmithDecomposition",
     "smith_normal_form",
+    "smith_cells",
     "kernel_basis",
     "solve_membership",
     "MembershipResult",
@@ -299,12 +304,18 @@ class SparseMap(Value):
 
 
 class SmithDecomposition(Value):
-    """U * M * V = S with U, V invertible and S in Smith normal form."""
+    """U * M * V = S with U, V invertible and S in Smith normal form.
+
+    S is always present.  U, V, Uinv and Vinv are None where the call to
+    smith_normal_form did not name them.
+    """
 
     __slots__ = ("U", "S", "V", "Uinv", "Vinv")
     _fields = __slots__
 
-    def __init__(self, U: Matrix, S: Matrix, V: Matrix, Uinv: Matrix, Vinv: Matrix) -> None:
+    def __init__(
+        self, U: Matrix | None, S: Matrix, V: Matrix | None, Uinv: Matrix | None, Vinv: Matrix | None
+    ) -> None:
         self.U = U
         self.S = S
         self.V = V
@@ -364,19 +375,24 @@ def _quotient(ring: BaseRing, a, b):
     return ring.exact_div(a, b) if ring.divides(b, a) else ring.zero
 
 
-def _smith_engine(ring: BaseRing, mat: Matrix):
+def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
     """Core elimination; returns (U, Uinv, S, V, Vinv) as row lists.
 
     Storage is dense, but every operation visits only nonzero entries: an
     update x - q*0 is x again, so skipping it changes no value and no type.
     A column operation finds the rows it touches with one scan of the
-    column, run in C by compress over itemgetter.
+    column, run in C by compress over itemgetter.  A transform not in
+    factors is built and returned as a stand-in with no entries, so its
+    updates visit nothing: U and Vinv, whose rows are taken by index, get
+    empty rows, and Uinv and V, which are scanned for rows, get none.
     """
     nr, nc = mat.nrows, mat.ncols
     add, sub, mul, one = ring.add, ring.sub, ring.mul, ring.one
     S = [row[:] for row in mat.rows]
-    U, Uinv = Matrix.identity(ring, nr).rows, Matrix.identity(ring, nr).rows
-    V, Vinv = Matrix.identity(ring, nc).rows, Matrix.identity(ring, nc).rows
+    U = Matrix.identity(ring, nr).rows if "U" in factors else [()] * nr
+    Uinv = Matrix.identity(ring, nr).rows if "Uinv" in factors else []
+    V = Matrix.identity(ring, nc).rows if "V" in factors else []
+    Vinv = Matrix.identity(ring, nc).rows if "Vinv" in factors else [()] * nc
 
     def row_sub(i, t, q, s_cols, u_cols):  # row_i -= q * row_t ; Uinv col_t += q * Uinv col_i
         if not q:
@@ -511,10 +527,20 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
     return U, Uinv, S, V, Vinv
 
 
-def smith_normal_form(mat: Matrix) -> SmithDecomposition:
+def _self_checked(nrows: int, ncols: int) -> bool:
+    """Whether smith_normal_form checks U * M * V == S on an input of this
+    shape: a cheap check on small inputs, where the property suite covers
+    the rest.  An empty input has nothing to check."""
+    return 0 < nrows * ncols <= 2500
+
+
+def smith_normal_form(mat: Matrix, *, factors=("U", "V", "Uinv", "Vinv")) -> SmithDecomposition:
     """Smith decomposition over Z, Q, GF(p), or Z/p^k.
 
-    Deterministic: pivot of smallest measure, ties row-major.  Raises
+    factors names the transforms the caller reads, among U, V, Uinv and
+    Vinv; S is always built, and a transform not named is None.
+    Deterministic: pivot of smallest measure, ties row-major, and a built
+    factor does not depend on which others are built.  Raises
     UnsupportedRingError over Z/m with composite non-prime-power m.
     """
     ring = mat.ring
@@ -522,21 +548,38 @@ def smith_normal_form(mat: Matrix) -> SmithDecomposition:
         raise UnsupportedRingError(
             f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
         )
-    U, Uinv, S, V, Vinv = _smith_engine(ring, mat)
     nr, nc = mat.nrows, mat.ncols
-    dec = SmithDecomposition(
-        U=Matrix._canonical(ring, U, nr),
+    factors = frozenset(factors)
+    check = __debug__ and _self_checked(nr, nc)
+    U, Uinv, S, V, Vinv = _smith_engine(ring, mat, factors | {"U", "V"} if check else factors)
+    if check and Matrix._canonical(ring, U, nr).mul(mat).mul(Matrix._canonical(ring, V, nc)).rows != S:
+        raise InternalInvariantError("Smith decomposition failed U*M*V == S")
+    return SmithDecomposition(
+        U=Matrix._canonical(ring, U, nr) if "U" in factors else None,
         S=Matrix._canonical(ring, S, nc),
-        V=Matrix._canonical(ring, V, nc),
-        Uinv=Matrix._canonical(ring, Uinv, nr),
-        Vinv=Matrix._canonical(ring, Vinv, nc),
+        V=Matrix._canonical(ring, V, nc) if "V" in factors else None,
+        Uinv=Matrix._canonical(ring, Uinv, nr) if "Uinv" in factors else None,
+        Vinv=Matrix._canonical(ring, Vinv, nc) if "Vinv" in factors else None,
     )
-    if __debug__ and mat.nrows * mat.ncols <= 2500:
-        # cheap self-check on small inputs; the property suite covers the rest
-        check = dec.U.mul(mat).mul(dec.V)
-        if check != dec.S:
-            raise InternalInvariantError("Smith decomposition failed U*M*V == S")
-    return dec
+
+
+def smith_cells(rows: range, ncols: int, factors) -> int:
+    """Dense cells smith_normal_form(M, factors=factors) builds for an M with
+    ncols columns and a row count in rows: exact for one row count, an upper
+    bound for several.
+
+    They are S, an n x n square for each transform built (n is the row count
+    for U and Uinv, ncols for V and Vinv), and U and V where the input is
+    small enough to be self-checked, even with assertions off.  The most rows
+    cost the most, and the fewest nonzero rows are the likeliest checked.
+    """
+    k = rows[-1]
+    fewest = rows[0] or 1
+    built = set(factors)
+    if fewest in rows and _self_checked(fewest, ncols):
+        built |= {"U", "V"}
+    side = {"U": k, "Uinv": k, "V": ncols, "Vinv": ncols}
+    return k * ncols + sum(side[name] ** 2 for name in built)
 
 
 def lift_with_modulus(mat: Matrix) -> Matrix:
@@ -559,7 +602,7 @@ def kernel_basis(mat: Matrix) -> list[tuple]:
     """
     if mat.ring.kind == "Zmod":
         raise UnsupportedRingError("kernel_basis is defined over Z and fields only")
-    dec = smith_normal_form(mat)
+    dec = smith_normal_form(mat, factors=("V",))
     rank = dec.rank
     return [dec.V.col(j) for j in range(rank, mat.ncols)]
 
@@ -591,7 +634,7 @@ def solve_membership(mat: Matrix, vec: Sequence) -> MembershipResult:
         if not res.found:
             return MembershipResult(False, None, res.reason)
         return MembershipResult(True, tuple(ring.normalize(x) for x in res.witness[: mat.ncols]))
-    dec = smith_normal_form(mat)
+    dec = smith_normal_form(mat, factors=("U", "V"))
     y = dec.U.apply(vec)
     rank = dec.rank
     x = [ring.zero] * mat.ncols

@@ -327,7 +327,7 @@ def fp_map_is_iso(
         [list(matrix.rows[i]) + [col[i] for col in rel_cols] for i in range(k)],
         matrix.ncols + len(rel_cols),
     )
-    dec = smith_normal_form(full)
+    dec = smith_normal_form(full, factors=())
     surjective = dec.rank == k and all(ring.is_unit(d) for d in dec.invariant_factors)
     if isinstance(source, FPModule) and isinstance(target, FPModule):
         same = source.dimension == target.dimension and source.field == target.field

@@ -550,7 +550,7 @@ class VectCategory(WCategory):
         ip, fp = self._mor_payload[i], self._mor_payload[f]
         stacked = [[ip[r][s] for s in range(a)] for r in range(b)]
         stacked += [[(-fp[r][s]) % self.q for s in range(a)] for r in range(c)]
-        dec = smith_normal_form(Matrix(self.ring, stacked, ncols=a))
+        dec = smith_normal_form(Matrix(self.ring, stacked, ncols=a), factors=("U",))
         rank = dec.rank
         if rank != a:
             raise InternalInvariantError("pushout leg expected to be injective")
@@ -756,7 +756,7 @@ class FiniteModulesCategory(WCategory):
             col = [ip[t][s] for t in range(rb)] + [-fp[t][s] for t in range(rc)]
             cols.append(col)
         rel = Matrix(ZZ, [[cols[j][r] for j in range(len(cols))] for r in range(gens)], ncols=len(cols))
-        dec = smith_normal_form(rel)
+        dec = smith_normal_form(rel, factors=("U",))
         diag = dec.diagonal
         if dec.rank != gens or any(d == 0 for d in diag):
             raise InternalInvariantError("pushout of finite groups must be finite")

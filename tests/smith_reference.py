@@ -173,11 +173,21 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
 
 
 
-def assert_same_factors(mat: Matrix) -> None:
-    """smith_normal_form(mat) equals the reference in all five factors, types included."""
-    dec = smith_normal_form(mat)
+TRANSFORMS = ("U", "V", "Uinv", "Vinv")
+
+
+def assert_same_factors(mat: Matrix, subsets=(TRANSFORMS,)) -> None:
+    """smith_normal_form(mat, factors=f) for each f in subsets equals the
+    reference in S and in every factor of f, types included, and leaves the
+    other transforms None."""
     U, Uinv, S, V, Vinv = _smith_engine(mat.ring, mat)
-    for name, rows in (("U", U), ("S", S), ("V", V), ("Uinv", Uinv), ("Vinv", Vinv)):
-        got = getattr(dec, name).rows
-        assert got == rows, name
-        assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in rows], name
+    reference = {"U": U, "S": S, "V": V, "Uinv": Uinv, "Vinv": Vinv}
+    for factors in subsets:
+        dec = smith_normal_form(mat, factors=factors)
+        for name, rows in reference.items():
+            if name != "S" and name not in factors:
+                assert getattr(dec, name) is None, (factors, name)
+                continue
+            got = getattr(dec, name).rows
+            assert got == rows, (factors, name)
+            assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in rows], (factors, name)

@@ -8,6 +8,8 @@ FAILED row.  Every criterion carries an explicit wall-clock budget.
 import contextlib
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -29,6 +31,7 @@ from chaintrace.wcat import (
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 @contextlib.contextmanager
@@ -213,3 +216,37 @@ def test_criterion_11_dense_cell_cap_refuses_quickly(argv, capsys):
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert f"above the cap {DENSE_CELL_CAP}" in err
+
+
+# Runs the command in its arguments and prints the command's peak RSS in
+# kilobytes (Linux) and its exit code on stderr.  A child's peak counts the
+# address space it was spawned from, so the job is spawned from this small
+# interpreter rather than from the test process.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_criterion_12_morita_within_its_memory_budget():
+    # its largest elimination is 344 x 2744; building all five Smith
+    # factors of every elimination took this job to 162 MB
+    argv = ["morita", "GF:2[x]/x^2", "--size", "2", "--max-degree", "2"]
+    with criterion(12, f"CLI {' '.join(argv)} prints ISO with a peak RSS below 60 MB", 8.0):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "chaintrace.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        rss_kb, code = map(int, proc.stderr.split()[-2:])
+        assert (proc.returncode, code) == (0, 0), proc.stderr
+        assert proc.stdout.splitlines()[2:] == [
+            f"degree {n}: HH_{n}(M_2(A)) = GF(2)^2 -> HH_{n}(A) = GF(2)^2  [ISO]" for n in range(3)
+        ] + ["verdict: ISO"]
+        assert rss_kb < 60 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"

@@ -228,14 +228,15 @@ def test_homology_needs_next_degree():
 
 
 def _engine_cells(monkeypatch):
-    """Record the cells of S, U, V, Uinv and Vinv of every Smith elimination."""
+    """Record the dense cells of S and of the transforms built by every Smith elimination."""
     cells = []
     engine = linalg._smith_engine
 
-    def counting_engine(ring, mat):
+    def counting_engine(ring, mat, factors):
         r, c = mat.nrows, mat.ncols
-        cells.append(r * c + 2 * r * r + 2 * c * c)
-        return engine(ring, mat)
+        side = {"U": r, "Uinv": r, "V": c, "Vinv": c}
+        cells.append(r * c + sum(side[name] ** 2 for name in factors))
+        return engine(ring, mat, factors)
 
     monkeypatch.setattr(linalg, "_smith_engine", counting_engine)
     return cells

@@ -3,11 +3,15 @@
 The kernel visits only nonzero entries; the reference walks whole rows and
 columns.  With the same pivot rule and the same order of operations, all
 five factors U, S, V, Uinv and Vinv must agree entry for entry, and so must
-the Python type of every entry (Fraction over Q, int elsewhere).  Random
-matrices are dense, monomial (one nonzero per row and column, which drives
-the divisibility fix-up) or sparse at 10-20 % density; the boundary
-matrices of a Dennis trace run are checked as well.
+the Python type of every entry (Fraction over Q, int elsewhere).  Each of
+the sixteen subsets of the transforms is requested in turn: S and every
+factor requested must equal the reference's, and every other transform
+must be None.  Random matrices are dense, monomial (one nonzero per row
+and column, which drives the divisibility fix-up) or sparse at 10-20 %
+density; the boundary matrices of a Dennis trace run are checked as well.
 """
+
+from itertools import combinations
 
 import pytest
 
@@ -20,8 +24,9 @@ from chaintrace.linalg import Matrix  # noqa: E402
 from chaintrace.rings import GF, QQ, ZZ, Zmod  # noqa: E402
 from chaintrace.trace import dennis_trace_homology  # noqa: E402
 
-from smith_reference import assert_same_factors  # noqa: E402
+from smith_reference import TRANSFORMS, assert_same_factors  # noqa: E402
 
+SUBSETS = [f for n in range(len(TRANSFORMS) + 1) for f in combinations(TRANSFORMS, n)]
 RINGS = (ZZ, QQ, GF(2), GF(3), GF(5), Zmod(4), Zmod(8), Zmod(9), Zmod(25))
 
 
@@ -54,7 +59,7 @@ def matrices(draw, ring):
 def test_factors_match_the_reference(ring, data):
     M = data.draw(matrices(ring), label="M")
     hypothesis.note(f"rows = {M.rows}")
-    assert_same_factors(M)
+    assert_same_factors(M, SUBSETS)
 
 
 def test_trace_homology_eliminations_match_the_reference(monkeypatch):
@@ -62,9 +67,9 @@ def test_trace_homology_eliminations_match_the_reference(monkeypatch):
     seen = []
     engine = linalg._smith_engine
 
-    def recording_engine(ring, mat):
+    def recording_engine(ring, mat, factors):
         seen.append(Matrix._canonical(ring, [row[:] for row in mat.rows], mat.ncols))
-        return engine(ring, mat)
+        return engine(ring, mat, factors)
 
     monkeypatch.setattr(linalg, "_smith_engine", recording_engine)
     dennis_trace_homology(base_algebra(GF(2)), 2, 2)
@@ -72,4 +77,4 @@ def test_trace_homology_eliminations_match_the_reference(monkeypatch):
     assert len(seen) >= 2
     assert max(m.nrows * m.ncols for m in seen) >= 1000
     for mat in seen:
-        assert_same_factors(mat)
+        assert_same_factors(mat, SUBSETS)
