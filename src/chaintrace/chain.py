@@ -61,6 +61,7 @@ __all__ = [
     "HomologyData",
     "homology",
     "reduce_complex",
+    "direct_sum",
     "rank_over_field",
     "predicted_dense_cells",
     "check_dense_cells",
@@ -425,6 +426,19 @@ def reduce_complex(complex_: ChainComplex) -> ChainComplex:
             [{position[i]: c for i, c in cols[j].items() if i in position} for j in keep[n]],
         )
     return ChainComplex(ring, [len(k) for k in keep], diffs)
+
+
+def direct_sum(ring: BaseRing, top: int, summands) -> ChainComplex:
+    """Block-diagonal sum of complexes in degrees 0..top, in the order given."""
+    ranks = [0] * (top + 1)
+    cols: list[list] = [[] for _ in range(top + 1)]
+    for C in summands:
+        for n in range(1, top + 1):
+            off = ranks[n - 1]
+            cols[n].extend(tuple((i + off, c) for i, c in col) for col in C.differential(n).cols)
+        ranks = [a + C.rank(n) for n, a in enumerate(ranks)]
+    diffs = {n: SparseMap(ring, ranks[n - 1], ranks[n], tuple(cols[n])) for n in range(1, top + 1)}
+    return ChainComplex(ring, ranks, diffs)
 
 
 def rank_over_field(d: SparseMap) -> int:

@@ -249,11 +249,11 @@ def _handle_hh(config: JobConfig) -> tuple[int, str]:
 
 
 def _handle_hc(config: JobConfig) -> tuple[int, str]:
-    from .chain import homology, reduce_complex
-    from .hochschild import cyclic_total_complex
+    from .chain import homology
+    from .hochschild import cyclic_core
 
     A = _resolve_algebra(config.inputs[0], config.ring)
-    core = reduce_complex(cyclic_total_complex(A, config.max_degree))
+    core = cyclic_core(A, config.max_degree)
     groups = [homology(core, d).group for d in range(config.max_degree + 1)]
     lines = [_algebra_line(A)]
     lines += [f"HC_{d} = {g}" for d, g in enumerate(groups)]

@@ -23,6 +23,18 @@ are written directly on these unit-free tuples (Loday, Cyclic Homology,
 never built for them; _face is the one face writer, for both b's.  Homology
 results are converted back to the caller's original basis at the API boundary.
 
+The invariants-only paths (HochschildHomology.core behind hh, cyclic_core
+behind hc) never build the whole normalized complex.  table_grading finds
+the universal abelian grading of the unit-first table, w(k) = w(i) + w(j)
+wherever c_ij^k != 0, by one Smith normal form over Z: Z/n for Z[C_n], Z
+for R[x]/x^n, nothing for an ungraded table.  Faces and B preserve the
+total weight of a tuple, so the complex is the direct sum of its weight
+blocks (for a group algebra, Burghelea's conjugacy-class summands; Loday,
+Cyclic Homology, 7.4).  Each block is built, checked, reduced and dropped
+in turn.  Its row lookup drops a degenerate tuple, as the full complex's
+does, and raises InternalInvariantError on a non-degenerate tuple of
+another weight, so a wrong grading cannot lose a term.
+
 The exhaustive check of the simplicial and cyclic identities on a cyclic
 module (``validate_cyclic_module``) lives in chaintrace.selftest, its only
 caller, so no Hochschild job compiles it.
@@ -31,13 +43,20 @@ caller, so no Hochschild job compiles it.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology, reduce_complex
+from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, direct_sum, homology, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
-from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
-from .linalg import SparseMap
+from .errors import (
+    CapExceededError,
+    DegreeOutOfRangeError,
+    InternalInvariantError,
+    UnsupportedRingError,
+    ValidationError,
+)
+from .linalg import Matrix, SparseMap, smith_normal_form
+from .rings import ZZ
 
 __all__ = [
     "CyclicModule",
@@ -46,6 +65,8 @@ __all__ = [
     "hochschild_homology",
     "cyclic_homology",
     "cyclic_total_complex",
+    "cyclic_core",
+    "table_grading",
     "induced_chain_map",
     "tensor_power_map",
     "LEVEL_CAP",
@@ -187,6 +208,31 @@ def _hochschild_boundary(A: Algebra, tuples, row_of) -> list[dict]:
     return cols
 
 
+def table_grading(A: Algebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Universal abelian grading of A's table: (moduli, weight of each e_j).
+
+    Each nonzero c_ij^k asks w(k) = w(i) + w(j): a row e_k - e_i - e_j of
+    an integer matrix M.  With U M V = S in Smith form, x -> xV carries the
+    row space of M onto that of S, so the grading group is the sum of
+    Z/d over the Smith entries d (0 past the rank, a free Z) and the weight
+    of e_j is row j of V reduced modulo them.  Entries equal to 1 are
+    dropped.  Z[C_n] gives moduli (n,), R[x]/x^n gives (0,), and a table
+    with no grading gives () and a single block.
+    """
+    r = A.rank
+    rows = {
+        tuple((x == k) - (x == i) - (x == j) for x in range(r))
+        for i, row in enumerate(A.table)
+        for j, product in enumerate(row)
+        for k, _ in product
+    }
+    dec = smith_normal_form(Matrix(ZZ, sorted(rows), r), factors=("V",))
+    diagonal = dec.diagonal + (0,) * (r - len(dec.diagonal))
+    kept = [(c, d) for c, d in enumerate(diagonal) if d != 1]
+    weights = tuple(tuple(row[c] % d if d else row[c] for c, d in kept) for row in dec.V.rows)
+    return tuple(d for _, d in kept), weights
+
+
 def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
     """Cyclic module of A with levels 0..N+1 (enough to compute HH_0..HH_N).
 
@@ -205,6 +251,20 @@ def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
     return CyclicModule(A, N + 1)
 
 
+class _Rows(dict):
+    """Rows of the tuples of one normalized level.
+
+    A tuple the level lacks is either degenerate, with no row (None), or
+    non-degenerate and of another weight: a face that left its block,
+    which raises InternalInvariantError.
+    """
+
+    def __missing__(self, tup):
+        if 0 in tup[1:]:
+            return None
+        raise InternalInvariantError(f"tensor {tup} left its weight block")
+
+
 class NormalizedComplex:
     """Quotient of the cyclic bar levels by degenerate chains.
 
@@ -212,9 +272,11 @@ class NormalizedComplex:
     are spanned by tuples with 0 in a slot >= 1 and the quotient basis is
     the set of tuples avoiding 0 past slot 0.  b and B are written on these
     unit-free tuples; only projection and inclusion touch the full levels.
+    A weight block (weight_blocks) is a NormalizedComplex whose levels hold
+    only the tuples of one total weight.
     """
 
-    def __init__(self, C: CyclicModule):
+    def __init__(self, C: CyclicModule, tuples: dict[int, list] | None = None):
         A = C.algebra
         if A.unit != A.basis_vector(0):
             raise ValidationError(
@@ -222,16 +284,14 @@ class NormalizedComplex:
             )
         self.cyclic_module = C
         self.ring = C.ring
-        self._tuples: dict[int, list] = {}
+        self._tuples: dict[int, list] = tuples or {}
         self._index: dict[int, dict] = {}
         self._cache: dict = {}
 
     def level_tuples(self, q: int) -> list:
         if q not in self._tuples:
             r = self.cyclic_module.algebra.rank
-            tups = list(itertools.product(range(r), *[range(1, r)] * q))
-            self._tuples[q] = tups
-            self._index[q] = {t: i for i, t in enumerate(tups)}
+            self._tuples[q] = list(itertools.product(range(r), *[range(1, r)] * q))
         return self._tuples[q]
 
     def rank(self, q: int) -> int:
@@ -240,9 +300,41 @@ class NormalizedComplex:
         return len(self.level_tuples(q))
 
     def _row_of(self, q: int):
-        """Row lookup on normalized level q; None for a degenerate tuple."""
-        self.level_tuples(q)
-        return self._index[q].get
+        """Row lookup on level q (see _Rows)."""
+        if q not in self._index:
+            self._index[q] = _Rows((t, i) for i, t in enumerate(self.level_tuples(q)))
+        return self._index[q].__getitem__
+
+    def weight_blocks(self):
+        """Yield (weight, block) for the weight blocks of levels 0..max_level.
+
+        Every face and B preserve the total weight of a tuple under
+        table_grading, so the complex is the direct sum of its blocks.  The
+        tuples of every level are sorted into blocks first, keeping level
+        order; a block's operators are built only when the caller asks, so
+        a caller that drops each block before taking the next holds one
+        block's operators at a time.  Blocks come in sorted weight order.
+        """
+        A = self.cyclic_module.algebra
+        moduli, weights = table_grading(A)
+
+        @cache
+        def add(u, v):
+            return tuple((a + b) % d if d else a + b for a, b, d in zip(u, v, moduli))
+
+        levels: list[dict] = []
+        tier = [((i,), w) for i, w in enumerate(weights)]
+        for q in range(self.cyclic_module.max_level + 1):
+            if q:
+                tier = [(t + (k,), add(w, weights[k])) for t, w in tier for k in range(1, A.rank)]
+            blocks: dict = {}
+            for t, w in tier:
+                blocks.setdefault(w, []).append(t)
+            levels.append(blocks)
+        del tier
+        for w in sorted(set().union(*levels)):
+            tuples = {q: level.pop(w, []) for q, level in enumerate(levels)}
+            yield w, NormalizedComplex(self.cyclic_module, tuples)
 
     def projection(self, q: int) -> SparseMap:
         """Full level q -> normalized level q (kill degenerate tuples)."""
@@ -306,6 +398,47 @@ class NormalizedComplex:
         diffs = {q: self.boundary(q) for q in range(1, top + 1)}
         return ChainComplex(self.ring, ranks, diffs)
 
+    def total_complex(self, top: int) -> ChainComplex:
+        """Degrees 0..top of the (b, B) total complex (cyclic_total_complex)."""
+        offsets: dict[int, list[int]] = {}
+        totals: dict[int, int] = {}
+        for m in range(top + 1):
+            offs, pos = [], 0
+            p = 0
+            while m - 2 * p >= 0:
+                offs.append(pos)
+                pos += self.rank(m - 2 * p)
+                p += 1
+            offsets[m] = offs
+            totals[m] = pos
+
+        ring = self.ring
+        diffs: dict[int, SparseMap] = {}
+        for m in range(1, top + 1):
+            cols: list[dict] = [dict() for _ in range(totals[m])]
+            for p, off in enumerate(offsets[m]):
+                q = m - 2 * p
+                b = self.boundary(q) if q >= 1 else None
+                B = self.connes_b(q) if p >= 1 else None
+                for j in range(self.rank(q)):
+                    col = cols[off + j]
+                    if b is not None:
+                        tgt_off = offsets[m - 1][p]
+                        for i, c in b.cols[j]:
+                            col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
+                    if B is not None:
+                        tgt_off = offsets[m - 1][p - 1]
+                        for i, c in B.cols[j]:
+                            col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
+            diffs[m] = SparseMap.from_col_dicts(ring, totals[m - 1], cols)
+
+        return ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
+
+    def block_core(self, build, top: int) -> ChainComplex:
+        """Block-diagonal sum of reduce_complex(build(block, top)) over the
+        weight blocks, each built, checked, reduced and dropped in turn."""
+        return direct_sum(self.ring, top, (reduce_complex(build(b, top)) for _, b in self.weight_blocks()))
+
 
 def tensor_power_map(f: SparseMap, power: int) -> SparseMap:
     """f^tensor(power) with big-endian tuple indexing on both sides."""
@@ -342,9 +475,10 @@ class HochschildHomology:
     Representatives and input cycles use the caller's basis of A^tensor(q+1);
     internally everything runs on the normalized complex of a unit-first
     presentation, and the two are bridged by tensor powers of the change of
-    basis.  group() reads isomorphism types off the reduced core of that
-    complex; homology_data() and everything built on it use the complex
-    itself.
+    basis.  group() reads isomorphism types off core, which is built one
+    weight block of the normalized complex at a time and never holds the
+    whole complex; homology_data() and everything built on it use complex,
+    the whole normalized complex, built on first use.
     """
 
     def __init__(self, A: Algebra, max_degree: int):
@@ -358,10 +492,14 @@ class HochschildHomology:
         self._tinv_map = SparseMap.from_matrix(Tinv)
         self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)
-        self.complex = self.normalized.chain_complex(max_degree + 1)
         self._data: dict[int, HomologyData] = {}
         self._to_norm: dict[int, SparseMap] = {}
         self._from_norm: dict[int, SparseMap] = {}
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        """The normalized complex in degrees 0..max_degree+1."""
+        return self.normalized.chain_complex(self.max_degree + 1)
 
     def homology_data(self, n: int) -> HomologyData:
         if n < 0 or n > self.max_degree:
@@ -372,8 +510,15 @@ class HochschildHomology:
 
     @cached_property
     def core(self) -> ChainComplex:
-        """reduce_complex of the normalized complex, built on first use."""
-        return reduce_complex(self.complex)
+        """A small complex with the homology of the normalized one.
+
+        Each weight block (NormalizedComplex.weight_blocks) is built, checked
+        by the ChainComplex constructor, reduced by reduce_complex and
+        dropped before the next; the core is the block-diagonal sum of the
+        block cores in sorted weight order.  A face that leaves its block
+        raises InternalInvariantError.
+        """
+        return self.normalized.block_core(NormalizedComplex.chain_complex, self.max_degree + 1)
 
     def group(self, n: int) -> FPAbelianGroup | FPModule:
         return homology(self.core, n).group
@@ -423,49 +568,28 @@ def cyclic_total_complex(A: Algebra, max_degree: int) -> ChainComplex:
     all of which hold on the nose and are re-checked by the chain complex
     constructor.  Its homology in degrees 0..max_degree is HC_*(A).
     """
+    return _cyclic_normalized(A, max_degree).total_complex(max_degree + 1)
+
+
+def cyclic_core(A: Algebra, max_degree: int) -> ChainComplex:
+    """A small complex with the homology of cyclic_total_complex.
+
+    b and B (the weight-0 unit put in front, then a rotation) preserve
+    weight, so the total complex is built and reduced one weight block at a
+    time, as HochschildHomology.core does.
+    """
+    return _cyclic_normalized(A, max_degree).block_core(NormalizedComplex.total_complex, max_degree + 1)
+
+
+def _cyclic_normalized(A: Algebra, max_degree: int) -> NormalizedComplex:
     if A.ring.kind != "Q":
         raise UnsupportedRingError("cyclic homology is computed over Q only")
     if max_degree < 0:
         raise DegreeOutOfRangeError("degree must be >= 0")
     reduced, _, _ = unit_first_presentation(A)
-    norm = NormalizedComplex(cyclic_bar(reduced, max_degree))
-    top = max_degree + 1
-
-    offsets: dict[int, list[int]] = {}
-    totals: dict[int, int] = {}
-    for m in range(top + 1):
-        offs, pos = [], 0
-        p = 0
-        while m - 2 * p >= 0:
-            offs.append(pos)
-            pos += norm.rank(m - 2 * p)
-            p += 1
-        offsets[m] = offs
-        totals[m] = pos
-
-    ring = A.ring
-    diffs: dict[int, SparseMap] = {}
-    for m in range(1, top + 1):
-        cols: list[dict] = [dict() for _ in range(totals[m])]
-        for p, off in enumerate(offsets[m]):
-            q = m - 2 * p
-            b = norm.boundary(q) if q >= 1 else None
-            B = norm.connes_b(q) if p >= 1 else None
-            for j in range(norm.rank(q)):
-                col = cols[off + j]
-                if b is not None:
-                    tgt_off = offsets[m - 1][p]
-                    for i, c in b.cols[j]:
-                        col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
-                if B is not None:
-                    tgt_off = offsets[m - 1][p - 1]
-                    for i, c in B.cols[j]:
-                        col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
-        diffs[m] = SparseMap.from_col_dicts(ring, totals[m - 1], cols)
-
-    return ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
+    return NormalizedComplex(cyclic_bar(reduced, max_degree))
 
 
 def cyclic_homology(A: Algebra, n: int) -> FPModule:
-    """HC_n(A) over Q; see cyclic_total_complex."""
-    return homology(reduce_complex(cyclic_total_complex(A, n)), n).group
+    """HC_n(A) over Q; see cyclic_core."""
+    return homology(cyclic_core(A, n), n).group

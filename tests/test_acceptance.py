@@ -211,7 +211,7 @@ def test_criterion_10_morita_through_the_sparse_smith_kernel(capsys):
     ids=("Z[C3]-2", "GF:2[x]/x^2-3"),
 )
 def test_criterion_11_dense_cell_cap_refuses_quickly(argv, capsys):
-    # Smith elimination with transforms would need 5.4e8 and 8.2e8 dense cells
+    # the Smith factors homology() builds would need 3.18e7 and 8.39e7 dense cells
     with criterion(11, f"CLI {' '.join(argv)} exits 4 on the dense cell cap", 5.0):
         assert main(argv) == 4
         err = capsys.readouterr().err
@@ -230,23 +230,48 @@ print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
 """
 
 
+def run_with_peak_rss(argv):
+    """Run the CLI on argv through PEAK_RSS; return (stdout, peak RSS in kB)
+    after checking that the spawner and the job both exited 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "chaintrace.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    rss_kb, code = map(int, proc.stderr.split()[-2:])
+    assert (proc.returncode, code) == (0, 0), proc.stderr
+    return proc.stdout, rss_kb
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
 def test_criterion_12_morita_within_its_memory_budget():
     # its largest elimination is 344 x 2744; building all five Smith
     # factors of every elimination took this job to 162 MB
     argv = ["morita", "GF:2[x]/x^2", "--size", "2", "--max-degree", "2"]
     with criterion(12, f"CLI {' '.join(argv)} prints ISO with a peak RSS below 60 MB", 8.0):
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "chaintrace.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=SRC),
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        rss_kb, code = map(int, proc.stderr.split()[-2:])
-        assert (proc.returncode, code) == (0, 0), proc.stderr
-        assert proc.stdout.splitlines()[2:] == [
+        out, rss_kb = run_with_peak_rss(argv)
+        assert out.splitlines()[2:] == [
             f"degree {n}: HH_{n}(M_2(A)) = GF(2)^2 -> HH_{n}(A) = GF(2)^2  [ISO]" for n in range(3)
         ] + ["verdict: ISO"]
         assert rss_kb < 60 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_criterion_13_hochschild_one_weight_block_at_a_time():
+    # Z[C6] splits into six weight blocks; building and reducing the whole
+    # normalized complex at once took this job to 80.9 MB
+    argv = ["hh", "Z[C6]", "--max-degree", "4"]
+    with criterion(13, f"CLI {' '.join(argv)} prints its groups with a peak RSS below 45 MB", 15.0):
+        out, rss_kb = run_with_peak_rss(argv)
+        six = " x ".join(["Z/6"] * 6)
+        assert out.splitlines()[1:] == [
+            "HH_0 = Z^6",
+            f"HH_1 = {six}",
+            "HH_2 = 0",
+            f"HH_3 = {six}",
+            "HH_4 = 0",
+        ]
+        assert rss_kb < 45 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"

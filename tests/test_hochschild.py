@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from chaintrace import hochschild
 from chaintrace.algebra import (
     base_algebra,
     cyclic_group,
@@ -22,7 +23,12 @@ from chaintrace.algebra import (
 )
 from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, reduce_complex
 from chaintrace.cli import algebra_from_selector
-from chaintrace.errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError
+from chaintrace.errors import (
+    CapExceededError,
+    DegreeOutOfRangeError,
+    InternalInvariantError,
+    UnsupportedRingError,
+)
 from chaintrace.hochschild import (
     B_CONVENTION,
     HochschildHomology,
@@ -32,6 +38,7 @@ from chaintrace.hochschild import (
     cyclic_total_complex,
     hochschild_homology,
     induced_chain_map,
+    table_grading,
     tensor_power_map,
 )
 from chaintrace.linalg import Matrix, SparseMap, kernel_basis, solve_membership
@@ -190,6 +197,69 @@ def test_hh_burghelea_splitting_of_cyclic_group_algebras(ring, m):
     oracle = GroupHomology(G, ring, 4)
     for n in range(5):
         assert work.group(n) == direct_power(oracle.group_at(n), m), n
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(5), Zmod(4)], ids=str)
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_hh_weight_blocks_are_burghelea_summands(ring, m):
+    # the weight of a tuple (g_0, ..., g_q) is the product g_0...g_q, and
+    # the block of weight g is Burghelea's summand H_*(C_G(g); R), which is
+    # H_*(C_m; R) for every g
+    G = cyclic_group(m)
+    work = HochschildHomology(group_algebra(G, ring), 3)
+    oracle = [GroupHomology(G, ring, 3).group_at(n) for n in range(4)]
+    weights = []
+    for weight, block in work.normalized.weight_blocks():
+        weights.append(weight)
+        core = reduce_complex(block.chain_complex(4))
+        assert [homology(core, n).group for n in range(4)] == oracle, weight
+    assert weights == [(g,) for g in range(m)]
+
+
+@pytest.mark.parametrize(
+    "sel, grading",
+    [
+        ("Z[C2]", ((2,), ((0,), (1,)))),
+        ("Z[C5]", ((5,), ((0,), (1,), (2,), (3,), (4,)))),
+        ("Z[C6]", ((6,), tuple((g,) for g in range(6)))),
+        ("Z[x]/x^2", ((0,), ((0,), (1,)))),
+        ("GF:3[x]/x^3", ((0,), ((0,), (1,), (2,)))),
+        ("M2(GF:2)", ((0,), ((0,), (-1,), (1,), (0,)))),
+        ("Z", ((), ((),))),
+    ],
+)
+def test_table_grading(sel, grading):
+    # Z[C_n] is graded by Z/n, R[x]/x^n by Z, and M_2 (after the unit-first
+    # rebasing) by Z with two basis vectors of weights -1 and 1; Z is ungraded
+    A = unit_first_presentation(algebra_from_selector(sel, None))[0]
+    assert table_grading(A) == grading
+    moduli, weights = grading
+    for i, row in enumerate(A.table):
+        for j, product in enumerate(row):
+            for k, _ in product:
+                total = [a + b for a, b in zip(weights[i], weights[j])]
+                assert [(t - w) % d if d else t - w for t, w, d in zip(total, weights[k], moduli)] == [0] * len(moduli)
+    # the blocks come in sorted weight order and partition each level,
+    # keeping its order
+    blocks = list(HochschildHomology(A, 1).normalized.weight_blocks())
+    assert [w for w, _ in blocks] == sorted({w for w, _ in blocks})
+    assert len(blocks) == 1 or moduli
+    full = NormalizedComplex(cyclic_bar(A, 1))
+    for q in range(3):
+        position = {t: i for i, t in enumerate(full.level_tuples(q))}
+        rows = [[position[t] for t in b.level_tuples(q)] for _, b in blocks]
+        assert all(r == sorted(r) for r in rows)
+        assert sorted(sum(rows, [])) == list(range(len(position)))
+
+
+def test_weight_block_guard_raises_on_a_face_leaving_its_block(monkeypatch):
+    # g1 g2 = g0, so under the tampered weights (0, 1, 1) the face of
+    # (g1, g2) lands on the non-degenerate tuple (g0,) of another block
+    monkeypatch.setattr(hochschild, "table_grading", lambda A: ((3,), ((0,), (1,), (1,))))
+    with pytest.raises(InternalInvariantError, match="left its weight block"):
+        HochschildHomology(group_algebra(cyclic_group(3), ZZ), 1).group(0)
+    with pytest.raises(InternalInvariantError, match="left its weight block"):
+        cyclic_homology(group_algebra(cyclic_group(3), QQ), 1)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(5), ZZ], ids=str)
