@@ -300,13 +300,6 @@ def matrix_entries_to_vec(A: Algebra, n: int, entries) -> tuple:
     return tuple(out)
 
 
-def vec_to_matrix_entries(A: Algebra, n: int, vec):
-    r = A.rank
-    return tuple(
-        tuple(tuple(vec[(i * n + j) * r : (i * n + j) * r + r]) for j in range(n)) for i in range(n)
-    )
-
-
 # -- GL_n over a finite base -------------------------------------------------
 
 

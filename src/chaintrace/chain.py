@@ -37,6 +37,10 @@ usually to a small core that homology() then eliminates densely.  The core
 has no basis in common with C, so callers that print only isomorphism
 types use it, and callers that need generators or class coordinates call
 homology() on C itself.
+
+alternating_face_sum is the one writer of a boundary sum_i (-1)^i d_i:
+Hochschild b (full and normalized), the bar complex of a group (full and
+normalized), and the S_2 faces of the w.S diagonal and total complex.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ __all__ = [
     "homology",
     "reduce_complex",
     "direct_sum",
+    "alternating_face_sum",
+    "LevelRows",
     "rank_over_field",
     "predicted_dense_cells",
     "check_dense_cells",
@@ -439,6 +445,47 @@ def direct_sum(ring: BaseRing, top: int, summands) -> ChainComplex:
         ranks = [a + C.rank(n) for n, a in enumerate(ranks)]
     diffs = {n: SparseMap(ring, ranks[n - 1], ranks[n], tuple(cols[n])) for n in range(1, top + 1)}
     return ChainComplex(ring, ranks, diffs)
+
+
+def alternating_face_sum(ring: BaseRing, simplices, faces: int, face, row_of):
+    """Yield the columns of sum_{i < faces} (-1)^i d_i, one {row: entry} per simplex.
+
+    face(x, i) gives d_i(x) as (target, coefficient) pairs, and row_of maps
+    a target one level down to its row, or to None for a term the complex
+    drops (a degenerate simplex or the base point).
+    """
+    add, neg, zero = ring.add, ring.neg, ring.zero
+    for x in simplices:
+        col: dict[int, object] = {}
+        for i in range(faces):
+            for target, c in face(x, i):
+                row = row_of(target)
+                if row is not None:
+                    col[row] = add(col.get(row, zero), neg(c) if i % 2 else c)
+        yield col
+
+
+class LevelRows(dict):
+    """Row of each simplex of one normalized level, in the order given.
+
+    A simplex the level lacks is degenerate when unit sits in one of its
+    slots from first on (past slot 0 for the cyclic bar construction, in
+    any slot for the bar complex of a group) and has no row: the lookup
+    returns None.  Any other miss is a face that left its weight block and
+    raises InternalInvariantError.
+    """
+
+    __slots__ = ("unit", "first")
+
+    def __init__(self, simplices, unit, first: int) -> None:
+        super().__init__((x, i) for i, x in enumerate(simplices))
+        self.unit = unit
+        self.first = first
+
+    def __missing__(self, x):
+        if self.unit in x[self.first :]:
+            return None
+        raise InternalInvariantError(f"simplex {x} left its weight block")
 
 
 def rank_over_field(d: SparseMap) -> int:

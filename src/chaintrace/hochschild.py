@@ -20,8 +20,9 @@ by basis tensors with a unit in some slot >= 1, and the quotient has the
 honest basis of the r(r-1)^q tuples avoiding index 0 past slot 0.  b and B
 are written directly on these unit-free tuples (Loday, Cyclic Homology,
 2.1), dropping terms that land on a degenerate tuple, so the full levels are
-never built for them; _face is the one face writer, for both b's.  Homology
-results are converted back to the caller's original basis at the API boundary.
+never built for them.  Both b's sum the faces of _face with
+chain.alternating_face_sum.  Homology results are converted back to the
+caller's original basis at the API boundary.
 
 The invariants-only paths (HochschildHomology.core behind hh, cyclic_core
 behind hc) never build the whole normalized complex.  table_grading finds
@@ -43,18 +44,13 @@ caller, so no Hochschild job compiles it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, direct_sum, homology, reduce_complex
+from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, alternating_face_sum
+from .chain import direct_sum, homology, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
-from .errors import (
-    CapExceededError,
-    DegreeOutOfRangeError,
-    InternalInvariantError,
-    UnsupportedRingError,
-    ValidationError,
-)
+from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .rings import ZZ
 
@@ -67,6 +63,7 @@ __all__ = [
     "cyclic_total_complex",
     "cyclic_core",
     "table_grading",
+    "tuple_index",
     "induced_chain_map",
     "tensor_power_map",
     "LEVEL_CAP",
@@ -104,13 +101,6 @@ class CyclicModule:
         self.check_full_level(q)
         return itertools.product(range(self.algebra.rank), repeat=q + 1)
 
-    def tuple_index(self, tup) -> int:
-        r = self.algebra.rank
-        idx = 0
-        for t in tup:
-            idx = idx * r + t
-        return idx
-
     def _check_level(self, q: int, lo: int = 0) -> None:
         if q < lo or q > self.max_level:
             raise DegreeOutOfRangeError(f"level {q} outside 0..{self.max_level}")
@@ -123,7 +113,7 @@ class CyclicModule:
         key = ("d", q, i)
         if key not in self._cache:
             cols = [
-                {self.tuple_index(target): c for target, c in _face(self.algebra, tup, i)}
+                {tuple_index(self.algebra.rank, target): c for target, c in _face(self.algebra, tup, i)}
                 for tup in self.tuples(q)
             ]
             self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
@@ -143,7 +133,7 @@ class CyclicModule:
                 col = {}
                 for k, c in enumerate(A.unit):
                     if not ring.is_zero(c):
-                        col[self.tuple_index(tup[: j + 1] + (k,) + tup[j + 1 :])] = c
+                        col[tuple_index(A.rank, tup[: j + 1] + (k,) + tup[j + 1 :])] = c
                 cols.append(col)
             self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q + 1), cols)
         return self._cache[key]
@@ -153,10 +143,10 @@ class CyclicModule:
         self._check_level(q)
         key = ("t", q)
         if key not in self._cache:
-            ring = self.ring
+            ring, r = self.ring, self.algebra.rank
             cols = []
             for tup in self.tuples(q):
-                cols.append({self.tuple_index((tup[q],) + tup[:q]): ring.one})
+                cols.append({tuple_index(r, (tup[q],) + tup[:q]): ring.one})
             self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q), cols)
         return self._cache[key]
 
@@ -165,7 +155,8 @@ class CyclicModule:
         self._check_level(q, lo=1)
         key = ("b", q)
         if key not in self._cache:
-            cols = _hochschild_boundary(self.algebra, self.tuples(q), self.tuple_index)
+            A = self.algebra
+            cols = alternating_face_sum(A.ring, self.tuples(q), q + 1, partial(_face, A), partial(tuple_index, A.rank))
             self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
         return self._cache[key]
 
@@ -189,23 +180,12 @@ def _face(A: Algebra, tup: tuple, i: int) -> list:
     return [((k,) + body, c) for k, c in A.table[tup[q]][tup[0]]]
 
 
-def _hochschild_boundary(A: Algebra, tuples, row_of) -> list[dict]:
-    """Columns of b = sum_i (-1)^i d_i on the given basis tensors.
-
-    row_of maps a tensor one level down to its row, or to None for a term
-    the complex drops.
-    """
-    ring = A.ring
-    cols = []
-    for tup in tuples:
-        col: dict[int, object] = {}
-        for i in range(len(tup)):
-            for target, c in _face(A, tup, i):
-                row = row_of(target)
-                if row is not None:
-                    col[row] = ring.add(col.get(row, ring.zero), ring.neg(c) if i % 2 else c)
-        cols.append(col)
-    return cols
+def tuple_index(base: int, tup) -> int:
+    """Big-endian index of tup among the tuples of its length over range(base)."""
+    idx = 0
+    for t in tup:
+        idx = idx * base + t
+    return idx
 
 
 def table_grading(A: Algebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -251,20 +231,6 @@ def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
     return CyclicModule(A, N + 1)
 
 
-class _Rows(dict):
-    """Rows of the tuples of one normalized level.
-
-    A tuple the level lacks is either degenerate, with no row (None), or
-    non-degenerate and of another weight: a face that left its block,
-    which raises InternalInvariantError.
-    """
-
-    def __missing__(self, tup):
-        if 0 in tup[1:]:
-            return None
-        raise InternalInvariantError(f"tensor {tup} left its weight block")
-
-
 class NormalizedComplex:
     """Quotient of the cyclic bar levels by degenerate chains.
 
@@ -300,9 +266,9 @@ class NormalizedComplex:
         return len(self.level_tuples(q))
 
     def _row_of(self, q: int):
-        """Row lookup on level q (see _Rows)."""
+        """Row lookup on level q; a tuple with the unit past slot 0 has none."""
         if q not in self._index:
-            self._index[q] = _Rows((t, i) for i, t in enumerate(self.level_tuples(q)))
+            self._index[q] = LevelRows(self.level_tuples(q), 0, 1)
         return self._index[q].__getitem__
 
     def weight_blocks(self):
@@ -355,7 +321,7 @@ class NormalizedComplex:
         if key not in self._cache:
             ring = self.ring
             cm = self.cyclic_module
-            cols = [{cm.tuple_index(tup): ring.one} for tup in self.level_tuples(q)]
+            cols = [{tuple_index(cm.algebra.rank, tup): ring.one} for tup in self.level_tuples(q)]
             self._cache[key] = SparseMap.from_col_dicts(ring, cm.level_rank(q), cols)
         return self._cache[key]
 
@@ -364,9 +330,8 @@ class NormalizedComplex:
         key = ("b", q)
         if key not in self._cache:
             self.cyclic_module._check_level(q, lo=1)
-            cols = _hochschild_boundary(
-                self.cyclic_module.algebra, self.level_tuples(q), self._row_of(q - 1)
-            )
+            A = self.cyclic_module.algebra
+            cols = alternating_face_sum(A.ring, self.level_tuples(q), q + 1, partial(_face, A), self._row_of(q - 1))
             self._cache[key] = SparseMap.from_col_dicts(self.ring, self.rank(q - 1), cols)
         return self._cache[key]
 

@@ -16,12 +16,16 @@ with three explicit chain maps:
 Everything stays at chain level; no plus construction, no stabilization.
 K_1-flavored traces (dennis_trace_k1) take a single invertible matrix g and
 return the class of tr(g^-1 x g) in HH_1(A).
+
+The bar complex (bar_complex, level q = R[G^q]) and its normalization on
+tuples of non-identity elements (GroupHomology) are both
+chain.alternating_face_sum of the faces _bar_face writes.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import (
     Algebra,
@@ -38,13 +42,15 @@ from .chain import (
     FPAbelianGroup,
     FPModule,
     HomologyData,
+    LevelRows,
+    alternating_face_sum,
     check_dense_cells,
     homology,
     reduce_complex,
 )
 from .conventions import DEGREE_CAP, GROUP_ORDER_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
-from .hochschild import HochschildHomology, tensor_power_map
+from .hochschild import HochschildHomology, tensor_power_map, tuple_index
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .rings import BaseRing
 from .values import Value
@@ -67,39 +73,18 @@ __all__ = [
 ]
 
 
-def _tuple_index(order: int, tup) -> int:
-    idx = 0
-    for t in tup:
-        idx = idx * order + t
-    return idx
+def _bar_face(G: FiniteGroup, one):
+    """Faces of a bar tuple (g_1, ..., g_q), each one (tuple, one) pair:
+    d_0 drops g_1, d_i multiplies g_i g_{i+1} for 0 < i < q, d_q drops g_q."""
 
+    def face(tup: tuple, i: int) -> tuple:
+        if i == 0:
+            return ((tup[1:], one),)
+        if i == len(tup):
+            return ((tup[:-1], one),)
+        return ((tup[: i - 1] + (G.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :], one),)
 
-def _bar_boundary(G: FiniteGroup, ring: BaseRing, tuples, row_of) -> list[dict]:
-    """Columns of the inhomogeneous bar boundary on the given q-tuples.
-
-    boundary(g_1, ..., g_q) = (g_2, ..., g_q)
-        + sum_{i=1}^{q-1} (-1)^i (g_1, ..., g_i g_{i+1}, ..., g_q)
-        + (-1)^q (g_1, ..., g_{q-1}).
-
-    row_of maps a (q-1)-tuple to its row, or to None for a face the
-    complex drops.
-    """
-    plus, minus = ring.one, ring.neg(ring.one)
-    cols = []
-    for tup in tuples:
-        q = len(tup)
-        faces = [(tup[1:], plus)]
-        for i in range(1, q):
-            merged = tup[: i - 1] + (G.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :]
-            faces.append((merged, minus if i % 2 else plus))
-        faces.append((tup[:-1], minus if q % 2 else plus))
-        col: dict[int, object] = {}
-        for target, sign in faces:
-            row = row_of(target)
-            if row is not None:
-                col[row] = ring.add(col.get(row, ring.zero), sign)
-        cols.append(col)
-    return cols
+    return face
 
 
 def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int) -> ChainComplex:
@@ -107,9 +92,10 @@ def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int) -> ChainComplex:
     n = G.order
     if n**max_d > LEVEL_CAP:
         raise CapExceededError(f"bar level {max_d} has rank {n}^{max_d} > cap {LEVEL_CAP}")
+    face, row_of = _bar_face(G, ring.one), partial(tuple_index, n)
     diffs = {}
     for q in range(1, max_d + 1):
-        cols = _bar_boundary(G, ring, itertools.product(range(n), repeat=q), lambda t: _tuple_index(n, t))
+        cols = alternating_face_sum(ring, itertools.product(range(n), repeat=q), q + 1, face, row_of)
         diffs[q] = SparseMap.from_col_dicts(ring, n ** (q - 1), cols)
     return ChainComplex(ring, [n**q for q in range(max_d + 1)], diffs)
 
@@ -118,7 +104,7 @@ class GroupHomology:
     """H_*(BG; R) via the normalized bar complex, with class coordinates.
 
     Normalized level q has basis the tuples of non-identity elements; bar
-    faces that produce the identity are killed by the projection.
+    faces that produce the identity have no row in the level's LevelRows.
     group_at() reads isomorphism types off the reduced core of the complex;
     homology_data() uses the complex itself.
     """
@@ -133,34 +119,21 @@ class GroupHomology:
         self.group = G
         self.ring = ring
         self.max_degree = max_degree
-        self._tuples: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
-        others = [g for g in range(G.order) if g != G.identity]
-        self._others = others
-        top = max_degree + 1
+        self._others = [g for g in range(G.order) if g != G.identity]
+        face = _bar_face(G, ring.one)
+        levels = [list(itertools.product(self._others, repeat=q)) for q in range(max_degree + 2)]
         diffs = {}
-        self.level_tuples(0)
-        for q in range(1, top + 1):
-            # faces containing the identity are degenerate and have no row
-            cols = _bar_boundary(G, ring, self.level_tuples(q), self._index[q - 1].get)
-            diffs[q] = SparseMap.from_col_dicts(ring, self.rank(q - 1), cols)
-        self.complex = ChainComplex(ring, [self.rank(q) for q in range(top + 1)], diffs)
+        for q in range(1, max_degree + 2):
+            rows = LevelRows(levels[q - 1], G.identity, 0)
+            cols = alternating_face_sum(ring, levels[q], q + 1, face, rows.__getitem__)
+            diffs[q] = SparseMap.from_col_dicts(ring, len(levels[q - 1]), cols)
+        self.complex = ChainComplex(ring, [len(level) for level in levels], diffs)
         self._data: dict[int, HomologyData] = {}
-
-    def level_tuples(self, q: int) -> list:
-        if q not in self._tuples:
-            tups = sorted(itertools.product(self._others, repeat=q))
-            self._tuples[q] = tups
-            self._index[q] = {t: i for i, t in enumerate(tups)}
-        return self._tuples[q]
-
-    def rank(self, q: int) -> int:
-        return len(self.level_tuples(q))
 
     def inclusion(self, q: int) -> SparseMap:
         """Normalized bar level q -> full bar level q (R[G^q])."""
         n = self.group.order
-        cols = [{_tuple_index(n, tup): self.ring.one} for tup in self.level_tuples(q)]
+        cols = [{tuple_index(n, tup): self.ring.one} for tup in itertools.product(self._others, repeat=q)]
         return SparseMap.from_col_dicts(self.ring, n**q, cols)
 
     def homology_data(self, n: int) -> HomologyData:
@@ -198,7 +171,7 @@ def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
         for t in tup:
             g = G.multiply(g, t)
         lead = G.inverse(g)
-        cols.append({_tuple_index(n, (lead,) + tup): ring.one})
+        cols.append({tuple_index(n, (lead,) + tup): ring.one})
     return SparseMap.from_col_dicts(ring, n ** (q + 1), cols)
 
 
@@ -218,7 +191,7 @@ def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
     for tup in itertools.product(range(rm), repeat=q + 1):
         ijs = [(t // (n * r), (t // r) % n, t % r) for t in tup]
         if all(ijs[a][1] == ijs[(a + 1) % (q + 1)][0] for a in range(q + 1)):
-            cols.append({_tuple_index(r, tuple(s for _, _, s in ijs)): A.ring.one})
+            cols.append({tuple_index(r, tuple(s for _, _, s in ijs)): A.ring.one})
         else:
             cols.append({})
     return SparseMap.from_col_dicts(A.ring, target_rank, cols)
@@ -257,24 +230,14 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     inv = unit_inverse(M, gv)
     if isinstance(inv, NonUnitCertificate):
         raise NotInvertibleError(f"matrix is not invertible over {A.name or A.ring}: {inv.reason}")
-    from .algebra import vec_to_matrix_entries
-
-    ginv = vec_to_matrix_entries(A, n, inv)
-
-    r = A.rank
-    ring = A.ring
-    cycle = [ring.zero] * (r * r)
-    for i in range(n):
-        for j in range(n):
-            u, v = ginv[i][j], g[j][i]
-            for s, a in enumerate(u):
-                if ring.is_zero(a):
-                    continue
-                for t, b in enumerate(v):
-                    if not ring.is_zero(b):
-                        k = s * r + t
-                        cycle[k] = ring.add(cycle[k], ring.mul(a, b))
-    cycle = tuple(cycle)
+    ring, rm = A.ring, M.rank
+    tensor = [ring.zero] * (rm * rm)
+    for u, a in enumerate(inv):
+        if not ring.is_zero(a):
+            for v, b in enumerate(gv):
+                if not ring.is_zero(b):
+                    tensor[u * rm + v] = ring.mul(a, b)
+    cycle = multitrace(A, n, 1).apply(tensor)
     if work is None:
         work = HochschildHomology(A, 1)
     coords = work.coordinates(1, cycle)

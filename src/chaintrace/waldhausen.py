@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .chain import ChainComplex, FPAbelianGroup, HomologyData, homology
+from .chain import ChainComplex, FPAbelianGroup, HomologyData, alternating_face_sum, homology
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .linalg import SparseMap
 from .rings import ZZ
@@ -875,11 +875,12 @@ def _total_complex_relations(C: WCategory) -> tuple:
     Returns (S_1, generators, relation columns, homology data): generators
     are the nonzero objects of S_1 (total degree 1; every w_q S_0 C is the
     basepoint), and the columns are the boundaries of total degree 2.  A
-    grid x of S_2 (bidegree (2, 0)) gives sum (-1)^i [d_i x] with d_i the
-    restriction along the coface skipping i; a weak equivalence a -> b of
-    S_1 (bidegree (1, 1)) gives -([b] - [a]), the vertical differential
-    with the sign (-1)^p.  Degenerate simplices give empty columns, which
-    ``_relation_cokernel`` drops with the duplicates.
+    grid x of S_2 (bidegree (2, 0)) gives sum (-1)^i [d_i x], written by
+    ``chain.alternating_face_sum``, with d_i the restriction along the
+    coface skipping i; a weak equivalence a -> b of S_1 (bidegree (1, 1))
+    gives -([b] - [a]), the vertical differential with the sign (-1)^p.
+    Degenerate simplices give empty columns, which ``_relation_cokernel``
+    drops with the duplicates.
     """
     if SCategory(C, 0).object_count() != 1:
         raise InternalInvariantError("S_0 of the flag construction is not a single point")
@@ -889,8 +890,8 @@ def _total_complex_relations(C: WCategory) -> tuple:
     weqs = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings")
 
     def relations():
-        for x in range(S2.object_count()):
-            yield column(*((d(x), (-1) ** i) for i, d in enumerate(faces)))
+        row = {a: t for t, a in enumerate(gens)}.get  # None for the zero object
+        yield from alternating_face_sum(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
         for s in weqs[1:]:
             yield column((_string_face(S1, s, 0)[0], -1), (_string_face(S1, s, 1)[0], 1))
 
@@ -921,25 +922,21 @@ def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
     The level-0 set is a single point, so the reduced complex has zero
     differential out of degree 1 and K_0 is the cokernel of the degree-2
     boundary on the nondegenerate 2-simplices, computed by integer Smith
-    normal form.  Duplicate boundary columns are collapsed first.  Level 2
-    holds every pair of composable weak equivalences of S_2, so this is
-    the oracle for ``k0_via_sdot`` on small families.
+    normal form: ``chain.alternating_face_sum`` of the face tables, with no
+    row for the base point.  Duplicate boundary columns are collapsed
+    first.  Level 2 holds every pair of composable weak equivalences of
+    S_2, so this is the oracle for ``k0_via_sdot`` on small families.
     """
     X = ws_diagonal(C)
     if len(X.levels[0]) != 1:
         raise InternalInvariantError("level 0 of the diagonal is not a single point")
     degenerate = set(X.degens[1][0]) | set(X.degens[1][1])
-
-    def boundary(x: int) -> dict:
-        col: dict = {}
-        for i, sign in ((0, 1), (1, -1), (2, 1)):
-            y = X.face(2, i, x)
-            if y != 0:
-                col[y - 1] = col.get(y - 1, 0) + sign
-        return col
-
+    faces = X.faces[2]
     nondegenerate = (x for x in range(1, len(X.levels[2])) if x not in degenerate)
-    return _relation_cokernel(len(X.levels[1]) - 1, map(boundary, nondegenerate))[1].group
+    boundary = alternating_face_sum(
+        ZZ, nondegenerate, 3, lambda x, i: ((faces[i][x], 1),), lambda y: y - 1 if y else None
+    )
+    return _relation_cokernel(len(X.levels[1]) - 1, boundary)[1].group
 
 
 # ---------------------------------------------------------------------------

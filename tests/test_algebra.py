@@ -16,7 +16,6 @@ from chaintrace.algebra import (
     truncated_polynomial,
     unit_first_presentation,
     unit_inverse,
-    vec_to_matrix_entries,
 )
 from chaintrace.errors import ValidationError
 from chaintrace.rings import GF, QQ, ZZ, Zmod
@@ -91,10 +90,12 @@ def test_iterated_matrix_algebra_is_valid():
 
 
 def test_matrix_entry_roundtrip():
-    A = base_algebra(ZZ)
-    entries = ((ZZ.normalize(1),), (ZZ.normalize(2),)), ((ZZ.normalize(3),), (ZZ.normalize(4),))
+    # the basis of M_n(A) is ordered (i, j, t), so entry (i, j) is the slice
+    # of r coefficients starting at (i n + j) r
+    A = group_algebra(cyclic_group(2), ZZ)
+    entries = (((1, 0), (0, 2)), ((3, 0), (0, 4)))
     vec = matrix_entries_to_vec(A, 2, entries)
-    assert vec_to_matrix_entries(A, 2, vec) == entries
+    assert tuple(tuple(vec[(i * 2 + j) * 2 : (i * 2 + j) * 2 + 2] for j in range(2)) for i in range(2)) == entries
 
 
 def test_cyclic_group_table():

@@ -40,6 +40,7 @@ from chaintrace.hochschild import (
     induced_chain_map,
     table_grading,
     tensor_power_map,
+    tuple_index,
 )
 from chaintrace.linalg import Matrix, SparseMap, kernel_basis, solve_membership
 from chaintrace.rings import GF, QQ, ZZ, Zmod
@@ -138,7 +139,7 @@ def test_normalized_operators_match_full_level_composites(sel):
             ring,
             cm.level_rank(q + 1),
             [
-                {cm.tuple_index((k,) + tup): c for k, c in enumerate(A.unit) if c != 0}
+                {tuple_index(A.rank, (k,) + tup): c for k, c in enumerate(A.unit) if c != 0}
                 for tup in cm.tuples(q)
             ],
         )

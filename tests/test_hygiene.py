@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses what it imports, binds
-what it exports, and exports only names that some code refers to.
+what it exports, exports only names that some code refers to, and takes no
+private name from another module of the package.
 
 The scans are syntactic.  An imported name counts as used when it appears as
 a name anywhere else in the module (including annotations) or is listed in
@@ -87,6 +88,54 @@ def test_scan_flags_unbound_exports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_exports_are_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for every private name a module takes from another
+    module of the package: ``from .mod import _name`` (or from
+    ``chaintrace.mod``), or ``mod._name`` on a module bound by
+    ``from . import mod``.  Dunder names are public."""
+    tree = ast.parse(source)
+    modules = set()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "chaintrace"):
+            for alias in node.names:
+                if _private(alias.name):
+                    out.append((node.lineno, alias.name))
+                elif node.module in (None, "chaintrace"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            out.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(out)
+
+
+def test_scan_flags_private_imports():
+    source = (
+        "from .linalg import Matrix, _smith_engine\n"
+        "from chaintrace.chain import _homology as h\n"
+        "from . import wcat\n"
+        "import os\n"
+        "def f():\n"
+        "    from .trace import _bar_face, __all__\n"
+        "    return wcat._delta, wcat.MORPHISM_CAP, os._exit, h\n"
+    )
+    assert private_imports(source) == [(1, "_smith_engine"), (2, "_homology"), (6, "_bar_face"), (7, "wcat._delta")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 ROOT = SRC.parent.parent

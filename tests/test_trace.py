@@ -1,10 +1,13 @@
 """Group homology, the multitrace, and the chain-level Dennis trace."""
 
+import itertools
+
 import pytest
 
 from chaintrace.algebra import (
     base_algebra,
     cyclic_group,
+    general_linear_group,
     group_algebra,
     matrix_algebra,
     trivial_group,
@@ -12,6 +15,7 @@ from chaintrace.algebra import (
 )
 from chaintrace.errors import CapExceededError, NotInvertibleError
 from chaintrace.hochschild import cyclic_bar
+from chaintrace.linalg import SparseMap
 from chaintrace.rings import GF, QQ, ZZ
 from chaintrace.trace import (
     GroupHomology,
@@ -58,6 +62,28 @@ def test_bar_complex_boundary_shapes():
     for q in (1, 2, 3):
         d = cx.differential(q)
         assert (d.nrows, d.ncols) == (3 ** (q - 1), 3**q)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2)], ids=str)
+@pytest.mark.parametrize(
+    "G",
+    [cyclic_group(m) for m in range(2, 6)] + [general_linear_group(base_algebra(GF(2)), 2).group],
+    ids=["C2", "C3", "C4", "C5", "GL2(F2)"],
+)
+def test_normalized_bar_boundary_matches_full_level_composite(G, ring):
+    # oracle: projection . full bar boundary . inclusion, with the projection
+    # dropping every tuple that holds the identity; GL_2(F_2) = S_3 is not
+    # abelian, so a product g_i g_{i+1} taken in the wrong order shows there
+    normalized = GroupHomology(G, ring, 3)
+    full = bar_complex(G, ring, 4)
+    for q in range(1, 5):
+        below = list(itertools.product(range(G.order), repeat=q - 1))
+        position = {t: i for i, t in enumerate(t for t in below if G.identity not in t)}
+        projection = SparseMap.from_col_dicts(
+            ring, len(position), [{position[t]: ring.one} if t in position else {} for t in below]
+        )
+        composite = projection.compose(full.differential(q)).compose(normalized.inclusion(q))
+        assert normalized.complex.differential(q) == composite
 
 
 def test_group_to_hh_is_chain_map():
