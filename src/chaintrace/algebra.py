@@ -223,12 +223,10 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table=table, identity=0, names=names, name=f"C{n}")
 
 
-def group_algebra(G: FiniteGroup, ring: BaseRing, name: str = "") -> Algebra:
+def group_algebra(G: FiniteGroup, ring: BaseRing) -> Algebra:
     products = {(i, j): {G.table[i][j]: ring.one} for i in range(G.order) for j in range(G.order)}
     unit = [ring.one if i == G.identity else ring.zero for i in range(G.order)]
-    return make_algebra(
-        ring, G.names, unit, products, name or f"{ring}[{G.name or 'G'}]"
-    )
+    return make_algebra(ring, G.names, unit, products, f"{ring}[{G.name or 'G'}]")
 
 
 def group_algebra_hom(f: dict[int, int], G: FiniteGroup, H: FiniteGroup, ring: BaseRing) -> AlgebraHom:
@@ -242,12 +240,12 @@ def group_algebra_hom(f: dict[int, int], G: FiniteGroup, H: FiniteGroup, ring: B
 # -- standard constructions ------------------------------------------------
 
 
-def base_algebra(ring: BaseRing, name: str = "") -> Algebra:
+def base_algebra(ring: BaseRing) -> Algebra:
     """The base ring as a rank-1 algebra."""
-    return make_algebra(ring, ("1",), (ring.one,), {(0, 0): {0: ring.one}}, name or str(ring))
+    return make_algebra(ring, ("1",), (ring.one,), {(0, 0): {0: ring.one}}, str(ring))
 
 
-def truncated_polynomial(ring: BaseRing, n: int, name: str = "") -> Algebra:
+def truncated_polynomial(ring: BaseRing, n: int) -> Algebra:
     """R[x]/x^n with basis 1, x, ..., x^(n-1)."""
     if n < 1:
         raise ValueError("truncation order must be >= 1")
@@ -258,10 +256,10 @@ def truncated_polynomial(ring: BaseRing, n: int, name: str = "") -> Algebra:
         for j in range(n)
     }
     unit = [ring.one] + [ring.zero] * (n - 1)
-    return make_algebra(ring, names, unit, products, name or f"{ring}[x]/x^{n}")
+    return make_algebra(ring, names, unit, products, f"{ring}[x]/x^{n}")
 
 
-def matrix_algebra(A: Algebra, n: int, name: str = "") -> Algebra:
+def matrix_algebra(A: Algebra, n: int) -> Algebra:
     """M_n(A) on the basis E_(i,j) tensor (basis of A), ordered (i, j, t)."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
@@ -288,7 +286,7 @@ def matrix_algebra(A: Algebra, n: int, name: str = "") -> Algebra:
     for i in range(n):
         for t in range(r):
             unit[idx(i, i, t)] = A.unit[t]
-    return make_algebra(ring, names, unit, products, name or f"M{n}({A.name or A.ring})")
+    return make_algebra(ring, names, unit, products, f"M{n}({A.name or A.ring})")
 
 
 def matrix_entries_to_vec(A: Algebra, n: int, entries) -> tuple:

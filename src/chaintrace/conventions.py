@@ -26,7 +26,9 @@ PIVOT_RULE = (
     "canonical unit multiples"
 )
 
-# Largest level rank a Hochschild, cyclic or bar complex builds (hochschild, trace).
+# Largest level rank a Hochschild, cyclic or bar complex builds (hochschild,
+# trace), and of the M_n(A) level trace.multitrace maps from (trace-k1,
+# trace-homology).
 LEVEL_CAP = 500_000
 
 # Largest group-homology degree and GL_n(A) order the Dennis trace on

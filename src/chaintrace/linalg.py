@@ -486,10 +486,9 @@ def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
                     f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
                 )
             p, _ = pk
-            v, dd = 0, int(d)
+            dd = int(d)
             while dd % p == 0:
                 dd //= p
-                v += 1
             # d = unit * p^v; scale the unit away
             row_scale(t, ring.inv(ring.normalize(dd)))
 

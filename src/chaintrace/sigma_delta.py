@@ -181,7 +181,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         return payload_functor(
             B,
             S1,
-            lambda a: ((z, a, z, z), (B.hom_ids(z, a)[0], idz), (idz, B.hom_ids(a, z)[0])),
+            lambda a: (((z, a), (z, z)), ((B.hom_ids(z, a)[0],), (idz,)), ((idz, B.hom_ids(a, z)[0]),)),
             lambda m, a2, b2: (m,),
         )
 
@@ -192,9 +192,9 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         def obj_payload(a: int) -> tuple:
             e, h, v = src.object_payload(a)
             return (
-                tuple(base_obj(x) for x in e),
-                tuple(base_mor(x) for x in h),
-                tuple(base_mor(x) for x in v),
+                tuple(tuple(map(base_obj, row)) for row in e),
+                tuple(tuple(map(base_mor, row)) for row in h),
+                tuple(tuple(map(base_mor, row)) for row in v),
             )
 
         return payload_functor(
@@ -206,10 +206,11 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
 
     def transpose_functor(src: SCategory, dst: SCategory):
         # src = S_{k1}(S_{k2}(B)), dst = S_{k2}(S_{k1}(B))
+        # grids[i1][j1][part][i2][j2] of a src object is read at
+        # [i2][j2][part][i1][j1] of its image: the two directions swap
         D1, D2 = src.base, dst.base
         B = D1.base
-        k1, k2 = src.k, dst.k
-        n1, n2 = k1 + 1, k2 + 1
+        n2 = dst.k + 1
         idz = B.identity_id(B.zero_index())
 
         def comp_at(h: int, i2: int, j2: int) -> int:
@@ -219,50 +220,29 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
 
         def obj_payload(a: int) -> tuple:
             e, h, v = src.object_payload(a)
-            inner = {}
-            for i2 in range(n2):
-                for j2 in range(n2):
-                    pe = tuple(
-                        D1.object_payload(e[i1 * n1 + j1])[0][i2 * n2 + j2]
-                        for i1 in range(n1)
-                        for j1 in range(n1)
-                    )
-                    ph = tuple(
-                        comp_at(h[i1 * k1 + j1], i2, j2)
-                        for i1 in range(n1)
-                        for j1 in range(k1)
-                    )
-                    pv = tuple(
-                        comp_at(v[i1 * n1 + j1], i2, j2)
-                        for i1 in range(k1)
-                        for j1 in range(n1)
-                    )
-                    inner[(i2, j2)] = D2.object_index((pe, ph, pv))
-            harr2 = []
-            for i2 in range(n2):
-                for j2 in range(k2):
-                    pay = tuple(
-                        D1.object_payload(e[i1 * n1 + j1])[1][i2 * k2 + j2]
-                        for i1, j1 in D2._slots
-                    )
-                    harr2.append(
-                        D2.intern_morphism(pay, inner[(i2, j2)], inner[(i2, j2 + 1)])
-                    )
-            varr2 = []
-            for i2 in range(k2):
-                for j2 in range(n2):
-                    pay = tuple(
-                        D1.object_payload(e[i1 * n1 + j1])[2][i2 * n2 + j2]
-                        for i1, j1 in D2._slots
-                    )
-                    varr2.append(
-                        D2.intern_morphism(pay, inner[(i2, j2)], inner[(i2 + 1, j2)])
-                    )
-            return (
-                tuple(inner[(i2, j2)] for i2 in range(n2) for j2 in range(n2)),
-                tuple(harr2),
-                tuple(varr2),
+            grids = [[D1.object_payload(x) for x in row] for row in e]
+
+            def inner(i2: int, j2: int) -> int:
+                pe = tuple(tuple(g[0][i2][j2] for g in row) for row in grids)
+                ph = tuple(tuple(comp_at(x, i2, j2) for x in row) for row in h)
+                pv = tuple(tuple(comp_at(x, i2, j2) for x in row) for row in v)
+                return D2.object_index((pe, ph, pv))
+
+            entries = tuple(tuple(inner(i2, j2) for j2 in range(n2)) for i2 in range(n2))
+
+            def arrow(part: int, i2: int, j2: int, target: int) -> int:
+                pay = tuple(grids[i1][j1][part][i2][j2] for i1, j1 in D2._slots)
+                return D2.intern_morphism(pay, entries[i2][j2], target)
+
+            harr = tuple(
+                tuple(arrow(1, i2, j2, entries[i2][j2 + 1]) for j2 in range(n2 - 1))
+                for i2 in range(n2)
             )
+            varr = tuple(
+                tuple(arrow(2, i2, j2, entries[i2 + 1][j2]) for j2 in range(n2))
+                for i2 in range(n2 - 1)
+            )
+            return (entries, harr, varr)
 
         def mor_payload(m: int, a2: int, b2: int) -> tuple:
             pay = src.mor_payload(m)
@@ -275,8 +255,8 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
                 out.append(
                     D2.intern_morphism(
                         comp,
-                        dst.slot_entry(a2, i2, j2),
-                        dst.slot_entry(b2, i2, j2),
+                        dst.object_payload(a2)[0][i2][j2],
+                        dst.object_payload(b2)[0][i2][j2],
                     )
                 )
             return tuple(out)

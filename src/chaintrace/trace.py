@@ -181,11 +181,16 @@ def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
     On basis tensors E_(i_0 j_0) a_0 x ... x E_(i_q j_q) a_q the image is
     a_0 x ... x a_q when the matrix indices close up into a cycle
     (j_0 = i_1, ..., j_q = i_0) and zero otherwise.  Commutes with every
-    face, degeneracy, and the cyclic operator.
+    face, degeneracy, and the cyclic operator.  A source level of rank
+    above LEVEL_CAP is refused before any tensor is enumerated.
     """
     r = A.rank
     rm = n * n * r
     source_rank = rm ** (q + 1)
+    if source_rank > LEVEL_CAP:
+        raise CapExceededError(
+            f"cyclic bar level {q} of M_{n} has rank {rm}^{q + 1} = {source_rank} > cap {LEVEL_CAP}"
+        )
     target_rank = r ** (q + 1)
     cols: list[dict] = []
     for tup in itertools.product(range(rm), repeat=q + 1):
@@ -220,10 +225,12 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     """Class of tr(g^-1 x g) in HH_1(A) for an invertible matrix g over A.
 
     g is given as an n x n nested tuple/list of A coefficient vectors.
-    Non-invertible input is rejected with the solver's certificate.  The
-    identity matrix maps to zero (its cycle is degenerate).
+    Non-invertible input is rejected with the solver's certificate, and a
+    size whose level 1 of M_n(A) exceeds LEVEL_CAP before the inverse is
+    sought.  The identity matrix maps to zero (its cycle is degenerate).
     """
     n = len(g)
+    trace_map = multitrace(A, n, 1)
     g = tuple(tuple(A.normalize_vec(g[i][j]) for j in range(n)) for i in range(n))
     M = matrix_algebra(A, n)
     gv = matrix_entries_to_vec(A, n, g)
@@ -237,7 +244,7 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
             for v, b in enumerate(gv):
                 if not ring.is_zero(b):
                     tensor[u * rm + v] = ring.mul(a, b)
-    cycle = multitrace(A, n, 1).apply(tensor)
+    cycle = trace_map.apply(tensor)
     if work is None:
         work = HochschildHomology(A, 1)
     coords = work.coordinates(1, cycle)

@@ -19,17 +19,11 @@ class ValidationReport(Value):
     _fields = ("subject", "checks_run", "issues", "skipped")
     __hash__ = None
 
-    def __init__(
-        self,
-        subject: str,
-        checks_run: int = 0,
-        issues: list[str] | None = None,
-        skipped: list[str] | None = None,
-    ) -> None:
+    def __init__(self, subject: str, checks_run: int = 0) -> None:
         self.subject = subject
         self.checks_run = checks_run
-        self.issues = [] if issues is None else issues
-        self.skipped = [] if skipped is None else skipped
+        self.issues: list[str] = []
+        self.skipped: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -6,9 +6,13 @@ cofibrations X(i,j) >-> X(i,j+1) above the diagonal, and for every
 i < j < l a pushout square expressing X(j,l) as the quotient
 X(i,l)/X(i,j).  Equivalently an object is a chain of cofibrations
 0 >-> X(0,1) >-> ... >-> X(0,k) together with compatible choices of all
-subquotients.  This module enumerates those grids over a bounded base,
-packages S_k as a bounded category in its own right (so the construction
-can be iterated), and extracts K_0 three ways:
+subquotients.  A grid is stored as the payload (entries, harr, varr) of
+nested row tuples indexed by position: ``entries[i][j]`` is X(i,j),
+``harr[i][j]`` the arrow X(i,j) -> X(i,j+1) and ``varr[i][j]`` the arrow
+X(i,j) -> X(i+1,j), as object indices and morphism handles of the base.
+This module enumerates those grids over a bounded base, packages S_k as a
+bounded category in its own right (so the construction can be iterated),
+and extracts K_0 three ways:
 
 * ``k0_via_sdot``: H_1 of |wS_.C| from the total complex of the
   bisimplicial set (p, q) |-> w_q S_p C.  By the generalized
@@ -74,7 +78,6 @@ __all__ = [
     "DEFAULT_K_CAP",
     "STRING_CAP",
     "S_OBJECT_CAP",
-    "SObject",
     "s_k_objects",
     "validate_s_object",
     "SCategory",
@@ -108,84 +111,57 @@ DIAGONAL_TOP = 2
 # ---------------------------------------------------------------------------
 
 
-class SObject(Value):
-    """A staircase grid of cofibrations and chosen quotients over a base.
-
-    ``entries[i*(k+1)+j]`` is the object index at position (i, j);
-    ``horizontal[i*k+j]`` the morphism handle X(i,j) -> X(i,j+1);
-    ``vertical[i*(k+1)+j]`` the handle X(i,j) -> X(i+1,j).  Handles refer
-    to the base category the grid was enumerated over.
-    """
-
-    __slots__ = ("k", "entries", "horizontal", "vertical")
-    _fields = __slots__
-
-    def __init__(self, k: int, entries: tuple, horizontal: tuple, vertical: tuple) -> None:
-        self.k = k
-        self.entries = entries
-        self.horizontal = horizontal
-        self.vertical = vertical
-
-    @property
-    def payload(self) -> tuple:
-        return (self.entries, self.horizontal, self.vertical)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * (self.k + 1) + j]
-
-
-def _hcomp(base: WCategory, k: int, payload: tuple, i: int, j1: int, j2: int) -> int:
+def _hcomp(base: WCategory, payload: tuple, i: int, j1: int, j2: int) -> int:
     """Composite X(i,j1) -> X(i,j2) along row i; identity when j1 == j2."""
     entries, harr, _ = payload
-    m = base.identity_id(entries[i * (k + 1) + j1])
-    for j in range(j1, j2):
-        m = base.compose_ids(harr[i * k + j], m)
+    m = base.identity_id(entries[i][j1])
+    for h in harr[i][j1:j2]:
+        m = base.compose_ids(h, m)
     return m
 
 
-def _vcomp(base: WCategory, k: int, payload: tuple, i1: int, i2: int, j: int) -> int:
+def _vcomp(base: WCategory, payload: tuple, i1: int, i2: int, j: int) -> int:
     """Composite X(i1,j) -> X(i2,j) down column j; identity when i1 == i2."""
     entries, _, varr = payload
-    m = base.identity_id(entries[i1 * (k + 1) + j])
-    for i in range(i1, i2):
-        m = base.compose_ids(varr[i * (k + 1) + j], m)
+    m = base.identity_id(entries[i1][j])
+    for row in varr[i1:i2]:
+        m = base.compose_ids(row[j], m)
     return m
 
 
-def _s_payload_issues(base: WCategory, k: int, payload: tuple, skip_built_triples: bool) -> list:
+def _s_payload_issues(base: WCategory, payload: tuple, skip_built_triples: bool) -> list:
     """Violations of the grid axioms, as strings.
 
     ``skip_built_triples`` omits the pushout check for triples (j-1, j, l),
     which hold by construction when the grid came out of the enumerator.
     """
-    n = k + 1
     entries, harr, varr = payload
+    k = len(entries) - 1
     z = base.zero_index()
-    issues = []
-    for i in range(n):
-        for j in range(n):
-            if i >= j and entries[i * n + j] != z:
-                issues.append(f"entry ({i},{j}) must be the zero object")
+    issues = [
+        f"entry ({i},{j}) must be the zero object"
+        for i, row in enumerate(entries)
+        for j, x in enumerate(row)
+        if i >= j and x != z
+    ]
     if issues:
         return issues
-    for i in range(n):
-        for j in range(k):
-            m = harr[i * k + j]
-            if base.mor_source(m) != entries[i * n + j] or base.mor_target(m) != entries[i * n + j + 1]:
+    for i, row in enumerate(harr):
+        for j, m in enumerate(row):
+            if base.mor_source(m) != entries[i][j] or base.mor_target(m) != entries[i][j + 1]:
                 issues.append(f"horizontal arrow ({i},{j}) has wrong endpoints")
             elif j >= i and not base.is_cofibration_id(m):
                 issues.append(f"horizontal arrow ({i},{j}) is not a cofibration")
-    for i in range(k):
-        for j in range(n):
-            m = varr[i * n + j]
-            if base.mor_source(m) != entries[i * n + j] or base.mor_target(m) != entries[(i + 1) * n + j]:
+    for i, row in enumerate(varr):
+        for j, m in enumerate(row):
+            if base.mor_source(m) != entries[i][j] or base.mor_target(m) != entries[i + 1][j]:
                 issues.append(f"vertical arrow ({i},{j}) has wrong endpoints")
     if issues:
         return issues
     for i in range(k):
         for j in range(k):
-            lhs = base.compose_ids(varr[i * n + j + 1], harr[i * k + j])
-            rhs = base.compose_ids(harr[(i + 1) * k + j], varr[i * n + j])
+            lhs = base.compose_ids(varr[i][j + 1], harr[i][j])
+            rhs = base.compose_ids(harr[i + 1][j], varr[i][j])
             if lhs != rhs:
                 issues.append(f"square at ({i},{j}) does not commute")
     if issues:
@@ -195,22 +171,23 @@ def _s_payload_issues(base: WCategory, k: int, payload: tuple, skip_built_triple
             for l in range(j + 1, k + 1):
                 if skip_built_triples and j == i + 1:
                     continue
-                top = _hcomp(base, k, payload, i, j, l)
-                (to_zero,) = base.hom_ids(entries[i * n + j], z)
-                u = _vcomp(base, k, payload, i, j, l)
-                (v,) = base.hom_ids(z, entries[j * n + l])
-                if not base.is_pushout(top, to_zero, entries[j * n + l], u, v):
+                top = _hcomp(base, payload, i, j, l)
+                (to_zero,) = base.hom_ids(entries[i][j], z)
+                u = _vcomp(base, payload, i, j, l)
+                (v,) = base.hom_ids(z, entries[j][l])
+                if not base.is_pushout(top, to_zero, entries[j][l], u, v):
                     issues.append(f"triple ({i},{j},{l}) is not a pushout square")
     return issues
 
 
-def validate_s_object(base: WCategory, obj: SObject) -> ValidationReport:
-    """Check every grid axiom of ``obj`` over ``base``, including all pushout triples."""
+def validate_s_object(base: WCategory, payload: tuple) -> ValidationReport:
+    """Check every grid axiom of a grid payload over ``base``, including all pushout triples."""
     report = ValidationReport(subject=f"flag grid over {base.name}")
-    issues = _s_payload_issues(base, obj.k, obj.payload, skip_built_triples=False)
-    n = obj.k + 1
+    issues = _s_payload_issues(base, payload, skip_built_triples=False)
+    n = len(payload[0])
+    k = n - 1
     triples = sum(1 for i in range(n) for j in range(i + 1, n) for _ in range(j + 1, n))
-    report.checks_run += n * n + 2 * n * obj.k + obj.k * obj.k + triples
+    report.checks_run += n * n + 2 * n * k + k * k + triples
     for msg in issues:
         report.record(msg)
     return report
@@ -241,9 +218,6 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
     z = base.zero_index()
     idz = base.identity_id(z)
     n = k + 1
-    if k == 0:
-        return [((z,) * 1, (), ())]
-
     chains = [((z,), ())]
     for _ in range(k):
         nxt = []
@@ -256,17 +230,16 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
 
     out = []
     for top_objs, top_arrows in chains:
-        # grids[t] = (rows, hrows, vrows): lists of row tuples built so far
+        # grids[t] = (rows, hrows, vrows): the payload of the rows built so far
         grids = [((top_objs,), (top_arrows,), ())]
         for j in range(1, n):
             nxt = []
             for rows, hrows, vrows in grids:
                 prev = rows[j - 1]
                 prev_h = hrows[j - 1]
-                prev_pay = (prev, prev_h, ())
                 cand_sets = []
                 for l in range(j + 1, n):
-                    i_comp = _hcomp(base, k, prev_pay, 0, j, l)
+                    i_comp = _hcomp(base, (rows, hrows, vrows), j - 1, j, l)
                     cand_sets.append(base.cokernel_candidates(i_comp))
                 for combo in product(*cand_sets):
                     row = [z] * n
@@ -300,13 +273,8 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
             if len(grids) > S_OBJECT_CAP:
                 raise CapExceededError(f"more than {S_OBJECT_CAP} flag grids over {base.name}")
 
-        for rows, hrows, vrows in grids:
-            payload = (
-                tuple(x for row in rows for x in row),
-                tuple(x for row in hrows for x in row),
-                tuple(x for row in vrows for x in row),
-            )
-            issues = _s_payload_issues(base, k, payload, skip_built_triples=True)
+        for payload in grids:
+            issues = _s_payload_issues(base, payload, skip_built_triples=True)
             if issues:
                 raise InternalInvariantError(
                     f"assembled grid violates '{issues[0]}'; is the base category valid?"
@@ -319,13 +287,12 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
 
 
 def s_k_objects(C: WCategory, k: int) -> list:
-    """Every flag grid on [k] x [k] over C, validated, in canonical order."""
+    """The payload of every flag grid on [k] x [k] over C, validated, in canonical order."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
     if k > DEFAULT_K_CAP:
         raise CapExceededError(f"k = {k} exceeds the flag-grid cap {DEFAULT_K_CAP}")
-    combo = _enumerate_s_payloads(C, k)
-    return [SObject(k, *payload) for payload in combo]
+    return list(_enumerate_s_payloads(C, k))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +303,11 @@ def s_k_objects(C: WCategory, k: int) -> list:
 class SCategory(WCategory):
     """S_k over a bounded base, as a bounded category in its own right.
 
-    Objects are the enumerated flag grids; morphisms are natural maps
-    stored as component tuples over the strictly-upper slots (i < j) in
-    row-major order (components at zero slots are forced).  Weak
+    Objects are the enumerated flag grids, each the payload (entries, harr,
+    varr) with X(i,j) at ``entries[i][j]``, X(i,j) -> X(i,j+1) at
+    ``harr[i][j]`` and X(i,j) -> X(i+1,j) at ``varr[i][j]``.  Morphisms
+    are natural maps stored as component tuples over the strictly-upper
+    slots (i < j) in row-major order (components at zero slots are forced).  Weak
     equivalences are the levelwise ones.  Cofibrations are the levelwise
     cofibrations whose top-row comparison maps
     X(0,j) u_{X(0,j-1)} Y(0,j-1) -> Y(0,j) are again cofibrations; when
@@ -372,24 +341,16 @@ class SCategory(WCategory):
         return self._grid_payloads
 
     def _object_size(self, payload) -> int:
-        entries = payload[0]
-        return max(self.base.object_size(e) for e in entries)
+        return max(self.base.object_size(e) for row in payload[0] for e in row)
 
     def _zero_payload(self):
         z = self.base.zero_index()
         idz = self.base.identity_id(z)
-        n = self.k + 1
-        return ((z,) * (n * n), (idz,) * (n * self.k), (idz,) * (self.k * n))
-
-    def slot_entry(self, a: int, i: int, j: int) -> int:
-        """Base object index at grid position (i, j) of object a."""
-        return self._obj_payloads[a][0][i * (self.k + 1) + j]
-
-    def s_object(self, a: int) -> SObject:
-        return SObject(self.k, *self._obj_payloads[a])
+        k, n = self.k, self.k + 1
+        return (((z,) * n,) * n, ((idz,) * k,) * n, ((idz,) * n,) * k)
 
     def _nat_search(self, Xp, Yp, weq_only: bool) -> list:
-        base, k, n = self.base, self.k, self.k + 1
+        base = self.base
         Xe, Xh, Xv = Xp
         Ye, Yh, Yv = Yp
         slot_pos = self._slot_pos
@@ -397,9 +358,9 @@ class SCategory(WCategory):
         # earlier slot, the arrow of X into this slot and the arrow of Y
         plan = []
         for i, j in self._slots:
-            left = (slot_pos[(i, j - 1)], Xh[i * k + j - 1], Yh[i * k + j - 1]) if i < j - 1 else None
-            up = (slot_pos[(i - 1, j)], Xv[(i - 1) * n + j], Yv[(i - 1) * n + j]) if i >= 1 else None
-            plan.append((Xe[i * n + j], Ye[i * n + j], left, up))
+            left = (slot_pos[(i, j - 1)], Xh[i][j - 1], Yh[i][j - 1]) if i < j - 1 else None
+            up = (slot_pos[(i - 1, j)], Xv[i - 1][j], Yv[i - 1][j]) if i >= 1 else None
+            plan.append((Xe[i][j], Ye[i][j], left, up))
         comps = [0] * len(plan)
         out = []
 
@@ -444,9 +405,8 @@ class SCategory(WCategory):
         return tuple(base.compose_ids(g, f) for g, f in zip(g_payload, f_payload))
 
     def _identity(self, a_payload):
-        base, n = self.base, self.k + 1
         entries = a_payload[0]
-        return tuple(base.identity_id(entries[i * n + j]) for i, j in self._slots)
+        return tuple(self.base.identity_id(entries[i][j]) for i, j in self._slots)
 
     def _is_weq(self, payload, a: int, b: int) -> bool:
         return all(self.base.is_weq_id(c) for c in payload)
@@ -457,18 +417,17 @@ class SCategory(WCategory):
             return False
         if self.k < 2:
             return True
-        Xp = self._obj_payloads[a]
-        Yp = self._obj_payloads[b]
-        n = self.k + 1
+        Xh = self._obj_payloads[a][1]
+        Yh = self._obj_payloads[b][1]
         for j in range(2, self.k + 1):
-            i_h = Xp[1][0 * self.k + j - 1]
+            i_h = Xh[0][j - 1]
             alpha_prev = payload[self._slot_pos[(0, j - 1)]]
             w = base.pushout_witness(i_h, alpha_prev)
             if w is None:
                 return False
             _d, u, v = w
             alpha_j = payload[self._slot_pos[(0, j)]]
-            meds = base.mediating_ids(u, v, alpha_j, Yp[1][0 * self.k + j - 1])
+            meds = base.mediating_ids(u, v, alpha_j, Yh[0][j - 1])
             if len(meds) != 1:
                 raise InternalInvariantError(
                     "top-row comparison map is not unique; is the base category valid?"
@@ -496,7 +455,7 @@ class SCategory(WCategory):
         def slot_obj(si: int, sj: int) -> int:
             return slot_d[(si, sj)] if si < sj else z
 
-        entries = tuple(slot_obj(si, sj) for si in range(n) for sj in range(n))
+        entries = tuple(tuple(slot_obj(si, sj) for sj in range(n)) for si in range(n))
 
         def induced(src_slot, dst_slot, b_arrow, c_arrow) -> int:
             # arrow of the assembled grid between two slots, via the
@@ -520,14 +479,12 @@ class SCategory(WCategory):
             return meds[0]
 
         harr = tuple(
-            induced((si, sj), (si, sj + 1), Bp[1][si * k + sj], Cp[1][si * k + sj])
+            tuple(induced((si, sj), (si, sj + 1), Bp[1][si][sj], Cp[1][si][sj]) for sj in range(k))
             for si in range(n)
-            for sj in range(k)
         )
         varr = tuple(
-            induced((si, sj), (si + 1, sj), Bp[2][si * n + sj], Cp[2][si * n + sj])
+            tuple(induced((si, sj), (si + 1, sj), Bp[2][si][sj], Cp[2][si][sj]) for sj in range(n))
             for si in range(k)
-            for sj in range(n)
         )
         return self._witness(
             i,
@@ -581,22 +538,13 @@ def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
     sizes, so over a valid base the image is always an enumerated grid.
     """
     base = src.base
-    k1, k2 = src.k, dst.k
-    n1, n2 = k1 + 1, k2 + 1
+    steps = tuple(zip(alpha, alpha[1:]))
 
     def obj_payload(a: int) -> tuple:
         pay = src.object_payload(a)
-        entries = tuple(pay[0][alpha[i] * n1 + alpha[j]] for i in range(n2) for j in range(n2))
-        harr = tuple(
-            _hcomp(base, k1, pay, alpha[i], alpha[j], alpha[j + 1])
-            for i in range(n2)
-            for j in range(k2)
-        )
-        varr = tuple(
-            _vcomp(base, k1, pay, alpha[i], alpha[i + 1], alpha[j])
-            for i in range(k2)
-            for j in range(n2)
-        )
+        entries = tuple(tuple(pay[0][i][j] for j in alpha) for i in alpha)
+        harr = tuple(tuple(_hcomp(base, pay, i, j1, j2) for j1, j2 in steps) for i in alpha)
+        varr = tuple(tuple(_vcomp(base, pay, i1, i2, j) for j in alpha) for i1, i2 in steps)
         return (entries, harr, varr)
 
     def mor_payload(m: int, a2: int, b2: int) -> tuple:
@@ -983,7 +931,7 @@ def k0_presentation(C: WCategory) -> K0Presentation:
                 for _m in C.weq_ids(a, b):
                     yield column((a, 1), (b, -1))
         for entries, _h, _v in _enumerate_s_payloads(C, 2):
-            yield column((entries[2], 1), (entries[1], -1), (entries[5], -1))
+            yield column((entries[0][2], 1), (entries[0][1], -1), (entries[1][2], -1))
 
     cols, hd = _relation_cokernel(len(gens), relations())
     return K0Presentation(C, gens, cols, hd)

@@ -568,8 +568,8 @@ class PointedSetsCategory(WCategory):
     equivalences the bijections.
     """
 
-    def __init__(self, bound: int, name: str | None = None):
-        super().__init__(name if name is not None else f"pointed_sets({bound})", bound)
+    def __init__(self, bound: int):
+        super().__init__(f"pointed_sets({bound})", bound)
 
     def _objects(self):
         return tuple(range(self.bound + 1))
@@ -630,11 +630,11 @@ class FiniteModulesCategory(WCategory):
     Smith normal form.
     """
 
-    def __init__(self, p: int, bound: int, name: str | None = None):
+    def __init__(self, p: int, bound: int):
         self.p = p
         if p < 2 or any(p % k == 0 for k in range(2, p)):
             raise ValidationError("finite_modules requires a prime p")
-        super().__init__(name if name is not None else f"finite_modules({p},{bound})", bound)
+        super().__init__(f"finite_modules({p},{bound})", bound)
 
     def _objects(self):
         p, bound = self.p, self.bound

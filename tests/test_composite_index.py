@@ -14,7 +14,7 @@ from chaintrace.wcat import WCategory, finite_modules, pointed_sets, trivial_cat
 
 def scan_nat_search(S: SCategory, Xp, Yp, weq_only: bool) -> list:
     """Component tuples of the natural maps X -> Y, slot by slot, by scanning."""
-    base, k, n = S.base, S.k, S.k + 1
+    base, n = S.base, S.k + 1
     Xe, Xh, Xv = Xp
     Ye, Yh, Yv = Yp
     slots = [(i, j) for i in range(n) for j in range(n) if i < j]
@@ -27,16 +27,16 @@ def scan_nat_search(S: SCategory, Xp, Yp, weq_only: bool) -> list:
             out.append(tuple(comps))
             return
         i, j = slots[t]
-        xs, ys = Xe[i * n + j], Ye[i * n + j]
+        xs, ys = Xe[i][j], Ye[i][j]
         cands = base.weq_ids(xs, ys) if weq_only else base.hom_ids(xs, ys)
         for c in cands:
             if i < j - 1:
                 left = comps[slot_pos[(i, j - 1)]]
-                if base.compose_ids(c, Xh[i * k + j - 1]) != base.compose_ids(Yh[i * k + j - 1], left):
+                if base.compose_ids(c, Xh[i][j - 1]) != base.compose_ids(Yh[i][j - 1], left):
                     continue
             if i >= 1:
                 up = comps[slot_pos[(i - 1, j)]]
-                if base.compose_ids(c, Xv[(i - 1) * n + j]) != base.compose_ids(Yv[(i - 1) * n + j], up):
+                if base.compose_ids(c, Xv[i - 1][j]) != base.compose_ids(Yv[i - 1][j], up):
                     continue
             comps[t] = c
             pick(t + 1)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -289,6 +290,18 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "hh", "Z[C12]")
     assert code == 4
     assert err.startswith("error (cap)")
+
+
+def test_cli_trace_k1_refuses_a_matrix_above_the_level_cap(capsys):
+    # level 1 of M_22(Z[C2]) has 968^2 = 937,024 basis tensors
+    identity = "; ".join(" ".join("1,0" if i == j else "0,0" for j in range(22)) for i in range(22))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "trace-k1", "Z[C2]", identity)
+    elapsed = time.monotonic() - start
+    assert code == 4
+    assert out == ""
+    assert "968^2 = 937024 > cap 500000" in err
+    assert elapsed < 2.0, elapsed
 
 
 def test_cli_ring_override_rejected_for_files(tmp_path, capsys):

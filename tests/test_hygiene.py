@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses what it imports, binds
 what it exports, exports only names that some code refers to, and takes no
-private name from another module of the package.
+private name from another module of the package; every defaulted parameter
+is passed by some call.
 
 The scans are syntactic.  An imported name counts as used when it appears as
 a name anywhere else in the module (including annotations) or is listed in
@@ -514,3 +515,76 @@ def test_scan_flags_constant_defaults():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_parameter_defaults_to_a_module_constant(path):
     assert constant_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def unpassed_parameters(modules: list[str], callers: list[str]) -> list[str]:
+    """``function.parameter`` for every defaulted parameter of a function or
+    method in ``modules`` that no call in ``modules`` or ``callers`` passes.
+
+    Calls are matched by callee name: ``f(...)`` and ``x.f(...)`` reach every
+    function or method named ``f``, and ``C(...)`` reaches ``C.__init__``.  A
+    call passes a parameter by keyword, or by position when it has more
+    positional arguments than the parameters before it (``self`` and ``cls``
+    not counted).  A call with ``*args`` or ``**kwargs`` passes everything.
+    A parameter nobody passes is an option with one value: its default.
+    """
+    defaulted = []
+    for source in modules:
+        tree = ast.parse(source)
+        methods = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(fn))
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if cls and "staticmethod" not in _decorators(fn):
+                positional = positional[1:]
+            callee = cls if fn.name == "__init__" else fn.name
+            first = len(positional) - len(args.defaults)
+            defaulted += [(callee, arg.arg, pos) for pos, arg in enumerate(positional) if pos >= first]
+            defaulted += [(callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    keywords, widest, everything = set(), {}, set()
+    for source in modules + callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                everything.add(name)
+            keywords.update((name, k.arg) for k in call.keywords)
+            widest[name] = max(widest.get(name, 0), len(call.args))
+    return sorted(
+        f"{callee}.{param}"
+        for callee, param, pos in defaulted
+        if callee not in everything
+        and (callee, param) not in keywords
+        and (pos is None or pos >= widest.get(callee, 0))
+    )
+
+
+def test_scan_flags_unpassed_parameters():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def g(a, b=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0, z=None):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n    def s(p=1):\n        pass\n"
+        "def h(x=0):\n    pass\n"
+    )
+    client = (
+        "f(1, 2, e=5)\n"
+        "K(1, z=3)\n"
+        "K.s(0)\n"
+        "obj.m(4)\n"
+        "args = (1, 2)\n"
+        "g(*args)\n"
+        "opts = {}\n"
+        "h(**opts)\n"
+    )
+    assert unpassed_parameters([lib], [client]) == ["K.y", "f.c", "f.d", "m.q"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert unpassed_parameters(_sources([SRC]), _sources(REFERENCE_DIRS[1:])) == []

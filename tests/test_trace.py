@@ -117,6 +117,18 @@ def test_multitrace_level_zero_is_matrix_trace():
     assert tr.apply((0, 1, 0, 0)) == (0,)
 
 
+def test_multitrace_refuses_a_source_level_above_the_cap(monkeypatch):
+    # level 1 of M_2(Z[C2]) has rank (2 * 2 * 2)^2 = 64
+    from chaintrace import trace
+
+    A = group_algebra(cyclic_group(2), ZZ)
+    monkeypatch.setattr(trace, "LEVEL_CAP", 64)
+    assert multitrace(A, 2, 1).ncols == 64
+    monkeypatch.setattr(trace, "LEVEL_CAP", 63)
+    with pytest.raises(CapExceededError, match=r"rank 8\^2 = 64 > cap 63"):
+        multitrace(A, 2, 1)
+
+
 def test_dennis_trace_k1_frozen_values():
     A = truncated_polynomial(GF(2), 2)
     cls = dennis_trace_k1(A, (((1, 1),),))

@@ -25,7 +25,7 @@ from chaintrace.rings import GF, ZZ, BaseRing, Zmod
 from chaintrace.sigma_delta import SigmaDeltaDiagram
 from chaintrace.trace import DennisTraceResult, HomologyClass, MoritaResult
 from chaintrace.validation import ValidationReport
-from chaintrace.waldhausen import K0Presentation, PointedSimplicialSet, SObject
+from chaintrace.waldhausen import K0Presentation, PointedSimplicialSet
 from chaintrace.wcat import pointed_sets
 
 I2 = Matrix(ZZ, [[1, 0], [0, 1]])
@@ -94,7 +94,6 @@ CASES = {
         maker(DennisTraceResult, 2, GL, G1, G1, ()),
         False,
     ),
-    "SObject": (maker(SObject, 1, (0, 1), (3,), ()), maker(SObject, 1, (0, 1), (4,), ()), True),
     "PointedSimplicialSet": (
         maker(PointedSimplicialSet, "X", (("*", "a"),), ((),), ((),)),
         maker(PointedSimplicialSet, "Y", (("*", "a"),), ((),), ((),)),

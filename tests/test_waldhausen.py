@@ -53,7 +53,7 @@ def test_s_objects_validate():
         report = validate_s_object(v22, obj)
         assert report.ok
         # Every grid starts at the zero object.
-        assert obj.entry(0, 0) == v22.zero_index()
+        assert obj[0][0][0] == v22.zero_index()
 
 
 def test_s_3_grids_validate_and_restrict_to_s_2():
@@ -99,7 +99,7 @@ def test_reindex_round_trip():
     for a in range(S2.object_count()):
         # The (0, 1) face keeps the top-left entry of the staircase.
         b = reindex_functor(S2, S1, (0, 1))[0](a)
-        assert S1.s_object(b).entry(0, 1) == S2.s_object(a).entry(0, 1)
+        assert S1.object_payload(b)[0][0][1] == S2.object_payload(a)[0][0][1]
 
 
 def test_payload_functor_refuses_an_object_outside_the_target():
@@ -195,6 +195,29 @@ DIAGONAL_FITS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "sel", ["trivial", "vect_gf:2:2", "vect_gf:3:1", "pointed_sets:3", "finite_modules:2:4", "End vect_gf:2:1"]
+)
+def test_grid_payloads_are_indexed_by_position(sel):
+    # a grid on [k] x [k] is (entries, harr, varr) with X(i, j) at
+    # entries[i][j], X(i, j) -> X(i, j+1) at harr[i][j] and
+    # X(i, j) -> X(i+1, j) at varr[i][j]
+    C = family(sel)
+    z = C.zero_index()
+    for k in range(4):
+        for entries, harr, varr in s_k_objects(C, k):
+            assert [len(row) for row in entries] == [k + 1] * (k + 1)
+            assert [len(row) for row in harr] == [k] * (k + 1)
+            assert [len(row) for row in varr] == [k + 1] * k
+            assert all(entries[i][j] == z for i in range(k + 1) for j in range(i + 1))
+            for i, row in enumerate(harr):
+                for j, m in enumerate(row):
+                    assert (C.mor_source(m), C.mor_target(m)) == (entries[i][j], entries[i][j + 1])
+            for i, row in enumerate(varr):
+                for j, m in enumerate(row):
+                    assert (C.mor_source(m), C.mor_target(m)) == (entries[i][j], entries[i + 1][j])
+
+
 @pytest.mark.parametrize("sel", DIAGONAL_FITS)
 def test_total_complex_equals_diagonal(sel):
     C = family(sel)
@@ -213,7 +236,7 @@ def test_total_complex_relations_are_the_presentation(sel):
     S1, gens, cols, _ = _total_complex_relations(C)
     pres = k0_presentation(C)
     pos = {a: t for t, a in enumerate(pres.generators)}
-    to_pres = [pos[S1.slot_entry(a, 0, 1)] for a in gens]
+    to_pres = [pos[S1.object_payload(a)[0][0][1]] for a in gens]
     assert sorted(to_pres) == list(range(len(pres.generators)))
     mapped = {up_to_sign(tuple(sorted((to_pres[r], c) for r, c in col))) for col in cols}
     assert mapped == {up_to_sign(col) for col in pres.relations}
