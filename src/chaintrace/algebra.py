@@ -13,6 +13,10 @@ finite base ring by testing bijectivity of left multiplication on A^n over
 the base ring (determinants over a possibly noncommutative A are never
 used), and returns the group together with the algebra embedding
 R[GL_n(A)] -> M_n(A).
+
+Linear maps between algebras (AlgebraHom, the embedding, the unit-first
+change of basis) are SparseMaps.  A dense Matrix is built only where it is
+eliminated: left multiplication, whose Smith form decides invertibility.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import CapExceededError, NotInvertibleError
-from .linalg import Matrix, lift_with_modulus, smith_normal_form, solve_membership
+from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .validation import ValidationReport
 from .values import Value
@@ -141,7 +145,7 @@ class AlgebraHom(Value):
     __slots__ = ("source", "target", "matrix", "name")
     _fields = __slots__
 
-    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, name: str = "") -> None:
+    def __init__(self, source: Algebra, target: Algebra, matrix: SparseMap, name: str = "") -> None:
         self.source = source
         self.target = target
         self.matrix = matrix  # target.rank x source.rank
@@ -171,7 +175,7 @@ class AlgebraHom(Value):
     def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("hom composition mismatch")
-        return AlgebraHom(inner.source, self.target, self.matrix.mul(inner.matrix))
+        return AlgebraHom(inner.source, self.target, self.matrix.compose(inner.matrix))
 
 
 # -- finite groups ---------------------------------------------------------
@@ -204,9 +208,6 @@ class FiniteGroup(Value):
                 return j
         raise NotInvertibleError(f"group element {self.names[i]} has no inverse")
 
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
 
@@ -233,8 +234,8 @@ def group_algebra_hom(f: dict[int, int], G: FiniteGroup, H: FiniteGroup, ring: B
     """Algebra map R[G] -> R[H] induced by a group homomorphism f."""
     source = group_algebra(G, ring)
     target = group_algebra(H, ring)
-    cols = [[ring.one if k == f[i] else ring.zero for k in range(H.order)] for i in range(G.order)]
-    return AlgebraHom(source, target, Matrix.from_cols(ring, cols, H.order), name="group hom")
+    cols = [{f[i]: ring.one} for i in range(G.order)]
+    return AlgebraHom(source, target, SparseMap.from_col_dicts(ring, H.order, cols), name="group hom")
 
 
 # -- standard constructions ------------------------------------------------
@@ -392,11 +393,11 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     )
 
     mat_alg = matrix_algebra(A, n)
-    cols = [matrix_entries_to_vec(A, n, g) for g in elements]
+    cols = [dict(enumerate(matrix_entries_to_vec(A, n, g))) for g in elements]
     embedding = AlgebraHom(
         source=group_algebra(group, ring),
         target=mat_alg,
-        matrix=Matrix.from_cols(ring, cols, mat_alg.rank),
+        matrix=SparseMap.from_col_dicts(ring, mat_alg.rank, cols),
         name=f"{ring}[{group.name}] -> {mat_alg.name}",
     )
     return GeneralLinearData(group=group, embedding=embedding)
@@ -436,7 +437,7 @@ def unit_inverse(A: Algebra, u):
 # -- unit-first change of basis ---------------------------------------------
 
 
-def unit_first_presentation(A: Algebra) -> tuple[Algebra, Matrix, Matrix]:
+def unit_first_presentation(A: Algebra) -> tuple[Algebra, SparseMap, SparseMap]:
     """Isomorphic copy of A whose basis vector 0 is the unit.
 
     Returns (B, T, Tinv) with T invertible over the base ring, T e_0 = unit
@@ -444,35 +445,36 @@ def unit_first_presentation(A: Algebra) -> tuple[Algebra, Matrix, Matrix]:
     normalized Hochschild complexes an honest basis.  Exists because the
     coefficients of the unit generate the unit ideal.
     """
-    ring = A.ring
+    ring, r = A.ring, A.rank
     e0 = A.basis_vector(0)
     if A.unit == e0:
-        ident = Matrix.identity(ring, A.rank)
+        ident = SparseMap.identity(ring, r)
         return A, ident, ident
     from .errors import InternalInvariantError, ValidationError
 
-    col = Matrix.from_cols(ring, [A.unit], A.rank)
+    col = Matrix.from_cols(ring, [A.unit], r)
     dec = smith_normal_form(col, factors=("U", "Uinv", "Vinv"))
     g = dec.S.rows[0][0]
     if not ring.is_unit(g):
         raise ValidationError("unit coefficients do not generate the unit ideal; not a unital algebra")
     s = ring.mul(g, dec.Vinv.rows[0][0])
-    T = dec.Uinv.copy()
     s_inv = ring.inv(s)
-    for i in range(A.rank):
-        T.rows[i][0] = ring.mul(T.rows[i][0], s)
-    Tinv = dec.U.copy()
-    for j in range(A.rank):
-        Tinv.rows[0][j] = ring.mul(Tinv.rows[0][j], s_inv)
+    t_cols = [{i: row[j] for i, row in enumerate(dec.Uinv.rows)} for j in range(r)]
+    t_cols[0] = {i: ring.mul(x, s) for i, x in t_cols[0].items()}
+    U = dec.U.rows
+    tinv_cols = [{i: ring.mul(row[j], s_inv) if i == 0 else row[j] for i, row in enumerate(U)} for j in range(r)]
+    T = SparseMap.from_col_dicts(ring, r, t_cols)
+    Tinv = SparseMap.from_col_dicts(ring, r, tinv_cols)
     if T.apply(e0) != A.unit:
         raise InternalInvariantError("unit-first change of basis failed")
 
+    basis = [T.apply(A.basis_vector(i)) for i in range(r)]
     products = {}
-    for i in range(A.rank):
-        for j in range(A.rank):
-            w = Tinv.apply(A.mul_vec(T.col(i), T.col(j)))
+    for i in range(r):
+        for j in range(r):
+            w = Tinv.apply(A.mul_vec(basis[i], basis[j]))
             products[(i, j)] = {k: c for k, c in enumerate(w) if not ring.is_zero(c)}
-    names = tuple("1" if i == 0 else f"b{i}" for i in range(A.rank))
-    unit = [ring.one] + [ring.zero] * (A.rank - 1)
+    names = tuple("1" if i == 0 else f"b{i}" for i in range(r))
+    unit = [ring.one] + [ring.zero] * (r - 1)
     B = make_algebra(ring, names, unit, products, name=f"{A.name or 'A'}~")
     return B, T, Tinv

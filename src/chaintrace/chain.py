@@ -38,9 +38,12 @@ has no basis in common with C, so callers that print only isomorphism
 types use it, and callers that need generators or class coordinates call
 homology() on C itself.
 
-alternating_face_sum is the one writer of a boundary sum_i (-1)^i d_i:
-Hochschild b (full and normalized), the bar complex of a group (full and
-normalized), and the S_2 faces of the w.S diagonal and total complex.
+basis_map_columns is the one writer of every linear map given on basis
+elements: the columns of sum_{i < terms} (-1)^i f_i, from an image rule
+and a row lookup, which SparseMap.from_col_dicts takes.  One term gives a
+single map: faces, degeneracies, t, B, projections, inclusions, phi, the
+multitrace, K_0 relations.  The faces of a level give a boundary: Hochschild
+b, the bar complexes, the S_2 faces of the w.S diagonal and total complex.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ __all__ = [
     "homology",
     "reduce_complex",
     "direct_sum",
-    "alternating_face_sum",
+    "basis_map_columns",
     "LevelRows",
     "rank_over_field",
     "predicted_dense_cells",
@@ -307,17 +310,18 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
         raise UnsupportedRingError(
             f"homology over Z/{ring.modulus} is supported for prime powers only"
         )
-    check_dense_cells(complex_, n)
+    check_dense_cells(ring, n, complex_.rank)
     d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
     return _homology(ring, d_n.to_matrix(), d_np1.to_matrix(), n)
 
 
-def check_dense_cells(complex_: ChainComplex, n: int) -> None:
-    """Raise CapExceededError if the Smith factors of homology(complex_, n)
-    could hold more than DENSE_CELL_CAP dense cells (predicted_dense_cells
-    of the ranks)."""
-    ranks = (complex_.rank(n - 1), complex_.rank(n), complex_.rank(n + 1))
-    cells = predicted_dense_cells(complex_.ring, *ranks)
+def check_dense_cells(ring: BaseRing, n: int, rank) -> None:
+    """Raise CapExceededError if the Smith factors of homology in degree n
+    of a complex over ring with ranks rank(q) could hold more than
+    DENSE_CELL_CAP dense cells (predicted_dense_cells of the ranks).  It
+    reads ranks only, so a caller can decide before building the complex."""
+    ranks = (rank(n - 1), rank(n), rank(n + 1))
+    cells = predicted_dense_cells(ring, *ranks)
     if cells > DENSE_CELL_CAP:
         raise CapExceededError(
             f"homology in degree {n} (ranks {ranks[0]}, {ranks[1]}, {ranks[2]}) needs "
@@ -447,18 +451,20 @@ def direct_sum(ring: BaseRing, top: int, summands) -> ChainComplex:
     return ChainComplex(ring, ranks, diffs)
 
 
-def alternating_face_sum(ring: BaseRing, simplices, faces: int, face, row_of):
-    """Yield the columns of sum_{i < faces} (-1)^i d_i, one {row: entry} per simplex.
+def basis_map_columns(ring: BaseRing, basis, terms: int, image, row_of):
+    """Yield the columns of sum_{i < terms} (-1)^i f_i, one {row: entry} per basis element.
 
-    face(x, i) gives d_i(x) as (target, coefficient) pairs, and row_of maps
-    a target one level down to its row, or to None for a term the complex
-    drops (a degenerate simplex or the base point).
+    image(x, i) gives f_i(x) as (target, coefficient) pairs, and row_of
+    maps a target to its row, or to None for a term the map drops (a
+    degenerate simplex, the base point, the zero object).  With terms = 1
+    this is the map f_0; with the q + 1 faces of level q it is the boundary
+    sum_i (-1)^i d_i.
     """
     add, neg, zero = ring.add, ring.neg, ring.zero
-    for x in simplices:
+    for x in basis:
         col: dict[int, object] = {}
-        for i in range(faces):
-            for target, c in face(x, i):
+        for i in range(terms):
+            for target, c in image(x, i):
                 row = row_of(target)
                 if row is not None:
                     col[row] = add(col.get(row, zero), neg(c) if i % 2 else c)

@@ -131,15 +131,15 @@ class JobConfig(Value):
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _category_selector_with_bound(sel: str, bound: int | None) -> str:
+def _category_selector_with_bound(sel: str, bound: int | None, families: dict) -> str:
+    """sel with its bound, the last argument of its family, set to bound."""
     if bound is None:
         return sel
     parts = sel.strip().split(":")
-    arity = {"trivial": 0, "vect_gf": 2, "pointed_sets": 1, "finite_modules": 2}
     head = parts[0]
-    if head not in arity:
+    if head not in families:
         return sel
-    want = arity[head]
+    want = families[head][0]
     if want == 0:
         raise InputParseError(f"--bound does not apply to the {head!r} category")
     if len(parts) == want:
@@ -188,10 +188,10 @@ def _resolve_category(inp: str, bound: int | None):
         from .tables import parse_category_file
 
         return parse_category_file(inp)
-    from .wcat import category_from_selector
+    from .wcat import CATEGORY_FAMILIES, category_from_selector
 
     try:
-        return category_from_selector(_category_selector_with_bound(inp, bound))
+        return category_from_selector(_category_selector_with_bound(inp, bound, CATEGORY_FAMILIES))
     except InputParseError as exc:
         raise InputParseError(
             f"{inp!r} is neither an existing file nor a built-in category selector ({exc})"

@@ -20,9 +20,11 @@ by basis tensors with a unit in some slot >= 1, and the quotient has the
 honest basis of the r(r-1)^q tuples avoiding index 0 past slot 0.  b and B
 are written directly on these unit-free tuples (Loday, Cyclic Homology,
 2.1), dropping terms that land on a degenerate tuple, so the full levels are
-never built for them.  Both b's sum the faces of _face with
-chain.alternating_face_sum.  Homology results are converted back to the
-caller's original basis at the API boundary.
+never built for them.  Every operator (faces, degeneracies, t, both b's, B,
+projection, inclusion and the b + B of the total complex) is written
+by chain.basis_map_columns from an image rule on basis tuples and the row
+lookup of its target level; each is built once per instance (_cached).  Homology results
+are converted back to the caller's original basis at the API boundary.
 
 The invariants-only paths (HochschildHomology.core behind hh, cyclic_core
 behind hc) never build the whole normalized complex.  table_grading finds
@@ -44,10 +46,10 @@ caller, so no Hochschild job compiles it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, wraps
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, alternating_face_sum
+from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, basis_map_columns
 from .chain import direct_sum, homology, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
@@ -69,6 +71,19 @@ __all__ = [
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
+
+
+def _cached(build):
+    """Method decorator: build once per argument tuple, kept in self._cache."""
+
+    @wraps(build)
+    def operator(self, *args):
+        key = (build.__name__, *args)
+        if key not in self._cache:
+            self._cache[key] = build(self, *args)
+        return self._cache[key]
+
+    return operator
 
 
 class CyclicModule:
@@ -105,60 +120,44 @@ class CyclicModule:
         if q < lo or q > self.max_level:
             raise DegreeOutOfRangeError(f"level {q} outside 0..{self.max_level}")
 
+    def _map(self, q: int, sources, terms: int, image) -> SparseMap:
+        """The map onto full level q that basis_map_columns writes, rows found by tuple_index."""
+        cols = basis_map_columns(self.ring, sources, terms, image, partial(tuple_index, self.algebra.rank))
+        return SparseMap.from_col_dicts(self.ring, self.level_rank(q), cols)
+
+    @_cached
     def face(self, q: int, i: int) -> SparseMap:
         """d_i: level q -> level q-1."""
         self._check_level(q, lo=1)
         if not 0 <= i <= q:
             raise DegreeOutOfRangeError(f"face index {i} outside 0..{q}")
-        key = ("d", q, i)
-        if key not in self._cache:
-            cols = [
-                {tuple_index(self.algebra.rank, target): c for target, c in _face(self.algebra, tup, i)}
-                for tup in self.tuples(q)
-            ]
-            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
-        return self._cache[key]
+        A = self.algebra
+        return self._map(q - 1, self.tuples(q), 1, lambda tup, _: _face(A, tup, i))
 
+    @_cached
     def degeneracy(self, q: int, j: int) -> SparseMap:
         """s_j: level q -> level q+1, inserting the unit after slot j."""
         self._check_level(q)
         self._check_level(q + 1)
         if not 0 <= j <= q:
             raise DegreeOutOfRangeError(f"degeneracy index {j} outside 0..{q}")
-        key = ("s", q, j)
-        if key not in self._cache:
-            A, ring = self.algebra, self.ring
-            cols = []
-            for tup in self.tuples(q):
-                col = {}
-                for k, c in enumerate(A.unit):
-                    if not ring.is_zero(c):
-                        col[tuple_index(A.rank, tup[: j + 1] + (k,) + tup[j + 1 :])] = c
-                cols.append(col)
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q + 1), cols)
-        return self._cache[key]
+        unit = tuple(enumerate(self.algebra.unit))
+        return self._map(
+            q + 1, self.tuples(q), 1, lambda tup, _: [(tup[: j + 1] + (k,) + tup[j + 1 :], c) for k, c in unit]
+        )
 
+    @_cached
     def cyclic(self, q: int) -> SparseMap:
         """t: level q -> level q, last slot to the front, no sign."""
         self._check_level(q)
-        key = ("t", q)
-        if key not in self._cache:
-            ring, r = self.ring, self.algebra.rank
-            cols = []
-            for tup in self.tuples(q):
-                cols.append({tuple_index(r, (tup[q],) + tup[:q]): ring.one})
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.level_rank(q), cols)
-        return self._cache[key]
+        one = self.ring.one
+        return self._map(q, self.tuples(q), 1, lambda tup, _: (((tup[q],) + tup[:q], one),))
 
+    @_cached
     def boundary(self, q: int) -> SparseMap:
         """Hochschild b = sum_i (-1)^i d_i: level q -> level q-1."""
         self._check_level(q, lo=1)
-        key = ("b", q)
-        if key not in self._cache:
-            A = self.algebra
-            cols = alternating_face_sum(A.ring, self.tuples(q), q + 1, partial(_face, A), partial(tuple_index, A.rank))
-            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.level_rank(q - 1), cols)
-        return self._cache[key]
+        return self._map(q - 1, self.tuples(q), q + 1, partial(_face, self.algebra))
 
     def signed_cyclic(self, q: int) -> SparseMap:
         """t_s = (-1)^q t at level q."""
@@ -251,7 +250,6 @@ class NormalizedComplex:
         self.cyclic_module = C
         self.ring = C.ring
         self._tuples: dict[int, list] = tuples or {}
-        self._index: dict[int, dict] = {}
         self._cache: dict = {}
 
     def level_tuples(self, q: int) -> list:
@@ -261,15 +259,23 @@ class NormalizedComplex:
         return self._tuples[q]
 
     def rank(self, q: int) -> int:
+        """Rank of level q, r(r-1)^q until its tuples are built."""
         if q < 0 or q > self.cyclic_module.max_level:
             return 0
-        return len(self.level_tuples(q))
+        if q in self._tuples:
+            return len(self._tuples[q])
+        r = self.cyclic_module.algebra.rank
+        return r * (r - 1) ** q
 
+    @_cached
     def _row_of(self, q: int):
         """Row lookup on level q; a tuple with the unit past slot 0 has none."""
-        if q not in self._index:
-            self._index[q] = LevelRows(self.level_tuples(q), 0, 1)
-        return self._index[q].__getitem__
+        return LevelRows(self.level_tuples(q), 0, 1).__getitem__
+
+    def _map(self, q: int, sources, terms: int, image) -> SparseMap:
+        """The map onto normalized level q that basis_map_columns writes, rows found by _row_of."""
+        cols = basis_map_columns(self.ring, sources, terms, image, self._row_of(q))
+        return SparseMap.from_col_dicts(self.ring, self.rank(q), cols)
 
     def weight_blocks(self):
         """Yield (weight, block) for the weight blocks of levels 0..max_level.
@@ -302,61 +308,38 @@ class NormalizedComplex:
             tuples = {q: level.pop(w, []) for q, level in enumerate(levels)}
             yield w, NormalizedComplex(self.cyclic_module, tuples)
 
+    @_cached
     def projection(self, q: int) -> SparseMap:
         """Full level q -> normalized level q (kill degenerate tuples)."""
-        key = ("proj", q)
-        if key not in self._cache:
-            row_of = self._row_of(q)
-            ring = self.ring
-            cols = []
-            for tup in self.cyclic_module.tuples(q):
-                pos = row_of(tup)
-                cols.append({} if pos is None else {pos: ring.one})
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.rank(q), cols)
-        return self._cache[key]
+        one = self.ring.one
+        return self._map(q, self.cyclic_module.tuples(q), 1, lambda tup, _: ((tup, one),))
 
+    @_cached
     def inclusion(self, q: int) -> SparseMap:
         """Normalized level q -> full level q (basis section)."""
-        key = ("incl", q)
-        if key not in self._cache:
-            ring = self.ring
-            cm = self.cyclic_module
-            cols = [{tuple_index(cm.algebra.rank, tup): ring.one} for tup in self.level_tuples(q)]
-            self._cache[key] = SparseMap.from_col_dicts(ring, cm.level_rank(q), cols)
-        return self._cache[key]
+        one = self.ring.one
+        return self.cyclic_module._map(q, self.level_tuples(q), 1, lambda tup, _: ((tup, one),))
 
+    @_cached
     def boundary(self, q: int) -> SparseMap:
         """Induced Hochschild boundary: b with degenerate faces dropped."""
-        key = ("b", q)
-        if key not in self._cache:
-            self.cyclic_module._check_level(q, lo=1)
-            A = self.cyclic_module.algebra
-            cols = alternating_face_sum(A.ring, self.level_tuples(q), q + 1, partial(_face, A), self._row_of(q - 1))
-            self._cache[key] = SparseMap.from_col_dicts(self.ring, self.rank(q - 1), cols)
-        return self._cache[key]
+        self.cyclic_module._check_level(q, lo=1)
+        return self._map(q - 1, self.level_tuples(q), q + 1, partial(_face, self.cyclic_module.algebra))
 
+    @_cached
     def connes_b(self, q: int) -> SparseMap:
         """Induced Connes boundary B: normalized level q -> q+1.
 
         B(a) = sum_{i=0}^{q} (-1)^(qi) (0, t^i a): t^i moves the last i slots
         to the front, and a term with index 0 past slot 0 is degenerate.
         """
-        key = ("B", q)
-        if key not in self._cache:
-            self.cyclic_module._check_level(q + 1, lo=1)
-            ring = self.ring
-            signs = [ring.neg(ring.one) if q * i % 2 else ring.one for i in range(q + 1)]
-            row_of = self._row_of(q + 1)
-            cols = []
-            for tup in self.level_tuples(q):
-                col: dict[int, object] = {}
-                for i, sign in enumerate(signs):
-                    row = row_of((0,) + tup[q + 1 - i :] + tup[: q + 1 - i])
-                    if row is not None:
-                        col[row] = ring.add(col.get(row, ring.zero), sign)
-                cols.append(col)
-            self._cache[key] = SparseMap.from_col_dicts(ring, self.rank(q + 1), cols)
-        return self._cache[key]
+        self.cyclic_module._check_level(q + 1, lo=1)
+        ring = self.ring
+        # (k, sign) for t^i, which moves the tuple's slots from k = q + 1 - i on to the front
+        turns = [(q + 1 - i, ring.neg(ring.one) if q * i % 2 else ring.one) for i in range(q + 1)]
+        return self._map(
+            q + 1, self.level_tuples(q), 1, lambda tup, _: [((0,) + tup[k:] + tup[:k], c) for k, c in turns]
+        )
 
     def chain_complex(self, top: int) -> ChainComplex:
         ranks = [self.rank(q) for q in range(top + 1)]
@@ -364,40 +347,28 @@ class NormalizedComplex:
         return ChainComplex(self.ring, ranks, diffs)
 
     def total_complex(self, top: int) -> ChainComplex:
-        """Degrees 0..top of the (b, B) total complex (cyclic_total_complex)."""
-        offsets: dict[int, list[int]] = {}
-        totals: dict[int, int] = {}
-        for m in range(top + 1):
-            offs, pos = [], 0
-            p = 0
-            while m - 2 * p >= 0:
-                offs.append(pos)
-                pos += self.rank(m - 2 * p)
-                p += 1
-            offsets[m] = offs
-            totals[m] = pos
+        """Degrees 0..top of the (b, B) total complex (cyclic_total_complex).
 
-        ring = self.ring
-        diffs: dict[int, SparseMap] = {}
+        Tot_m has basis the pairs (p, j), j a tuple of normalized level
+        m - 2p, in order of p; b keeps p and B lowers it.
+        """
+        levels = [[(p, j) for p in range(m // 2 + 1) for j in range(self.rank(m - 2 * p))] for m in range(top + 1)]
+        diffs = {}
         for m in range(1, top + 1):
-            cols: list[dict] = [dict() for _ in range(totals[m])]
-            for p, off in enumerate(offsets[m]):
-                q = m - 2 * p
-                b = self.boundary(q) if q >= 1 else None
-                B = self.connes_b(q) if p >= 1 else None
-                for j in range(self.rank(q)):
-                    col = cols[off + j]
-                    if b is not None:
-                        tgt_off = offsets[m - 1][p]
-                        for i, c in b.cols[j]:
-                            col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
-                    if B is not None:
-                        tgt_off = offsets[m - 1][p - 1]
-                        for i, c in B.cols[j]:
-                            col[tgt_off + i] = ring.add(col.get(tgt_off + i, ring.zero), c)
-            diffs[m] = SparseMap.from_col_dicts(ring, totals[m - 1], cols)
+            b = [self.boundary(m - 2 * p).cols if 2 * p < m else None for p in range(m // 2 + 1)]
+            B = [self.connes_b(m - 2 * p).cols if p else None for p in range(m // 2 + 1)]
 
-        return ChainComplex(ring, [totals[m] for m in range(top + 1)], diffs)
+            def image(x, _):
+                p, j = x
+                terms = [((p, i), c) for i, c in b[p][j]] if b[p] is not None else []
+                if B[p] is not None:
+                    terms += [((p - 1, i), c) for i, c in B[p][j]]
+                return terms
+
+            rows = {x: t for t, x in enumerate(levels[m - 1])}
+            cols = basis_map_columns(self.ring, levels[m], 1, image, rows.__getitem__)
+            diffs[m] = SparseMap.from_col_dicts(self.ring, len(rows), cols)
+        return ChainComplex(self.ring, [len(level) for level in levels], diffs)
 
     def block_core(self, build, top: int) -> ChainComplex:
         """Block-diagonal sum of reduce_complex(build(block, top)) over the
@@ -431,7 +402,7 @@ def tensor_power_map(f: SparseMap, power: int) -> SparseMap:
 
 def induced_chain_map(f: AlgebraHom, q: int) -> SparseMap:
     """Level-q map of cyclic bar constructions induced by an algebra map."""
-    return tensor_power_map(SparseMap.from_matrix(f.matrix), q + 1)
+    return tensor_power_map(f.matrix, q + 1)
 
 
 class HochschildHomology:
@@ -452,26 +423,21 @@ class HochschildHomology:
         self.algebra = A
         self.ring = A.ring
         self.max_degree = max_degree
-        reduced, T, Tinv = unit_first_presentation(A)
-        self._t_map = SparseMap.from_matrix(T)
-        self._tinv_map = SparseMap.from_matrix(Tinv)
+        reduced, self._t_map, self._tinv_map = unit_first_presentation(A)
         self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)
-        self._data: dict[int, HomologyData] = {}
-        self._to_norm: dict[int, SparseMap] = {}
-        self._from_norm: dict[int, SparseMap] = {}
+        self._cache: dict = {}
 
     @cached_property
     def complex(self) -> ChainComplex:
         """The normalized complex in degrees 0..max_degree+1."""
         return self.normalized.chain_complex(self.max_degree + 1)
 
+    @_cached
     def homology_data(self, n: int) -> HomologyData:
         if n < 0 or n > self.max_degree:
             raise DegreeOutOfRangeError(f"degree {n} outside 0..{self.max_degree}")
-        if n not in self._data:
-            self._data[n] = homology(self.complex, n)
-        return self._data[n]
+        return homology(self.complex, n)
 
     @cached_property
     def core(self) -> ChainComplex:
@@ -488,23 +454,17 @@ class HochschildHomology:
     def group(self, n: int) -> FPAbelianGroup | FPModule:
         return homology(self.core, n).group
 
+    @_cached
     def to_normalized(self, q: int) -> SparseMap:
         """Original-basis level q -> normalized level q."""
-        if q not in self._to_norm:
-            self.cyclic_module.check_full_level(q)
-            self._to_norm[q] = self.normalized.projection(q).compose(
-                tensor_power_map(self._tinv_map, q + 1)
-            )
-        return self._to_norm[q]
+        self.cyclic_module.check_full_level(q)
+        return self.normalized.projection(q).compose(tensor_power_map(self._tinv_map, q + 1))
 
+    @_cached
     def from_normalized(self, q: int) -> SparseMap:
         """Normalized level q -> original-basis level q."""
-        if q not in self._from_norm:
-            self.cyclic_module.check_full_level(q)
-            self._from_norm[q] = tensor_power_map(self._t_map, q + 1).compose(
-                self.normalized.inclusion(q)
-            )
-        return self._from_norm[q]
+        self.cyclic_module.check_full_level(q)
+        return tensor_power_map(self._t_map, q + 1).compose(self.normalized.inclusion(q))
 
     def generators(self, n: int) -> tuple:
         """Representative cycles in the original basis of A^tensor(n+1)."""

@@ -1,15 +1,18 @@
 """Exact dense matrices, sparse linear maps, and Smith normal form.
 
 All arithmetic happens in a BaseRing (Z, Q, Z/m, GF(p)); nothing here ever
-touches floating point.  Two representations coexist:
+touches floating point.  Two representations coexist, each with one role:
 
-* Matrix: dense row-major storage; the carrier for elimination.
-* SparseMap: column-sparse storage for structured operators (face maps,
-  boundary operators, induced chain maps), which are almost entirely zero.
+* Matrix: dense row-major storage, only for Smith elimination: the input
+  of smith_normal_form, its factors, and their products and images.
+* SparseMap: column-sparse storage for every other linear map (faces,
+  boundaries, chain maps, algebra maps, changes of basis), built by
+  from_col_dicts, from the columns chain.basis_map_columns writes for any
+  map given on basis elements.  to_matrix hands one to elimination.
 
 Matrix(ring, rows) is where entries are normalized: it is the constructor
 for values from outside (parsers, callers, tests).  Matrices built here from
-entries that ring arithmetic already produced (products, sums, transposes,
+entries that ring arithmetic already produced (products, integer lifts,
 Smith factors) skip that pass, and so does every SparseMap:
 SparseMap.from_col_dicts takes ring values (ring arithmetic, the normalized
 tables of an Algebra) and only drops zeros.
@@ -126,9 +129,6 @@ class Matrix:
         n = len(cols[0])
         return cls(ring, [[cols[j][i] for j in range(len(cols))] for i in range(n)], len(cols))
 
-    def copy(self) -> "Matrix":
-        return Matrix._canonical(self.ring, [row[:] for row in self.rows], self.ncols)
-
     # -- access ------------------------------------------------------------
 
     def col(self, j: int) -> tuple:
@@ -162,29 +162,6 @@ class Matrix:
                 for j, b in nonzero[k]:
                     trow[j] = add(trow[j], mul(a, b))
         return out
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        ring = self.ring
-        return Matrix._canonical(
-            ring,
-            [[ring.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        ring = self.ring
-        return Matrix._canonical(
-            ring,
-            [[ring.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.ncols:

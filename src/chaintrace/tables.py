@@ -107,13 +107,6 @@ def _read(path: str) -> str:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _require_ok(report: ValidationReport) -> None:
-    if not report.ok:
-        raise ValidationError(
-            f"{report.subject}: " + "; ".join(report.issues)
-        )
-
-
 # ---------------------------------------------------------------------------
 # algebra files
 # ---------------------------------------------------------------------------
@@ -208,7 +201,7 @@ def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = Tru
 
     A = make_algebra(ring, basis, unit, products, name=name)
     if validate:
-        _require_ok(validate_algebra(A))
+        validate_algebra(A).require_ok()
     return A
 
 
@@ -308,7 +301,7 @@ def parse_group_text(text: str, where: str = "<group>", validate: bool = True) -
         table=tuple(table), identity=identity, names=tuple(elements), name=name
     )
     if validate:
-        _require_ok(validate_group(G))
+        validate_group(G).require_ok()
     return G
 
 
@@ -456,7 +449,7 @@ def parse_category_text(
             bound,
         )
         if validate:
-            _require_ok(validate_waldhausen(C))
+            validate_waldhausen(C).require_ok()
     return C
 
 

@@ -17,9 +17,12 @@ Everything stays at chain level; no plus construction, no stabilization.
 K_1-flavored traces (dennis_trace_k1) take a single invertible matrix g and
 return the class of tr(g^-1 x g) in HH_1(A).
 
-The bar complex (bar_complex, level q = R[G^q]) and its normalization on
-tuples of non-identity elements (GroupHomology) are both
-chain.alternating_face_sum of the faces _bar_face writes.
+Every map here is written by chain.basis_map_columns from an image rule on
+basis tuples and a row lookup: the bar complex (bar_complex, level q = R[G^q]) and its
+normalization on tuples of non-identity elements (GroupHomology) sum the
+faces _bar_face writes, and the inclusion of the normalization, phi and the
+multitrace send each tuple to one tuple or to zero.  The caps of a whole
+pipeline are checked from ranks before any of it is built.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .chain import (
     FPModule,
     HomologyData,
     LevelRows,
-    alternating_face_sum,
+    basis_map_columns,
     check_dense_cells,
     homology,
     reduce_complex,
@@ -95,7 +98,7 @@ def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int) -> ChainComplex:
     face, row_of = _bar_face(G, ring.one), partial(tuple_index, n)
     diffs = {}
     for q in range(1, max_d + 1):
-        cols = alternating_face_sum(ring, itertools.product(range(n), repeat=q), q + 1, face, row_of)
+        cols = basis_map_columns(ring, itertools.product(range(n), repeat=q), q + 1, face, row_of)
         diffs[q] = SparseMap.from_col_dicts(ring, n ** (q - 1), cols)
     return ChainComplex(ring, [n**q for q in range(max_d + 1)], diffs)
 
@@ -125,15 +128,16 @@ class GroupHomology:
         diffs = {}
         for q in range(1, max_degree + 2):
             rows = LevelRows(levels[q - 1], G.identity, 0)
-            cols = alternating_face_sum(ring, levels[q], q + 1, face, rows.__getitem__)
-            diffs[q] = SparseMap.from_col_dicts(ring, len(levels[q - 1]), cols)
+            cols = basis_map_columns(ring, levels[q], q + 1, face, rows.__getitem__)
+            diffs[q] = SparseMap.from_col_dicts(ring, len(rows), cols)
         self.complex = ChainComplex(ring, [len(level) for level in levels], diffs)
         self._data: dict[int, HomologyData] = {}
 
     def inclusion(self, q: int) -> SparseMap:
         """Normalized bar level q -> full bar level q (R[G^q])."""
-        n = self.group.order
-        cols = [{tuple_index(n, tup): self.ring.one} for tup in itertools.product(self._others, repeat=q)]
+        n, one = self.group.order, self.ring.one
+        tuples = itertools.product(self._others, repeat=q)
+        cols = basis_map_columns(self.ring, tuples, 1, lambda tup, _: ((tup, one),), partial(tuple_index, n))
         return SparseMap.from_col_dicts(self.ring, n**q, cols)
 
     def homology_data(self, n: int) -> HomologyData:
@@ -165,13 +169,14 @@ def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
     identity to degenerate chains.
     """
     n = G.order
-    cols = []
-    for tup in itertools.product(range(n), repeat=q):
+
+    def image(tup, _):
         g = G.identity
         for t in tup:
             g = G.multiply(g, t)
-        lead = G.inverse(g)
-        cols.append({tuple_index(n, (lead,) + tup): ring.one})
+        return (((G.inverse(g),) + tup, ring.one),)
+
+    cols = basis_map_columns(ring, itertools.product(range(n), repeat=q), 1, image, partial(tuple_index, n))
     return SparseMap.from_col_dicts(ring, n ** (q + 1), cols)
 
 
@@ -191,15 +196,16 @@ def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
         raise CapExceededError(
             f"cyclic bar level {q} of M_{n} has rank {rm}^{q + 1} = {source_rank} > cap {LEVEL_CAP}"
         )
-    target_rank = r ** (q + 1)
-    cols: list[dict] = []
-    for tup in itertools.product(range(rm), repeat=q + 1):
+    one = A.ring.one
+
+    def image(tup, _):
         ijs = [(t // (n * r), (t // r) % n, t % r) for t in tup]
         if all(ijs[a][1] == ijs[(a + 1) % (q + 1)][0] for a in range(q + 1)):
-            cols.append({tuple_index(r, tuple(s for _, _, s in ijs)): A.ring.one})
-        else:
-            cols.append({})
-    return SparseMap.from_col_dicts(A.ring, target_rank, cols)
+            return ((tuple(s for _, _, s in ijs), one),)
+        return ()
+
+    cols = basis_map_columns(A.ring, itertools.product(range(rm), repeat=q + 1), 1, image, partial(tuple_index, r))
+    return SparseMap.from_col_dicts(A.ring, r ** (q + 1), cols)
 
 
 class HomologyClass(Value):
@@ -311,16 +317,17 @@ def fp_map_is_iso(
 def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
     """Multitrace-induced maps HH_d(M_n(A)) -> HH_d(A) for d = 0..max_degree.
 
-    The caps of every degree are checked, in the order the loop would meet
-    them, before the first elimination: a refusal costs no homology work.
+    The caps of every degree are checked from ranks, in the order the loop
+    would meet them, before any boundary is built: a refusal costs no
+    complex and no homology work.
     """
     M = matrix_algebra(A, n)
     WM = HochschildHomology(M, max_degree)
     WA = HochschildHomology(A, max_degree)
     for d in range(max_degree + 1):
         WM.cyclic_module.check_full_level(d)  # M's full level is the larger one
-        check_dense_cells(WM.complex, d)
-        check_dense_cells(WA.complex, d)
+        check_dense_cells(M.ring, d, WM.normalized.rank)
+        check_dense_cells(A.ring, d, WA.normalized.rank)
     out = []
     for d in range(max_degree + 1):
         from_m = WM.from_normalized(d)
@@ -369,7 +376,9 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     Enumerates GL_n(A) (finite base ring required), computes
     H_d(BGL_n(A); R) with R the base ring of A, pushes every homology
     generator through phi, the embedding, and the multitrace, and reduces in
-    HH_d(A).
+    HH_d(A).  Both eliminations are checked against DENSE_CELL_CAP from the
+    ranks, the normalized bar complex's (|G| - 1)^q first, before any chain
+    map or complex is built.
     """
     if d > DEGREE_CAP:
         raise CapExceededError(f"degree {d} above the trace pipeline cap {DEGREE_CAP}")
@@ -378,11 +387,13 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     if G.order > GROUP_ORDER_CAP:
         raise CapExceededError(f"|GL_{n}| = {G.order} above the group order cap {GROUP_ORDER_CAP}")
     ring = A.ring
-    GH = GroupHomology(G, ring, d)
     WA = HochschildHomology(A, d)
+    check_dense_cells(ring, d, lambda q: (G.order - 1) ** q if 0 <= q <= d + 1 else 0)
+    check_dense_cells(ring, d, WA.normalized.rank)
+    GH = GroupHomology(G, ring, d)
 
     phi = group_to_hh(G, ring, d)
-    iota_q = tensor_power_map(SparseMap.from_matrix(gl.embedding.matrix), d + 1)
+    iota_q = tensor_power_map(gl.embedding.matrix, d + 1)
     tr = multitrace(A, n, d)
     bridge = WA.to_normalized(d).compose(tr).compose(iota_q).compose(phi).compose(GH.inclusion(d))
 

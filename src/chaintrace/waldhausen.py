@@ -64,9 +64,9 @@ which no ``k0`` job loads.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
-from .chain import ChainComplex, FPAbelianGroup, HomologyData, alternating_face_sum, homology
+from .chain import ChainComplex, FPAbelianGroup, HomologyData, basis_map_columns, homology
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .linalg import SparseMap
 from .rings import ZZ
@@ -780,24 +780,12 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     return PointedSimplicialSet.tabulate(f"diag wS({C.name})", levels, face, degeneracy)
 
 
-def _object_columns(C: WCategory) -> tuple:
-    """The nonzero objects of C, and a builder of relation columns on them.
-
-    The builder takes (object, sign) terms and sums them into a
-    {row: coefficient} dict, skipping the zero object.
-    """
+def _generators(C: WCategory) -> tuple:
+    """The nonzero objects of C, and their row lookup, which gives None for
+    the zero object."""
     z = C.zero_index()
     gens = tuple(a for a in range(C.object_count()) if a != z)
-    pos = {a: t for t, a in enumerate(gens)}
-
-    def column(*terms) -> dict:
-        col: dict = {}
-        for obj, sign in terms:
-            if obj != z:
-                col[pos[obj]] = col.get(pos[obj], 0) + sign
-        return col
-
-    return gens, column
+    return gens, {a: t for t, a in enumerate(gens)}.get
 
 
 def _relation_cokernel(nrows: int, columns) -> tuple:
@@ -824,7 +812,7 @@ def _total_complex_relations(C: WCategory) -> tuple:
     are the nonzero objects of S_1 (total degree 1; every w_q S_0 C is the
     basepoint), and the columns are the boundaries of total degree 2.  A
     grid x of S_2 (bidegree (2, 0)) gives sum (-1)^i [d_i x], written by
-    ``chain.alternating_face_sum``, with d_i the restriction along the
+    ``chain.basis_map_columns``, with d_i the restriction along the
     coface skipping i; a weak equivalence a -> b of S_1 (bidegree (1, 1))
     gives -([b] - [a]), the vertical differential with the sign (-1)^p.
     Degenerate simplices give empty columns, which ``_relation_cokernel``
@@ -833,17 +821,12 @@ def _total_complex_relations(C: WCategory) -> tuple:
     if SCategory(C, 0).object_count() != 1:
         raise InternalInvariantError("S_0 of the flag construction is not a single point")
     S1, S2 = SCategory(C, 1), SCategory(C, 2)
-    gens, column = _object_columns(S1)
+    gens, row = _generators(S1)
     faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
     weqs = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings")
-
-    def relations():
-        row = {a: t for t, a in enumerate(gens)}.get  # None for the zero object
-        yield from alternating_face_sum(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
-        for s in weqs[1:]:
-            yield column((_string_face(S1, s, 0)[0], -1), (_string_face(S1, s, 1)[0], 1))
-
-    cols, hd = _relation_cokernel(len(gens), relations())
+    grids = basis_map_columns(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
+    vertical = (((_string_face(S1, s, 0)[0], -1), (_string_face(S1, s, 1)[0], 1)) for s in weqs[1:])
+    cols, hd = _relation_cokernel(len(gens), chain(grids, basis_map_columns(ZZ, vertical, 1, lambda x, _: x, row)))
     return S1, gens, cols, hd
 
 
@@ -870,7 +853,7 @@ def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
     The level-0 set is a single point, so the reduced complex has zero
     differential out of degree 1 and K_0 is the cokernel of the degree-2
     boundary on the nondegenerate 2-simplices, computed by integer Smith
-    normal form: ``chain.alternating_face_sum`` of the face tables, with no
+    normal form: ``chain.basis_map_columns`` of the face tables, with no
     row for the base point.  Duplicate boundary columns are collapsed
     first.  Level 2 holds every pair of composable weak equivalences of
     S_2, so this is the oracle for ``k0_via_sdot`` on small families.
@@ -881,7 +864,7 @@ def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
     degenerate = set(X.degens[1][0]) | set(X.degens[1][1])
     faces = X.faces[2]
     nondegenerate = (x for x in range(1, len(X.levels[2])) if x not in degenerate)
-    boundary = alternating_face_sum(
+    boundary = basis_map_columns(
         ZZ, nondegenerate, 3, lambda x, i: ((faces[i][x], 1),), lambda y: y - 1 if y else None
     )
     return _relation_cokernel(len(X.levels[1]) - 1, boundary)[1].group
@@ -923,17 +906,12 @@ class K0Presentation(Value):
 
 
 def k0_presentation(C: WCategory) -> K0Presentation:
-    gens, column = _object_columns(C)
-
-    def relations():
-        for a in range(C.object_count()):
-            for b in range(C.object_count()):
-                for _m in C.weq_ids(a, b):
-                    yield column((a, 1), (b, -1))
-        for entries, _h, _v in _enumerate_s_payloads(C, 2):
-            yield column((entries[0][2], 1), (entries[0][1], -1), (entries[1][2], -1))
-
-    cols, hd = _relation_cokernel(len(gens), relations())
+    gens, row = _generators(C)
+    objects = range(C.object_count())
+    weqs = (((a, 1), (b, -1)) for a in objects for b in objects for _m in C.weq_ids(a, b))
+    grids = (((e[0][2], 1), (e[0][1], -1), (e[1][2], -1)) for e, _h, _v in _enumerate_s_payloads(C, 2))
+    # each relation is given by its (object, sign) terms
+    cols, hd = _relation_cokernel(len(gens), basis_map_columns(ZZ, chain(weqs, grids), 1, lambda x, _: x, row))
     return K0Presentation(C, gens, cols, hd)
 
 

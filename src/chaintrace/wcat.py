@@ -60,6 +60,7 @@ __all__ = [
     "vect_gf",
     "pointed_sets",
     "finite_modules",
+    "CATEGORY_FAMILIES",
     "category_from_selector",
     "validate_waldhausen",
     "axiom5_bound",
@@ -790,23 +791,28 @@ def finite_modules(p: int, bound: int) -> FiniteModulesCategory:
     return FiniteModulesCategory(p, bound)
 
 
+# The selector grammar: family name -> (number of integer arguments, the
+# last of them the bound, and the constructor taking them).
+CATEGORY_FAMILIES = {
+    "trivial": (0, trivial_category),
+    "vect_gf": (2, vect_gf),
+    "pointed_sets": (1, pointed_sets),
+    "finite_modules": (2, finite_modules),
+}
+
+
 def category_from_selector(selector: str) -> WCategory:
     """Build a built-in category from a selector like ``vect_gf:2:2``.
 
-    Recognized forms: ``trivial``, ``vect_gf:q:bound``, ``pointed_sets:bound``,
-    ``finite_modules:p:bound``.
+    Recognized forms (CATEGORY_FAMILIES): ``trivial``, ``vect_gf:q:bound``,
+    ``pointed_sets:bound``, ``finite_modules:p:bound``.
     """
     parts = selector.strip().split(":")
     head, args = parts[0], parts[1:]
+    arity, build = CATEGORY_FAMILIES.get(head, (None, None))
     try:
-        if head == "trivial" and not args:
-            return trivial_category()
-        if head == "vect_gf" and len(args) == 2:
-            return vect_gf(int(args[0]), int(args[1]))
-        if head == "pointed_sets" and len(args) == 1:
-            return pointed_sets(int(args[0]))
-        if head == "finite_modules" and len(args) == 2:
-            return finite_modules(int(args[0]), int(args[1]))
+        if len(args) == arity:
+            return build(*map(int, args))
     except (ValueError, ValidationError) as exc:
         raise InputParseError(f"bad category selector {selector!r}: {exc}") from exc
     raise InputParseError(

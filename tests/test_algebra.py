@@ -167,9 +167,9 @@ def test_unit_inverse_group_algebra():
 def test_unit_first_presentation():
     G = cyclic_group(3)
     A = group_algebra(G, ZZ)
-    from chaintrace.linalg import Matrix
+    from chaintrace.linalg import SparseMap
 
     reduced, T, Tinv = unit_first_presentation(A)
     assert reduced.unit == (1, 0, 0)
-    assert T.mul(Tinv).rows == Matrix.identity(ZZ, 3).rows
+    assert T.compose(Tinv) == SparseMap.identity(ZZ, 3)
     assert validate_algebra(reduced).ok

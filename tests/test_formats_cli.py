@@ -304,6 +304,30 @@ def test_cli_trace_k1_refuses_a_matrix_above_the_level_cap(capsys):
     assert elapsed < 2.0, elapsed
 
 
+@pytest.mark.parametrize(
+    "argv, ranks, cells",
+    [
+        (("trace-homology", "GF:5[x]/x^2", "--size", "1", "--degree", "3"), "3 (ranks 361, 6859, 130321)", 1084531362),
+        (("trace-homology", "GF:23", "--size", "1", "--degree", "3"), "3 (ranks 441, 9261, 194481)", 2148237126),
+        (("morita", "Z[C3]", "--size", "2", "--max-degree", "3"), "2 (ranks 132, 1452, 15972)", 31816224),
+    ],
+    ids=["trace-homology-dual-numbers", "trace-homology-GF23", "morita"],
+)
+def test_cli_refuses_dense_cells_before_building_a_complex(capsys, argv, ranks, cells):
+    # the group-homology or M_2 complex would be built in full before the
+    # refusal if the cap were read off the complex and not off its ranks
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.monotonic() - start
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error (cap): homology in degree {ranks} needs {cells} dense cells of Smith "
+        f"elimination, above the cap 30000000\n"
+    )
+    assert elapsed < 2.0, elapsed
+
+
 def test_cli_ring_override_rejected_for_files(tmp_path, capsys):
     path = tmp_path / "zalg.txt"
     path.write_text(MINIMAL_ALGEBRA)

@@ -329,16 +329,15 @@ def connes_lambda_complex(A, N):
     bases = []
     for q in range(N + 2):
         r = cm.level_rank(q)
-        t = cm.signed_cyclic(q).to_matrix()
-        one_minus_t = Matrix.identity(QQ, r).sub(t)
-        inv = kernel_basis(one_minus_t)
-        avg = Matrix.zeros(QQ, r, r)
-        power = Matrix.identity(QQ, r)
+        t = cm.signed_cyclic(q)
+        one_minus_t = SparseMap.identity(QQ, r).sub(t)
+        inv = kernel_basis(one_minus_t.to_matrix())
+        avg = SparseMap.zero(QQ, r, r)
+        power = SparseMap.identity(QQ, r)
         for _ in range(q + 1):
             avg = avg.add(power)
-            power = power.mul(t)
-        scale = Fraction(1, q + 1)
-        avg = Matrix(QQ, [[scale * x for x in row] for row in avg.rows])
+            power = power.compose(t)
+        avg = avg.scale(Fraction(1, q + 1))
         bases.append((inv, avg))
     ranks = [len(bases[q][0]) for q in range(N + 2)]
     diffs = {}

@@ -298,6 +298,9 @@ def _accepts(fn: ast.FunctionDef, call: ast.Call, on_class: bool) -> bool:
     return False
 
 
+REFLECTION = ("getattr", "hasattr", "setattr", "delattr")
+
+
 def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
     """(class, method) pairs that some attribute of ``source`` may reach.
 
@@ -306,8 +309,11 @@ def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
     whose return annotation names a class, a class named directly.  A call
     must fit the method's signature.  An unknown receiver may reach every
     method of that name, except that a bare read (no call) of a name in
-    ``index.data`` counts for the data; any read reaches a property.  A string passed to a call, as to
-    ``getattr``, counts for every method of that name.
+    ``index.data`` counts for the data; any read reaches a property.  A
+    string counts for every method of that name where a call takes it as a
+    name: an argument of ``getattr``, ``hasattr``, ``setattr`` or
+    ``delattr``, or one right after an argument that names a package class,
+    as in ``method(cls, "name")``.  Any other string argument is data.
     """
     tree = ast.parse(source)
     calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
@@ -346,8 +352,10 @@ def method_uses(index: _Index, source: str) -> set[tuple[str, str]]:
                 else:
                     env.pop(node.targets[0].id, None)
             if isinstance(node, ast.Call):
-                for arg in node.args:
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                reflective = getattr(node.func, "id", None) in REFLECTION
+                for before, arg in zip([None, *node.args], node.args):
+                    names_class = (getattr(before, "id", None) or getattr(before, "attr", None)) in index.bases
+                    if (reflective or names_class) and isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                         uses.update((owner, arg.value) for owner, _ in index.methods.get(arg.value, ()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 receiver = infer(node.value, env)
@@ -398,6 +406,7 @@ def test_scan_flags_dead_methods():
         "    def neg(self, a):\n        return a\n"
         "    def scale(self, c, a):\n        return a\n"
         "    def unused(self):\n        pass\n"
+        "    def wrapped(self):\n        pass\n"
         "def make() -> Grid:\n    return Grid.build(2)\n"
     )
     client = (
@@ -405,6 +414,8 @@ def test_scan_flags_dead_methods():
         "    g = make()\n"
         "    g.flip()\n"
         "    r.neg(x).scale(1, 2)\n"
+        "    log('scale', x, 'cols')\n"
+        "    patch(lib.Ring, 'wrapped')\n"
         "    return x.cols, getattr(r, 'unused')\n"
     )
     assert dead_methods([lib], [client]) == ["Grid.cols", "Grid.scale"]

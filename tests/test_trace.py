@@ -216,6 +216,30 @@ def test_morita_map_refuses_before_any_elimination(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: morita_map(group_algebra(cyclic_group(3), ZZ), 2, 3),
+        lambda: dennis_trace_homology(truncated_polynomial(GF(5), 2), 1, 3),
+    ],
+    ids=["morita", "dennis"],
+)
+def test_cap_refusals_come_before_any_complex_is_built(monkeypatch, run):
+    # both refuse on DENSE_CELL_CAP; the decision reads ranks only, so no
+    # boundary, no group homology and no elimination may precede it
+    from chaintrace import chain, hochschild, trace
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(hochschild.NormalizedComplex, "boundary", forbidden)
+    monkeypatch.setattr(hochschild.CyclicModule, "boundary", forbidden)
+    monkeypatch.setattr(trace, "GroupHomology", forbidden)
+    monkeypatch.setattr(chain, "smith_normal_form", forbidden)
+    with pytest.raises(CapExceededError, match=r"homology in degree \d .* above the cap"):
+        run()
+
+
 def test_fp_map_iso_on_trivial_groups():
     from chaintrace.chain import FPAbelianGroup
     from chaintrace.linalg import Matrix
