@@ -33,9 +33,11 @@ reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
 the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction): each pair
 (j in C_n, i in C_{n-1}) with d_n[i, j] a unit splits off an acyclic
 summand, so every homology group is unchanged while the complex shrinks,
-usually to a small core that homology() then eliminates densely.  The core
-has no basis in common with C, so callers that print only isomorphism
-types use it, and callers that need generators or class coordinates call
+usually to a small core that homology() then eliminates densely.  A pair
+changes d_n only and deletes a row of d_{n+1}, so cancellation runs from
+d_1 up: each boundary meets only the rows that survived below.  The core
+has no basis in common with C, so callers that print only isomorphism types
+use it, and callers that need generators or class coordinates call
 homology() on C itself.
 
 basis_map_columns is the one writer of every linear map given on basis
@@ -347,9 +349,9 @@ def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:
     return first + smith_cells(range(fewest, b + 1), c, ("U", "Uinv"))
 
 
-def _sparse_columns(d: SparseMap, skip=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:
-    """Mutable copy of d: live columns as {row: entry} and rows as column sets."""
-    cols = {j: dict(col) for j, col in enumerate(d.cols) if j not in skip}
+def _sparse_columns(d: SparseMap, dead=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:
+    """Mutable copy of d minus the dead rows: columns as {row: entry}, rows as column sets."""
+    cols = {j: {i: x for i, x in col if i not in dead} for j, col in enumerate(d.cols)}
     rows: dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
@@ -405,36 +407,32 @@ def _cancel_unit_pivots(ring: BaseRing, cols: dict[int, dict], rows: dict[int, s
 def reduce_complex(complex_: ChainComplex) -> ChainComplex:
     """A small complex with the same homology as complex_ in degrees below the top.
 
-    Unit pivots are cancelled in every differential from the top down.  A
-    pair (j, i) cancelled in d_n removes j from C_n and i from C_{n-1},
-    rewrites d_n on the surviving basis, and deletes row j of d_{n+1} and
-    column i of d_{n-1}.  Zero columns of the top differential bound
-    nothing and are dropped too.  The result goes through the ChainComplex
-    constructor, so d o d = 0 is checked again on it.
+    Unit pivots are cancelled in every differential from d_1 up.  A pair
+    (j, i) cancelled in d_n removes j from C_n and i from C_{n-1}, rewrites
+    d_n on the surviving basis, and deletes row j of d_{n+1} and column i
+    of d_{n-1}, so d_n meets only the rows that survived below.  Zero
+    columns of the top differential bound nothing and are dropped too.  The
+    result goes through the ChainComplex constructor, so d o d = 0 is
+    checked again on it.
     """
     ring = complex_.ring
     top = complex_.top_degree
     dead: list[set[int]] = [set() for _ in range(top + 1)]
     reduced: dict[int, dict[int, dict]] = {}
-    for n in range(top, 0, -1):
-        cols, rows = _sparse_columns(complex_.differential(n), skip=dead[n])
+    for n in range(1, top + 1):
+        cols, rows = _sparse_columns(complex_.differential(n), dead[n - 1])
         for j, i in _cancel_unit_pivots(ring, cols, rows):
             dead[n].add(j)
             dead[n - 1].add(i)
         reduced[n] = cols
     keep = [[b for b in range(complex_.rank(n)) if b not in dead[n]] for n in range(top + 1)]
     if top >= 1:
-        gone = dead[top - 1]
-        keep[top] = [j for j in keep[top] if any(i not in gone for i in reduced[top][j])]
+        keep[top] = [j for j in keep[top] if reduced[top][j]]
     diffs = {}
     for n in range(1, top + 1):
         position = {b: p for p, b in enumerate(keep[n - 1])}
-        cols = reduced[n]
-        diffs[n] = SparseMap.from_col_dicts(
-            ring,
-            len(keep[n - 1]),
-            [{position[i]: c for i, c in cols[j].items() if i in position} for j in keep[n]],
-        )
+        cols = [{position[i]: c for i, c in reduced[n][j].items()} for j in keep[n]]
+        diffs[n] = SparseMap.from_col_dicts(ring, len(keep[n - 1]), cols)
     return ChainComplex(ring, [len(k) for k in keep], diffs)
 
 

@@ -518,6 +518,9 @@ def run(config: JobConfig) -> tuple[int, str]:
         }
         code = _exit_code(exc)
         return code, f"error ({labels[code]}): {exc}\n"
+    except MemoryError:
+        pass  # report once the handler's frames, and what they hold, are gone
+    return _EXIT_CAP, f"error (cap): out of memory running {config.command}\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

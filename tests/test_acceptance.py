@@ -275,3 +275,21 @@ def test_criterion_13_hochschild_one_weight_block_at_a_time():
             "HH_4 = 0",
         ]
         assert rss_kb < 45 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_criterion_14_hochschild_reduced_from_the_bottom_up():
+    # cancelling unit pivots from the top degree down eliminated d_4
+    # against rows that reducing d_3 then deleted: 62.1 MB and 8 s
+    argv = ["hh", "Z[C7]", "--max-degree", "4"]
+    with criterion(14, f"CLI {' '.join(argv)} prints its groups with a peak RSS below 45 MB", 15.0):
+        out, rss_kb = run_with_peak_rss(argv)
+        seven = " x ".join(["Z/7"] * 7)
+        assert out.splitlines()[1:] == [
+            "HH_0 = Z^7",
+            f"HH_1 = {seven}",
+            "HH_2 = 0",
+            f"HH_3 = {seven}",
+            "HH_4 = 0",
+        ]
+        assert rss_kb < 45 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"

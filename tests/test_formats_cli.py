@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from chaintrace import wcat
+from chaintrace import cli, wcat
 from chaintrace.algebra import cyclic_group, group_algebra
 from chaintrace.cli import main
 from chaintrace.errors import InputParseError, ValidationError
@@ -290,6 +290,19 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "hh", "Z[C12]")
     assert code == 4
     assert err.startswith("error (cap)")
+
+
+def test_cli_out_of_memory_exits_on_the_cap_code(capsys, monkeypatch):
+    # a job that passes every cap can still exhaust the memory it may use,
+    # as hh Z[C3] --max-degree 16 does under a 600 MB address-space limit
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "hh", exhausted)
+    code, out, err = run_cli(capsys, "hh", "Z")
+    assert code == 4
+    assert out == ""
+    assert err == "error (cap): out of memory running hh\n"
 
 
 def test_cli_trace_k1_refuses_a_matrix_above_the_level_cap(capsys):

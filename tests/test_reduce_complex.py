@@ -92,6 +92,16 @@ def test_core_has_the_homology_of_the_complex(ring, data):
     assert_core_matches(C)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@hypothesis.given(data=st.data())
+def test_core_has_no_unit_entry(ring, data):
+    # cancellation is exhaustive in every degree: a unit left in any
+    # differential of the core is a pair that could still be cancelled
+    core = reduce_complex(data.draw(complexes(ring), label="complex"))
+    for d in core.differentials.values():
+        assert not any(ring.is_unit(x) for col in d.cols for _, x in col)
+
+
 @pytest.mark.parametrize("ring", [r for r in RINGS if r.is_field], ids=str)
 @hypothesis.given(data=st.data())
 def test_rank_over_field_matches_smith(ring, data):

@@ -41,6 +41,13 @@ def test_group_homology_frozen_tables():
         assert [str(work.group_at(d)) for d in range(5)] == table
 
 
+def test_group_homology_core_is_minimal_below_the_top():
+    # Z, Z/6, 0, Z/6 need one generator each; the top degree is not pinned,
+    # since the truncated complex computes no homology there
+    core = GroupHomology(cyclic_group(6), ZZ, 3).core
+    assert core.ranks[:4] == (1, 1, 1, 1)
+
+
 def test_group_homology_mod_2_coefficients():
     work = GroupHomology(cyclic_group(2), GF(2), 3)
     assert [str(work.group_at(d)) for d in range(4)] == ["GF(2)"] * 4
