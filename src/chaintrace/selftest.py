@@ -251,10 +251,11 @@ SUITES = (
 
 # The order run_suites submits the suites in: longest first, so the long
 # suites start at once and the short ones fill in behind them.  Seconds of
-# one run in a fresh process, Python 3.11 on a 2-core x86-64 host:
-# sigma-delta 1.05-1.6, k0-agreement 0.64-1.2, waldhausen-families
-# 0.46-0.59, trace-additivity 0.022, cyclic-identities 0.011, b-and-B
-# 0.007, chain-maps 0.005.
+# one run in a fresh process, five runs each, Python 3.11 on a 2-core
+# x86-64 host: sigma-delta 0.48-0.66, k0-agreement 0.39-0.53,
+# waldhausen-families 0.19-0.37, trace-additivity 0.019-0.030,
+# cyclic-identities 0.006-0.011, b-and-B 0.007-0.010, chain-maps
+# 0.003-0.005.
 LONGEST_FIRST = (
     "sigma-delta",
     "k0-agreement",

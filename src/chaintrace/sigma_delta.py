@@ -27,7 +27,8 @@ entrywise, and transposing two directions) are built here, each by
 ``waldhausen.payload_functor`` from the payloads of its images, so every
 structure map is a memoized (object map, morphism map) pair and an image
 outside the enumerated target is an InternalInvariantError.  Composites
-of these pairs act on strings through ``waldhausen.map_string``.
+of these pairs act on strings through ``waldhausen.map_string``, one
+whole nerve level at a time (``SigmaDeltaDiagram.act_level``).
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ class SigmaDeltaDiagram(Value):
 
     ``keys`` lists every materialized index (n, (k_1..k_n)); ``entry``
     returns the pointed simplicial set at a key, truncated in the nerve
-    direction as recorded in ``skips``.  ``act_index`` applies the
-    structure map of a Grothendieck-construction morphism to one element,
-    by level index.
+    direction as recorded in ``skips``.  ``act_level`` applies the
+    structure map of a Grothendieck-construction morphism to a whole nerve
+    level at once and keeps the resulting image table; ``act_index`` reads
+    one element's image from it.
     """
 
     _fields = ("name", "keys", "skips")
@@ -88,21 +90,35 @@ class SigmaDeltaDiagram(Value):
         self.keys = keys
         self.skips: list = []
         self._entries: dict = {}
-        self._act = None
+        self._act_level = None
+        self._tables: dict = {}
 
     def entry(self, key) -> PointedSimplicialSet:
         if key not in self._entries:
             raise InputParseError(f"no entry at index {key}")
         return self._entries[key]
 
-    def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
-        """Image of element ``idx`` of level ``level`` under (f, phis).
+    def act_level(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> tuple:
+        """Image table of nerve level ``level`` under (f, phis).
 
-        ``f`` is the injection as a tuple of 1-based target positions;
-        ``phis[i-1]`` is the monotone operator into target direction i,
-        given as the tuple of its values.
+        Entry x of the table is the index in the target entry of the image
+        of element x of the source entry.  ``f`` is the injection as a
+        tuple of 1-based target positions; ``phis[i-1]`` is the monotone
+        operator into target direction i, given as the tuple of its values.
+        The level and the morphism are checked, and the structure map
+        looked up, once per table; a table is built once per (map, level)
+        and kept, while a refused one is not kept and is refused again.
         """
-        return self._act(src_key, dst_key, f, phis, level, idx)
+        key = (src_key, dst_key, f, phis, level)
+        got = self._tables.get(key)
+        if got is None:
+            got = self._tables[key] = self._act_level(src_key, dst_key, f, phis, level)
+        return got
+
+    def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
+        """Image of element ``idx`` of level ``level`` under (f, phis), read
+        from ``act_level``'s table."""
+        return self.act_level(src_key, dst_key, f, phis, level)[idx]
 
 
 def _check_morphism(src_key, dst_key, f: tuple, phis: tuple) -> None:
@@ -339,14 +355,14 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         functor_cache[key] = got
         return got
 
-    def act(src_key, dst_key, f, phis, level, idx):
+    def act_level(src_key, dst_key, f, phis, level):
         ps_src = diagram.entry(src_key)
         ps_dst = diagram.entry(dst_key)
         _check_level(ps_src, ps_dst, level)
         functor = build_functor(src_key, dst_key, f, phis)
-        return ps_dst.index(level, map_string(functor, ps_src.levels[level][idx]))
+        return ps_dst.index_table(level, (map_string(functor, s) for s in ps_src.levels[level]))
 
-    diagram._act = act
+    diagram._act_level = act_level
     return diagram
 
 
@@ -374,25 +390,30 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
             lambda n2, i: lambda e: e,
         )
 
-    def act(src_key, dst_key, f, phis, level, idx):
+    def act_level(src_key, dst_key, f, phis, level):
         ps_src, ps_dst = diagram.entry(src_key), diagram.entry(dst_key)
         _check_level(ps_src, ps_dst, level)
         _check_morphism(src_key, dst_key, f, phis)
         n_, ks = dst_key
-        if idx == 0:
-            return 0
-        y, cs = ps_src.levels[level][idx]
-        out = []
-        for i in range(1, n_ + 1):
-            phi = phis[i - 1]
-            cut = cs[f.index(i)] if i in f else 1
-            t = sum(1 for p in phi if p < cut)
-            if t == 0 or t == ks[i - 1] + 1:
-                return 0
-            out.append(t)
-        return ps_dst.index(level, (y, tuple(out)))
+        basepoint = ps_dst.levels[level][0]
 
-    diagram._act = act
+        def image(elt: tuple) -> tuple:
+            y, cs = elt
+            if y == 0:
+                return basepoint
+            out = []
+            for i in range(1, n_ + 1):
+                phi = phis[i - 1]
+                cut = cs[f.index(i)] if i in f else 1
+                t = sum(1 for p in phi if p < cut)
+                if t == 0 or t == ks[i - 1] + 1:
+                    return basepoint
+                out.append(t)
+            return (y, tuple(out))
+
+        return ps_dst.index_table(level, map(image, ps_src.levels[level]))
+
+    diagram._act_level = act_level
     return diagram
 
 
@@ -443,10 +464,7 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
             )
         images = []
         for level in range(top + 1):
-            img = [
-                diagram.act_index(src_key, dst_key, f, phis, level, x)
-                for x in range(len(ps_s.levels[level]))
-            ]
+            img = diagram.act_level(src_key, dst_key, f, phis, level)
             images.append(img)
             report.checks_run += 1
             if img[0] != 0:
@@ -493,10 +511,10 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
             fwd = check_map(a_key, b_key, swap, phis_ab, want_bijection=True)
             top = min(diagram.entry(a_key).top_level, diagram.entry(b_key).top_level)
             for level in range(top + 1):
-                for x in range(len(diagram.entry(a_key).levels[level])):
+                back = diagram.act_level(b_key, a_key, swap, phis_ba, level)
+                for x, y in enumerate(fwd[level]):
                     report.checks_run += 1
-                    back = diagram.act_index(b_key, a_key, swap, phis_ba, level, fwd[level][x])
-                    if back != x:
+                    if back[y] != x:
                         report.record(
                             f"transposing {a_key} twice is not the identity at level {level}"
                         )
@@ -528,16 +546,12 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
             diagram.entry(dst_key).top_level,
         )
         for level in range(top + 1):
-            for x in range(len(diagram.entry(src_key).levels[level])):
+            one = diagram.act_level(*first, level)
+            two = diagram.act_level(*second, level)
+            straight = diagram.act_level(*direct, level)
+            for x, y in enumerate(one):
                 report.checks_run += 1
-                via = diagram.act_index(
-                    second[0], second[1], second[2], second[3], level,
-                    diagram.act_index(first[0], first[1], first[2], first[3], level, x),
-                )
-                straight = diagram.act_index(
-                    direct[0], direct[1], direct[2], direct[3], level, x
-                )
-                if via != straight:
+                if two[y] != straight[x]:
                     report.record(
                         f"structure maps {src_key} -> {mid_key} -> {dst_key} do not "
                         f"compose functorially at level {level}"

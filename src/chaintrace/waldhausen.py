@@ -577,7 +577,10 @@ class PointedSimplicialSet(Value):
     """A levelwise-finite pointed simplicial set truncated at a top level.
 
     ``levels[n]`` lists the n-simplices with the basepoint at index 0, and
-    ``index(n, x)`` is the position of x in ``levels[n]``.  ``faces[n][i]``
+    ``index(n, x)`` is the position of x in ``levels[n]``.  In a nerve
+    (``weq_nerve``, ``ws_diagonal``) an n-simplex is the flat tuple
+    (x0, g_1, ..., g_n) of a start object and n composable weak
+    equivalences, so a whole string is one tuple of handles.  ``faces[n][i]``
     (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps; the
     simplicial identities are checked on the stored range by ``validate``.
     """
@@ -601,17 +604,14 @@ class PointedSimplicialSet(Value):
         level n to level n+1; both are read off into index tables.
         """
         X = cls(name, tuple(tuple(level) for level in levels), (), ())
-
-        def table(op, n: int, target: int) -> tuple:
-            into = X._index[target]
-            return tuple([into[op(x)] for x in X.levels[n]])
-
         top = X.top_level
         X.faces = ((),) + tuple(
-            tuple(table(face(n, i), n, n - 1) for i in range(n + 1)) for n in range(1, top + 1)
+            tuple(X.index_table(n - 1, map(face(n, i), X.levels[n])) for i in range(n + 1))
+            for n in range(1, top + 1)
         )
         X.degens = tuple(
-            tuple(table(degeneracy(n, i), n, n + 1) for i in range(n + 1)) for n in range(top)
+            tuple(X.index_table(n + 1, map(degeneracy(n, i), X.levels[n])) for i in range(n + 1))
+            for n in range(top)
         ) + ((),)
         return X
 
@@ -621,6 +621,11 @@ class PointedSimplicialSet(Value):
 
     def index(self, n: int, x) -> int:
         return self._index[n][x]
+
+    def index_table(self, n: int, xs) -> tuple:
+        """The positions in ``levels[n]`` of the elements xs, in order."""
+        into = self._index[n]
+        return tuple([into[x] for x in xs])
 
     def face(self, n: int, i: int, x: int) -> int:
         return self.faces[n][i][x]
@@ -679,65 +684,67 @@ class PointedSimplicialSet(Value):
 def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
     """Strings of ``length`` composable weak equivalences of C.
 
-    Each string is a pair (start object, morphism tuple).  The basepoint,
-    the identity string on the zero object, comes first; the rest follow
-    depth first over target objects and weak-equivalence sets.  Raises
-    CapExceededError with the message ``too_many`` once the list holds
-    more than STRING_CAP strings.
+    Each string is one flat tuple (x0, g_1, ..., g_length): its start
+    object followed by its maps in order.  The basepoint, the identity
+    string (z, id_z, ..., id_z) on the zero object z, comes first; the rest
+    follow depth first over target objects and weak-equivalence sets.
+    Raises CapExceededError with the message ``too_many`` once the list
+    holds more than STRING_CAP strings.
     """
-    bp = (C.zero_index(), (C.identity_id(C.zero_index()),) * length)
+    bp = (C.zero_index(),) + (C.identity_id(C.zero_index()),) * length
     elts = [bp]
 
-    def extend(x0: int, prefix: tuple, src: int):
-        if len(prefix) == length:
+    def extend(prefix: tuple, src: int):
+        if len(prefix) > length:
             # distinct paths give distinct strings; only bp comes up twice
-            if (x0, prefix) != bp:
-                elts.append((x0, prefix))
+            if prefix != bp:
+                elts.append(prefix)
             if len(elts) > STRING_CAP:
                 raise CapExceededError(too_many)
             return
         for b in range(C.object_count()):
             for g in C.weq_ids(src, b):
-                extend(x0, prefix + (g,), b)
+                extend(prefix + (g,), b)
 
     for x0 in range(C.object_count()):
-        extend(x0, (), x0)
+        extend((x0,), x0)
     return elts
 
 
 def _string_face(C: WCategory, s: tuple, i: int) -> tuple:
-    """The nerve face d_i of the string s of C: drop its first or last map
-    (i = 0 or i = len), otherwise compose maps i-1 and i."""
-    x0, gs = s
+    """The nerve face d_i of the flat string s = (x0, g_1, ..., g_n) of C.
+
+    d_0 drops g_1 and starts at its target, d_n drops g_n, and any other
+    d_i composes g_{i+1} after g_i; the result is again a flat string.
+    """
     if i == 0:
-        return (C.mor_target(gs[0]), gs[1:])
-    if i == len(gs):
-        return (x0, gs[:-1])
-    return (x0, gs[: i - 1] + (C.compose_ids(gs[i], gs[i - 1]),) + gs[i + 1 :])
+        return (C.mor_target(s[1]),) + s[2:]
+    if i == len(s) - 1:
+        return s[:-1]
+    return s[:i] + (C.compose_ids(s[i + 1], s[i]),) + s[i + 2 :]
 
 
 def _string_degeneracy(C: WCategory, s: tuple, i: int) -> tuple:
-    """The nerve degeneracy s_i of the string s of C: an identity inserted
-    as map i."""
-    x0, gs = s
-    mid = x0 if i == 0 else C.mor_target(gs[i - 1])
-    return (x0, gs[:i] + (C.identity_id(mid),) + gs[i:])
+    """The nerve degeneracy s_i of the flat string s of C: an identity
+    inserted as map i + 1, on the object where map i ends (x0 for i = 0)."""
+    mid = s[0] if i == 0 else C.mor_target(s[i])
+    return s[: i + 1] + (C.identity_id(mid),) + s[i + 1 :]
 
 
 def map_string(functor: tuple, s: tuple) -> tuple:
-    """Image of the string s under an (object map, morphism map) pair."""
+    """Image of the flat string s = (x0, g_1, ..., g_n) under an (object
+    map, morphism map) pair: (obj(x0), mor(g_1), ..., mor(g_n))."""
     obj, mor = functor
-    x0, gs = s
-    return (obj(x0), tuple(mor(g) for g in gs))
+    return (obj(s[0]), *map(mor, s[1:]))
 
 
 def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     """The nerve of the weak equivalences of C, truncated at level w_max.
 
-    Level l lists the strings of l composable weak equivalences as pairs
-    (start object, morphism tuple); the basepoint is the zero object's
-    identity string at index 0.  Faces drop or compose, degeneracies insert
-    identities.
+    Level l lists the strings of l composable weak equivalences, each the
+    flat tuple (x0, g_1, ..., g_l) of its start object and its maps; the
+    basepoint (z, id_z, ..., id_z) on the zero object z is at index 0.
+    Faces drop or compose, degeneracies insert identities.
     """
     levels = [
         _weq_strings(C, l, f"nerve level {l} of {C.name} exceeds {STRING_CAP} strings")
@@ -755,13 +762,14 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     """The diagonal n |-> w_n S_n C of the bisimplicial set (p, q) |-> w_q S_p C.
 
     Truncated at DIAGONAL_TOP.  Level n holds the strings of n composable weak
-    equivalences of flag grids on [n] x [n]; the basepoint is the identity
-    string on the zero grid.  The face d_i is d_i^v o d_i^h: the horizontal
-    face d_i^h restricts every grid and map of the string along the coface
-    [n-1] -> [n] that skips i, landing in w_n S_{n-1} C, and the vertical
-    face d_i^v is the nerve face of w S_{n-1} C.  Likewise s_i restricts
-    along the codegeneracy [n+1] -> [n] that repeats i and then inserts an
-    identity.
+    equivalences of flag grids on [n] x [n], each the flat tuple
+    (x0, g_1, ..., g_n) of grid and map handles of S_n C; the basepoint is
+    the identity string on the zero grid.  The face d_i is d_i^v o d_i^h:
+    the horizontal face d_i^h restricts every grid and map of the string
+    along the coface [n-1] -> [n] that skips i, landing in w_n S_{n-1} C,
+    and the vertical face d_i^v is the nerve face of w S_{n-1} C.  Likewise
+    s_i restricts along the codegeneracy [n+1] -> [n] that repeats i and
+    then inserts an identity.
     """
     scats = [SCategory(C, n) for n in range(DIAGONAL_TOP + 1)]
     levels = [
@@ -825,7 +833,7 @@ def _total_complex_relations(C: WCategory) -> tuple:
     faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
     weqs = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings")
     grids = basis_map_columns(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
-    vertical = (((_string_face(S1, s, 0)[0], -1), (_string_face(S1, s, 1)[0], 1)) for s in weqs[1:])
+    vertical = (((S1.mor_target(g), -1), (a, 1)) for a, g in weqs[1:])
     cols, hd = _relation_cokernel(len(gens), chain(grids, basis_map_columns(ZZ, vertical, 1, lambda x, _: x, row)))
     return S1, gens, cols, hd
 

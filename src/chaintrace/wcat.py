@@ -133,6 +133,7 @@ class WCategory:
         self._inverse_cache: dict = {}
         self._witness_cache: dict = {}
         self._composite_index: dict = {}
+        self._mediating_cache: dict = {}
         self._s_payload_cache: dict = {}
 
     # -- hooks a subclass must implement ------------------------------------
@@ -279,7 +280,14 @@ class WCategory:
         return got
 
     def compose_ids(self, g: int, f: int) -> int:
-        got = self._compose_cache.get((g, f))
+        """The handle of g∘f, memoized as ``_compose_cache[f][g]``.
+
+        One inner dict per first map f keeps the memo free of a pair key
+        per composite.  A non-composable pair raises ValidationError before
+        anything is stored, so it raises again on every call.
+        """
+        row = self._compose_cache.get(f)
+        got = None if row is None else row.get(g)
         if got is None:
             a, b = self._mor_src[f], self._mor_tgt[f]
             if self._mor_src[g] != b:
@@ -289,7 +297,9 @@ class WCategory:
             c = self._mor_tgt[g]
             payload = self._compose(self._mor_payload[g], self._mor_payload[f], a, b, c)
             got = self._intern(payload, a, c, -1)
-            self._compose_cache[(g, f)] = got
+            if row is None:
+                row = self._compose_cache[f] = {}
+            row[g] = got
         return got
 
     def is_cofibration_id(self, m: int) -> bool:
@@ -372,10 +382,17 @@ class WCategory:
 
         Candidates are the maps into the target e of p grouped by their
         composite with u (``_by_composite``, cached per (u, e)): only the
-        group of p is read, in hom order, and filtered by h∘v = q.
+        group of p is read, in hom order, and filtered by h∘v = q.  The
+        result is memoized per (u, v, p, q): the axiom-5 scan and the grid
+        builders ask for the same square many times.
         """
-        group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
-        return tuple(h for h in group if self.compose_ids(h, v) == q)
+        key = (u, v, p, q)
+        got = self._mediating_cache.get(key)
+        if got is None:
+            group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
+            got = tuple(h for h in group if self.compose_ids(h, v) == q)
+            self._mediating_cache[key] = got
+        return got
 
     def _cocones(self, i: int, f: int):
         """Every commuting square (e, p, q) under b <-i- a -f-> c, p∘i = q∘f,

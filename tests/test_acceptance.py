@@ -293,3 +293,21 @@ def test_criterion_14_hochschild_reduced_from_the_bottom_up():
             "HH_4 = 0",
         ]
         assert rss_kb < 45 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_criterion_15_selftest_nerves_in_little_memory():
+    # a weak-equivalence string stored as (x0, (g_1, ..., g_n)) and a
+    # composition memo keyed by (g, f) pairs took selftest 17.1-17.8 MB
+    # above the interpreter's own floor; the floor is read from
+    # `validate trivial` on the same interpreter, so the bound holds on
+    # every Python version
+    label = "CLI selftest --seed 0 passes within 14 MB of validate trivial's peak RSS"
+    with criterion(15, label, 30.0):
+        out, rss_kb = run_with_peak_rss(["selftest", "--seed", "0"])
+        lines = out.splitlines()
+        assert lines[-1] == "selftest: all suites passed (7 suites, seed 0)"
+        assert sum(line.startswith("ok   ") for line in lines) == 7
+        _, floor_kb = run_with_peak_rss(["validate", "trivial"])
+        excess = (rss_kb - floor_kb) / 1024
+        assert excess < 14, f"peak RSS {rss_kb / 1024:.1f} MB, {excess:.1f} MB above {floor_kb / 1024:.1f} MB"

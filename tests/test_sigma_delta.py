@@ -100,6 +100,7 @@ def test_identity_operator_acts_as_identity():
         size = len(d.entry(key).levels[level])
         images = [d.act_index(key, key, (1,), ((0, 1),), level, i) for i in range(size)]
         assert images == list(range(size))
+        assert d.act_level(key, key, (1,), ((0, 1),), level) == tuple(images)
 
 
 def test_collapsing_operator_hits_the_basepoint():
@@ -150,6 +151,37 @@ def test_weq_nerve_of_trivial_category():
     ps = weq_nerve(trivial_category(), 2)
     assert [len(level) for level in ps.levels] == [1, 1, 1]
     assert ps.validate().ok
+
+
+def test_weq_nerve_strings_are_flat():
+    C = vect_gf(2, 1)
+    z, line = 0, 1  # the objects 0 and F2^1
+    idz, idl = C.identity_id(z), C.identity_id(line)
+    ps = weq_nerve(C, 2)
+    # F2^1 has no automorphism but its identity, so level 2 holds two strings
+    assert ps.levels[2] == ((z, idz, idz), (line, idl, idl))
+    assert ps.levels[1] == ((z, idz), (line, idl))
+    x = ps.index(2, (line, idl, idl))
+    # d_0 drops the first map, d_1 composes the two, d_2 drops the last
+    assert [ps.levels[1][ps.face(2, i, x)] for i in range(3)] == [(line, idl)] * 3
+    y = ps.index(1, (line, idl))
+    assert [ps.levels[2][ps.degeneracy(1, i, y)] for i in range(2)] == [(line, idl, idl)] * 2
+    assert ps.validate().ok
+
+
+def test_nerve_operators_on_flat_strings():
+    C = vect_gf(2, 2)
+    plane = 2  # F2^2
+    idp = C.identity_id(plane)
+    g, h = [m for m in C.weq_ids(plane, plane) if m != idp][:2]
+    assert C.compose_ids(h, g) not in (g, h, idp)
+    ps = weq_nerve(C, 2)
+    x = ps.index(2, (plane, g, h))
+    faces = [ps.levels[1][ps.face(2, i, x)] for i in range(3)]
+    assert faces == [(plane, h), (plane, C.compose_ids(h, g)), (plane, g)]
+    y = ps.index(1, (plane, g))
+    degens = [ps.levels[2][ps.degeneracy(1, i, y)] for i in range(2)]
+    assert degens == [(plane, idp, g), (plane, g, idp)]
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,21 @@ def test_iso_ids():
         assert C.is_weq_id(m)
 
 
+def test_compose_memo_is_keyed_by_the_first_map_and_skips_failures():
+    C = vect_gf(2, 2)
+    f = C.hom_ids(1, 2)[1]  # F2^1 -> F2^2, onto the second coordinate
+    g = C.hom_ids(2, 1)[1]  # F2^2 -> F2^1, the second coordinate
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="cannot compose"):
+            C.compose_ids(f, f)
+    assert f not in C._compose_cache
+    assert C.compose_ids(g, f) == C.identity_id(1)
+    fg = C.compose_ids(f, g)
+    assert C.mor_payload(fg) == ((0, 0), (0, 1))
+    assert C._compose_cache[f] == {g: C.identity_id(1)}
+    assert C._compose_cache[g] == {f: fg}
+
+
 def nested_iso_scan(C, a, b):
     """Isomorphisms a -> b by trying every weak equivalence b -> a as an inverse."""
     ida, idb = C.identity_id(a), C.identity_id(b)
