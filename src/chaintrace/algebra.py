@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceededError, NotInvertibleError
+from .errors import CapExceededError, InternalInvariantError, NotInvertibleError, ValidationError
 from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .validation import ValidationReport
@@ -450,8 +450,6 @@ def unit_first_presentation(A: Algebra) -> tuple[Algebra, SparseMap, SparseMap]:
     if A.unit == e0:
         ident = SparseMap.identity(ring, r)
         return A, ident, ident
-    from .errors import InternalInvariantError, ValidationError
-
     col = Matrix.from_cols(ring, [A.unit], r)
     dec = smith_normal_form(col, factors=("U", "Uinv", "Vinv"))
     g = dec.S.rows[0][0]

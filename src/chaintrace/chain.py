@@ -223,12 +223,18 @@ class HomologyData(Value):
         return self.coordinates(u) == self.coordinates(v)
 
 
-def _homology(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> HomologyData:
+def _homology(ring: BaseRing, d_n: SparseMap, d_np1: SparseMap, degree: int) -> HomologyData:
     """H_n over Z, a field or Z/p^k by the two eliminations of the module
-    docstring; m is the modulus over Z/m and 0 otherwise."""
+    docstring; m is the modulus over Z/m and 0 otherwise.
+
+    The dense copies of the boundaries live only while the eliminations
+    run: the returned data tests cycles with the sparse d_n and keeps only
+    the rows of V^-1 that give kernel coordinates."""
     m = ring.modulus if ring.kind == "Zmod" else 0
     r_n = d_n.ncols
-    first, second = (Matrix(ZZ, d_n.rows, r_n), lift_with_modulus(d_np1)) if m else (d_n, d_np1)
+    first, second = d_n.to_matrix(), d_np1.to_matrix()
+    if m:
+        first, second = Matrix(ZZ, first.rows, r_n), lift_with_modulus(second)
     base = first.ring  # Z over Z/m
     dec1 = smith_normal_form(first, factors=("V", "Vinv"))
     Y = dec1.Vinv.mul(second)
@@ -276,13 +282,15 @@ def _homology(ring: BaseRing, d_n: Matrix, d_np1: Matrix, degree: int) -> Homolo
     twist = [[w * x for x in row] if w > 1 else row for w, row in zip(weights, dec2.Uinv.rows)]
     gens = kernel.mul(Matrix._canonical(base, twist, k))
     generators = tuple(tuple(map(ring.normalize, gens.col(j))) for j in kept)
-    V1inv, U2 = dec1.Vinv, dec2.U
+    # rows start.. of V^-1 give the coordinates in the kernel basis
+    kernel_coords = Matrix._canonical(base, dec1.Vinv.rows[start:], r_n)
+    U2 = dec2.U
 
     def cycle_test(vec) -> bool:
         return all(ring.is_zero(x) for x in d_n.apply(vec))
 
     def reduce(vec) -> tuple:
-        x = V1inv.apply(vec)[start:]
+        x = kernel_coords.apply(vec)
         if m:
             x = [v % m for v in x]
             if any(v % w for v, w in zip(x, weights)):
@@ -314,7 +322,7 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
         )
     check_dense_cells(ring, n, complex_.rank)
     d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
-    return _homology(ring, d_n.to_matrix(), d_np1.to_matrix(), n)
+    return _homology(ring, d_n, d_np1, n)
 
 
 def check_dense_cells(ring: BaseRing, n: int, rank) -> None:

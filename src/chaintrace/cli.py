@@ -131,24 +131,6 @@ class JobConfig(Value):
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _category_selector_with_bound(sel: str, bound: int | None, families: dict) -> str:
-    """sel with its bound, the last argument of its family, set to bound."""
-    if bound is None:
-        return sel
-    parts = sel.strip().split(":")
-    head = parts[0]
-    if head not in families:
-        return sel
-    want = families[head][0]
-    if want == 0:
-        raise InputParseError(f"--bound does not apply to the {head!r} category")
-    if len(parts) == want:
-        return ":".join([*parts, str(bound)])
-    if len(parts) == want + 1:
-        return ":".join([*parts[:-1], str(bound)])
-    raise InputParseError(f"cannot apply --bound to malformed selector {sel!r}")
-
-
 def _resolve_algebra(inp: str, ring_override: str | None) -> Algebra:
     if os.path.isfile(inp):
         if ring_override:
@@ -188,10 +170,10 @@ def _resolve_category(inp: str, bound: int | None):
         from .tables import parse_category_file
 
         return parse_category_file(inp)
-    from .wcat import CATEGORY_FAMILIES, category_from_selector
+    from .wcat import category_from_selector
 
     try:
-        return category_from_selector(_category_selector_with_bound(inp, bound, CATEGORY_FAMILIES))
+        return category_from_selector(inp, bound)
     except InputParseError as exc:
         raise InputParseError(
             f"{inp!r} is neither an existing file nor a built-in category selector ({exc})"

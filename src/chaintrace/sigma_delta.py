@@ -20,19 +20,23 @@ nerve level 0 only and every such truncation is recorded as a skip, never
 silently.
 
 Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
-with the string operators there, and restriction along a monotone
-operator in one direction is ``waldhausen.reindex_functor``.  The other
-structure maps (inserting a direction, acting on an inner direction
-entrywise, and transposing two directions) are built here, each by
-``waldhausen.payload_functor`` from the payloads of its images, so every
-structure map is a memoized (object map, morphism map) pair and an image
+with the string operators there.  Every structure map follows one rule:
+while a target direction is missing from the image of the injection,
+insert it at width 1 (outermost by wrapping each object as a one-column
+flag grid, innermost by wrapping every entry); when the injection swaps
+the two directions, transpose them; then reindex the inner direction and
+then the outer one along their operators (``waldhausen.reindex_functor``,
+entrywise for the inner one).  Each step is a ``waldhausen.payload_functor``
+built from the payloads of its images, so every structure map is a
+composite of memoized (object map, morphism map) pairs and an image
 outside the enumerated target is an InternalInvariantError.  Composites
-of these pairs act on strings through ``waldhausen.map_string``, one
-whole nerve level at a time (``SigmaDeltaDiagram.act_level``).
+act on strings through ``waldhausen.map_string``, one whole nerve level at
+a time (``SigmaDeltaDiagram.act_level``).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from .errors import CapExceededError, InputParseError
@@ -65,6 +69,7 @@ ENTRY_OBJECT_CAP = 100
 N_MAX = 2
 K_CAP = 2
 W_CAP = 2
+_KEYS = tuple((n, ks) for n in range(N_MAX + 1) for ks in product(range(K_CAP + 1), repeat=n))
 
 
 def _identity_op(k: int) -> tuple:
@@ -74,29 +79,30 @@ def _identity_op(k: int) -> tuple:
 class SigmaDeltaDiagram(Value):
     """A truncated diagram of pointed simplicial sets over the flag indexing.
 
-    ``keys`` lists every materialized index (n, (k_1..k_n)); ``entry``
-    returns the pointed simplicial set at a key, truncated in the nerve
-    direction as recorded in ``skips``.  ``act_level`` applies the
-    structure map of a Grothendieck-construction morphism to a whole nerve
-    level at once and keeps the resulting image table; ``act_index`` reads
-    one element's image from it.
+    ``entries`` maps every materialized index (n, (k_1..k_n)) to its
+    pointed simplicial set, truncated in the nerve direction as recorded in
+    ``skips``; ``keys`` lists the indices in order.  ``image(src_key,
+    dst_key, f, phis)`` is the structure map of a Grothendieck-construction
+    morphism as a map of elements.  ``act_level`` applies it to a whole
+    nerve level at once and keeps the resulting image table; ``act_index``
+    reads one element's image from it.
     """
 
     _fields = ("name", "keys", "skips")
     __hash__ = None
 
-    def __init__(self, name: str, keys: tuple) -> None:
+    def __init__(self, name: str, entries: dict, skips: list, image) -> None:
         self.name = name
-        self.keys = keys
-        self.skips: list = []
-        self._entries: dict = {}
-        self._act_level = None
+        self.keys = tuple(entries)
+        self.skips = list(skips)
+        self._sets = entries
+        self._image = image
         self._tables: dict = {}
 
     def entry(self, key) -> PointedSimplicialSet:
-        if key not in self._entries:
+        if key not in self._sets:
             raise InputParseError(f"no entry at index {key}")
-        return self._entries[key]
+        return self._sets[key]
 
     def act_level(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> tuple:
         """Image table of nerve level ``level`` under (f, phis).
@@ -105,14 +111,20 @@ class SigmaDeltaDiagram(Value):
         of element x of the source entry.  ``f`` is the injection as a
         tuple of 1-based target positions; ``phis[i-1]`` is the monotone
         operator into target direction i, given as the tuple of its values.
-        The level and the morphism are checked, and the structure map
-        looked up, once per table; a table is built once per (map, level)
-        and kept, while a refused one is not kept and is refused again.
+        The entries, the level and the morphism are checked, in that order,
+        and the structure map looked up, once per table; a table is built
+        once per (map, level) and kept, while a refused one is not kept and
+        is refused again.
         """
         key = (src_key, dst_key, f, phis, level)
         got = self._tables.get(key)
         if got is None:
-            got = self._tables[key] = self._act_level(src_key, dst_key, f, phis, level)
+            ps_src, ps_dst = self.entry(src_key), self.entry(dst_key)
+            if not 0 <= level <= min(ps_src.top_level, ps_dst.top_level):
+                raise CapExceededError(f"nerve level {level} is not materialized on both entries")
+            _check_morphism(src_key, dst_key, f, phis)
+            image = self._image(src_key, dst_key, f, phis)
+            got = self._tables[key] = ps_dst.index_table(level, map(image, ps_src.levels[level]))
         return got
 
     def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
@@ -143,31 +155,18 @@ def _check_morphism(src_key, dst_key, f: tuple, phis: tuple) -> None:
             raise InputParseError(f"operator into direction {i} is not monotone")
 
 
-def _check_level(ps_src: PointedSimplicialSet, ps_dst: PointedSimplicialSet, level: int) -> None:
-    """Raise CapExceededError unless nerve ``level`` exists on both entries."""
-    if not 0 <= level <= min(ps_src.top_level, ps_dst.top_level):
-        raise CapExceededError(f"nerve level {level} is not materialized on both entries")
-
-
-def _diagram(name: str) -> SigmaDeltaDiagram:
-    """An empty diagram over every index within N_MAX and K_CAP."""
-    keys = tuple((n, ks) for n in range(N_MAX + 1) for ks in product(range(K_CAP + 1), repeat=n))
-    return SigmaDeltaDiagram(name=name, keys=keys)
-
-
 def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     """The flag diagram of C: entry (n; k⃗) is the nerve of w S_{k_1}..S_{k_n} C.
 
-    Structure maps are built from four reusable functors: wrapping an
-    object as a one-column flag grid (direction insertion), reindexing
-    the outer direction along a monotone map (``reindex_functor``),
-    reindexing an inner direction entrywise, and transposing the two
-    directions.  Entries
-    whose category exceeds ENTRY_OBJECT_CAP objects keep nerve level
-    0 only, with the truncation recorded.
+    A structure map (f, phis) is built by one rule: while a target
+    direction is missing from the image of f, insert it at width 1
+    (outermost by wrapping each object as a one-column flag grid,
+    innermost by wrapping every entry); when f swaps the two directions,
+    transpose them; then reindex the inner direction entrywise and the
+    outer one along their operators (``reindex_functor``), skipping
+    identity operators.  Entries whose category exceeds ENTRY_OBJECT_CAP
+    objects keep nerve level 0 only, with the truncation recorded.
     """
-    diagram = _diagram(f"flag diagram of {C.name}")
-
     cats: dict = {(): C}
 
     def category_for(ks: tuple) -> WCategory:
@@ -177,18 +176,20 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
             cats[ks] = got
         return got
 
-    for n, ks in diagram.keys:
+    entries: dict = {}
+    skips: list = []
+    for n, ks in _KEYS:
         cat = category_for(ks)
         w_top = W_CAP
         if cat.object_count() > ENTRY_OBJECT_CAP:
             w_top = 0
-            diagram.skips.append(
+            skips.append(
                 f"entry {(n, ks)}: nerve levels 1..{W_CAP} not materialized "
                 f"({cat.object_count()} objects exceed the cap {ENTRY_OBJECT_CAP})"
             )
-        diagram._entries[(n, ks)] = weq_nerve(cat, w_top)
+        entries[(n, ks)] = weq_nerve(cat, w_top)
 
-    # -- reusable functors; each is an (object map, morphism map) pair ------
+    # -- the steps; each is an (object map, morphism map) pair ---------------
 
     def wrap_functor(B: WCategory, S1: SCategory):
         # an object a as the one-column flag grid 0 >-> a
@@ -198,7 +199,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
             B,
             S1,
             lambda a: (((z, a), (z, z)), ((B.hom_ids(z, a)[0],), (idz,)), ((idz, B.hom_ids(a, z)[0]),)),
-            lambda m, a2, b2: (m,),
+            lambda m, a2, b2: S1.payload_from(lambda i, j: m),
         )
 
     def entrywise_functor(src: SCategory, dst: SCategory, inner: tuple):
@@ -217,7 +218,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
             src,
             dst,
             obj_payload,
-            lambda m, a2, b2: tuple(base_mor(c) for c in src.mor_payload(m)),
+            lambda m, a2, b2: dst.payload_from(lambda i, j: base_mor(src.component(m, i, j))),
         )
 
     def transpose_functor(src: SCategory, dst: SCategory):
@@ -225,14 +226,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         # grids[i1][j1][part][i2][j2] of a src object is read at
         # [i2][j2][part][i1][j1] of its image: the two directions swap
         D1, D2 = src.base, dst.base
-        B = D1.base
         n2 = dst.k + 1
-        idz = B.identity_id(B.zero_index())
-
-        def comp_at(h: int, i2: int, j2: int) -> int:
-            if i2 < j2:
-                return D1.mor_payload(h)[D1._slot_pos[(i2, j2)]]
-            return idz
 
         def obj_payload(a: int) -> tuple:
             e, h, v = src.object_payload(a)
@@ -240,14 +234,14 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
 
             def inner(i2: int, j2: int) -> int:
                 pe = tuple(tuple(g[0][i2][j2] for g in row) for row in grids)
-                ph = tuple(tuple(comp_at(x, i2, j2) for x in row) for row in h)
-                pv = tuple(tuple(comp_at(x, i2, j2) for x in row) for row in v)
+                ph = tuple(tuple(D1.component(x, i2, j2) for x in row) for row in h)
+                pv = tuple(tuple(D1.component(x, i2, j2) for x in row) for row in v)
                 return D2.object_index((pe, ph, pv))
 
             entries = tuple(tuple(inner(i2, j2) for j2 in range(n2)) for i2 in range(n2))
 
             def arrow(part: int, i2: int, j2: int, target: int) -> int:
-                pay = tuple(grids[i1][j1][part][i2][j2] for i1, j1 in D2._slots)
+                pay = D2.payload_from(lambda i1, j1: grids[i1][j1][part][i2][j2])
                 return D2.intern_morphism(pay, entries[i2][j2], target)
 
             harr = tuple(
@@ -261,28 +255,32 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
             return (entries, harr, varr)
 
         def mor_payload(m: int, a2: int, b2: int) -> tuple:
-            pay = src.mor_payload(m)
-            out = []
-            for i2, j2 in dst._slots:
-                comp = tuple(
-                    D1.mor_payload(pay[src._slot_pos[(i1, j1)]])[D1._slot_pos[(i2, j2)]]
-                    for i1, j1 in D2._slots
-                )
-                out.append(
-                    D2.intern_morphism(
-                        comp,
-                        dst.object_payload(a2)[0][i2][j2],
-                        dst.object_payload(b2)[0][i2][j2],
-                    )
-                )
-            return tuple(out)
+            ea, eb = dst.object_payload(a2)[0], dst.object_payload(b2)[0]
+
+            def comp(i2: int, j2: int) -> int:
+                pay = D2.payload_from(lambda i1, j1: D1.component(src.component(m, i1, j1), i2, j2))
+                return D2.intern_morphism(pay, ea[i2][j2], eb[i2][j2])
+
+            return dst.payload_from(comp)
 
         return payload_functor(src, dst, obj_payload, mor_payload)
 
-    def compose_functor(second, first):
-        return (lambda a: second[0](first[0](a)), lambda m: second[1](first[1](m)))
+    def reindex_direction(d: int, src_ks: tuple, dst_ks: tuple, phi: tuple):
+        # restriction along phi in direction d: the outer direction directly,
+        # an inner one entrywise
+        src, dst = category_for(src_ks), category_for(dst_ks)
+        if d == 1:
+            return reindex_functor(src, dst, phi)
+        return entrywise_functor(src, dst, reindex_direction(d - 1, src_ks[1:], dst_ks[1:], phi))
 
     identity_f = (lambda a: a, lambda m: m)
+
+    def compose_functor(second, first):
+        if first is identity_f:
+            return second
+        if second is identity_f:
+            return first
+        return (lambda a: second[0](first[0](a)), lambda m: second[1](first[1](m)))
 
     functor_cache: dict = {}
 
@@ -291,79 +289,40 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         got = functor_cache.get(key)
         if got is not None:
             return got
-        _check_morphism(src_key, dst_key, f, phis)
         m_, js = src_key
         n_, ks = dst_key
-        if m_ == 2 and f == (2, 1):
-            t_key = (2, (js[1], js[0]))
-            pre = transpose_functor(category_for(js), category_for(t_key[1]))
-            rest = build_functor(t_key, dst_key, (1, 2), phis)
-            got = compose_functor(rest, pre)
-        elif m_ == 2:
-            # f == (1, 2): inner reindex then outer reindex
-            inner_src = category_for(js[1:])
-            inner_dst = category_for(ks[1:])
-            step1 = (
-                identity_f
-                if js[1] == ks[1] and phis[1] == _identity_op(ks[1])
-                else entrywise_functor(
-                    category_for(js),
-                    category_for((js[0],) + ks[1:]),
-                    reindex_functor(inner_src, inner_dst, phis[1]),
+        missing = [t for t in range(1, n_ + 1) if t not in f]
+        if missing:
+            # insert the last missing direction at width 1: outermost when
+            # it comes before the image of f (always when m = 0), else innermost
+            t = missing[-1]
+            if not f or t < f[0]:
+                step = wrap_functor(category_for(js), category_for((1,) + js))
+                mid_key, mid_f = (m_ + 1, (1,) + js), (t,) + f
+            else:
+                step = entrywise_functor(
+                    category_for(js), category_for(js + (1,)), wrap_functor(C, category_for((1,)))
                 )
-            )
-            step2 = (
-                identity_f
-                if js[0] == ks[0] and phis[0] == _identity_op(ks[0])
-                else reindex_functor(
-                    category_for((js[0],) + ks[1:]), category_for(ks), phis[0]
-                )
-            )
-            got = compose_functor(step2, step1)
-        elif m_ == 1 and n_ == 1:
-            got = (
-                identity_f
-                if js == ks and phis[0] == _identity_op(ks[0])
-                else reindex_functor(category_for(js), category_for(ks), phis[0])
-            )
-        elif m_ == 1 and n_ == 2 and f == (1,):
-            # insert the inner direction at width 1, then reindex both
-            w = entrywise_functor(
-                category_for(js),
-                category_for((js[0], 1)),
-                wrap_functor(C, category_for((1,))),
-            )
-            rest = build_functor((2, (js[0], 1)), dst_key, (1, 2), phis)
-            got = compose_functor(rest, w)
-        elif m_ == 1 and n_ == 2 and f == (2,):
-            # insert the outer direction at width 1, then reindex both
-            w = wrap_functor(category_for(js), category_for((1,) + js))
-            rest = build_functor((2, (1, js[0])), dst_key, (1, 2), phis)
-            got = compose_functor(rest, w)
-        elif m_ == 0 and n_ == 1:
-            w = wrap_functor(C, category_for((1,)))
-            rest = build_functor((1, (1,)), dst_key, (1,), phis)
-            got = compose_functor(rest, w)
-        elif m_ == 0 and n_ == 2:
-            w = wrap_functor(C, category_for((1,)))
-            rest = build_functor((1, (1,)), dst_key, (2,), phis)
-            got = compose_functor(rest, w)
-        elif m_ == 0 and n_ == 0:
-            got = identity_f
+                mid_key, mid_f = (m_ + 1, js + (1,)), f + (t,)
+            got = compose_functor(build_functor(mid_key, dst_key, mid_f, phis), step)
+        elif f == (2, 1):
+            swapped = (js[1], js[0])
+            step = transpose_functor(category_for(js), category_for(swapped))
+            got = compose_functor(build_functor((2, swapped), dst_key, (1, 2), phis), step)
         else:
-            raise InputParseError(f"unsupported injection {f} from {src_key} to {dst_key}")
+            # f is the identity: reindex the inner direction, then the outer one
+            got = identity_f
+            for d in range(n_, 0, -1):
+                if js[d - 1] != ks[d - 1] or phis[d - 1] != _identity_op(ks[d - 1]):
+                    step = reindex_direction(d, js[:d] + ks[d:], js[: d - 1] + ks[d - 1 :], phis[d - 1])
+                    got = compose_functor(step, got)
         functor_cache[key] = got
         return got
 
-    def act_level(src_key, dst_key, f, phis, level):
-        ps_src = diagram.entry(src_key)
-        ps_dst = diagram.entry(dst_key)
-        _check_level(ps_src, ps_dst, level)
-        functor = build_functor(src_key, dst_key, f, phis)
-        return ps_dst.index_table(level, (map_string(functor, s) for s in ps_src.levels[level]))
+    def image(src_key, dst_key, f, phis):
+        return partial(map_string, build_functor(src_key, dst_key, f, phis))
 
-    diagram._act_level = act_level
-    return diagram
+    return SigmaDeltaDiagram(f"flag diagram of {C.name}", entries, skips, image)
 
 
 def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
@@ -378,26 +337,23 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
     """
     if points < 0:
         raise InputParseError("the pointed set needs a nonnegative point count")
-    diagram = _diagram(f"free diagram on {points} points")
+    basepoint = (0, ())
 
-    for n, ks in diagram.keys:
+    entries: dict = {}
+    for n, ks in _KEYS:
         cuts = list(product(*(range(1, k + 1) for k in ks)))
-        elts = [(0, ())] + [(y, cs) for y in range(1, points + 1) for cs in cuts]
-        diagram._entries[(n, ks)] = PointedSimplicialSet.tabulate(
+        elts = [basepoint] + [(y, cs) for y in range(1, points + 1) for cs in cuts]
+        entries[(n, ks)] = PointedSimplicialSet.tabulate(
             f"free entry {(n, ks)}",
             [elts] * (W_CAP + 1),
             lambda n2, i: lambda e: e,
             lambda n2, i: lambda e: e,
         )
 
-    def act_level(src_key, dst_key, f, phis, level):
-        ps_src, ps_dst = diagram.entry(src_key), diagram.entry(dst_key)
-        _check_level(ps_src, ps_dst, level)
-        _check_morphism(src_key, dst_key, f, phis)
+    def image(src_key, dst_key, f, phis):
         n_, ks = dst_key
-        basepoint = ps_dst.levels[level][0]
 
-        def image(elt: tuple) -> tuple:
+        def move(elt: tuple) -> tuple:
             y, cs = elt
             if y == 0:
                 return basepoint
@@ -411,13 +367,12 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
                 out.append(t)
             return (y, tuple(out))
 
-        return ps_dst.index_table(level, map(image, ps_src.levels[level]))
+        return move
 
-    diagram._act_level = act_level
-    return diagram
+    return SigmaDeltaDiagram(f"free diagram on {points} points", entries, [], image)
 
 
-def _insertion_instances(diagram: SigmaDeltaDiagram):
+def _insertion_instances():
     """Identity-operator injection instances that must act bijectively."""
     out = [((0, ()), (1, (1,)), (), (_identity_op(1),))]
     for k in range(K_CAP + 1):
@@ -499,7 +454,7 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
                         )
         return images
 
-    for src_key, dst_key, f, phis in _insertion_instances(diagram):
+    for src_key, dst_key, f, phis in _insertion_instances():
         check_map(src_key, dst_key, f, phis, want_bijection=True)
 
     for k1 in range(K_CAP + 1):

@@ -307,7 +307,9 @@ class SCategory(WCategory):
     varr) with X(i,j) at ``entries[i][j]``, X(i,j) -> X(i,j+1) at
     ``harr[i][j]`` and X(i,j) -> X(i+1,j) at ``varr[i][j]``.  Morphisms
     are natural maps stored as component tuples over the strictly-upper
-    slots (i < j) in row-major order (components at zero slots are forced).  Weak
+    slots (i < j) in an order only this class knows: other code reads a
+    component with ``component`` (the identity of zero at a zero slot) and
+    builds a payload with ``payload_from``.  Weak
     equivalences are the levelwise ones.  Cofibrations are the levelwise
     cofibrations whose top-row comparison maps
     X(0,j) u_{X(0,j-1)} Y(0,j-1) -> Y(0,j) are again cofibrations; when
@@ -334,6 +336,18 @@ class SCategory(WCategory):
         self._slot_pos = {s: t for t, s in enumerate(self._slots)}
         self._grid_payloads = _enumerate_s_payloads(base, k)
         super().__init__(f"S_{k}({base.name})", base.bound)
+
+    # -- morphism payloads ---------------------------------------------------
+
+    def component(self, m: int, i: int, j: int) -> int:
+        """Component X(i,j) -> Y(i,j) of morphism ``m``; the identity of zero when i >= j."""
+        if i >= j:
+            return self.base.identity_id(self.base.zero_index())
+        return self._mor_payload[m][self._slot_pos[(i, j)]]
+
+    def payload_from(self, component) -> tuple:
+        """The morphism payload whose component at slot (i, j), i < j, is ``component(i, j)``."""
+        return tuple(component(i, j) for i, j in self._slots)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -534,8 +548,10 @@ def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
     ``alpha`` maps 0..dst.k into 0..src.k monotonically; the new grid has
     entry (i, j) equal to the old entry (alpha[i], alpha[j]), with arrows
     the evident row and column composites, and a map of grids keeps its
-    components at the restricted slots.  Reindexing never grows entry
-    sizes, so over a valid base the image is always an enumerated grid.
+    components at the restricted slots: its image is
+    ``dst.payload_from`` of ``src.component`` at (alpha[i], alpha[j]).
+    Reindexing never grows entry sizes, so over a valid base the image is
+    always an enumerated grid.
     """
     base = src.base
     steps = tuple(zip(alpha, alpha[1:]))
@@ -548,12 +564,7 @@ def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
         return (entries, harr, varr)
 
     def mor_payload(m: int, a2: int, b2: int) -> tuple:
-        idz = base.identity_id(base.zero_index())
-        pay = src.mor_payload(m)
-        return tuple(
-            idz if alpha[i] >= alpha[j] else pay[src._slot_pos[(alpha[i], alpha[j])]]
-            for i, j in dst._slots
-        )
+        return dst.payload_from(lambda i, j: src.component(m, alpha[i], alpha[j]))
 
     return payload_functor(src, dst, obj_payload, mor_payload)
 

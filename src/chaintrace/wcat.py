@@ -38,6 +38,7 @@ raise CapExceededError (exit 4).  None is in the structured
 from __future__ import annotations
 
 import itertools
+import math
 
 from .chain import rank_over_field
 from .conventions import PUSHOUT_SEARCH_CAP
@@ -47,7 +48,7 @@ from .errors import (
     InternalInvariantError,
     ValidationError,
 )
-from .rings import GF
+from .rings import GF, ZZ
 from .linalg import Matrix, SparseMap, smith_normal_form
 from .validation import ValidationReport
 
@@ -665,26 +666,17 @@ class FiniteModulesCategory(WCategory):
         frontier = [()]
         while frontier:
             base = frontier.pop()
-            order = 1
-            for d in base:
-                order *= d
+            order = math.prod(base)
             for d in powers:
                 if (not base or d >= base[-1]) and order * d <= bound:
                     new = base + (d,)
                     if new not in found:
                         found.add(new)
                         frontier.append(new)
-        return tuple(sorted(found, key=lambda t: (self._order(t), t)))
-
-    @staticmethod
-    def _order(factors) -> int:
-        order = 1
-        for d in factors:
-            order *= d
-        return order
+        return tuple(sorted(found, key=lambda t: (math.prod(t), t)))
 
     def _object_size(self, factors):
-        return self._order(factors)
+        return math.prod(factors)
 
     def _zero_payload(self):
         return ()
@@ -700,7 +692,7 @@ class FiniteModulesCategory(WCategory):
         for dt in dst:
             row = []
             for ds in src:
-                step = dt // self._gcd(dt, ds)
+                step = dt // math.gcd(dt, ds)
                 row.append(tuple(range(0, dt, step)))
             cell_choices.append(row)
         flat = [vals for row in cell_choices for vals in row]
@@ -711,12 +703,6 @@ class FiniteModulesCategory(WCategory):
                 tuple(tuple(combo[r * width : (r + 1) * width]) for r in range(len(dst)))
             )
         return out
-
-    @staticmethod
-    def _gcd(x, y):
-        while y:
-            x, y = y, x % y
-        return x
 
     def _compose(self, g, f, a, b, c):
         src = self._obj_payloads[a]
@@ -757,8 +743,6 @@ class FiniteModulesCategory(WCategory):
         return self._is_cofibration(payload, a, b)
 
     def _pushout_witness(self, i, f):
-        from .rings import ZZ
-
         src = self._obj_payloads[self._mor_src[i]]
         b = self._obj_payloads[self._mor_tgt[i]]
         c = self._obj_payloads[self._mor_tgt[f]]
@@ -780,7 +764,7 @@ class FiniteModulesCategory(WCategory):
             raise InternalInvariantError("pushout of finite groups must be finite")
         keep = [r for r in range(gens) if diag[r] != 1]
         factors = tuple(int(diag[r]) for r in keep)
-        if self._order(factors) > self.bound:
+        if math.prod(factors) > self.bound:
             return None
         u_payload = tuple(
             tuple(int(dec.U.rows[r][t]) % diag[r] for t in range(rb)) for r in keep
@@ -818,15 +802,25 @@ CATEGORY_FAMILIES = {
 }
 
 
-def category_from_selector(selector: str) -> WCategory:
+def category_from_selector(selector: str, bound: int | None = None) -> WCategory:
     """Build a built-in category from a selector like ``vect_gf:2:2``.
 
     Recognized forms (CATEGORY_FAMILIES): ``trivial``, ``vect_gf:q:bound``,
-    ``pointed_sets:bound``, ``finite_modules:p:bound``.
+    ``pointed_sets:bound``, ``finite_modules:p:bound``.  A ``bound`` given
+    apart sets the family's last argument, which the selector may then omit
+    or give (the given one is replaced); messages quote the selector with
+    the bound applied.
     """
     parts = selector.strip().split(":")
     head, args = parts[0], parts[1:]
     arity, build = CATEGORY_FAMILIES.get(head, (None, None))
+    if bound is not None and build is not None:
+        if arity == 0:
+            raise InputParseError(f"--bound does not apply to the {head!r} category")
+        if len(args) not in (arity - 1, arity):
+            raise InputParseError(f"cannot apply --bound to malformed selector {selector!r}")
+        args = [*args[: arity - 1], str(bound)]
+        selector = ":".join([head, *args])
     try:
         if len(args) == arity:
             return build(*map(int, args))

@@ -1,5 +1,8 @@
 """Tests for multidirection flag diagrams and their operator actions."""
 
+import hashlib
+from itertools import combinations_with_replacement, permutations, product
+
 import pytest
 
 from chaintrace.errors import CapExceededError, InputParseError
@@ -9,7 +12,7 @@ from chaintrace.sigma_delta import (
     sigma_delta_validate,
     weq_nerve,
 )
-from chaintrace.wcat import trivial_category, vect_gf
+from chaintrace.wcat import finite_modules, pointed_sets, trivial_category, vect_gf
 
 ALL_KEYS = (
     (0, ()),
@@ -75,6 +78,48 @@ def test_trivial_diagram():
     for key in d.keys:
         assert [len(level) for level in d.entry(key).levels] == [1, 1, 1]
     assert sigma_delta_validate(d).ok
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: pointed_sets(2), lambda: vect_gf(3, 1), lambda: finite_modules(2, 4)],
+    ids=["pointed_sets(2)", "vect_gf(3,1)", "finite_modules(2,4)"],
+)
+def test_more_flag_diagrams_validate(build):
+    assert sigma_delta_validate(ktheory_sigma_delta(build())).ok
+
+
+def _morphisms(src_key, dst_key):
+    """Every (f, phis) from src_key to dst_key: each injection f and each
+    tuple of monotone operators into the widths it leaves."""
+    (m, js), (n, ks) = src_key, dst_key
+    for f in permutations(range(1, n + 1), m):
+        widths = [js[f.index(i)] if i in f else 1 for i in range(1, n + 1)]
+        choices = [
+            tuple(combinations_with_replacement(range(w + 1), k + 1)) for w, k in zip(widths, ks)
+        ]
+        for phis in product(*choices):
+            yield f, phis
+
+
+def test_every_structure_map_matches_its_recorded_tables():
+    # an exhaustive oracle: the image table of every morphism between the
+    # 13 keys at every nerve level both entries hold, hashed in key order;
+    # the digest was recorded from an earlier construction that built each
+    # (m, n, f) shape of structure map separately
+    d = ktheory_sigma_delta(vect_gf(2, 1))
+    digest = hashlib.sha256()
+    tables = 0
+    for src in d.keys:
+        for dst in d.keys:
+            top = min(d.entry(src).top_level, d.entry(dst).top_level)
+            for f, phis in _morphisms(src, dst):
+                for level in range(top + 1):
+                    table = d.act_level(src, dst, f, phis, level)
+                    digest.update(repr((src, dst, f, phis, level, table)).encode())
+                    tables += 1
+    assert tables == 7806
+    assert digest.hexdigest() == "e6522c8c6e43e17cc3794d328485fe1cd7ba6f538e4c54024551377ae04e5e1a"
 
 
 def test_free_diagrams_validate():

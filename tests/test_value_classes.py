@@ -106,8 +106,8 @@ CASES = {
     ),
     "ValidationReport": (maker(ValidationReport, "s", 2), maker(ValidationReport, "s", 3), False),
     "SigmaDeltaDiagram": (
-        maker(SigmaDeltaDiagram, name="D", keys=()),
-        maker(SigmaDeltaDiagram, name="D", keys=((0, ()),)),
+        maker(SigmaDeltaDiagram, "D", {}, [], None),
+        maker(SigmaDeltaDiagram, "D", {(0, ()): None}, [], None),
         False,
     ),
     "JobConfig": (maker(JobConfig, "hh", ("Z",)), maker(JobConfig, "hh", ("Q",)), False),
@@ -180,7 +180,8 @@ def test_reports_and_diagrams_get_fresh_lists():
     a.record("broken")
     a.skip("too big")
     assert b.issues == [] and b.skipped == []
-    d1 = SigmaDeltaDiagram(name="D", keys=())
-    d2 = SigmaDeltaDiagram(name="D", keys=())
+    skips: list = []
+    d1 = SigmaDeltaDiagram("D", {}, skips, None)
+    d2 = SigmaDeltaDiagram("D", {}, skips, None)
     d1.skips.append("x")
     assert d2.skips == []
