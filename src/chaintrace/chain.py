@@ -26,8 +26,10 @@ second only U and U^-1.
 
 Smith normal form has a fixed pivot rule, so output is deterministic.  Over
 Z/m the modulus must be a prime power; other moduli raise
-UnsupportedRingError (the composite case is deliberately out of contract
-even where the integer-lattice method would cope).
+UnsupportedRingError from check_homology_ring, which HochschildHomology
+also calls before any Smith elimination of its own (the composite case is
+deliberately out of contract even where the integer-lattice method would
+cope).
 
 reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
 the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction): each pair
@@ -76,6 +78,7 @@ __all__ = [
     "rank_over_field",
     "predicted_dense_cells",
     "check_dense_cells",
+    "check_homology_ring",
     "DENSE_CELL_CAP",
 ]
 
@@ -316,13 +319,19 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
             f"degree {n} outside computable range 0..{complex_.top_degree - 1}"
         )
     ring = complex_.ring
+    check_homology_ring(ring)
+    check_dense_cells(ring, n, complex_.rank)
+    d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
+    return _homology(ring, d_n, d_np1, n)
+
+
+def check_homology_ring(ring: BaseRing) -> None:
+    """Raise UnsupportedRingError unless homology over ring is supported:
+    over Z/m the modulus must be a prime power."""
     if ring.kind == "Zmod" and ring.prime_power() is None:
         raise UnsupportedRingError(
             f"homology over Z/{ring.modulus} is supported for prime powers only"
         )
-    check_dense_cells(ring, n, complex_.rank)
-    d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
-    return _homology(ring, d_n, d_np1, n)
 
 
 def check_dense_cells(ring: BaseRing, n: int, rank) -> None:

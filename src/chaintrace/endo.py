@@ -104,26 +104,19 @@ class EndCategory(WCategory):
 
     def _pushout_witness(self, i, f):
         base = self.base
-        src_i = self._obj_payloads[self._mor_src[i]]
         tgt_i = self._obj_payloads[self._mor_tgt[i]]
         tgt_f = self._obj_payloads[self._mor_tgt[f]]
         w = base.pushout_witness(self._mor_payload[i], self._mor_payload[f])
         if w is None:
             return None
         d, u, v = w
-        med = base.mediating_ids(
-            u,
-            v,
-            base.compose_ids(u, tgt_i[1]),
-            base.compose_ids(v, tgt_f[1]),
-        )
-        if len(med) != 1:
+        endo = base.mediating_id(u, v, base.compose_ids(u, tgt_i[1]), base.compose_ids(v, tgt_f[1]))
+        if endo is None:
             raise InternalInvariantError(
                 "base pushout witness does not induce a unique endomorphism; "
                 "is the base category valid?"
             )
-        d_payload = (d, med[0])
-        return self._witness(i, f, d_payload, u, v)
+        return self._witness(i, f, (d, endo), u, v)
 
 
 def validate_exact_functor(name: str, S: WCategory, T: WCategory, F: tuple) -> ValidationReport:

@@ -50,7 +50,7 @@ from functools import cache, cached_property, partial, wraps
 
 from .algebra import Algebra, AlgebraHom, unit_first_presentation
 from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, basis_map_columns
-from .chain import direct_sum, homology, reduce_complex
+from .chain import check_homology_ring, direct_sum, homology, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import Matrix, SparseMap, smith_normal_form
@@ -423,6 +423,7 @@ class HochschildHomology:
         self.algebra = A
         self.ring = A.ring
         self.max_degree = max_degree
+        check_homology_ring(self.ring)
         reduced, self._t_map, self._tinv_map = unit_first_presentation(A)
         self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)

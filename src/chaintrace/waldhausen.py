@@ -10,9 +10,11 @@ subquotients.  A grid is stored as the payload (entries, harr, varr) of
 nested row tuples indexed by position: ``entries[i][j]`` is X(i,j),
 ``harr[i][j]`` the arrow X(i,j) -> X(i,j+1) and ``varr[i][j]`` the arrow
 X(i,j) -> X(i+1,j), as object indices and morphism handles of the base.
-This module enumerates those grids over a bounded base, packages S_k as a
-bounded category in its own right (so the construction can be iterated),
-and extracts K_0 three ways:
+Every arrow a grid takes from a universal property (a quotient row, a
+top-row comparison map, an arrow of a pushout of grids) is the base's
+``mediating_id``.  This module enumerates those grids over a bounded base,
+packages S_k as a bounded category in its own right (so the construction
+can be iterated), and extracts K_0 three ways:
 
 * ``k0_via_sdot``: H_1 of |wS_.C| from the total complex of the
   bisimplicial set (p, q) |-> w_q S_p C.  By the generalized
@@ -111,21 +113,16 @@ DIAGONAL_TOP = 2
 # ---------------------------------------------------------------------------
 
 
-def _hcomp(base: WCategory, payload: tuple, i: int, j1: int, j2: int) -> int:
-    """Composite X(i,j1) -> X(i,j2) along row i; identity when j1 == j2."""
-    entries, harr, _ = payload
-    m = base.identity_id(entries[i][j1])
-    for h in harr[i][j1:j2]:
+def _grid_map(base: WCategory, payload: tuple, i1: int, j1: int, i2: int, j2: int) -> int:
+    """The grid's map X(i1,j1) -> X(i2,j2), for i1 <= i2 and j1 <= j2.
+
+    The composite along row i1 and then down column j2, starting from the
+    identity of X(i1,j1), so it is that identity when the corners agree.
+    """
+    entries, harr, varr = payload
+    m = base.identity_id(entries[i1][j1])
+    for h in chain(harr[i1][j1:j2], (row[j2] for row in varr[i1:i2])):
         m = base.compose_ids(h, m)
-    return m
-
-
-def _vcomp(base: WCategory, payload: tuple, i1: int, i2: int, j: int) -> int:
-    """Composite X(i1,j) -> X(i2,j) down column j; identity when i1 == i2."""
-    entries, _, varr = payload
-    m = base.identity_id(entries[i1][j])
-    for row in varr[i1:i2]:
-        m = base.compose_ids(row[j], m)
     return m
 
 
@@ -171,9 +168,9 @@ def _s_payload_issues(base: WCategory, payload: tuple, skip_built_triples: bool)
             for l in range(j + 1, k + 1):
                 if skip_built_triples and j == i + 1:
                     continue
-                top = _hcomp(base, payload, i, j, l)
+                top = _grid_map(base, payload, i, j, i, l)
                 (to_zero,) = base.hom_ids(entries[i][j], z)
-                u = _vcomp(base, payload, i, j, l)
+                u = _grid_map(base, payload, i, l, j, l)
                 (v,) = base.hom_ids(z, entries[j][l])
                 if not base.is_pushout(top, to_zero, entries[j][l], u, v):
                     issues.append(f"triple ({i},{j},{l}) is not a pushout square")
@@ -239,13 +236,12 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
                 prev_h = hrows[j - 1]
                 cand_sets = []
                 for l in range(j + 1, n):
-                    i_comp = _hcomp(base, (rows, hrows, vrows), j - 1, j, l)
+                    i_comp = _grid_map(base, (rows, hrows, vrows), j - 1, j, j - 1, l)
                     cand_sets.append(base.cokernel_candidates(i_comp))
                 for combo in product(*cand_sets):
                     row = [z] * n
                     vrow = [idz] * j + [base.hom_ids(prev[j], z)[0]]
                     hrow = [idz] * min(j, k)
-                    ok = True
                     for t, (d, u, _v) in enumerate(combo):
                         row[j + 1 + t] = d
                         vrow.append(u)
@@ -255,17 +251,16 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
                         d_l, u_l, v_l = combo[l - j - 1]
                         p = base.compose_ids(combo[l - j][1], prev_h[l])
                         (q,) = base.hom_ids(z, row[l + 1])
-                        meds = base.mediating_ids(u_l, v_l, p, q)
-                        if len(meds) != 1:
+                        h = base.mediating_id(u_l, v_l, p, q)
+                        if h is None:
                             raise InternalInvariantError(
                                 "quotient row admits no unique induced arrow; "
                                 "is the base category valid?"
                             )
-                        if not base.is_cofibration_id(meds[0]):
-                            ok = False
+                        if not base.is_cofibration_id(h):
                             break
-                        hrow.append(meds[0])
-                    if ok:
+                        hrow.append(h)
+                    else:
                         nxt.append(
                             (rows + (tuple(row),), hrows + (tuple(hrow),), vrows + (tuple(vrow),))
                         )
@@ -441,12 +436,12 @@ class SCategory(WCategory):
                 return False
             _d, u, v = w
             alpha_j = payload[self._slot_pos[(0, j)]]
-            meds = base.mediating_ids(u, v, alpha_j, Yh[0][j - 1])
-            if len(meds) != 1:
+            h = base.mediating_id(u, v, alpha_j, Yh[0][j - 1])
+            if h is None:
                 raise InternalInvariantError(
                     "top-row comparison map is not unique; is the base category valid?"
                 )
-            if not base.is_cofibration_id(meds[0]):
+            if not base.is_cofibration_id(h):
                 return False
         return True
 
@@ -484,13 +479,13 @@ class SCategory(WCategory):
                 return base.hom_ids(slot_d[src_slot], z)[0]
             p = base.compose_ids(slot_u[dst_slot], b_arrow)
             q = base.compose_ids(slot_v[dst_slot], c_arrow)
-            meds = base.mediating_ids(slot_u[src_slot], slot_v[src_slot], p, q)
-            if len(meds) != 1:
+            h = base.mediating_id(slot_u[src_slot], slot_v[src_slot], p, q)
+            if h is None:
                 raise InternalInvariantError(
                     "pushout grid admits no unique induced arrow; "
                     "is the base category valid?"
                 )
-            return meds[0]
+            return h
 
         harr = tuple(
             tuple(induced((si, sj), (si, sj + 1), Bp[1][si][sj], Cp[1][si][sj]) for sj in range(k))
@@ -559,8 +554,8 @@ def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
     def obj_payload(a: int) -> tuple:
         pay = src.object_payload(a)
         entries = tuple(tuple(pay[0][i][j] for j in alpha) for i in alpha)
-        harr = tuple(tuple(_hcomp(base, pay, i, j1, j2) for j1, j2 in steps) for i in alpha)
-        varr = tuple(tuple(_vcomp(base, pay, i1, i2, j) for j in alpha) for i1, i2 in steps)
+        harr = tuple(tuple(_grid_map(base, pay, i, j1, i, j2) for j1, j2 in steps) for i in alpha)
+        varr = tuple(tuple(_grid_map(base, pay, i1, j, i2, j) for j in alpha) for i1, i2 in steps)
         return (entries, harr, varr)
 
     def mor_payload(m: int, a2: int, b2: int) -> tuple:

@@ -17,6 +17,11 @@ categories) stay fast.  Handles are allocation-order dependent; all public
 output is phrased in terms of labels and canonical orderings, never raw
 handles.
 
+The universal property of a pushout is read in one place:
+``mediating_id(u, v, p, q)`` is the unique h with h∘u = p and h∘v = q, or
+None.  ``is_pushout``, ``find_pushout`` and the witness builders of S_k and
+End(C) ask it; only the axiom-5 scan reads ``mediating_ids`` itself.
+
 Every ``k0`` and ``validate`` job loads this module, so it holds the base
 class, the built-in families, their selectors and the validator.  Two
 subclasses that few jobs run live elsewhere: ``TableCategory``, the
@@ -78,7 +83,7 @@ MORPHISM_CAP = 100_000
 # Composable triples h∘g∘f that validate_waldhausen's associativity scan may
 # visit, predicted from the hom-set sizes before the scan.  The largest
 # among the tests and the benchmark jobs is 15,418 (finite_modules(2, 4));
-# pointed_sets(3) has 7.0e5 and validates in a few seconds, pointed_sets(4)
+# pointed_sets(3) has 7.0e5 and validates in about 1.5 s, pointed_sets(4)
 # has 5.8e8.
 TRIPLE_CAP = 1_000_000
 
@@ -87,7 +92,8 @@ TRIPLE_CAP = 1_000_000
 # witnesses before axiom 3 checks them.  The largest among the tests is
 # 3.8e7 (the corrupt_axiom5 table) and among the benchmark jobs 2.1e6
 # (finite_modules(2, 4)); pointed_sets(3) has 3.4e7 and validates in about
-# 4 s, vect_gf(3, 2) and finite_modules(3, 9) have 1.7e12.
+# 1.5 s, vect_gf(3, 2) and finite_modules(3, 9) have 1.7e12 and are refused
+# in about 0.8 and 1.2 s (median of 3 runs on a 2-core host).
 AXIOM5_CAP = 100_000_000
 
 
@@ -131,7 +137,6 @@ class WCategory:
         self._identity_cache: dict = {}
         self._cofib_cache: dict = {}
         self._weq_cache: dict = {}
-        self._inverse_cache: dict = {}
         self._witness_cache: dict = {}
         self._composite_index: dict = {}
         self._mediating_cache: dict = {}
@@ -317,19 +322,15 @@ class WCategory:
             self._weq_cache[m] = got
         return got
 
-    def iso_inverse(self, m: int):
-        """Two-sided inverse handle, or None if ``m`` is not an isomorphism."""
-        if m in self._inverse_cache:
-            return self._inverse_cache[m]
+    def iso_inverse(self, m: int, weq_only: bool = False):
+        """The first two-sided inverse of ``m`` in hom order, or None; with
+        ``weq_only``, the first among the weak equivalences."""
         a, b = self._mor_src[m], self._mor_tgt[m]
         ida, idb = self.identity_id(a), self.identity_id(b)
-        found = None
-        for n in self.hom_ids(b, a):
+        for n in self.weq_ids(b, a) if weq_only else self.hom_ids(b, a):
             if self.compose_ids(n, m) == ida and self.compose_ids(m, n) == idb:
-                found = n
-                break
-        self._inverse_cache[m] = found
-        return found
+                return n
+        return None
 
     def zero_map_id(self, a: int, b: int) -> int:
         """The composite a -> 0 -> b."""
@@ -395,6 +396,13 @@ class WCategory:
             self._mediating_cache[key] = got
         return got
 
+    def mediating_id(self, u: int, v: int, p: int, q: int):
+        """The unique h with h∘u = p and h∘v = q, or None if there is none
+        or more than one: the universal property of a pushout (d, u, v),
+        read from one ``mediating_ids`` call."""
+        got = self.mediating_ids(u, v, p, q)
+        return got[0] if len(got) == 1 else None
+
     def _cocones(self, i: int, f: int):
         """Every commuting square (e, p, q) under b <-i- a -f-> c, p∘i = q∘f,
         by target object, then p in hom order, then q in hom order."""
@@ -409,7 +417,7 @@ class WCategory:
         """Universal-property check for the square (i, f, u, v) by enumeration."""
         if self.compose_ids(u, i) != self.compose_ids(v, f):
             return False
-        return all(len(self.mediating_ids(u, v, p, q)) == 1 for _, p, q in self._cocones(i, f))
+        return all(self.mediating_id(u, v, p, q) is not None for _, p, q in self._cocones(i, f))
 
     def find_pushout(self, i: int, f: int):
         """The first (d, u, v) within the bound with the universal property, or None.
@@ -429,7 +437,7 @@ class WCategory:
                         f"pushout search for ({self.mor_label(i)}, {self.mor_label(f)}) over "
                         f"{len(cocones)} commuting squares passed {PUSHOUT_SEARCH_CAP} steps"
                     )
-                if len(self.mediating_ids(u, v, p, q)) != 1:
+                if self.mediating_id(u, v, p, q) is None:
                     break
             else:
                 return d, u, v
@@ -452,9 +460,10 @@ class WCategory:
                 ida = self.identity_id(a)
                 got = tuple(m for m in self.weq_ids(a, a) if self._has_identity_power(m, ida))
             else:
-                e = next((m for m in self.weq_ids(a, b) if self._inverse_among_weqs(m)), None)
+                weqs = self.weq_ids(a, b)
+                e = next((m for m in weqs if self.iso_inverse(m, weq_only=True) is not None), None)
                 orbit = {self.compose_ids(e, g) for g in self.iso_ids(a, a)} if e is not None else ()
-                got = tuple(m for m in self.weq_ids(a, b) if m in orbit)
+                got = tuple(m for m in weqs if m in orbit)
             self._iso_hom_cache[(a, b)] = got
         return got
 
@@ -468,15 +477,6 @@ class WCategory:
             seen.add(p)
             p = self.compose_ids(m, p)
         return False
-
-    def _inverse_among_weqs(self, m: int) -> bool:
-        """Whether some weak equivalence is a two-sided inverse of m."""
-        a, b = self._mor_src[m], self._mor_tgt[m]
-        ida, idb = self.identity_id(a), self.identity_id(b)
-        return any(
-            self.compose_ids(n, m) == ida and self.compose_ids(m, n) == idb
-            for n in self.weq_ids(b, a)
-        )
 
     def cokernel_candidates(self, i: int) -> list:
         """All quotient data (q, p) making (i, a -> 0) -> q a pushout square.
@@ -962,14 +962,10 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
                     f"axiom 2: the map 0 -> {C.object_label(a)} is not flagged as a cofibration"
                 )
 
-    cofibs = []
-    for a in range(n):
-        for b in range(n):
-            cofibs.extend(m for m in C.hom_ids(a, b) if C.is_cofibration_id(m))
-
+    cofibs = [i for a in range(n) for i in C.cofibs_from(a)]
     spans = [(i, f) for i in cofibs for c in range(n) for f in C.hom_ids(C.mor_source(i), c)]
-    recorded = [(i, f) for i, f in spans if C.pushout_witness(i, f) is not None]
-    bound = axiom5_bound(C, recorded)
+    recorded = [C.pushout_witness(i, f) for i, f in spans]
+    bound = axiom5_bound(C, [s for s, w in zip(spans, recorded) if w is not None])
     if bound > AXIOM5_CAP:
         raise CapExceededError(
             f"category {C.name} has {bound} weak-equivalence triples between pushout "
@@ -977,9 +973,8 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
         )
 
     witnesses = []
-    for i, f in spans:
+    for (i, f), w in zip(spans, recorded):
         report.checks_run += 1
-        w = C.pushout_witness(i, f)
         if w is None:
             if C.find_pushout(i, f) is not None:
                 report.record(

@@ -292,6 +292,23 @@ def test_cli_exit_codes(capsys):
     assert err.startswith("error (cap)")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hh", "Zmod:6"),
+        ("hh", "M2(Zmod:6)", "--max-degree", "1"),
+        ("trace-k1", "M2(Zmod:6)", "1,0,0,1"),
+    ],
+    ids=["hh", "hh-matrix", "trace-k1-matrix"],
+)
+def test_cli_refuses_a_composite_modulus_in_one_message(capsys, argv):
+    # a matrix algebra reaches the unit-first Smith elimination before any
+    # homology, so the refusal must come before it too
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error (parse): homology over Z/6 is supported for prime powers only\n"
+
+
 def test_cli_out_of_memory_exits_on_the_cap_code(capsys, monkeypatch):
     # a job that passes every cap can still exhaust the memory it may use,
     # as hh Z[C3] --max-degree 16 does under a 600 MB address-space limit

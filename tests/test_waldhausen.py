@@ -3,7 +3,7 @@
 import pytest
 
 from chaintrace import waldhausen
-from chaintrace.endo import end_category, k0_retract_holds
+from chaintrace.endo import EndCategory, end_category, k0_retract_holds
 from chaintrace.errors import CapExceededError, InternalInvariantError
 from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
@@ -308,3 +308,65 @@ def test_refused_flag_grid_enumeration_is_raised_every_time(monkeypatch):
             _enumerate_s_payloads(C, 2)
     monkeypatch.undo()
     assert len(_enumerate_s_payloads(C, 2)) == 18
+
+
+
+
+def identity_pushouts(X):
+    """Ask X for the pushout of every identity along itself."""
+    for a in range(X.object_count()):
+        X.pushout_witness(X.identity_id(a), X.identity_id(a))
+
+
+def cofibration_flags(X):
+    """Ask X for the cofibration flag of every morphism."""
+    for a in range(X.object_count()):
+        X.cofibs_from(a)
+
+
+# In the table of vect_gf(2,1), o0 is 0 and o1 is F2; m0 is the identity of
+# 0, m1 the map 0 -> F2, m2 the map F2 -> 0, m3 the zero endomorphism of F2
+# and m4 its identity.  Each case replaces one recorded witness by a square
+# that is not a pushout, then runs a build that must notice.
+# - the cokernel of id_0 becomes F2, out of which two endomorphisms of F2
+#   mediate; the first quotient row of S_3 asks for one
+ZERO_COKERNEL_OF_ID_0 = ("pushout m0 m0 o0 m0 m0", "pushout m0 m0 o1 m1 m1")
+# - the pushout of id_F2 along itself gets two zero legs
+ZERO_LEGS_ON_ID_F2 = ("pushout m4 m4 o1 m4 m4", "pushout m4 m4 o1 m3 m3")
+# - the cokernel of id_F2 becomes F2 under the identity, a square that does
+#   not commute, so S_2 itself is assembled with a square that fails
+NONCOMMUTING_COKERNEL_OF_ID_F2 = ("pushout m4 m2 o0 m2 m0", "pushout m4 m2 o1 m4 m1")
+
+
+@pytest.mark.parametrize(
+    "witness, build, message",
+    [
+        (ZERO_COKERNEL_OF_ID_0, lambda C: SCategory(C, 3), "quotient row admits no unique induced arrow"),
+        (ZERO_LEGS_ON_ID_F2, lambda C: cofibration_flags(SCategory(C, 2)), "top-row comparison map is not unique"),
+        (
+            ZERO_LEGS_ON_ID_F2,
+            lambda C: identity_pushouts(SCategory(C, 2)),
+            "pushout grid admits no unique induced arrow",
+        ),
+        (
+            ZERO_LEGS_ON_ID_F2,
+            lambda C: identity_pushouts(EndCategory(C)),
+            "base pushout witness does not induce a unique endomorphism",
+        ),
+        (
+            NONCOMMUTING_COKERNEL_OF_ID_F2,
+            lambda C: SCategory(C, 2),
+            "assembled grid violates 'square at (0,1) does not commute'",
+        ),
+    ],
+    ids=["quotient-row", "top-row", "pushout-grid", "endomorphism", "assembled-grid"],
+)
+def test_a_witness_that_is_not_a_pushout_is_refused(witness, build, message):
+    text = serialize_category(vect_gf(2, 1), labels=False)
+    old, new = witness
+    assert old in text
+    C = parse_category_text(text.replace(old, new), validate=False)
+    assert not validate_waldhausen(C).ok
+    with pytest.raises(InternalInvariantError) as exc:
+        build(C)
+    assert str(exc.value) == f"{message}; is the base category valid?"

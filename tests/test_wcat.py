@@ -157,6 +157,24 @@ def test_iso_ids_match_the_nested_inverse_scan(make):
             assert fresh.iso_ids(a, b) == nested_iso_scan(fresh, a, b), (a, b)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: vect_gf(2, 2), lambda: pointed_sets(2), lambda: finite_modules(2, 4)],
+    ids=["vect22", "pointed2", "mod24"],
+)
+def test_iso_inverse_is_the_first_two_sided_inverse_in_hom_order(make):
+    C = make()
+    n = C.object_count()
+    for a in range(n):
+        for b in range(n):
+            ida, idb = C.identity_id(a), C.identity_id(b)
+            for m in C.hom_ids(a, b):
+                inverses = [
+                    x for x in C.hom_ids(b, a) if C.compose_ids(x, m) == ida and C.compose_ids(m, x) == idb
+                ]
+                assert C.iso_inverse(m) == (inverses[0] if inverses else None), C.mor_label(m)
+
+
 def report_digest(report) -> str:
     data = json.dumps([report.subject, report.checks_run, report.issues, report.skipped])
     return hashlib.sha256(data.encode()).hexdigest()[:16]
