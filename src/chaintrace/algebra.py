@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceededError, InternalInvariantError, NotInvertibleError, ValidationError
-from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form, solve_membership
+from .errors import CapExceededError, NotInvertibleError, ValidationError
+from .linalg import Matrix, SparseMap, is_onto, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .validation import ValidationReport
 from .values import Value
@@ -341,14 +341,6 @@ def _left_mult_on_An(A: Algebra, n: int, g) -> Matrix:
     return Matrix.from_cols(ring, cols, n * r)
 
 
-def _bijective_over_base(L: Matrix) -> bool:
-    """Whether the square matrix L is invertible over its base ring."""
-    if L.ring.kind == "Zmod":
-        L = lift_with_modulus(L)
-    dec = smith_normal_form(L, factors=())
-    return dec.rank == L.nrows and all(d == 1 for d in dec.invariant_factors)
-
-
 def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     """Enumerate GL_n(A) over a finite base ring.
 
@@ -368,7 +360,7 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     single = list(itertools.product(range(m), repeat=A.rank))
     for flat in itertools.product(single, repeat=n * n):
         g = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if _bijective_over_base(_left_mult_on_An(A, n, g)):
+        if is_onto(_left_mult_on_An(A, n, g)):  # square, so onto is invertible
             elements.append(g)
     elements.sort()
     index = {g: i for i, g in enumerate(elements)}
@@ -444,28 +436,36 @@ def unit_first_presentation(A: Algebra) -> tuple[Algebra, SparseMap, SparseMap]:
     of A, and B the structure constants transported along T.  Needed to give
     normalized Hochschild complexes an honest basis.  Exists because the
     coefficients of the unit generate the unit ideal.
+
+    Where some coefficient u_j of the unit u is a unit, j the first such,
+    T e_0 = u and T e_i = e_s(i) for the transposition s of 0 and j.  Over
+    a field or Z/p^k one always is.  Over Z only a unit such as (-3, 0, 4)
+    has none, and T is U^-1 for the Smith form U u = e_0 of the column u.
     """
     ring, r = A.ring, A.rank
-    e0 = A.basis_vector(0)
-    if A.unit == e0:
+    u = A.unit
+    if u == A.basis_vector(0):
         ident = SparseMap.identity(ring, r)
         return A, ident, ident
-    col = Matrix.from_cols(ring, [A.unit], r)
-    dec = smith_normal_form(col, factors=("U", "Uinv", "Vinv"))
-    g = dec.S.rows[0][0]
-    if not ring.is_unit(g):
-        raise ValidationError("unit coefficients do not generate the unit ideal; not a unital algebra")
-    s = ring.mul(g, dec.Vinv.rows[0][0])
-    s_inv = ring.inv(s)
-    t_cols = [{i: row[j] for i, row in enumerate(dec.Uinv.rows)} for j in range(r)]
-    t_cols[0] = {i: ring.mul(x, s) for i, x in t_cols[0].items()}
-    U = dec.U.rows
-    tinv_cols = [{i: ring.mul(row[j], s_inv) if i == 0 else row[j] for i, row in enumerate(U)} for j in range(r)]
+    j = next((i for i, c in enumerate(u) if ring.is_unit(c)), None)
+    if j is None:
+        dec = smith_normal_form(Matrix.from_cols(ring, [u], r), factors=("U", "Uinv"))
+        if not ring.is_unit(dec.S.rows[0][0]):
+            raise ValidationError("unit coefficients do not generate the unit ideal; not a unital algebra")
+        t_cols = [dict(enumerate(dec.Uinv.col(i))) for i in range(r)]
+        tinv_cols = [dict(enumerate(dec.U.col(i))) for i in range(r)]
+    else:
+
+        def s(i):
+            return j if i == 0 else 0 if i == j else i
+
+        # T^-1 e_j = c (e_0 - sum_{i != j} u_i e_s(i)) for c = u_j^-1
+        c = ring.inv(u[j])
+        t_cols = [dict(enumerate(u))] + [{s(i): ring.one} for i in range(1, r)]
+        tinv_cols = [{s(i): ring.one} for i in range(r)]
+        tinv_cols[j] = {s(i): ring.mul(ring.neg(c), x) for i, x in enumerate(u)} | {0: c}
     T = SparseMap.from_col_dicts(ring, r, t_cols)
     Tinv = SparseMap.from_col_dicts(ring, r, tinv_cols)
-    if T.apply(e0) != A.unit:
-        raise InternalInvariantError("unit-first change of basis failed")
-
     basis = [T.apply(A.basis_vector(i)) for i in range(r)]
     products = {}
     for i in range(r):

@@ -19,7 +19,10 @@ __all__ = [
 # Connes' operator and the Hochschild boundary (hochschild).
 B_CONVENTION = "B = (1 - (-1)^q t) s_e N on the normalized complex; b = sum (-1)^i d_i; d_q merges last onto first"
 
-# Smith normal form pivot choice (linalg.smith_normal_form).
+# Smith normal form pivot choice (linalg.smith_normal_form).  The string is
+# kept byte for byte, because every structured envelope prints it and pinned
+# output hashes cover it.  Its Z/p^k clause no longer applies: Smith runs
+# over Z and fields only, and every Z/m elimination runs on the integer lift.
 PIVOT_RULE = (
     "pivot of smallest measure (|x| over Z, p-adic valuation over Z/p^k, any "
     "nonzero over a field), ties broken row-major; diagonal normalized to "

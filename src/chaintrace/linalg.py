@@ -1,7 +1,9 @@
 """Exact dense matrices, sparse linear maps, and Smith normal form.
 
 All arithmetic happens in a BaseRing (Z, Q, Z/m, GF(p)); nothing here ever
-touches floating point.  Two representations coexist, each with one role:
+touches floating point.  Smith elimination runs over Z and fields only:
+every question over Z/m goes through the integer lift of lift_with_modulus.
+Two representations coexist, each with one role:
 
 * Matrix: dense row-major storage, only for Smith elimination: the input
   of smith_normal_form, its factors, and their products and images.
@@ -18,29 +20,28 @@ SparseMap.from_col_dicts takes ring values (ring arithmetic, the normalized
 tables of an Algebra) and only drops zeros.
 
 smith_normal_form is the package's one dense elimination: kernels,
-membership, bijectivity and homology() are read off its result.  Sparse
+membership, onto maps and homology() are read off its result.  Sparse
 unit-pivot cancellation (chain.reduce_complex) runs before it where only
 isomorphism types are printed, and feeds it a small core with the same
 homology; ranks over a field come from the same cancellation
 (chain.rank_over_field).  Generators and class coordinates still come from
 homology() on the full complex.  Image questions over Z/m go through the
 integer lift [M | m*I] built by lift_with_modulus, which is exact for every
-modulus: solve_membership eliminates it directly, and chain._homology, the
-one routine behind homology() over every ring, eliminates the lift of d_n
-and then [d_{n+1} | m*I] written in the kernel basis that elimination gives.
+modulus: solve_membership and is_onto eliminate it directly, and
+chain._homology, the one routine behind homology() over every ring,
+eliminates the lift of d_n and then [d_{n+1} | m*I] written in the kernel
+basis that elimination gives.
 
 smith_normal_form(M) returns S = U * M * V, with U and V invertible over
 the ring and S diagonal with the divisibility chain d_1 | d_2 | ... | d_r.
 The pivot rule (conventions.PIVOT_RULE) is fixed for determinism: among the
-nonzero entries of the working block, choose the one of smallest pivot
-measure (|x| over Z, p-adic valuation over Z/p^k, any nonzero over a field),
-breaking ties in row-major order.  Diagonal entries are normalized to
-canonical unit multiples (positive over Z, 1 over fields, p-powers over
-Z/p^k).
+nonzero entries of the working block, choose the one of smallest |x| over
+Z, and the first nonzero one over a field, breaking ties in row-major
+order.  Diagonal entries are normalized: positive over Z, 1 over a field.
 
 Of the transforms U, V, Uinv and Vinv, the elimination builds only those
 its caller names: homology() reads V and Vinv of its first elimination and
-U and Uinv of its second, and a bijectivity test reads S alone.  Each
+U and Uinv of its second, and is_onto reads S alone.  Each
 transform's updates read S and itself only, so a built factor has the same
 entries whichever others are built.  The kernel's cost follows the nonzero
 entries: each row or column operation, scaling and pivot search skips
@@ -71,10 +72,10 @@ __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "smith_cells",
-    "kernel_basis",
     "solve_membership",
     "MembershipResult",
     "lift_with_modulus",
+    "is_onto",
 ]
 
 
@@ -211,14 +212,6 @@ class SparseMap(Value):
         one = ring.one
         return cls(ring, n, n, tuple(((i, one),) for i in range(n)))
 
-    @classmethod
-    def from_matrix(cls, m: Matrix) -> "SparseMap":
-        ring = m.ring
-        cols = []
-        for j in range(m.ncols):
-            cols.append(tuple((i, m.rows[i][j]) for i in range(m.nrows) if not ring.is_zero(m.rows[i][j])))
-        return cls(ring, m.nrows, m.ncols, tuple(cols))
-
     def to_matrix(self) -> Matrix:
         out = Matrix.zeros(self.ring, self.nrows, self.ncols)
         for j, col in enumerate(self.cols):
@@ -330,26 +323,28 @@ def _rows_with(M: list[list], *cols: int) -> list[list]:
 
 
 def _find_pivot(ring: BaseRing, S: list[list], t: int):
-    # no nonzero element measures below floor: a unit over Z/p^k has
-    # valuation 0, every other nonzero measure is at least 1
-    floor = 0 if ring.kind == "Zmod" else 1
-    best = None
+    """(i, j) of the first nonzero entry of smallest |x| over Z, or of the
+    first nonzero entry over a field, in row-major order from (t, t); None
+    when that block is zero.  No nonzero entry measures below 1, so the
+    first that measures 1 is taken at once."""
+    over_z = ring.kind == "Z"
+    best = where = None
     for i in range(t, len(S)):
         row = S[i]
         for j in _support(row, t):
-            m = ring.pivot_measure(row[j])
-            if best is None or m < best[0]:
-                best = (m, i, j)
-                if m == floor:
-                    return best
-    return best
+            m = abs(row[j]) if over_z else 1
+            if best is None or m < best:
+                best, where = m, (i, j)
+                if m == 1:
+                    return where
+    return where
 
 
 def _quotient(ring: BaseRing, a, b):
-    """q with a - q*b reduced: exact where b | a, floor division over Z."""
+    """q with a - q*b reduced: floor division over Z, exact over a field."""
     if ring.kind == "Z":
         return a // b
-    return ring.exact_div(a, b) if ring.divides(b, a) else ring.zero
+    return ring.mul(a, ring.inv(b))
 
 
 def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
@@ -421,7 +416,7 @@ def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
             piv = _find_pivot(ring, S, t)
             if piv is None:
                 return False
-            _, pi, pj = piv
+            pi, pj = piv
             row_swap(pi, t)
             col_swap(pj, t)
             st = S[t]
@@ -447,27 +442,13 @@ def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
             if clean:
                 return True
 
-    def normalize_diag(t):
+    def normalize_diag(t):  # positive over Z, 1 over a field
         d = S[t][t]
-        if ring.is_zero(d):
-            return
         if ring.kind == "Z":
             if d < 0:
                 row_scale(t, -1)
-        elif ring.is_field:
+        elif d:
             row_scale(t, ring.inv(d))
-        else:
-            pk = ring.prime_power()
-            if pk is None:
-                raise UnsupportedRingError(
-                    f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
-                )
-            p, _ = pk
-            dd = int(d)
-            while dd % p == 0:
-                dd //= p
-            # d = unit * p^v; scale the unit away
-            row_scale(t, ring.inv(ring.normalize(dd)))
 
     t = 0
     limit = min(nr, nc)
@@ -478,13 +459,13 @@ def _smith_engine(ring: BaseRing, mat: Matrix, factors: frozenset):
         t += 1
     rank = t
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
+    # enforce the divisibility chain d_i | d_{i+1}: over a field every
+    # diagonal entry is 1 already
+    changed = ring.kind == "Z"
     while changed:
         changed = False
         for t in range(rank - 1):
-            a, b = S[t][t], S[t + 1][t + 1]
-            if not ring.divides(a, b):
+            if S[t + 1][t + 1] % S[t][t]:
                 # fold column t+1 into column t and re-eliminate
                 for M in (S, V):
                     for r in _rows_with(M, t + 1):
@@ -511,18 +492,20 @@ def _self_checked(nrows: int, ncols: int) -> bool:
 
 
 def smith_normal_form(mat: Matrix, *, factors=("U", "V", "Uinv", "Vinv")) -> SmithDecomposition:
-    """Smith decomposition over Z, Q, GF(p), or Z/p^k.
+    """Smith decomposition over Z, Q or GF(p).
 
     factors names the transforms the caller reads, among U, V, Uinv and
     Vinv; S is always built, and a transform not named is None.
     Deterministic: pivot of smallest measure, ties row-major, and a built
     factor does not depend on which others are built.  Raises
-    UnsupportedRingError over Z/m with composite non-prime-power m.
+    UnsupportedRingError over every Z/m: eliminate lift_with_modulus(mat)
+    over Z instead.
     """
     ring = mat.ring
-    if ring.kind == "Zmod" and ring.prime_power() is None:
+    if ring.kind == "Zmod":
         raise UnsupportedRingError(
-            f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
+            f"Smith normal form runs over Z and fields; over Z/{ring.modulus} "
+            "eliminate lift_with_modulus(M) over Z"
         )
     nr, nc = mat.nrows, mat.ncols
     factors = frozenset(factors)
@@ -570,17 +553,13 @@ def lift_with_modulus(mat: Matrix) -> Matrix:
     return Matrix._canonical(ZZ, rows, mat.ncols + n)
 
 
-def kernel_basis(mat: Matrix) -> list[tuple]:
-    """Basis (lattice basis over Z) of ker(mat); list of column vectors.
-
-    Restricted to Z and fields: over Z/p^k the free Smith columns do not
-    generate the torsion part of the kernel, so this would silently lie.
-    """
+def is_onto(mat: Matrix) -> bool:
+    """Whether mat maps R^ncols onto R^nrows: every invariant factor is 1
+    and there are nrows of them.  Over Z/m this is read off the lift."""
     if mat.ring.kind == "Zmod":
-        raise UnsupportedRingError("kernel_basis is defined over Z and fields only")
-    dec = smith_normal_form(mat, factors=("V",))
-    rank = dec.rank
-    return [dec.V.col(j) for j in range(rank, mat.ncols)]
+        mat = lift_with_modulus(mat)
+    dec = smith_normal_form(mat, factors=())
+    return dec.rank == mat.nrows and all(d == 1 for d in dec.invariant_factors)
 
 
 class MembershipResult(Value):
@@ -617,9 +596,9 @@ def solve_membership(mat: Matrix, vec: Sequence) -> MembershipResult:
     for i in range(mat.nrows):
         if i < rank:
             d = dec.S.rows[i][i]
-            if not ring.divides(d, y[i]):
+            x[i] = _quotient(ring, y[i], d)
+            if ring.mul(x[i], d) != y[i]:
                 return MembershipResult(False, None, f"row {i}: {y[i]} not divisible by invariant {d}")
-            x[i] = ring.exact_div(y[i], d)
         elif not ring.is_zero(y[i]):
             return MembershipResult(False, None, f"row {i}: residue {y[i]} outside image")
     witness = dec.V.apply(x)

@@ -4,10 +4,11 @@ Every ring here is a value object holding no element state; elements are
 plain ints (Z, Z/m, GF(p)) or fractions.Fraction (Q).  All arithmetic is
 exact.  Floating point never appears.
 
-Z/m is supported for any m >= 2 at the arithmetic level.  Operations that
-need a principal-ideal structure (Smith normal form, homology) additionally
-require m to be a prime power and raise UnsupportedRingError otherwise; the
-callers that can work over general m via integer lifts say so explicitly.
+Z/m is supported for any m >= 2 at the arithmetic level.  Smith normal
+form runs over Z and fields only: an elimination over Z/m runs on the
+integer lift [M | m*I] (linalg.lift_with_modulus) over Z.  Homology over
+Z/m additionally requires m to be a prime power and raises
+UnsupportedRingError otherwise.
 
 Every command imports this module, but only work over Q needs fractions,
 which in turn loads decimal.  ``Fraction`` here is a stand-in that imports
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotInvertibleError, UnsupportedRingError
+from .errors import NotInvertibleError
 from .values import Value
 
 __all__ = ["BaseRing", "ZZ", "QQ", "Zmod", "GF"]
@@ -146,64 +147,6 @@ class BaseRing(Value):
             return pow(int(a), -1, self.modulus)
         except ValueError:
             raise NotInvertibleError(f"{a} is not a unit mod {self.modulus}") from None
-
-    def divides(self, a, b) -> bool:
-        """Whether a | b in this ring."""
-        if self.is_zero(a):
-            return self.is_zero(b)
-        if self.is_field:
-            return True
-        if self.kind == "Z":
-            return b % a == 0
-        # Z/m: a | b iff gcd(a, m) | b
-        return int(b) % math.gcd(int(a), self.modulus) == 0
-
-    def exact_div(self, b, a):
-        """Solve a * x = b given that a | b; canonical x."""
-        if self.is_field:
-            return self.mul(b, self.inv(a))
-        if self.kind == "Z":
-            q, r = divmod(b, a)
-            if r != 0:
-                raise ValueError(f"{a} does not divide {b} in Z")
-            return q
-        m = self.modulus
-        g = math.gcd(int(a), m)
-        if int(b) % g != 0:
-            raise ValueError(f"{a} does not divide {b} mod {m}")
-        # a/g is a unit mod m/g; lift the solution of (a/g) x = b/g mod m/g.
-        mg = m // g
-        if mg == 1:
-            return 0
-        x = (b // g) * pow(a // g, -1, mg) % mg
-        return x % m
-
-    # -- pivot support for elimination -----------------------------------
-
-    def pivot_measure(self, a):
-        """Size of a as an elimination pivot; smaller is better.
-
-        Z uses |a|; fields make every nonzero element equally good (so the
-        row-major tie-break decides); Z/p^k uses the p-adic valuation.
-        Returns None for zero (not a pivot).
-        """
-        if self.is_zero(a):
-            return None
-        if self.kind == "Z":
-            return abs(a)
-        if self.is_field:
-            return 1
-        pk = self.prime_power()
-        if pk is None:
-            raise UnsupportedRingError(
-                f"elimination over Z/{self.modulus} needs a prime power modulus"
-            )
-        p, _ = pk
-        v, a = 0, int(a)
-        while a % p == 0:
-            a //= p
-            v += 1
-        return v
 
     # -- formatting --------------------------------------------------------
 

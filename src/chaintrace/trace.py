@@ -54,7 +54,7 @@ from .chain import (
 from .conventions import DEGREE_CAP, GROUP_ORDER_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
 from .hochschild import HochschildHomology, tensor_power_map, tuple_index
-from .linalg import Matrix, SparseMap, smith_normal_form
+from .linalg import Matrix, SparseMap, is_onto
 from .rings import BaseRing
 from .values import Value
 
@@ -287,10 +287,11 @@ def fp_map_is_iso(
     """(surjective, iso) for a map of f.g. groups given in canonical coords.
 
     orders are the target generator orders (0 = free).  The map is onto iff
-    the cokernel of [matrix | torsion relations] vanishes; it is an iso iff
-    additionally the invariant data of source and target agree, because
-    finitely generated abelian groups (and finite-dimensional vector spaces)
-    are Hopfian: a surjection between isomorphic such groups is bijective.
+    the cokernel of [matrix | torsion relations] vanishes (linalg.is_onto);
+    it is an iso iff additionally the invariant data of source and target
+    agree, because finitely generated abelian groups (and finite-dimensional
+    vector spaces) are Hopfian: a surjection between isomorphic such groups
+    is bijective.
     """
     ring = matrix.ring
     k = matrix.nrows
@@ -303,8 +304,7 @@ def fp_map_is_iso(
         [list(matrix.rows[i]) + [col[i] for col in rel_cols] for i in range(k)],
         matrix.ncols + len(rel_cols),
     )
-    dec = smith_normal_form(full, factors=())
-    surjective = dec.rank == k and all(ring.is_unit(d) for d in dec.invariant_factors)
+    surjective = is_onto(full)
     if isinstance(source, FPModule) and isinstance(target, FPModule):
         same = source.dimension == target.dimension and source.field == target.field
     elif isinstance(source, FPAbelianGroup) and isinstance(target, FPAbelianGroup):

@@ -4,13 +4,18 @@ This is the reference engine for ``assert_same_factors``: every
 row and column operation walks whole rows and columns, so it shares no
 loop with ``chaintrace.linalg._smith_engine``.  The pivot rule and the
 order of operations are the same, so both engines must return the same
-five factors, entry for entry and type for type.  Kept as it was; do not
-optimize it.
+five factors, entry for entry and type for type.  It runs over Z and fields,
+as the engine does, and writes its own pivot measure.  Kept as it was
+otherwise; do not optimize it.
 """
 
-from chaintrace.errors import UnsupportedRingError
-from chaintrace.linalg import Matrix, smith_normal_form
-from chaintrace.rings import BaseRing
+from chaintrace.linalg import Matrix, lift_with_modulus, smith_normal_form
+from chaintrace.rings import ZZ, BaseRing
+
+
+def _measure(ring: BaseRing, x):
+    """|x| over Z; over a field every nonzero entry measures the same."""
+    return abs(x) if ring.kind == "Z" else 1
 
 
 def _find_pivot(ring: BaseRing, S: list[list], t: int, nrows: int, ncols: int):
@@ -18,9 +23,9 @@ def _find_pivot(ring: BaseRing, S: list[list], t: int, nrows: int, ncols: int):
     for i in range(t, nrows):
         row = S[i]
         for j in range(t, ncols):
-            m = ring.pivot_measure(row[j])
-            if m is None:
+            if ring.is_zero(row[j]):
                 continue
+            m = _measure(ring, row[j])
             if best is None or m < best[0]:
                 best = (m, i, j)
                 if ring.is_field:
@@ -29,10 +34,10 @@ def _find_pivot(ring: BaseRing, S: list[list], t: int, nrows: int, ncols: int):
 
 
 def _quotient(ring: BaseRing, a, b):
-    """q with a - q*b reduced: exact where b | a, floor division over Z."""
+    """q with a - q*b reduced: floor division over Z, exact over a field."""
     if ring.kind == "Z":
         return a // b
-    return ring.exact_div(a, b) if ring.divides(b, a) else ring.zero
+    return ring.mul(a, ring.inv(b))
 
 
 def _smith_engine(ring: BaseRing, mat: Matrix):
@@ -121,21 +126,8 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
         if ring.kind == "Z":
             if d < 0:
                 row_scale(t, -1)
-        elif ring.is_field:
-            row_scale(t, ring.inv(d))
         else:
-            pk = ring.prime_power()
-            if pk is None:
-                raise UnsupportedRingError(
-                    f"Smith normal form over Z/{ring.modulus} needs a prime power modulus"
-                )
-            p, _ = pk
-            v, dd = 0, int(d)
-            while dd % p == 0:
-                dd //= p
-                v += 1
-            # d = unit * p^v; scale the unit away
-            row_scale(t, ring.inv(ring.normalize(dd)))
+            row_scale(t, ring.inv(d))
 
     t = 0
     limit = min(nr, nc)
@@ -152,7 +144,7 @@ def _smith_engine(ring: BaseRing, mat: Matrix):
         changed = False
         for t in range(rank - 1):
             a, b = S[t][t], S[t + 1][t + 1]
-            if not ring.divides(a, b):
+            if not ring.is_field and b % a:
                 # fold column t+1 into column t and re-eliminate
                 for r in S:
                     r[t] = ring.add(r[t], r[t + 1])
@@ -191,3 +183,12 @@ def assert_same_factors(mat: Matrix, subsets=(TRANSFORMS,)) -> None:
             got = getattr(dec, name).rows
             assert got == rows, (factors, name)
             assert [list(map(type, row)) for row in got] == [list(map(type, row)) for row in rows], (factors, name)
+
+
+def smith_inputs(mat: Matrix) -> list[Matrix]:
+    """The matrices Smith elimination takes for mat: mat itself over Z or a
+    field, and over Z/m the two integer matrices chain._homology eliminates,
+    the plain lift Matrix(ZZ, mat.rows) and lift_with_modulus(mat)."""
+    if mat.ring.kind != "Zmod":
+        return [mat]
+    return [Matrix(ZZ, mat.rows, mat.ncols), lift_with_modulus(mat)]

@@ -1,5 +1,7 @@
 """Structure-constant algebras, finite groups, GL_n, and units."""
 
+import hashlib
+
 import pytest
 
 from chaintrace.algebra import (
@@ -17,7 +19,8 @@ from chaintrace.algebra import (
     unit_first_presentation,
     unit_inverse,
 )
-from chaintrace.errors import ValidationError
+from chaintrace.errors import UnsupportedRingError, ValidationError
+from chaintrace.linalg import SparseMap
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import validate_algebra, validate_group
 
@@ -167,9 +170,69 @@ def test_unit_inverse_group_algebra():
 def test_unit_first_presentation():
     G = cyclic_group(3)
     A = group_algebra(G, ZZ)
-    from chaintrace.linalg import SparseMap
-
     reduced, T, Tinv = unit_first_presentation(A)
     assert reduced.unit == (1, 0, 0)
     assert T.compose(Tinv) == SparseMap.identity(ZZ, 3)
     assert validate_algebra(reduced).ok
+
+
+# Basis changes of R[C3] as pairs (M, Minv) of integer matrices, unimodular
+# over Z: the new basis is f_i = M e_i, and the unit, e_0, has coordinates
+# Minv e_0 in it.
+# Minv swaps rows 0 and 2, adds 2 and 3 times row 2 to rows 0 and 1, and
+# negates row 2.  Its first column (2, 3, -1) has its first unit at index 2
+# over Z, 1 over GF(2) and Z/2^k, and 0 over Q, GF(3), GF(5) and Z/3^k.
+SHUFFLE = ([[0, 0, -1], [0, 1, 3], [1, 0, 2]], [[2, 0, 1], [3, 1, 0], [-1, 0, 0]])
+# first column (-3, 0, 4): a unit of Z^3 with no coefficient +-1
+NO_PLUS_MINUS_ONE = ([[1, 0, 1], [0, 1, 0], [-4, 0, -3]], [[-3, 0, -1], [0, 1, 0], [4, 0, 1]])
+# first column (2, 3, 0): no coefficient is a unit mod 6
+NO_UNIT_MOD_6 = ([[2, -1, 0], [-3, 2, 0], [0, 0, 1]], [[2, 1, 0], [3, 2, 0], [0, 0, 1]])
+
+
+def moved_unit(ring, change):
+    """R[C3] in the basis f_i = M e_i, with structure constants transported."""
+    A = group_algebra(cyclic_group(3), ring)
+    M, Minv = (
+        SparseMap.from_col_dicts(ring, 3, [{i: ring.normalize(row[j]) for i, row in enumerate(X)} for j in range(3)])
+        for X in change
+    )
+    assert Minv.compose(M) == SparseMap.identity(ring, 3)
+    basis = [M.apply(A.basis_vector(i)) for i in range(3)]
+    products = {(i, j): dict(enumerate(Minv.apply(A.mul_vec(basis[i], basis[j])))) for i in range(3) for j in range(3)}
+    return make_algebra(ring, ("f0", "f1", "f2"), Minv.apply(A.unit), products, name="moved")
+
+
+def transform_digest(T, Tinv) -> str:
+    """Digest of both transforms, entry types included (Fraction over Q)."""
+    return hashlib.sha256(repr((T.cols, Tinv.cols)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "ring, change, digest",
+    [
+        pytest.param(ZZ, SHUFFLE, "7924d82ddf1f45f5", id="Z"),
+        pytest.param(QQ, SHUFFLE, "ad591e913e7addfb", id="Q"),
+        pytest.param(GF(2), SHUFFLE, "4c01e4dc1b2d5ad4", id="GF(2)"),
+        pytest.param(GF(3), SHUFFLE, "be43e382125a8455", id="GF(3)"),
+        pytest.param(GF(5), SHUFFLE, "ca3145d13f1144f1", id="GF(5)"),
+        pytest.param(Zmod(4), SHUFFLE, "cab79fd4ff0dbb1f", id="Z/4"),
+        pytest.param(Zmod(8), SHUFFLE, "9a176c44408bc54b", id="Z/8"),
+        pytest.param(Zmod(9), SHUFFLE, "dce5cb7aed21bd64", id="Z/9"),
+        pytest.param(Zmod(27), SHUFFLE, "20faff5f2335d21e", id="Z/27"),
+        pytest.param(ZZ, NO_PLUS_MINUS_ONE, "cad88cb742b920a5", id="Z-no-plus-minus-one"),
+    ],
+)
+def test_unit_first_presentation_transforms_are_pinned(ring, change, digest):
+    # the digests were recorded when every unit column went through Smith
+    # elimination, before a unit coefficient gave the transform directly
+    A = moved_unit(ring, change)
+    reduced, T, Tinv = unit_first_presentation(A)
+    assert T.apply(reduced.unit) == A.unit
+    assert T.compose(Tinv) == SparseMap.identity(ring, 3)
+    assert validate_algebra(reduced).ok
+    assert transform_digest(T, Tinv) == digest
+
+
+def test_unit_first_presentation_refuses_without_a_unit_coefficient_mod_6():
+    with pytest.raises(UnsupportedRingError):
+        unit_first_presentation(moved_unit(Zmod(6), NO_UNIT_MOD_6))

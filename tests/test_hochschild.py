@@ -42,7 +42,7 @@ from chaintrace.hochschild import (
     tensor_power_map,
     tuple_index,
 )
-from chaintrace.linalg import Matrix, SparseMap, kernel_basis, solve_membership
+from chaintrace.linalg import Matrix, SparseMap, smith_normal_form, solve_membership
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.selftest import validate_cyclic_module
 from chaintrace.trace import GroupHomology
@@ -331,7 +331,8 @@ def connes_lambda_complex(A, N):
         r = cm.level_rank(q)
         t = cm.signed_cyclic(q)
         one_minus_t = SparseMap.identity(QQ, r).sub(t)
-        inv = kernel_basis(one_minus_t.to_matrix())
+        kernel = smith_normal_form(one_minus_t.to_matrix(), factors=("V",))
+        inv = [kernel.V.col(j) for j in range(kernel.rank, r)]
         avg = SparseMap.zero(QQ, r, r)
         power = SparseMap.identity(QQ, r)
         for _ in range(q + 1):
