@@ -8,11 +8,11 @@ validate_group) live with the file parsers in chaintrace.tables, because
 only file inputs need them.
 
 Constructors: group algebras R[G], matrix algebras M_n(A), truncated
-polynomial rings R[x]/x^n.  general_linear_group enumerates GL_n(A) for a
-finite base ring by testing bijectivity of left multiplication on A^n over
-the base ring (determinants over a possibly noncommutative A are never
-used), and returns the group together with the algebra embedding
-R[GL_n(A)] -> M_n(A).
+polynomial rings R[x]/x^n.  general_linear_group enumerates GL_n(A), the
+units of M_n(A) over a finite base ring, by the test unit_inverse answers
+too: left multiplication on M_n(A) is onto (no determinant over a possibly
+noncommutative A).  It refuses at the first unit past GROUP_ORDER_CAP,
+before any product, and returns the group with R[GL_n(A)] -> M_n(A).
 
 Linear maps between algebras (AlgebraHom, the embedding, the unit-first
 change of basis) are SparseMaps.  A dense Matrix is built only where it is
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CapExceededError, NotInvertibleError, ValidationError
+from .conventions import GROUP_ORDER_CAP
+from .errors import CapExceededError, InternalInvariantError, NotInvertibleError, ValidationError
 from .linalg import Matrix, SparseMap, is_onto, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .validation import ValidationReport
@@ -96,20 +97,22 @@ class Algebra(Value):
                     out[k] = ring.add(out[k], ring.mul(ab, c))
         return tuple(out)
 
-    def add_vec(self, u, v) -> tuple:
-        ring = self.ring
-        return tuple(ring.add(a, b) for a, b in zip(u, v))
-
     def normalize_vec(self, u) -> tuple:
         if len(u) != self.rank:
             raise ValueError(f"element has {len(u)} coefficients, algebra rank is {self.rank}")
         return tuple(self.ring.normalize(a) for a in u)
 
     def left_mult_matrix(self, u) -> Matrix:
-        """Matrix of a -> u*a over the base ring."""
-        return Matrix.from_cols(
-            self.ring, [self.mul_vec(u, self.basis_vector(j)) for j in range(self.rank)], self.rank
-        )
+        """Matrix of a -> u*a over the base ring; column j is u*e_j."""
+        ring, r = self.ring, self.rank
+        rows = [[ring.zero] * r for _ in range(r)]
+        for i, a in enumerate(u):
+            if ring.is_zero(a):
+                continue
+            for j, prod in enumerate(self.table[i]):
+                for k, c in prod:
+                    rows[k][j] = ring.add(rows[k][j], ring.mul(a, c))
+        return Matrix._canonical(ring, rows, r)
 
     def __repr__(self) -> str:
         label = self.name or "Algebra"
@@ -313,84 +316,44 @@ class GeneralLinearData(Value):
         self.embedding = embedding
 
 
-def _matrix_over_A_mul(A: Algebra, n: int, g, h):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = A.zero_vec
-            for k in range(n):
-                acc = A.add_vec(acc, A.mul_vec(g[i][k], h[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _left_mult_on_An(A: Algebra, n: int, g) -> Matrix:
-    """Base-ring matrix of v -> g*v acting on column vectors in A^n."""
-    ring = A.ring
-    r = A.rank
-    cols = []
-    for j in range(n):
-        for t in range(r):
-            e = A.basis_vector(t)
-            col = []
-            for i in range(n):
-                col.extend(A.mul_vec(g[i][j], e))
-            cols.append(col)
-    return Matrix.from_cols(ring, cols, n * r)
-
-
 def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
-    """Enumerate GL_n(A) over a finite base ring.
+    """Enumerate GL_n(A), the unit group of M = M_n(A), over a finite base ring.
 
-    Invertibility of a candidate matrix g is decided by bijectivity of left
-    multiplication by g on A^n as a base-ring linear map.  The number of
-    candidates |A|^(n^2) must stay within ENUMERATION_CAP.
+    The candidates are M's coefficient vectors in itertools.product order,
+    row-major in the entries since M is laid out (i, j, t); g is a unit iff
+    left multiplication by g on M is onto (square, so bijective).  The table
+    is M's product, and the embedding's columns are the vectors themselves.
+    The |A|^(n^2) candidates must stay within ENUMERATION_CAP, and the units
+    within GROUP_ORDER_CAP: the first unit past it refuses, before any product.
     """
     ring = A.ring
     m = ring.modulus
     if m is None:
         raise CapExceededError(f"GL_n over infinite base ring {ring} is not enumerable")
-    count = (m ** A.rank) ** (n * n)
+    M = matrix_algebra(A, n)
+    count = m ** M.rank
     if count > ENUMERATION_CAP:
         raise CapExceededError(f"|A|^(n^2) = {count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
     elements = []
-    single = list(itertools.product(range(m), repeat=A.rank))
-    for flat in itertools.product(single, repeat=n * n):
-        g = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if is_onto(_left_mult_on_An(A, n, g)):  # square, so onto is invertible
+    for g in itertools.product(range(m), repeat=M.rank):
+        if is_onto(M.left_mult_matrix(g)):
+            if len(elements) == GROUP_ORDER_CAP:
+                raise CapExceededError(f"|GL_{n}| > {GROUP_ORDER_CAP}, above the group order cap {GROUP_ORDER_CAP}")
             elements.append(g)
-    elements.sort()
     index = {g: i for i, g in enumerate(elements)}
-
-    unit_mat = tuple(
-        tuple(A.unit if i == j else A.zero_vec for j in range(n)) for i in range(n)
-    )
-    if unit_mat not in index:
-        raise CapExceededError("identity matrix not detected as invertible; base ring unusable")
-    table = []
-    for g in elements:
-        row = []
-        for h in elements:
-            gh = _matrix_over_A_mul(A, n, g, h)
-            if gh not in index:
-                raise CapExceededError("GL_n(A) is not closed under multiplication; invertibility test broken")
-            row.append(index[gh])
-        table.append(tuple(row))
+    try:
+        identity = index[M.unit]
+        table = tuple(tuple(index[M.mul_vec(g, h)] for h in elements) for g in elements)
+    except KeyError:
+        raise InternalInvariantError("units of M_n(A) not closed under multiplication; onto test broken") from None
     names = tuple(f"g{i}" for i in range(len(elements)))
-    group = FiniteGroup(
-        table=tuple(table), identity=index[unit_mat], names=names, name=f"GL{n}({A.name or A.ring})"
-    )
-
-    mat_alg = matrix_algebra(A, n)
-    cols = [dict(enumerate(matrix_entries_to_vec(A, n, g))) for g in elements]
+    group = FiniteGroup(table=table, identity=identity, names=names, name=f"GL{n}({A.name or A.ring})")
     embedding = AlgebraHom(
         source=group_algebra(group, ring),
-        target=mat_alg,
-        matrix=SparseMap.from_col_dicts(ring, mat_alg.rank, cols),
-        name=f"{ring}[{group.name}] -> {mat_alg.name}",
+        target=M,
+        matrix=SparseMap.from_col_dicts(ring, M.rank, [dict(enumerate(g)) for g in elements]),
+        name=f"{ring}[{group.name}] -> {M.name}",
     )
     return GeneralLinearData(group=group, embedding=embedding)
 

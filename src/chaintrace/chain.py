@@ -14,8 +14,9 @@ One routine computes all of it over every ring, with two Smith
 eliminations.  The first, of d_n, writes ker d_n in the V basis it gives:
 column i of V scaled by a weight w_i.  Below the rank of d_n,
 w_i = m / gcd(d_i, m) for the Smith entries d_i; past it, w_i = 1.  Over
-Z/m both eliminations run on integer lifts, and the basis spans the
-full-rank lattice of integer vectors x with d_n x = 0 mod m.  Over Z and
+Z/m both eliminations run on integer lifts, with residues lifted to
+(-m/2, m/2] (linalg.symmetric_lift), and the basis spans the full-rank
+lattice of integer vectors x with d_n x = 0 mod m.  Over Z and
 fields the same formula with m = 0 gives w_i = 0, which drops column i.
 The second elimination takes the boundaries written in that basis, and
 over Z/m also the relations m e_i: the rows of V^-1 [d_{n+1} | mI]
@@ -61,7 +62,7 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .linalg import Matrix, SparseMap, lift_with_modulus, smith_cells, smith_normal_form
+from .linalg import Matrix, SparseMap, lift_with_modulus, smith_cells, smith_normal_form, symmetric_lift
 from .rings import ZZ, BaseRing
 from .values import Value
 
@@ -237,7 +238,8 @@ def _homology(ring: BaseRing, d_n: SparseMap, d_np1: SparseMap, degree: int) -> 
     r_n = d_n.ncols
     first, second = d_n.to_matrix(), d_np1.to_matrix()
     if m:
-        first, second = Matrix(ZZ, first.rows, r_n), lift_with_modulus(second)
+        lifted = [symmetric_lift(row, m) for row in first.rows]
+        first, second = Matrix._canonical(ZZ, lifted, r_n), lift_with_modulus(second)
     base = first.ring  # Z over Z/m
     dec1 = smith_normal_form(first, factors=("V", "Vinv"))
     Y = dec1.Vinv.mul(second)

@@ -34,8 +34,9 @@ PIVOT_RULE = (
 # trace-homology).
 LEVEL_CAP = 500_000
 
-# Largest group-homology degree and GL_n(A) order the Dennis trace on
-# group homology accepts (trace.dennis_trace_homology).
+# Largest group-homology degree the Dennis trace on group homology accepts
+# (trace.dennis_trace_homology), and largest GL_n(A) order enumerated
+# (algebra.general_linear_group, which refuses at the first unit past it).
 DEGREE_CAP = 3
 GROUP_ORDER_CAP = 24
 

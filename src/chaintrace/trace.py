@@ -51,7 +51,7 @@ from .chain import (
     homology,
     reduce_complex,
 )
-from .conventions import DEGREE_CAP, GROUP_ORDER_CAP, LEVEL_CAP
+from .conventions import DEGREE_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
 from .hochschild import HochschildHomology, tensor_power_map, tuple_index
 from .linalg import Matrix, SparseMap, is_onto
@@ -72,7 +72,6 @@ __all__ = [
     "morita_map",
     "fp_map_is_iso",
     "DEGREE_CAP",
-    "GROUP_ORDER_CAP",
 ]
 
 
@@ -373,7 +372,8 @@ class DennisTraceResult(Value):
 def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     """Chain-level Dennis trace on group homology generators.
 
-    Enumerates GL_n(A) (finite base ring required), computes
+    Enumerates GL_n(A) (finite base ring required, order within
+    GROUP_ORDER_CAP: see algebra.general_linear_group), computes
     H_d(BGL_n(A); R) with R the base ring of A, pushes every homology
     generator through phi, the embedding, and the multitrace, and reduces in
     HH_d(A).  Both eliminations are checked against DENSE_CELL_CAP from the
@@ -384,8 +384,6 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
         raise CapExceededError(f"degree {d} above the trace pipeline cap {DEGREE_CAP}")
     gl = general_linear_group(A, n)
     G = gl.group
-    if G.order > GROUP_ORDER_CAP:
-        raise CapExceededError(f"|GL_{n}| = {G.order} above the group order cap {GROUP_ORDER_CAP}")
     ring = A.ring
     WA = HochschildHomology(A, d)
     check_dense_cells(ring, d, lambda q: (G.order - 1) ** q if 0 <= q <= d + 1 else 0)

@@ -14,7 +14,8 @@ Each differential of such a complex with at most REFERENCE_CELLS entries
 is also eliminated by the reference engine of tests/smith_reference.py,
 and the five Smith factors must agree with smith_normal_form's.  Over Z/m
 the two integer matrices homology() eliminates for it are compared instead:
-its plain lift and lift_with_modulus of it.
+its symmetric lift to Z, in (-m/2, m/2], and lift_with_modulus of it,
+which lifts the same way.
 """
 
 import pytest

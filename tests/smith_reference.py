@@ -9,7 +9,7 @@ as the engine does, and writes its own pivot measure.  Kept as it was
 otherwise; do not optimize it.
 """
 
-from chaintrace.linalg import Matrix, lift_with_modulus, smith_normal_form
+from chaintrace.linalg import Matrix, lift_with_modulus, smith_normal_form, symmetric_lift
 from chaintrace.rings import ZZ, BaseRing
 
 
@@ -188,7 +188,8 @@ def assert_same_factors(mat: Matrix, subsets=(TRANSFORMS,)) -> None:
 def smith_inputs(mat: Matrix) -> list[Matrix]:
     """The matrices Smith elimination takes for mat: mat itself over Z or a
     field, and over Z/m the two integer matrices chain._homology eliminates,
-    the plain lift Matrix(ZZ, mat.rows) and lift_with_modulus(mat)."""
+    the symmetric lift of mat and lift_with_modulus(mat)."""
     if mat.ring.kind != "Zmod":
         return [mat]
-    return [Matrix(ZZ, mat.rows, mat.ncols), lift_with_modulus(mat)]
+    m = mat.ring.modulus
+    return [Matrix(ZZ, [symmetric_lift(row, m) for row in mat.rows], mat.ncols), lift_with_modulus(mat)]

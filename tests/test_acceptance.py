@@ -15,12 +15,13 @@ import time
 import pytest
 
 from chaintrace.algebra import base_algebra, cyclic_group, group_algebra, truncated_polynomial
-from chaintrace.chain import DENSE_CELL_CAP
+from chaintrace.chain import DENSE_CELL_CAP, homology
 from chaintrace.cli import main
+from chaintrace.conventions import GROUP_ORDER_CAP
 from chaintrace.hochschild import HochschildHomology, cyclic_homology
-from chaintrace.rings import GF, QQ, ZZ
+from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import parse_category_file
-from chaintrace.trace import dennis_trace_homology, dennis_trace_k1, morita_map
+from chaintrace.trace import GroupHomology, dennis_trace_homology, dennis_trace_k1, morita_map
 from chaintrace.waldhausen import grothendieck_k0, k0_via_sdot
 from chaintrace.wcat import (
     finite_modules,
@@ -311,3 +312,43 @@ def test_criterion_15_selftest_nerves_in_little_memory():
         _, floor_kb = run_with_peak_rss(["validate", "trivial"])
         excess = (rss_kb - floor_kb) / 1024
         assert excess < 14, f"peak RSS {rss_kb / 1024:.1f} MB, {excess:.1f} MB above {floor_kb / 1024:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["trace-homology", "GF:7", "--size", "2", "--degree", "1"],
+        ["trace-homology", "GF:2", "--size", "4", "--degree", "1"],
+        ["trace-homology", "Zmod:9", "--size", "2", "--degree", "1"],
+    ),
+    ids=("GF:7-2", "GF:2-4", "Zmod:9-2"),
+)
+def test_criterion_16_group_order_cap_refuses_before_the_table(argv, capsys):
+    # GL has 2,016, 20,160 and 3,888 elements; refusing after the
+    # multiplication table took more than 60 s for each
+    with criterion(16, f"CLI {' '.join(argv)} exits 4 on the group order cap", 5.0):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"above the group order cap {GROUP_ORDER_CAP}" in err
+
+
+def test_criterion_17_group_homology_over_z_mod_4_lifts_symmetrically():
+    # from the lift in [0, 4) the integer transforms of the 81 x 243 and
+    # 243 x 729 boundaries grew past 100 digits, and H_5 took over 150 s
+    with criterion(17, "H_5(C4; Z/4) = Z/4 on the whole bar complex", 10.0):
+        assert str(homology(GroupHomology(cyclic_group(4), Zmod(4), 5).complex, 5).group) == "Z/4"
+
+
+def test_criterion_18_trace_homology_over_z_mod_4_c2(capsys):
+    # GL_1(Z/4[C2]) = C2^3; H_3(C2^3; Z/4) = (Z/2)^10 by Kunneth and
+    # universal coefficients, and HH_3(Z/4[C2]) = (Z/2)^2 (Burghelea)
+    argv = ["trace-homology", "Zmod:4[C2]", "--size", "1", "--degree", "3"]
+    with criterion(18, f"CLI {' '.join(argv)} prints its closed forms", 10.0):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == [
+            "GL_1(A): order 8",
+            "H_3(BGL_1(A)) = " + " x ".join(["Z/2"] * 10),
+            "HH_3(A) = Z/2 x Z/2",
+        ]
+        assert len(lines) == 14 and all(line.startswith("generator ") for line in lines[4:])

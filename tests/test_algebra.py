@@ -4,7 +4,9 @@ import hashlib
 
 import pytest
 
+from chaintrace import algebra
 from chaintrace.algebra import (
+    Algebra,
     NonUnitCertificate,
     base_algebra,
     cyclic_group,
@@ -19,7 +21,7 @@ from chaintrace.algebra import (
     unit_first_presentation,
     unit_inverse,
 )
-from chaintrace.errors import UnsupportedRingError, ValidationError
+from chaintrace.errors import CapExceededError, UnsupportedRingError, ValidationError
 from chaintrace.linalg import SparseMap
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import validate_algebra, validate_group
@@ -143,6 +145,42 @@ def test_general_linear_group_orders():
     dual = truncated_polynomial(GF(2), 2)
     gl1 = general_linear_group(dual, 1)
     assert gl1.group.order == 2
+
+
+@pytest.mark.parametrize(
+    "make, n, order, digest",
+    [
+        pytest.param(lambda: base_algebra(GF(2)), 2, 6, "fe20aa68bc39ede5", id="GF(2)-n2"),
+        pytest.param(lambda: base_algebra(GF(3)), 2, 48, "68d41c7ba8eefac4", id="GF(3)-n2"),
+        pytest.param(lambda: base_algebra(Zmod(4)), 2, 96, "75756666175a7538", id="Z/4-n2"),
+        pytest.param(lambda: base_algebra(Zmod(8)), 1, 4, "03d97d28cb9a89a5", id="Z/8-n1"),
+        pytest.param(lambda: group_algebra(cyclic_group(2), GF(2)), 2, 96, "08660a06422de2bc", id="GF(2)[C2]-n2"),
+        pytest.param(lambda: truncated_polynomial(GF(2), 2), 2, 96, "5277dec3f1563dab", id="GF(2)[x]/x^2-n2"),
+        # noncommutative A; the same vectors as GF(2) with n = 2
+        pytest.param(lambda: matrix_algebra(base_algebra(GF(2)), 2), 1, 6, "fe20aa68bc39ede5", id="M2(GF(2))-n1"),
+    ],
+)
+def test_general_linear_group_is_pinned(monkeypatch, make, n, order, digest):
+    # the digests were recorded when GL_n(A) was enumerated as nested n x n
+    # tuples of A-vectors, tested on A^n and multiplied entry by entry, and
+    # when the order cap was checked after the table, by the Dennis trace
+    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", order)
+    gl = general_linear_group(make(), n)
+    key = (gl.group.table, gl.group.identity, gl.embedding.matrix.cols)
+    assert gl.group.order == order
+    assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
+
+
+def test_general_linear_group_refuses_at_the_first_unit_past_the_order_cap(monkeypatch):
+    # GL_2(GF(2)) has 6 elements, so a cap of 5 refuses at the sixth unit
+    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", 6)
+    assert general_linear_group(base_algebra(GF(2)), 2).group.order == 6
+    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", 5)
+    products = []
+    monkeypatch.setattr(Algebra, "mul_vec", lambda self, u, v: products.append((u, v)))
+    with pytest.raises(CapExceededError, match=r"^\|GL_2\| > 5, above the group order cap 5$"):
+        general_linear_group(base_algebra(GF(2)), 2)
+    assert products == []  # no product of the group table was taken
 
 
 def test_unit_inverse_dual_numbers():

@@ -20,6 +20,7 @@ from chaintrace.linalg import (
     lift_with_modulus,
     smith_normal_form,
     solve_membership,
+    symmetric_lift,
 )
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 
@@ -140,6 +141,12 @@ def test_solve_membership_composite_modulus():
     assert res.found
     assert M.apply(res.witness) == (4, 3)
     assert not solve_membership(M, (1, 0)).found
+
+
+def test_residues_lift_to_symmetric_representatives():
+    assert symmetric_lift(range(4), 4) == [0, 1, 2, -1]
+    assert symmetric_lift(range(9), 9) == [0, 1, 2, 3, 4, -4, -3, -2, -1]
+    assert lift_with_modulus(Matrix(Zmod(4), [[3, 2], [1, 0]])).rows == [[-1, 2, 4, 0], [1, 0, 0, 4]]
 
 
 def test_sparse_map_roundtrip():

@@ -4,7 +4,7 @@ Over Z, Q and GF(p) it checks the decomposition U*M*V = S with U, V
 invertible, that S is diagonal with the divisibility chain, and that every
 nonzero diagonal entry is canonical: positive over Z, 1 over a field.  A
 matrix drawn over Z/p^k is checked through the two integer matrices
-homology() eliminates for it, its plain lift and lift_with_modulus of it.
+homology() eliminates for it, its symmetric lift and lift_with_modulus of it.
 Besides dense matrices it draws monomial ones (one nonzero per row and
 column), whose diagonal is usually out of divisibility order and so
 exercises the fix-up of the chain.
