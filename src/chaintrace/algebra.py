@@ -75,10 +75,6 @@ class Algebra(Value):
     def rank(self) -> int:
         return len(self.basis_names)
 
-    @property
-    def zero_vec(self) -> tuple:
-        return (self.ring.zero,) * self.rank
-
     def basis_vector(self, i: int) -> tuple:
         return tuple(self.ring.one if j == i else self.ring.zero for j in range(self.rank))
 
@@ -321,7 +317,9 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
 
     The candidates are M's coefficient vectors in itertools.product order,
     row-major in the entries since M is laid out (i, j, t); g is a unit iff
-    left multiplication by g on M is onto (square, so bijective).  The table
+    left multiplication by g on M is onto (square, so bijective).  A
+    candidate with a zero row is skipped before that test: it is never a
+    unit, and this order puts every one of them first.  The table
     is M's product, and the embedding's columns are the vectors themselves.
     The |A|^(n^2) candidates must stay within ENUMERATION_CAP, and the units
     within GROUP_ORDER_CAP: the first unit past it refuses, before any product.
@@ -335,9 +333,12 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     if count > ENUMERATION_CAP:
         raise CapExceededError(f"|A|^(n^2) = {count} exceeds the enumeration cap {ENUMERATION_CAP}")
 
+    # row i of g is the slice of width n*rank(A) at i*width
+    width = n * A.rank
+    rows = range(0, M.rank, width) if width else ()
     elements = []
     for g in itertools.product(range(m), repeat=M.rank):
-        if is_onto(M.left_mult_matrix(g)):
+        if all(any(g[r : r + width]) for r in rows) and is_onto(M.left_mult_matrix(g)):
             if len(elements) == GROUP_ORDER_CAP:
                 raise CapExceededError(f"|GL_{n}| > {GROUP_ORDER_CAP}, above the group order cap {GROUP_ORDER_CAP}")
             elements.append(g)

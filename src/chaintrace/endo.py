@@ -116,6 +116,7 @@ class EndCategory(WCategory):
                 "base pushout witness does not induce a unique endomorphism; "
                 "is the base category valid?"
             )
+        base.confirm_witness(self._mor_payload[i], self._mor_payload[f])
         return self._witness(i, f, (d, endo), u, v)
 
 

@@ -23,9 +23,11 @@ smith_normal_form is the package's one dense elimination: kernels,
 membership, onto maps and homology() are read off its result.  Sparse
 unit-pivot cancellation (chain.reduce_complex) runs before it where only
 isomorphism types are printed, and feeds it a small core with the same
-homology; ranks over a field come from the same cancellation
-(chain.rank_over_field).  Generators and class coordinates still come from
-homology() on the full complex.  Image questions over Z/m go through the
+homology.  The same cancellation gives ranks over a field
+(chain.rank_over_field), which only the injectivity test of the
+finite-module categories reads: a rank over GF(p) on the socles.
+Generators and class coordinates still come from homology() on the full
+complex.  Image questions over Z/m go through the
 integer lift [M | m*I] built by lift_with_modulus, which is exact for every
 modulus: solve_membership and is_onto eliminate it directly, and
 chain._homology, the one routine behind homology() over every ring,

@@ -106,6 +106,8 @@ class TableCategory(WCategory):
             if (i, f) in self._tbl_push:
                 raise InputParseError(f"duplicate pushout witness for ({i!r},{f!r})")
             self._tbl_push[(i, f)] = (d, u, v)
+        # no witness is trusted before validate_waldhausen passes the table
+        self._confirmed = set()
         super().__init__(name, bound)
 
     def _objects(self):

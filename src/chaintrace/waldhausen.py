@@ -200,6 +200,8 @@ def _enumerate_s_payloads(base: WCategory, k: int) -> list:
     complete candidate set).  Horizontal arrows of the new row are the
     unique mediating maps, so the grid axioms for triples (j-1, j, l)
     hold by construction; the remaining triples are checked afterwards.
+    Then every cokernel witness read goes through ``confirm_witness``,
+    which checks those of a table not yet validated.
 
     The list is memoized on the base, so the presentation and the total
     complex read one enumeration; a refusal is not cached and is raised
@@ -226,6 +228,7 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
             raise CapExceededError(f"more than {S_OBJECT_CAP} cofibration chains of length {k}")
 
     out = []
+    quotients = {}  # the cofibrations whose cokernel witnesses were read
     for top_objs, top_arrows in chains:
         # grids[t] = (rows, hrows, vrows): the payload of the rows built so far
         grids = [((top_objs,), (top_arrows,), ())]
@@ -237,6 +240,7 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
                 cand_sets = []
                 for l in range(j + 1, n):
                     i_comp = _grid_map(base, (rows, hrows, vrows), j - 1, j, j - 1, l)
+                    quotients[i_comp] = base.hom_ids(prev[j], z)[0]
                     cand_sets.append(base.cokernel_candidates(i_comp))
                 for combo in product(*cand_sets):
                     row = [z] * n
@@ -275,6 +279,8 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
                     f"assembled grid violates '{issues[0]}'; is the base category valid?"
                 )
             out.append(payload)
+    for i, to_zero in quotients.items():
+        base.confirm_witness(i, to_zero)
     out.sort()
     if len(out) > S_OBJECT_CAP:
         raise CapExceededError(f"more than {S_OBJECT_CAP} flag grids over {base.name}")
@@ -441,6 +447,7 @@ class SCategory(WCategory):
                 raise InternalInvariantError(
                     "top-row comparison map is not unique; is the base category valid?"
                 )
+            base.confirm_witness(i_h, alpha_prev)
             if not base.is_cofibration_id(h):
                 return False
         return True
@@ -495,6 +502,8 @@ class SCategory(WCategory):
             tuple(induced((si, sj), (si + 1, sj), Bp[2][si][sj], Cp[2][si][sj]) for sj in range(n))
             for si in range(k)
         )
+        for i_t, f_t in zip(ip, fp):
+            base.confirm_witness(i_t, f_t)
         return self._witness(
             i,
             f,

@@ -22,6 +22,13 @@ The universal property of a pushout is read in one place:
 None.  ``is_pushout``, ``find_pushout`` and the witness builders of S_k and
 End(C) ask it; only the axiom-5 scan reads ``mediating_ids`` itself.
 
+A GF(q)-vector space is an elementary abelian q-group, so ``VectCategory``
+is ``FiniteModulesCategory`` on the objects (q,)*n: one injectivity test (a
+rank over GF(p) on the socles) and one pushout rule (the cokernel of an
+integer relation matrix) serve both.  A table's witnesses are trusted only
+once ``validate_waldhausen`` passes it; until then a builder checks each
+witness it consumes, once, with ``confirm_witness``.
+
 Every ``k0`` and ``validate`` job loads this module, so it holds the base
 class, the built-in families, their selectors and the validator.  Two
 subclasses that few jobs run live elsewhere: ``TableCategory``, the
@@ -30,20 +37,22 @@ explicit tables of category files, in chaintrace.tablecat, and
 
 Three caps bound what a category may cost before the work starts.  A
 category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
-sets are interned as they are enumerated, so a refusal never holds the
-whole hom set.  ``validate_waldhausen`` predicts the composable triples of
-its associativity scan from the hom-set sizes and refuses above
-``TRIPLE_CAP`` before it composes anything; once the pushout witnesses are
-recorded, it bounds the checks of its axiom-5 scan (``axiom5_bound``) and
-refuses above ``AXIOM5_CAP`` before it checks any witness.  All three
-raise CapExceededError (exit 4).  None is in the structured
-``conventions`` block: no result they let through depends on them.
+sets are interned as every family's ``_enumerate_hom`` streams them, so a
+refusal never holds the whole hom set.  ``validate_waldhausen`` predicts
+the composable triples of its associativity scan from the hom-set sizes
+and refuses above ``TRIPLE_CAP`` before it composes anything; once the
+pushout witnesses are recorded, it bounds the checks of its axiom-5 scan
+(``axiom5_bound``) and refuses above ``AXIOM5_CAP`` before it checks any
+witness.  All three raise CapExceededError (exit 4).  None is in the
+structured ``conventions`` block: no result they let through depends on
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .chain import rank_over_field
 from .conventions import PUSHOUT_SEARCH_CAP
@@ -93,7 +102,7 @@ TRIPLE_CAP = 1_000_000
 # 3.8e7 (the corrupt_axiom5 table) and among the benchmark jobs 2.1e6
 # (finite_modules(2, 4)); pointed_sets(3) has 3.4e7 and validates in about
 # 1.5 s, vect_gf(3, 2) and finite_modules(3, 9) have 1.7e12 and are refused
-# in about 0.8 and 1.2 s (median of 3 runs on a 2-core host).
+# in about 1.3 and 1.2 s (median of 5 runs on a 2-core host).
 AXIOM5_CAP = 100_000_000
 
 
@@ -361,6 +370,24 @@ class WCategory:
             self._witness_cache[key] = self._pushout_witness(i, f)
         return self._witness_cache[key]
 
+    # the spans confirm_witness has checked, or None if every witness is
+    # trusted: the built-in families compute theirs
+    _confirmed = None
+
+    def confirm_witness(self, i: int, f: int) -> None:
+        """Raise InternalInvariantError unless the recorded witness of (i, f)
+        is a pushout.  A builder calls this after its own checks on the
+        witness, so a witness they refuse keeps their message."""
+        if self._confirmed is None or (i, f) in self._confirmed:
+            return
+        w = self.pushout_witness(i, f)
+        if w is not None and not self.is_pushout(i, f, *w):
+            raise InternalInvariantError(
+                f"recorded witness for ({self.mor_label(i)}, {self.mor_label(f)}) "
+                f"is not a pushout; is the base category valid?"
+            )
+        self._confirmed.add((i, f))
+
     def _by_composite(self, f: int, e: int, weq_only: bool = False) -> dict:
         """Maps h: tgt(f) -> e grouped by h∘f, each group in hom order.
 
@@ -509,76 +536,6 @@ class WCategory:
 # ---------------------------------------------------------------------------
 
 
-class VectCategory(WCategory):
-    """Finite-dimensional vector spaces over GF(q), dimensions 0..bound.
-
-    Cofibrations are the injective linear maps, weak equivalences the
-    isomorphisms.  Morphism payloads are row tuples of a dst x src matrix
-    with entries reduced mod q.  Pushouts along injections are cokernels of
-    ``(i, -f)`` computed by Smith normal form, so witnesses are canonical.
-    """
-
-    def __init__(self, q: int, bound: int, name: str | None = None):
-        self.q = q
-        self.ring = GF(q)
-        super().__init__(name if name is not None else f"vect_gf({q},{bound})", bound)
-
-    def _objects(self):
-        return tuple(range(self.bound + 1))
-
-    def _object_size(self, n):
-        return n
-
-    def _zero_payload(self):
-        return 0
-
-    def object_label(self, a: int) -> str:
-        n = self._obj_payloads[a]
-        return "0" if n == 0 else f"F{self.q}^{n}"
-
-    def _enumerate_hom(self, m, n):
-        cells = itertools.product(range(self.q), repeat=n * m)
-        return (tuple(tuple(c[r * m : (r + 1) * m]) for r in range(n)) for c in cells)
-
-    def _compose(self, g, f, a, b, c):
-        sa, sb, sc = self._obj_payloads[a], self._obj_payloads[b], self._obj_payloads[c]
-        q = self.q
-        return tuple(
-            tuple(sum(g[r][k] * f[k][s] for k in range(sb)) % q for s in range(sa))
-            for r in range(sc)
-        )
-
-    def _identity(self, n):
-        return tuple(tuple(1 if r == s else 0 for s in range(n)) for r in range(n))
-
-    def _is_cofibration(self, payload, a, b):
-        src = self._obj_payloads[a]
-        cols = [{r: row[s] for r, row in enumerate(payload)} for s in range(src)]
-        return rank_over_field(SparseMap.from_col_dicts(self.ring, len(payload), cols)) == src
-
-    def _is_weq(self, payload, a, b):
-        return self._obj_payloads[a] == self._obj_payloads[b] and self._is_cofibration(payload, a, b)
-
-    def _pushout_witness(self, i, f):
-        a = self._obj_payloads[self._mor_src[i]]
-        b = self._obj_payloads[self._mor_tgt[i]]
-        c = self._obj_payloads[self._mor_tgt[f]]
-        d = b + c - a
-        if d > self.bound:
-            return None
-        ip, fp = self._mor_payload[i], self._mor_payload[f]
-        stacked = [[ip[r][s] for s in range(a)] for r in range(b)]
-        stacked += [[(-fp[r][s]) % self.q for s in range(a)] for r in range(c)]
-        dec = smith_normal_form(Matrix(self.ring, stacked, ncols=a), factors=("U",))
-        rank = dec.rank
-        if rank != a:
-            raise InternalInvariantError("pushout leg expected to be injective")
-        proj = [[dec.U.rows[r][s] for s in range(b + c)] for r in range(rank, b + c)]
-        u_payload = tuple(tuple(int(x) % self.q for x in row[:b]) for row in proj)
-        v_payload = tuple(tuple(int(x) % self.q for x in row[b:]) for row in proj)
-        return self._witness(i, f, d, u_payload, v_payload)
-
-
 class PointedSetsCategory(WCategory):
     """Finite pointed sets with at most ``bound`` non-base points.
 
@@ -643,36 +600,30 @@ class FiniteModulesCategory(WCategory):
 
     Objects are invariant-factor tuples (ascending prime powers); their size
     is the group order.  A morphism payload is a dst-rank x src-rank matrix
-    of generator images, entries reduced mod the target orders.
-    Cofibrations are the injective homomorphisms, weak equivalences the
-    isomorphisms.  Pushouts are cokernels of integer relation matrices via
-    Smith normal form.
+    of generator images, entries reduced mod the target orders, and hom sets
+    stream in row-major order.  Cofibrations are the injective maps: no
+    element of order p maps to zero, a rank test over GF(p) on the socles.
+    Weak equivalences are the isomorphisms.  Pushouts are cokernels of
+    integer relation matrices via Smith normal form, recorded within the
+    bound.
     """
 
-    def __init__(self, p: int, bound: int):
-        self.p = p
+    def __init__(self, p: int, bound: int, name: str):
         if p < 2 or any(p % k == 0 for k in range(2, p)):
             raise ValidationError("finite_modules requires a prime p")
-        super().__init__(f"finite_modules({p},{bound})", bound)
+        self.p = p
+        self.field = GF(p)
+        super().__init__(name, bound)
 
     def _objects(self):
         p, bound = self.p, self.bound
-        powers = []
-        v = p
-        while v <= bound:
-            powers.append(v)
-            v *= p
-        found = {()}
-        frontier = [()]
-        while frontier:
-            base = frontier.pop()
+        powers = [p**e for e in range(1, bound.bit_length() + 1) if p**e <= bound]
+        found = [()]
+        for base in found:  # read while it grows: each ascending tuple once
             order = math.prod(base)
-            for d in powers:
-                if (not base or d >= base[-1]) and order * d <= bound:
-                    new = base + (d,)
-                    if new not in found:
-                        found.add(new)
-                        frontier.append(new)
+            found.extend(
+                base + (d,) for d in powers if (not base or d >= base[-1]) and order * d <= bound
+            )
         return tuple(sorted(found, key=lambda t: (math.prod(t), t)))
 
     def _object_size(self, factors):
@@ -686,93 +637,86 @@ class FiniteModulesCategory(WCategory):
         return "0" if not factors else "+".join(f"Z/{d}" for d in factors)
 
     def _enumerate_hom(self, src, dst):
-        if not src:
-            return [tuple(() for _ in dst)] if dst else [()]
-        cell_choices = []
-        for dt in dst:
-            row = []
-            for ds in src:
-                step = dt // math.gcd(dt, ds)
-                row.append(tuple(range(0, dt, step)))
-            cell_choices.append(row)
-        flat = [vals for row in cell_choices for vals in row]
-        out = []
+        # entry (t, s) is a multiple of dt / gcd(dt, ds), read row by row
+        cells = itertools.product(
+            *(range(0, dt, dt // math.gcd(dt, ds)) for dt in dst for ds in src)
+        )
         width = len(src)
-        for combo in itertools.product(*flat):
-            out.append(
-                tuple(tuple(combo[r * width : (r + 1) * width]) for r in range(len(dst)))
-            )
-        return out
+        starts = [r * width for r in range(len(dst))]
+        return (tuple(c[s : s + width] for s in starts) for c in cells)
 
     def _compose(self, g, f, a, b, c):
-        src = self._obj_payloads[a]
-        mid = self._obj_payloads[b]
-        dst = self._obj_payloads[c]
+        cols = tuple(zip(*f)) if f else ((),) * len(self._obj_payloads[a])
         return tuple(
-            tuple(
-                sum(g[r][k] * f[k][s] for k in range(len(mid))) % dst[r]
-                for s in range(len(src))
-            )
-            for r in range(len(dst))
+            tuple(sum(map(operator.mul, row, col)) % d for col in cols)
+            for row, d in zip(g, self._obj_payloads[c])
         )
 
     def _identity(self, factors):
         n = len(factors)
         return tuple(tuple(1 if r == s else 0 for s in range(n)) for r in range(n))
 
-    def _elements(self, factors):
-        return itertools.product(*(range(d) for d in factors))
-
-    def _apply(self, payload, dst, vec):
-        return tuple(
-            sum(payload[r][s] * vec[s] for s in range(len(vec))) % dst[r]
-            for r in range(len(dst))
-        )
-
     def _is_cofibration(self, payload, a, b):
-        src = self._obj_payloads[a]
-        dst = self._obj_payloads[b]
-        for vec in self._elements(src):
-            if any(vec) and not any(self._apply(payload, dst, vec)):
-                return False
-        return True
+        # column s: the image of (a_s/p) e_s, which generates the socle of
+        # the summand Z/a_s, with coordinate t divided by b_t/p
+        p, src, dst = self.p, self._obj_payloads[a], self._obj_payloads[b]
+        cols = [
+            {t: (ds // p) * row[s] % dt // (dt // p) for t, (row, dt) in enumerate(zip(payload, dst))}
+            for s, ds in enumerate(src)
+        ]
+        return rank_over_field(SparseMap.from_col_dicts(self.field, len(dst), cols)) == len(src)
 
     def _is_weq(self, payload, a, b):
-        if self._sizes[a] != self._sizes[b]:
-            return False
-        return self._is_cofibration(payload, a, b)
+        return self._sizes[a] == self._sizes[b] and self._is_cofibration(payload, a, b)
 
     def _pushout_witness(self, i, f):
-        src = self._obj_payloads[self._mor_src[i]]
-        b = self._obj_payloads[self._mor_tgt[i]]
-        c = self._obj_payloads[self._mor_tgt[f]]
-        ip, fp = self._mor_payload[i], self._mor_payload[f]
-        rb, rc, ra = len(b), len(c), len(src)
-        gens = rb + rc
-        cols = []
-        for t in range(rb):
-            cols.append([b[t] if r == t else 0 for r in range(gens)])
-        for t in range(rc):
-            cols.append([c[t] if r == rb + t else 0 for r in range(gens)])
-        for s in range(ra):
-            col = [ip[t][s] for t in range(rb)] + [-fp[t][s] for t in range(rc)]
-            cols.append(col)
-        rel = Matrix(ZZ, [[cols[j][r] for j in range(len(cols))] for r in range(gens)], ncols=len(cols))
-        dec = smith_normal_form(rel, factors=("U",))
+        # generators: those of b, then of c; relations: their orders, then
+        # i(e_s) - f(e_s) for each generator e_s of the shared source
+        b, c = self._obj_payloads[self._mor_tgt[i]], self._obj_payloads[self._mor_tgt[f]]
+        images = self._mor_payload[i] + tuple(tuple(-x for x in row) for row in self._mor_payload[f])
+        gens = len(b) + len(c)
+        rows = [
+            [d if j == r else 0 for j in range(gens)] + list(row)
+            for r, (d, row) in enumerate(zip(b + c, images))
+        ]
+        ncols = gens + len(self._obj_payloads[self._mor_src[i]])
+        dec = smith_normal_form(Matrix(ZZ, rows, ncols=ncols), factors=("U",))
         diag = dec.diagonal
         if dec.rank != gens or any(d == 0 for d in diag):
             raise InternalInvariantError("pushout of finite groups must be finite")
         keep = [r for r in range(gens) if diag[r] != 1]
         factors = tuple(int(diag[r]) for r in keep)
-        if math.prod(factors) > self.bound:
+        if self._object_size(factors) > self.bound:
             return None
-        u_payload = tuple(
-            tuple(int(dec.U.rows[r][t]) % diag[r] for t in range(rb)) for r in keep
-        )
-        v_payload = tuple(
-            tuple(int(dec.U.rows[r][rb + t]) % diag[r] for t in range(rc)) for r in keep
-        )
+        proj = [[int(x) % diag[r] for x in dec.U.rows[r]] for r in keep]
+        u_payload = tuple(tuple(row[: len(b)]) for row in proj)
+        v_payload = tuple(tuple(row[len(b) :]) for row in proj)
         return self._witness(i, f, factors, u_payload, v_payload)
+
+
+class VectCategory(FiniteModulesCategory):
+    """Finite-dimensional vector spaces over GF(q), dimensions 0..bound.
+
+    A GF(q)-vector space is an elementary abelian q-group, so this is
+    ``FiniteModulesCategory`` on the objects (q,)*n, with the finite
+    modules' hom sets, composition, flags and pushout witnesses.  Only the
+    size (the dimension, which ``bound`` bounds), the labels F{q}^n and the
+    name differ.
+    """
+
+    def __init__(self, q: int, bound: int, name: str | None = None):
+        GF(q)  # refuses a non-prime q with the field's own message
+        super().__init__(q, bound, name if name is not None else f"vect_gf({q},{bound})")
+
+    def _objects(self):
+        return tuple((self.p,) * n for n in range(self.bound + 1))
+
+    def _object_size(self, factors):
+        return len(factors)
+
+    def object_label(self, a: int) -> str:
+        n = len(self._obj_payloads[a])
+        return "0" if n == 0 else f"F{self.p}^{n}"
 
 
 def trivial_category() -> WCategory:
@@ -789,7 +733,7 @@ def pointed_sets(bound: int) -> PointedSetsCategory:
 
 
 def finite_modules(p: int, bound: int) -> FiniteModulesCategory:
-    return FiniteModulesCategory(p, bound)
+    return FiniteModulesCategory(p, bound, f"finite_modules({p},{bound})")
 
 
 # The selector grammar: family name -> (number of integer arguments, the
@@ -1032,4 +976,6 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
                                 f"axiom 5: induced map {C.mor_label(med[0])} between "
                                 f"weakly equivalent pushout data is not a weak equivalence"
                             )
+    if report.ok:
+        C._confirmed = None
     return report

@@ -183,6 +183,16 @@ def test_general_linear_group_refuses_at_the_first_unit_past_the_order_cap(monke
     assert products == []  # no product of the group table was taken
 
 
+def test_general_linear_group_skips_candidates_with_a_zero_row(monkeypatch):
+    # of the 16 matrices over GF(2), 7 have a zero row; the other 9 are
+    # tested and 6 of them are units
+    tested = []
+    onto = algebra.is_onto
+    monkeypatch.setattr(algebra, "is_onto", lambda M: tested.append(M) or onto(M))
+    assert general_linear_group(base_algebra(GF(2)), 2).group.order == 6
+    assert len(tested) == 9
+
+
 def test_unit_inverse_dual_numbers():
     A = truncated_polynomial(GF(2), 2)
     inv = unit_inverse(A, (1, 1))

@@ -151,7 +151,7 @@ def test_dennis_trace_k1_frozen_values():
 
 def test_dennis_trace_k1_identity_is_zero():
     for A in (group_algebra(cyclic_group(2), ZZ), truncated_polynomial(GF(2), 2)):
-        zero, one = A.zero_vec, A.unit
+        zero, one = (A.ring.zero,) * A.rank, A.unit
         assert dennis_trace_k1(A, ((one,),)).is_zero
         ident2 = ((one, zero), (zero, one))
         assert dennis_trace_k1(A, ident2).is_zero
@@ -165,7 +165,7 @@ def test_dennis_trace_k1_rejects_non_units():
 
 def test_dennis_trace_k1_conjugation_invariant():
     A = truncated_polynomial(GF(2), 2)
-    one, zero, opx = A.unit, A.zero_vec, (1, 1)
+    one, zero, opx = A.unit, (A.ring.zero,) * A.rank, (1, 1)
     g = ((opx, zero), (zero, one))
     conj = ((one, zero), (zero, opx))  # swap * g * swap
     c1, c2 = dennis_trace_k1(A, g), dennis_trace_k1(A, conj)

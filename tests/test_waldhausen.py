@@ -21,6 +21,7 @@ from chaintrace.waldhausen import (
     ws_diagonal,
 )
 from chaintrace.wcat import (
+    WCategory,
     category_from_selector,
     finite_modules,
     pointed_sets,
@@ -336,6 +337,11 @@ ZERO_LEGS_ON_ID_F2 = ("pushout m4 m4 o1 m4 m4", "pushout m4 m4 o1 m3 m3")
 # - the cokernel of id_F2 becomes F2 under the identity, a square that does
 #   not commute, so S_2 itself is assembled with a square that fails
 NONCOMMUTING_COKERNEL_OF_ID_F2 = ("pushout m4 m2 o0 m2 m0", "pushout m4 m2 o1 m4 m1")
+# - the cokernel of id_F2 becomes F2 under the zero map: the square commutes
+#   and every grid of S_2 passes its checks, so without a check of the
+#   witness itself both K_0 routes would return 0
+ZERO_MAP_COKERNEL_OF_ID_F2 = ("pushout m4 m2 o0 m2 m0", "pushout m4 m2 o1 m3 m1")
+NOT_A_PUSHOUT = "recorded witness for (m4, m2) is not a pushout"
 
 
 @pytest.mark.parametrize(
@@ -358,8 +364,18 @@ NONCOMMUTING_COKERNEL_OF_ID_F2 = ("pushout m4 m2 o0 m2 m0", "pushout m4 m2 o1 m4
             lambda C: SCategory(C, 2),
             "assembled grid violates 'square at (0,1) does not commute'",
         ),
+        (ZERO_MAP_COKERNEL_OF_ID_F2, grothendieck_k0, NOT_A_PUSHOUT),
+        (ZERO_MAP_COKERNEL_OF_ID_F2, k0_via_sdot, NOT_A_PUSHOUT),
     ],
-    ids=["quotient-row", "top-row", "pushout-grid", "endomorphism", "assembled-grid"],
+    ids=[
+        "quotient-row",
+        "top-row",
+        "pushout-grid",
+        "endomorphism",
+        "assembled-grid",
+        "k0-presentation",
+        "k0-sdot",
+    ],
 )
 def test_a_witness_that_is_not_a_pushout_is_refused(witness, build, message):
     text = serialize_category(vect_gf(2, 1), labels=False)
@@ -370,3 +386,16 @@ def test_a_witness_that_is_not_a_pushout_is_refused(witness, build, message):
     with pytest.raises(InternalInvariantError) as exc:
         build(C)
     assert str(exc.value) == f"{message}; is the base category valid?"
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validated-table", "unvalidated-table"])
+def test_only_an_unvalidated_table_has_its_witnesses_checked(monkeypatch, validate):
+    built = vect_gf(2, 2)
+    C = parse_category_text(serialize_category(built, labels=False), validate=validate)
+    checked = []
+    is_pushout = WCategory.is_pushout
+    monkeypatch.setattr(WCategory, "is_pushout", lambda X, *span: checked.append(X) or is_pushout(X, *span))
+    for X in (built, C):
+        assert str(grothendieck_k0(X)) == str(k0_via_sdot(X)) == "Z"
+    # S_2 reads the cokernel of each of the 13 cofibrations, checked once
+    assert checked == ([] if validate else [C] * 13)

@@ -1,7 +1,9 @@
 """Tests for the finite cofibration-category tables and their validator."""
 
 import hashlib
+import itertools
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -14,8 +16,8 @@ from chaintrace import wcat
 from chaintrace.cli import main
 from chaintrace.endo import end_category, validate_exact_functor
 from chaintrace.errors import CapExceededError, InputParseError, ValidationError
-from chaintrace.tables import parse_category_file
-from chaintrace.waldhausen import SCategory
+from chaintrace.tables import parse_category_file, serialize_category
+from chaintrace.waldhausen import SCategory, s_k_objects
 from chaintrace.wcat import (
     axiom5_bound,
     category_from_selector,
@@ -86,6 +88,79 @@ def test_finite_modules_labels_and_validator():
 def test_finite_modules_requires_prime():
     with pytest.raises(ValidationError):
         finite_modules(4, 4)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()
+
+
+# recorded when vect_gf enumerated, composed and flagged its own matrices and
+# built its witnesses by Smith elimination over GF(q)
+S2_DIGESTS = {
+    "trivial": "0cf2a5766e0f3a900f6ec02653aa0982a1b3ae9b84ac396fe5b080c4e1cb4c4d",
+    "vect_gf:2:1": "04d45de4d2e0d4ff4c46ce5fde566d7ab5c6e54f16ace32d63e8357de2608197",
+    "vect_gf:2:2": "e9b3b7a5d2348c05a31cb5b0cdc0b830adac4e436cba422e76eb52254105ef72",
+    "vect_gf:2:3": "f0d52639fc5f93f6dfd72d15042cb93126f9cfeb83a90ffb2b88242c13ce2dfb",
+    "vect_gf:3:1": "66c1079c11035dc1ccecdd1d376ecbc7bd320946f93847f5cd60baa99e9ff27e",
+    "vect_gf:3:2": "e03c7de4c51fd197bfe5fd833febbbb4dae17f247e6b98b6b9a2dbf675f51f84",
+    "vect_gf:5:1": "2c17e75f727a2e1a35be4c09ea03b6e9af24ca23463a8be0ab8c0fae80c7322f",
+}
+TABLE_DIGESTS = {
+    "trivial": "8bd28ad0e01af0bf15b92fa945ddc3f36cd3f0f3a27c018415b97b592beaf001",
+    "vect_gf:2:1": "2371156e39ac62c12ba8d4cb0c1e2f7385025f243980202b1352b6b68f341239",
+    "vect_gf:2:2": "e8bed785433676ea2d2da996db1488c2427ce799a6c8a4d4f3dcf3629002f72a",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(S2_DIGESTS))
+def test_vect_flag_grids_are_pinned(selector):
+    assert digest(repr(s_k_objects(category_from_selector(selector), 2))) == S2_DIGESTS[selector]
+
+
+@pytest.mark.parametrize("selector", sorted(TABLE_DIGESTS))
+def test_vect_tables_are_pinned(selector):
+    text = serialize_category(category_from_selector(selector), labels=False)
+    assert digest(text) == TABLE_DIGESTS[selector]
+
+
+@pytest.mark.parametrize("q, bound", [(2, 2), (3, 1), (5, 1)])
+def test_vect_gf_is_finite_modules_on_elementary_objects(q, bound):
+    V, M = vect_gf(q, bound), finite_modules(q, q**bound)
+    into = [M.object_index((q,) * n) for n in range(bound + 1)]
+    assert [V.object_payload(a) for a in range(V.object_count())] == [M.object_payload(a) for a in into]
+    for a, b in itertools.product(range(V.object_count()), repeat=2):
+        vs, ms = V.hom_ids(a, b), M.hom_ids(into[a], into[b])
+        assert [V.mor_payload(m) for m in vs] == [M.mor_payload(m) for m in ms]
+        assert [V.is_cofibration_id(m) for m in vs] == [M.is_cofibration_id(m) for m in ms]
+        assert [V.is_weq_id(m) for m in vs] == [M.is_weq_id(m) for m in ms]
+        for c in range(V.object_count()):
+            after = zip(V.hom_ids(b, c), M.hom_ids(into[b], into[c]))
+            for (vf, mf), (vg, mg) in itertools.product(zip(vs, ms), after):
+                assert V.mor_payload(V.compose_ids(vg, vf)) == M.mor_payload(M.compose_ids(mg, mf))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_vect_gf_witnesses_are_pushouts(q):
+    C = vect_gf(q, 1)
+    spans = [(i, f) for a in range(2) for i in C.cofibs_from(a) for c in range(2) for f in C.hom_ids(a, c)]
+    witnesses = [(i, f, C.pushout_witness(i, f)) for i, f in spans]
+    assert sum(w is not None for *_, w in witnesses) == len(spans) - 1  # F_q + F_q over 0 is too big
+    assert all(C.is_pushout(i, f, *w) for i, f, w in witnesses if w is not None)
+
+
+@pytest.mark.parametrize("p, bound", [(2, 16), (3, 9)])
+def test_socle_test_matches_the_elements(p, bound):
+    # a map is a cofibration iff it is injective: no nonzero element of the
+    # source maps to zero
+    C = finite_modules(p, bound)
+    for a, b in itertools.product(range(C.object_count()), repeat=2):
+        src, dst = C.object_payload(a), C.object_payload(b)
+        elements = [x for x in itertools.product(*map(range, src)) if any(x)]
+        for m in C.hom_ids(a, b):
+            rows = C.mor_payload(m)
+            image = (tuple(sum(map(operator.mul, row, x)) % d for row, d in zip(rows, dst)) for x in elements)
+            injective = all(map(any, image))
+            assert C.is_cofibration_id(m) == injective
 
 
 def test_cofibs_from_counts():
@@ -364,7 +439,7 @@ def test_caps_sit_above_the_largest_tested_categories(monkeypatch):
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_limited(argv, address_space=1 << 30):
+def run_limited(argv, address_space):
     """The CLI in a subprocess whose address space is capped, with its wall time."""
     import resource
 
@@ -395,10 +470,12 @@ def run_limited(argv, address_space=1 << 30):
         (["validate", "vect_gf:2:5"], "MORPHISM_CAP"),
         (["validate", "vect_gf:3:2"], "AXIOM5_CAP"),
         (["validate", "finite_modules:3:9"], "AXIOM5_CAP"),
+        # hom sets of up to 3^25 maps: refused only if they stream into the cap
+        (["validate", "finite_modules:3:243"], "MORPHISM_CAP"),
     ],
 )
 def test_validate_refuses_large_categories_quickly(argv, cap):
-    proc, seconds = run_limited(argv)
+    proc, seconds = run_limited(argv, address_space=200 << 20)
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("error (cap): category ") and f"({cap})" in proc.stderr
     assert "Traceback" not in proc.stderr
