@@ -213,21 +213,24 @@ def _emit(config: JobConfig, lines: list[str], result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _degree_table(config: JobConfig, header: str, label: str, group_at, result: dict):
+    """The header, then ``label.format(d) = group_at(d)`` for d = 0..max_degree."""
+    groups = [group_at(d) for d in range(config.max_degree + 1)]
+    lines = [header] + [f"{label.format(d)} = {g}" for d, g in enumerate(groups)]
+    result["groups"] = [_group_json(g) for g in groups]
+    return _EXIT_OK, _emit(config, lines, result)
+
+
+def _algebra_table(config: JobConfig, A: Algebra, label: str, group_at):
+    result = {"algebra": A.name, "ring": ring_spec(A.ring), "rank": A.rank}
+    return _degree_table(config, _algebra_line(A), label, group_at, result)
+
+
 def _handle_hh(config: JobConfig) -> tuple[int, str]:
     from .hochschild import HochschildHomology
 
     A = _resolve_algebra(config.inputs[0], config.ring)
-    work = HochschildHomology(A, config.max_degree)
-    groups = [work.group(d) for d in range(config.max_degree + 1)]
-    lines = [_algebra_line(A)]
-    lines += [f"HH_{d} = {g}" for d, g in enumerate(groups)]
-    result = {
-        "algebra": A.name,
-        "ring": ring_spec(A.ring),
-        "rank": A.rank,
-        "groups": [_group_json(g) for g in groups],
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return _algebra_table(config, A, "HH_{}", HochschildHomology(A, config.max_degree).group)
 
 
 def _handle_hc(config: JobConfig) -> tuple[int, str]:
@@ -236,16 +239,7 @@ def _handle_hc(config: JobConfig) -> tuple[int, str]:
 
     A = _resolve_algebra(config.inputs[0], config.ring)
     core = cyclic_core(A, config.max_degree)
-    groups = [homology(core, d).group for d in range(config.max_degree + 1)]
-    lines = [_algebra_line(A)]
-    lines += [f"HC_{d} = {g}" for d, g in enumerate(groups)]
-    result = {
-        "algebra": A.name,
-        "ring": ring_spec(A.ring),
-        "rank": A.rank,
-        "groups": [_group_json(g) for g in groups],
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return _algebra_table(config, A, "HC_{}", lambda d: homology(core, d).group)
 
 
 def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
@@ -254,16 +248,9 @@ def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
     G = _resolve_group(config.inputs[0])
     ring = ring_from_spec(config.ring or "Z")
     work = GroupHomology(G, ring, config.max_degree)
-    groups = [work.group_at(d) for d in range(config.max_degree + 1)]
-    lines = [f"group {G.name or '(unnamed)'}: order {G.order}, coefficients {ring}"]
-    lines += [f"H_{d}(BG) = {g}" for d, g in enumerate(groups)]
-    result = {
-        "group": G.name,
-        "order": G.order,
-        "ring": ring_spec(ring),
-        "groups": [_group_json(g) for g in groups],
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    header = f"group {G.name or '(unnamed)'}: order {G.order}, coefficients {ring}"
+    result = {"group": G.name, "order": G.order, "ring": ring_spec(ring)}
+    return _degree_table(config, header, "H_{}(BG)", work.group_at, result)
 
 
 def _handle_trace_k1(config: JobConfig) -> tuple[int, str]:
@@ -377,40 +364,13 @@ def _handle_k0(config: JobConfig) -> tuple[int, str]:
     return _EXIT_OK, _emit(config, lines, result)
 
 
-def _sniff_file_kind(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    return line.split()[0]
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
-    raise InputParseError(f"{path}: empty input file")
-
-
 def _handle_validate(config: JobConfig) -> tuple[int, str]:
     inp = config.inputs[0]
     if os.path.isfile(inp):
         _refuse_bound_for_file(config.bound)
-        kind = _sniff_file_kind(inp)
-        if kind == "algebra":
-            from .tables import parse_algebra_file, validate_algebra
+        from .tables import validate_file
 
-            report = validate_algebra(parse_algebra_file(inp, validate=False))
-        elif kind == "group":
-            from .tables import parse_group_file, validate_group
-
-            report = validate_group(parse_group_file(inp, validate=False))
-        elif kind == "category":
-            from .tables import parse_category_file
-            from .wcat import validate_waldhausen
-
-            report = validate_waldhausen(parse_category_file(inp, validate=False))
-        else:
-            raise InputParseError(
-                f"{inp}: first keyword {kind!r} is not one of algebra, group, category"
-            )
+        report = validate_file(inp)
     else:
         from .wcat import validate_waldhausen
 

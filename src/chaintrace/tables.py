@@ -39,10 +39,22 @@ or an explicit table::
     compose <g> <f> <gf>
     pushout <i> <f> <d> <u> <v>
 
+One reader, ``_records``, reads every file: it skips comments and blank
+lines and applies the rules the grammars share (unknown keywords,
+once-only lines, argument counts), each grammar a small table of its
+keywords.  The parsers convert each line as the reader yields it, so the
+error reported is the first one in the file, and a parse error that one
+line causes names it as ``<file>:<line>:`` (a ``family`` selector's own
+errors aside).  A file that cannot be read or is not UTF-8 is a parse
+error too.  ``validate_file`` reads a file once and
+runs the validator of the grammar its first keyword names.
+
 The parsers check what they read with the exhaustive validators
 (``validate_algebra`` and ``validate_group`` here,
 ``wcat.validate_waldhausen`` for categories) unless asked not to.  An
-explicit category table becomes a ``tablecat.TableCategory``.
+explicit category table is checked for references to unlisted objects
+and morphisms once all its lines are read, since a line may refer to one
+listed further down, and then becomes a ``tablecat.TableCategory``.
 
 ``serialize_category`` writes any in-memory category in the explicit table
 format with canonical names (objects ``o0, o1, ...`` in object order,
@@ -78,92 +90,111 @@ __all__ = [
     "parse_category_text",
     "parse_category_file",
     "serialize_category",
+    "validate_file",
 ]
 
 
 # ---------------------------------------------------------------------------
-# line tokenizer
+# the reader
 # ---------------------------------------------------------------------------
 
 
-def _lines(text: str):
-    """Yield (lineno, tokens) for meaningful lines."""
+def _read(path: str) -> str:
+    """The text of the file at path; a read or UTF-8 decode failure is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _tokens(text: str):
+    """Yield (lineno, tokens) for each line that is not blank or a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def _fail(where: str, lineno: int, msg: str):
     raise InputParseError(f"{where}:{lineno}: {msg}")
 
 
-def _read(path: str) -> str:
+def _records(text: str, where: str, kind: str, grammar: dict, rows_after: str | None = None):
+    """Yield (lineno, keyword, args) for each line of text, in file order.
+
+    ``grammar`` maps each keyword to (once, args): ``once`` refuses a second
+    line with that keyword; ``args`` is a tuple of argument names (exactly
+    that many, else "expected: <keyword> <name> ..."), a message that the
+    line needs at least one argument, or None for a count the parser checks
+    itself.  Once a ``rows_after`` line is read, every later line is a
+    table row, yielded with keyword None.
+    """
+    seen = set()
+    rows = False
+    for lineno, toks in _tokens(text):
+        if rows:
+            yield lineno, None, toks
+            continue
+        key, args = toks[0], toks[1:]
+        if key not in grammar:
+            _fail(where, lineno, f"unknown keyword {key!r} in {kind} file")
+        once, names = grammar[key]
+        if once:
+            if key in seen:
+                _fail(where, lineno, f"duplicate {key} line")
+            seen.add(key)
+        if isinstance(names, str) and not args:
+            _fail(where, lineno, names)
+        if isinstance(names, tuple) and len(args) != len(names):
+            _fail(where, lineno, "expected: " + " ".join([key] + [f"<{n}>" for n in names]))
+        rows = key == rows_after
+        yield lineno, key, args
+
+
+def _convert(where: str, lineno: int, convert, tok: str):
+    """convert(tok), its ValueError or InputParseError located at the line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
+        return convert(tok)
+    except (ValueError, InputParseError) as exc:
+        _fail(where, lineno, str(exc))
+
+
+def _require(where: str, found: dict, keys) -> None:
+    for key in keys:
+        if key not in found:
+            raise InputParseError(f"{where}: missing {key} line")
 
 
 # ---------------------------------------------------------------------------
 # algebra files
 # ---------------------------------------------------------------------------
 
+_ALGEBRA = {
+    "algebra": (True, ("name",)),
+    "base": (True, ("ring",)),
+    "basis": (True, "basis needs at least one name"),
+    "unit": (True, None),  # one coefficient per basis element, once the basis is known
+    "mul": (False, None),  # two indices at least, checked once the basis is known
+}
+
 
 def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = True) -> Algebra:
     """Parse the algebra file format; optionally run the exhaustive validator."""
-    name = None
-    ring = None
-    basis = None
-    unit_toks = None
+    found: dict[str, tuple] = {}  # once-only keyword: (lineno, value)
     mul_lines: list[tuple[int, list[str]]] = []
-    for lineno, toks in _lines(text):
-        key = toks[0]
-        if key == "algebra":
-            if name is not None:
-                _fail(where, lineno, "duplicate algebra line")
-            if len(toks) != 2:
-                _fail(where, lineno, "expected: algebra <name>")
-            name = toks[1]
-        elif key == "base":
-            if ring is not None:
-                _fail(where, lineno, "duplicate base line")
-            if len(toks) != 2:
-                _fail(where, lineno, "expected: base <ring>")
-            ring = ring_from_spec(toks[1])
-        elif key == "basis":
-            if basis is not None:
-                _fail(where, lineno, "duplicate basis line")
-            if len(toks) < 2:
-                _fail(where, lineno, "basis needs at least one name")
-            basis = toks[1:]
-            if len(set(basis)) != len(basis):
-                _fail(where, lineno, "duplicate basis name")
-        elif key == "unit":
-            if unit_toks is not None:
-                _fail(where, lineno, "duplicate unit line")
-            unit_toks = (lineno, toks[1:])
-        elif key == "mul":
-            mul_lines.append((lineno, toks[1:]))
-        else:
-            _fail(where, lineno, f"unknown keyword {key!r} in an algebra file")
-    if name is None:
-        raise InputParseError(f"{where}: missing algebra line")
-    if ring is None:
-        raise InputParseError(f"{where}: missing base line")
-    if basis is None:
-        raise InputParseError(f"{where}: missing basis line")
-    if unit_toks is None:
-        raise InputParseError(f"{where}: missing unit line")
+    for lineno, key, args in _records(text, where, "an algebra", _ALGEBRA):
+        if key == "mul":
+            mul_lines.append((lineno, args))
+            continue
+        if key == "base":
+            args = _convert(where, lineno, ring_from_spec, args[0])
+        elif key == "basis" and len(set(args)) != len(args):
+            _fail(where, lineno, "duplicate basis name")
+        found[key] = lineno, args
+    _require(where, found, ("algebra", "base", "basis", "unit"))
+    name, ring, basis = found["algebra"][1][0], found["base"][1], found["basis"][1]
     rank = len(basis)
-
-    def coeff(lineno: int, tok: str):
-        try:
-            return ring.parse_element(tok)
-        except ValueError as exc:
-            _fail(where, lineno, str(exc))
 
     def index(lineno: int, tok: str) -> int:
         try:
@@ -174,10 +205,10 @@ def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = Tru
             _fail(where, lineno, f"basis index {i} out of range 0..{rank - 1}")
         return i
 
-    lineno, toks = unit_toks
+    lineno, toks = found["unit"]
     if len(toks) != rank:
         _fail(where, lineno, f"unit needs {rank} coefficients, got {len(toks)}")
-    unit = tuple(coeff(lineno, t) for t in toks)
+    unit = tuple(_convert(where, lineno, ring.parse_element, t) for t in toks)
 
     products: dict[tuple[int, int], dict[int, object]] = {}
     for lineno, toks in mul_lines:
@@ -194,7 +225,7 @@ def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = Tru
             k = index(lineno, k_tok)
             if k in entry:
                 _fail(where, lineno, f"duplicate target index {k} in mul line")
-            entry[k] = coeff(lineno, c_tok)
+            entry[k] = _convert(where, lineno, ring.parse_element, c_tok)
         products[(i, j)] = entry
 
     from .algebra import make_algebra
@@ -205,8 +236,8 @@ def parse_algebra_text(text: str, where: str = "<algebra>", validate: bool = Tru
     return A
 
 
-def parse_algebra_file(path: str, validate: bool = True) -> Algebra:
-    return parse_algebra_text(_read(path), where=path, validate=validate)
+def parse_algebra_file(path: str) -> Algebra:
+    return parse_algebra_text(_read(path), where=path)
 
 
 def validate_algebra(A: Algebra) -> ValidationReport:
@@ -237,76 +268,55 @@ def validate_algebra(A: Algebra) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+_GROUP = {
+    "group": (True, ("name",)),
+    "elements": (True, "elements needs at least one name"),
+    "table": (True, None),  # every later line is a row of the table
+}
+
+
 def parse_group_text(text: str, where: str = "<group>", validate: bool = True) -> FiniteGroup:
     """Parse the group file format and locate the identity from the table."""
-    name = None
-    elements = None
-    rows: list[list[str]] = []
-    in_table = False
-    for lineno, toks in _lines(text):
-        if in_table:
-            rows.append(toks)
+    found: dict[str, list[str]] = {}
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, key, args in _records(text, where, "a group", _GROUP, rows_after="table"):
+        if key is None:
+            rows.append((lineno, args))
             continue
-        key = toks[0]
-        if key == "group":
-            if name is not None:
-                _fail(where, lineno, "duplicate group line")
-            if len(toks) != 2:
-                _fail(where, lineno, "expected: group <name>")
-            name = toks[1]
-        elif key == "elements":
-            if elements is not None:
-                _fail(where, lineno, "duplicate elements line")
-            if len(toks) < 2:
-                _fail(where, lineno, "elements needs at least one name")
-            elements = toks[1:]
-            if len(set(elements)) != len(elements):
-                _fail(where, lineno, "duplicate element name")
-        elif key == "table":
-            if elements is None:
-                _fail(where, lineno, "table must follow the elements line")
-            in_table = True
-        else:
-            _fail(where, lineno, f"unknown keyword {key!r} in a group file")
-    if name is None:
-        raise InputParseError(f"{where}: missing group line")
-    if elements is None:
-        raise InputParseError(f"{where}: missing elements line")
+        if key == "elements" and len(set(args)) != len(args):
+            _fail(where, lineno, "duplicate element name")
+        if key == "table" and "elements" not in found:
+            _fail(where, lineno, "table must follow the elements line")
+        found[key] = args
+    _require(where, found, ("group", "elements"))
+    elements = found["elements"]
     order = len(elements)
     if len(rows) != order:
         raise InputParseError(f"{where}: table needs {order} rows, got {len(rows)}")
     idx = {e: i for i, e in enumerate(elements)}
     table = []
-    for r, row in enumerate(rows):
+    for (lineno, row), element in zip(rows, elements):
         if len(row) != order:
-            raise InputParseError(
-                f"{where}: table row for {elements[r]} needs {order} entries, got {len(row)}"
-            )
-        out_row = []
+            _fail(where, lineno, f"table row for {element} needs {order} entries, got {len(row)}")
         for tok in row:
             if tok not in idx:
-                raise InputParseError(f"{where}: table entry {tok!r} is not an element")
-            out_row.append(idx[tok])
-        table.append(tuple(out_row))
-    identity = None
-    for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-            identity = e
-            break
+                _fail(where, lineno, f"table entry {tok!r} is not an element")
+        table.append(tuple(idx[tok] for tok in row))
+    units = (e for e in range(order) if all(table[e][x] == x == table[x][e] for x in range(order)))
+    identity = next(units, None)
     if identity is None:
         raise ValidationError(f"{where}: multiplication table has no identity element")
     from .algebra import FiniteGroup
 
-    G = FiniteGroup(
-        table=tuple(table), identity=identity, names=tuple(elements), name=name
-    )
+    name = found["group"][0]
+    G = FiniteGroup(table=tuple(table), identity=identity, names=tuple(elements), name=name)
     if validate:
         validate_group(G).require_ok()
     return G
 
 
-def parse_group_file(path: str, validate: bool = True) -> FiniteGroup:
-    return parse_group_text(_read(path), where=path, validate=validate)
+def parse_group_file(path: str) -> FiniteGroup:
+    return parse_group_text(_read(path), where=path)
 
 
 def validate_group(G: FiniteGroup) -> ValidationReport:
@@ -337,6 +347,21 @@ def validate_group(G: FiniteGroup) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+_CATEGORY = {
+    "category": (True, ("name",)),
+    "family": (True, ("selector",)),
+    "bound": (True, ("B",)),
+    "object": (False, ("name", "size")),
+    "zero": (True, ("name",)),
+    "mor": (False, ("name", "src", "dst")),
+    "identity": (False, ("obj", "mor")),
+    "cof": (False, ("mor",)),
+    "weq": (False, ("mor",)),
+    "compose": (False, ("g", "f", "gf")),
+    "pushout": (False, ("i", "f", "d", "u", "v")),
+}
+
+
 def parse_category_text(
     text: str, where: str = "<category>", validate: bool = True
 ) -> WCategory:
@@ -345,116 +370,148 @@ def parse_category_text(
     ``validate`` checks an explicit table's axioms.  A family line names a
     built-in family, which is valid by construction and is not checked
     again, so a family file computes what its selector computes.
+
+    A table's lines may refer to objects and morphisms listed further
+    down, so its references are checked once every line is read, each
+    error located at the line that holds the bad reference.
     """
-    name = None
-    family = None
-    bound = None
-    zero = None
-    objects: list[tuple[str, int]] = []
-    morphisms: list[tuple[str, str, str]] = []
-    identities: dict[str, str] = {}
-    cof: list[str] = []
-    weq: list[str] = []
-    compose: dict[tuple[str, str], str] = {}
-    pushouts: list[tuple[str, str, str, str, str]] = []
-    table_keys = 0
+    found: dict[str, tuple] = {}  # once-only keyword: (lineno, value)
+    lines: dict[str, list] = {key: [] for key, (once, _) in _CATEGORY.items() if not once}
+    identities: dict[str, tuple[int, str]] = {}
+    compose: dict[tuple[str, str], tuple[int, str]] = {}
+    table_form = False
 
-    def arity(lineno, toks, n, usage):
-        if len(toks) != n + 1:
-            _fail(where, lineno, f"expected: {usage}")
+    def integer(lineno: int, what: str, tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            _fail(where, lineno, f"{what} must be an integer, got {tok!r}")
 
-    for lineno, toks in _lines(text):
-        key = toks[0]
-        if key == "category":
-            if name is not None:
-                _fail(where, lineno, "duplicate category line")
-            arity(lineno, toks, 1, "category <name>")
-            name = toks[1]
-            continue
-        if key == "family":
-            arity(lineno, toks, 1, "family <selector>")
-            if family is not None:
-                _fail(where, lineno, "duplicate family line")
-            family = toks[1]
-            continue
-        table_keys += 1
+    for lineno, key, args in _records(text, where, "a category", _CATEGORY):
+        table_form = table_form or key not in ("category", "family")
         if key == "bound":
-            arity(lineno, toks, 1, "bound <B>")
-            if bound is not None:
-                _fail(where, lineno, "duplicate bound line")
-            try:
-                bound = int(toks[1])
-            except ValueError:
-                _fail(where, lineno, f"bound must be an integer, got {toks[1]!r}")
+            found[key] = lineno, integer(lineno, "bound", args[0])
         elif key == "object":
-            arity(lineno, toks, 2, "object <name> <size>")
-            try:
-                objects.append((toks[1], int(toks[2])))
-            except ValueError:
-                _fail(where, lineno, f"object size must be an integer, got {toks[2]!r}")
-        elif key == "zero":
-            arity(lineno, toks, 1, "zero <name>")
-            if zero is not None:
-                _fail(where, lineno, "duplicate zero line")
-            zero = toks[1]
-        elif key == "mor":
-            arity(lineno, toks, 3, "mor <name> <src> <dst>")
-            morphisms.append((toks[1], toks[2], toks[3]))
+            lines[key].append((lineno, (args[0], integer(lineno, "object size", args[1]))))
         elif key == "identity":
-            arity(lineno, toks, 2, "identity <obj> <mor>")
-            if toks[1] in identities:
-                _fail(where, lineno, f"duplicate identity line for {toks[1]!r}")
-            identities[toks[1]] = toks[2]
-        elif key == "cof":
-            arity(lineno, toks, 1, "cof <mor>")
-            cof.append(toks[1])
-        elif key == "weq":
-            arity(lineno, toks, 1, "weq <mor>")
-            weq.append(toks[1])
+            if args[0] in identities:
+                _fail(where, lineno, f"duplicate identity line for {args[0]!r}")
+            identities[args[0]] = lineno, args[1]
         elif key == "compose":
-            arity(lineno, toks, 3, "compose <g> <f> <gf>")
-            if (toks[1], toks[2]) in compose:
-                _fail(where, lineno, f"duplicate compose line for ({toks[1]!r}, {toks[2]!r})")
-            compose[(toks[1], toks[2])] = toks[3]
-        elif key == "pushout":
-            arity(lineno, toks, 5, "pushout <i> <f> <d> <u> <v>")
-            pushouts.append((toks[1], toks[2], toks[3], toks[4], toks[5]))
+            if (args[0], args[1]) in compose:
+                _fail(where, lineno, f"duplicate compose line for ({args[0]!r}, {args[1]!r})")
+            compose[(args[0], args[1])] = lineno, args[2]
+        elif key in lines:
+            lines[key].append((lineno, args))
         else:
-            _fail(where, lineno, f"unknown keyword {key!r} in a category file")
+            found[key] = lineno, args[0]
 
-    if name is None:
-        raise InputParseError(f"{where}: missing category line")
+    _require(where, found, ("category",))
     from .tablecat import TableCategory
     from .wcat import category_from_selector, validate_waldhausen
 
-    if family is not None:
-        if table_keys:
+    if "family" in found:
+        if table_form:
             raise InputParseError(f"{where}: family form does not take table lines")
-        C = category_from_selector(family)
-    else:
-        if bound is None:
-            raise InputParseError(f"{where}: missing bound line")
-        if zero is None:
-            raise InputParseError(f"{where}: missing zero line")
-        C = TableCategory(
-            name,
-            objects,
-            zero,
-            morphisms,
-            identities,
-            compose,
-            cof,
-            weq,
-            pushouts,
-            bound,
-        )
-        if validate:
-            validate_waldhausen(C).require_ok()
+        return category_from_selector(found["family"][1])
+    _require(where, found, ("bound", "zero"))
+
+    sizes: dict[str, int] = {}
+    for lineno, (nm, size) in lines["object"]:
+        if nm in sizes:
+            _fail(where, lineno, "duplicate object name")
+        sizes[nm] = size
+    lineno, zero = found["zero"]
+    if zero not in sizes:
+        _fail(where, lineno, f"zero object {zero!r} is not a listed object")
+    ends: dict[str, tuple[str, str]] = {}
+    for lineno, (nm, src, dst) in lines["mor"]:
+        if nm in ends:
+            _fail(where, lineno, "duplicate morphism name")
+        ends[nm] = src, dst
+    hom: dict[tuple[str, str], list[str]] = {}
+    for lineno, (nm, src, dst) in lines["mor"]:
+        if src not in sizes or dst not in sizes:
+            _fail(where, lineno, f"morphism {nm!r} references an unknown object")
+        hom.setdefault((src, dst), []).append(nm)
+
+    def ends_of(lineno: int, what: str, *names: str) -> list:
+        for nm in names:
+            if nm not in ends:
+                _fail(where, lineno, f"{what} references unknown morphism {nm!r}")
+        return [ends[nm] for nm in names]
+
+    for o, (lineno, nm) in identities.items():
+        if o not in sizes:
+            _fail(where, lineno, f"identity listed for unknown object {o!r}")
+        if nm not in ends:
+            _fail(where, lineno, f"identity {nm!r} is not a listed morphism")
+        if ends[nm] != (o, o):
+            _fail(where, lineno, f"identity {nm!r} must be an endomorphism of {o!r}")
+    missing = set(sizes) - set(identities)
+    if missing:
+        raise InputParseError(f"{where}: objects without identities: {sorted(missing)}")
+    for (g, f), (lineno, h) in compose.items():
+        g_ends, f_ends, h_ends = ends_of(lineno, "compose table", g, f, h)
+        if f_ends[1] != g_ends[0]:
+            _fail(where, lineno, f"compose entry ({g!r},{f!r}) is not composable")
+        if h_ends != (f_ends[0], g_ends[1]):
+            _fail(where, lineno, f"compose entry ({g!r},{f!r}) has mismatched result")
+    for lineno, (nm,) in lines["cof"] + lines["weq"]:
+        ends_of(lineno, "flag", nm)
+    pushouts: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for lineno, (i, f, d, u, v) in lines["pushout"]:
+        i_ends, f_ends, u_ends, v_ends = ends_of(lineno, "pushout line", i, f, u, v)
+        if d not in sizes:
+            _fail(where, lineno, f"pushout line references unknown object {d!r}")
+        if i_ends[0] != f_ends[0]:
+            _fail(where, lineno, f"pushout legs {i!r}, {f!r} do not share a source")
+        if u_ends != (i_ends[1], d):
+            _fail(where, lineno, f"pushout map {u!r} has wrong endpoints")
+        if v_ends != (f_ends[1], d):
+            _fail(where, lineno, f"pushout map {v!r} has wrong endpoints")
+        if (i, f) in pushouts:
+            _fail(where, lineno, f"duplicate pushout witness for ({i!r},{f!r})")
+        pushouts[(i, f)] = d, u, v
+
+    C = TableCategory(
+        found["category"][1], found["bound"][1], sizes, zero, hom,
+        {o: nm for o, (_, nm) in identities.items()},
+        {gf: h for gf, (_, h) in compose.items()},
+        frozenset(nm for _, (nm,) in lines["cof"]),
+        frozenset(nm for _, (nm,) in lines["weq"]),
+        pushouts,
+    )
+    if validate:
+        validate_waldhausen(C).require_ok()
     return C
 
 
 def parse_category_file(path: str, validate: bool = True) -> WCategory:
     return parse_category_text(_read(path), where=path, validate=validate)
+
+
+def validate_file(path: str) -> ValidationReport:
+    """Read the file at path once and run its validator on what it parses to.
+
+    The first keyword names the grammar: an algebra, group or category
+    file is parsed without its validator, which then reports every
+    violation instead of the first.
+    """
+    text = _read(path)
+    first = next(_tokens(text), None)
+    if first is None:
+        raise InputParseError(f"{path}: empty input file")
+    kind = first[1][0]
+    if kind == "algebra":
+        return validate_algebra(parse_algebra_text(text, path, validate=False))
+    if kind == "group":
+        return validate_group(parse_group_text(text, path, validate=False))
+    if kind == "category":
+        from .wcat import validate_waldhausen
+
+        return validate_waldhausen(parse_category_text(text, path, validate=False))
+    raise InputParseError(f"{path}: first keyword {kind!r} is not one of algebra, group, category")
 
 
 def serialize_category(C: WCategory, labels: bool = True) -> str:

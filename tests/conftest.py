@@ -2,7 +2,8 @@
 
 Property tests run under a fixed hypothesis profile: derandomized, so every
 run draws the same examples, with a bounded example count and no per-example
-deadline, so the suite stays reproducible and its run time predictable.
+deadline, so the suite stays reproducible and its run time predictable.  A
+second profile, ``chaintrace-fuzz``, is the same with 2,000 examples.
 
 Every chain complex a test builds is also checked against its reduced core
 when the test ends: homology() of the complex and of reduce_complex() of it
@@ -30,6 +31,9 @@ except ImportError:  # the property tests skip themselves
     pass
 else:
     settings.register_profile("chaintrace", derandomize=True, max_examples=100, deadline=None, database=None)
+    # the CI fuzz step runs tests/test_parser_fuzz.py under this one, through
+    # pytest's --hypothesis-profile=chaintrace-fuzz
+    settings.register_profile("chaintrace-fuzz", settings.get_profile("chaintrace"), max_examples=2000)
     settings.load_profile("chaintrace")
 
 ORACLE_CELLS = 20_000

@@ -1,5 +1,6 @@
 """Tests for the text file formats and the command-line interface."""
 
+import builtins
 import json
 import os
 import time
@@ -265,6 +266,31 @@ def test_cli_bound_rejected_for_files(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, str(path), "--bound", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error (parse)") and "--bound" in err
+
+
+@pytest.mark.parametrize("command", ["hh", "group-homology", "k0", "validate"])
+def test_cli_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error (parse): cannot read"), err
+
+
+@pytest.mark.parametrize("text", [GROUP_C3, MINIMAL_ALGEBRA, "category V\nfamily vect_gf:2:1\n"])
+def test_cli_validate_reads_its_file_once(tmp_path, capsys, monkeypatch, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    assert opened.count(str(path)) == 1
 
 
 def test_cli_validate_family(capsys):

@@ -123,6 +123,27 @@ def test_vect_tables_are_pinned(selector):
     assert digest(text) == TABLE_DIGESTS[selector]
 
 
+# one character per morphism, "1" for a weak equivalence, hom sets in
+# object order; recorded when each family flagged its weak equivalences
+# with its own rule
+WEQ_DIGESTS = {
+    "vect_gf:2:2": "a6be78eb09f92abfbaeb193abc9205570b4408736e52becf2a5c6ff9dad020cc",
+    "vect_gf:3:1": "8162e509861bf0b9ccdb512d6abb780ed03beacb777c62b761562a9c2458de5d",
+    "pointed_sets:3": "c6b89bf3885a037c37de2dd10381a195e419c59aa1c9fdf76ab7446e4016dceb",
+    "finite_modules:2:8": "bf37969b4c840625fed389b9e443f7a9c07ab816fb03832050dd95acf3af3953",
+}
+
+
+@pytest.mark.parametrize("selector", sorted(WEQ_DIGESTS))
+def test_weak_equivalence_flags_are_pinned(selector):
+    C = category_from_selector(selector)
+    objects = range(C.object_count())
+    flags = "".join(
+        "1" if C.is_weq_id(m) else "0" for a in objects for b in objects for m in C.hom_ids(a, b)
+    )
+    assert digest(flags) == WEQ_DIGESTS[selector]
+
+
 @pytest.mark.parametrize("q, bound", [(2, 2), (3, 1), (5, 1)])
 def test_vect_gf_is_finite_modules_on_elementary_objects(q, bound):
     V, M = vect_gf(q, bound), finite_modules(q, q**bound)
