@@ -252,10 +252,11 @@ SUITES = (
 # The order run_suites submits the suites in: longest first, so the long
 # suites start at once and the short ones fill in behind them.  Seconds of
 # one run in a fresh process, five runs each, Python 3.11 on a 2-core
-# x86-64 host: sigma-delta 0.48-0.66, k0-agreement 0.39-0.53,
-# waldhausen-families 0.19-0.37, trace-additivity 0.019-0.030,
-# cyclic-identities 0.006-0.011, b-and-B 0.007-0.010, chain-maps
-# 0.003-0.005.
+# x86-64 host: sigma-delta 0.73-0.91, k0-agreement 0.58-0.79,
+# waldhausen-families 0.22-0.30, trace-additivity 0.019-0.028,
+# cyclic-identities 0.009, b-and-B 0.007-0.008, chain-maps 0.003-0.004.
+# With two workers, k0-agreement then waldhausen-families is the longer
+# path.
 LONGEST_FIRST = (
     "sigma-delta",
     "k0-agreement",

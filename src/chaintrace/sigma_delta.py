@@ -432,22 +432,20 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
                     )
         for level in range(1, top + 1):
             for i in range(level + 1):
-                for x in range(len(ps_s.levels[level])):
-                    report.checks_run += 1
-                    if ps_d.faces[level][i][images[level][x]] != images[level - 1][
-                        ps_s.faces[level][i][x]
-                    ]:
+                d_dst, below = ps_d.faces[level][i], images[level - 1]
+                report.checks_run += len(images[level])
+                for y, z in zip(images[level], ps_s.faces[level][i]):
+                    if d_dst[y] != below[z]:
                         report.record(
                             f"map {src_key} -> {dst_key} does not commute with d_{i} "
                             f"at level {level}"
                         )
         for level in range(top):
             for i in range(level + 1):
-                for x in range(len(ps_s.levels[level])):
-                    report.checks_run += 1
-                    if ps_d.degens[level][i][images[level][x]] != images[level + 1][
-                        ps_s.degens[level][i][x]
-                    ]:
+                s_dst, above = ps_d.degens[level][i], images[level + 1]
+                report.checks_run += len(images[level])
+                for y, z in zip(images[level], ps_s.degens[level][i]):
+                    if s_dst[y] != above[z]:
                         report.record(
                             f"map {src_key} -> {dst_key} does not commute with s_{i} "
                             f"at level {level}"

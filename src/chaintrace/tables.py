@@ -44,8 +44,8 @@ lines and applies the rules the grammars share (unknown keywords,
 once-only lines, argument counts), each grammar a small table of its
 keywords.  The parsers convert each line as the reader yields it, so the
 error reported is the first one in the file, and a parse error that one
-line causes names it as ``<file>:<line>:`` (a ``family`` selector's own
-errors aside).  A file that cannot be read or is not UTF-8 is a parse
+line causes names it as ``<file>:<line>:``, a ``family`` selector's own
+errors included.  A file that cannot be read or is not UTF-8 is a parse
 error too.  ``validate_file`` reads a file once and
 runs the validator of the grammar its first keyword names.
 
@@ -413,7 +413,11 @@ def parse_category_text(
     if "family" in found:
         if table_form:
             raise InputParseError(f"{where}: family form does not take table lines")
-        return category_from_selector(found["family"][1])
+        lineno, selector = found["family"]
+        try:
+            return category_from_selector(selector)
+        except InputParseError as exc:
+            _fail(where, lineno, str(exc))
     _require(where, found, ("bound", "zero"))
 
     sizes: dict[str, int] = {}

@@ -416,8 +416,7 @@ class SCategory(WCategory):
         return got
 
     def _compose(self, g_payload, f_payload, a: int, b: int, c: int):
-        base = self.base
-        return tuple(base.compose_ids(g, f) for g, f in zip(g_payload, f_payload))
+        return tuple(map(self.base.compose_ids, g_payload, f_payload))
 
     def _identity(self, a_payload):
         entries = a_payload[0]
@@ -598,6 +597,9 @@ class PointedSimplicialSet(Value):
     equivalences, so a whole string is one tuple of handles.  ``faces[n][i]``
     (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps; the
     simplicial identities are checked on the stored range by ``validate``.
+
+    No element-to-position lookup is kept: ``tabulate`` builds one per
+    level while it fills the tables, and ``index_table`` one per call.
     """
 
     _fields = ("name", "levels", "faces", "degens")
@@ -608,7 +610,6 @@ class PointedSimplicialSet(Value):
         self.levels = levels
         self.faces = faces
         self.degens = degens
-        self._index = tuple({x: t for t, x in enumerate(level)} for level in levels)
 
     @classmethod
     def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
@@ -618,29 +619,31 @@ class PointedSimplicialSet(Value):
         elements of level n-1, and ``degeneracy(n, i)`` returns s_i from
         level n to level n+1; both are read off into index tables.
         """
-        X = cls(name, tuple(tuple(level) for level in levels), (), ())
-        top = X.top_level
-        X.faces = ((),) + tuple(
-            tuple(X.index_table(n - 1, map(face(n, i), X.levels[n])) for i in range(n + 1))
+        levels = tuple(tuple(level) for level in levels)
+        top = len(levels) - 1
+        into = [_positions(level) for level in levels]
+        faces = ((),) + tuple(
+            tuple(_index_table(into[n - 1], map(face(n, i), levels[n])) for i in range(n + 1))
             for n in range(1, top + 1)
         )
-        X.degens = tuple(
-            tuple(X.index_table(n + 1, map(degeneracy(n, i), X.levels[n])) for i in range(n + 1))
+        degens = tuple(
+            tuple(_index_table(into[n + 1], map(degeneracy(n, i), levels[n])) for i in range(n + 1))
             for n in range(top)
         ) + ((),)
-        return X
+        return cls(name, levels, faces, degens)
 
     @property
     def top_level(self) -> int:
         return len(self.levels) - 1
 
     def index(self, n: int, x) -> int:
-        return self._index[n][x]
+        """The position of x in ``levels[n]``, found by a scan of the level."""
+        return self.levels[n].index(x)
 
     def index_table(self, n: int, xs) -> tuple:
-        """The positions in ``levels[n]`` of the elements xs, in order."""
-        into = self._index[n]
-        return tuple([into[x] for x in xs])
+        """The positions in ``levels[n]`` of the elements xs, in order,
+        through a lookup of the level built for this call."""
+        return _index_table(_positions(self.levels[n]), xs)
 
     def face(self, n: int, i: int, x: int) -> int:
         return self.faces[n][i][x]
@@ -649,51 +652,78 @@ class PointedSimplicialSet(Value):
         return self.degens[n][i][x]
 
     def validate(self) -> ValidationReport:
+        """Check the basepoint and the simplicial identities on every element.
+
+        Each identity compares two composites of index tables on every
+        element x of its level, one check per x.
+        """
         report = ValidationReport(subject=f"pointed simplicial set {self.name}")
-        top = self.top_level
+        top, faces, degens = self.top_level, self.faces, self.degens
         for n in range(1, top + 1):
             for i in range(n + 1):
                 report.checks_run += 1
-                if self.faces[n][i][0] != 0:
+                if faces[n][i][0] != 0:
                     report.record(f"face d_{i} at level {n} moves the basepoint")
         for n in range(top):
             for i in range(n + 1):
                 report.checks_run += 1
-                if self.degens[n][i][0] != 0:
+                if degens[n][i][0] != 0:
                     report.record(f"degeneracy s_{i} at level {n} moves the basepoint")
+
+        def compare(n: int, lhs: tuple, rhs: tuple, name: str) -> None:
+            # lhs and rhs are (second, first) table pairs applied to level n
+            (a, b), (c, d) = lhs, rhs
+            report.checks_run += len(self.levels[n])
+            for x, (bx, dx) in enumerate(zip(b, d)):
+                if a[bx] != c[dx]:
+                    report.record(f"{name} failed at level {n} on element {x}")
+
         for n in range(2, top + 1):
             for j in range(n + 1):
                 for i in range(j):
-                    for x in range(len(self.levels[n])):
-                        report.checks_run += 1
-                        if self.face(n - 1, i, self.face(n, j, x)) != self.face(
-                            n - 1, j - 1, self.face(n, i, x)
-                        ):
-                            report.record(f"d_{i} d_{j} failed at level {n} on element {x}")
+                    compare(
+                        n, (faces[n - 1][i], faces[n][j]), (faces[n - 1][j - 1], faces[n][i]), f"d_{i} d_{j}"
+                    )
         for n in range(top - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    for x in range(len(self.levels[n])):
-                        report.checks_run += 1
-                        if self.degeneracy(n + 1, i, self.degeneracy(n, j, x)) != self.degeneracy(
-                            n + 1, j + 1, self.degeneracy(n, i, x)
-                        ):
-                            report.record(f"s_{i} s_{j} failed at level {n} on element {x}")
+                    compare(
+                        n,
+                        (degens[n + 1][i], degens[n][j]),
+                        (degens[n + 1][j + 1], degens[n][i]),
+                        f"s_{i} s_{j}",
+                    )
         for n in range(top):
+            ident = range(len(self.levels[n]))
             for j in range(n + 1):
                 for i in range(n + 2):
-                    for x in range(len(self.levels[n])):
-                        report.checks_run += 1
-                        y = self.face(n + 1, i, self.degeneracy(n, j, x))
-                        if i == j or i == j + 1:
-                            expect = x
-                        elif i < j:
-                            expect = self.degeneracy(n - 1, j - 1, self.face(n, i, x))
-                        else:
-                            expect = self.degeneracy(n - 1, j, self.face(n, i - 1, x))
-                        if y != expect:
-                            report.record(f"d_{i} s_{j} failed at level {n} on element {x}")
+                    if i < j:
+                        rhs = (degens[n - 1][j - 1], faces[n][i])
+                    elif i > j + 1:
+                        rhs = (degens[n - 1][j], faces[n][i - 1])
+                    else:
+                        rhs = (ident, ident)
+                    compare(n, (faces[n + 1][i], degens[n][j]), rhs, f"d_{i} s_{j}")
         return report
+
+
+# One int object per position, shared by every index table, so a table of
+# 15,663 positions does not hold 15,663 ints of its own (28 bytes each).
+# Ints are immutable, so sharing them changes no result; the list grows to
+# the longest level tabulated in the process.
+_POSITION_INTS: list = []
+
+
+def _positions(level: tuple) -> dict:
+    """Element -> position in ``level``, the positions from _POSITION_INTS."""
+    if len(_POSITION_INTS) < len(level):
+        _POSITION_INTS.extend(range(len(_POSITION_INTS), len(level)))
+    return dict(zip(level, _POSITION_INTS))
+
+
+def _index_table(into: dict, xs) -> tuple:
+    """The positions ``into`` gives the elements xs, in order."""
+    return tuple(map(into.__getitem__, xs))
 
 
 def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
@@ -726,17 +756,18 @@ def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
     return elts
 
 
-def _string_face(C: WCategory, s: tuple, i: int) -> tuple:
+def _string_face(C: WCategory, s: tuple, i: int, compose) -> tuple:
     """The nerve face d_i of the flat string s = (x0, g_1, ..., g_n) of C.
 
     d_0 drops g_1 and starts at its target, d_n drops g_n, and any other
-    d_i composes g_{i+1} after g_i; the result is again a flat string.
+    d_i composes g_{i+1} after g_i with ``compose``; the result is again a
+    flat string.
     """
     if i == 0:
         return (C.mor_target(s[1]),) + s[2:]
     if i == len(s) - 1:
         return s[:-1]
-    return s[:i] + (C.compose_ids(s[i + 1], s[i]),) + s[i + 2 :]
+    return s[:i] + (compose(s[i + 1], s[i]),) + s[i + 2 :]
 
 
 def _string_degeneracy(C: WCategory, s: tuple, i: int) -> tuple:
@@ -759,8 +790,12 @@ def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     Level l lists the strings of l composable weak equivalences, each the
     flat tuple (x0, g_1, ..., g_l) of its start object and its maps; the
     basepoint (z, id_z, ..., id_z) on the zero object z is at index 0.
-    Faces drop or compose, degeneracies insert identities.
+    Faces drop or compose, degeneracies insert identities.  A face composes
+    through ``composite_id``, outside C's composition memo: below level 3
+    the strings of a level ask for distinct composites, so a memo would
+    never hit.
     """
+    compose = C.composite_id
     levels = [
         _weq_strings(C, l, f"nerve level {l} of {C.name} exceeds {STRING_CAP} strings")
         for l in range(w_max + 1)
@@ -768,7 +803,7 @@ def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     return PointedSimplicialSet.tabulate(
         f"w-nerve({C.name})",
         levels,
-        lambda n, i: lambda s: _string_face(C, s, i),
+        lambda n, i: lambda s: _string_face(C, s, i, compose),
         lambda n, i: lambda s: _string_degeneracy(C, s, i),
     )
 
@@ -784,7 +819,10 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     along the coface [n-1] -> [n] that skips i, landing in w_n S_{n-1} C,
     and the vertical face d_i^v is the nerve face of w S_{n-1} C.  Likewise
     s_i restricts along the codegeneracy [n+1] -> [n] that repeats i and
-    then inserts an identity.
+    then inserts an identity.  A face composes through the memo of S_{n-1} C,
+    which lives only while the diagonal is built: restricted strings ask
+    for few composites many times (the 15,663 strings of level 2 over
+    vect_gf(2,2) for 38).
     """
     scats = [SCategory(C, n) for n in range(DIAGONAL_TOP + 1)]
     levels = [
@@ -794,7 +832,7 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
 
     def face(n: int, i: int):
         F, S = reindex_functor(scats[n], scats[n - 1], _delta(i, n)), scats[n - 1]
-        return lambda s: _string_face(S, map_string(F, s), i)
+        return lambda s: _string_face(S, map_string(F, s), i, S.compose_ids)
 
     def degeneracy(n: int, i: int):
         F, S = reindex_functor(scats[n], scats[n + 1], _sigma(i, n)), scats[n + 1]

@@ -18,9 +18,13 @@ output is phrased in terms of labels and canonical orderings, never raw
 handles.
 
 The universal property of a pushout is read in one place:
-``mediating_id(u, v, p, q)`` is the unique h with h∘u = p and h∘v = q, or
-None.  ``is_pushout``, ``find_pushout`` and the witness builders of S_k and
-End(C) ask it; only the axiom-5 scan reads ``mediating_ids`` itself.
+``mediating_ids(u, v, p, q)`` lists every h with h∘u = p and h∘v = q, and
+``mediating_id`` is the unique one, or None.  A memo lives as long as the
+scan that reads it: the witness builders of S_k and End(C) ask
+``mediating_id``, whose memo lives as long as the category, while
+``is_pushout`` and ``find_pushout`` ask ``mediating_ids`` afresh, and the
+axiom-5 scan of ``validate_waldhausen`` keeps its answers for one witness
+at a time.
 
 A GF(q)-vector space is an elementary abelian q-group, so ``VectCategory``
 is ``FiniteModulesCategory`` on the objects (q,)*n: one injectivity test (a
@@ -309,18 +313,20 @@ class WCategory:
         row = self._compose_cache.get(f)
         got = None if row is None else row.get(g)
         if got is None:
-            a, b = self._mor_src[f], self._mor_tgt[f]
-            if self._mor_src[g] != b:
-                raise ValidationError(
-                    f"cannot compose {self.mor_label(g)} after {self.mor_label(f)}"
-                )
-            c = self._mor_tgt[g]
-            payload = self._compose(self._mor_payload[g], self._mor_payload[f], a, b, c)
-            got = self._intern(payload, a, c, -1)
+            got = self.composite_id(g, f)
             if row is None:
                 row = self._compose_cache[f] = {}
             row[g] = got
         return got
+
+    def composite_id(self, g: int, f: int) -> int:
+        """The handle of g∘f, computed afresh and kept in no memo: for a
+        scan that asks for most of its composites once."""
+        a, b = self._mor_src[f], self._mor_tgt[f]
+        if self._mor_src[g] != b:
+            raise ValidationError(f"cannot compose {self.mor_label(g)} after {self.mor_label(f)}")
+        c = self._mor_tgt[g]
+        return self._intern(self._compose(self._mor_payload[g], self._mor_payload[f], a, b, c), a, c, -1)
 
     def is_cofibration_id(self, m: int) -> bool:
         got = self._cofib_cache.get(m)
@@ -416,24 +422,25 @@ class WCategory:
 
         Candidates are the maps into the target e of p grouped by their
         composite with u (``_by_composite``, cached per (u, e)): only the
-        group of p is read, in hom order, and filtered by h∘v = q.  The
-        result is memoized per (u, v, p, q): the axiom-5 scan and the grid
-        builders ask for the same square many times.
+        group of p is read, in hom order, and filtered by h∘v = q.  Nothing
+        is memoized here: a scan that asks for one square many times keeps
+        its own memo for as long as it runs.
         """
-        key = (u, v, p, q)
-        got = self._mediating_cache.get(key)
-        if got is None:
-            group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
-            got = tuple(h for h in group if self.compose_ids(h, v) == q)
-            self._mediating_cache[key] = got
-        return got
+        group = self._by_composite(u, self._mor_tgt[p]).get(p, ())
+        return tuple(h for h in group if self.compose_ids(h, v) == q)
 
     def mediating_id(self, u: int, v: int, p: int, q: int):
         """The unique h with h∘u = p and h∘v = q, or None if there is none
         or more than one: the universal property of a pushout (d, u, v),
-        read from one ``mediating_ids`` call."""
+        read from one ``mediating_ids`` call.  Memoized per (u, v, p, q) for
+        the life of the category: the grid builders ask for the same square
+        many times."""
+        key = (u, v, p, q)
+        if key in self._mediating_cache:
+            return self._mediating_cache[key]
         got = self.mediating_ids(u, v, p, q)
-        return got[0] if len(got) == 1 else None
+        got = self._mediating_cache[key] = got[0] if len(got) == 1 else None
+        return got
 
     def _cocones(self, i: int, f: int):
         """Every commuting square (e, p, q) under b <-i- a -f-> c, p∘i = q∘f,
@@ -449,7 +456,7 @@ class WCategory:
         """Universal-property check for the square (i, f, u, v) by enumeration."""
         if self.compose_ids(u, i) != self.compose_ids(v, f):
             return False
-        return all(self.mediating_id(u, v, p, q) is not None for _, p, q in self._cocones(i, f))
+        return all(len(self.mediating_ids(u, v, p, q)) == 1 for _, p, q in self._cocones(i, f))
 
     def find_pushout(self, i: int, f: int):
         """The first (d, u, v) within the bound with the universal property, or None.
@@ -469,7 +476,7 @@ class WCategory:
                         f"pushout search for ({self.mor_label(i)}, {self.mor_label(f)}) over "
                         f"{len(cocones)} commuting squares passed {PUSHOUT_SEARCH_CAP} steps"
                     )
-                if self.mediating_id(u, v, p, q) is None:
+                if len(self.mediating_ids(u, v, p, q)) != 1:
                     break
             else:
                 return d, u, v
@@ -953,16 +960,26 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
         near = {t2 for t2 in triples if all(C.weq_ids(x, y) for x, y in zip(t, t2))}
         related[t] = [(w2, t2) for w2, t2 in zip(witnesses, corners) if t2 in near]
 
+    # u and v are fixed for one witness, so its squares are memoized by
+    # (p, q) until the scan moves on to the next witness
     for (i, f, d, u, v), t in zip(witnesses, corners):
+        induced = {}
         for (i2, f2, d2, u2, v2), (a2, b2, c2) in related[t]:
+            betas_by = C._by_composite(i, b2, weq_only=True)
+            gammas_by = C._by_composite(f, c2, weq_only=True)
             for alpha in C.weq_ids(t[0], a2):
                 ia = C.compose_ids(i2, alpha)
-                fa = C.compose_ids(f2, alpha)
-                for beta in C._by_composite(i, b2, weq_only=True).get(ia, ()):
+                gammas = gammas_by.get(C.compose_ids(f2, alpha), ())
+                if not gammas:
+                    continue
+                for beta in betas_by.get(ia, ()):
                     ub = C.compose_ids(u2, beta)
-                    for gamma in C._by_composite(f, c2, weq_only=True).get(fa, ()):
+                    for gamma in gammas:
                         report.checks_run += 1
-                        med = C.mediating_ids(u, v, ub, C.compose_ids(v2, gamma))
+                        key = (ub, C.compose_ids(v2, gamma))
+                        med = induced.get(key)
+                        if med is None:
+                            med = induced[key] = C.mediating_ids(u, v, *key)
                         if len(med) != 1:
                             report.record(
                                 f"axiom 5: no unique induced map between pushouts of "

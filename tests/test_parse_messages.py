@@ -6,8 +6,7 @@ category parsers (the explicit-table reference checks included) and of the
 Every parse error that a line of the file causes names that line as
 ``<where>:<line>:``; whole-file conditions (a missing line, a table with
 the wrong number of rows, objects without identities) name the file
-alone, and an unknown family selector is reported as the selector would
-be.  Valid inputs are pinned too, by a digest of what they parse to.
+alone.  Valid inputs are pinned too, by a digest of what they parse to.
 """
 
 import hashlib
@@ -326,8 +325,13 @@ CASES = {
     "family-unknown": (
         "category",
         "category C\nfamily nope:1\n",
-        "InputParseError: unknown category selector 'nope:1'; expected trivial, vect_gf:q:bound, "
+        "InputParseError: <category>:2: unknown category selector 'nope:1'; expected trivial, vect_gf:q:bound, "
         "pointed_sets:bound, or finite_modules:p:bound",
+    ),
+    "family-bad-argument": (
+        "category",
+        "category C\nfamily vect_gf:4:1\n",
+        "InputParseError: <category>:2: bad category selector 'vect_gf:4:1': GF needs a prime modulus",
     ),
     "bound-missing": (
         "category",

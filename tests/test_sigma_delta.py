@@ -12,6 +12,7 @@ from chaintrace.sigma_delta import (
     sigma_delta_validate,
     weq_nerve,
 )
+from chaintrace.waldhausen import PointedSimplicialSet, ws_diagonal
 from chaintrace.wcat import finite_modules, pointed_sets, trivial_category, vect_gf
 
 ALL_KEYS = (
@@ -212,6 +213,26 @@ def test_weq_nerve_strings_are_flat():
     y = ps.index(1, (line, idl))
     assert [ps.levels[2][ps.degeneracy(1, i, y)] for i in range(2)] == [(line, idl, idl)] * 2
     assert ps.validate().ok
+
+
+def test_simplicial_sets_keep_no_position_lookup(vect_diagram):
+    # tabulate reads positions through one lookup per level and drops it;
+    # index() scans the level, and act_level builds its own lookup
+    free = PointedSimplicialSet.tabulate("free", [[0, 1, 2]] * 3, lambda n, i: abs, lambda n, i: abs)
+    sets = [free, weq_nerve(vect_gf(2, 2), 2), ws_diagonal(vect_gf(2, 1))]
+    sets += [vect_diagram.entry(key) for key in vect_diagram.keys]
+    src, dst, f, phis = (1, (2,)), (2, (1, 2)), (2,), ((0, 1), (0, 1, 2))
+    table = vect_diagram.act_level(src, dst, f, phis, 1)
+    assert [vect_diagram.act_index(src, dst, f, phis, 1, x) for x in (0, 452)] == [table[0], table[452]]
+    for ps in sets:
+        assert not [name for name, value in vars(ps).items() if isinstance(value, dict)]
+        for n, level in enumerate(ps.levels):
+            for x in {0, len(level) // 2, len(level) - 1}:
+                assert ps.index(n, level[x]) == x
+    # every table holds the same int object for one position
+    big = [vect_diagram.entry(key) for key in ((1, (2,)), (2, (1, 2)), (2, (2, 1)))]
+    at_452 = [t[t.index(452)] for t in [table] + [ps.faces[2][i] for ps in big for i in range(3)]]
+    assert all(p is at_452[0] for p in at_452)
 
 
 def test_nerve_operators_on_flat_strings():

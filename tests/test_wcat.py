@@ -17,7 +17,7 @@ from chaintrace.cli import main
 from chaintrace.endo import end_category, validate_exact_functor
 from chaintrace.errors import CapExceededError, InputParseError, ValidationError
 from chaintrace.tables import parse_category_file, serialize_category
-from chaintrace.waldhausen import SCategory, s_k_objects
+from chaintrace.waldhausen import SCategory, s_k_objects, weq_nerve
 from chaintrace.wcat import (
     axiom5_bound,
     category_from_selector,
@@ -392,12 +392,14 @@ def test_morphism_cap_counts_interned_morphisms(monkeypatch):
 def axiom5_work(monkeypatch, C) -> tuple[int, int]:
     """(axiom5_bound, checks the axiom-5 scan runs) for one validation of C.
 
-    Each axiom-5 check asks for the mediating maps once, straight from
-    validate_waldhausen; axioms 3 and 4 ask through is_pushout and
-    find_pushout.
+    The axiom-5 scan closes validate_waldhausen, and only it asks for
+    mediating maps straight from validate_waldhausen; axioms 3 and 4 ask
+    through is_pushout and find_pushout.  Its first check always asks, as
+    each witness starts an empty memo, so the scan's checks are the
+    report's checks from that one on.
     """
     bounds = []
-    checks = []
+    first = []
     mediating = wcat.WCategory.mediating_ids
 
     def recorded_bound(*args):
@@ -405,16 +407,17 @@ def axiom5_work(monkeypatch, C) -> tuple[int, int]:
         return bounds[-1]
 
     def counted(self, *args):
-        if sys._getframe(1).f_code is validate_waldhausen.__code__:
-            checks.append(args)
+        frame = sys._getframe(1)
+        if frame.f_code is validate_waldhausen.__code__ and not first:
+            first.append(frame.f_locals["report"].checks_run)
         return mediating(self, *args)
 
     with monkeypatch.context() as m:
         m.setattr(wcat, "axiom5_bound", recorded_bound)
         m.setattr(wcat.WCategory, "mediating_ids", counted)
-        validate_waldhausen(C)
+        report = validate_waldhausen(C)
     (bound,) = bounds
-    return bound, len(checks)
+    return bound, (report.checks_run - first[0] + 1 if first else 0)
 
 
 @pytest.mark.parametrize(
@@ -455,6 +458,71 @@ def test_caps_sit_above_the_largest_tested_categories(monkeypatch):
     assert wcat.TRIPLE_CAP > composable_triples(pointed_sets(3)) == 704836
     corrupt = parse_category_file(os.path.join(DATA, "corrupt_axiom5.txt"), validate=False)
     assert wcat.AXIOM5_CAP > axiom5_work(monkeypatch, corrupt)[0] == 37906425
+
+
+def scan_asks(monkeypatch, C) -> list:
+    """The mediating_ids calls the axiom-5 scan makes in one validation of C."""
+    asks = []
+    mediating = wcat.WCategory.mediating_ids
+
+    def counted(self, *args):
+        if sys._getframe(1).f_code is validate_waldhausen.__code__:
+            asks.append(args)
+        return mediating(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(wcat.WCategory, "mediating_ids", counted)
+        assert validate_waldhausen(C).ok
+    return asks
+
+
+def test_axiom5_scan_memoizes_squares_per_witness(monkeypatch):
+    # vect_gf(2, 2): the scan's 21,913 checks ask mediating_ids once per
+    # distinct square of a witness, 661 times; only 156 squares and 43
+    # pairs of legs are distinct in all, since witnesses share legs and
+    # each witness starts an empty memo
+    assert axiom5_work(monkeypatch, vect_gf(2, 2)) == (2013075, 21913)
+    asks = scan_asks(monkeypatch, vect_gf(2, 2))
+    assert (len(asks), len(set(asks))) == (661, 156)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: vect_gf(2, 2),
+        lambda: pointed_sets(2),
+        lambda: SCategory(vect_gf(2, 1), 2),
+        lambda: parse_category_file(os.path.join(DATA, "corrupt_axiom5.txt"), validate=False),
+    ],
+    ids=["vect22", "pointed2", "s2-vect21", "corrupt-axiom5"],
+)
+def test_validation_leaves_no_mediating_memo(make):
+    C = make()
+    validate_waldhausen(C)
+    assert C._mediating_cache == {}
+
+
+def test_grid_builders_keep_their_mediating_memo():
+    C = vect_gf(2, 2)
+    S = SCategory(C, 2)
+    # S_2's cofibrations read the top-row comparison maps of C
+    cofibs = [S.cofibs_from(a) for a in range(S.object_count())]
+    kept = dict(C._mediating_cache)
+    assert kept
+    assert validate_waldhausen(C).ok
+    assert C._mediating_cache == kept
+    assert [S.cofibs_from(a) for a in range(S.object_count())] == cofibs
+
+
+@pytest.mark.parametrize("make", [lambda: vect_gf(2, 2), lambda: SCategory(vect_gf(2, 1), 1)], ids=["vect22", "s1-vect21"])
+def test_nerve_faces_leave_the_composition_memo_alone(make):
+    # each string of a nerve below level 3 asks for its own composite, so
+    # the faces compose outside C's memo
+    C = make()
+    before = {f: dict(row) for f, row in C._compose_cache.items()}
+    X = weq_nerve(C, 2)
+    assert C._compose_cache == before
+    assert X.validate().ok
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
