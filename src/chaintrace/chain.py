@@ -46,9 +46,12 @@ homology() on C itself.
 basis_map_columns is the one writer of every linear map given on basis
 elements: the columns of sum_{i < terms} (-1)^i f_i, from an image rule
 and a row lookup, which SparseMap.from_col_dicts takes.  One term gives a
-single map: faces, degeneracies, t, B, projections, inclusions, phi, the
-multitrace, K_0 relations.  The faces of a level give a boundary: Hochschild
-b, the bar complexes, the S_2 faces of the w.S diagonal and total complex.
+single map: faces, degeneracies, t, B, phi, the multitrace, K_0
+relations.  The faces of a level give a boundary: Hochschild b, the bar
+complexes, the S_2 faces of the w.S diagonal and total complex.  push sums
+those columns for one sparse vector {basis element: coeff}: the trace and
+Morita pipelines push generators rule after rule, and build no matrix of a
+chain map and no level it maps from.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "reduce_complex",
     "direct_sum",
     "basis_map_columns",
+    "push",
     "LevelRows",
     "rank_over_field",
     "predicted_dense_cells",
@@ -486,6 +490,18 @@ def basis_map_columns(ring: BaseRing, basis, terms: int, image, row_of):
                 if row is not None:
                     col[row] = add(col.get(row, zero), neg(c) if i % 2 else c)
         yield col
+
+
+def push(ring: BaseRing, vec: dict, image) -> dict:
+    """Image of vec = {basis element: coeff} under the rule image(x, 0), as
+    {target: coeff} without zeros: the columns basis_map_columns writes for
+    vec's support, with each target its own row, times their coefficients."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    out: dict = {}
+    for c, col in zip(vec.values(), basis_map_columns(ring, vec, 1, image, lambda y: y)):
+        for y, a in col.items():
+            out[y] = add(out.get(y, zero), mul(a, c))
+    return {y: a for y, a in out.items() if not ring.is_zero(a)}
 
 
 class LevelRows(dict):

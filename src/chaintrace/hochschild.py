@@ -20,11 +20,12 @@ by basis tensors with a unit in some slot >= 1, and the quotient has the
 honest basis of the r(r-1)^q tuples avoiding index 0 past slot 0.  b and B
 are written directly on these unit-free tuples (Loday, Cyclic Homology,
 2.1), dropping terms that land on a degenerate tuple, so the full levels are
-never built for them.  Every operator (faces, degeneracies, t, both b's, B,
-projection, inclusion and the b + B of the total complex) is written
-by chain.basis_map_columns from an image rule on basis tuples and the row
-lookup of its target level; each is built once per instance (_cached).  Homology results
-are converted back to the caller's original basis at the API boundary.
+never built for them.  Every operator (faces, degeneracies, t, both b's, B
+and the b + B of the total complex) is written by chain.basis_map_columns
+from an image rule on basis tuples and the row lookup of its target level;
+each is built once per instance (_cached).  Chains cross between the
+caller's basis and the normalized levels by chain.push through the change
+of basis in every slot (tensor_rule), with no full level enumerated.
 
 The invariants-only paths (HochschildHomology.core behind hh, cyclic_core
 behind hc) never build the whole normalized complex.  table_grading finds
@@ -48,9 +49,9 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property, partial, wraps
 
-from .algebra import Algebra, AlgebraHom, unit_first_presentation
+from .algebra import Algebra, unit_first_presentation
 from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, basis_map_columns
-from .chain import check_homology_ring, direct_sum, homology, reduce_complex
+from .chain import check_homology_ring, direct_sum, homology, push, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import Matrix, SparseMap, smith_normal_form
@@ -66,8 +67,7 @@ __all__ = [
     "cyclic_core",
     "table_grading",
     "tuple_index",
-    "induced_chain_map",
-    "tensor_power_map",
+    "tensor_rule",
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
@@ -90,7 +90,8 @@ class CyclicModule:
     """Levels A^tensor(q+1) for q = 0..max_level with the cyclic structure.
 
     All operators are column-sparse maps, built lazily and cached.  A full
-    level of rank above LEVEL_CAP is refused when an operator on it is built.
+    level of rank above LEVEL_CAP is refused when an operator on it is
+    built, or a dense vector on it is read or written.
     """
 
     def __init__(self, algebra: Algebra, max_level: int):
@@ -217,7 +218,8 @@ def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
 
     LEVEL_CAP bounds the normalized level N+1, of rank r(r-1)^(N+1), which is
     what homology eliminates; a full level, of rank r^(q+1), is checked
-    only when an operator on it is built (see CyclicModule.check_full_level).
+    only when an operator or a dense vector on it is built (see
+    CyclicModule.check_full_level).
     """
     if N < 0:
         raise DegreeOutOfRangeError("N must be >= 0")
@@ -236,7 +238,7 @@ class NormalizedComplex:
     Requires the algebra's unit to be basis vector 0; then degenerate chains
     are spanned by tuples with 0 in a slot >= 1 and the quotient basis is
     the set of tuples avoiding 0 past slot 0.  b and B are written on these
-    unit-free tuples; only projection and inclusion touch the full levels.
+    unit-free tuples, and no full level is built.
     A weight block (weight_blocks) is a NormalizedComplex whose levels hold
     only the tuples of one total weight.
     """
@@ -309,18 +311,6 @@ class NormalizedComplex:
             yield w, NormalizedComplex(self.cyclic_module, tuples)
 
     @_cached
-    def projection(self, q: int) -> SparseMap:
-        """Full level q -> normalized level q (kill degenerate tuples)."""
-        one = self.ring.one
-        return self._map(q, self.cyclic_module.tuples(q), 1, lambda tup, _: ((tup, one),))
-
-    @_cached
-    def inclusion(self, q: int) -> SparseMap:
-        """Normalized level q -> full level q (basis section)."""
-        one = self.ring.one
-        return self.cyclic_module._map(q, self.level_tuples(q), 1, lambda tup, _: ((tup, one),))
-
-    @_cached
     def boundary(self, q: int) -> SparseMap:
         """Induced Hochschild boundary: b with degenerate faces dropped."""
         self.cyclic_module._check_level(q, lo=1)
@@ -376,33 +366,18 @@ class NormalizedComplex:
         return direct_sum(self.ring, top, (reduce_complex(build(b, top)) for _, b in self.weight_blocks()))
 
 
-def tensor_power_map(f: SparseMap, power: int) -> SparseMap:
-    """f^tensor(power) with big-endian tuple indexing on both sides."""
-    if power < 1:
-        raise ValueError("tensor power must be >= 1")
+def tensor_rule(f: SparseMap):
+    """Image rule of f^tensor(q+1) on basis tuples: f in every slot, so a
+    tuple goes to the products of one entry of f's column in each slot."""
     ring = f.ring
-    nrows, ncols = f.nrows, f.ncols
-    cols: list[dict] = []
-    for tup in itertools.product(range(ncols), repeat=power):
-        acc = {0: ring.one}
+
+    def image(tup, _):
+        terms = [((), ring.one)]
         for t in tup:
-            nxt: dict[int, object] = {}
-            for base, c in acc.items():
-                for row, a in f.cols[t]:
-                    key = base * nrows + row
-                    prev = nxt.get(key)
-                    val = ring.mul(c, a)
-                    nxt[key] = val if prev is None else ring.add(prev, val)
-            acc = nxt
-            if not acc:
-                break
-        cols.append(acc)
-    return SparseMap.from_col_dicts(ring, nrows**power, cols)
+            terms = [(head + (row,), ring.mul(c, a)) for head, c in terms for row, a in f.cols[t]]
+        return terms
 
-
-def induced_chain_map(f: AlgebraHom, q: int) -> SparseMap:
-    """Level-q map of cyclic bar constructions induced by an algebra map."""
-    return tensor_power_map(f.matrix, q + 1)
+    return image
 
 
 class HochschildHomology:
@@ -410,11 +385,12 @@ class HochschildHomology:
 
     Representatives and input cycles use the caller's basis of A^tensor(q+1);
     internally everything runs on the normalized complex of a unit-first
-    presentation, and the two are bridged by tensor powers of the change of
-    basis.  group() reads isomorphism types off core, which is built one
-    weight block of the normalized complex at a time and never holds the
-    whole complex; homology_data() and everything built on it use complex,
-    the whole normalized complex, built on first use.
+    presentation, and the two are bridged by pushing chains through the
+    change of basis in every slot (normalize, chain_of).  group() reads
+    isomorphism types off core, which is built one weight block of the
+    normalized complex at a time and never holds the whole complex;
+    homology_data() and everything built on it use complex, the whole
+    normalized complex, built on first use.
     """
 
     def __init__(self, A: Algebra, max_degree: int):
@@ -424,7 +400,8 @@ class HochschildHomology:
         self.ring = A.ring
         self.max_degree = max_degree
         check_homology_ring(self.ring)
-        reduced, self._t_map, self._tinv_map = unit_first_presentation(A)
+        reduced, T, Tinv = unit_first_presentation(A)
+        self._from_unit_first, self._to_unit_first = tensor_rule(T), tensor_rule(Tinv)
         self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)
         self._cache: dict = {}
@@ -455,27 +432,39 @@ class HochschildHomology:
     def group(self, n: int) -> FPAbelianGroup | FPModule:
         return homology(self.core, n).group
 
-    @_cached
-    def to_normalized(self, q: int) -> SparseMap:
-        """Original-basis level q -> normalized level q."""
-        self.cyclic_module.check_full_level(q)
-        return self.normalized.projection(q).compose(tensor_power_map(self._tinv_map, q + 1))
+    def normalize(self, q: int, chain: dict) -> tuple:
+        """Normalized level-q vector of a chain {tuple in the caller's basis:
+        coeff}: T^-1 in every slot; a degenerate tuple has no entry."""
+        image, zero = push(self.ring, chain, self._to_unit_first), self.ring.zero
+        return tuple(image.get(x, zero) for x in self.normalized.level_tuples(q))
 
-    @_cached
-    def from_normalized(self, q: int) -> SparseMap:
-        """Normalized level q -> original-basis level q."""
+    def chain_of(self, q: int, vec) -> dict:
+        """A normalized level-q vector as a chain {tuple in the caller's
+        basis: coeff}: T in every slot."""
+        ring = self.ring
+        chain = {x: c for x, c in zip(self.normalized.level_tuples(q), vec) if not ring.is_zero(c)}
+        return push(ring, chain, self._from_unit_first)
+
+    def full_vector(self, q: int, chain: dict) -> tuple:
+        """A chain {tuple in the caller's basis: coeff} as a dense vector of full level q."""
         self.cyclic_module.check_full_level(q)
-        return tensor_power_map(self._t_map, q + 1).compose(self.normalized.inclusion(q))
+        r = self.algebra.rank
+        out = [self.ring.zero] * r ** (q + 1)
+        for x, c in chain.items():
+            out[tuple_index(r, x)] = c
+        return tuple(out)
 
     def generators(self, n: int) -> tuple:
         """Representative cycles in the original basis of A^tensor(n+1)."""
-        data = self.homology_data(n)
-        conv = self.from_normalized(n)
-        return tuple(conv.apply(g) for g in data.generators)
+        self.cyclic_module.check_full_level(n)
+        return tuple(self.full_vector(n, self.chain_of(n, g)) for g in self.homology_data(n).generators)
 
     def coordinates(self, n: int, vec) -> tuple:
         """Canonical class coordinates of a cycle given in the original basis."""
-        return self.homology_data(n).coordinates(self.to_normalized(n).apply(vec))
+        self.cyclic_module.check_full_level(n)
+        ring, tuples = self.ring, itertools.product(range(self.algebra.rank), repeat=n + 1)
+        chain = {x: c for x, c in zip(tuples, vec, strict=True) if not ring.is_zero(c)}
+        return self.homology_data(n).coordinates(self.normalize(n, chain))
 
     def is_boundary(self, n: int, vec) -> bool:
         return all(c == 0 for c in self.coordinates(n, vec))

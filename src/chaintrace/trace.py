@@ -8,8 +8,8 @@ with three explicit chain maps:
 
 * the bar-to-cyclic map phi_q(g_1, ..., g_q) =
   (g_q^-1 ... g_1^-1) x g_1 x ... x g_q, a chain map on the nose;
-* the map induced by the algebra embedding R[GL_n(A)] -> M_n(A) (tensor
-  powers of its matrix);
+* the map induced by the algebra embedding R[GL_n(A)] -> M_n(A) (its
+  matrix in every slot, hochschild.tensor_rule);
 * the multitrace tr(x_0 x ... x x_q) = sum over index cycles of
   (x_0)_{i_0 i_1} x (x_1)_{i_1 i_2} x ... x (x_q)_{i_q i_0}.
 
@@ -17,11 +17,13 @@ Everything stays at chain level; no plus construction, no stabilization.
 K_1-flavored traces (dennis_trace_k1) take a single invertible matrix g and
 return the class of tr(g^-1 x g) in HH_1(A).
 
-Every map here is written by chain.basis_map_columns from an image rule on
-basis tuples and a row lookup: the bar complex (bar_complex, level q = R[G^q]) and its
-normalization on tuples of non-identity elements (GroupHomology) sum the
-faces _bar_face writes, and the inclusion of the normalization, phi and the
-multitrace send each tuple to one tuple or to zero.  The caps of a whole
+Every map here is an image rule on basis tuples: the bar complex
+(bar_complex, level q = R[G^q]) and its normalization on tuples of
+non-identity elements (GroupHomology) sum the faces _bar_face writes, and
+phi and the multitrace send each tuple to one tuple or to zero.  The
+pipelines push each generator through the rules (chain.push), so no full
+level is enumerated; group_to_hh and multitrace write the rules as
+whole-level matrices for the chain-map checks.  The caps of a whole
 pipeline are checked from ranks before any of it is built.
 """
 
@@ -49,11 +51,12 @@ from .chain import (
     basis_map_columns,
     check_dense_cells,
     homology,
+    push,
     reduce_complex,
 )
 from .conventions import DEGREE_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
-from .hochschild import HochschildHomology, tensor_power_map, tuple_index
+from .hochschild import HochschildHomology, tensor_rule, tuple_index
 from .linalg import Matrix, SparseMap, is_onto
 from .rings import BaseRing
 from .values import Value
@@ -123,7 +126,7 @@ class GroupHomology:
         self.max_degree = max_degree
         self._others = [g for g in range(G.order) if g != G.identity]
         face = _bar_face(G, ring.one)
-        levels = [list(itertools.product(self._others, repeat=q)) for q in range(max_degree + 2)]
+        levels = [list(self.level(q)) for q in range(max_degree + 2)]
         diffs = {}
         for q in range(1, max_degree + 2):
             rows = LevelRows(levels[q - 1], G.identity, 0)
@@ -132,12 +135,9 @@ class GroupHomology:
         self.complex = ChainComplex(ring, [len(level) for level in levels], diffs)
         self._data: dict[int, HomologyData] = {}
 
-    def inclusion(self, q: int) -> SparseMap:
-        """Normalized bar level q -> full bar level q (R[G^q])."""
-        n, one = self.group.order, self.ring.one
-        tuples = itertools.product(self._others, repeat=q)
-        cols = basis_map_columns(self.ring, tuples, 1, lambda tup, _: ((tup, one),), partial(tuple_index, n))
-        return SparseMap.from_col_dicts(self.ring, n**q, cols)
+    def level(self, q: int):
+        """The tuples of normalized level q in row order: q non-identity elements."""
+        return itertools.product(self._others, repeat=q)
 
     def homology_data(self, n: int) -> HomologyData:
         if n < 0 or n > self.max_degree:
@@ -160,50 +160,64 @@ def group_homology(G: FiniteGroup, ring: BaseRing, n: int):
     return GroupHomology(G, ring, n).group_at(n)
 
 
-def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
-    """Chain map bar level q -> cyclic bar level q of R[G].
-
-    (g_1, ..., g_q) |-> (g_q^-1 ... g_1^-1) x g_1 x ... x g_q.  Satisfies
-    b . phi = phi . bar boundary exactly, and sends tuples containing the
-    identity to degenerate chains.
-    """
-    n = G.order
+def _phi_rule(G: FiniteGroup, one):
+    """Image rule of phi: (g_1, ..., g_q) |-> (g_q^-1 ... g_1^-1) x g_1 x ... x g_q."""
 
     def image(tup, _):
         g = G.identity
         for t in tup:
             g = G.multiply(g, t)
-        return (((G.inverse(g),) + tup, ring.one),)
+        return (((G.inverse(g),) + tup, one),)
 
-    cols = basis_map_columns(ring, itertools.product(range(n), repeat=q), 1, image, partial(tuple_index, n))
+    return image
+
+
+def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
+    """Chain map bar level q -> cyclic bar level q of R[G], from _phi_rule.
+
+    Satisfies b . phi = phi . bar boundary exactly, and sends tuples
+    containing the identity to degenerate chains.
+    """
+    n, tuples = G.order, itertools.product(range(G.order), repeat=q)
+    cols = basis_map_columns(ring, tuples, 1, _phi_rule(G, ring.one), partial(tuple_index, n))
     return SparseMap.from_col_dicts(ring, n ** (q + 1), cols)
+
+
+def _check_trace_source(A: Algebra, n: int, q: int) -> None:
+    """Refuse a cyclic bar level q of M_n(A) of rank above LEVEL_CAP."""
+    rm = n * n * A.rank
+    if rm ** (q + 1) > LEVEL_CAP:
+        raise CapExceededError(
+            f"cyclic bar level {q} of M_{n} has rank {rm}^{q + 1} = {rm ** (q + 1)} > cap {LEVEL_CAP}"
+        )
+
+
+def _trace_rule(A: Algebra, n: int):
+    """Image rule of the multitrace: E_(i_0 j_0) a_0 x ... x E_(i_q j_q) a_q
+    goes to a_0 x ... x a_q when the matrix indices close up into a cycle
+    (j_0 = i_1, ..., j_q = i_0) and to zero otherwise."""
+    r, one = A.rank, A.ring.one
+
+    def image(tup, _):
+        ijs = [(t // (n * r), (t // r) % n, t % r) for t in tup]
+        k = len(ijs)
+        if all(ijs[a][1] == ijs[(a + 1) % k][0] for a in range(k)):
+            return ((tuple(s for _, _, s in ijs), one),)
+        return ()
+
+    return image
 
 
 def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
     """Trace map: cyclic bar level q of M_n(A) -> cyclic bar level q of A.
 
-    On basis tensors E_(i_0 j_0) a_0 x ... x E_(i_q j_q) a_q the image is
-    a_0 x ... x a_q when the matrix indices close up into a cycle
-    (j_0 = i_1, ..., j_q = i_0) and zero otherwise.  Commutes with every
-    face, degeneracy, and the cyclic operator.  A source level of rank
-    above LEVEL_CAP is refused before any tensor is enumerated.
+    The whole-level matrix of _trace_rule.  Commutes with every face,
+    degeneracy, and the cyclic operator.  A source level of rank above
+    LEVEL_CAP is refused before any tensor is enumerated.
     """
-    r = A.rank
-    rm = n * n * r
-    source_rank = rm ** (q + 1)
-    if source_rank > LEVEL_CAP:
-        raise CapExceededError(
-            f"cyclic bar level {q} of M_{n} has rank {rm}^{q + 1} = {source_rank} > cap {LEVEL_CAP}"
-        )
-    one = A.ring.one
-
-    def image(tup, _):
-        ijs = [(t // (n * r), (t // r) % n, t % r) for t in tup]
-        if all(ijs[a][1] == ijs[(a + 1) % (q + 1)][0] for a in range(q + 1)):
-            return ((tuple(s for _, _, s in ijs), one),)
-        return ()
-
-    cols = basis_map_columns(A.ring, itertools.product(range(rm), repeat=q + 1), 1, image, partial(tuple_index, r))
+    _check_trace_source(A, n, q)
+    r, tuples = A.rank, itertools.product(range(n * n * A.rank), repeat=q + 1)
+    cols = basis_map_columns(A.ring, tuples, 1, _trace_rule(A, n), partial(tuple_index, r))
     return SparseMap.from_col_dicts(A.ring, r ** (q + 1), cols)
 
 
@@ -232,28 +246,25 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     g is given as an n x n nested tuple/list of A coefficient vectors.
     Non-invertible input is rejected with the solver's certificate, and a
     size whose level 1 of M_n(A) exceeds LEVEL_CAP before the inverse is
-    sought.  The identity matrix maps to zero (its cycle is degenerate).
+    sought.  Only the support of g^-1 x g is pushed through the multitrace.
+    The identity matrix maps to zero (its cycle is degenerate).
     """
     n = len(g)
-    trace_map = multitrace(A, n, 1)
+    _check_trace_source(A, n, 1)
     g = tuple(tuple(A.normalize_vec(g[i][j]) for j in range(n)) for i in range(n))
     M = matrix_algebra(A, n)
     gv = matrix_entries_to_vec(A, n, g)
     inv = unit_inverse(M, gv)
     if isinstance(inv, NonUnitCertificate):
         raise NotInvertibleError(f"matrix is not invertible over {A.name or A.ring}: {inv.reason}")
-    ring, rm = A.ring, M.rank
-    tensor = [ring.zero] * (rm * rm)
-    for u, a in enumerate(inv):
-        if not ring.is_zero(a):
-            for v, b in enumerate(gv):
-                if not ring.is_zero(b):
-                    tensor[u * rm + v] = ring.mul(a, b)
-    cycle = trace_map.apply(tensor)
+    ring = A.ring
+    support = [(u, a) for u, a in enumerate(inv) if not ring.is_zero(a)]
+    tensor = {(u, v): ring.mul(a, b) for u, a in support for v, b in enumerate(gv) if not ring.is_zero(b)}
+    chain = push(ring, tensor, _trace_rule(A, n))
     if work is None:
         work = HochschildHomology(A, 1)
-    coords = work.coordinates(1, cycle)
-    return HomologyClass(1, coords, cycle, work.homology_data(1).group)
+    data = work.homology_data(1)
+    return HomologyClass(1, data.coordinates(work.normalize(1, chain)), work.full_vector(1, chain), data.group)
 
 
 class MoritaResult(Value):
@@ -292,25 +303,10 @@ def fp_map_is_iso(
     vector spaces) are Hopfian: a surjection between isomorphic such groups
     is bijective.
     """
-    ring = matrix.ring
-    k = matrix.nrows
-    rel_cols = []
-    for i, d in enumerate(orders):
-        if d:
-            rel_cols.append(tuple(d if j == i else 0 for j in range(k)))
-    full = Matrix(
-        ring,
-        [list(matrix.rows[i]) + [col[i] for col in rel_cols] for i in range(k)],
-        matrix.ncols + len(rel_cols),
-    )
-    surjective = is_onto(full)
-    if isinstance(source, FPModule) and isinstance(target, FPModule):
-        same = source.dimension == target.dimension and source.field == target.field
-    elif isinstance(source, FPAbelianGroup) and isinstance(target, FPAbelianGroup):
-        same = source == target
-    else:
-        same = False
-    return surjective, surjective and same
+    torsion = [j for j, d in enumerate(orders) if d]
+    rows = [list(row) + [orders[j] if j == i else 0 for j in torsion] for i, row in enumerate(matrix.rows)]
+    surjective = is_onto(Matrix(matrix.ring, rows, matrix.ncols + len(torsion)))
+    return surjective, surjective and source == target
 
 
 def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
@@ -318,33 +314,26 @@ def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
 
     The caps of every degree are checked from ranks, in the order the loop
     would meet them, before any boundary is built: a refusal costs no
-    complex and no homology work.
+    complex and no homology work.  Each generator on M_n(A)'s normalized
+    level is pushed to M_n(A)'s basis, through the multitrace, and onto A's
+    normalized level, so no full level is built.
     """
     M = matrix_algebra(A, n)
     WM = HochschildHomology(M, max_degree)
     WA = HochschildHomology(A, max_degree)
     for d in range(max_degree + 1):
-        WM.cyclic_module.check_full_level(d)  # M's full level is the larger one
         check_dense_cells(M.ring, d, WM.normalized.rank)
         check_dense_cells(A.ring, d, WA.normalized.rank)
+    trace_rule = _trace_rule(A, n)
     out = []
     for d in range(max_degree + 1):
-        from_m = WM.from_normalized(d)
-        bridge = WA.to_normalized(d).compose(multitrace(A, n, d)).compose(from_m)
         src = WM.homology_data(d)
         tgt = WA.homology_data(d)
-        cols = [tgt.coordinates(bridge.apply(gen)) for gen in src.generators]
+        images = (push(A.ring, WM.chain_of(d, gen), trace_rule) for gen in src.generators)
+        cols = [tgt.coordinates(WA.normalize(d, chain)) for chain in images]
         mat = Matrix.from_cols(A.ring, cols, len(tgt.generators))
         surjective, iso = fp_map_is_iso(src.group, tgt.group, mat, tgt.orders)
-        out.append(
-            MoritaResult(
-                degree=d,
-                source=src.group,
-                target=tgt.group,
-                surjective=surjective,
-                isomorphism=iso,
-            )
-        )
+        out.append(MoritaResult(d, src.group, tgt.group, surjective, iso))
     return out
 
 
@@ -375,10 +364,10 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     Enumerates GL_n(A) (finite base ring required, order within
     GROUP_ORDER_CAP: see algebra.general_linear_group), computes
     H_d(BGL_n(A); R) with R the base ring of A, pushes every homology
-    generator through phi, the embedding, and the multitrace, and reduces in
-    HH_d(A).  Both eliminations are checked against DENSE_CELL_CAP from the
-    ranks, the normalized bar complex's (|G| - 1)^q first, before any chain
-    map or complex is built.
+    generator through phi, the embedding in every slot, the multitrace and
+    the unit-first change of basis (chain.push), and reduces in HH_d(A).
+    Both eliminations are checked against DENSE_CELL_CAP from the ranks, the
+    normalized bar complex's (|G| - 1)^q first, before any complex is built.
     """
     if d > DEGREE_CAP:
         raise CapExceededError(f"degree {d} above the trace pipeline cap {DEGREE_CAP}")
@@ -389,19 +378,17 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     check_dense_cells(ring, d, lambda q: (G.order - 1) ** q if 0 <= q <= d + 1 else 0)
     check_dense_cells(ring, d, WA.normalized.rank)
     GH = GroupHomology(G, ring, d)
-
-    phi = group_to_hh(G, ring, d)
-    iota_q = tensor_power_map(gl.embedding.matrix, d + 1)
-    tr = multitrace(A, n, d)
-    bridge = WA.to_normalized(d).compose(tr).compose(iota_q).compose(phi).compose(GH.inclusion(d))
+    WA.cyclic_module.check_full_level(d)  # the representatives are dense on it
 
     src = GH.homology_data(d)
     tgt = WA.homology_data(d)
+    rules = (_phi_rule(G, ring.one), tensor_rule(gl.embedding.matrix), _trace_rule(A, n))
     classes = []
-    conv = WA.from_normalized(d)
     for gen in src.generators:
-        img = bridge.apply(gen)
-        classes.append(HomologyClass(d, tgt.coordinates(img), conv.apply(img), tgt.group))
-    return DennisTraceResult(
-        degree=d, gl=gl, source=src.group, target=tgt.group, classes=tuple(classes)
-    )
+        chain = {x: c for x, c in zip(GH.level(d), gen) if not ring.is_zero(c)}
+        for rule in rules:
+            chain = push(ring, chain, rule)
+        img = WA.normalize(d, chain)
+        rep = WA.full_vector(d, WA.chain_of(d, img))
+        classes.append(HomologyClass(d, tgt.coordinates(img), rep, tgt.group))
+    return DennisTraceResult(d, gl, src.group, tgt.group, tuple(classes))

@@ -231,11 +231,20 @@ print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
 """
 
 
-def run_with_peak_rss(argv):
-    """Run the CLI on argv through PEAK_RSS; return (stdout, peak RSS in kB)
-    after checking that the spawner and the job both exited 0."""
+# Runs the CLI on its arguments with trace.DEGREE_CAP lifted to the last
+# argument, the degree asked for.
+LIFT_DEGREE_CAP = (
+    "import sys; from chaintrace import cli, trace; "
+    "trace.DEGREE_CAP = int(sys.argv[-1]); sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+def run_with_peak_rss(argv, launch=("-m", "chaintrace.cli")):
+    """Run the CLI on argv through PEAK_RSS, started by the interpreter
+    arguments launch; return (stdout, peak RSS in kB) after checking that
+    the spawner and the job both exited 0."""
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "chaintrace.cli", *argv],
+        [sys.executable, "-c", PEAK_RSS, sys.executable, *launch, *argv],
         env=dict(os.environ, PYTHONPATH=SRC),
         stdin=subprocess.DEVNULL,
         capture_output=True,
@@ -366,3 +375,23 @@ def test_criterion_19_pointed_sets_3_validates_in_little_memory():
         _, floor_kb = run_with_peak_rss(["validate", "trivial"])
         excess = (rss_kb - floor_kb) / 1024
         assert excess <= 3, f"peak RSS {rss_kb / 1024:.1f} MB, {excess:.1f} MB above {floor_kb / 1024:.1f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_criterion_20_trace_homology_past_the_degree_cap():
+    # H_4(GL_2(F_2); F_2) = H_4(S_3; F_2) = H_4(C_2; F_2) = F_2 by Swan's
+    # theorem (the 2-Sylow subgroup C_2 is abelian and self-normalizing),
+    # and HH_4(F_2) = 0; building phi, the embedding and the multitrace as
+    # whole-level matrices took this job to 174 MB
+    argv = ["trace-homology", "GF:2", "--size", "2", "--degree", "4"]
+    label = f"CLI {' '.join(argv)}, past DEGREE_CAP, prints its closed forms with a peak RSS below 110 MB"
+    with criterion(20, label, 15.0):
+        out, rss_kb = run_with_peak_rss(argv, ("-c", LIFT_DEGREE_CAP))
+        assert out.splitlines() == [
+            "algebra GF(2): rank 1 over GF(2)",
+            "GL_2(A): order 6",
+            "H_4(BGL_2(A)) = GF(2)",
+            "HH_4(A) = 0",
+            "generator 0 |-> ()  (zero)",
+        ]
+        assert rss_kb < 110 * 1024, f"peak RSS {rss_kb / 1024:.1f} MB"

@@ -14,7 +14,7 @@ from chaintrace.algebra import (
     truncated_polynomial,
 )
 from chaintrace.errors import CapExceededError, NotInvertibleError
-from chaintrace.hochschild import cyclic_bar
+from chaintrace.hochschild import cyclic_bar, tuple_index
 from chaintrace.linalg import SparseMap
 from chaintrace.rings import GF, QQ, ZZ
 from chaintrace.trace import (
@@ -79,8 +79,9 @@ def test_bar_complex_boundary_shapes():
 )
 def test_normalized_bar_boundary_matches_full_level_composite(G, ring):
     # oracle: projection . full bar boundary . inclusion, with the projection
-    # dropping every tuple that holds the identity; GL_2(F_2) = S_3 is not
-    # abelian, so a product g_i g_{i+1} taken in the wrong order shows there
+    # dropping every tuple that holds the identity and the inclusion sending
+    # each normalized tuple to itself; GL_2(F_2) = S_3 is not abelian, so a
+    # product g_i g_{i+1} taken in the wrong order shows there
     normalized = GroupHomology(G, ring, 3)
     full = bar_complex(G, ring, 4)
     for q in range(1, 5):
@@ -89,7 +90,10 @@ def test_normalized_bar_boundary_matches_full_level_composite(G, ring):
         projection = SparseMap.from_col_dicts(
             ring, len(position), [{position[t]: ring.one} if t in position else {} for t in below]
         )
-        composite = projection.compose(full.differential(q)).compose(normalized.inclusion(q))
+        inclusion = SparseMap.from_col_dicts(
+            ring, G.order**q, [{tuple_index(G.order, t): ring.one} for t in normalized.level(q)]
+        )
+        composite = projection.compose(full.differential(q)).compose(inclusion)
         assert normalized.complex.differential(q) == composite
 
 
@@ -280,3 +284,56 @@ def test_dennis_trace_homology_caps():
         dennis_trace_homology(base_algebra(GF(2)), 3, 1)
     with pytest.raises(CapExceededError):
         dennis_trace_homology(base_algebra(ZZ), 1, 1)
+
+
+def test_pipelines_enumerate_no_full_level(monkeypatch):
+    # the trace and Morita pipelines push generators through image rules:
+    # no full cyclic bar level and no whole-level matrix of phi or of the
+    # multitrace may be built
+    from chaintrace import hochschild, trace
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full level enumerated")
+
+    monkeypatch.setattr(hochschild.CyclicModule, "tuples", forbidden)
+    monkeypatch.setattr(trace, "multitrace", forbidden)
+    monkeypatch.setattr(trace, "group_to_hh", forbidden)
+    res = dennis_trace_homology(base_algebra(GF(2)), 2, 3)
+    assert (str(res.source), str(res.target)) == ("GF(2)", "0")
+    assert [c.coordinates for c in res.classes] == [()]
+    dual = truncated_polynomial(GF(2), 2)
+    results = morita_map(dual, 2, 2)
+    assert [str(r.source) for r in results] == ["GF(2)^2"] * 3
+    assert all(r.isomorphism for r in results)
+    one, zero, opx = dual.unit, (0, 0), (1, 1)
+    cls = dennis_trace_k1(dual, ((opx, one), (zero, one)))
+    assert cls.coordinates == (1, 1)
+    assert cls.representative == (0, 1, 1, 1)
+
+
+def dense(length, entries):
+    """A vector of the given length, zero outside entries {index: value}."""
+    return tuple(entries.get(i, 0) for i in range(length))
+
+
+@pytest.mark.parametrize(
+    "algebra, n, d, source, target, classes",
+    [
+        (base_algebra(GF(2)), 2, 4, "GF(2)", "0", [((), (0,))]),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), dense(32, {15: 1}))]),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 5, "GF(2)", "GF(2)^2", [((0, 1), dense(64, {63: 1}))]),
+        (truncated_polynomial(GF(2), 2), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), dense(32, {15: 1}))]),
+        (truncated_polynomial(GF(2), 2), 1, 5, "GF(2)", "GF(2)^2", [((1, 1), dense(64, {31: 1, 63: 1}))]),
+    ],
+    ids=["GL2(F2)-4", "F2[C2]-4", "F2[C2]-5", "F2[x]/x^2-4", "F2[x]/x^2-5"],
+)
+def test_dennis_trace_homology_beyond_the_degree_cap(monkeypatch, algebra, n, d, source, target, classes):
+    # H_4(S_3; F_2) = H_4(C_2; F_2) = F_2 and HH_4(F_2) = 0; H_d(C_2; F_2) =
+    # F_2 and HH_d(F_2[C_2]) = HH_d(F_2[x]/x^2) = F_2^2 (Burghelea); the
+    # coordinates and representatives are those of the whole-level composite
+    from chaintrace import trace
+
+    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    res = dennis_trace_homology(algebra, n, d)
+    assert (str(res.source), str(res.target)) == (source, target)
+    assert [(c.coordinates, c.representative) for c in res.classes] == classes
