@@ -36,6 +36,7 @@ a time (``SigmaDeltaDiagram.act_level``).
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from itertools import product
 
@@ -104,11 +105,12 @@ class SigmaDeltaDiagram(Value):
             raise InputParseError(f"no entry at index {key}")
         return self._sets[key]
 
-    def act_level(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> tuple:
+    def act_level(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> array:
         """Image table of nerve level ``level`` under (f, phis).
 
-        Entry x of the table is the index in the target entry of the image
-        of element x of the source entry.  ``f`` is the injection as a
+        Entry x of the table, a 4-byte ``array('i')`` like the entries' own
+        face tables, is the index in the target entry of the image of
+        element x of the source entry.  ``f`` is the injection as a
         tuple of 1-based target positions; ``phis[i-1]`` is the monotone
         operator into target direction i, given as the tuple of its values.
         The entries, the level and the morphism are checked, in that order,

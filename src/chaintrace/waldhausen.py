@@ -66,6 +66,7 @@ which no ``k0`` job loads.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, product
 
 from .chain import ChainComplex, FPAbelianGroup, HomologyData, basis_map_columns, homology
@@ -595,8 +596,11 @@ class PointedSimplicialSet(Value):
     (``weq_nerve``, ``ws_diagonal``) an n-simplex is the flat tuple
     (x0, g_1, ..., g_n) of a start object and n composable weak
     equivalences, so a whole string is one tuple of handles.  ``faces[n][i]``
-    (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps; the
-    simplicial identities are checked on the stored range by ``validate``.
+    (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps, each an
+    ``array('i')`` of positions: no level holds more than STRING_CAP
+    elements, so 4 bytes a position suffice, where a tuple slot costs 8
+    and its int more.  The simplicial identities are checked on the
+    stored range by ``validate``.
 
     No element-to-position lookup is kept: ``tabulate`` builds one per
     level while it fills the tables, and ``index_table`` one per call.
@@ -640,7 +644,7 @@ class PointedSimplicialSet(Value):
         """The position of x in ``levels[n]``, found by a scan of the level."""
         return self.levels[n].index(x)
 
-    def index_table(self, n: int, xs) -> tuple:
+    def index_table(self, n: int, xs) -> array:
         """The positions in ``levels[n]`` of the elements xs, in order,
         through a lookup of the level built for this call."""
         return _index_table(_positions(self.levels[n]), xs)
@@ -707,23 +711,15 @@ class PointedSimplicialSet(Value):
         return report
 
 
-# One int object per position, shared by every index table, so a table of
-# 15,663 positions does not hold 15,663 ints of its own (28 bytes each).
-# Ints are immutable, so sharing them changes no result; the list grows to
-# the longest level tabulated in the process.
-_POSITION_INTS: list = []
-
-
 def _positions(level: tuple) -> dict:
-    """Element -> position in ``level``, the positions from _POSITION_INTS."""
-    if len(_POSITION_INTS) < len(level):
-        _POSITION_INTS.extend(range(len(_POSITION_INTS), len(level)))
-    return dict(zip(level, _POSITION_INTS))
+    """Element -> position in ``level``."""
+    return dict(zip(level, range(len(level))))
 
 
-def _index_table(into: dict, xs) -> tuple:
-    """The positions ``into`` gives the elements xs, in order."""
-    return tuple(map(into.__getitem__, xs))
+def _index_table(into: dict, xs) -> array:
+    """The positions ``into`` gives the elements xs, in order, as 4-byte
+    ints: no level holds more than STRING_CAP elements."""
+    return array("i", map(into.__getitem__, xs))
 
 
 def _weq_strings(C: WCategory, length: int, too_many: str) -> list:

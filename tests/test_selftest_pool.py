@@ -139,19 +139,23 @@ def test_suites_run_in_one_worker_per_cpu(monkeypatch):
 # no worker outlives the command
 # ---------------------------------------------------------------------------
 
-RAISING_SELFTEST = """
-import sys
+# runs selftest with the body of its first suite replaced by {body}
+FIRST_SUITE_REPLACED = """
+import os, signal, sys
 from chaintrace import cli, selftest
 from chaintrace.errors import CapExceededError
 
-def refuse(seed):
-    raise CapExceededError("cyclic-identities refused")
+def first(seed):
+    {body}
 
 suites = list(selftest.SUITES)
-suites[0] = ("cyclic-identities", refuse)
+suites[0] = ("cyclic-identities", first)
 selftest.SUITES = tuple(suites)
 sys.exit(cli.main(sys.argv[1:]))
 """
+RAISING_SELFTEST = FIRST_SUITE_REPLACED.format(body='raise CapExceededError("cyclic-identities refused")')
+# the worker running the suite is killed, as the OOM killer would kill it
+KILLED_SELFTEST = FIRST_SUITE_REPLACED.format(body="os.kill(os.getpid(), signal.SIGKILL)")
 
 
 def session_processes(sid: int) -> list:
@@ -201,8 +205,10 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads t
     [
         (["-m", "chaintrace.cli", "selftest", "--seed", "1"], 0, b""),
         (["-c", RAISING_SELFTEST, "selftest"], 4, b"error (cap): cyclic-identities refused\n"),
+        (["-c", KILLED_SELFTEST, "selftest"], 5,
+         b"error (internal): the worker running suite cyclic-identities was killed by SIGKILL\n"),
     ],
-    ids=["normal-exit", "suite-raises"],
+    ids=["normal-exit", "suite-raises", "worker-killed"],
 )
 def test_no_worker_outlives_the_command(args, code, stderr):
     proc = start_in_own_session(args)

@@ -17,8 +17,13 @@ from chaintrace.waldhausen import SCategory, ws_diagonal
 from chaintrace.wcat import category_from_selector
 
 
+def as_tuples(tables: tuple) -> tuple:
+    """Each level's index tables as tuples, the form the digests were recorded in."""
+    return tuple(tuple(tuple(table) for table in level) for level in tables)
+
+
 def table_digest(X) -> str:
-    data = repr(([len(level) for level in X.levels], X.faces, X.degens))
+    data = repr(([len(level) for level in X.levels], as_tuples(X.faces), as_tuples(X.degens)))
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
