@@ -5,9 +5,9 @@ over Q), ``group-homology``, ``trace-k1`` (Dennis trace of an invertible
 matrix literal), ``trace-homology`` (trace on group homology generators),
 ``morita`` (multitrace-induced maps HH(M_n(A)) -> HH(A)), ``k0`` (both K_0
 methods plus an agreement verdict), ``validate`` (algebra, group, or
-category), and ``selftest`` (the structural property suites, run in
-worker processes, one per available CPU and longest first, and printed in
-their fixed order; see chaintrace.selftest).
+category), and ``selftest`` (the structural property suites, each run in
+a child process of its own, at most one per available CPU at a time and
+longest first, and printed in their fixed order; see chaintrace.selftest).
 
 Inputs are either file paths (formats documented in formats.py and the
 README) or built-in selectors:
@@ -35,8 +35,8 @@ sorted JSON envelope that records the conventions behind every number.
 Each handler and resolver imports the modules it runs when it runs, so a
 command loads only what it computes with: ``hh`` never loads the category
 modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
-neither.  Every job compiles this module, so the selftest suites and
-their worker pool live in chaintrace.selftest, which only ``selftest``
+neither.  Every job compiles this module, so the selftest suites and the
+code that forks them live in chaintrace.selftest, which only ``selftest``
 imports (no other command loads concurrent.futures or multiprocessing),
 and the selector parsers in formats.  The file parsers live in
 chaintrace.tables, imported only when an input names an existing file.

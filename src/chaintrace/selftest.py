@@ -11,23 +11,24 @@ that only a suite runs live here too: ``validate_cyclic_module`` (the
 simplicial and cyclic operator identities), which would otherwise compile
 in every Hochschild job.
 
-No suite reads another's result, so ``run_suites`` runs them in worker
-processes that it forks with ``os`` alone, one per CPU this process may
-run on and never more than there are suites, so no job imports a pool
-package (importing ``multiprocessing`` and ``concurrent.futures`` put
-0.9 MB into every worker).  It hands the suites out longest first (``LONGEST_FIRST``)
-over pipes and returns the reports in ``SUITES`` order; if suites raise,
-it raises the error of the first one in ``SUITES`` order, as a serial
-loop would, and a worker that dies mid-suite is an InternalInvariantError
-naming the suite and the signal.
+No suite reads another's result, so ``run_suites`` runs each suite in a
+child process of its own, forked with ``os`` alone, so no job imports a
+pool package (importing ``multiprocessing`` and ``concurrent.futures`` put
+0.9 MB into every child).  At most one child per CPU this process may run
+on is alive at a time; they start longest first (``LONGEST_FIRST``), and
+each writes its pickled report or exception to its own pipe and exits.
+The reports come back in ``SUITES`` order; if suites raise, it raises the
+error of the first one in ``SUITES`` order, as a serial loop would, and a
+child that dies mid-suite is an InternalInvariantError naming the suite
+and the signal.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
 import random
+import select
 import signal
 import threading
 import time
@@ -256,13 +257,13 @@ SUITES = (
 )
 
 
-# The order run_suites hands the suites out in: longest first, so the long
+# The order run_suites starts the suites in: longest first, so the long
 # suites start at once and the short ones fill in behind them.  Seconds of
 # one run in a fresh process, five runs each, Python 3.11 on a 2-core
 # x86-64 host: sigma-delta 0.48-0.83, k0-agreement 0.44-0.65,
 # waldhausen-families 0.16-0.23, trace-additivity 0.016-0.025,
 # cyclic-identities 0.005-0.008, b-and-B 0.004-0.006, chain-maps
-# 0.002-0.003.  With two workers, k0-agreement then waldhausen-families
+# 0.002-0.003.  On two CPUs, k0-agreement then waldhausen-families
 # takes about as long as sigma-delta.
 LONGEST_FIRST = (
     "sigma-delta",
@@ -274,7 +275,7 @@ LONGEST_FIRST = (
     "chain-maps",
 )
 
-# How often a worker checks that the process that started it is alive.
+# How often a child checks that the process that started it is alive.
 _PARENT_POLL_S = 0.1
 
 
@@ -284,128 +285,86 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
+def _run_in_child(index: int, seed: int, parent: int, out: int) -> None:
+    """Run suite ``index`` and write its pickled report or exception to ``out``.
 
-
-def _read_exactly(fd: int, size: int) -> bytes | None:
-    """``size`` bytes from ``fd``, or None if the pipe closes first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _read_message(fd: int) -> bytes | None:
-    """The next length-prefixed message on ``fd``, or None if the pipe
-    closes first."""
-    head = _read_exactly(fd, 8)
-    return None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
-
-
-def _serve(parent: int, seed: int, tasks: int, results: int, done: int) -> None:
-    """A worker's loop: run each suite whose index arrives on ``tasks``,
-    until the parent closes that pipe.
-
-    A finished suite's index goes to the shared pipe ``done`` as one byte
-    (a write the pipe keeps whole), and then its pickled report or
-    exception goes to ``results``, length first.  A parent killed outright
-    (SIGKILL) cannot stop its workers, so each worker watches its parent
-    pid and exits within _PARENT_POLL_S of the parent's death.  SIGTERM
-    takes its default action whatever handler the parent installed, and
-    Ctrl-C is left to the parent.
+    A parent killed outright (SIGKILL) cannot stop its children, so each
+    child watches its parent pid and exits within _PARENT_POLL_S of the
+    parent's death.  SIGTERM takes its default action whatever handler the
+    parent installed, and Ctrl-C is left to the parent.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-    while task := os.read(tasks, 1):
-        name, suite = SUITES[task[0]]
+    name, suite = SUITES[index]
+    try:
+        outcome = suite(seed)
+    except Exception as exc:
+        outcome = exc
+    try:
+        payload = pickle.dumps(outcome)
+    except Exception as exc:
+        payload = pickle.dumps(InternalInvariantError(f"suite {name}: its outcome cannot be pickled: {exc}"))
+    with open(out, "wb") as pipe:
+        pipe.write(payload)
+
+
+def _fork(index: int, seed: int, siblings) -> tuple:
+    """Fork the child that runs suite ``index``: its pid and the read end of
+    its pipe.  The child closes ``siblings``, the read ends of the pipes of
+    the children still running."""
+    read, write = os.pipe()
+    parent = os.getpid()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            outcome = suite(seed)
-        except Exception as exc:
-            outcome = exc
-        try:
-            payload = pickle.dumps(outcome)
-        except Exception as exc:
-            payload = pickle.dumps(InternalInvariantError(f"suite {name}: its outcome cannot be pickled: {exc}"))
-        os.write(done, task)
-        _write_all(results, len(payload).to_bytes(8, "little") + payload)
-        # a suite's categories and diagrams are reference cycles: free them
-        # now, so that the next suite reuses their memory and adds none
-        gc.collect()
+            for fd in (read, *siblings):
+                os.close(fd)
+            _run_in_child(index, seed, parent, write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
 
 
-class _Worker:
-    """A forked worker as its parent sees it: its pid, the pipe the parent
-    writes suite indices to (None once released), the pipe the parent
-    reads outcomes from, and its wait status once reaped."""
-
-    def __init__(self, seed: int, done_w: int, inherited: list) -> None:
-        tasks_r, self.tasks = os.pipe()
-        self.results, results_w = os.pipe()
-        self.status = None
-        parent = os.getpid()
-        self.pid = os.fork()
-        if self.pid == 0:
-            code = 1
-            try:
-                for fd in (self.tasks, self.results, *inherited):
-                    os.close(fd)
-                _serve(parent, seed, tasks_r, results_w, done_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(tasks_r)
-        os.close(results_w)
-
-    def release(self) -> None:
-        """Close the task pipe: the worker exits once its suite is done."""
-        if self.tasks is not None:
-            os.close(self.tasks)
-            self.tasks = None
-
-    def reap(self) -> int:
-        if self.status is None:
-            self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
-
-    def lost(self, index: int) -> InternalInvariantError:
-        """The error for suite ``index``, whose outcome this worker never
-        sent: reap the worker and say how it ended."""
-        code = os.waitstatus_to_exitcode(self.reap())
-        if code < 0:
-            how = "was killed by " + {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
-        else:
-            how = f"exited with status {code}"
-        return InternalInvariantError(f"the worker running suite {SUITES[index][0]} {how}")
+def _outcome(index: int, status: int, payload: bytes):
+    """What suite ``index`` gave, from its child's wait status and all it
+    sent: the report or exception, or an InternalInvariantError naming the
+    signal or status if the child did not exit cleanly."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(payload)
+    if code < 0:
+        how = "was killed by " + {s.value: s.name for s in signal.Signals}.get(-code, f"signal {-code}")
+    else:
+        how = f"exited with status {code}"
+    return InternalInvariantError(f"the worker running suite {SUITES[index][0]} {how}")
 
 
 def run_suites(seed: int) -> list:
-    """The report of every suite, in SUITES order, computed in worker processes.
+    """The report of every suite, in SUITES order, each computed in a child
+    process of its own.
 
-    The workers are forked with ``os`` alone, one per CPU this process may
-    run on and never more than there are suites, so they inherit the loaded
+    The children are forked with ``os`` alone, so they inherit the loaded
     modules (and ``SUITES`` as it is at the call) and the job imports no
     pool package.  Forking is safe because this process starts no thread.
-    Spawned workers would each start an interpreter and import the package
-    again: ``selftest --seed 3`` then took 2.3 s and 38 MB, against 1.8 s
-    and 34 MB forked (2-core host, Python 3.11, through ProcessPoolExecutor).
+    Spawned children would each start an interpreter and import the
+    package again: ``selftest --seed 3`` then took 2.3 s and 38 MB, against
+    1.8 s and 34 MB forked (2-core host, Python 3.11, through
+    ProcessPoolExecutor).  A child exits once its suite is done, so no
+    suite runs among the objects, or the reference cycles, of another.
 
-    Suites go out longest first, one index at a time to an idle worker.
+    Children start longest first, at most one per CPU this process may run
+    on at a time.  The parent reads every pipe as data arrives, so a child
+    never waits on a full pipe, and reaps each child once its pipe closes.
     The first suite in SUITES order whose outcome is an exception raises
     it here, as a serial loop would: once one has raised, no suite after it
-    in SUITES order starts, and running suites finish.  A worker that dies
-    without sending its outcome (killed by the OOM killer, say) gives its
-    suite an InternalInvariantError naming the signal; the parent learns
-    of it when the shared pipe closes, that is once every other worker has
-    exited.  Every worker is reaped before this returns or raises, after
-    the suite it is running, if any, has finished.
+    in SUITES order starts, and running suites finish.  A child that does
+    not exit cleanly (killed by the OOM killer, say) gives its suite an
+    InternalInvariantError naming the signal.  Every child is reaped before
+    this returns or raises, after the suite it is running has finished.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -413,54 +372,31 @@ def run_suites(seed: int) -> list:
         cpus = os.cpu_count() or 1
     queue = sorted(range(len(SUITES)), key=lambda i: LONGEST_FIRST.index(SUITES[i][0]))
     outcomes: dict = {}
-    workers: list = []
-    running: dict = {}  # suite index -> the worker running it
-    done, done_w = os.pipe()
+    running: dict = {}  # read end of a child's pipe -> (suite index, pid, chunks read)
     try:
-        try:
-            for _ in range(min(cpus, len(SUITES))):
-                inherited = [done, *(fd for w in workers for fd in (w.tasks, w.results))]
-                workers.append(_Worker(seed, done_w, inherited))
-        finally:
-            os.close(done_w)
-        idle = list(workers)
         while True:
-            raised = [i for i, out in outcomes.items() if isinstance(out, Exception)]
-            queue = [i for i in queue if i < min(raised, default=len(SUITES))]
-            while idle and queue:
-                worker, index = idle.pop(), queue.pop(0)
-                running[index] = worker
-                try:
-                    os.write(worker.tasks, bytes((index,)))
-                except BrokenPipeError:
-                    pass  # a dead worker; the shared pipe's end reports it
-            if not queue:
-                for worker in idle:
-                    worker.release()
-                idle = []
+            raised = min((i for i, out in outcomes.items() if isinstance(out, Exception)), default=len(SUITES))
+            queue = [i for i in queue if i < raised]
+            while queue and len(running) < cpus:
+                index = queue.pop(0)
+                pid, fd = _fork(index, seed, running)
+                running[fd] = (index, pid, [])
             if not running:
                 break
-            note = os.read(done, 1)
-            if not note:
-                # every worker has exited, so those still running died
-                for index, worker in running.items():
-                    outcomes[index] = worker.lost(index)
-                running.clear()
-                continue
-            index = note[0]
-            worker = running.pop(index)
-            message = _read_message(worker.results)
-            if message is None:
-                outcomes[index] = worker.lost(index)
-            else:
-                outcomes[index] = pickle.loads(message)
-                idle.append(worker)
+            for fd in select.select(list(running), [], [])[0]:
+                index, pid, chunks = running[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[fd]
+                os.close(fd)
+                outcomes[index] = _outcome(index, os.waitpid(pid, 0)[1], b"".join(chunks))
     finally:
-        os.close(done)
-        for worker in workers:
-            worker.release()
-            os.close(worker.results)
-            worker.reap()
+        # the children finish their suites, fail to write, and exit
+        for fd, (_, pid, _) in running.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
     for index in sorted(outcomes):
         if isinstance(outcomes[index], Exception):
             raise outcomes[index]

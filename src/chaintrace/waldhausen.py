@@ -400,7 +400,10 @@ class SCategory(WCategory):
                 comps[t] = c
                 pick(t + 1)
 
-        pick(0)
+        try:
+            pick(0)
+        finally:
+            del pick  # it refers to its own cell: drop the cycle now
         return out
 
     def _enumerate_hom(self, a_payload, b_payload) -> list:
@@ -747,8 +750,11 @@ def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
             for g in C.weq_ids(src, b):
                 extend(prefix + (g,), b)
 
-    for x0 in range(C.object_count()):
-        extend((x0,), x0)
+    try:
+        for x0 in range(C.object_count()):
+            extend((x0,), x0)
+    finally:
+        del extend  # it refers to its own cell: drop the cycle now
     return elts
 
 

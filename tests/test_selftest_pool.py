@@ -1,4 +1,4 @@
-"""``selftest`` runs its suites in worker processes and prints what a serial loop printed.
+"""``selftest`` runs each suite in a child process and prints what a serial loop printed.
 
 The digests were recorded from the serial loop that ran the suites one
 after another in the command's own process.  The fake suites keep the
@@ -118,21 +118,55 @@ def test_the_first_raising_suite_in_suites_order_wins(monkeypatch, capsys, first
     assert out == ""
 
 
-def test_suites_run_in_one_worker_per_cpu(monkeypatch):
-    def pid_reports(seed):
-        return {report.subject for report in selftest.run_suites(seed)}
+def most_at_once(runs) -> int:
+    """The largest number of (pid, start, end) runs that overlap at one moment."""
+    return max(sum(start <= t < end for _, start, end in runs) for _, t, _ in runs)
 
-    def report_pid(seed):
+
+def test_at_most_one_child_per_cpu_runs_at_a_time(monkeypatch):
+    def runs(seed):
+        """(pid, start, end) of each suite's run, in SUITES order."""
+        return [(int(pid), float(start), float(end))
+                for pid, start, end in (r.subject.split() for r in selftest.run_suites(seed))]
+
+    def report_run(seed):
+        start = time.monotonic()
         time.sleep(0.05)
-        return ValidationReport(subject=str(os.getpid()))
+        return ValidationReport(subject=f"{os.getpid()} {start} {time.monotonic()}")
 
-    monkeypatch.setattr(selftest, "SUITES", tuple((n, report_pid) for n in NAMES))
-    pids = pid_reports(0)
-    assert str(os.getpid()) not in pids
+    monkeypatch.setattr(selftest, "SUITES", tuple((n, report_run) for n in NAMES))
+    got = runs(0)
+    assert os.getpid() not in {pid for pid, _, _ in got}
     if hasattr(os, "sched_getaffinity"):
-        assert len(pids) <= min(len(os.sched_getaffinity(0)), len(NAMES))
+        assert most_at_once(got) <= min(len(os.sched_getaffinity(0)), len(NAMES))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert len(pid_reports(0)) == 1
+        assert most_at_once(runs(0)) == 1
+
+
+def test_an_outcome_larger_than_a_pipe_buffer_arrives_whole(monkeypatch):
+    # about 0.5 MB a report: a parent that reaped its children before it
+    # read their pipes would wait forever, so the alarm ends the test
+    def make(name):
+        def suite(seed):
+            report = ValidationReport(subject=name)
+            for k in range(20_000):
+                report.record(f"{name} issue {k}")
+            return report
+
+        return suite
+
+    def expire(signum, frame):
+        raise TimeoutError("run_suites did not return within 60 s")
+
+    monkeypatch.setattr(selftest, "SUITES", tuple((n, make(n)) for n in NAMES))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        reports = selftest.run_suites(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert reports == [make(n)(0) for n in NAMES]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ CATEGORY_SIDE = {"wcat", "waldhausen", "sigma_delta"}
 # dataclasses loads inspect (and with it ast, dis, tokenize); fractions
 # loads decimal.  No command needs them unless it computes over Q.
 HEAVY_STDLIB = {"dataclasses", "inspect", "fractions", "decimal"}
-# No command loads these packages: selftest forks its workers with os alone.
+# No command loads these packages: selftest forks its children with os alone.
 POOL_PACKAGES = {"concurrent", "multiprocessing"}
 # Code that few jobs run: the file parsers (only file inputs), the
 # explicit-table category (only category files) and End(C) (only

@@ -1,5 +1,7 @@
 """Tests for the S-construction: grids, iteration, the diagonal, and K_0."""
 
+import gc
+
 import pytest
 
 from chaintrace import waldhausen
@@ -18,6 +20,7 @@ from chaintrace.waldhausen import (
     reindex_functor,
     s_k_objects,
     validate_s_object,
+    weq_nerve,
     ws_diagonal,
 )
 from chaintrace.wcat import (
@@ -133,6 +136,24 @@ def test_ws_diagonal_string_cap(monkeypatch):
     monkeypatch.setattr(waldhausen, "STRING_CAP", 100)
     with pytest.raises(CapExceededError):
         ws_diagonal(vect_gf(2, 2))
+
+
+def test_hom_and_nerve_enumeration_leave_no_reference_cycles():
+    # the recursive searches must not keep a call's plan and strings alive
+    # until the cyclic collector runs
+    C = vect_gf(2, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        S = SCategory(C, 2)
+        S.hom_ids(3, 4)
+        S.weq_ids(3, 4)
+        del S
+        assert gc.collect() == 0
+        weq_nerve(C, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
