@@ -8,8 +8,8 @@ diagram axioms, and additivity of the Dennis trace.  ``SUITES`` lists
 them in the order the command prints them; each entry takes the run's
 seed.  Only the ``selftest`` command imports this module, so the checks
 that only a suite runs live here too: ``validate_cyclic_module`` (the
-simplicial and cyclic operator identities), which would otherwise compile
-in every Hochschild job.
+simplicial identities ``waldhausen.simplicial_identities`` lists, and the
+cyclic ones), which would otherwise compile in every Hochschild job.
 
 No suite reads another's result, so ``run_suites`` runs each suite in a
 child process of its own, forked with ``os`` alone, so no job imports a
@@ -43,7 +43,7 @@ from .rings import GF, QQ, ZZ
 from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
 from .trace import bar_complex, dennis_trace_k1, group_to_hh, multitrace
 from .validation import ValidationReport
-from .waldhausen import grothendieck_k0, k0_via_diagonal, k0_via_sdot
+from .waldhausen import grothendieck_k0, k0_via_diagonal, k0_via_sdot, simplicial_identities
 from .wcat import category_from_selector, validate_waldhausen
 
 __all__ = ["SUITES", "LONGEST_FIRST", "run_suites", "validate_cyclic_module"]
@@ -54,48 +54,33 @@ BB_MAX_DEGREE = 3
 
 
 def validate_cyclic_module(C: CyclicModule) -> ValidationReport:
-    """Exhaustively check the simplicial and cyclic operator identities."""
+    """Exhaustively check the simplicial and cyclic operator identities: those
+    ``waldhausen.simplicial_identities`` lists, labelled by its names, then
+    those of t."""
     top = C.max_level
     report = ValidationReport(subject=f"cyclic module of {C.algebra.name or 'algebra'}")
+    idents = [SparseMap.identity(C.ring, C.level_rank(q)) for q in range(top + 1)]
+    operator = {"d": C.face, "s": C.degeneracy}
 
     def eq(lhs: SparseMap, rhs: SparseMap, label: str) -> None:
         report.checks_run += 1
         if lhs.cols != rhs.cols:
             report.record(label)
 
-    for q in range(2, top + 1):
-        for j in range(q + 1):
-            for i in range(j):
-                eq(
-                    C.face(q - 1, i).compose(C.face(q, j)),
-                    C.face(q - 1, j - 1).compose(C.face(q, i)),
-                    f"d_{i} d_{j} != d_{j - 1} d_{i} at level {q}",
-                )
-    for q in range(0, top - 1):
-        for i in range(q + 1):
-            for j in range(i, q + 1):
-                eq(
-                    C.degeneracy(q + 1, i).compose(C.degeneracy(q, j)),
-                    C.degeneracy(q + 1, j + 1).compose(C.degeneracy(q, i)),
-                    f"s_i s_j identity fails (i={i}, j={j}) at level {q}",
-                )
-    for q in range(0, top):
-        ident = SparseMap.identity(C.ring, C.level_rank(q))
-        for j in range(q + 1):
-            for i in range(q + 2):
-                lhs = C.face(q + 1, i).compose(C.degeneracy(q, j))
-                if i < j:
-                    eq(lhs, C.degeneracy(q - 1, j - 1).compose(C.face(q, i)), f"d_{i} s_{j} != s_{j-1} d_{i} at level {q}")
-                elif i in (j, j + 1):
-                    eq(lhs, ident, f"d_{i} s_{j} != id at level {q}")
-                else:
-                    eq(lhs, C.degeneracy(q - 1, j).compose(C.face(q, i - 1)), f"d_{i} s_{j} != s_{j} d_{i-1} at level {q}")
+    def composite(q: int, side) -> SparseMap:
+        if side is None:
+            return idents[q]
+        (k2, n2, i2), (k1, n1, i1) = side
+        return operator[k2](n2, i2).compose(operator[k1](n1, i1))
+
+    for name, q, lhs, rhs in simplicial_identities(top):
+        eq(composite(q, lhs), composite(q, rhs), f"{name} failed at level {q}")
     for q in range(0, top + 1):
         t = C.cyclic(q)
-        power = SparseMap.identity(C.ring, C.level_rank(q))
+        power = idents[q]
         for _ in range(q + 1):
             power = t.compose(power)
-        eq(power, SparseMap.identity(C.ring, C.level_rank(q)), f"t^{q + 1} != id at level {q}")
+        eq(power, idents[q], f"t^{q + 1} != id at level {q}")
     for q in range(1, top + 1):
         t = C.cyclic(q)
         eq(C.face(q, 0).compose(t), C.face(q, q), f"d_0 t != d_q at level {q}")

@@ -31,7 +31,8 @@ built from the payloads of its images, so every structure map is a
 composite of memoized (object map, morphism map) pairs and an image
 outside the enumerated target is an InternalInvariantError.  Composites
 act on strings through ``waldhausen.map_string``, one whole nerve level at
-a time (``SigmaDeltaDiagram.act_level``).
+a time (``SigmaDeltaDiagram.act_level``), and ``sigma_delta_validate``
+checks them against every operator ``waldhausen.simplicial_operators`` lists.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .waldhausen import (
     map_string,
     payload_functor,
     reindex_functor,
+    simplicial_operators,
     weq_nerve,
 )
 from .wcat import WCategory
@@ -167,16 +169,17 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     transpose them; then reindex the inner direction entrywise and the
     outer one along their operators (``reindex_functor``), skipping
     identity operators.  Entries whose category exceeds ENTRY_OBJECT_CAP
-    objects keep nerve level 0 only, with the truncation recorded.
+    objects keep nerve level 0 only, with the truncation recorded.  No
+    helper calls itself, so a dropped diagram leaves no reference cycle.
     """
     cats: dict = {(): C}
 
     def category_for(ks: tuple) -> WCategory:
-        got = cats.get(ks)
-        if got is None:
-            got = SCategory(category_for(ks[1:]), ks[0])
-            cats[ks] = got
-        return got
+        # S_{k_t} of each missing suffix ks[t:], from the innermost outwards
+        for t in range(len(ks) - 1, -1, -1):
+            if ks[t:] not in cats:
+                cats[ks[t:]] = SCategory(cats[ks[t + 1 :]], ks[t])
+        return cats[ks]
 
     entries: dict = {}
     skips: list = []
@@ -270,10 +273,10 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     def reindex_direction(d: int, src_ks: tuple, dst_ks: tuple, phi: tuple):
         # restriction along phi in direction d: the outer direction directly,
         # an inner one entrywise
-        src, dst = category_for(src_ks), category_for(dst_ks)
-        if d == 1:
-            return reindex_functor(src, dst, phi)
-        return entrywise_functor(src, dst, reindex_direction(d - 1, src_ks[1:], dst_ks[1:], phi))
+        got = reindex_functor(category_for(src_ks[d - 1 :]), category_for(dst_ks[d - 1 :]), phi)
+        for e in range(d - 1, 0, -1):
+            got = entrywise_functor(category_for(src_ks[e - 1 :]), category_for(dst_ks[e - 1 :]), got)
+        return got
 
     identity_f = (lambda a: a, lambda m: m)
 
@@ -287,38 +290,43 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
     functor_cache: dict = {}
 
     def build_functor(src_key, dst_key, f: tuple, phis: tuple):
+        # walk the insert and transpose steps down to an identity f, then
+        # compose back up, caching the functor at every key on the way
+        pending = []  # (key, step): the functor at key is the next key's after step
         key = (src_key, dst_key, f, phis)
-        got = functor_cache.get(key)
-        if got is not None:
-            return got
-        m_, js = src_key
-        n_, ks = dst_key
-        missing = [t for t in range(1, n_ + 1) if t not in f]
-        if missing:
-            # insert the last missing direction at width 1: outermost when
-            # it comes before the image of f (always when m = 0), else innermost
-            t = missing[-1]
-            if not f or t < f[0]:
-                step = wrap_functor(category_for(js), category_for((1,) + js))
-                mid_key, mid_f = (m_ + 1, (1,) + js), (t,) + f
+        while key not in functor_cache:
+            (m_, js), (n_, ks) = src_key, dst_key
+            missing = [t for t in range(1, n_ + 1) if t not in f]
+            if missing:
+                # insert the last missing direction at width 1: outermost when
+                # it comes before the image of f (always when m = 0), else innermost
+                t = missing[-1]
+                if not f or t < f[0]:
+                    step = wrap_functor(category_for(js), category_for((1,) + js))
+                    src_key, f = (m_ + 1, (1,) + js), (t,) + f
+                else:
+                    step = entrywise_functor(
+                        category_for(js), category_for(js + (1,)), wrap_functor(C, category_for((1,)))
+                    )
+                    src_key, f = (m_ + 1, js + (1,)), f + (t,)
+            elif f == (2, 1):
+                swapped = (js[1], js[0])
+                step = transpose_functor(category_for(js), category_for(swapped))
+                src_key, f = (2, swapped), (1, 2)
             else:
-                step = entrywise_functor(
-                    category_for(js), category_for(js + (1,)), wrap_functor(C, category_for((1,)))
-                )
-                mid_key, mid_f = (m_ + 1, js + (1,)), f + (t,)
-            got = compose_functor(build_functor(mid_key, dst_key, mid_f, phis), step)
-        elif f == (2, 1):
-            swapped = (js[1], js[0])
-            step = transpose_functor(category_for(js), category_for(swapped))
-            got = compose_functor(build_functor((2, swapped), dst_key, (1, 2), phis), step)
-        else:
-            # f is the identity: reindex the inner direction, then the outer one
-            got = identity_f
-            for d in range(n_, 0, -1):
-                if js[d - 1] != ks[d - 1] or phis[d - 1] != _identity_op(ks[d - 1]):
-                    step = reindex_direction(d, js[:d] + ks[d:], js[: d - 1] + ks[d - 1 :], phis[d - 1])
-                    got = compose_functor(step, got)
-        functor_cache[key] = got
+                # f is the identity: reindex the inner direction, then the outer one
+                got = identity_f
+                for d in range(n_, 0, -1):
+                    if js[d - 1] != ks[d - 1] or phis[d - 1] != _identity_op(ks[d - 1]):
+                        step = reindex_direction(d, js[:d] + ks[d:], js[: d - 1] + ks[d - 1 :], phis[d - 1])
+                        got = compose_functor(step, got)
+                functor_cache[key] = got
+                break
+            pending.append((key, step))
+            key = (src_key, dst_key, f, phis)
+        got = functor_cache[key]
+        for key, step in reversed(pending):
+            got = functor_cache[key] = compose_functor(got, step)
         return got
 
     def image(src_key, dst_key, f, phis):
@@ -432,26 +440,12 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
                     report.record(
                         f"map {src_key} -> {dst_key} is not a bijection at level {level}"
                     )
-        for level in range(1, top + 1):
-            for i in range(level + 1):
-                d_dst, below = ps_d.faces[level][i], images[level - 1]
-                report.checks_run += len(images[level])
-                for y, z in zip(images[level], ps_s.faces[level][i]):
-                    if d_dst[y] != below[z]:
-                        report.record(
-                            f"map {src_key} -> {dst_key} does not commute with d_{i} "
-                            f"at level {level}"
-                        )
-        for level in range(top):
-            for i in range(level + 1):
-                s_dst, above = ps_d.degens[level][i], images[level + 1]
-                report.checks_run += len(images[level])
-                for y, z in zip(images[level], ps_s.degens[level][i]):
-                    if s_dst[y] != above[z]:
-                        report.record(
-                            f"map {src_key} -> {dst_key} does not commute with s_{i} "
-                            f"at level {level}"
-                        )
+        for kind, level, i, target in simplicial_operators(top):
+            op_dst, there = ps_d.table(kind, level, i), images[target]
+            report.checks_run += len(images[level])
+            for y, z in zip(images[level], ps_s.table(kind, level, i)):
+                if op_dst[y] != there[z]:
+                    report.record(f"map {src_key} -> {dst_key} does not commute with {kind}_{i} at level {level}")
         return images
 
     for src_key, dst_key, f, phis in _insertion_instances():

@@ -86,6 +86,8 @@ __all__ = [
     "SCategory",
     "payload_functor",
     "reindex_functor",
+    "simplicial_operators",
+    "simplicial_identities",
     "PointedSimplicialSet",
     "map_string",
     "weq_nerve",
@@ -591,6 +593,49 @@ def _sigma(i: int, k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def simplicial_operators(top: int):
+    """Every face and degeneracy of a simplicial object truncated at level
+    ``top``, as (kind, level, index, target level): d_i ("d") from level n
+    to n - 1 for 1 <= n <= top, then s_i ("s") from level n to n + 1 for
+    n < top, each with 0 <= i <= n, in order of level and then index."""
+    for n in range(1, top + 1):
+        for i in range(n + 1):
+            yield "d", n, i, n - 1
+    for n in range(top):
+        for i in range(n + 1):
+            yield "s", n, i, n + 1
+
+
+def simplicial_identities(top: int):
+    """Every simplicial identity among ``simplicial_operators(top)``
+    (Goerss-Jardine, Simplicial Homotopy Theory, I.1) as (name, level, lhs,
+    rhs): on ``level`` the composite lhs equals rhs, each side a (second,
+    first) pair of (kind, level, index) operators or None for the identity:
+
+        d_i d_j = d_{j-1} d_i  for i < j
+        s_i s_j = s_{j+1} s_i  for i <= j
+        d_i s_j = s_{j-1} d_i  for i < j,  id for i = j, j + 1,  s_j d_{i-1} for i > j + 1
+    """
+    for n in range(2, top + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                yield f"d_{i} d_{j}", n, (("d", n - 1, i), ("d", n, j)), (("d", n - 1, j - 1), ("d", n, i))
+    for n in range(top - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                yield f"s_{i} s_{j}", n, (("s", n + 1, i), ("s", n, j)), (("s", n + 1, j + 1), ("s", n, i))
+    for n in range(top):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = (("s", n - 1, j - 1), ("d", n, i))
+                elif i > j + 1:
+                    rhs = (("s", n - 1, j), ("d", n, i - 1))
+                else:
+                    rhs = None
+                yield f"d_{i} s_{j}", n, (("d", n + 1, i), ("s", n, j)), rhs
+
+
 class PointedSimplicialSet(Value):
     """A levelwise-finite pointed simplicial set truncated at a top level.
 
@@ -602,8 +647,9 @@ class PointedSimplicialSet(Value):
     (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps, each an
     ``array('i')`` of positions: no level holds more than STRING_CAP
     elements, so 4 bytes a position suffice, where a tuple slot costs 8
-    and its int more.  The simplicial identities are checked on the
-    stored range by ``validate``.
+    and its int more.  ``tabulate`` fills them, and ``validate`` checks
+    them, along the one list of operators and identities that
+    ``simplicial_operators`` and ``simplicial_identities`` give.
 
     No element-to-position lookup is kept: ``tabulate`` builds one per
     level while it fills the tables, and ``index_table`` one per call.
@@ -627,17 +673,12 @@ class PointedSimplicialSet(Value):
         level n to level n+1; both are read off into index tables.
         """
         levels = tuple(tuple(level) for level in levels)
-        top = len(levels) - 1
         into = [_positions(level) for level in levels]
-        faces = ((),) + tuple(
-            tuple(_index_table(into[n - 1], map(face(n, i), levels[n])) for i in range(n + 1))
-            for n in range(1, top + 1)
-        )
-        degens = tuple(
-            tuple(_index_table(into[n + 1], map(degeneracy(n, i), levels[n])) for i in range(n + 1))
-            for n in range(top)
-        ) + ((),)
-        return cls(name, levels, faces, degens)
+        tables = {"d": [[] for _ in levels], "s": [[] for _ in levels]}
+        for kind, n, i, target in simplicial_operators(len(levels) - 1):
+            op = (face if kind == "d" else degeneracy)(n, i)
+            tables[kind][n].append(_index_table(into[target], map(op, levels[n])))
+        return cls(name, levels, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
 
     @property
     def top_level(self) -> int:
@@ -658,59 +699,30 @@ class PointedSimplicialSet(Value):
     def degeneracy(self, n: int, i: int, x: int) -> int:
         return self.degens[n][i][x]
 
+    def table(self, kind: str, n: int, i: int) -> array:
+        """The index table of d_i (kind "d") or s_i (kind "s") on level n."""
+        return (self.faces if kind == "d" else self.degens)[n][i]
+
     def validate(self) -> ValidationReport:
         """Check the basepoint and the simplicial identities on every element.
 
-        Each identity compares two composites of index tables on every
-        element x of its level, one check per x.
+        Each identity of ``simplicial_identities`` compares two composites of
+        index tables on every element x of its level, one check per x.
         """
         report = ValidationReport(subject=f"pointed simplicial set {self.name}")
-        top, faces, degens = self.top_level, self.faces, self.degens
-        for n in range(1, top + 1):
-            for i in range(n + 1):
-                report.checks_run += 1
-                if faces[n][i][0] != 0:
-                    report.record(f"face d_{i} at level {n} moves the basepoint")
-        for n in range(top):
-            for i in range(n + 1):
-                report.checks_run += 1
-                if degens[n][i][0] != 0:
-                    report.record(f"degeneracy s_{i} at level {n} moves the basepoint")
-
-        def compare(n: int, lhs: tuple, rhs: tuple, name: str) -> None:
-            # lhs and rhs are (second, first) table pairs applied to level n
-            (a, b), (c, d) = lhs, rhs
-            report.checks_run += len(self.levels[n])
+        for kind, n, i, _ in simplicial_operators(self.top_level):
+            report.checks_run += 1
+            if self.table(kind, n, i)[0] != 0:
+                what = "face" if kind == "d" else "degeneracy"
+                report.record(f"{what} {kind}_{i} at level {n} moves the basepoint")
+        for name, n, lhs, rhs in simplicial_identities(self.top_level):
+            ident = range(len(self.levels[n]))
+            a, b = (self.table(*op) for op in lhs)
+            c, d = (ident, ident) if rhs is None else (self.table(*op) for op in rhs)
+            report.checks_run += len(ident)
             for x, (bx, dx) in enumerate(zip(b, d)):
                 if a[bx] != c[dx]:
                     report.record(f"{name} failed at level {n} on element {x}")
-
-        for n in range(2, top + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    compare(
-                        n, (faces[n - 1][i], faces[n][j]), (faces[n - 1][j - 1], faces[n][i]), f"d_{i} d_{j}"
-                    )
-        for n in range(top - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    compare(
-                        n,
-                        (degens[n + 1][i], degens[n][j]),
-                        (degens[n + 1][j + 1], degens[n][i]),
-                        f"s_{i} s_{j}",
-                    )
-        for n in range(top):
-            ident = range(len(self.levels[n]))
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    if i < j:
-                        rhs = (degens[n - 1][j - 1], faces[n][i])
-                    elif i > j + 1:
-                        rhs = (degens[n - 1][j], faces[n][i - 1])
-                    else:
-                        rhs = (ident, ident)
-                    compare(n, (faces[n + 1][i], degens[n][j]), rhs, f"d_{i} s_{j}")
         return report
 
 
@@ -863,7 +875,8 @@ def _relation_cokernel(nrows: int, columns) -> tuple:
         if colt:
             distinct.add(colt)
     cols = sorted(distinct)
-    mat = SparseMap.from_col_dicts(ZZ, nrows, [dict(c) for c in cols])
+    # each column is sorted and zero-free already: SparseMap's own format
+    mat = SparseMap(ZZ, nrows, len(cols), tuple(cols))
     cx = ChainComplex(ZZ, (nrows, len(cols)), {1: mat} if cols else {})
     return cols, homology(cx, 0)
 

@@ -61,6 +61,19 @@ def test_cyclic_identities_on_matrix_algebra():
     assert validate_cyclic_module(cyclic_bar(M, 1)).ok
 
 
+def test_broken_face_is_reported_by_the_identity_it_breaks():
+    cm = cyclic_bar(group_algebra(cyclic_group(2), ZZ), 1)
+    face = cm.face
+    cm.face = lambda q, i: face(q, 2 if (q, i) == (2, 1) else i)
+    report = validate_cyclic_module(cm)
+    assert report.checks_run == 22
+    assert report.issues == [
+        "d_1 s_0 failed at level 1",
+        "d_1 t != t d_0 at level 2",
+        "d_2 t != t d_1 at level 2",
+    ]
+
+
 def test_cyclic_bar_cap():
     A = group_algebra(cyclic_group(12), ZZ)
     with pytest.raises(CapExceededError):

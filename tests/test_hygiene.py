@@ -599,3 +599,73 @@ def test_scan_flags_unpassed_parameters():
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     assert unpassed_parameters(_sources([SRC]), _sources(REFERENCE_DIRS[1:])) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(fn: ast.FunctionDef):
+    """The nodes of fn's body, leaving out the insides of every function,
+    lambda and class nested in it (their definitions are kept)."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def self_referencing_closures(source: str) -> list[str]:
+    """``outer.inner`` for every function ``inner`` nested in a function
+    ``outer`` that refers to its own name.  Its closure cell then holds the
+    function itself, so every call of ``outer`` leaves a reference cycle,
+    and all that ``inner`` reaches, for the cyclic collector.  A nested
+    function is spared when ``outer`` deletes its name in a ``finally``."""
+    out = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_scope_nodes(outer))
+        dropped = {
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Try)
+            for stmt in node.finalbody
+            for d in ast.walk(stmt)
+            if isinstance(d, ast.Delete)
+            for target in d.targets
+            if isinstance(target, ast.Name)
+        }
+        out += [
+            f"{outer.name}.{inner.name}"
+            for inner in nodes
+            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and inner.name not in dropped
+            and any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+        ]
+    return sorted(out)
+
+
+def test_scan_flags_self_referencing_closures():
+    source = (
+        "def walk(n):\n"
+        "    def down(k):\n        return k and down(k - 1)\n"
+        "    def flat(k):\n        return k\n"
+        "    return down(n) + flat(n)\n"
+        "def dropped(n):\n"
+        "    def down(k):\n        return k and down(k - 1)\n"
+        "    try:\n        return down(n)\n"
+        "    finally:\n        del down\n"
+        "def top(n):\n    return n and top(n - 1)\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        if True:\n"
+        "            def again():\n                return again\n"
+        "        return again\n"
+    )
+    assert self_referencing_closures(source) == ["m.again", "walk.down"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    assert self_referencing_closures(path.read_text(encoding="utf-8")) == []

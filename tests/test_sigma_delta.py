@@ -1,5 +1,6 @@
 """Tests for multidirection flag diagrams and their operator actions."""
 
+import gc
 import hashlib
 from array import array
 from itertools import chain, combinations_with_replacement, permutations, product
@@ -72,6 +73,43 @@ def test_vect_diagram_validates(vect_diagram):
     assert report.ok
     assert report.checks_run == 395467
     assert len(report.skipped) == 1
+
+
+def test_building_and_validating_a_diagram_leaves_no_reference_cycles():
+    # the structure maps are built by loops, not by closures that call
+    # themselves, so a dropped diagram is freed by reference counting
+    C = vect_gf(2, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert sigma_delta_validate(ktheory_sigma_delta(C)).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_broken_image_table_is_reported_per_operator():
+    d = ktheory_sigma_delta(vect_gf(2, 1))
+    ident = (0, 1)
+    args = ((1, (1,)), (2, (1, 1)), (1,), (ident, ident))
+    table = d.act_level(*args, 1)
+    assert list(table) == [0, 1]
+    table[1] = 0
+    report = sigma_delta_validate(d)
+    assert report.checks_run == 855
+    name = "map (1, (1,)) -> (2, (1, 1))"
+    assert report.issues == [
+        f"{name} is not a bijection at level 1",
+        f"{name} does not commute with d_0 at level 1",
+        f"{name} does not commute with d_1 at level 1",
+        f"{name} does not commute with d_0 at level 2",
+        f"{name} does not commute with d_1 at level 2",
+        f"{name} does not commute with d_2 at level 2",
+        f"{name} does not commute with s_0 at level 0",
+        f"{name} does not commute with s_0 at level 1",
+        f"{name} does not commute with s_1 at level 1",
+        "structure maps (0, ()) -> (1, (1,)) -> (2, (1, 1)) do not compose functorially at level 1",
+    ]
 
 
 def test_trivial_diagram():

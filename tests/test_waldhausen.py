@@ -1,6 +1,7 @@
 """Tests for the S-construction: grids, iteration, the diagonal, and K_0."""
 
 import gc
+from math import comb
 
 import pytest
 
@@ -19,6 +20,8 @@ from chaintrace.waldhausen import (
     payload_functor,
     reindex_functor,
     s_k_objects,
+    simplicial_identities,
+    simplicial_operators,
     validate_s_object,
     weq_nerve,
     ws_diagonal,
@@ -124,6 +127,48 @@ def test_ws_diagonal_levels_and_identities():
     report = ps.validate()
     assert report.ok
     assert report.checks_run == 47048
+
+
+@pytest.mark.parametrize("top", range(6))
+def test_simplicial_operators_and_identities_are_counted_and_composable(top):
+    # level n has n + 1 faces (n >= 1) and n + 1 degeneracies (n < top);
+    # C(n+1, 2) d-d identities, C(n+2, 2) s-s ones and (n+1)(n+2) d-s ones
+    ops = {(kind, n, i): target for kind, n, i, target in simplicial_operators(top)}
+    assert len(ops) == sum(n + 1 for n in range(1, top + 1)) + sum(n + 1 for n in range(top))
+    counts = {}
+    for name, level, lhs, rhs in simplicial_identities(top):
+        kinds = "".join(part[0] for part in name.split())
+        counts[kinds, level] = counts.get((kinds, level), 0) + 1
+        ends = []
+        for side in (lhs, rhs):
+            if side is None:
+                ends.append(level)
+                continue
+            second, first = side
+            assert first[1] == level and ops[first] == second[1]
+            ends.append(ops[second])
+        assert ends[0] == ends[1]
+    expected = {("dd", n): comb(n + 1, 2) for n in range(2, top + 1)}
+    expected |= {("ss", n): comb(n + 2, 2) for n in range(top - 1)}
+    expected |= {("ds", n): (n + 1) * (n + 2) for n in range(top)}
+    assert counts == expected
+    if top == 2:
+        # cyclic-identities checks these 12 and 10 cyclic ones on 4 algebras: 88
+        assert sum(counts.values()) == 12
+
+
+def test_broken_face_table_is_reported_per_element():
+    ps = ws_diagonal(vect_gf(2, 1))
+    assert [len(level) for level in ps.levels] == [1, 2, 3]
+    d0 = ps.faces[2][0]
+    assert list(d0) == [0, 1, 0]
+    d0[1], d0[2] = d0[2], d0[1]
+    report = ps.validate()
+    assert report.checks_run == 32
+    assert report.issues == [
+        "d_0 s_0 failed at level 1 on element 1",
+        "d_0 s_1 failed at level 1 on element 1",
+    ]
 
 
 def test_ws_diagonal_trivial():
