@@ -30,11 +30,11 @@ PIVOT_RULE = (
 )
 
 # Largest level rank a Hochschild, cyclic or bar complex builds (hochschild,
-# trace); of a full cyclic bar level that a dense vector lives on (class
-# coordinates and representatives); and of the M_n(A) level that trace-k1's
-# g^-1 x g and trace.multitrace's whole-level matrix live on.  trace-homology
-# and morita push generators through the chain maps (chain.push) and build
-# no full level of M_n(A).
+# trace), and of a full cyclic bar level that is enumerated
+# (hochschild.check_full_level): a whole-level operator, trace.multitrace's
+# source and trace-k1's level 1 of M_n(A).  Classes are sparse chains, so
+# trace-homology and morita push generators through the chain maps
+# (chain.push) and build no full level.
 LEVEL_CAP = 500_000
 
 # Largest group-homology degree the Dennis trace on group homology accepts

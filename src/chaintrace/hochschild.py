@@ -68,6 +68,7 @@ __all__ = [
     "table_grading",
     "tuple_index",
     "tensor_rule",
+    "check_full_level",
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
@@ -91,7 +92,7 @@ class CyclicModule:
 
     All operators are column-sparse maps, built lazily and cached.  A full
     level of rank above LEVEL_CAP is refused when an operator on it is
-    built, or a dense vector on it is read or written.
+    built (check_full_level); nothing else enumerates a full level.
     """
 
     def __init__(self, algebra: Algebra, max_level: int):
@@ -105,16 +106,8 @@ class CyclicModule:
             return 0
         return self.algebra.rank ** (q + 1)
 
-    def check_full_level(self, q: int) -> None:
-        """Raise CapExceededError if full level q has rank above LEVEL_CAP."""
-        r = self.algebra.rank
-        if r ** (q + 1) > LEVEL_CAP:
-            raise CapExceededError(
-                f"cyclic bar level {q} has rank {r}^{q + 1} = {r ** (q + 1)} > cap {LEVEL_CAP}"
-            )
-
     def tuples(self, q: int):
-        self.check_full_level(q)
+        check_full_level(self.algebra.rank, q)
         return itertools.product(range(self.algebra.rank), repeat=q + 1)
 
     def _check_level(self, q: int, lo: int = 0) -> None:
@@ -164,6 +157,15 @@ class CyclicModule:
         """t_s = (-1)^q t at level q."""
         t = self.cyclic(q)
         return t if q % 2 == 0 else t.neg()
+
+
+def check_full_level(rank: int, q: int, of: str = "") -> None:
+    """Refuse a full cyclic bar level q, rank^(q+1) tuples, above LEVEL_CAP;
+    of names the algebra (" of M_n").  Only whole-level enumeration calls it."""
+    if rank ** (q + 1) > LEVEL_CAP:
+        raise CapExceededError(
+            f"cyclic bar level {q}{of} has rank {rank}^{q + 1} = {rank ** (q + 1)} > cap {LEVEL_CAP}"
+        )
 
 
 def _face(A: Algebra, tup: tuple, i: int) -> list:
@@ -218,8 +220,7 @@ def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
 
     LEVEL_CAP bounds the normalized level N+1, of rank r(r-1)^(N+1), which is
     what homology eliminates; a full level, of rank r^(q+1), is checked
-    only when an operator or a dense vector on it is built (see
-    CyclicModule.check_full_level).
+    only when an operator on it is built (see check_full_level).
     """
     if N < 0:
         raise DegreeOutOfRangeError("N must be >= 0")
@@ -383,10 +384,13 @@ def tensor_rule(f: SparseMap):
 class HochschildHomology:
     """HH_0..HH_max_degree of an algebra, with canonical class coordinates.
 
-    Representatives and input cycles use the caller's basis of A^tensor(q+1);
-    internally everything runs on the normalized complex of a unit-first
-    presentation, and the two are bridged by pushing chains through the
-    change of basis in every slot (normalize, chain_of).  group() reads
+    A chain in the caller's basis of A^tensor(q+1) is a sparse dict {basis
+    tuple: coeff}; internally everything runs on the normalized complex of
+    a unit-first presentation, and the two are bridged by pushing chains
+    through the change of basis in every slot (normalize, chain_of).  A
+    class's chain is a normalized cycle lifted by chain_of: normalize(n - 1,
+    b(chain)) is zero, b(chain) need not be (it is not for GF(2)[C2] in
+    degree 2).  group() reads
     isomorphism types off core, which is built one weight block of the
     normalized complex at a time and never holds the whole complex;
     homology_data() and everything built on it use complex, the whole
@@ -445,29 +449,23 @@ class HochschildHomology:
         chain = {x: c for x, c in zip(self.normalized.level_tuples(q), vec) if not ring.is_zero(c)}
         return push(ring, chain, self._from_unit_first)
 
-    def full_vector(self, q: int, chain: dict) -> tuple:
-        """A chain {tuple in the caller's basis: coeff} as a dense vector of full level q."""
-        self.cyclic_module.check_full_level(q)
-        r = self.algebra.rank
-        out = [self.ring.zero] * r ** (q + 1)
-        for x, c in chain.items():
-            out[tuple_index(r, x)] = c
-        return tuple(out)
-
     def generators(self, n: int) -> tuple:
-        """Representative cycles in the original basis of A^tensor(n+1)."""
-        self.cyclic_module.check_full_level(n)
-        return tuple(self.full_vector(n, self.chain_of(n, g)) for g in self.homology_data(n).generators)
+        """One chain {tuple in the caller's basis: coeff} per generator of
+        HH_n, a normalized cycle lifted by chain_of (see the class)."""
+        return tuple(self.chain_of(n, g) for g in self.homology_data(n).generators)
 
-    def coordinates(self, n: int, vec) -> tuple:
-        """Canonical class coordinates of a cycle given in the original basis."""
-        self.cyclic_module.check_full_level(n)
-        ring, tuples = self.ring, itertools.product(range(self.algebra.rank), repeat=n + 1)
-        chain = {x: c for x, c in zip(tuples, vec, strict=True) if not ring.is_zero(c)}
+    def coordinates(self, n: int, chain: dict) -> tuple:
+        """Canonical class coordinates of a chain {tuple in the caller's basis:
+        coeff} whose boundary is degenerate.  A key that is not a tuple of
+        n+1 indices in range(rank) raises ValueError."""
+        r = self.algebra.rank
+        for x in chain:
+            if not (isinstance(x, tuple) and len(x) == n + 1 and all(isinstance(i, int) and 0 <= i < r for i in x)):
+                raise ValueError(f"{x!r} is not a basis tuple of level {n}: {n + 1} indices in range({r})")
         return self.homology_data(n).coordinates(self.normalize(n, chain))
 
-    def is_boundary(self, n: int, vec) -> bool:
-        return all(c == 0 for c in self.coordinates(n, vec))
+    def is_boundary(self, n: int, chain: dict) -> bool:
+        return all(c == 0 for c in self.coordinates(n, chain))
 
 
 def hochschild_homology(A: Algebra, n: int):

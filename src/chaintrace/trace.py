@@ -17,6 +17,11 @@ Everything stays at chain level; no plus construction, no stabilization.
 K_1-flavored traces (dennis_trace_k1) take a single invertible matrix g and
 return the class of tr(g^-1 x g) in HH_1(A).
 
+A HomologyClass's representative is a sparse chain in A's basis:
+dennis_trace_k1's, the pushed trace of g^-1 x g, is a cycle;
+dennis_trace_homology's is a normalized cycle lifted by chain_of, whose
+boundary is degenerate but not always zero (GF(2)[C2], degrees 2 to 4).
+
 Every map here is an image rule on basis tuples: the bar complex
 (bar_complex, level q = R[G^q]) and its normalization on tuples of
 non-identity elements (GroupHomology) sum the faces _bar_face writes, and
@@ -56,7 +61,7 @@ from .chain import (
 )
 from .conventions import DEGREE_CAP, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
-from .hochschild import HochschildHomology, tensor_rule, tuple_index
+from .hochschild import HochschildHomology, check_full_level, tensor_rule, tuple_index
 from .linalg import Matrix, SparseMap, is_onto
 from .rings import BaseRing
 from .values import Value
@@ -183,15 +188,6 @@ def group_to_hh(G: FiniteGroup, ring: BaseRing, q: int) -> SparseMap:
     return SparseMap.from_col_dicts(ring, n ** (q + 1), cols)
 
 
-def _check_trace_source(A: Algebra, n: int, q: int) -> None:
-    """Refuse a cyclic bar level q of M_n(A) of rank above LEVEL_CAP."""
-    rm = n * n * A.rank
-    if rm ** (q + 1) > LEVEL_CAP:
-        raise CapExceededError(
-            f"cyclic bar level {q} of M_{n} has rank {rm}^{q + 1} = {rm ** (q + 1)} > cap {LEVEL_CAP}"
-        )
-
-
 def _trace_rule(A: Algebra, n: int):
     """Image rule of the multitrace: E_(i_0 j_0) a_0 x ... x E_(i_q j_q) a_q
     goes to a_0 x ... x a_q when the matrix indices close up into a cycle
@@ -215,14 +211,16 @@ def multitrace(A: Algebra, n: int, q: int) -> SparseMap:
     degeneracy, and the cyclic operator.  A source level of rank above
     LEVEL_CAP is refused before any tensor is enumerated.
     """
-    _check_trace_source(A, n, q)
+    check_full_level(n * n * A.rank, q, f" of M_{n}")
     r, tuples = A.rank, itertools.product(range(n * n * A.rank), repeat=q + 1)
     cols = basis_map_columns(A.ring, tuples, 1, _trace_rule(A, n), partial(tuple_index, r))
     return SparseMap.from_col_dicts(A.ring, r ** (q + 1), cols)
 
 
 class HomologyClass(Value):
-    """A homology class: canonical coordinates plus one representative."""
+    """A homology class: canonical coordinates plus one representative
+    chain stored as a SparseMap column is, sorted (basis tuple, coeff) pairs
+    without zeros.  Its boundary is degenerate (see the module docstring)."""
 
     __slots__ = ("degree", "coordinates", "representative", "group")
     _fields = __slots__
@@ -250,7 +248,7 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     The identity matrix maps to zero (its cycle is degenerate).
     """
     n = len(g)
-    _check_trace_source(A, n, 1)
+    check_full_level(n * n * A.rank, 1, f" of M_{n}")
     g = tuple(tuple(A.normalize_vec(g[i][j]) for j in range(n)) for i in range(n))
     M = matrix_algebra(A, n)
     gv = matrix_entries_to_vec(A, n, g)
@@ -264,7 +262,7 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     if work is None:
         work = HochschildHomology(A, 1)
     data = work.homology_data(1)
-    return HomologyClass(1, data.coordinates(work.normalize(1, chain)), work.full_vector(1, chain), data.group)
+    return HomologyClass(1, data.coordinates(work.normalize(1, chain)), tuple(sorted(chain.items())), data.group)
 
 
 class MoritaResult(Value):
@@ -378,7 +376,6 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     check_dense_cells(ring, d, lambda q: (G.order - 1) ** q if 0 <= q <= d + 1 else 0)
     check_dense_cells(ring, d, WA.normalized.rank)
     GH = GroupHomology(G, ring, d)
-    WA.cyclic_module.check_full_level(d)  # the representatives are dense on it
 
     src = GH.homology_data(d)
     tgt = WA.homology_data(d)
@@ -389,6 +386,6 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
         for rule in rules:
             chain = push(ring, chain, rule)
         img = WA.normalize(d, chain)
-        rep = WA.full_vector(d, WA.chain_of(d, img))
+        rep = tuple(sorted(WA.chain_of(d, img).items()))
         classes.append(HomologyClass(d, tgt.coordinates(img), rep, tgt.group))
     return DennisTraceResult(d, gl, src.group, tgt.group, tuple(classes))

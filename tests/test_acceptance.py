@@ -124,12 +124,9 @@ def test_criterion_5_dennis_trace_pipeline():
                 c_uv = dennis_trace_k1(A, ((A.mul_vec(u, v),),), work=work)
                 c_u = dennis_trace_k1(A, ((u,),), work=work)
                 c_v = dennis_trace_k1(A, ((v,),), work=work)
-                diff = tuple(
-                    A.ring.sub(A.ring.sub(x, y), z)
-                    for x, y, z in zip(
-                        c_uv.representative, c_u.representative, c_v.representative
-                    )
-                )
+                diff = dict(c_uv.representative)
+                for x, c in c_u.representative + c_v.representative:
+                    diff[x] = A.ring.sub(diff.get(x, A.ring.zero), c)
                 assert work.is_boundary(1, diff)
 
         check_pairs(group_algebra(cyclic_group(2), QQ), q_unit)

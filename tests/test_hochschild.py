@@ -86,17 +86,18 @@ def test_cyclic_bar_cap_bounds_the_normalized_level():
     A = group_algebra(cyclic_group(3), ZZ)
     work = HochschildHomology(A, 11)
     assert work.group(11) == FPAbelianGroup(0, (3, 3, 3))
-    # the coordinate paths read and write dense vectors on full levels, and
-    # 3^12 is over the cap: both refuse before any elimination
-    with pytest.raises(CapExceededError):
-        work.coordinates(11, [0] * 3**12)
-    with pytest.raises(CapExceededError):
+    # the coordinate paths take and give sparse chains and never build the
+    # full level 11 of 3^12 tuples; degree 11 of the normalized complex is
+    # refused on DENSE_CELL_CAP before any elimination
+    with pytest.raises(CapExceededError, match="dense cells"):
+        work.coordinates(11, {})
+    with pytest.raises(CapExceededError, match="dense cells"):
         work.generators(11)
     with pytest.raises(CapExceededError):
         work.cyclic_module.face(12, 0)
     # HH_2(Z[C3]) = 0, and HH_1(Z[C3]) = (Z/3)^3 has unit coordinates
     assert work.generators(2) == ()
-    assert work.coordinates(2, [0] * 3**3) == ()
+    assert work.coordinates(2, {}) == ()
     for k, gen in enumerate(work.generators(1)):
         assert work.coordinates(1, gen) == tuple(int(i == k) for i in range(3))
 
@@ -350,6 +351,19 @@ def test_induced_chain_map_is_chain_map():
             lhs = push(ZZ, push(ZZ, {x: 1}, induced), b_dst)
             rhs = push(ZZ, push(ZZ, {x: 1}, b_src), induced)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("n, group", [(18, FPAbelianGroup(1)), (19, FPAbelianGroup(1, (2,)))])
+def test_hh_generators_reach_past_the_full_level_cap(n, group):
+    # the full level n of Z[x]/x^2 has 2^(n+1) > LEVEL_CAP tuples; its
+    # normalized level has rank 2, and each generator, one tuple, comes
+    # back with unit coordinates
+    work = HochschildHomology(truncated_polynomial(ZZ, 2), n)
+    assert work.group(n) == group
+    gens = work.generators(n)
+    assert [work.coordinates(n, gen) for gen in gens] == [
+        tuple(int(i == k) for i in range(len(gens))) for k in range(len(gens))
+    ]
 
 
 def test_tensor_power_indexing_is_big_endian():

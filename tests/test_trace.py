@@ -129,13 +129,14 @@ def test_multitrace_level_zero_is_matrix_trace():
 
 
 def test_multitrace_refuses_a_source_level_above_the_cap(monkeypatch):
-    # level 1 of M_2(Z[C2]) has rank (2 * 2 * 2)^2 = 64
-    from chaintrace import trace
+    # level 1 of M_2(Z[C2]) has rank (2 * 2 * 2)^2 = 64; the full-level
+    # check is hochschild.check_full_level, which reads its module's cap
+    from chaintrace import hochschild
 
     A = group_algebra(cyclic_group(2), ZZ)
-    monkeypatch.setattr(trace, "LEVEL_CAP", 64)
+    monkeypatch.setattr(hochschild, "LEVEL_CAP", 64)
     assert multitrace(A, 2, 1).ncols == 64
-    monkeypatch.setattr(trace, "LEVEL_CAP", 63)
+    monkeypatch.setattr(hochschild, "LEVEL_CAP", 63)
     with pytest.raises(CapExceededError, match=r"rank 8\^2 = 64 > cap 63"):
         multitrace(A, 2, 1)
 
@@ -188,10 +189,9 @@ def test_dennis_trace_k1_additive_on_products():
         c_uv = dennis_trace_k1(A, ((uv,),), work=work)
         c_u = dennis_trace_k1(A, ((u,),), work=work)
         c_v = dennis_trace_k1(A, ((v,),), work=work)
-        diff = tuple(
-            A.ring.sub(A.ring.sub(a, b), c)
-            for a, b, c in zip(c_uv.representative, c_u.representative, c_v.representative)
-        )
+        diff = dict(c_uv.representative)
+        for x, c in c_u.representative + c_v.representative:
+            diff[x] = A.ring.sub(diff.get(x, A.ring.zero), c)
         assert work.is_boundary(1, diff)
 
 
@@ -308,22 +308,22 @@ def test_pipelines_enumerate_no_full_level(monkeypatch):
     one, zero, opx = dual.unit, (0, 0), (1, 1)
     cls = dennis_trace_k1(dual, ((opx, one), (zero, one)))
     assert cls.coordinates == (1, 1)
-    assert cls.representative == (0, 1, 1, 1)
+    assert cls.representative == (((0, 1), 1), ((1, 0), 1), ((1, 1), 1))
 
 
-def dense(length, entries):
-    """A vector of the given length, zero outside entries {index: value}."""
-    return tuple(entries.get(i, 0) for i in range(length))
+def ones(length, first=1):
+    """The basis tuple (first, 1, ..., 1) of the given length."""
+    return (first,) + (1,) * (length - 1)
 
 
 @pytest.mark.parametrize(
     "algebra, n, d, source, target, classes",
     [
-        (base_algebra(GF(2)), 2, 4, "GF(2)", "0", [((), (0,))]),
-        (group_algebra(cyclic_group(2), GF(2)), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), dense(32, {15: 1}))]),
-        (group_algebra(cyclic_group(2), GF(2)), 1, 5, "GF(2)", "GF(2)^2", [((0, 1), dense(64, {63: 1}))]),
-        (truncated_polynomial(GF(2), 2), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), dense(32, {15: 1}))]),
-        (truncated_polynomial(GF(2), 2), 1, 5, "GF(2)", "GF(2)^2", [((1, 1), dense(64, {31: 1, 63: 1}))]),
+        (base_algebra(GF(2)), 2, 4, "GF(2)", "0", [((), ())]),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), ((ones(5, 0), 1),))]),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 5, "GF(2)", "GF(2)^2", [((0, 1), ((ones(6), 1),))]),
+        (truncated_polynomial(GF(2), 2), 1, 4, "GF(2)", "GF(2)^2", [((1, 0), ((ones(5, 0), 1),))]),
+        (truncated_polynomial(GF(2), 2), 1, 5, "GF(2)", "GF(2)^2", [((1, 1), ((ones(6, 0), 1), (ones(6), 1)))]),
     ],
     ids=["GL2(F2)-4", "F2[C2]-4", "F2[C2]-5", "F2[x]/x^2-4", "F2[x]/x^2-5"],
 )
@@ -337,3 +337,135 @@ def test_dennis_trace_homology_beyond_the_degree_cap(monkeypatch, algebra, n, d,
     res = dennis_trace_homology(algebra, n, d)
     assert (str(res.source), str(res.target)) == (source, target)
     assert [(c.coordinates, c.representative) for c in res.classes] == classes
+
+
+@pytest.mark.parametrize("d, coordinates", [(18, (1, 0)), (19, (0, 1)), (24, (1, 0))])
+def test_dennis_trace_homology_reaches_past_the_full_level_cap(monkeypatch, d, coordinates):
+    # the full cyclic bar level d of F_2[C_2] has 2^(d+1) > LEVEL_CAP
+    # tuples, but the class is one tuple pushed through the chain maps and
+    # its normalized level has rank 2: H_d(C_2; F_2) = F_2 goes to the
+    # generator of HH_d(F_2[C_2]) = F_2^2 of the degree's parity
+    from chaintrace import trace
+
+    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    res = dennis_trace_homology(group_algebra(cyclic_group(2), GF(2)), 1, d)
+    assert (str(res.source), str(res.target)) == ("GF(2)", "GF(2)^2")
+    assert [(c.coordinates, c.representative) for c in res.classes] == [
+        (coordinates, ((ones(d + 1, d % 2), 1),))
+    ]
+
+
+def boundary(A, n, chain):
+    """b of a chain (tuple, coeff) pairs of A's cyclic bar level n, as
+    {tuple: coeff}, by the whole-level matrix of the Hochschild boundary."""
+    b, ring = cyclic_bar(A, n).boundary(n), A.ring
+    vec = [ring.zero] * b.ncols
+    for x, c in chain:
+        vec[tuple_index(A.rank, x)] = c
+    targets = itertools.product(range(A.rank), repeat=n)
+    return {y: c for y, c in zip(targets, b.apply(vec)) if not ring.is_zero(c)}
+
+
+@pytest.mark.parametrize(
+    "algebra, n, d, lifted",
+    [
+        (group_algebra(cyclic_group(2), GF(2)), 1, 2, 1),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 3, 1),
+        (group_algebra(cyclic_group(2), GF(2)), 1, 4, 1),
+        (group_algebra(cyclic_group(3), GF(3)), 1, 2, 3),
+    ],
+    ids=["F2[C2]-2", "F2[C2]-3", "F2[C2]-4", "F3[C3]-2"],
+)
+def test_trace_representatives_are_normalized_cycles(monkeypatch, algebra, n, d, lifted):
+    # the representatives are cycles of the normalized complex lifted by
+    # chain_of: their boundary is degenerate, and here not zero
+    from chaintrace import trace
+    from chaintrace.hochschild import HochschildHomology
+
+    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    work = HochschildHomology(algebra, d)
+    reps = [c.representative for c in dennis_trace_homology(algebra, n, d).classes]
+    assert len(reps) == lifted
+    for rep in reps:
+        b_rep = boundary(algebra, d, rep)
+        assert b_rep
+        assert not any(work.normalize(d - 1, b_rep))
+
+
+def test_hh_generators_are_normalized_cycles():
+    # every generator of HH_2, HH_3 of F_2[C_2] and of HH_3(Z[C_3]) has a
+    # nonzero, degenerate boundary
+    from chaintrace.hochschild import HochschildHomology
+
+    for algebra, n, count in [
+        (group_algebra(cyclic_group(2), GF(2)), 2, 2),
+        (group_algebra(cyclic_group(2), GF(2)), 3, 2),
+        (group_algebra(cyclic_group(3), ZZ), 3, 3),
+    ]:
+        work = HochschildHomology(algebra, n)
+        gens = work.generators(n)
+        assert len(gens) == count
+        for k, gen in enumerate(gens):
+            b_gen = boundary(algebra, n, gen.items())
+            assert b_gen
+            assert not any(work.normalize(n - 1, b_gen))
+            assert work.coordinates(n, gen) == tuple(int(i == k) for i in range(count))
+
+
+@pytest.mark.parametrize(
+    "algebra, g",
+    [
+        (truncated_polynomial(GF(2), 2), (((1, 1),),)),
+        (truncated_polynomial(GF(2), 2), (((1, 1), (1, 0)), ((0, 0), (1, 0)))),
+        (group_algebra(cyclic_group(2), QQ), (((2, 1),),)),
+        (group_algebra(cyclic_group(3), ZZ), (((0, 1, 0),),)),
+    ],
+)
+def test_k1_representatives_are_cycles(algebra, g):
+    cls = dennis_trace_k1(algebra, g)
+    assert boundary(algebra, 1, cls.representative) == {}
+
+
+def test_class_paths_enumerate_no_full_level(monkeypatch):
+    # generators, coordinates and is_boundary take and give sparse chains,
+    # and selftest's additivity suite subtracts them: none of them may
+    # enumerate a full cyclic bar level
+    from chaintrace import hochschild, selftest
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full level enumerated")
+
+    monkeypatch.setattr(hochschild.CyclicModule, "tuples", forbidden)
+    for algebra, n in [(group_algebra(cyclic_group(3), ZZ), 3), (truncated_polynomial(ZZ, 2), 19)]:
+        work = hochschild.HochschildHomology(algebra, n)
+        gens = work.generators(n)
+        assert [work.coordinates(n, gen) for gen in gens] == [
+            tuple(int(i == k) for i in range(len(gens))) for k in range(len(gens))
+        ]
+        assert not any(work.is_boundary(n, gen) for gen in gens)
+        assert work.is_boundary(n, {})
+    report = selftest._suite_trace_additivity(0)
+    assert report.ok and report.checks_run == 10
+
+
+@pytest.mark.parametrize(
+    "chain, bad",
+    [
+        ({(0, 1, 1): 1}, r"\(0, 1, 1\)"),
+        ({(0, 5): 1}, r"\(0, 5\)"),
+        ({(0, -1): 1}, r"\(0, -1\)"),
+        ({(1,): 1, (0, 1): 1}, r"\(1,\)"),
+        ({"01": 1}, "'01'"),
+    ],
+    ids=["long", "index-above-rank", "negative-index", "short", "not-a-tuple"],
+)
+def test_coordinates_refuse_a_key_off_the_level(chain, bad):
+    # level 1 of Z[x]/x^2 holds the pairs over range(2); the refusal names
+    # the key instead of reading it as the zero class or an IndexError
+    from chaintrace.hochschild import HochschildHomology
+
+    work = HochschildHomology(truncated_polynomial(ZZ, 2), 1)
+    with pytest.raises(ValueError, match=bad + " is not a basis tuple of level 1: 2 indices in range\\(2\\)"):
+        work.coordinates(1, chain)
+    with pytest.raises(ValueError, match=bad):
+        work.is_boundary(1, chain)
