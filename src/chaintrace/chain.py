@@ -41,7 +41,8 @@ changes d_n only and deletes a row of d_{n+1}, so cancellation runs from
 d_1 up: each boundary meets only the rows that survived below.  The core
 has no basis in common with C, so callers that print only isomorphism types
 use it, and callers that need generators or class coordinates call
-homology() on C itself.
+homology() on C itself.  HomologyHandle, the base of HochschildHomology
+and GroupHomology, reads both ways and builds C on first read.
 
 basis_map_columns is the one writer of every linear map given on basis
 elements: the columns of sum_{i < terms} (-1)^i f_i, from an image rule
@@ -57,6 +58,7 @@ chain map and no level it maps from.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .errors import (
     CapExceededError,
@@ -75,6 +77,7 @@ __all__ = [
     "ChainComplex",
     "HomologyData",
     "homology",
+    "HomologyHandle",
     "reduce_complex",
     "direct_sum",
     "basis_map_columns",
@@ -329,6 +332,44 @@ def homology(complex_: ChainComplex, n: int) -> HomologyData:
     check_dense_cells(ring, n, complex_.rank)
     d_n, d_np1 = complex_.differential(n), complex_.differential(n + 1)
     return _homology(ring, d_n, d_np1, n)
+
+
+class HomologyHandle:
+    """H_0..H_max_degree of a complex given level by level.
+
+    A subclass supplies rank(q) and boundary(q) for levels 0..max_degree+1;
+    complex is built from them on first read.  homology_data(n) is kept per
+    degree and refused from the ranks (check_dense_cells) before any
+    boundary is built.  group(n) reads isomorphism types off core.
+    """
+
+    def __init__(self, ring: BaseRing, max_degree: int) -> None:
+        if max_degree < 0:
+            raise DegreeOutOfRangeError("max_degree must be >= 0")
+        check_homology_ring(ring)
+        self.ring, self.max_degree = ring, max_degree
+        self._data: dict[int, HomologyData] = {}
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        top = self.max_degree + 1
+        diffs = {q: self.boundary(q) for q in range(1, top + 1)}
+        return ChainComplex(self.ring, [self.rank(q) for q in range(top + 1)], diffs)
+
+    def homology_data(self, n: int) -> HomologyData:
+        if n < 0 or n > self.max_degree:
+            raise DegreeOutOfRangeError(f"degree {n} outside 0..{self.max_degree}")
+        if n not in self._data:
+            check_dense_cells(self.ring, n, self.rank)
+            self._data[n] = homology(self.complex, n)
+        return self._data[n]
+
+    @cached_property
+    def core(self) -> ChainComplex:
+        return reduce_complex(self.complex)
+
+    def group(self, n: int) -> FPAbelianGroup | FPModule:
+        return homology(self.core, n).group
 
 
 def check_homology_ring(ring: BaseRing) -> None:

@@ -213,17 +213,17 @@ def _emit(config: JobConfig, lines: list[str], result: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _degree_table(config: JobConfig, header: str, label: str, group_at, result: dict):
-    """The header, then ``label.format(d) = group_at(d)`` for d = 0..max_degree."""
-    groups = [group_at(d) for d in range(config.max_degree + 1)]
+def _degree_table(config: JobConfig, header: str, label: str, group, result: dict):
+    """The header, then ``label.format(d) = group(d)`` for d = 0..max_degree."""
+    groups = [group(d) for d in range(config.max_degree + 1)]
     lines = [header] + [f"{label.format(d)} = {g}" for d, g in enumerate(groups)]
     result["groups"] = [_group_json(g) for g in groups]
     return _EXIT_OK, _emit(config, lines, result)
 
 
-def _algebra_table(config: JobConfig, A: Algebra, label: str, group_at):
+def _algebra_table(config: JobConfig, A: Algebra, label: str, group):
     result = {"algebra": A.name, "ring": ring_spec(A.ring), "rank": A.rank}
-    return _degree_table(config, _algebra_line(A), label, group_at, result)
+    return _degree_table(config, _algebra_line(A), label, group, result)
 
 
 def _handle_hh(config: JobConfig) -> tuple[int, str]:
@@ -250,7 +250,7 @@ def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
     work = GroupHomology(G, ring, config.max_degree)
     header = f"group {G.name or '(unnamed)'}: order {G.order}, coefficients {ring}"
     result = {"group": G.name, "order": G.order, "ring": ring_spec(ring)}
-    return _degree_table(config, header, "H_{}(BG)", work.group_at, result)
+    return _degree_table(config, header, "H_{}(BG)", work.group, result)
 
 
 def _handle_trace_k1(config: JobConfig) -> tuple[int, str]:

@@ -50,8 +50,8 @@ import itertools
 from functools import cache, cached_property, partial, wraps
 
 from .algebra import Algebra, unit_first_presentation
-from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, LevelRows, basis_map_columns
-from .chain import check_homology_ring, direct_sum, homology, push, reduce_complex
+from .chain import ChainComplex, FPModule, HomologyHandle, LevelRows, basis_map_columns
+from .chain import direct_sum, homology, push, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import Matrix, SparseMap, smith_normal_form
@@ -381,7 +381,7 @@ def tensor_rule(f: SparseMap):
     return image
 
 
-class HochschildHomology:
+class HochschildHomology(HomologyHandle):
     """HH_0..HH_max_degree of an algebra, with canonical class coordinates.
 
     A chain in the caller's basis of A^tensor(q+1) is a sparse dict {basis
@@ -390,51 +390,25 @@ class HochschildHomology:
     through the change of basis in every slot (normalize, chain_of).  A
     class's chain is a normalized cycle lifted by chain_of: normalize(n - 1,
     b(chain)) is zero, b(chain) need not be (it is not for GF(2)[C2] in
-    degree 2).  group() reads
-    isomorphism types off core, which is built one weight block of the
-    normalized complex at a time and never holds the whole complex;
-    homology_data() and everything built on it use complex, the whole
-    normalized complex, built on first use.
+    degree 2).  The handle's ranks and boundaries are the normalized
+    complex's; its core is built one weight block at a time and never
+    holds the whole complex.
     """
 
     def __init__(self, A: Algebra, max_degree: int):
-        if max_degree < 0:
-            raise DegreeOutOfRangeError("max_degree must be >= 0")
+        super().__init__(A.ring, max_degree)
         self.algebra = A
-        self.ring = A.ring
-        self.max_degree = max_degree
-        check_homology_ring(self.ring)
         reduced, T, Tinv = unit_first_presentation(A)
         self._from_unit_first, self._to_unit_first = tensor_rule(T), tensor_rule(Tinv)
         self.cyclic_module = cyclic_bar(reduced, max_degree)
         self.normalized = NormalizedComplex(self.cyclic_module)
-        self._cache: dict = {}
-
-    @cached_property
-    def complex(self) -> ChainComplex:
-        """The normalized complex in degrees 0..max_degree+1."""
-        return self.normalized.chain_complex(self.max_degree + 1)
-
-    @_cached
-    def homology_data(self, n: int) -> HomologyData:
-        if n < 0 or n > self.max_degree:
-            raise DegreeOutOfRangeError(f"degree {n} outside 0..{self.max_degree}")
-        return homology(self.complex, n)
+        self.rank, self.boundary = self.normalized.rank, self.normalized.boundary
 
     @cached_property
     def core(self) -> ChainComplex:
-        """A small complex with the homology of the normalized one.
-
-        Each weight block (NormalizedComplex.weight_blocks) is built, checked
-        by the ChainComplex constructor, reduced by reduce_complex and
-        dropped before the next; the core is the block-diagonal sum of the
-        block cores in sorted weight order.  A face that leaves its block
-        raises InternalInvariantError.
-        """
+        """The block-diagonal sum of the reduced weight blocks, each built,
+        reduced and dropped in turn (NormalizedComplex.block_core)."""
         return self.normalized.block_core(NormalizedComplex.chain_complex, self.max_degree + 1)
-
-    def group(self, n: int) -> FPAbelianGroup | FPModule:
-        return homology(self.core, n).group
 
     def normalize(self, q: int, chain: dict) -> tuple:
         """Normalized level-q vector of a chain {tuple in the caller's basis:

@@ -28,14 +28,14 @@ non-identity elements (GroupHomology) sum the faces _bar_face writes, and
 phi and the multitrace send each tuple to one tuple or to zero.  The
 pipelines push each generator through the rules (chain.push), so no full
 level is enumerated; group_to_hh and multitrace write the rules as
-whole-level matrices for the chain-map checks.  The caps of a whole
-pipeline are checked from ranks before any of it is built.
+whole-level matrices for the chain-map checks.  A pipeline checks its caps
+from its handles' ranks (chain.HomologyHandle) before it builds anything.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import partial
 
 from .algebra import (
     Algebra,
@@ -51,16 +51,14 @@ from .chain import (
     ChainComplex,
     FPAbelianGroup,
     FPModule,
-    HomologyData,
+    HomologyHandle,
     LevelRows,
     basis_map_columns,
     check_dense_cells,
-    homology,
     push,
-    reduce_complex,
 )
 from .conventions import DEGREE_CAP, LEVEL_CAP
-from .errors import CapExceededError, DegreeOutOfRangeError, NotInvertibleError
+from .errors import CapExceededError, NotInvertibleError
 from .hochschild import HochschildHomology, check_full_level, tensor_rule, tuple_index
 from .linalg import Matrix, SparseMap, is_onto
 from .rings import BaseRing
@@ -110,59 +108,46 @@ def bar_complex(G: FiniteGroup, ring: BaseRing, max_d: int) -> ChainComplex:
     return ChainComplex(ring, [n**q for q in range(max_d + 1)], diffs)
 
 
-class GroupHomology:
+def _bar_rank(G: FiniteGroup, top: int, q: int) -> int:
+    """Rank of normalized bar level q of G in levels 0..top: (|G| - 1)^q."""
+    return (G.order - 1) ** q if 0 <= q <= top else 0
+
+
+class GroupHomology(HomologyHandle):
     """H_*(BG; R) via the normalized bar complex, with class coordinates.
 
     Normalized level q has basis the tuples of non-identity elements; bar
     faces that produce the identity have no row in the level's LevelRows.
-    group_at() reads isomorphism types off the reduced core of the complex;
-    homology_data() uses the complex itself.
+    The ranks are _bar_rank's; the boundary is built on first read.
     """
 
     def __init__(self, G: FiniteGroup, ring: BaseRing, max_degree: int):
-        if max_degree < 0:
-            raise DegreeOutOfRangeError("max_degree must be >= 0")
-        if (G.order - 1) ** (max_degree + 1) > LEVEL_CAP:
+        super().__init__(ring, max_degree)
+        if _bar_rank(G, max_degree + 1, max_degree + 1) > LEVEL_CAP:
             raise CapExceededError(
                 f"normalized bar level {max_degree + 1} exceeds cap {LEVEL_CAP} for |G| = {G.order}"
             )
-        self.group = G
-        self.ring = ring
-        self.max_degree = max_degree
+        self.finite_group = G
         self._others = [g for g in range(G.order) if g != G.identity]
-        face = _bar_face(G, ring.one)
-        levels = [list(self.level(q)) for q in range(max_degree + 2)]
-        diffs = {}
-        for q in range(1, max_degree + 2):
-            rows = LevelRows(levels[q - 1], G.identity, 0)
-            cols = basis_map_columns(ring, levels[q], q + 1, face, rows.__getitem__)
-            diffs[q] = SparseMap.from_col_dicts(ring, len(rows), cols)
-        self.complex = ChainComplex(ring, [len(level) for level in levels], diffs)
-        self._data: dict[int, HomologyData] = {}
 
     def level(self, q: int):
         """The tuples of normalized level q in row order: q non-identity elements."""
         return itertools.product(self._others, repeat=q)
 
-    def homology_data(self, n: int) -> HomologyData:
-        if n < 0 or n > self.max_degree:
-            raise DegreeOutOfRangeError(f"degree {n} outside 0..{self.max_degree}")
-        if n not in self._data:
-            self._data[n] = homology(self.complex, n)
-        return self._data[n]
+    def rank(self, q: int) -> int:
+        return _bar_rank(self.finite_group, self.max_degree + 1, q)
 
-    @cached_property
-    def core(self) -> ChainComplex:
-        """reduce_complex of the normalized bar complex, built on first use."""
-        return reduce_complex(self.complex)
-
-    def group_at(self, n: int) -> FPAbelianGroup | FPModule:
-        return homology(self.core, n).group
+    def boundary(self, q: int) -> SparseMap:
+        """Bar boundary of normalized level q, from the faces _bar_face writes."""
+        G = self.finite_group
+        rows = LevelRows(self.level(q - 1), G.identity, 0)
+        cols = basis_map_columns(self.ring, self.level(q), q + 1, _bar_face(G, self.ring.one), rows.__getitem__)
+        return SparseMap.from_col_dicts(self.ring, len(rows), cols)
 
 
 def group_homology(G: FiniteGroup, ring: BaseRing, n: int):
     """H_n(BG; R) as an FPAbelianGroup or FPModule."""
-    return GroupHomology(G, ring, n).group_at(n)
+    return GroupHomology(G, ring, n).group(n)
 
 
 def _phi_rule(G: FiniteGroup, one):
@@ -320,8 +305,8 @@ def morita_map(A: Algebra, n: int, max_degree: int) -> list[MoritaResult]:
     WM = HochschildHomology(M, max_degree)
     WA = HochschildHomology(A, max_degree)
     for d in range(max_degree + 1):
-        check_dense_cells(M.ring, d, WM.normalized.rank)
-        check_dense_cells(A.ring, d, WA.normalized.rank)
+        check_dense_cells(M.ring, d, WM.rank)
+        check_dense_cells(A.ring, d, WA.rank)
     trace_rule = _trace_rule(A, n)
     out = []
     for d in range(max_degree + 1):
@@ -373,8 +358,8 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
     G = gl.group
     ring = A.ring
     WA = HochschildHomology(A, d)
-    check_dense_cells(ring, d, lambda q: (G.order - 1) ** q if 0 <= q <= d + 1 else 0)
-    check_dense_cells(ring, d, WA.normalized.rank)
+    check_dense_cells(ring, d, partial(_bar_rank, G, d + 1))
+    check_dense_cells(ring, d, WA.rank)
     GH = GroupHomology(G, ring, d)
 
     src = GH.homology_data(d)

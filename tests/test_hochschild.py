@@ -8,6 +8,7 @@ boundary equals HC.  That path never touches the (b, B)-bicomplex code.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,19 @@ def test_cyclic_bar_cap_bounds_the_normalized_level():
     assert work.coordinates(2, {}) == ()
     for k, gen in enumerate(work.generators(1)):
         assert work.coordinates(1, gen) == tuple(int(i == k) for i in range(3))
+
+
+def test_hochschild_dense_cell_cap_refuses_from_ranks(monkeypatch):
+    # degree 11 of Z[C3] has normalized ranks 3*2^10, 3*2^11, 3*2^12; the
+    # refusal reads only them, so no boundary is built before it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a boundary was built")
+
+    monkeypatch.setattr(hochschild.NormalizedComplex, "boundary", forbidden)
+    work = HochschildHomology(group_algebra(cyclic_group(3), ZZ), 11)
+    message = "homology in degree 11 (ranks 3072, 6144, 12288) needs 245366784 dense cells"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        work.generators(11)
 
 
 def test_b_convention_is_pinned():
@@ -226,7 +240,7 @@ def test_hh_burghelea_splitting_of_cyclic_group_algebras(ring, m):
     work = HochschildHomology(group_algebra(G, ring), 4)
     oracle = GroupHomology(G, ring, 4)
     for n in range(5):
-        assert work.group(n) == direct_power(oracle.group_at(n), m), n
+        assert work.group(n) == direct_power(oracle.group(n), m), n
 
 
 @pytest.mark.parametrize("ring", [ZZ, GF(5), Zmod(4)], ids=str)
@@ -237,7 +251,7 @@ def test_hh_weight_blocks_are_burghelea_summands(ring, m):
     # H_*(C_m; R) for every g
     G = cyclic_group(m)
     work = HochschildHomology(group_algebra(G, ring), 3)
-    oracle = [GroupHomology(G, ring, 3).group_at(n) for n in range(4)]
+    oracle = [GroupHomology(G, ring, 3).group(n) for n in range(4)]
     weights = []
     for weight, block in work.normalized.weight_blocks():
         weights.append(weight)

@@ -1,6 +1,7 @@
 """Group homology, the multitrace, and the chain-level Dennis trace."""
 
 import itertools
+import re
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_group_homology_frozen_tables():
     }
     for n, table in expected.items():
         work = GroupHomology(cyclic_group(n), ZZ, 4)
-        assert [str(work.group_at(d)) for d in range(5)] == table
+        assert [str(work.group(d)) for d in range(5)] == table
 
 
 def test_group_homology_core_is_minimal_below_the_top():
@@ -50,7 +51,7 @@ def test_group_homology_core_is_minimal_below_the_top():
 
 def test_group_homology_mod_2_coefficients():
     work = GroupHomology(cyclic_group(2), GF(2), 3)
-    assert [str(work.group_at(d)) for d in range(4)] == ["GF(2)"] * 4
+    assert [str(work.group(d)) for d in range(4)] == ["GF(2)"] * 4
 
 
 def test_group_homology_trivial_group():
@@ -61,6 +62,31 @@ def test_group_homology_trivial_group():
 def test_group_homology_cap():
     with pytest.raises(CapExceededError):
         GroupHomology(cyclic_group(30), ZZ, 4)
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a boundary was built")
+
+
+def test_group_homology_construction_builds_no_boundary(monkeypatch):
+    from chaintrace import trace
+
+    monkeypatch.setattr(trace, "basis_map_columns", forbidden)
+    work = GroupHomology(cyclic_group(5), ZZ, 3)
+    assert "complex" not in vars(work) and "core" not in vars(work)
+
+
+def test_group_homology_dense_cell_cap_refuses_from_ranks(monkeypatch):
+    # degree 3 of C24 has ranks 23^2, 23^3, 23^4; the refusal reads only
+    # them, so no level is enumerated and no boundary is built before it
+    from chaintrace import trace
+
+    monkeypatch.setattr(trace, "basis_map_columns", forbidden)
+    monkeypatch.setattr(trace, "LevelRows", forbidden)
+    work = GroupHomology(cyclic_group(24), ZZ, 3)
+    message = "homology in degree 3 (ranks 529, 12167, 279841) needs 4003405346 dense cells"
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        work.homology_data(3)
 
 
 def test_bar_complex_boundary_shapes():
