@@ -20,19 +20,22 @@ nerve level 0 only and every such truncation is recorded as a skip, never
 silently.
 
 Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
-with the string operators there.  Every structure map follows one rule:
-while a target direction is missing from the image of the injection,
-insert it at width 1 (outermost by wrapping each object as a one-column
-flag grid, innermost by wrapping every entry); when the injection swaps
-the two directions, transpose them; then reindex the inner direction and
-then the outer one along their operators (``waldhausen.reindex_functor``,
-entrywise for the inner one).  Each step is a ``waldhausen.payload_functor``
-built from the payloads of its images, so every structure map is a
-composite of memoized (object map, morphism map) pairs and an image
-outside the enumerated target is an InternalInvariantError.  Composites
-act on strings through ``waldhausen.map_string``, one whole nerve level at
+with the string operators there, and each level keeps its strings as the
+fixed-width rows of one ``waldhausen.FlatLevel``.  Every structure map
+follows one rule: while a target direction is missing from the image of
+the injection, insert it at width 1 (outermost by wrapping each object as
+a one-column flag grid, innermost by wrapping every entry); when the
+injection swaps the two directions, transpose them; then reindex the
+inner direction and then the outer one along their operators
+(``waldhausen.reindex_functor``, entrywise for the inner one).  Each step
+is a ``waldhausen.payload_functor`` built from the payloads of its images,
+so every structure map is a composite of memoized (object map, morphism
+map) pairs and an image outside the enumerated target is an
+InternalInvariantError.  Composites
+act on strings through ``waldhausen.map_level``, one whole nerve level at
 a time (``SigmaDeltaDiagram.act_level``), and ``sigma_delta_validate``
-checks them against every operator ``waldhausen.simplicial_operators`` lists.
+checks them against every operator ``waldhausen.simplicial_operators``
+lists, holding each image table only until the last check that reads it.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from .errors import CapExceededError, InputParseError
 from .validation import ValidationReport
 from .values import Value
 from .waldhausen import (
+    FlatLevel,
     PointedSimplicialSet,
     SCategory,
-    map_string,
+    map_level,
     payload_functor,
     reindex_functor,
     simplicial_operators,
@@ -86,9 +90,11 @@ class SigmaDeltaDiagram(Value):
     pointed simplicial set, truncated in the nerve direction as recorded in
     ``skips``; ``keys`` lists the indices in order.  ``image(src_key,
     dst_key, f, phis)`` is the structure map of a Grothendieck-construction
-    morphism as a map of elements.  ``act_level`` applies it to a whole
-    nerve level at once and keeps the resulting image table; ``act_index``
-    reads one element's image from it.
+    morphism as a map of levels: given a ``FlatLevel`` of the source entry
+    it returns the ``FlatLevel`` of the images of its elements, in order.
+    ``act_level`` applies it to a whole nerve level at once and returns the
+    image table without keeping it; ``act_index`` applies it to a level of
+    one element.
     """
 
     _fields = ("name", "keys", "skips")
@@ -100,12 +106,21 @@ class SigmaDeltaDiagram(Value):
         self.skips = list(skips)
         self._sets = entries
         self._image = image
-        self._tables: dict = {}
 
     def entry(self, key) -> PointedSimplicialSet:
         if key not in self._sets:
             raise InputParseError(f"no entry at index {key}")
         return self._sets[key]
+
+    def _structure_map(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> tuple:
+        """The source entry, the target entry and the map of levels of
+        (f, phis), once the entries, the level and the morphism are checked,
+        in that order."""
+        ps_src, ps_dst = self.entry(src_key), self.entry(dst_key)
+        if not 0 <= level <= min(ps_src.top_level, ps_dst.top_level):
+            raise CapExceededError(f"nerve level {level} is not materialized on both entries")
+        _check_morphism(src_key, dst_key, f, phis)
+        return ps_src, ps_dst, self._image(src_key, dst_key, f, phis)
 
     def act_level(self, src_key, dst_key, f: tuple, phis: tuple, level: int) -> array:
         """Image table of nerve level ``level`` under (f, phis).
@@ -115,26 +130,19 @@ class SigmaDeltaDiagram(Value):
         element x of the source entry.  ``f`` is the injection as a
         tuple of 1-based target positions; ``phis[i-1]`` is the monotone
         operator into target direction i, given as the tuple of its values.
-        The entries, the level and the morphism are checked, in that order,
-        and the structure map looked up, once per table; a table is built
-        once per (map, level) and kept, while a refused one is not kept and
-        is refused again.
+        The table is built on every call and not kept, so it lives only as
+        long as its caller holds it.
         """
-        key = (src_key, dst_key, f, phis, level)
-        got = self._tables.get(key)
-        if got is None:
-            ps_src, ps_dst = self.entry(src_key), self.entry(dst_key)
-            if not 0 <= level <= min(ps_src.top_level, ps_dst.top_level):
-                raise CapExceededError(f"nerve level {level} is not materialized on both entries")
-            _check_morphism(src_key, dst_key, f, phis)
-            image = self._image(src_key, dst_key, f, phis)
-            got = self._tables[key] = ps_dst.index_table(level, map(image, ps_src.levels[level]))
-        return got
+        ps_src, ps_dst, image = self._structure_map(src_key, dst_key, f, phis, level)
+        return ps_dst.index_table(level, image(ps_src.levels[level]))
 
     def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
-        """Image of element ``idx`` of level ``level`` under (f, phis), read
-        from ``act_level``'s table."""
-        return self.act_level(src_key, dst_key, f, phis, level)[idx]
+        """Image of element ``idx`` of level ``level`` under (f, phis): the
+        one element is mapped and found in the target level, with the checks
+        of ``act_level``."""
+        ps_src, ps_dst, image = self._structure_map(src_key, dst_key, f, phis, level)
+        (y,) = image(FlatLevel.pack([ps_src.levels[level][idx]]))
+        return ps_dst.index(level, y)
 
 
 def _check_morphism(src_key, dst_key, f: tuple, phis: tuple) -> None:
@@ -330,7 +338,7 @@ def ktheory_sigma_delta(C: WCategory) -> SigmaDeltaDiagram:
         return got
 
     def image(src_key, dst_key, f, phis):
-        return partial(map_string, build_functor(src_key, dst_key, f, phis))
+        return partial(map_level, build_functor(src_key, dst_key, f, phis))
 
     return SigmaDeltaDiagram(f"flag diagram of {C.name}", entries, skips, image)
 
@@ -340,34 +348,34 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
 
     Entry (n; k⃗) is the smash product of the pointed set with one
     simplicial-circle level set per direction, constant in the nerve
-    direction: nonbase elements are tuples (y, c_1..c_n) with c_i a cut
-    in {1..k_i}.  An operator phi acts on a cut c by counting the values
-    of phi below c, landing on the basepoint when the count leaves
-    1..width.
+    direction: nonbase elements are the flat rows (y, c_1..c_n) with y a
+    point and c_i a cut in {1..k_i}, and the basepoint is the row of
+    zeros.  An operator phi acts on a cut c by counting the values of phi
+    below c, landing on the basepoint when the count leaves 1..width.
     """
     if points < 0:
         raise InputParseError("the pointed set needs a nonnegative point count")
-    basepoint = (0, ())
 
     entries: dict = {}
     for n, ks in _KEYS:
         cuts = list(product(*(range(1, k + 1) for k in ks)))
-        elts = [basepoint] + [(y, cs) for y in range(1, points + 1) for cs in cuts]
+        rows = [(0,) * (n + 1)] + [(y, *cs) for y in range(1, points + 1) for cs in cuts]
         entries[(n, ks)] = PointedSimplicialSet.tabulate(
             f"free entry {(n, ks)}",
-            [elts] * (W_CAP + 1),
+            [rows] * (W_CAP + 1),
             lambda n2, i: lambda e: e,
             lambda n2, i: lambda e: e,
         )
 
     def image(src_key, dst_key, f, phis):
         n_, ks = dst_key
+        basepoint = (0,) * (n_ + 1)
 
         def move(elt: tuple) -> tuple:
-            y, cs = elt
+            y, *cs = elt
             if y == 0:
                 return basepoint
-            out = []
+            out = [y]
             for i in range(1, n_ + 1):
                 phi = phis[i - 1]
                 cut = cs[f.index(i)] if i in f else 1
@@ -375,9 +383,9 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
                 if t == 0 or t == ks[i - 1] + 1:
                     return basepoint
                 out.append(t)
-            return (y, tuple(out))
+            return tuple(out)
 
-        return move
+        return lambda level: FlatLevel.pack([move(elt) for elt in level])
 
     return SigmaDeltaDiagram(f"free diagram on {points} points", entries, [], image)
 
@@ -400,7 +408,8 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
     with faces and degeneracies; transposing the two directions is a
     bijection with inverse the reverse transposition; structure maps
     compose functorially on a fixed sample of composable pairs.
-    Truncated levels are inherited into ``skipped``.
+    Truncated levels are inherited into ``skipped``.  Each image table is
+    built once and dropped after the last check that reads it.
     """
     report = ValidationReport(subject=diagram.name)
     for s in diagram.skips:
@@ -448,26 +457,6 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
                     report.record(f"map {src_key} -> {dst_key} does not commute with {kind}_{i} at level {level}")
         return images
 
-    for src_key, dst_key, f, phis in _insertion_instances():
-        check_map(src_key, dst_key, f, phis, want_bijection=True)
-
-    for k1 in range(K_CAP + 1):
-        for k2 in range(K_CAP + 1):
-            a_key, b_key = (2, (k1, k2)), (2, (k2, k1))
-            swap = (2, 1)
-            phis_ab = (_identity_op(k2), _identity_op(k1))
-            phis_ba = (_identity_op(k1), _identity_op(k2))
-            fwd = check_map(a_key, b_key, swap, phis_ab, want_bijection=True)
-            top = min(diagram.entry(a_key).top_level, diagram.entry(b_key).top_level)
-            for level in range(top + 1):
-                back = diagram.act_level(b_key, a_key, swap, phis_ba, level)
-                for x, y in enumerate(fwd[level]):
-                    report.checks_run += 1
-                    if back[y] != x:
-                        report.record(
-                            f"transposing {a_key} twice is not the identity at level {level}"
-                        )
-
     # functoriality samples: composable pairs whose composite is also direct;
     # the second is a non-identity operator roundtrip inside one direction
     phi_a = (0, 1)        # [1] -> [2]
@@ -485,6 +474,36 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
             ((1, (2,)), (1, (2,)), (1,), (comp,)),
         ),
     ]
+    # the samples read some insertion maps again: their tables are kept
+    # until then, and every other insertion table is dropped at once
+    sampled = {inst for sample in samples for inst in sample}
+    kept = {}
+    for inst in _insertion_instances():
+        images = check_map(*inst, want_bijection=True)
+        if inst in sampled:
+            kept[inst] = images
+
+    # each pair of opposite transpositions is checked together, so each
+    # table is built once and dropped before the next pair
+    swap = (2, 1)
+    for k1 in range(K_CAP + 1):
+        for k2 in range(k1, K_CAP + 1):
+            a_key, b_key = (2, (k1, k2)), (2, (k2, k1))
+            ids_ab, ids_ba = (_identity_op(k2), _identity_op(k1)), (_identity_op(k1), _identity_op(k2))
+            fwd = check_map(a_key, b_key, swap, ids_ab, want_bijection=True)
+            rounds = [(a_key, fwd, fwd)]
+            if k1 != k2:
+                back = check_map(b_key, a_key, swap, ids_ba, want_bijection=True)
+                rounds = [(a_key, fwd, back), (b_key, back, fwd)]
+            for key, there, home in rounds:
+                for level, (out, ret) in enumerate(zip(there, home)):
+                    for x, y in enumerate(out):
+                        report.checks_run += 1
+                        if ret[y] != x:
+                            report.record(
+                                f"transposing {key} twice is not the identity at level {level}"
+                            )
+
     for first, second, direct in samples:
         src_key = first[0]
         mid_key = first[1]
@@ -494,13 +513,14 @@ def sigma_delta_validate(diagram: SigmaDeltaDiagram) -> ValidationReport:
             diagram.entry(mid_key).top_level,
             diagram.entry(dst_key).top_level,
         )
+        one, two, straight = (
+            kept.pop(inst, None) or [diagram.act_level(*inst, level) for level in range(top + 1)]
+            for inst in (first, second, direct)
+        )
         for level in range(top + 1):
-            one = diagram.act_level(*first, level)
-            two = diagram.act_level(*second, level)
-            straight = diagram.act_level(*direct, level)
-            for x, y in enumerate(one):
+            for x, y in enumerate(one[level]):
                 report.checks_run += 1
-                if two[y] != straight[x]:
+                if two[level][y] != straight[level][x]:
                     report.record(
                         f"structure maps {src_key} -> {mid_key} -> {dst_key} do not "
                         f"compose functorially at level {level}"

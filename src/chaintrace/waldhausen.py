@@ -68,6 +68,8 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, product
+from operator import itemgetter
+from struct import Struct
 
 from .chain import ChainComplex, FPAbelianGroup, HomologyData, basis_map_columns, homology
 from .errors import CapExceededError, InternalInvariantError, ValidationError
@@ -88,8 +90,10 @@ __all__ = [
     "reindex_functor",
     "simplicial_operators",
     "simplicial_identities",
+    "FlatLevel",
     "PointedSimplicialSet",
     "map_string",
+    "map_level",
     "weq_nerve",
     "ws_diagonal",
     "k0_via_sdot",
@@ -636,6 +640,85 @@ def simplicial_identities(top: int):
                 yield f"d_{i} s_{j}", n, (("d", n + 1, i), ("s", n, j)), rhs
 
 
+class FlatLevel:
+    """A level of a simplicial set whose elements are tuples of ``width``
+    ints, stored as one ``array('i')`` of rows in order.
+
+    A level-2 nerve string then costs 12 bytes, where a tuple of three
+    handles costs 64 and its list slot 8 more.  Readers see the tuples:
+    ``len``, iteration in order and ``level[i]`` give them, ``index``
+    finds one (ValueError when absent), and a level equals a sequence of
+    the same tuples.  Each tuple read is built anew, with ints of its own,
+    so the bulk paths read none: ``positions`` looks rows up by their
+    packed bytes, ``map_level`` maps a level column by column, and
+    ``PointedSimplicialSet.tabulate`` reads its operators off the
+    enumerated tuples before it packs them.  Handles fit in 4 bytes: no
+    category interns more than ``wcat.MORPHISM_CAP`` morphisms.
+    """
+
+    __slots__ = ("width", "data")
+
+    def __init__(self, width: int, data: array) -> None:
+        self.width = width
+        self.data = data
+
+    @classmethod
+    def pack(cls, rows) -> FlatLevel:
+        """The level of ``rows``, a sequence of tuples of ints of one width."""
+        width = len(rows[0])
+        # one call packs every int, with no object made per row
+        packed = Struct(f"{len(rows) * width}i").pack(*chain.from_iterable(rows))
+        return cls(width, array("i", packed))
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def __iter__(self):
+        return zip(*[iter(self.data)] * self.width)
+
+    def __getitem__(self, i: int) -> tuple:
+        start = range(0, len(self.data), self.width)[i]
+        return tuple(self.data[start : start + self.width])
+
+    def _keys(self):
+        """The packed bytes of each row, in order: a key equal only to the
+        key of an equal row, which takes 45 bytes for a level-2 string where
+        its tuple, with ints of its own, takes about 140."""
+        rows = Struct(f"{self.data.itemsize * self.width}s").iter_unpack(self.data)
+        return map(itemgetter(0), rows)
+
+    def positions(self, rows: FlatLevel) -> array:
+        """The position in this level of each row of ``rows``, in order, as
+        4-byte ints (KeyError for a row not in it), through a lookup of this
+        level's row keys built for the call."""
+        into = dict(zip(self._keys(), range(len(self))))
+        return array("i", map(into.__getitem__, rows._keys()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FlatLevel):
+            return self.width == other.width and self.data == other.data
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return f"FlatLevel({self.width}, {tuple(self)!r})"
+
+    def index(self, x) -> int:
+        """The position of the row x, found by a search of the packed bytes."""
+        try:
+            row = array("i", x).tobytes()
+        except (TypeError, OverflowError):
+            row = b""
+        size = self.data.itemsize * self.width
+        if len(row) == size:
+            packed = self.data.tobytes()
+            at = packed.find(row)
+            while at > 0 and at % size:  # a match must start a row
+                at = packed.find(row, at + 1)
+            if at >= 0:
+                return at // size
+        raise ValueError(f"{x!r} is not in the level")
+
+
 class PointedSimplicialSet(Value):
     """A levelwise-finite pointed simplicial set truncated at a top level.
 
@@ -643,13 +726,16 @@ class PointedSimplicialSet(Value):
     ``index(n, x)`` is the position of x in ``levels[n]``.  In a nerve
     (``weq_nerve``, ``ws_diagonal``) an n-simplex is the flat tuple
     (x0, g_1, ..., g_n) of a start object and n composable weak
-    equivalences, so a whole string is one tuple of handles.  ``faces[n][i]``
-    (for n >= 1) and ``degens[n][i]`` (for n < top) are index maps, each an
-    ``array('i')`` of positions: no level holds more than STRING_CAP
-    elements, so 4 bytes a position suffice, where a tuple slot costs 8
-    and its int more.  ``tabulate`` fills them, and ``validate`` checks
-    them, along the one list of operators and identities that
-    ``simplicial_operators`` and ``simplicial_identities`` give.
+    equivalences.  Every level ``tabulate`` builds is a ``FlatLevel``: one
+    ``array('i')`` holding each element as a row of ints, a string as its
+    n + 1 handles, in the order the strings were enumerated.
+    ``faces[n][i]`` (for n >= 1) and ``degens[n][i]`` (for n < top) are
+    index maps, each an ``array('i')`` of positions: no level holds more
+    than STRING_CAP elements, so 4 bytes a position suffice, where a tuple
+    slot costs 8 and its int more.  ``tabulate`` fills them, and
+    ``validate`` checks them, along the one list of operators and
+    identities that ``simplicial_operators`` and ``simplicial_identities``
+    give.
 
     No element-to-position lookup is kept: ``tabulate`` builds one per
     level while it fills the tables, and ``index_table`` one per call.
@@ -668,30 +754,36 @@ class PointedSimplicialSet(Value):
     def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
         """The set on ``levels`` with operators given element by element.
 
+        Each level is a sequence of distinct tuples of ints of one width.
         ``face(n, i)`` returns d_i as a map from elements of level n to
         elements of level n-1, and ``degeneracy(n, i)`` returns s_i from
-        level n to level n+1; both are read off into index tables.
+        level n to level n+1; both are read off the given tuples into index
+        tables.  Only then is each level packed into a ``FlatLevel``, so the
+        tuples live only while the set is built.
         """
-        levels = tuple(tuple(level) for level in levels)
         into = [_positions(level) for level in levels]
         tables = {"d": [[] for _ in levels], "s": [[] for _ in levels]}
         for kind, n, i, target in simplicial_operators(len(levels) - 1):
             op = (face if kind == "d" else degeneracy)(n, i)
             tables[kind][n].append(_index_table(into[target], map(op, levels[n])))
-        return cls(name, levels, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
+        del into  # free the lookups before the packed levels are written
+        flat = tuple(map(FlatLevel.pack, levels))
+        return cls(name, flat, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
 
     @property
     def top_level(self) -> int:
         return len(self.levels) - 1
 
     def index(self, n: int, x) -> int:
-        """The position of x in ``levels[n]``, found by a scan of the level."""
+        """The position of x in ``levels[n]``, found by a search of the level;
+        ValueError when x is not in it."""
         return self.levels[n].index(x)
 
-    def index_table(self, n: int, xs) -> array:
-        """The positions in ``levels[n]`` of the elements xs, in order,
-        through a lookup of the level built for this call."""
-        return _index_table(_positions(self.levels[n]), xs)
+    def index_table(self, n: int, rows: FlatLevel) -> array:
+        """The positions in ``levels[n]`` of the rows of ``rows``, in order,
+        through a lookup of the level built for this call
+        (``FlatLevel.positions``)."""
+        return self.levels[n].positions(rows)
 
     def face(self, n: int, i: int, x: int) -> int:
         return self.faces[n][i][x]
@@ -726,15 +818,16 @@ class PointedSimplicialSet(Value):
         return report
 
 
-def _positions(level: tuple) -> dict:
+def _positions(level) -> dict:
     """Element -> position in ``level``."""
     return dict(zip(level, range(len(level))))
 
 
 def _index_table(into: dict, xs) -> array:
     """The positions ``into`` gives the elements xs, in order, as 4-byte
-    ints: no level holds more than STRING_CAP elements."""
-    return array("i", map(into.__getitem__, xs))
+    ints: no level holds more than STRING_CAP elements.  An array fills
+    faster from a list than from an iterator."""
+    return array("i", list(map(into.__getitem__, xs)))
 
 
 def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
@@ -798,12 +891,25 @@ def map_string(functor: tuple, s: tuple) -> tuple:
     return (obj(s[0]), *map(mor, s[1:]))
 
 
+def map_level(functor: tuple, level: FlatLevel) -> FlatLevel:
+    """The level of the ``map_string`` images of the strings of a nerve
+    level, in order, mapped column by column: obj maps the column of start
+    objects and mor each column of maps, so no string is unpacked."""
+    obj, mor = functor
+    w = level.width
+    out = array("i", level.data)
+    for t in range(w):
+        out[t::w] = array("i", list(map(mor if t else obj, out[t::w])))
+    return FlatLevel(w, out)
+
+
 def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     """The nerve of the weak equivalences of C, truncated at level w_max.
 
     Level l lists the strings of l composable weak equivalences, each the
-    flat tuple (x0, g_1, ..., g_l) of its start object and its maps; the
-    basepoint (z, id_z, ..., id_z) on the zero object z is at index 0.
+    flat tuple (x0, g_1, ..., g_l) of its start object and its maps, kept
+    as a ``FlatLevel`` of rows of l + 1 handles; the basepoint
+    (z, id_z, ..., id_z) on the zero object z is at index 0.
     Faces drop or compose, degeneracies insert identities.  A face composes
     through ``composite_id``, outside C's composition memo: below level 3
     the strings of a level ask for distinct composites, so a memo would
@@ -827,8 +933,9 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
 
     Truncated at DIAGONAL_TOP.  Level n holds the strings of n composable weak
     equivalences of flag grids on [n] x [n], each the flat tuple
-    (x0, g_1, ..., g_n) of grid and map handles of S_n C; the basepoint is
-    the identity string on the zero grid.  The face d_i is d_i^v o d_i^h:
+    (x0, g_1, ..., g_n) of grid and map handles of S_n C, kept as a
+    ``FlatLevel`` of rows of n + 1 handles; the basepoint is the identity
+    string on the zero grid.  The face d_i is d_i^v o d_i^h:
     the horizontal face d_i^h restricts every grid and map of the string
     along the coface [n-1] -> [n] that skips i, landing in w_n S_{n-1} C,
     and the vertical face d_i^v is the nerve face of w S_{n-1} C.  Likewise

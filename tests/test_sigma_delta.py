@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import tracemalloc
 from array import array
 from itertools import chain, combinations_with_replacement, permutations, product
 
@@ -9,6 +10,7 @@ import pytest
 
 from chaintrace.errors import CapExceededError, InputParseError
 from chaintrace.sigma_delta import (
+    SigmaDeltaDiagram,
     free_sigma_delta,
     ktheory_sigma_delta,
     sigma_delta_validate,
@@ -68,6 +70,20 @@ def test_large_entry_is_truncated_with_recorded_skip(vect_diagram):
     assert "950" in vect_diagram.skips[0]
 
 
+def test_flag_diagram_keeps_its_strings_in_flat_levels():
+    # three levels hold 15,663 strings each; kept as tuples of handles, the
+    # strings held the built diagram at 6.7 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = ktheory_sigma_delta(vect_gf(2, 2))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(len(level) for key in d.keys for level in d.entry(key).levels)[-3:] == [15663] * 3
+    assert kept < 5 * 2**20, f"{kept / 2**20:.2f} MB kept"
+
+
 def test_vect_diagram_validates(vect_diagram):
     report = sigma_delta_validate(vect_diagram)
     assert report.ok
@@ -88,13 +104,21 @@ def test_building_and_validating_a_diagram_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_broken_image_table_is_reported_per_operator():
+def test_broken_image_table_is_reported_per_operator(monkeypatch):
+    # no table outlives its reader, so the break goes in where tables are built
     d = ktheory_sigma_delta(vect_gf(2, 1))
     ident = (0, 1)
     args = ((1, (1,)), (2, (1, 1)), (1,), (ident, ident))
-    table = d.act_level(*args, 1)
-    assert list(table) == [0, 1]
-    table[1] = 0
+    act_level = SigmaDeltaDiagram.act_level
+    assert list(act_level(d, *args, 1)) == [0, 1]
+
+    def broken_act_level(self, *call):
+        table = act_level(self, *call)
+        if call == (*args, 1):
+            table[1] = 0
+        return table
+
+    monkeypatch.setattr(SigmaDeltaDiagram, "act_level", broken_act_level)
     report = sigma_delta_validate(d)
     assert report.checks_run == 855
     name = "map (1, (1,)) -> (2, (1, 1))"
@@ -257,7 +281,8 @@ def test_weq_nerve_strings_are_flat():
 def test_simplicial_sets_keep_no_position_lookup(vect_diagram):
     # tabulate reads positions through one lookup per level and drops it;
     # index() scans the level, and act_level builds its own lookup
-    free = PointedSimplicialSet.tabulate("free", [[0, 1, 2]] * 3, lambda n, i: abs, lambda n, i: abs)
+    same = (lambda n, i: lambda x: x,) * 2
+    free = PointedSimplicialSet.tabulate("free", [[(0,), (1,), (2,)]] * 3, *same)
     sets = [free, weq_nerve(vect_gf(2, 2), 2), ws_diagonal(vect_gf(2, 1))]
     sets += [vect_diagram.entry(key) for key in vect_diagram.keys]
     src, dst, f, phis = (1, (2,)), (2, (1, 2)), (2,), ((0, 1), (0, 1, 2))

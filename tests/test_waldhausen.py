@@ -10,6 +10,7 @@ from chaintrace.endo import EndCategory, end_category, k0_retract_holds
 from chaintrace.errors import CapExceededError, InternalInvariantError
 from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
+    FlatLevel,
     SCategory,
     _enumerate_s_payloads,
     _total_complex_relations,
@@ -155,6 +156,19 @@ def test_simplicial_operators_and_identities_are_counted_and_composable(top):
     if top == 2:
         # cyclic-identities checks these 12 and 10 cyclic ones on 4 algebras: 88
         assert sum(counts.values()) == 12
+
+
+def test_flat_level_finds_every_string_and_refuses_absent_ones():
+    ps = weq_nerve(SCategory(vect_gf(2, 2), 2), 2)
+    level = ps.levels[2]
+    assert isinstance(level, FlatLevel) and len(level) == 15663
+    assert list(ps.index_table(2, level)) == [ps.index(2, x) for x in level] == list(range(15663))
+    # three handles that do occur in a row, but straddle rows 0 and 1
+    straddling = (*level[0][1:], level[1][0])
+    assert straddling not in set(level)
+    for absent in (straddling, level[5][:2], (*level[5], 0), (level[5][0], -1, -1), "abc", 7):
+        with pytest.raises(ValueError):
+            ps.index(2, absent)
 
 
 def test_broken_face_table_is_reported_per_element():
