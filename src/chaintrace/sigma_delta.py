@@ -19,9 +19,9 @@ category has more than ``ENTRY_OBJECT_CAP`` objects are materialized at
 nerve level 0 only and every such truncation is recorded as a skip, never
 silently.
 
-Entries are built in ``waldhausen``: ``weq_nerve`` tabulates each nerve
-with the string operators there, and each level keeps its strings as the
-fixed-width rows of one ``waldhausen.FlatLevel``.  Every structure map
+Entries are built in ``waldhausen``: ``weq_nerve`` enumerates each level
+as the fixed-width rows of one ``waldhausen.FlatLevel`` and tabulates the
+nerve with the level maps there.  Every structure map
 follows one rule: while a target direction is missing from the image of
 the injection, insert it at width 1 (outermost by wrapping each object as
 a one-column flag grid, innermost by wrapping every entry); when the
@@ -134,7 +134,7 @@ class SigmaDeltaDiagram(Value):
         long as its caller holds it.
         """
         ps_src, ps_dst, image = self._structure_map(src_key, dst_key, f, phis, level)
-        return ps_dst.index_table(level, image(ps_src.levels[level]))
+        return ps_dst.levels[level].positions(image(ps_src.levels[level]))
 
     def act_index(self, src_key, dst_key, f: tuple, phis: tuple, level: int, idx: int) -> int:
         """Image of element ``idx`` of level ``level`` under (f, phis): the
@@ -348,24 +348,21 @@ def free_sigma_delta(points: int) -> SigmaDeltaDiagram:
 
     Entry (n; k⃗) is the smash product of the pointed set with one
     simplicial-circle level set per direction, constant in the nerve
-    direction: nonbase elements are the flat rows (y, c_1..c_n) with y a
-    point and c_i a cut in {1..k_i}, and the basepoint is the row of
-    zeros.  An operator phi acts on a cut c by counting the values of phi
-    below c, landing on the basepoint when the count leaves 1..width.
+    direction: every level is one ``FlatLevel`` whose nonbase elements are
+    the rows (y, c_1..c_n) with y a point and c_i a cut in {1..k_i}, and
+    the basepoint is the row of zeros.  An operator phi acts on a cut c by
+    counting the values of phi below c, landing on the basepoint when the
+    count leaves 1..width.
     """
     if points < 0:
         raise InputParseError("the pointed set needs a nonnegative point count")
 
+    same = (lambda n2, i: lambda level: level,) * 2  # every nerve operator is the identity
     entries: dict = {}
     for n, ks in _KEYS:
         cuts = list(product(*(range(1, k + 1) for k in ks)))
-        rows = [(0,) * (n + 1)] + [(y, *cs) for y in range(1, points + 1) for cs in cuts]
-        entries[(n, ks)] = PointedSimplicialSet.tabulate(
-            f"free entry {(n, ks)}",
-            [rows] * (W_CAP + 1),
-            lambda n2, i: lambda e: e,
-            lambda n2, i: lambda e: e,
-        )
+        rows = FlatLevel.pack([(0,) * (n + 1)] + [(y, *cs) for y in range(1, points + 1) for cs in cuts])
+        entries[(n, ks)] = PointedSimplicialSet.tabulate(f"free entry {(n, ks)}", [rows] * (W_CAP + 1), *same)
 
     def image(src_key, dst_key, f, phis):
         n_, ks = dst_key

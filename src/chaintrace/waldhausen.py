@@ -55,8 +55,9 @@ of C into End(C) in chaintrace.endo.
 
 Every simplicial set of weak-equivalence strings (``weq_nerve``, the
 diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
-is built by ``PointedSimplicialSet.tabulate`` from the one pair of string
-operators here, composed with ``reindex_functor`` (through ``map_string``)
+keeps each level a ``FlatLevel`` from its enumeration on, and is built by
+``PointedSimplicialSet.tabulate`` from the one pair of nerve operators
+here, maps of whole levels, after ``map_level`` of ``reindex_functor``
 where a direction of flags is restricted.
 
 The endomorphism category End(C) and the retract check K_0(C) ->
@@ -67,7 +68,9 @@ which no ``k0`` job loads.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, product
+from collections.abc import Sequence
+from functools import partial
+from itertools import chain, product, repeat
 from operator import itemgetter
 from struct import Struct
 
@@ -92,7 +95,6 @@ __all__ = [
     "simplicial_identities",
     "FlatLevel",
     "PointedSimplicialSet",
-    "map_string",
     "map_level",
     "weq_nerve",
     "ws_diagonal",
@@ -646,14 +648,12 @@ class FlatLevel:
 
     A level-2 nerve string then costs 12 bytes, where a tuple of three
     handles costs 64 and its list slot 8 more.  Readers see the tuples:
-    ``len``, iteration in order and ``level[i]`` give them, ``index``
-    finds one (ValueError when absent), and a level equals a sequence of
-    the same tuples.  Each tuple read is built anew, with ints of its own,
-    so the bulk paths read none: ``positions`` looks rows up by their
-    packed bytes, ``map_level`` maps a level column by column, and
-    ``PointedSimplicialSet.tabulate`` reads its operators off the
-    enumerated tuples before it packs them.  Handles fit in 4 bytes: no
-    category interns more than ``wcat.MORPHISM_CAP`` morphisms.
+    ``len``, iteration in order and ``level[i]`` (an int i) give them,
+    ``index`` finds one (ValueError when absent), and a level equals a
+    sequence of the same tuples.  The bulk paths build no tuple: levels are
+    built and mapped by ``columns``, and ``positions`` looks rows up by
+    their packed bytes.  Handles fit in 4 bytes: no category interns more
+    than ``wcat.MORPHISM_CAP`` morphisms.
     """
 
     __slots__ = ("width", "data")
@@ -665,10 +665,19 @@ class FlatLevel:
     @classmethod
     def pack(cls, rows) -> FlatLevel:
         """The level of ``rows``, a sequence of tuples of ints of one width."""
-        width = len(rows[0])
-        # one call packs every int, with no object made per row
-        packed = Struct(f"{len(rows) * width}i").pack(*chain.from_iterable(rows))
-        return cls(width, array("i", packed))
+        return cls(len(rows[0]), array("i", chain.from_iterable(rows)))
+
+    @classmethod
+    def from_columns(cls, columns: list) -> FlatLevel:
+        """The level whose column t is the ``array('i')`` ``columns[t]``."""
+        data = array("i", [0]) * (len(columns) * len(columns[0]))
+        for t, col in enumerate(columns):
+            data[t :: len(columns)] = col
+        return cls(len(columns), data)
+
+    def columns(self) -> list:
+        """Column t of the level, for each t, as an ``array('i')``."""
+        return [self.data[t :: self.width] for t in range(self.width)]
 
     def __len__(self) -> int:
         return len(self.data) // self.width
@@ -677,6 +686,8 @@ class FlatLevel:
         return zip(*[iter(self.data)] * self.width)
 
     def __getitem__(self, i: int) -> tuple:
+        if not isinstance(i, int):
+            raise TypeError(f"FlatLevel indices must be integers, not {type(i).__name__}")
         start = range(0, len(self.data), self.width)[i]
         return tuple(self.data[start : start + self.width])
 
@@ -692,12 +703,12 @@ class FlatLevel:
         4-byte ints (KeyError for a row not in it), through a lookup of this
         level's row keys built for the call."""
         into = dict(zip(self._keys(), range(len(self))))
-        return array("i", map(into.__getitem__, rows._keys()))
+        return _column(map(into.__getitem__, rows._keys()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FlatLevel):
             return self.width == other.width and self.data == other.data
-        return tuple(self) == other
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
 
     def __repr__(self) -> str:
         return f"FlatLevel({self.width}, {tuple(self)!r})"
@@ -726,9 +737,9 @@ class PointedSimplicialSet(Value):
     ``index(n, x)`` is the position of x in ``levels[n]``.  In a nerve
     (``weq_nerve``, ``ws_diagonal``) an n-simplex is the flat tuple
     (x0, g_1, ..., g_n) of a start object and n composable weak
-    equivalences.  Every level ``tabulate`` builds is a ``FlatLevel``: one
-    ``array('i')`` holding each element as a row of ints, a string as its
-    n + 1 handles, in the order the strings were enumerated.
+    equivalences.  Every level ``tabulate`` is given is a ``FlatLevel``:
+    one ``array('i')`` holding each element as a row of ints, a string as
+    its n + 1 handles, in the order the strings were enumerated.
     ``faces[n][i]`` (for n >= 1) and ``degens[n][i]`` (for n < top) are
     index maps, each an ``array('i')`` of positions: no level holds more
     than STRING_CAP elements, so 4 bytes a position suffice, where a tuple
@@ -737,8 +748,8 @@ class PointedSimplicialSet(Value):
     identities that ``simplicial_operators`` and ``simplicial_identities``
     give.
 
-    No element-to-position lookup is kept: ``tabulate`` builds one per
-    level while it fills the tables, and ``index_table`` one per call.
+    No element-to-position lookup is kept: each table is read through a
+    lookup built for it (``FlatLevel.positions``).
     """
 
     _fields = ("name", "levels", "faces", "degens")
@@ -752,23 +763,19 @@ class PointedSimplicialSet(Value):
 
     @classmethod
     def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
-        """The set on ``levels`` with operators given element by element.
+        """The set on ``levels``, each a ``FlatLevel`` of distinct rows.
 
-        Each level is a sequence of distinct tuples of ints of one width.
-        ``face(n, i)`` returns d_i as a map from elements of level n to
-        elements of level n-1, and ``degeneracy(n, i)`` returns s_i from
-        level n to level n+1; both are read off the given tuples into index
-        tables.  Only then is each level packed into a ``FlatLevel``, so the
-        tuples live only while the set is built.
+        ``face(n, i)`` returns d_i as a map from level n to the level of the
+        images of its rows in level n-1, and ``degeneracy(n, i)`` s_i from
+        level n to level n+1; the table of an operator op from level n to
+        level m is ``levels[m].positions(op(levels[n]))``.
         """
-        into = [_positions(level) for level in levels]
+        levels = tuple(levels)
         tables = {"d": [[] for _ in levels], "s": [[] for _ in levels]}
         for kind, n, i, target in simplicial_operators(len(levels) - 1):
             op = (face if kind == "d" else degeneracy)(n, i)
-            tables[kind][n].append(_index_table(into[target], map(op, levels[n])))
-        del into  # free the lookups before the packed levels are written
-        flat = tuple(map(FlatLevel.pack, levels))
-        return cls(name, flat, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
+            tables[kind][n].append(levels[target].positions(op(levels[n])))
+        return cls(name, levels, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
 
     @property
     def top_level(self) -> int:
@@ -778,12 +785,6 @@ class PointedSimplicialSet(Value):
         """The position of x in ``levels[n]``, found by a search of the level;
         ValueError when x is not in it."""
         return self.levels[n].index(x)
-
-    def index_table(self, n: int, rows: FlatLevel) -> array:
-        """The positions in ``levels[n]`` of the rows of ``rows``, in order,
-        through a lookup of the level built for this call
-        (``FlatLevel.positions``)."""
-        return self.levels[n].positions(rows)
 
     def face(self, n: int, i: int, x: int) -> int:
         return self.faces[n][i][x]
@@ -818,88 +819,88 @@ class PointedSimplicialSet(Value):
         return report
 
 
-def _positions(level) -> dict:
-    """Element -> position in ``level``."""
-    return dict(zip(level, range(len(level))))
+def _column(xs) -> array:
+    """The ints xs as a column, filled from a list, which beats an iterator."""
+    return array("i", list(xs))
 
 
-def _index_table(into: dict, xs) -> array:
-    """The positions ``into`` gives the elements xs, in order, as 4-byte
-    ints: no level holds more than STRING_CAP elements.  An array fills
-    faster from a list than from an iterator."""
-    return array("i", list(map(into.__getitem__, xs)))
+def _weq_strings(C: WCategory, length: int, too_many: str) -> FlatLevel:
+    """The level of strings of ``length`` composable weak equivalences of C.
 
-
-def _weq_strings(C: WCategory, length: int, too_many: str) -> list:
-    """Strings of ``length`` composable weak equivalences of C.
-
-    Each string is one flat tuple (x0, g_1, ..., g_length): its start
-    object followed by its maps in order.  The basepoint, the identity
-    string (z, id_z, ..., id_z) on the zero object z, comes first; the rest
-    follow depth first over target objects and weak-equivalence sets.
-    Raises CapExceededError with the message ``too_many`` once the list
-    holds more than STRING_CAP strings.
+    Each string is one row (x0, g_1, ..., g_length).  The basepoint, the
+    identity string (z, id_z, ..., id_z) on the zero object z, comes first;
+    the rest follow depth first over target objects and weak-equivalence
+    sets, which are asked for only when the search reaches their source.
+    Raises CapExceededError with the message ``too_many`` once the level
+    holds more than STRING_CAP strings; level 0, C's objects, is not capped.
     """
-    bp = (C.zero_index(),) + (C.identity_id(C.zero_index()),) * length
-    elts = [bp]
+    objects = range(C.object_count())
+    z = C.zero_index()
+    if length == 0:
+        return FlatLevel(1, array("i", [z, *(a for a in objects if a != z)]))
+    bp = (z,) + (C.identity_id(z),) * length
+    cols = [array("i", [x]) for x in bp]
+    out_of: dict = {}  # a -> the weak equivalences out of a, in enumeration order
 
-    def extend(prefix: tuple, src: int):
-        if len(prefix) > length:
-            # distinct paths give distinct strings; only bp comes up twice
-            if prefix != bp:
-                elts.append(prefix)
-            if len(elts) > STRING_CAP:
-                raise CapExceededError(too_many)
+    def extend(prefix: tuple, a: int) -> None:
+        maps = out_of.get(a)
+        if maps is None:
+            maps = out_of[a] = array("i", [g for b in objects for g in C.weq_ids(a, b)])
+        if len(prefix) < length:
+            for g in maps:
+                extend(prefix + (g,), C.mor_target(g))
             return
-        for b in range(C.object_count()):
-            for g in C.weq_ids(src, b):
-                extend(prefix + (g,), b)
+        if prefix == bp[:-1]:
+            # distinct paths give distinct strings; only bp comes up twice
+            maps = array("i", [g for g in maps if g != bp[-1]])
+        for col, x in zip(cols, prefix):
+            col.extend(repeat(x, len(maps)))
+        cols[-1].extend(maps)
+        if len(cols[-1]) > STRING_CAP:
+            raise CapExceededError(too_many)
 
     try:
-        for x0 in range(C.object_count()):
+        for x0 in objects:
             extend((x0,), x0)
     finally:
         del extend  # it refers to its own cell: drop the cycle now
-    return elts
+    return FlatLevel.from_columns(cols)
 
 
-def _string_face(C: WCategory, s: tuple, i: int, compose) -> tuple:
-    """The nerve face d_i of the flat string s = (x0, g_1, ..., g_n) of C.
-
-    d_0 drops g_1 and starts at its target, d_n drops g_n, and any other
-    d_i composes g_{i+1} after g_i with ``compose``; the result is again a
-    flat string.
-    """
+def _nerve_face(C: WCategory, i: int, compose, level: FlatLevel) -> FlatLevel:
+    """The nerve face d_i of C's weak equivalences on a level of strings
+    (x0, g_1, ..., g_n): d_0 replaces the columns of x0 and g_1 with the
+    targets of g_1, d_n drops the column of g_n, and any other d_i replaces
+    the columns of g_i and g_{i+1} with their composites under ``compose``."""
+    cols = level.columns()
     if i == 0:
-        return (C.mor_target(s[1]),) + s[2:]
-    if i == len(s) - 1:
-        return s[:-1]
-    return s[:i] + (compose(s[i + 1], s[i]),) + s[i + 2 :]
+        cols[:2] = [_column(map(C.mor_target, cols[1]))]
+    elif i == len(cols) - 1:
+        del cols[i]
+    else:
+        cols[i : i + 2] = [_column(map(compose, cols[i + 1], cols[i]))]
+    return FlatLevel.from_columns(cols)
 
 
-def _string_degeneracy(C: WCategory, s: tuple, i: int) -> tuple:
-    """The nerve degeneracy s_i of the flat string s of C: an identity
-    inserted as map i + 1, on the object where map i ends (x0 for i = 0)."""
-    mid = s[0] if i == 0 else C.mor_target(s[i])
-    return s[: i + 1] + (C.identity_id(mid),) + s[i + 1 :]
-
-
-def map_string(functor: tuple, s: tuple) -> tuple:
-    """Image of the flat string s = (x0, g_1, ..., g_n) under an (object
-    map, morphism map) pair: (obj(x0), mor(g_1), ..., mor(g_n))."""
-    obj, mor = functor
-    return (obj(s[0]), *map(mor, s[1:]))
+def _nerve_degeneracy(C: WCategory, i: int, level: FlatLevel) -> FlatLevel:
+    """The nerve degeneracy s_i of C's weak equivalences on a level of
+    strings: a column of identities inserted as map i + 1, each on the
+    object where map i ends (x0 for i = 0)."""
+    cols = level.columns()
+    mid = cols[0] if i == 0 else map(C.mor_target, cols[i])
+    cols.insert(i + 1, _column(map(C.identity_id, mid)))
+    return FlatLevel.from_columns(cols)
 
 
 def map_level(functor: tuple, level: FlatLevel) -> FlatLevel:
-    """The level of the ``map_string`` images of the strings of a nerve
-    level, in order, mapped column by column: obj maps the column of start
-    objects and mor each column of maps, so no string is unpacked."""
+    """The images of the strings (x0, g_1, ..., g_n) of a nerve level under
+    an (object map, morphism map) pair, in order: obj maps the column of
+    start objects and mor each column of maps, so no string is unpacked."""
     obj, mor = functor
     w = level.width
     out = array("i", level.data)
     for t in range(w):
-        out[t::w] = array("i", list(map(mor if t else obj, out[t::w])))
+        out[t::w] = _column(map(mor if t else obj, out[t::w]))
     return FlatLevel(w, out)
 
 
@@ -909,11 +910,11 @@ def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     Level l lists the strings of l composable weak equivalences, each the
     flat tuple (x0, g_1, ..., g_l) of its start object and its maps, kept
     as a ``FlatLevel`` of rows of l + 1 handles; the basepoint
-    (z, id_z, ..., id_z) on the zero object z is at index 0.
-    Faces drop or compose, degeneracies insert identities.  A face composes
-    through ``composite_id``, outside C's composition memo: below level 3
-    the strings of a level ask for distinct composites, so a memo would
-    never hit.
+    (z, id_z, ..., id_z) on the zero object z is at index 0.  Faces drop
+    or compose columns, degeneracies insert a column of identities.  A face
+    composes through ``composite_id``, outside C's composition memo: below
+    level 3 the strings of a level ask for distinct composites, so a memo
+    would never hit.
     """
     compose = C.composite_id
     levels = [
@@ -923,8 +924,8 @@ def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
     return PointedSimplicialSet.tabulate(
         f"w-nerve({C.name})",
         levels,
-        lambda n, i: lambda s: _string_face(C, s, i, compose),
-        lambda n, i: lambda s: _string_degeneracy(C, s, i),
+        lambda n, i: partial(_nerve_face, C, i, compose),
+        lambda n, i: partial(_nerve_degeneracy, C, i),
     )
 
 
@@ -935,12 +936,12 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     equivalences of flag grids on [n] x [n], each the flat tuple
     (x0, g_1, ..., g_n) of grid and map handles of S_n C, kept as a
     ``FlatLevel`` of rows of n + 1 handles; the basepoint is the identity
-    string on the zero grid.  The face d_i is d_i^v o d_i^h:
-    the horizontal face d_i^h restricts every grid and map of the string
-    along the coface [n-1] -> [n] that skips i, landing in w_n S_{n-1} C,
+    string on the zero grid.  The face d_i is d_i^v o d_i^h: the horizontal
+    face d_i^h restricts a level's grids and maps along the coface
+    [n-1] -> [n] that skips i (``map_level``), landing in w_n S_{n-1} C,
     and the vertical face d_i^v is the nerve face of w S_{n-1} C.  Likewise
     s_i restricts along the codegeneracy [n+1] -> [n] that repeats i and
-    then inserts an identity.  A face composes through the memo of S_{n-1} C,
+    then inserts identities.  A face composes through the memo of S_{n-1} C,
     which lives only while the diagonal is built: restricted strings ask
     for few composites many times (the 15,663 strings of level 2 over
     vect_gf(2,2) for 38).
@@ -953,11 +954,11 @@ def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
 
     def face(n: int, i: int):
         F, S = reindex_functor(scats[n], scats[n - 1], _delta(i, n)), scats[n - 1]
-        return lambda s: _string_face(S, map_string(F, s), i, S.compose_ids)
+        return lambda level: _nerve_face(S, i, S.compose_ids, map_level(F, level))
 
     def degeneracy(n: int, i: int):
         F, S = reindex_functor(scats[n], scats[n + 1], _sigma(i, n)), scats[n + 1]
-        return lambda s: _string_degeneracy(S, map_string(F, s), i)
+        return lambda level: _nerve_degeneracy(S, i, map_level(F, level))
 
     return PointedSimplicialSet.tabulate(f"diag wS({C.name})", levels, face, degeneracy)
 
@@ -1006,9 +1007,9 @@ def _total_complex_relations(C: WCategory) -> tuple:
     S1, S2 = SCategory(C, 1), SCategory(C, 2)
     gens, row = _generators(S1)
     faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
-    weqs = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings")
+    starts, maps = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings").columns()
     grids = basis_map_columns(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
-    vertical = (((S1.mor_target(g), -1), (a, 1)) for a, g in weqs[1:])
+    vertical = (((S1.mor_target(g), -1), (a, 1)) for a, g in zip(starts[1:], maps[1:]))
     cols, hd = _relation_cokernel(len(gens), chain(grids, basis_map_columns(ZZ, vertical, 1, lambda x, _: x, row)))
     return S1, gens, cols, hd
 

@@ -16,7 +16,7 @@ from chaintrace.sigma_delta import (
     sigma_delta_validate,
     weq_nerve,
 )
-from chaintrace.waldhausen import PointedSimplicialSet, ws_diagonal
+from chaintrace.waldhausen import FlatLevel, PointedSimplicialSet, ws_diagonal
 from chaintrace.wcat import finite_modules, pointed_sets, trivial_category, vect_gf
 
 ALL_KEYS = (
@@ -279,10 +279,10 @@ def test_weq_nerve_strings_are_flat():
 
 
 def test_simplicial_sets_keep_no_position_lookup(vect_diagram):
-    # tabulate reads positions through one lookup per level and drops it;
-    # index() scans the level, and act_level builds its own lookup
-    same = (lambda n, i: lambda x: x,) * 2
-    free = PointedSimplicialSet.tabulate("free", [[(0,), (1,), (2,)]] * 3, *same)
+    # tabulate and act_level build a lookup for each table and drop it;
+    # index() scans the level
+    same = (lambda n, i: lambda level: level,) * 2
+    free = PointedSimplicialSet.tabulate("free", [FlatLevel.pack([(0,), (1,), (2,)])] * 3, *same)
     sets = [free, weq_nerve(vect_gf(2, 2), 2), ws_diagonal(vect_gf(2, 1))]
     sets += [vect_diagram.entry(key) for key in vect_diagram.keys]
     src, dst, f, phis = (1, (2,)), (2, (1, 2)), (2,), ((0, 1), (0, 1, 2))

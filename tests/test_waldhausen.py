@@ -1,6 +1,7 @@
 """Tests for the S-construction: grids, iteration, the diagonal, and K_0."""
 
 import gc
+import tracemalloc
 from math import comb
 
 import pytest
@@ -162,13 +163,20 @@ def test_flat_level_finds_every_string_and_refuses_absent_ones():
     ps = weq_nerve(SCategory(vect_gf(2, 2), 2), 2)
     level = ps.levels[2]
     assert isinstance(level, FlatLevel) and len(level) == 15663
-    assert list(ps.index_table(2, level)) == [ps.index(2, x) for x in level] == list(range(15663))
+    assert list(level.positions(level)) == [ps.index(2, x) for x in level] == list(range(15663))
     # three handles that do occur in a row, but straddle rows 0 and 1
     straddling = (*level[0][1:], level[1][0])
     assert straddling not in set(level)
     for absent in (straddling, level[5][:2], (*level[5], 0), (level[5][0], -1, -1), "abc", 7):
         with pytest.raises(ValueError):
             ps.index(2, absent)
+    # the tuple view: equal to any sequence of the same tuples, and read
+    # one int index at a time
+    rows = list(level)
+    assert level == rows and level == tuple(rows) and level != rows[1:]
+    for bad in (slice(0, 1), "0", 1.0):
+        with pytest.raises(TypeError, match="FlatLevel"):
+            level[bad]
 
 
 def test_broken_face_table_is_reported_per_element():
@@ -195,6 +203,19 @@ def test_ws_diagonal_string_cap(monkeypatch):
     monkeypatch.setattr(waldhausen, "STRING_CAP", 100)
     with pytest.raises(CapExceededError):
         ws_diagonal(vect_gf(2, 2))
+
+
+def test_string_cap_refusal_holds_flat_rows_only():
+    # level 2 of the diagonal of vect_gf(3, 2) passes STRING_CAP; the
+    # strings written before the refusal are 4-byte rows, not tuples
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="exceeds 200000 strings"):
+            k0_via_diagonal(vect_gf(3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_hom_and_nerve_enumeration_leave_no_reference_cycles():
