@@ -8,10 +8,12 @@ The package computes, with exact integer and rational arithmetic:
   structure constants (algebra, hochschild);
 * group homology, the multitrace, and the chain-level Dennis trace
   composite H_*(BGL_n(A)) -> HH_*(A) (trace);
-* Waldhausen-category bookkeeping: S-construction grids, the w.S diagonal,
-  K_0 two ways, and the Sigma_Delta diagram of iterated S-constructions
-  (wcat, waldhausen, sigma_delta), and the endomorphism category End(C)
-  with the K_0 retract through it (endo);
+* Waldhausen-category bookkeeping: bounded categories and their axiom
+  checks (wcat, axioms), S-construction grids and K_0 two ways
+  (waldhausen), the w.S diagonal and the nerves of weak equivalences
+  (nerve), the Sigma_Delta diagram of iterated S-constructions
+  (sigma_delta), and the endomorphism category End(C) with the K_0
+  retract through it (endo);
 * a deterministic command line front end (cli) with selectors and JSON
   output (formats), text file formats (tables) and the structural
   property suites (selftest).

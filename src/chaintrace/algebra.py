@@ -27,8 +27,11 @@ from .conventions import GROUP_ORDER_CAP
 from .errors import CapExceededError, InternalInvariantError, NotInvertibleError, ValidationError
 from .linalg import Matrix, SparseMap, is_onto, smith_normal_form, solve_membership
 from .rings import BaseRing
-from .validation import ValidationReport
 from .values import Value
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .validation import ValidationReport
 
 __all__ = [
     "Algebra",
@@ -154,6 +157,8 @@ class AlgebraHom(Value):
         return self.matrix.apply(self.source.normalize_vec(u))
 
     def validate(self) -> ValidationReport:
+        from .validation import ValidationReport
+
         report = ValidationReport(subject=self.name or "algebra hom")
         report.checks_run += 1
         if self.apply(self.source.unit) != self.target.unit:

@@ -33,10 +33,11 @@ deliberately out of contract even where the integer-lattice method would
 cope).
 
 reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
-the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction): each pair
-(j in C_n, i in C_{n-1}) with d_n[i, j] a unit splits off an acyclic
-summand, so every homology group is unchanged while the complex shrinks,
-usually to a small core that homology() then eliminates densely.  A pair
+the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction, with
+linalg.cancel_unit_pivots): each pair (j in C_n, i in C_{n-1}) with
+d_n[i, j] a unit splits off an acyclic summand, so every homology group
+is unchanged while the complex shrinks, usually to a small core that
+homology() then eliminates densely.  A pair
 changes d_n only and deletes a row of d_{n+1}, so cancellation runs from
 d_1 up: each boundary meets only the rows that survived below.  The core
 has no basis in common with C, so callers that print only isomorphism types
@@ -67,7 +68,16 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .linalg import Matrix, SparseMap, lift_with_modulus, smith_cells, smith_normal_form, symmetric_lift
+from .linalg import (
+    Matrix,
+    SparseMap,
+    cancel_unit_pivots,
+    lift_with_modulus,
+    smith_cells,
+    smith_normal_form,
+    sparse_columns,
+    symmetric_lift,
+)
 from .rings import ZZ, BaseRing
 from .values import Value
 
@@ -83,7 +93,6 @@ __all__ = [
     "basis_map_columns",
     "push",
     "LevelRows",
-    "rank_over_field",
     "predicted_dense_cells",
     "check_dense_cells",
     "check_homology_ring",
@@ -413,61 +422,6 @@ def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:
     return first + smith_cells(range(fewest, b + 1), c, ("U", "Uinv"))
 
 
-def _sparse_columns(d: SparseMap, dead=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:
-    """Mutable copy of d minus the dead rows: columns as {row: entry}, rows as column sets."""
-    cols = {j: {i: x for i, x in col if i not in dead} for j, col in enumerate(d.cols)}
-    rows: dict[int, set] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    return cols, rows
-
-
-def _cancel_unit_pivots(ring: BaseRing, cols: dict[int, dict], rows: dict[int, set]) -> list[tuple[int, int]]:
-    """Cancel unit pivots of one sparse matrix in place; return the (column, row) pairs.
-
-    Cancelling (j, i) with a = M[i, j] a unit subtracts M[i, j'] a^-1 times
-    column j from every other column j' meeting row i, then deletes column j
-    and row i: the Schur complement D - c a^-1 b on the affected columns
-    only.  Columns are visited shortest first (ties by index) in repeated
-    passes until a pass cancels nothing; in a column the pivot is the unit
-    whose row is shortest (ties by index), which keeps fill-in low.
-    """
-    is_unit, is_zero, mul, sub, zero = ring.is_unit, ring.is_zero, ring.mul, ring.sub, ring.zero
-    pairs: list[tuple[int, int]] = []
-    while True:
-        before = len(pairs)
-        for j in sorted(cols, key=lambda j: (len(cols[j]), j)):
-            col = cols[j]
-            best = None
-            for i, x in col.items():
-                if is_unit(x) and (best is None or (len(rows[i]), i) < best):
-                    best = (len(rows[i]), i)
-            if best is None:
-                continue
-            i = best[1]
-            del cols[j]
-            for k in col:
-                rows[k].discard(j)
-            a_inv = ring.inv(col.pop(i))
-            for j2 in rows.pop(i):
-                target = cols[j2]
-                f = mul(target.pop(i), a_inv)
-                for k, c in col.items():
-                    v = sub(target.get(k, zero), mul(f, c))
-                    if is_zero(v):
-                        if k in target:
-                            del target[k]
-                            rows[k].discard(j2)
-                    else:
-                        if k not in target:
-                            rows[k].add(j2)
-                        target[k] = v
-            pairs.append((j, i))
-        if len(pairs) == before:
-            return pairs
-
-
 def reduce_complex(complex_: ChainComplex) -> ChainComplex:
     """A small complex with the same homology as complex_ in degrees below the top.
 
@@ -484,8 +438,8 @@ def reduce_complex(complex_: ChainComplex) -> ChainComplex:
     dead: list[set[int]] = [set() for _ in range(top + 1)]
     reduced: dict[int, dict[int, dict]] = {}
     for n in range(1, top + 1):
-        cols, rows = _sparse_columns(complex_.differential(n), dead[n - 1])
-        for j, i in _cancel_unit_pivots(ring, cols, rows):
+        cols, rows = sparse_columns(complex_.differential(n), dead[n - 1])
+        for j, i in cancel_unit_pivots(ring, cols, rows):
             dead[n].add(j)
             dead[n - 1].add(i)
         reduced[n] = cols
@@ -566,14 +520,3 @@ class LevelRows(dict):
         if self.unit in x[self.first :]:
             return None
         raise InternalInvariantError(f"simplex {x} left its weight block")
-
-
-def rank_over_field(d: SparseMap) -> int:
-    """Rank of a linear map over a field, by unit-pivot cancellation.
-
-    Over a field every nonzero entry is a unit, so cancellation only stops
-    at the zero matrix and each cancelled pair adds one to the rank.
-    """
-    if not d.ring.is_field:
-        raise UnsupportedRingError(f"rank_over_field needs a field, got {d.ring}")
-    return len(_cancel_unit_pivots(d.ring, *_sparse_columns(d)))

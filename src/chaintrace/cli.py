@@ -35,13 +35,20 @@ sorted JSON envelope that records the conventions behind every number.
 Each handler and resolver imports the modules it runs when it runs, so a
 command loads only what it computes with: ``hh`` never loads the category
 modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
-neither.  Every job compiles this module, so the selftest suites and the
-code that forks them live in chaintrace.selftest, which only ``selftest``
-imports (no other command loads concurrent.futures or multiprocessing),
-and the selector parsers in formats.  The file parsers live in
-chaintrace.tables, imported only when an input names an existing file.
-No command loads dataclasses (and with it inspect), and only work over Q
-loads fractions (and with it decimal).
+neither, nor formats and rings.  Every job compiles this module, so it
+keeps only the config, the resolvers, dispatch and the parser.  A handler
+here resolves the command's inputs and calls the command's output function
+in the module the command loads anyway: ``hochschild.hh_command`` and
+``hc_command``, the four in trace, ``waldhausen.k0_command``,
+``validation.validate_command`` and ``selftest.selftest_command``; each
+returns (ok, text), and ok False exits 3.  The output helpers they share
+are in formats (``emit``, ``group_json``) and hochschild (the algebra
+tables).  The selftest suites and the code that forks them live in
+chaintrace.selftest, which only ``selftest`` imports (no other command
+loads concurrent.futures or multiprocessing), and the selector parsers in
+formats.  The file parsers live in chaintrace.tables, imported only when
+an input names an existing file.  No command loads dataclasses (and with
+it inspect), and only work over Q loads fractions (and with it decimal).
 """
 
 from __future__ import annotations
@@ -59,22 +66,13 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .formats import (
-    algebra_from_selector,
-    group_from_selector,
-    parse_matrix_literal,
-    render_structured,
-    ring_from_spec,
-    ring_spec,
-)
-from .rings import BaseRing
 from .values import Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
     from .algebra import Algebra, FiniteGroup
 
-__all__ = ["JobConfig", "run", "main", "algebra_from_selector", "group_from_selector"]
+__all__ = ["JobConfig", "run", "main"]
 
 _EXIT_OK = 0
 _EXIT_PARSE = 2
@@ -138,6 +136,8 @@ def _resolve_algebra(inp: str, ring_override: str | None) -> Algebra:
         from .tables import parse_algebra_file
 
         return parse_algebra_file(inp)
+    from .formats import algebra_from_selector
+
     try:
         return algebra_from_selector(inp, ring_override)
     except InputParseError as exc:
@@ -151,6 +151,8 @@ def _resolve_group(inp: str) -> FiniteGroup:
         from .tables import parse_group_file
 
         return parse_group_file(inp)
+    from .formats import group_from_selector
+
     try:
         return group_from_selector(inp)
     except InputParseError as exc:
@@ -180,241 +182,76 @@ def _resolve_category(inp: str, bound: int | None):
         ) from exc
 
 
-def _algebra_line(A: Algebra) -> str:
-    return f"algebra {A.name or '(unnamed)'}: rank {A.rank} over {A.ring}"
-
-
-def _coords_str(ring: BaseRing, coords) -> str:
-    if not coords:
-        return "()"
-    return "(" + ", ".join(ring.format_element(c) for c in coords) + ")"
-
-
-def _group_json(g) -> dict:
-    from .chain import FPAbelianGroup
-
-    if isinstance(g, FPAbelianGroup):
-        return {
-            "display": str(g),
-            "free_rank": g.free_rank,
-            "invariant_factors": list(g.invariant_factors),
-        }
-    return {"display": str(g), "field": str(g.field), "dimension": g.dimension}
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: import the command's module, resolve its inputs, and
+# return (ok, text) from the command's output function there
 # ---------------------------------------------------------------------------
 
 
-def _emit(config: JobConfig, lines: list[str], result: dict) -> str:
-    if config.format == "structured":
-        return render_structured(config.command, config.as_dict(), result)
-    return "\n".join(lines) + "\n"
+def _handle_hh(config: JobConfig) -> tuple[bool, str]:
+    from .hochschild import hh_command
+
+    return hh_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
-def _degree_table(config: JobConfig, header: str, label: str, group, result: dict):
-    """The header, then ``label.format(d) = group(d)`` for d = 0..max_degree."""
-    groups = [group(d) for d in range(config.max_degree + 1)]
-    lines = [header] + [f"{label.format(d)} = {g}" for d, g in enumerate(groups)]
-    result["groups"] = [_group_json(g) for g in groups]
-    return _EXIT_OK, _emit(config, lines, result)
+def _handle_hc(config: JobConfig) -> tuple[bool, str]:
+    from .hochschild import hc_command
+
+    return hc_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
-def _algebra_table(config: JobConfig, A: Algebra, label: str, group):
-    result = {"algebra": A.name, "ring": ring_spec(A.ring), "rank": A.rank}
-    return _degree_table(config, _algebra_line(A), label, group, result)
-
-
-def _handle_hh(config: JobConfig) -> tuple[int, str]:
-    from .hochschild import HochschildHomology
-
-    A = _resolve_algebra(config.inputs[0], config.ring)
-    return _algebra_table(config, A, "HH_{}", HochschildHomology(A, config.max_degree).group)
-
-
-def _handle_hc(config: JobConfig) -> tuple[int, str]:
-    from .chain import homology
-    from .hochschild import cyclic_core
-
-    A = _resolve_algebra(config.inputs[0], config.ring)
-    core = cyclic_core(A, config.max_degree)
-    return _algebra_table(config, A, "HC_{}", lambda d: homology(core, d).group)
-
-
-def _handle_group_homology(config: JobConfig) -> tuple[int, str]:
-    from .trace import GroupHomology
+def _handle_group_homology(config: JobConfig) -> tuple[bool, str]:
+    from .formats import ring_from_spec
+    from .trace import group_homology_command
 
     G = _resolve_group(config.inputs[0])
-    ring = ring_from_spec(config.ring or "Z")
-    work = GroupHomology(G, ring, config.max_degree)
-    header = f"group {G.name or '(unnamed)'}: order {G.order}, coefficients {ring}"
-    result = {"group": G.name, "order": G.order, "ring": ring_spec(ring)}
-    return _degree_table(config, header, "H_{}(BG)", work.group, result)
+    return group_homology_command(config, G, ring_from_spec(config.ring or "Z"))
 
 
-def _handle_trace_k1(config: JobConfig) -> tuple[int, str]:
-    from .trace import dennis_trace_k1
+def _handle_trace_k1(config: JobConfig) -> tuple[bool, str]:
+    from .formats import parse_matrix_literal
+    from .trace import trace_k1_command
 
     A = _resolve_algebra(config.inputs[0], config.ring)
-    g = parse_matrix_literal(A, config.inputs[1])
-    cls = dennis_trace_k1(A, g)
-    lines = [
-        _algebra_line(A),
-        f"matrix size: {len(g)}",
-        f"HH_1 = {cls.group}",
-        f"trace class coordinates: {_coords_str(A.ring, cls.coordinates)}",
-        f"zero class: {'yes' if cls.is_zero else 'no'}",
-    ]
-    result = {
-        "algebra": A.name,
-        "ring": ring_spec(A.ring),
-        "matrix_size": len(g),
-        "hh1": _group_json(cls.group),
-        "coordinates": [A.ring.format_element(c) for c in cls.coordinates],
-        "zero": cls.is_zero,
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return trace_k1_command(config, A, parse_matrix_literal(A, config.inputs[1]))
 
 
-def _handle_trace_homology(config: JobConfig) -> tuple[int, str]:
-    from .trace import dennis_trace_homology
+def _handle_trace_homology(config: JobConfig) -> tuple[bool, str]:
+    from .trace import trace_homology_command
 
-    A = _resolve_algebra(config.inputs[0], config.ring)
-    res = dennis_trace_homology(A, config.size, config.degree)
-    lines = [
-        _algebra_line(A),
-        f"GL_{config.size}(A): order {res.gl.group.order}",
-        f"H_{config.degree}(BGL_{config.size}(A)) = {res.source}",
-        f"HH_{config.degree}(A) = {res.target}",
-    ]
-    images = []
-    for k, cls in enumerate(res.classes):
-        coords = _coords_str(A.ring, cls.coordinates)
-        lines.append(f"generator {k} |-> {coords}{'' if not cls.is_zero else '  (zero)'}")
-        images.append([A.ring.format_element(c) for c in cls.coordinates])
-    result = {
-        "algebra": A.name,
-        "ring": ring_spec(A.ring),
-        "gl_size": config.size,
-        "gl_order": res.gl.group.order,
-        "degree": config.degree,
-        "source": _group_json(res.source),
-        "target": _group_json(res.target),
-        "images": images,
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return trace_homology_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
-def _handle_morita(config: JobConfig) -> tuple[int, str]:
-    from .trace import morita_map
+def _handle_morita(config: JobConfig) -> tuple[bool, str]:
+    from .trace import morita_command
 
-    A = _resolve_algebra(config.inputs[0], config.ring)
-    results = morita_map(A, config.size, config.max_degree)
-    lines = [_algebra_line(A), f"matrix size: {config.size}"]
-    rows = []
-    for r in results:
-        verdict = "ISO" if r.isomorphism else ("SURJ" if r.surjective else "NO")
-        lines.append(
-            f"degree {r.degree}: HH_{r.degree}(M_{config.size}(A)) = {r.source} -> "
-            f"HH_{r.degree}(A) = {r.target}  [{verdict}]"
-        )
-        rows.append(
-            {
-                "degree": r.degree,
-                "source": _group_json(r.source),
-                "target": _group_json(r.target),
-                "surjective": r.surjective,
-                "isomorphism": r.isomorphism,
-            }
-        )
-    verdict = "ISO" if all(r.isomorphism for r in results) else "NOT-ISO"
-    lines.append(f"verdict: {verdict}")
-    result = {
-        "algebra": A.name,
-        "ring": ring_spec(A.ring),
-        "size": config.size,
-        "degrees": rows,
-        "verdict": verdict,
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return morita_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
-def _handle_k0(config: JobConfig) -> tuple[int, str]:
-    from .waldhausen import grothendieck_k0, k0_via_sdot
+def _handle_k0(config: JobConfig) -> tuple[bool, str]:
+    from .waldhausen import k0_command
 
-    C = _resolve_category(config.inputs[0], config.bound)
-    via_pres = grothendieck_k0(C)
-    via_sdot = k0_via_sdot(C)
-    agree = via_pres == via_sdot
-    lines = [
-        f"category {C.name}: {C.object_count()} objects, bound {C.bound}",
-        f"K0 via Grothendieck presentation: {via_pres}",
-        f"K0 via w.S-construction diagonal: {via_sdot}",
-        f"verdict: {'AGREE' if agree else 'DISAGREE'}",
-    ]
-    result = {
-        "category": C.name,
-        "objects": C.object_count(),
-        "bound": C.bound,
-        "grothendieck": _group_json(via_pres),
-        "sdot": _group_json(via_sdot),
-        "agree": agree,
-    }
-    return _EXIT_OK, _emit(config, lines, result)
+    return k0_command(config, _resolve_category(config.inputs[0], config.bound))
 
 
-def _handle_validate(config: JobConfig) -> tuple[int, str]:
+def _handle_validate(config: JobConfig) -> tuple[bool, str]:
+    from .validation import validate_command
+
     inp = config.inputs[0]
     if os.path.isfile(inp):
         _refuse_bound_for_file(config.bound)
         from .tables import validate_file
 
-        report = validate_file(inp)
-    else:
-        from .wcat import validate_waldhausen
+        return validate_command(config, validate_file(inp))
+    from .wcat import validate_waldhausen
 
-        report = validate_waldhausen(_resolve_category(inp, config.bound))
-    lines = [report.summary()]
-    lines += [f"issue: {msg}" for msg in report.issues]
-    lines += [f"skipped: {msg}" for msg in report.skipped]
-    result = {
-        "subject": report.subject,
-        "ok": report.ok,
-        "checks_run": report.checks_run,
-        "issues": list(report.issues),
-        "skipped": list(report.skipped),
-    }
-    status = _EXIT_OK if report.ok else _EXIT_VALIDATION
-    return status, _emit(config, lines, result)
+    return validate_command(config, validate_waldhausen(_resolve_category(inp, config.bound)))
 
 
-def _handle_selftest(config: JobConfig) -> tuple[int, str]:
-    from .selftest import SUITES, run_suites
+def _handle_selftest(config: JobConfig) -> tuple[bool, str]:
+    from .selftest import selftest_command
 
-    lines = []
-    suites = []
-    all_ok = True
-    for (name, _), report in zip(SUITES, run_suites(config.seed)):
-        ok = report.ok
-        all_ok = all_ok and ok
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {report.checks_run} checks")
-        lines += [f"     issue: {msg}" for msg in report.issues]
-        suites.append(
-            {
-                "name": name,
-                "ok": ok,
-                "checks_run": report.checks_run,
-                "issues": list(report.issues),
-                "skipped": list(report.skipped),
-            }
-        )
-    lines.append(
-        f"selftest: {'all suites passed' if all_ok else 'FAILED'} "
-        f"({len(SUITES)} suites, seed {config.seed})"
-    )
-    result = {"seed": config.seed, "suites": suites, "ok": all_ok}
-    return (_EXIT_OK if all_ok else _EXIT_VALIDATION), _emit(config, lines, result)
+    return selftest_command(config)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +287,8 @@ def run(config: JobConfig) -> tuple[int, str]:
     if handler is None:
         return _EXIT_PARSE, f"error: unknown command {config.command!r}\n"
     try:
-        return handler(config)
+        ok, report = handler(config)
+        return (_EXIT_OK if ok else _EXIT_VALIDATION), report
     except ChainTraceError as exc:
         labels = {
             _EXIT_PARSE: "parse",

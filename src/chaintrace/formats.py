@@ -1,7 +1,7 @@
-"""Ring specs, built-in selectors, matrix literals and JSON output.
+"""Ring specs, built-in selectors, matrix literals and command output.
 
-Every command line job loads this module, so it holds only what every job
-may run:
+Every command line job that computes loads this module (``--help`` does
+not), so it holds only what every such job may run:
 
 * ring specs ``Z``, ``Q``, ``Zmod:m`` and ``GF:p`` (``ring_from_spec``,
   ``ring_spec``);
@@ -14,7 +14,11 @@ may run:
 * structured (JSON) output: a fixed envelope holding the config, the
   resolved caps and conventions (Connes B convention string, Smith pivot
   rule), and a command-specific result.  The rendering is sorted and
-  indentation-stable, so identical configs produce byte-identical bytes.
+  indentation-stable, so identical configs produce byte-identical bytes;
+* the one step every command's output takes (``emit``: the text lines or
+  the envelope) and the JSON of a homology group (``group_json``).  The
+  algebra commands' tables are in chaintrace.hochschild, which every one
+  of them loads.
 
 The text file formats for algebras, groups and categories, their parsers
 and ``serialize_category`` live in chaintrace.tables, which only jobs with
@@ -51,6 +55,8 @@ __all__ = [
     "parse_matrix_literal",
     "conventions_block",
     "render_structured",
+    "emit",
+    "group_json",
 ]
 
 
@@ -206,3 +212,31 @@ def render_structured(command: str, config: dict, result: dict) -> str:
         "result": result,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# command output
+# ---------------------------------------------------------------------------
+
+# Each command's output function (hochschild.hh_command, waldhausen.k0_command,
+# ...) takes the job's config (a cli.JobConfig) and its resolved inputs, and
+# returns (ok, text): ok is False only for a failed validation or selftest.
+
+
+def emit(config, lines: list[str], result: dict) -> str:
+    """The job's text: its lines, or the structured envelope of its result."""
+    if config.format == "structured":
+        return render_structured(config.command, config.as_dict(), result)
+    return "\n".join(lines) + "\n"
+
+
+def group_json(g) -> dict:
+    from .chain import FPAbelianGroup
+
+    if isinstance(g, FPAbelianGroup):
+        return {
+            "display": str(g),
+            "free_rank": g.free_rank,
+            "invariant_factors": list(g.invariant_factors),
+        }
+    return {"display": str(g), "field": str(g.field), "dimension": g.dimension}

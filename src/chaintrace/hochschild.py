@@ -55,7 +55,7 @@ from .chain import direct_sum, homology, push, reduce_complex
 from .conventions import B_CONVENTION, LEVEL_CAP
 from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
 from .linalg import Matrix, SparseMap, smith_normal_form
-from .rings import ZZ
+from .rings import ZZ, BaseRing
 
 __all__ = [
     "CyclicModule",
@@ -69,6 +69,12 @@ __all__ = [
     "tuple_index",
     "tensor_rule",
     "check_full_level",
+    "algebra_line",
+    "coords_str",
+    "degree_table",
+    "algebra_table",
+    "hh_command",
+    "hc_command",
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
@@ -480,3 +486,45 @@ def _cyclic_normalized(A: Algebra, max_degree: int) -> NormalizedComplex:
 def cyclic_homology(A: Algebra, n: int) -> FPModule:
     """HC_n(A) over Q; see cyclic_core."""
     return homology(cyclic_core(A, n), n).group
+
+# ---------------------------------------------------------------------------
+# the output of the algebra commands: hh and hc here, and those of trace
+# ---------------------------------------------------------------------------
+
+
+def algebra_line(A: Algebra) -> str:
+    return f"algebra {A.name or '(unnamed)'}: rank {A.rank} over {A.ring}"
+
+
+def coords_str(ring: BaseRing, coords) -> str:
+    if not coords:
+        return "()"
+    return "(" + ", ".join(ring.format_element(c) for c in coords) + ")"
+
+
+def degree_table(config, header: str, label: str, group, result: dict) -> tuple[bool, str]:
+    """The header, then ``label.format(d) = group(d)`` for d = 0..max_degree."""
+    from .formats import emit, group_json
+
+    groups = [group(d) for d in range(config.max_degree + 1)]
+    lines = [header] + [f"{label.format(d)} = {g}" for d, g in enumerate(groups)]
+    result["groups"] = [group_json(g) for g in groups]
+    return True, emit(config, lines, result)
+
+
+def algebra_table(config, A: Algebra, label: str, group) -> tuple[bool, str]:
+    from .formats import ring_spec
+
+    result = {"algebra": A.name, "ring": ring_spec(A.ring), "rank": A.rank}
+    return degree_table(config, algebra_line(A), label, group, result)
+
+
+def hh_command(config, A: Algebra) -> tuple[bool, str]:
+    """``chaintrace hh``: HH_0 .. HH_max_degree of A (see formats.emit)."""
+    return algebra_table(config, A, "HH_{}", HochschildHomology(A, config.max_degree).group)
+
+
+def hc_command(config, A: Algebra) -> tuple[bool, str]:
+    """``chaintrace hc``: HC_0 .. HC_max_degree of A over Q."""
+    core = cyclic_core(A, config.max_degree)
+    return algebra_table(config, A, "HC_{}", lambda d: homology(core, d).group)

@@ -8,7 +8,7 @@ diagram axioms, and additivity of the Dennis trace.  ``SUITES`` lists
 them in the order the command prints them; each entry takes the run's
 seed.  Only the ``selftest`` command imports this module, so the checks
 that only a suite runs live here too: ``validate_cyclic_module`` (the
-simplicial identities ``waldhausen.simplicial_identities`` lists, and the
+simplicial identities ``nerve.simplicial_identities`` lists, and the
 cyclic ones), which would otherwise compile in every Hochschild job.
 
 No suite reads another's result, so ``run_suites`` runs each suite in a
@@ -36,17 +36,18 @@ import time
 from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, unit_inverse
 from .endo import k0_retract_holds
 from .errors import InternalInvariantError
-from .formats import algebra_from_selector
+from .formats import algebra_from_selector, emit
 from .hochschild import CyclicModule, HochschildHomology, cyclic_bar
 from .linalg import SparseMap
 from .rings import GF, QQ, ZZ
 from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
 from .trace import bar_complex, dennis_trace_k1, group_to_hh, multitrace
 from .validation import ValidationReport
-from .waldhausen import grothendieck_k0, k0_via_diagonal, k0_via_sdot, simplicial_identities
+from .nerve import k0_via_diagonal, simplicial_identities
+from .waldhausen import grothendieck_k0, k0_via_sdot
 from .wcat import category_from_selector, validate_waldhausen
 
-__all__ = ["SUITES", "LONGEST_FIRST", "run_suites", "validate_cyclic_module"]
+__all__ = ["SUITES", "LONGEST_FIRST", "run_suites", "validate_cyclic_module", "selftest_command"]
 
 # The b-and-B suite checks its identities on the normalized Hochschild
 # complex through this degree.
@@ -55,7 +56,7 @@ BB_MAX_DEGREE = 3
 
 def validate_cyclic_module(C: CyclicModule) -> ValidationReport:
     """Exhaustively check the simplicial and cyclic operator identities: those
-    ``waldhausen.simplicial_identities`` lists, labelled by its names, then
+    ``nerve.simplicial_identities`` lists, labelled by its names, then
     those of t."""
     top = C.max_level
     report = ValidationReport(subject=f"cyclic module of {C.algebra.name or 'algebra'}")
@@ -385,3 +386,30 @@ def run_suites(seed: int) -> list:
         if isinstance(outcomes[index], Exception):
             raise outcomes[index]
     return [outcomes[i] for i in range(len(SUITES))]
+
+
+def selftest_command(config) -> tuple[bool, str]:
+    """``chaintrace selftest``: one line per suite, in SUITES order, and a verdict."""
+    lines = []
+    suites = []
+    all_ok = True
+    for (name, _), report in zip(SUITES, run_suites(config.seed)):
+        ok = report.ok
+        all_ok = all_ok and ok
+        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {report.checks_run} checks")
+        lines += [f"     issue: {msg}" for msg in report.issues]
+        suites.append(
+            {
+                "name": name,
+                "ok": ok,
+                "checks_run": report.checks_run,
+                "issues": list(report.issues),
+                "skipped": list(report.skipped),
+            }
+        )
+    lines.append(
+        f"selftest: {'all suites passed' if all_ok else 'FAILED'} "
+        f"({len(SUITES)} suites, seed {config.seed})"
+    )
+    result = {"seed": config.seed, "suites": suites, "ok": all_ok}
+    return all_ok, emit(config, lines, result)

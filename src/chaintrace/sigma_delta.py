@@ -19,8 +19,8 @@ category has more than ``ENTRY_OBJECT_CAP`` objects are materialized at
 nerve level 0 only and every such truncation is recorded as a skip, never
 silently.
 
-Entries are built in ``waldhausen``: ``weq_nerve`` enumerates each level
-as the fixed-width rows of one ``waldhausen.FlatLevel`` and tabulates the
+Entries are built in ``nerve``: ``weq_nerve`` enumerates each level as
+the fixed-width rows of one ``waldhausen.FlatLevel`` and tabulates the
 nerve with the level maps there.  Every structure map
 follows one rule: while a target direction is missing from the image of
 the injection, insert it at width 1 (outermost by wrapping each object as
@@ -32,9 +32,9 @@ is a ``waldhausen.payload_functor`` built from the payloads of its images,
 so every structure map is a composite of memoized (object map, morphism
 map) pairs and an image outside the enumerated target is an
 InternalInvariantError.  Composites
-act on strings through ``waldhausen.map_level``, one whole nerve level at
+act on strings through ``nerve.map_level``, one whole nerve level at
 a time (``SigmaDeltaDiagram.act_level``), and ``sigma_delta_validate``
-checks them against every operator ``waldhausen.simplicial_operators``
+checks them against every operator ``nerve.simplicial_operators``
 lists, holding each image table only until the last check that reads it.
 """
 
@@ -45,18 +45,10 @@ from functools import partial
 from itertools import product
 
 from .errors import CapExceededError, InputParseError
+from .nerve import PointedSimplicialSet, map_level, simplicial_operators, weq_nerve
 from .validation import ValidationReport
 from .values import Value
-from .waldhausen import (
-    FlatLevel,
-    PointedSimplicialSet,
-    SCategory,
-    map_level,
-    payload_functor,
-    reindex_functor,
-    simplicial_operators,
-    weq_nerve,
-)
+from .waldhausen import FlatLevel, SCategory, payload_functor, reindex_functor
 from .wcat import WCategory
 
 __all__ = [

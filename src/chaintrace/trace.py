@@ -59,7 +59,15 @@ from .chain import (
 )
 from .conventions import DEGREE_CAP, LEVEL_CAP
 from .errors import CapExceededError, NotInvertibleError
-from .hochschild import HochschildHomology, check_full_level, tensor_rule, tuple_index
+from .hochschild import (
+    HochschildHomology,
+    algebra_line,
+    check_full_level,
+    coords_str,
+    degree_table,
+    tensor_rule,
+    tuple_index,
+)
 from .linalg import Matrix, SparseMap, is_onto
 from .rings import BaseRing
 from .values import Value
@@ -77,6 +85,10 @@ __all__ = [
     "MoritaResult",
     "morita_map",
     "fp_map_is_iso",
+    "group_homology_command",
+    "trace_k1_command",
+    "trace_homology_command",
+    "morita_command",
     "DEGREE_CAP",
 ]
 
@@ -374,3 +386,103 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
         rep = tuple(sorted(WA.chain_of(d, img).items()))
         classes.append(HomologyClass(d, tgt.coordinates(img), rep, tgt.group))
     return DennisTraceResult(d, gl, src.group, tgt.group, tuple(classes))
+
+# ---------------------------------------------------------------------------
+# the group-homology, trace-k1, trace-homology and morita commands
+# ---------------------------------------------------------------------------
+
+
+def group_homology_command(config, G: FiniteGroup, ring: BaseRing) -> tuple[bool, str]:
+    """``chaintrace group-homology``: H_0 .. H_max_degree of BG over ring."""
+    from .formats import ring_spec
+
+    work = GroupHomology(G, ring, config.max_degree)
+    header = f"group {G.name or '(unnamed)'}: order {G.order}, coefficients {ring}"
+    result = {"group": G.name, "order": G.order, "ring": ring_spec(ring)}
+    return degree_table(config, header, "H_{}(BG)", work.group, result)
+
+
+def trace_k1_command(config, A: Algebra, g) -> tuple[bool, str]:
+    """``chaintrace trace-k1``: the Dennis trace class of the matrix g."""
+    from .formats import emit, group_json, ring_spec
+
+    cls = dennis_trace_k1(A, g)
+    lines = [
+        algebra_line(A),
+        f"matrix size: {len(g)}",
+        f"HH_1 = {cls.group}",
+        f"trace class coordinates: {coords_str(A.ring, cls.coordinates)}",
+        f"zero class: {'yes' if cls.is_zero else 'no'}",
+    ]
+    result = {
+        "algebra": A.name,
+        "ring": ring_spec(A.ring),
+        "matrix_size": len(g),
+        "hh1": group_json(cls.group),
+        "coordinates": [A.ring.format_element(c) for c in cls.coordinates],
+        "zero": cls.is_zero,
+    }
+    return True, emit(config, lines, result)
+
+
+def trace_homology_command(config, A: Algebra) -> tuple[bool, str]:
+    """``chaintrace trace-homology``: the trace of each generator of H_d(BGL_n(A))."""
+    from .formats import emit, group_json, ring_spec
+
+    res = dennis_trace_homology(A, config.size, config.degree)
+    lines = [
+        algebra_line(A),
+        f"GL_{config.size}(A): order {res.gl.group.order}",
+        f"H_{config.degree}(BGL_{config.size}(A)) = {res.source}",
+        f"HH_{config.degree}(A) = {res.target}",
+    ]
+    images = []
+    for k, cls in enumerate(res.classes):
+        coords = coords_str(A.ring, cls.coordinates)
+        lines.append(f"generator {k} |-> {coords}{'' if not cls.is_zero else '  (zero)'}")
+        images.append([A.ring.format_element(c) for c in cls.coordinates])
+    result = {
+        "algebra": A.name,
+        "ring": ring_spec(A.ring),
+        "gl_size": config.size,
+        "gl_order": res.gl.group.order,
+        "degree": config.degree,
+        "source": group_json(res.source),
+        "target": group_json(res.target),
+        "images": images,
+    }
+    return True, emit(config, lines, result)
+
+
+def morita_command(config, A: Algebra) -> tuple[bool, str]:
+    """``chaintrace morita``: the multitrace maps HH(M_n(A)) -> HH(A), degree by degree."""
+    from .formats import emit, group_json, ring_spec
+
+    results = morita_map(A, config.size, config.max_degree)
+    lines = [algebra_line(A), f"matrix size: {config.size}"]
+    rows = []
+    for r in results:
+        verdict = "ISO" if r.isomorphism else ("SURJ" if r.surjective else "NO")
+        lines.append(
+            f"degree {r.degree}: HH_{r.degree}(M_{config.size}(A)) = {r.source} -> "
+            f"HH_{r.degree}(A) = {r.target}  [{verdict}]"
+        )
+        rows.append(
+            {
+                "degree": r.degree,
+                "source": group_json(r.source),
+                "target": group_json(r.target),
+                "surjective": r.surjective,
+                "isomorphism": r.isomorphism,
+            }
+        )
+    verdict = "ISO" if all(r.isomorphism for r in results) else "NOT-ISO"
+    lines.append(f"verdict: {verdict}")
+    result = {
+        "algebra": A.name,
+        "ring": ring_spec(A.ring),
+        "size": config.size,
+        "degrees": rows,
+        "verdict": verdict,
+    }
+    return True, emit(config, lines, result)

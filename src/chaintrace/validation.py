@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .values import Value
 
-__all__ = ["ValidationReport"]
+__all__ = ["ValidationReport", "validate_command"]
 
 
 class ValidationReport(Value):
@@ -50,3 +50,20 @@ class ValidationReport(Value):
         state = "ok" if self.ok else f"{len(self.issues)} issue(s)"
         tail = f", {len(self.skipped)} skipped" if self.skipped else ""
         return f"{self.subject}: {self.checks_run} checks, {state}{tail}"
+
+
+def validate_command(config, report: ValidationReport) -> tuple[bool, str]:
+    """``chaintrace validate``: the report of a category or an input file."""
+    from .formats import emit
+
+    lines = [report.summary()]
+    lines += [f"issue: {msg}" for msg in report.issues]
+    lines += [f"skipped: {msg}" for msg in report.skipped]
+    result = {
+        "subject": report.subject,
+        "ok": report.ok,
+        "checks_run": report.checks_run,
+        "issues": list(report.issues),
+        "skipped": list(report.skipped),
+    }
+    return report.ok, emit(config, lines, result)

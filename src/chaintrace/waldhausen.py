@@ -25,7 +25,7 @@ can be iterated), and extracts K_0 three ways:
   objects of S_1, the grids of S_2 and the weak equivalences of S_1: a
   few hundred generators where level 2 of the diagonal holds about
   2.7e11 strings for vect_gf(2,3).
-* ``k0_via_diagonal``: H_1 of the diagonal simplicial set
+* ``nerve.k0_via_diagonal``: H_1 of the diagonal simplicial set
   n |-> ob w_n S_n C itself, whose 1-simplices are weak-equivalence
   strings of flag grids.  The level-0 set is a single point, the
   fundamental group of the diagonal is K_0 and is abelian, so H_1
@@ -53,12 +53,15 @@ Restriction of grids along a monotone map (``reindex_functor``) is built
 this way, as are the structure maps of ``sigma_delta`` and the inclusions
 of C into End(C) in chaintrace.endo.
 
-Every simplicial set of weak-equivalence strings (``weq_nerve``, the
-diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s diagrams)
-keeps each level a ``FlatLevel`` from its enumeration on, and is built by
-``PointedSimplicialSet.tabulate`` from the one pair of nerve operators
-here, maps of whole levels, after ``map_level`` of ``reindex_functor``
-where a direction of flags is restricted.
+Every simplicial set of weak-equivalence strings (``nerve.weq_nerve``,
+the diagonal ``ws_diagonal``, and the entries of ``sigma_delta``'s
+diagrams) keeps each level a ``FlatLevel`` from its enumeration
+(``weq_strings``) on.  ``k0_via_sdot`` reads w_1 S_1 C through the same
+two, so they live here; the simplicial sets themselves
+(``PointedSimplicialSet``, its operators and identities, the nerve maps
+of whole levels) are built in chaintrace.nerve, which no ``k0`` job
+loads: ``ws_diagonal`` stays the public entry point and imports it when
+it runs.  So does the grid check ``validate_s_object``.
 
 The endomorphism category End(C) and the retract check K_0(C) ->
 K_0(End C) -> K_0(C) built on ``k0_presentation`` live in chaintrace.endo,
@@ -69,7 +72,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from functools import partial
 from itertools import chain, product, repeat
 from operator import itemgetter
 from struct import Struct
@@ -78,31 +80,33 @@ from .chain import ChainComplex, FPAbelianGroup, HomologyData, basis_map_columns
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .linalg import SparseMap
 from .rings import ZZ
-from .validation import ValidationReport
 from .values import Value
 from .wcat import WCategory
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .nerve import PointedSimplicialSet
 
 __all__ = [
     "DEFAULT_K_CAP",
     "STRING_CAP",
     "S_OBJECT_CAP",
     "s_k_objects",
-    "validate_s_object",
+    "s_payload_issues",
     "SCategory",
     "payload_functor",
     "reindex_functor",
-    "simplicial_operators",
-    "simplicial_identities",
+    "coface",
     "FlatLevel",
-    "PointedSimplicialSet",
-    "map_level",
-    "weq_nerve",
+    "column",
+    "weq_strings",
     "ws_diagonal",
+    "relation_cokernel",
     "k0_via_sdot",
-    "k0_via_diagonal",
     "K0Presentation",
     "k0_presentation",
     "grothendieck_k0",
+    "k0_command",
 ]
 
 # Each cap below is read where it is enforced; none is a parameter.
@@ -113,8 +117,6 @@ DEFAULT_K_CAP = 3
 STRING_CAP = 200_000
 # Largest grid count s_k_objects will enumerate.
 S_OBJECT_CAP = 200_000
-# ws_diagonal tabulates levels 0..DIAGONAL_TOP, the levels K_0 = H_1 reads.
-DIAGONAL_TOP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,7 @@ def _grid_map(base: WCategory, payload: tuple, i1: int, j1: int, i2: int, j2: in
     return m
 
 
-def _s_payload_issues(base: WCategory, payload: tuple, skip_built_triples: bool) -> list:
+def s_payload_issues(base: WCategory, payload: tuple, skip_built_triples: bool) -> list:
     """Violations of the grid axioms, as strings.
 
     ``skip_built_triples`` omits the pushout check for triples (j-1, j, l),
@@ -184,19 +186,6 @@ def _s_payload_issues(base: WCategory, payload: tuple, skip_built_triples: bool)
                 if not base.is_pushout(top, to_zero, entries[j][l], u, v):
                     issues.append(f"triple ({i},{j},{l}) is not a pushout square")
     return issues
-
-
-def validate_s_object(base: WCategory, payload: tuple) -> ValidationReport:
-    """Check every grid axiom of a grid payload over ``base``, including all pushout triples."""
-    report = ValidationReport(subject=f"flag grid over {base.name}")
-    issues = _s_payload_issues(base, payload, skip_built_triples=False)
-    n = len(payload[0])
-    k = n - 1
-    triples = sum(1 for i in range(n) for j in range(i + 1, n) for _ in range(j + 1, n))
-    report.checks_run += n * n + 2 * n * k + k * k + triples
-    for msg in issues:
-        report.record(msg)
-    return report
 
 
 def _enumerate_s_payloads(base: WCategory, k: int) -> list:
@@ -282,7 +271,7 @@ def _build_s_payloads(base: WCategory, k: int) -> list:
                 raise CapExceededError(f"more than {S_OBJECT_CAP} flag grids over {base.name}")
 
         for payload in grids:
-            issues = _s_payload_issues(base, payload, skip_built_triples=True)
+            issues = s_payload_issues(base, payload, skip_built_triples=True)
             if issues:
                 raise InternalInvariantError(
                     f"assembled grid violates '{issues[0]}'; is the base category valid?"
@@ -584,62 +573,14 @@ def reindex_functor(src: SCategory, dst: SCategory, alpha: tuple) -> tuple:
     return payload_functor(src, dst, obj_payload, mor_payload)
 
 
-def _delta(i: int, k: int) -> tuple:
+def coface(i: int, k: int) -> tuple:
     """The injection 0..k-1 -> 0..k skipping i."""
     return tuple(t for t in range(k + 1) if t != i)
 
 
-def _sigma(i: int, k: int) -> tuple:
-    """The surjection 0..k+1 -> 0..k repeating i."""
-    return tuple(t if t <= i else t - 1 for t in range(k + 2))
-
-
 # ---------------------------------------------------------------------------
-# simplicial sets of weak-equivalence strings, and K_0
+# strings of weak equivalences, and K_0 from the total complex
 # ---------------------------------------------------------------------------
-
-
-def simplicial_operators(top: int):
-    """Every face and degeneracy of a simplicial object truncated at level
-    ``top``, as (kind, level, index, target level): d_i ("d") from level n
-    to n - 1 for 1 <= n <= top, then s_i ("s") from level n to n + 1 for
-    n < top, each with 0 <= i <= n, in order of level and then index."""
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            yield "d", n, i, n - 1
-    for n in range(top):
-        for i in range(n + 1):
-            yield "s", n, i, n + 1
-
-
-def simplicial_identities(top: int):
-    """Every simplicial identity among ``simplicial_operators(top)``
-    (Goerss-Jardine, Simplicial Homotopy Theory, I.1) as (name, level, lhs,
-    rhs): on ``level`` the composite lhs equals rhs, each side a (second,
-    first) pair of (kind, level, index) operators or None for the identity:
-
-        d_i d_j = d_{j-1} d_i  for i < j
-        s_i s_j = s_{j+1} s_i  for i <= j
-        d_i s_j = s_{j-1} d_i  for i < j,  id for i = j, j + 1,  s_j d_{i-1} for i > j + 1
-    """
-    for n in range(2, top + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                yield f"d_{i} d_{j}", n, (("d", n - 1, i), ("d", n, j)), (("d", n - 1, j - 1), ("d", n, i))
-    for n in range(top - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                yield f"s_{i} s_{j}", n, (("s", n + 1, i), ("s", n, j)), (("s", n + 1, j + 1), ("s", n, i))
-    for n in range(top):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                if i < j:
-                    rhs = (("s", n - 1, j - 1), ("d", n, i))
-                elif i > j + 1:
-                    rhs = (("s", n - 1, j), ("d", n, i - 1))
-                else:
-                    rhs = None
-                yield f"d_{i} s_{j}", n, (("d", n + 1, i), ("s", n, j)), rhs
 
 
 class FlatLevel:
@@ -698,12 +639,16 @@ class FlatLevel:
         rows = Struct(f"{self.data.itemsize * self.width}s").iter_unpack(self.data)
         return map(itemgetter(0), rows)
 
-    def positions(self, rows: FlatLevel) -> array:
+    def lookup(self) -> dict:
+        """The position of each row of this level, keyed by its packed bytes."""
+        return dict(zip(self._keys(), range(len(self))))
+
+    def positions(self, rows: FlatLevel, lookup: dict | None = None) -> array:
         """The position in this level of each row of ``rows``, in order, as
-        4-byte ints (KeyError for a row not in it), through a lookup of this
-        level's row keys built for the call."""
-        into = dict(zip(self._keys(), range(len(self))))
-        return _column(map(into.__getitem__, rows._keys()))
+        4-byte ints (KeyError for a row not in it), through ``lookup``, this
+        level's ``lookup()``, which is built for the call when not given."""
+        into = self.lookup() if lookup is None else lookup
+        return column(map(into.__getitem__, rows._keys()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FlatLevel):
@@ -730,109 +675,20 @@ class FlatLevel:
         raise ValueError(f"{x!r} is not in the level")
 
 
-class PointedSimplicialSet(Value):
-    """A levelwise-finite pointed simplicial set truncated at a top level.
-
-    ``levels[n]`` lists the n-simplices with the basepoint at index 0, and
-    ``index(n, x)`` is the position of x in ``levels[n]``.  In a nerve
-    (``weq_nerve``, ``ws_diagonal``) an n-simplex is the flat tuple
-    (x0, g_1, ..., g_n) of a start object and n composable weak
-    equivalences.  Every level ``tabulate`` is given is a ``FlatLevel``:
-    one ``array('i')`` holding each element as a row of ints, a string as
-    its n + 1 handles, in the order the strings were enumerated.
-    ``faces[n][i]`` (for n >= 1) and ``degens[n][i]`` (for n < top) are
-    index maps, each an ``array('i')`` of positions: no level holds more
-    than STRING_CAP elements, so 4 bytes a position suffice, where a tuple
-    slot costs 8 and its int more.  ``tabulate`` fills them, and
-    ``validate`` checks them, along the one list of operators and
-    identities that ``simplicial_operators`` and ``simplicial_identities``
-    give.
-
-    No element-to-position lookup is kept: each table is read through a
-    lookup built for it (``FlatLevel.positions``).
-    """
-
-    _fields = ("name", "levels", "faces", "degens")
-    __hash__ = None
-
-    def __init__(self, name: str, levels: tuple, faces: tuple, degens: tuple) -> None:
-        self.name = name
-        self.levels = levels
-        self.faces = faces
-        self.degens = degens
-
-    @classmethod
-    def tabulate(cls, name: str, levels, face, degeneracy) -> PointedSimplicialSet:
-        """The set on ``levels``, each a ``FlatLevel`` of distinct rows.
-
-        ``face(n, i)`` returns d_i as a map from level n to the level of the
-        images of its rows in level n-1, and ``degeneracy(n, i)`` s_i from
-        level n to level n+1; the table of an operator op from level n to
-        level m is ``levels[m].positions(op(levels[n]))``.
-        """
-        levels = tuple(levels)
-        tables = {"d": [[] for _ in levels], "s": [[] for _ in levels]}
-        for kind, n, i, target in simplicial_operators(len(levels) - 1):
-            op = (face if kind == "d" else degeneracy)(n, i)
-            tables[kind][n].append(levels[target].positions(op(levels[n])))
-        return cls(name, levels, *(tuple(map(tuple, tables[kind])) for kind in "ds"))
-
-    @property
-    def top_level(self) -> int:
-        return len(self.levels) - 1
-
-    def index(self, n: int, x) -> int:
-        """The position of x in ``levels[n]``, found by a search of the level;
-        ValueError when x is not in it."""
-        return self.levels[n].index(x)
-
-    def face(self, n: int, i: int, x: int) -> int:
-        return self.faces[n][i][x]
-
-    def degeneracy(self, n: int, i: int, x: int) -> int:
-        return self.degens[n][i][x]
-
-    def table(self, kind: str, n: int, i: int) -> array:
-        """The index table of d_i (kind "d") or s_i (kind "s") on level n."""
-        return (self.faces if kind == "d" else self.degens)[n][i]
-
-    def validate(self) -> ValidationReport:
-        """Check the basepoint and the simplicial identities on every element.
-
-        Each identity of ``simplicial_identities`` compares two composites of
-        index tables on every element x of its level, one check per x.
-        """
-        report = ValidationReport(subject=f"pointed simplicial set {self.name}")
-        for kind, n, i, _ in simplicial_operators(self.top_level):
-            report.checks_run += 1
-            if self.table(kind, n, i)[0] != 0:
-                what = "face" if kind == "d" else "degeneracy"
-                report.record(f"{what} {kind}_{i} at level {n} moves the basepoint")
-        for name, n, lhs, rhs in simplicial_identities(self.top_level):
-            ident = range(len(self.levels[n]))
-            a, b = (self.table(*op) for op in lhs)
-            c, d = (ident, ident) if rhs is None else (self.table(*op) for op in rhs)
-            report.checks_run += len(ident)
-            for x, (bx, dx) in enumerate(zip(b, d)):
-                if a[bx] != c[dx]:
-                    report.record(f"{name} failed at level {n} on element {x}")
-        return report
-
-
-def _column(xs) -> array:
+def column(xs) -> array:
     """The ints xs as a column, filled from a list, which beats an iterator."""
     return array("i", list(xs))
 
 
-def _weq_strings(C: WCategory, length: int, too_many: str) -> FlatLevel:
+def weq_strings(C: WCategory, length: int, what: str) -> FlatLevel:
     """The level of strings of ``length`` composable weak equivalences of C.
 
     Each string is one row (x0, g_1, ..., g_length).  The basepoint, the
     identity string (z, id_z, ..., id_z) on the zero object z, comes first;
     the rest follow depth first over target objects and weak-equivalence
     sets, which are asked for only when the search reaches their source.
-    Raises CapExceededError with the message ``too_many`` once the level
-    holds more than STRING_CAP strings; level 0, C's objects, is not capped.
+    Raises CapExceededError, naming the level ``what``, once it holds more
+    than STRING_CAP strings; level 0, C's objects, is not capped.
     """
     objects = range(C.object_count())
     z = C.zero_index()
@@ -857,7 +713,7 @@ def _weq_strings(C: WCategory, length: int, too_many: str) -> FlatLevel:
             col.extend(repeat(x, len(maps)))
         cols[-1].extend(maps)
         if len(cols[-1]) > STRING_CAP:
-            raise CapExceededError(too_many)
+            raise CapExceededError(f"{what} exceeds {STRING_CAP} strings")
 
     try:
         for x0 in objects:
@@ -867,100 +723,27 @@ def _weq_strings(C: WCategory, length: int, too_many: str) -> FlatLevel:
     return FlatLevel.from_columns(cols)
 
 
-def _nerve_face(C: WCategory, i: int, compose, level: FlatLevel) -> FlatLevel:
-    """The nerve face d_i of C's weak equivalences on a level of strings
-    (x0, g_1, ..., g_n): d_0 replaces the columns of x0 and g_1 with the
-    targets of g_1, d_n drops the column of g_n, and any other d_i replaces
-    the columns of g_i and g_{i+1} with their composites under ``compose``."""
-    cols = level.columns()
-    if i == 0:
-        cols[:2] = [_column(map(C.mor_target, cols[1]))]
-    elif i == len(cols) - 1:
-        del cols[i]
-    else:
-        cols[i : i + 2] = [_column(map(compose, cols[i + 1], cols[i]))]
-    return FlatLevel.from_columns(cols)
-
-
-def _nerve_degeneracy(C: WCategory, i: int, level: FlatLevel) -> FlatLevel:
-    """The nerve degeneracy s_i of C's weak equivalences on a level of
-    strings: a column of identities inserted as map i + 1, each on the
-    object where map i ends (x0 for i = 0)."""
-    cols = level.columns()
-    mid = cols[0] if i == 0 else map(C.mor_target, cols[i])
-    cols.insert(i + 1, _column(map(C.identity_id, mid)))
-    return FlatLevel.from_columns(cols)
-
-
-def map_level(functor: tuple, level: FlatLevel) -> FlatLevel:
-    """The images of the strings (x0, g_1, ..., g_n) of a nerve level under
-    an (object map, morphism map) pair, in order: obj maps the column of
-    start objects and mor each column of maps, so no string is unpacked."""
-    obj, mor = functor
-    w = level.width
-    out = array("i", level.data)
-    for t in range(w):
-        out[t::w] = _column(map(mor if t else obj, out[t::w]))
-    return FlatLevel(w, out)
-
-
-def weq_nerve(C: WCategory, w_max: int) -> PointedSimplicialSet:
-    """The nerve of the weak equivalences of C, truncated at level w_max.
-
-    Level l lists the strings of l composable weak equivalences, each the
-    flat tuple (x0, g_1, ..., g_l) of its start object and its maps, kept
-    as a ``FlatLevel`` of rows of l + 1 handles; the basepoint
-    (z, id_z, ..., id_z) on the zero object z is at index 0.  Faces drop
-    or compose columns, degeneracies insert a column of identities.  A face
-    composes through ``composite_id``, outside C's composition memo: below
-    level 3 the strings of a level ask for distinct composites, so a memo
-    would never hit.
-    """
-    compose = C.composite_id
-    levels = [
-        _weq_strings(C, l, f"nerve level {l} of {C.name} exceeds {STRING_CAP} strings")
-        for l in range(w_max + 1)
-    ]
-    return PointedSimplicialSet.tabulate(
-        f"w-nerve({C.name})",
-        levels,
-        lambda n, i: partial(_nerve_face, C, i, compose),
-        lambda n, i: partial(_nerve_degeneracy, C, i),
-    )
-
-
 def ws_diagonal(C: WCategory) -> PointedSimplicialSet:
     """The diagonal n |-> w_n S_n C of the bisimplicial set (p, q) |-> w_q S_p C.
 
-    Truncated at DIAGONAL_TOP.  Level n holds the strings of n composable weak
-    equivalences of flag grids on [n] x [n], each the flat tuple
-    (x0, g_1, ..., g_n) of grid and map handles of S_n C, kept as a
-    ``FlatLevel`` of rows of n + 1 handles; the basepoint is the identity
-    string on the zero grid.  The face d_i is d_i^v o d_i^h: the horizontal
-    face d_i^h restricts a level's grids and maps along the coface
-    [n-1] -> [n] that skips i (``map_level``), landing in w_n S_{n-1} C,
-    and the vertical face d_i^v is the nerve face of w S_{n-1} C.  Likewise
-    s_i restricts along the codegeneracy [n+1] -> [n] that repeats i and
-    then inserts identities.  A face composes through the memo of S_{n-1} C,
-    which lives only while the diagonal is built: restricted strings ask
-    for few composites many times (the 15,663 strings of level 2 over
-    vect_gf(2,2) for 38).
+    Truncated at ``nerve.DIAGONAL_TOP`` = 2, the levels K_0 = H_1 reads, and
+    built by chaintrace.nerve, imported when this runs.  Level n holds the
+    strings of n composable weak equivalences of flag grids on [n] x [n],
+    each the flat tuple (x0, g_1, ..., g_n) of grid and map handles of
+    S_n C, kept as a ``FlatLevel`` of rows of n + 1 handles; the basepoint
+    is the identity string on the zero grid.  The face d_i is d_i^v o d_i^h:
+    the horizontal face d_i^h restricts a level's grids and maps along the
+    coface [n-1] -> [n] that skips i (``nerve.map_level``), landing in
+    w_n S_{n-1} C, and the vertical face d_i^v is the nerve face of
+    w S_{n-1} C.  Likewise s_i restricts along the codegeneracy
+    [n+1] -> [n] that repeats i and then inserts identities.  A face
+    composes through the memo of S_{n-1} C, which lives only while the
+    diagonal is built: restricted strings ask for few composites many times
+    (the 15,663 strings of level 2 over vect_gf(2,2) for 38).
     """
-    scats = [SCategory(C, n) for n in range(DIAGONAL_TOP + 1)]
-    levels = [
-        _weq_strings(S, n, f"level {n} of the diagonal of {C.name} exceeds {STRING_CAP} strings")
-        for n, S in enumerate(scats)
-    ]
+    from .nerve import diagonal
 
-    def face(n: int, i: int):
-        F, S = reindex_functor(scats[n], scats[n - 1], _delta(i, n)), scats[n - 1]
-        return lambda level: _nerve_face(S, i, S.compose_ids, map_level(F, level))
-
-    def degeneracy(n: int, i: int):
-        F, S = reindex_functor(scats[n], scats[n + 1], _sigma(i, n)), scats[n + 1]
-        return lambda level: _nerve_degeneracy(S, i, map_level(F, level))
-
-    return PointedSimplicialSet.tabulate(f"diag wS({C.name})", levels, face, degeneracy)
+    return diagonal(C)
 
 
 def _generators(C: WCategory) -> tuple:
@@ -971,7 +754,7 @@ def _generators(C: WCategory) -> tuple:
     return gens, {a: t for t, a in enumerate(gens)}.get
 
 
-def _relation_cokernel(nrows: int, columns) -> tuple:
+def relation_cokernel(nrows: int, columns) -> tuple:
     """Distinct relation columns, sorted, and H_0 of Z^nrows modulo them.
 
     ``columns`` yields {row: coefficient} dicts; zero coefficients and
@@ -999,18 +782,18 @@ def _total_complex_relations(C: WCategory) -> tuple:
     ``chain.basis_map_columns``, with d_i the restriction along the
     coface skipping i; a weak equivalence a -> b of S_1 (bidegree (1, 1))
     gives -([b] - [a]), the vertical differential with the sign (-1)^p.
-    Degenerate simplices give empty columns, which ``_relation_cokernel``
+    Degenerate simplices give empty columns, which ``relation_cokernel``
     drops with the duplicates.
     """
     if SCategory(C, 0).object_count() != 1:
         raise InternalInvariantError("S_0 of the flag construction is not a single point")
     S1, S2 = SCategory(C, 1), SCategory(C, 2)
     gens, row = _generators(S1)
-    faces = [reindex_functor(S2, S1, _delta(i, 2))[0] for i in range(3)]
-    starts, maps = _weq_strings(S1, 1, f"w_1 S_1 of {C.name} exceeds {STRING_CAP} strings").columns()
+    faces = [reindex_functor(S2, S1, coface(i, 2))[0] for i in range(3)]
+    starts, maps = weq_strings(S1, 1, f"w_1 S_1 of {C.name}").columns()
     grids = basis_map_columns(ZZ, range(S2.object_count()), 3, lambda x, i: ((faces[i](x), 1),), row)
     vertical = (((S1.mor_target(g), -1), (a, 1)) for a, g in zip(starts[1:], maps[1:]))
-    cols, hd = _relation_cokernel(len(gens), chain(grids, basis_map_columns(ZZ, vertical, 1, lambda x, _: x, row)))
+    cols, hd = relation_cokernel(len(gens), chain(grids, basis_map_columns(ZZ, vertical, 1, lambda x, _: x, row)))
     return S1, gens, cols, hd
 
 
@@ -1026,32 +809,9 @@ def k0_via_sdot(C: WCategory) -> FPAbelianGroup:
     reindexing grids, not by reading their slots, so agreement with
     ``grothendieck_k0`` checks the S_. face maps; in these degrees the
     relations coincide with the presentation's by theory, so it does not
-    check the theorem.  ``k0_via_diagonal`` builds the diagonal itself.
+    check the theorem.  ``nerve.k0_via_diagonal`` builds the diagonal itself.
     """
     return _total_complex_relations(C)[3].group
-
-
-def k0_via_diagonal(C: WCategory) -> FPAbelianGroup:
-    """K_0 as H_1 of the diagonal of the flag construction, built level by level.
-
-    The level-0 set is a single point, so the reduced complex has zero
-    differential out of degree 1 and K_0 is the cokernel of the degree-2
-    boundary on the nondegenerate 2-simplices, computed by integer Smith
-    normal form: ``chain.basis_map_columns`` of the face tables, with no
-    row for the base point.  Duplicate boundary columns are collapsed
-    first.  Level 2 holds every pair of composable weak equivalences of
-    S_2, so this is the oracle for ``k0_via_sdot`` on small families.
-    """
-    X = ws_diagonal(C)
-    if len(X.levels[0]) != 1:
-        raise InternalInvariantError("level 0 of the diagonal is not a single point")
-    degenerate = set(X.degens[1][0]) | set(X.degens[1][1])
-    faces = X.faces[2]
-    nondegenerate = (x for x in range(1, len(X.levels[2])) if x not in degenerate)
-    boundary = basis_map_columns(
-        ZZ, nondegenerate, 3, lambda x, i: ((faces[i][x], 1),), lambda y: y - 1 if y else None
-    )
-    return _relation_cokernel(len(X.levels[1]) - 1, boundary)[1].group
 
 
 # ---------------------------------------------------------------------------
@@ -1095,10 +855,39 @@ def k0_presentation(C: WCategory) -> K0Presentation:
     weqs = (((a, 1), (b, -1)) for a in objects for b in objects for _m in C.weq_ids(a, b))
     grids = (((e[0][2], 1), (e[0][1], -1), (e[1][2], -1)) for e, _h, _v in _enumerate_s_payloads(C, 2))
     # each relation is given by its (object, sign) terms
-    cols, hd = _relation_cokernel(len(gens), basis_map_columns(ZZ, chain(weqs, grids), 1, lambda x, _: x, row))
+    cols, hd = relation_cokernel(len(gens), basis_map_columns(ZZ, chain(weqs, grids), 1, lambda x, _: x, row))
     return K0Presentation(C, gens, cols, hd)
 
 
 def grothendieck_k0(C: WCategory) -> FPAbelianGroup:
     """K_0 from the object-and-relation presentation; the independent oracle."""
     return k0_presentation(C).group
+
+# ---------------------------------------------------------------------------
+# the k0 command
+# ---------------------------------------------------------------------------
+
+
+def k0_command(config, C: WCategory) -> tuple[bool, str]:
+    """``chaintrace k0``: K_0 from the presentation and from the total
+    complex, and whether they agree."""
+    from .formats import emit, group_json
+
+    via_pres = grothendieck_k0(C)
+    via_sdot = k0_via_sdot(C)
+    agree = via_pres == via_sdot
+    lines = [
+        f"category {C.name}: {C.object_count()} objects, bound {C.bound}",
+        f"K0 via Grothendieck presentation: {via_pres}",
+        f"K0 via w.S-construction diagonal: {via_sdot}",
+        f"verdict: {'AGREE' if agree else 'DISAGREE'}",
+    ]
+    result = {
+        "category": C.name,
+        "objects": C.object_count(),
+        "bound": C.bound,
+        "grothendieck": group_json(via_pres),
+        "sdot": group_json(via_sdot),
+        "agree": agree,
+    }
+    return True, emit(config, lines, result)

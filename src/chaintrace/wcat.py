@@ -33,11 +33,17 @@ integer relation matrix) serve both.  A table's witnesses are trusted only
 once ``validate_waldhausen`` passes it; until then a builder checks each
 witness it consumes, once, with ``confirm_witness``.
 
-Every ``k0`` and ``validate`` job loads this module, so it holds the base
-class, the built-in families, their selectors and the validator.  Two
-subclasses that few jobs run live elsewhere: ``TableCategory``, the
-explicit tables of category files, in chaintrace.tablecat, and
-``EndCategory`` with its exact functors in chaintrace.endo.
+Every ``k0`` and ``validate`` job loads this module, so it holds only
+what both run: the base class, the built-in families and their
+selectors.  ``validate_waldhausen`` stays here as the public entry point,
+but its checks (the category laws, the five axioms and ``axiom5_bound``)
+live in chaintrace.axioms, which it imports when it runs, so no ``k0`` job
+over a built-in family compiles them.  The caps they enforce stay here.
+Two subclasses that few jobs run live elsewhere too: ``TableCategory``,
+the explicit tables of category files, in chaintrace.tablecat, and
+``EndCategory`` with its exact functors in chaintrace.endo.  The
+injectivity test hands its socle columns straight to
+``linalg.cancel_unit_pivots``, so no ``validate`` job loads chain.
 
 Three caps bound what a category may cost before the work starts.  A
 category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
@@ -58,7 +64,6 @@ import itertools
 import math
 import operator
 
-from .chain import rank_over_field
 from .conventions import PUSHOUT_SEARCH_CAP
 from .errors import (
     CapExceededError,
@@ -67,8 +72,11 @@ from .errors import (
     ValidationError,
 )
 from .rings import GF, ZZ
-from .linalg import Matrix, SparseMap, smith_normal_form
-from .validation import ValidationReport
+from .linalg import Matrix, cancel_unit_pivots, smith_normal_form
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
+if TYPE_CHECKING:
+    from .validation import ValidationReport
 
 __all__ = [
     "WCategory",
@@ -82,7 +90,6 @@ __all__ = [
     "CATEGORY_FAMILIES",
     "category_from_selector",
     "validate_waldhausen",
-    "axiom5_bound",
     "MORPHISM_CAP",
     "TRIPLE_CAP",
     "AXIOM5_CAP",
@@ -667,13 +674,21 @@ class FiniteModulesCategory(WCategory):
 
     def _is_cofibration(self, payload, a, b):
         # column s: the image of (a_s/p) e_s, which generates the socle of
-        # the summand Z/a_s, with coordinate t divided by b_t/p
+        # the summand Z/a_s, with coordinate t divided by b_t/p; nonzero
+        # entries only, in the column and row dicts that the unit-pivot
+        # cancellation runs on.  Over GF(p) it cancels every column exactly
+        # when the socle map is injective
         p, src, dst = self.p, self._obj_payloads[a], self._obj_payloads[b]
-        cols = [
-            {t: (ds // p) * row[s] % dt // (dt // p) for t, (row, dt) in enumerate(zip(payload, dst))}
-            for s, ds in enumerate(src)
-        ]
-        return rank_over_field(SparseMap.from_col_dicts(self.field, len(dst), cols)) == len(src)
+        cols: dict = {}
+        rows: dict = {}
+        for s, ds in enumerate(src):
+            col = cols[s] = {}
+            for t, (row, dt) in enumerate(zip(payload, dst)):
+                x = (ds // p) * row[s] % dt // (dt // p)
+                if x:
+                    col[t] = x
+                    rows.setdefault(t, set()).add(s)
+        return len(cancel_unit_pivots(self.field, cols, rows)) == len(src)
 
     def _pushout_witness(self, i, f):
         # generators: those of b, then of c; relations: their orders, then
@@ -787,89 +802,6 @@ def category_from_selector(selector: str, bound: int | None = None) -> WCategory
 # ---------------------------------------------------------------------------
 
 
-def _structure_checks(C: WCategory, report: ValidationReport) -> None:
-    n = C.object_count()
-    z = C.zero_index()
-    for a in range(n):
-        report.checks_run += 2
-        if len(C.hom_ids(z, a)) != 1:
-            report.record(
-                f"zero object: expected exactly one map 0 -> {C.object_label(a)}, "
-                f"found {len(C.hom_ids(z, a))}"
-            )
-        if len(C.hom_ids(a, z)) != 1:
-            report.record(
-                f"zero object: expected exactly one map {C.object_label(a)} -> 0, "
-                f"found {len(C.hom_ids(a, z))}"
-            )
-    all_mors = []
-    sizes = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            homs = C.hom_ids(a, b)
-            sizes[a][b] = len(homs)
-            all_mors.extend(homs)
-    # the associativity scan below visits every h∘g∘f with g: b -> c once
-    into = [sum(row[b] for row in sizes) for b in range(n)]
-    out_of = [sum(row) for row in sizes]
-    triples = sum(into[b] * sizes[b][c] * out_of[c] for b in range(n) for c in range(n))
-    if triples > TRIPLE_CAP:
-        raise CapExceededError(
-            f"category {C.name} has {triples} composable triples to check for "
-            f"associativity, above {TRIPLE_CAP} (TRIPLE_CAP)"
-        )
-    for m in all_mors:
-        report.checks_run += 1
-        try:
-            left = C.compose_ids(C.identity_id(C.mor_target(m)), m)
-            right = C.compose_ids(m, C.identity_id(C.mor_source(m)))
-        except ValidationError as exc:
-            report.record(f"structure: {exc}")
-            continue
-        if left != m or right != m:
-            report.record(f"structure: identity law fails at {C.mor_label(m)}")
-    by_source = {}
-    for m in all_mors:
-        by_source.setdefault(C.mor_source(m), []).append(m)
-    for f in all_mors:
-        for g in by_source.get(C.mor_target(f), ()):
-            report.checks_run += 1
-            try:
-                gf = C.compose_ids(g, f)
-            except ValidationError as exc:
-                report.record(f"structure: {exc}")
-                continue
-            for h in by_source.get(C.mor_target(g), ()):
-                try:
-                    if C.compose_ids(h, gf) != C.compose_ids(C.compose_ids(h, g), f):
-                        report.record(
-                            f"structure: associativity fails on "
-                            f"{C.mor_label(h)} ∘ {C.mor_label(g)} ∘ {C.mor_label(f)}"
-                        )
-                except ValidationError as exc:
-                    report.record(f"structure: {exc}")
-
-
-def axiom5_bound(C: WCategory, spans) -> int:
-    """Checks validate_waldhausen's axiom-5 scan may run over these witnesses.
-
-    ``spans`` are the pairs (i, f) with a recorded pushout witness.  Two
-    witnesses with corners (a, b, c) and (a2, b2, c2) cost the scan one
-    check per (alpha, beta, gamma) in weq(a, a2) x weq(b, b2) x weq(c, c2)
-    at most, and nothing unless all three are nonempty.  The bound sums
-    that product over every ordered pair of witnesses, grouped by corners.
-    """
-    count = {}
-    for i, f in spans:
-        t = (C.mor_source(i), C.mor_target(i), C.mor_target(f))
-        count[t] = count.get(t, 0) + 1
-    return sum(
-        k * k2 * len(C.weq_ids(a, a2)) * len(C.weq_ids(b, b2)) * len(C.weq_ids(c, c2))
-        for (a, b, c), k in count.items()
-        for (a2, b2, c2), k2 in count.items()
-    )
-
-
 def validate_waldhausen(C: WCategory) -> ValidationReport:
     """Exhaustively check the five Waldhausen axioms in bounded form.
 
@@ -884,114 +816,6 @@ def validate_waldhausen(C: WCategory) -> ValidationReport:
     report collects everything.  Raises CapExceededError above TRIPLE_CAP
     before the associativity scan and above AXIOM5_CAP before axiom 3.
     """
-    report = ValidationReport(subject=f"waldhausen category {C.name}")
-    _structure_checks(C, report)
-    n = C.object_count()
-    z = C.zero_index()
+    from .axioms import check_axioms
 
-    for a in range(n):
-        for b in range(n):
-            for m in C.hom_ids(a, b):
-                report.checks_run += 1
-                if C.iso_inverse(m) is None:
-                    continue
-                if not C.is_cofibration_id(m):
-                    report.record(
-                        f"axiom 1: isomorphism {C.mor_label(m)} is not flagged as a cofibration"
-                    )
-                if not C.is_weq_id(m):
-                    report.record(
-                        f"axiom 1: isomorphism {C.mor_label(m)} is not flagged as a weak equivalence"
-                    )
-
-    for a in range(n):
-        report.checks_run += 1
-        for m in C.hom_ids(z, a):
-            if not C.is_cofibration_id(m):
-                report.record(
-                    f"axiom 2: the map 0 -> {C.object_label(a)} is not flagged as a cofibration"
-                )
-
-    cofibs = [i for a in range(n) for i in C.cofibs_from(a)]
-    spans = [(i, f) for i in cofibs for c in range(n) for f in C.hom_ids(C.mor_source(i), c)]
-    recorded = [C.pushout_witness(i, f) for i, f in spans]
-    bound = axiom5_bound(C, [s for s, w in zip(spans, recorded) if w is not None])
-    if bound > AXIOM5_CAP:
-        raise CapExceededError(
-            f"category {C.name} has {bound} weak-equivalence triples between pushout "
-            f"witnesses to check for axiom 5, above {AXIOM5_CAP} (AXIOM5_CAP)"
-        )
-
-    witnesses = []
-    for (i, f), w in zip(spans, recorded):
-        report.checks_run += 1
-        if w is None:
-            if C.find_pushout(i, f) is not None:
-                report.record(
-                    f"axiom 3: pushout of ({C.mor_label(i)}, {C.mor_label(f)}) "
-                    f"exists within the bound but no witness is recorded"
-                )
-            continue
-        d, u, v = w
-        if C.object_size(d) > C.bound:
-            report.record(
-                f"axiom 3: witness object {C.object_label(d)} exceeds the bound"
-            )
-        if not C.is_pushout(i, f, d, u, v):
-            report.record(
-                f"axiom 3: recorded witness for ({C.mor_label(i)}, {C.mor_label(f)}) "
-                f"is not a pushout"
-            )
-            continue
-        witnesses.append((i, f, d, u, v))
-        report.checks_run += 1
-        if not C.is_cofibration_id(v):
-            report.record(
-                f"axiom 4: cobase change {C.mor_label(v)} of cofibration "
-                f"{C.mor_label(i)} is not flagged as a cofibration"
-            )
-
-    # corners (a, b, c) of each witness; for each distinct triple, the
-    # witnesses whose corners are weakly equivalent to it, in witness order
-    corners = [(C.mor_source(i), C.mor_target(i), C.mor_target(f)) for i, f, *_ in witnesses]
-    triples = list(dict.fromkeys(corners))
-    related = {}
-    for t in triples:
-        near = {t2 for t2 in triples if all(C.weq_ids(x, y) for x, y in zip(t, t2))}
-        related[t] = [(w2, t2) for w2, t2 in zip(witnesses, corners) if t2 in near]
-
-    # u and v are fixed for one witness, so its squares are memoized by
-    # (p, q) until the scan moves on to the next witness
-    for (i, f, d, u, v), t in zip(witnesses, corners):
-        induced = {}
-        for (i2, f2, d2, u2, v2), (a2, b2, c2) in related[t]:
-            betas_by = C._by_composite(i, b2, weq_only=True)
-            gammas_by = C._by_composite(f, c2, weq_only=True)
-            for alpha in C.weq_ids(t[0], a2):
-                ia = C.compose_ids(i2, alpha)
-                gammas = gammas_by.get(C.compose_ids(f2, alpha), ())
-                if not gammas:
-                    continue
-                for beta in betas_by.get(ia, ()):
-                    ub = C.compose_ids(u2, beta)
-                    for gamma in gammas:
-                        report.checks_run += 1
-                        key = (ub, C.compose_ids(v2, gamma))
-                        med = induced.get(key)
-                        if med is None:
-                            med = induced[key] = C.mediating_ids(u, v, *key)
-                        if len(med) != 1:
-                            report.record(
-                                f"axiom 5: no unique induced map between pushouts of "
-                                f"({C.mor_label(i)},{C.mor_label(f)}) and "
-                                f"({C.mor_label(i2)},{C.mor_label(f2)})"
-                            )
-                            continue
-                        if not C.is_weq_id(med[0]):
-                            report.record(
-                                f"axiom 5: induced map {C.mor_label(med[0])} between "
-                                f"weakly equivalent pushout data is not a weak equivalence"
-                            )
-    if report.ok:
-        C._confirmed = None
-    return report
+    return check_axioms(C)

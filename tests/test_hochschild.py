@@ -24,13 +24,13 @@ from chaintrace.algebra import (
     unit_first_presentation,
 )
 from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, push, reduce_complex
-from chaintrace.cli import algebra_from_selector
 from chaintrace.errors import (
     CapExceededError,
     DegreeOutOfRangeError,
     InternalInvariantError,
     UnsupportedRingError,
 )
+from chaintrace.formats import algebra_from_selector
 from chaintrace.hochschild import (
     B_CONVENTION,
     HochschildHomology,

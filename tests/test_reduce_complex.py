@@ -15,11 +15,10 @@ from chaintrace.chain import (
     FPAbelianGroup,
     FPModule,
     homology,
-    rank_over_field,
     reduce_complex,
 )
 from chaintrace.errors import UnsupportedRingError
-from chaintrace.linalg import Matrix, SparseMap, smith_normal_form
+from chaintrace.linalg import Matrix, SparseMap, rank_over_field, smith_normal_form
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 
 from conftest import assert_core_matches

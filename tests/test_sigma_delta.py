@@ -9,6 +9,7 @@ from itertools import chain, combinations_with_replacement, permutations, produc
 import pytest
 
 from chaintrace.errors import CapExceededError, InputParseError
+from chaintrace.nerve import PointedSimplicialSet
 from chaintrace.sigma_delta import (
     SigmaDeltaDiagram,
     free_sigma_delta,
@@ -16,7 +17,7 @@ from chaintrace.sigma_delta import (
     sigma_delta_validate,
     weq_nerve,
 )
-from chaintrace.waldhausen import FlatLevel, PointedSimplicialSet, ws_diagonal
+from chaintrace.waldhausen import FlatLevel, ws_diagonal
 from chaintrace.wcat import finite_modules, pointed_sets, trivial_category, vect_gf
 
 ALL_KEYS = (

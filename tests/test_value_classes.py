@@ -21,11 +21,12 @@ from chaintrace.chain import FPAbelianGroup, FPModule, HomologyData
 from chaintrace.cli import JobConfig
 from chaintrace.errors import InputParseError
 from chaintrace.linalg import Matrix, MembershipResult, SmithDecomposition, SparseMap
+from chaintrace.nerve import PointedSimplicialSet
 from chaintrace.rings import GF, ZZ, BaseRing, Zmod
 from chaintrace.sigma_delta import SigmaDeltaDiagram
 from chaintrace.trace import DennisTraceResult, HomologyClass, MoritaResult
 from chaintrace.validation import ValidationReport
-from chaintrace.waldhausen import K0Presentation, PointedSimplicialSet
+from chaintrace.waldhausen import K0Presentation
 from chaintrace.wcat import pointed_sets
 
 I2 = Matrix(ZZ, [[1, 0], [0, 1]])

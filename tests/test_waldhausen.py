@@ -9,6 +9,13 @@ import pytest
 from chaintrace import waldhausen
 from chaintrace.endo import EndCategory, end_category, k0_retract_holds
 from chaintrace.errors import CapExceededError, InternalInvariantError
+from chaintrace.nerve import (
+    k0_via_diagonal,
+    simplicial_identities,
+    simplicial_operators,
+    validate_s_object,
+    weq_nerve,
+)
 from chaintrace.tables import parse_category_text, serialize_category
 from chaintrace.waldhausen import (
     FlatLevel,
@@ -17,15 +24,10 @@ from chaintrace.waldhausen import (
     _total_complex_relations,
     grothendieck_k0,
     k0_presentation,
-    k0_via_diagonal,
     k0_via_sdot,
     payload_functor,
     reindex_functor,
     s_k_objects,
-    simplicial_identities,
-    simplicial_operators,
-    validate_s_object,
-    weq_nerve,
     ws_diagonal,
 )
 from chaintrace.wcat import (

@@ -12,14 +12,15 @@ import time
 
 import pytest
 
-from chaintrace import wcat
+from chaintrace import axioms, wcat
+from chaintrace.axioms import axiom5_bound, check_axioms
 from chaintrace.cli import main
 from chaintrace.endo import end_category, validate_exact_functor
 from chaintrace.errors import CapExceededError, InputParseError, ValidationError
+from chaintrace.nerve import weq_nerve
 from chaintrace.tables import parse_category_file, serialize_category
-from chaintrace.waldhausen import SCategory, s_k_objects, weq_nerve
+from chaintrace.waldhausen import SCategory, s_k_objects
 from chaintrace.wcat import (
-    axiom5_bound,
     category_from_selector,
     finite_modules,
     pointed_sets,
@@ -392,9 +393,9 @@ def test_morphism_cap_counts_interned_morphisms(monkeypatch):
 def axiom5_work(monkeypatch, C) -> tuple[int, int]:
     """(axiom5_bound, checks the axiom-5 scan runs) for one validation of C.
 
-    The axiom-5 scan closes validate_waldhausen, and only it asks for
-    mediating maps straight from validate_waldhausen; axioms 3 and 4 ask
-    through is_pushout and find_pushout.  Its first check always asks, as
+    The axiom-5 scan closes check_axioms, the body of validate_waldhausen,
+    and only it asks for mediating maps straight from check_axioms; axioms
+    3 and 4 ask through is_pushout and find_pushout.  Its first check always asks, as
     each witness starts an empty memo, so the scan's checks are the
     report's checks from that one on.
     """
@@ -408,12 +409,12 @@ def axiom5_work(monkeypatch, C) -> tuple[int, int]:
 
     def counted(self, *args):
         frame = sys._getframe(1)
-        if frame.f_code is validate_waldhausen.__code__ and not first:
+        if frame.f_code is check_axioms.__code__ and not first:
             first.append(frame.f_locals["report"].checks_run)
         return mediating(self, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(wcat, "axiom5_bound", recorded_bound)
+        m.setattr(axioms, "axiom5_bound", recorded_bound)
         m.setattr(wcat.WCategory, "mediating_ids", counted)
         report = validate_waldhausen(C)
     (bound,) = bounds
@@ -466,7 +467,7 @@ def scan_asks(monkeypatch, C) -> list:
     mediating = wcat.WCategory.mediating_ids
 
     def counted(self, *args):
-        if sys._getframe(1).f_code is validate_waldhausen.__code__:
+        if sys._getframe(1).f_code is check_axioms.__code__:
             asks.append(args)
         return mediating(self, *args)
 
