@@ -3,27 +3,39 @@
 The package computes, with exact integer and rational arithmetic:
 
 * Smith normal form and homology of bounded chain complexes with canonical
-  generator coordinates (linalg, chain);
-* Hochschild and cyclic homology of finite-dimensional algebras given by
-  structure constants (algebra, hochschild);
-* group homology, the multitrace, and the chain-level Dennis trace
-  composite H_*(BGL_n(A)) -> HH_*(A) (trace);
+  generator coordinates (linalg, chain), and the unit-pivot reduction
+  that shrinks a complex whose isomorphism types alone are printed
+  (pivots, reduction);
+* Hochschild homology of finite-dimensional algebras given by structure
+  constants (algebra, hochschild), computed one weight block at a time
+  for ``hh`` (weights), and cyclic homology over Q through Connes' B and
+  the (b, B) total complex (cyclic); ring specs and built-in selectors
+  (selectors);
+* finite groups (groups) and their homology through the normalized bar
+  complex (grouphomology), and GL_n(A) as a finite group (general_linear);
+* the chain-level Dennis trace: the multitrace rule and homology classes
+  the trace commands share (tracemaps), the trace of one invertible matrix
+  in HH_1 (tracek1), the composite H_*(BGL_n(A)) -> HH_*(A) (tracehomology),
+  the Morita maps HH_*(M_n(A)) -> HH_*(A) (morita), and the whole-level
+  matrices of these chain maps that selftest checks (trace);
 * Waldhausen-category bookkeeping: bounded categories and their axiom
   checks (wcat, axioms), S-construction grids and K_0 two ways
   (waldhausen), the w.S diagonal and the nerves of weak equivalences
   (nerve), the Sigma_Delta diagram of iterated S-constructions
   (sigma_delta), and the endomorphism category End(C) with the K_0
   retract through it (endo);
-* a deterministic command line front end (cli) with selectors and JSON
-  output (formats), text file formats (tables) and the structural
-  property suites (selftest).
+* a deterministic command line front end (cli) with JSON output
+  (formats), text file formats (tables) and the structural property
+  suites (selftest).
 
 Everything is desk-scale and brute-force verified; no floating point, no
 randomized algorithms, no approximation.
 
 Importing the package loads no submodule.  A public name is imported from
 the submodule that owns it on first access (PEP 562), so a command line job
-pays only for the modules it runs.  The imports under ``TYPE_CHECKING`` are
+pays only for the modules it runs: each algebra and group command has a
+module of its own (weights, cyclic, grouphomology, tracek1, tracehomology,
+morita) that no other command loads.  The imports under ``TYPE_CHECKING`` are
 the same table, written for type checkers.
 """
 
@@ -32,26 +44,23 @@ if TYPE_CHECKING:
     from .rings import ZZ, QQ, GF, BaseRing, Zmod
     from .linalg import Matrix, SparseMap, smith_normal_form, solve_membership
     from .chain import ChainComplex, FPAbelianGroup, FPModule, HomologyData, homology
+    from .groups import FiniteGroup, cyclic_group
     from .algebra import (
         Algebra,
-        FiniteGroup,
         base_algebra,
-        cyclic_group,
         general_linear_group,
         group_algebra,
         make_algebra,
         matrix_algebra,
         truncated_polynomial,
     )
-    from .hochschild import cyclic_bar, cyclic_homology, hochschild_homology
-    from .trace import (
-        dennis_trace_homology,
-        dennis_trace_k1,
-        group_homology,
-        group_to_hh,
-        morita_map,
-        multitrace,
-    )
+    from .hochschild import cyclic_bar, hochschild_homology
+    from .cyclic import cyclic_homology
+    from .grouphomology import group_homology
+    from .tracek1 import dennis_trace_k1
+    from .morita import morita_map
+    from .tracehomology import dennis_trace_homology
+    from .trace import group_to_hh, multitrace
     from .wcat import (
         category_from_selector,
         finite_modules,
@@ -148,26 +157,23 @@ _OWNERS = {
     "rings": ("ZZ", "QQ", "GF", "BaseRing", "Zmod"),
     "linalg": ("Matrix", "SparseMap", "smith_normal_form", "solve_membership"),
     "chain": ("ChainComplex", "FPAbelianGroup", "FPModule", "HomologyData", "homology"),
+    "groups": ("FiniteGroup", "cyclic_group"),
     "algebra": (
         "Algebra",
-        "FiniteGroup",
         "base_algebra",
-        "cyclic_group",
         "general_linear_group",
         "group_algebra",
         "make_algebra",
         "matrix_algebra",
         "truncated_polynomial",
     ),
-    "hochschild": ("cyclic_bar", "cyclic_homology", "hochschild_homology"),
-    "trace": (
-        "dennis_trace_homology",
-        "dennis_trace_k1",
-        "group_homology",
-        "group_to_hh",
-        "morita_map",
-        "multitrace",
-    ),
+    "hochschild": ("cyclic_bar", "hochschild_homology"),
+    "cyclic": ("cyclic_homology",),
+    "grouphomology": ("group_homology",),
+    "tracek1": ("dennis_trace_k1",),
+    "morita": ("morita_map",),
+    "tracehomology": ("dennis_trace_homology",),
+    "trace": ("group_to_hh", "multitrace"),
     "wcat": (
         "category_from_selector",
         "finite_modules",

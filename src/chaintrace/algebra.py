@@ -7,12 +7,12 @@ the exhaustive validators of tables given by hand (validate_algebra,
 validate_group) live with the file parsers in chaintrace.tables, because
 only file inputs need them.
 
-Constructors: group algebras R[G], matrix algebras M_n(A), truncated
-polynomial rings R[x]/x^n.  general_linear_group enumerates GL_n(A), the
-units of M_n(A) over a finite base ring, by the test unit_inverse answers
-too: left multiplication on M_n(A) is onto (no determinant over a possibly
-noncommutative A).  It refuses at the first unit past GROUP_ORDER_CAP,
-before any product, and returns the group with R[GL_n(A)] -> M_n(A).
+Constructors: group algebras R[G] of the finite groups of
+chaintrace.groups, matrix algebras M_n(A), truncated polynomial rings
+R[x]/x^n.  general_linear_group, GL_n(A) as the unit group of M_n(A), stays
+here as the public entry point, but the enumeration and GeneralLinearData
+live in chaintrace.general_linear, which it imports when it runs: only
+``trace-homology`` enters them, so no other algebra job compiles them.
 
 Linear maps between algebras (AlgebraHom, the embedding, the unit-first
 change of basis) are SparseMaps.  A dense Matrix is built only where it is
@@ -23,36 +23,30 @@ from __future__ import annotations
 
 import itertools
 
-from .conventions import GROUP_ORDER_CAP
-from .errors import CapExceededError, InternalInvariantError, NotInvertibleError, ValidationError
-from .linalg import Matrix, SparseMap, is_onto, smith_normal_form, solve_membership
+from .errors import ValidationError
+from .linalg import Matrix, SparseMap, smith_normal_form, solve_membership
 from .rings import BaseRing
 from .values import Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
+    from .general_linear import GeneralLinearData
+    from .groups import FiniteGroup
     from .validation import ValidationReport
 
 __all__ = [
     "Algebra",
     "AlgebraHom",
-    "FiniteGroup",
     "NonUnitCertificate",
-    "trivial_group",
-    "cyclic_group",
     "group_algebra",
     "group_algebra_hom",
     "matrix_algebra",
     "truncated_polynomial",
     "base_algebra",
     "general_linear_group",
-    "GeneralLinearData",
     "unit_inverse",
     "unit_first_presentation",
 ]
-
-ENUMERATION_CAP = 65536
-
 
 class Algebra(Value):
     """Structure-constant algebra; table[i][j] is the sparse product e_i e_j."""
@@ -182,52 +176,6 @@ class AlgebraHom(Value):
         return AlgebraHom(inner.source, self.target, self.matrix.compose(inner.matrix))
 
 
-# -- finite groups ---------------------------------------------------------
-
-
-class FiniteGroup(Value):
-    """Multiplication table group; element 0..order-1, table[i][j] = i*j."""
-
-    __slots__ = ("table", "identity", "names", "name")
-    _fields = __slots__
-
-    def __init__(
-        self, table: tuple[tuple[int, ...], ...], identity: int, names: tuple[str, ...], name: str = ""
-    ) -> None:
-        self.table = table
-        self.identity = identity
-        self.names = names
-        self.name = name
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def multiply(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        for j in range(self.order):
-            if self.table[i][j] == self.identity:
-                return j
-        raise NotInvertibleError(f"group element {self.names[i]} has no inverse")
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({self.name or 'order ' + str(self.order)})"
-
-
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup(table=((0,),), identity=0, names=("e",), name="trivial")
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("cyclic group order must be >= 1")
-    names = tuple("e" if k == 0 else ("t" if k == 1 else f"t^{k}") for k in range(n))
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(table=table, identity=0, names=names, name=f"C{n}")
-
-
 def group_algebra(G: FiniteGroup, ring: BaseRing) -> Algebra:
     products = {(i, j): {G.table[i][j]: ring.one} for i in range(G.order) for j in range(G.order)}
     unit = [ring.one if i == G.identity else ring.zero for i in range(G.order)]
@@ -306,62 +254,14 @@ def matrix_entries_to_vec(A: Algebra, n: int, entries) -> tuple:
 # -- GL_n over a finite base -------------------------------------------------
 
 
-class GeneralLinearData(Value):
-    """GL_n(A) as a finite group, with the embedding R[GL_n(A)] -> M_n(A)."""
-
-    __slots__ = ("group", "embedding")
-    _fields = __slots__
-
-    def __init__(self, group: FiniteGroup, embedding: AlgebraHom) -> None:
-        self.group = group
-        self.embedding = embedding
-
-
 def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
-    """Enumerate GL_n(A), the unit group of M = M_n(A), over a finite base ring.
+    """GL_n(A), the units of M_n(A) over a finite base ring, as a finite
+    group with the embedding R[GL_n(A)] -> M_n(A); see general_linear.unit_group, which
+    this imports when it runs, so that only ``trace-homology`` compiles it.
+    Refuses past ENUMERATION_CAP candidates and GROUP_ORDER_CAP units."""
+    from .general_linear import unit_group
 
-    The candidates are M's coefficient vectors in itertools.product order,
-    row-major in the entries since M is laid out (i, j, t); g is a unit iff
-    left multiplication by g on M is onto (square, so bijective).  A
-    candidate with a zero row is skipped before that test: it is never a
-    unit, and this order puts every one of them first.  The table
-    is M's product, and the embedding's columns are the vectors themselves.
-    The |A|^(n^2) candidates must stay within ENUMERATION_CAP, and the units
-    within GROUP_ORDER_CAP: the first unit past it refuses, before any product.
-    """
-    ring = A.ring
-    m = ring.modulus
-    if m is None:
-        raise CapExceededError(f"GL_n over infinite base ring {ring} is not enumerable")
-    M = matrix_algebra(A, n)
-    count = m ** M.rank
-    if count > ENUMERATION_CAP:
-        raise CapExceededError(f"|A|^(n^2) = {count} exceeds the enumeration cap {ENUMERATION_CAP}")
-
-    # row i of g is the slice of width n*rank(A) at i*width
-    width = n * A.rank
-    rows = range(0, M.rank, width) if width else ()
-    elements = []
-    for g in itertools.product(range(m), repeat=M.rank):
-        if all(any(g[r : r + width]) for r in rows) and is_onto(M.left_mult_matrix(g)):
-            if len(elements) == GROUP_ORDER_CAP:
-                raise CapExceededError(f"|GL_{n}| > {GROUP_ORDER_CAP}, above the group order cap {GROUP_ORDER_CAP}")
-            elements.append(g)
-    index = {g: i for i, g in enumerate(elements)}
-    try:
-        identity = index[M.unit]
-        table = tuple(tuple(index[M.mul_vec(g, h)] for h in elements) for g in elements)
-    except KeyError:
-        raise InternalInvariantError("units of M_n(A) not closed under multiplication; onto test broken") from None
-    names = tuple(f"g{i}" for i in range(len(elements)))
-    group = FiniteGroup(table=table, identity=identity, names=names, name=f"GL{n}({A.name or A.ring})")
-    embedding = AlgebraHom(
-        source=group_algebra(group, ring),
-        target=M,
-        matrix=SparseMap.from_col_dicts(ring, M.rank, [dict(enumerate(g)) for g in elements]),
-        name=f"{ring}[{group.name}] -> {M.name}",
-    )
-    return GeneralLinearData(group=group, embedding=embedding)
+    return unit_group(A, n)
 
 
 class NonUnitCertificate(Value):

@@ -32,18 +32,12 @@ also calls before any Smith elimination of its own (the composite case is
 deliberately out of contract even where the integer-lattice method would
 cope).
 
-reduce_complex(C) is the invariants-only path.  It cancels unit pivots of
-the sparse boundaries (Kaczynski-Mrozek-Slusarek reduction, with
-linalg.cancel_unit_pivots): each pair (j in C_n, i in C_{n-1}) with
-d_n[i, j] a unit splits off an acyclic summand, so every homology group
-is unchanged while the complex shrinks, usually to a small core that
-homology() then eliminates densely.  A pair
-changes d_n only and deletes a row of d_{n+1}, so cancellation runs from
-d_1 up: each boundary meets only the rows that survived below.  The core
-has no basis in common with C, so callers that print only isomorphism types
-use it, and callers that need generators or class coordinates call
-homology() on C itself.  HomologyHandle, the base of HochschildHomology
-and GroupHomology, reads both ways and builds C on first read.
+The invariants-only path, chaintrace.reduction, cancels unit pivots of
+the sparse boundaries first and hands homology() a small core with the
+same homology; callers that need generators or class coordinates call
+homology() on the complex itself, and never load that module.
+HomologyHandle, the base of HochschildHomology and GroupHomology, reads
+both ways and builds the complex on first read.
 
 basis_map_columns is the one writer of every linear map given on basis
 elements: the columns of sum_{i < terms} (-1)^i f_i, from an image rule
@@ -71,11 +65,9 @@ from .errors import (
 from .linalg import (
     Matrix,
     SparseMap,
-    cancel_unit_pivots,
     lift_with_modulus,
     smith_cells,
     smith_normal_form,
-    sparse_columns,
     symmetric_lift,
 )
 from .rings import ZZ, BaseRing
@@ -88,8 +80,6 @@ __all__ = [
     "HomologyData",
     "homology",
     "HomologyHandle",
-    "reduce_complex",
-    "direct_sum",
     "basis_map_columns",
     "push",
     "LevelRows",
@@ -375,6 +365,10 @@ class HomologyHandle:
 
     @cached_property
     def core(self) -> ChainComplex:
+        """The complex with its unit pivots cancelled (chaintrace.reduction,
+        imported when this runs: no job that reads coordinates needs it)."""
+        from .reduction import reduce_complex
+
         return reduce_complex(self.complex)
 
     def group(self, n: int) -> FPAbelianGroup | FPModule:
@@ -420,51 +414,6 @@ def predicted_dense_cells(ring: BaseRing, a: int, b: int, c: int) -> int:
         fewest = max(b - a, 0)
     first = smith_cells(range(a, a + 1), b, ("V", "Vinv"))
     return first + smith_cells(range(fewest, b + 1), c, ("U", "Uinv"))
-
-
-def reduce_complex(complex_: ChainComplex) -> ChainComplex:
-    """A small complex with the same homology as complex_ in degrees below the top.
-
-    Unit pivots are cancelled in every differential from d_1 up.  A pair
-    (j, i) cancelled in d_n removes j from C_n and i from C_{n-1}, rewrites
-    d_n on the surviving basis, and deletes row j of d_{n+1} and column i
-    of d_{n-1}, so d_n meets only the rows that survived below.  Zero
-    columns of the top differential bound nothing and are dropped too.  The
-    result goes through the ChainComplex constructor, so d o d = 0 is
-    checked again on it.
-    """
-    ring = complex_.ring
-    top = complex_.top_degree
-    dead: list[set[int]] = [set() for _ in range(top + 1)]
-    reduced: dict[int, dict[int, dict]] = {}
-    for n in range(1, top + 1):
-        cols, rows = sparse_columns(complex_.differential(n), dead[n - 1])
-        for j, i in cancel_unit_pivots(ring, cols, rows):
-            dead[n].add(j)
-            dead[n - 1].add(i)
-        reduced[n] = cols
-    keep = [[b for b in range(complex_.rank(n)) if b not in dead[n]] for n in range(top + 1)]
-    if top >= 1:
-        keep[top] = [j for j in keep[top] if reduced[top][j]]
-    diffs = {}
-    for n in range(1, top + 1):
-        position = {b: p for p, b in enumerate(keep[n - 1])}
-        cols = [{position[i]: c for i, c in reduced[n][j].items()} for j in keep[n]]
-        diffs[n] = SparseMap.from_col_dicts(ring, len(keep[n - 1]), cols)
-    return ChainComplex(ring, [len(k) for k in keep], diffs)
-
-
-def direct_sum(ring: BaseRing, top: int, summands) -> ChainComplex:
-    """Block-diagonal sum of complexes in degrees 0..top, in the order given."""
-    ranks = [0] * (top + 1)
-    cols: list[list] = [[] for _ in range(top + 1)]
-    for C in summands:
-        for n in range(1, top + 1):
-            off = ranks[n - 1]
-            cols[n].extend(tuple((i + off, c) for i, c in col) for col in C.differential(n).cols)
-        ranks = [a + C.rank(n) for n, a in enumerate(ranks)]
-    diffs = {n: SparseMap(ring, ranks[n - 1], ranks[n], tuple(cols[n])) for n in range(1, top + 1)}
-    return ChainComplex(ring, ranks, diffs)
 
 
 def basis_map_columns(ring: BaseRing, basis, terms: int, image, row_of):

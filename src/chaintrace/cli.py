@@ -9,7 +9,7 @@ category), and ``selftest`` (the structural property suites, each run in
 a child process of its own, at most one per available CPU at a time and
 longest first, and printed in their fixed order; see chaintrace.selftest).
 
-Inputs are either file paths (formats documented in formats.py and the
+Inputs are either file paths (formats documented in tables.py and the
 README) or built-in selectors:
 
 * algebras: ``Z``, ``Q``, ``Zmod:m``, ``GF:p`` (alias ``Fp``), group rings
@@ -38,15 +38,17 @@ modules, ``k0`` never loads the Hochschild ones, and ``--help`` loads
 neither, nor formats and rings.  Every job compiles this module, so it
 keeps only the config, the resolvers, dispatch and the parser.  A handler
 here resolves the command's inputs and calls the command's output function
-in the module the command loads anyway: ``hochschild.hh_command`` and
-``hc_command``, the four in trace, ``waldhausen.k0_command``,
+in the module that only that command loads: ``weights.hh_command``,
+``cyclic.hc_command``, ``grouphomology.group_homology_command``,
+``tracek1.trace_k1_command``, ``tracehomology.trace_homology_command``,
+``morita.morita_command``, ``waldhausen.k0_command``,
 ``validation.validate_command`` and ``selftest.selftest_command``; each
 returns (ok, text), and ok False exits 3.  The output helpers they share
-are in formats (``emit``, ``group_json``) and hochschild (the algebra
-tables).  The selftest suites and the code that forks them live in
-chaintrace.selftest, which only ``selftest`` imports (no other command
-loads concurrent.futures or multiprocessing), and the selector parsers in
-formats.  The file parsers live in chaintrace.tables, imported only when
+are in formats (``emit``, ``group_json`` and the algebra tables).  The
+selftest suites and the code that forks them live in chaintrace.selftest,
+which only ``selftest`` imports (no other command loads concurrent.futures
+or multiprocessing), and the ring specs, selectors and matrix literals in
+chaintrace.selectors, which no category job loads.  The file parsers live in chaintrace.tables, imported only when
 an input names an existing file.  No command loads dataclasses (and with
 it inspect), and only work over Q loads fractions (and with it decimal).
 """
@@ -70,7 +72,8 @@ from .values import Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
-    from .algebra import Algebra, FiniteGroup
+    from .algebra import Algebra
+    from .groups import FiniteGroup
 
 __all__ = ["JobConfig", "run", "main"]
 
@@ -136,7 +139,7 @@ def _resolve_algebra(inp: str, ring_override: str | None) -> Algebra:
         from .tables import parse_algebra_file
 
         return parse_algebra_file(inp)
-    from .formats import algebra_from_selector
+    from .selectors import algebra_from_selector
 
     try:
         return algebra_from_selector(inp, ring_override)
@@ -151,7 +154,7 @@ def _resolve_group(inp: str) -> FiniteGroup:
         from .tables import parse_group_file
 
         return parse_group_file(inp)
-    from .formats import group_from_selector
+    from .selectors import group_from_selector
 
     try:
         return group_from_selector(inp)
@@ -189,20 +192,20 @@ def _resolve_category(inp: str, bound: int | None):
 
 
 def _handle_hh(config: JobConfig) -> tuple[bool, str]:
-    from .hochschild import hh_command
+    from .weights import hh_command
 
     return hh_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
 def _handle_hc(config: JobConfig) -> tuple[bool, str]:
-    from .hochschild import hc_command
+    from .cyclic import hc_command
 
     return hc_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
 def _handle_group_homology(config: JobConfig) -> tuple[bool, str]:
-    from .formats import ring_from_spec
-    from .trace import group_homology_command
+    from .grouphomology import group_homology_command
+    from .selectors import ring_from_spec
 
     G = _resolve_group(config.inputs[0])
     return group_homology_command(config, G, ring_from_spec(config.ring or "Z"))
@@ -210,20 +213,20 @@ def _handle_group_homology(config: JobConfig) -> tuple[bool, str]:
 
 def _handle_trace_k1(config: JobConfig) -> tuple[bool, str]:
     from .formats import parse_matrix_literal
-    from .trace import trace_k1_command
+    from .tracek1 import trace_k1_command
 
     A = _resolve_algebra(config.inputs[0], config.ring)
     return trace_k1_command(config, A, parse_matrix_literal(A, config.inputs[1]))
 
 
 def _handle_trace_homology(config: JobConfig) -> tuple[bool, str]:
-    from .trace import trace_homology_command
+    from .tracehomology import trace_homology_command
 
     return trace_homology_command(config, _resolve_algebra(config.inputs[0], config.ring))
 
 
 def _handle_morita(config: JobConfig) -> tuple[bool, str]:
-    from .trace import morita_command
+    from .morita import morita_command
 
     return morita_command(config, _resolve_algebra(config.inputs[0], config.ring))
 

@@ -16,7 +16,7 @@ __all__ = [
     "PUSHOUT_SEARCH_CAP",
 ]
 
-# Connes' operator and the Hochschild boundary (hochschild).
+# Connes' operator and the Hochschild boundary (hochschild, cyclic).
 B_CONVENTION = "B = (1 - (-1)^q t) s_e N on the normalized complex; b = sum (-1)^i d_i; d_q merges last onto first"
 
 # Smith normal form pivot choice (linalg.smith_normal_form).  The string is
@@ -30,7 +30,7 @@ PIVOT_RULE = (
 )
 
 # Largest level rank a Hochschild, cyclic or bar complex builds (hochschild,
-# trace), and of a full cyclic bar level that is enumerated
+# grouphomology, trace), and of a full cyclic bar level that is enumerated
 # (hochschild.check_full_level): a whole-level operator, trace.multitrace's
 # source and trace-k1's level 1 of M_n(A).  Classes are sparse chains, so
 # trace-homology and morita push generators through the chain maps
@@ -38,8 +38,8 @@ PIVOT_RULE = (
 LEVEL_CAP = 500_000
 
 # Largest group-homology degree the Dennis trace on group homology accepts
-# (trace.dennis_trace_homology), and largest GL_n(A) order enumerated
-# (algebra.general_linear_group, which refuses at the first unit past it).
+# (tracehomology.dennis_trace_homology), and largest GL_n(A) order enumerated
+# (general_linear.unit_group, which refuses at the first unit past it).
 DEGREE_CAP = 3
 GROUP_ORDER_CAP = 24
 

@@ -1,4 +1,4 @@
-"""Cyclic bar construction, Hochschild homology, Connes B, cyclic homology.
+"""Cyclic bar construction, the normalized complex and Hochschild homology.
 
 Conventions, fixed once and recorded in CLI output:
 
@@ -23,21 +23,19 @@ are written directly on these unit-free tuples (Loday, Cyclic Homology,
 never built for them.  Every operator (faces, degeneracies, t, both b's, B
 and the b + B of the total complex) is written by chain.basis_map_columns
 from an image rule on basis tuples and the row lookup of its target level;
-each is built once per instance (_cached).  Chains cross between the
+each is built once per instance (cached_operator).  Chains cross between the
 caller's basis and the normalized levels by chain.push through the change
 of basis in every slot (tensor_rule), with no full level enumerated.
 
-The invariants-only paths (HochschildHomology.core behind hh, cyclic_core
-behind hc) never build the whole normalized complex.  table_grading finds
-the universal abelian grading of the unit-first table, w(k) = w(i) + w(j)
-wherever c_ij^k != 0, by one Smith normal form over Z: Z/n for Z[C_n], Z
-for R[x]/x^n, nothing for an ungraded table.  Faces and B preserve the
-total weight of a tuple, so the complex is the direct sum of its weight
-blocks (for a group algebra, Burghelea's conjugacy-class summands; Loday,
-Cyclic Homology, 7.4).  Each block is built, checked, reduced and dropped
-in turn.  Its row lookup drops a degenerate tuple, as the full complex's
-does, and raises InternalInvariantError on a non-degenerate tuple of
-another weight, so a wrong grading cannot lose a term.
+Every algebra command loads this module, so it holds what they all run:
+the cyclic module, the normalized complex and its boundary b, and
+HochschildHomology with its class coordinates.  What only some of them
+run lives apart, each imported by the commands that run it:
+chaintrace.weights holds hh's invariants-only path (the weight grading
+and the block-wise core that HochschildHomology.core imports when it is
+first read), chaintrace.cyclic holds hc's Connes B and (b, B) total
+complex, and the trace commands' chain maps are in tracemaps and in
+each trace command's own module (tracek1, tracehomology, morita).
 
 The exhaustive check of the simplicial and cyclic identities on a cyclic
 module (``validate_cyclic_module``) lives in chaintrace.selftest, its only
@@ -47,41 +45,33 @@ caller, so no Hochschild job compiles it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, partial, wraps
+from functools import cached_property, partial, wraps
 
 from .algebra import Algebra, unit_first_presentation
-from .chain import ChainComplex, FPModule, HomologyHandle, LevelRows, basis_map_columns
-from .chain import direct_sum, homology, push, reduce_complex
+from .chain import ChainComplex, HomologyHandle, LevelRows, basis_map_columns, push
 from .conventions import B_CONVENTION, LEVEL_CAP
-from .errors import CapExceededError, DegreeOutOfRangeError, UnsupportedRingError, ValidationError
-from .linalg import Matrix, SparseMap, smith_normal_form
-from .rings import ZZ, BaseRing
+from .errors import CapExceededError, DegreeOutOfRangeError, ValidationError
+from .linalg import SparseMap
 
 __all__ = [
+    "cached_operator",
     "CyclicModule",
     "cyclic_bar",
+    "NormalizedComplex",
     "HochschildHomology",
     "hochschild_homology",
-    "cyclic_homology",
-    "cyclic_total_complex",
-    "cyclic_core",
-    "table_grading",
     "tuple_index",
     "tensor_rule",
     "check_full_level",
-    "algebra_line",
-    "coords_str",
-    "degree_table",
-    "algebra_table",
-    "hh_command",
-    "hc_command",
     "LEVEL_CAP",
     "B_CONVENTION",
 ]
 
 
-def _cached(build):
-    """Method decorator: build once per argument tuple, kept in self._cache."""
+def cached_operator(build):
+    """Decorator of an operator on an object with a ``_cache`` dict (a method,
+    or a function of a NormalizedComplex such as cyclic.connes_b): build once
+    per argument tuple, kept in that object's _cache."""
 
     @wraps(build)
     def operator(self, *args):
@@ -125,7 +115,7 @@ class CyclicModule:
         cols = basis_map_columns(self.ring, sources, terms, image, partial(tuple_index, self.algebra.rank))
         return SparseMap.from_col_dicts(self.ring, self.level_rank(q), cols)
 
-    @_cached
+    @cached_operator
     def face(self, q: int, i: int) -> SparseMap:
         """d_i: level q -> level q-1."""
         self._check_level(q, lo=1)
@@ -134,7 +124,7 @@ class CyclicModule:
         A = self.algebra
         return self._map(q - 1, self.tuples(q), 1, lambda tup, _: _face(A, tup, i))
 
-    @_cached
+    @cached_operator
     def degeneracy(self, q: int, j: int) -> SparseMap:
         """s_j: level q -> level q+1, inserting the unit after slot j."""
         self._check_level(q)
@@ -146,14 +136,14 @@ class CyclicModule:
             q + 1, self.tuples(q), 1, lambda tup, _: [(tup[: j + 1] + (k,) + tup[j + 1 :], c) for k, c in unit]
         )
 
-    @_cached
+    @cached_operator
     def cyclic(self, q: int) -> SparseMap:
         """t: level q -> level q, last slot to the front, no sign."""
         self._check_level(q)
         one = self.ring.one
         return self._map(q, self.tuples(q), 1, lambda tup, _: (((tup[q],) + tup[:q], one),))
 
-    @_cached
+    @cached_operator
     def boundary(self, q: int) -> SparseMap:
         """Hochschild b = sum_i (-1)^i d_i: level q -> level q-1."""
         self._check_level(q, lo=1)
@@ -196,31 +186,6 @@ def tuple_index(base: int, tup) -> int:
     return idx
 
 
-def table_grading(A: Algebra) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Universal abelian grading of A's table: (moduli, weight of each e_j).
-
-    Each nonzero c_ij^k asks w(k) = w(i) + w(j): a row e_k - e_i - e_j of
-    an integer matrix M.  With U M V = S in Smith form, x -> xV carries the
-    row space of M onto that of S, so the grading group is the sum of
-    Z/d over the Smith entries d (0 past the rank, a free Z) and the weight
-    of e_j is row j of V reduced modulo them.  Entries equal to 1 are
-    dropped.  Z[C_n] gives moduli (n,), R[x]/x^n gives (0,), and a table
-    with no grading gives () and a single block.
-    """
-    r = A.rank
-    rows = {
-        tuple((x == k) - (x == i) - (x == j) for x in range(r))
-        for i, row in enumerate(A.table)
-        for j, product in enumerate(row)
-        for k, _ in product
-    }
-    dec = smith_normal_form(Matrix(ZZ, sorted(rows), r), factors=("V",))
-    diagonal = dec.diagonal + (0,) * (r - len(dec.diagonal))
-    kept = [(c, d) for c, d in enumerate(diagonal) if d != 1]
-    weights = tuple(tuple(row[c] % d if d else row[c] for c, d in kept) for row in dec.V.rows)
-    return tuple(d for _, d in kept), weights
-
-
 def cyclic_bar(A: Algebra, N: int) -> CyclicModule:
     """Cyclic module of A with levels 0..N+1 (enough to compute HH_0..HH_N).
 
@@ -246,8 +211,8 @@ class NormalizedComplex:
     are spanned by tuples with 0 in a slot >= 1 and the quotient basis is
     the set of tuples avoiding 0 past slot 0.  b and B are written on these
     unit-free tuples, and no full level is built.
-    A weight block (weight_blocks) is a NormalizedComplex whose levels hold
-    only the tuples of one total weight.
+    A weight block (weights.weight_blocks) is a NormalizedComplex whose
+    levels hold only the tuples of one total weight, given as tuples.
     """
 
     def __init__(self, C: CyclicModule, tuples: dict[int, list] | None = None):
@@ -276,7 +241,7 @@ class NormalizedComplex:
         r = self.cyclic_module.algebra.rank
         return r * (r - 1) ** q
 
-    @_cached
+    @cached_operator
     def _row_of(self, q: int):
         """Row lookup on level q; a tuple with the unit past slot 0 has none."""
         return LevelRows(self.level_tuples(q), 0, 1).__getitem__
@@ -286,92 +251,16 @@ class NormalizedComplex:
         cols = basis_map_columns(self.ring, sources, terms, image, self._row_of(q))
         return SparseMap.from_col_dicts(self.ring, self.rank(q), cols)
 
-    def weight_blocks(self):
-        """Yield (weight, block) for the weight blocks of levels 0..max_level.
-
-        Every face and B preserve the total weight of a tuple under
-        table_grading, so the complex is the direct sum of its blocks.  The
-        tuples of every level are sorted into blocks first, keeping level
-        order; a block's operators are built only when the caller asks, so
-        a caller that drops each block before taking the next holds one
-        block's operators at a time.  Blocks come in sorted weight order.
-        """
-        A = self.cyclic_module.algebra
-        moduli, weights = table_grading(A)
-
-        @cache
-        def add(u, v):
-            return tuple((a + b) % d if d else a + b for a, b, d in zip(u, v, moduli))
-
-        levels: list[dict] = []
-        tier = [((i,), w) for i, w in enumerate(weights)]
-        for q in range(self.cyclic_module.max_level + 1):
-            if q:
-                tier = [(t + (k,), add(w, weights[k])) for t, w in tier for k in range(1, A.rank)]
-            blocks: dict = {}
-            for t, w in tier:
-                blocks.setdefault(w, []).append(t)
-            levels.append(blocks)
-        del tier
-        for w in sorted(set().union(*levels)):
-            tuples = {q: level.pop(w, []) for q, level in enumerate(levels)}
-            yield w, NormalizedComplex(self.cyclic_module, tuples)
-
-    @_cached
+    @cached_operator
     def boundary(self, q: int) -> SparseMap:
         """Induced Hochschild boundary: b with degenerate faces dropped."""
         self.cyclic_module._check_level(q, lo=1)
         return self._map(q - 1, self.level_tuples(q), q + 1, partial(_face, self.cyclic_module.algebra))
 
-    @_cached
-    def connes_b(self, q: int) -> SparseMap:
-        """Induced Connes boundary B: normalized level q -> q+1.
-
-        B(a) = sum_{i=0}^{q} (-1)^(qi) (0, t^i a): t^i moves the last i slots
-        to the front, and a term with index 0 past slot 0 is degenerate.
-        """
-        self.cyclic_module._check_level(q + 1, lo=1)
-        ring = self.ring
-        # (k, sign) for t^i, which moves the tuple's slots from k = q + 1 - i on to the front
-        turns = [(q + 1 - i, ring.neg(ring.one) if q * i % 2 else ring.one) for i in range(q + 1)]
-        return self._map(
-            q + 1, self.level_tuples(q), 1, lambda tup, _: [((0,) + tup[k:] + tup[:k], c) for k, c in turns]
-        )
-
     def chain_complex(self, top: int) -> ChainComplex:
         ranks = [self.rank(q) for q in range(top + 1)]
         diffs = {q: self.boundary(q) for q in range(1, top + 1)}
         return ChainComplex(self.ring, ranks, diffs)
-
-    def total_complex(self, top: int) -> ChainComplex:
-        """Degrees 0..top of the (b, B) total complex (cyclic_total_complex).
-
-        Tot_m has basis the pairs (p, j), j a tuple of normalized level
-        m - 2p, in order of p; b keeps p and B lowers it.
-        """
-        levels = [[(p, j) for p in range(m // 2 + 1) for j in range(self.rank(m - 2 * p))] for m in range(top + 1)]
-        diffs = {}
-        for m in range(1, top + 1):
-            b = [self.boundary(m - 2 * p).cols if 2 * p < m else None for p in range(m // 2 + 1)]
-            B = [self.connes_b(m - 2 * p).cols if p else None for p in range(m // 2 + 1)]
-
-            def image(x, _):
-                p, j = x
-                terms = [((p, i), c) for i, c in b[p][j]] if b[p] is not None else []
-                if B[p] is not None:
-                    terms += [((p - 1, i), c) for i, c in B[p][j]]
-                return terms
-
-            rows = {x: t for t, x in enumerate(levels[m - 1])}
-            cols = basis_map_columns(self.ring, levels[m], 1, image, rows.__getitem__)
-            diffs[m] = SparseMap.from_col_dicts(self.ring, len(rows), cols)
-        return ChainComplex(self.ring, [len(level) for level in levels], diffs)
-
-    def block_core(self, build, top: int) -> ChainComplex:
-        """Block-diagonal sum of reduce_complex(build(block, top)) over the
-        weight blocks, each built, checked, reduced and dropped in turn."""
-        return direct_sum(self.ring, top, (reduce_complex(build(b, top)) for _, b in self.weight_blocks()))
-
 
 def tensor_rule(f: SparseMap):
     """Image rule of f^tensor(q+1) on basis tuples: f in every slot, so a
@@ -413,8 +302,11 @@ class HochschildHomology(HomologyHandle):
     @cached_property
     def core(self) -> ChainComplex:
         """The block-diagonal sum of the reduced weight blocks, each built,
-        reduced and dropped in turn (NormalizedComplex.block_core)."""
-        return self.normalized.block_core(NormalizedComplex.chain_complex, self.max_degree + 1)
+        reduced and dropped in turn (weights.block_core, imported when this
+        is first read: no job that reads coordinates needs it)."""
+        from .weights import block_core
+
+        return block_core(self.normalized, NormalizedComplex.chain_complex, self.max_degree + 1)
 
     def normalize(self, q: int, chain: dict) -> tuple:
         """Normalized level-q vector of a chain {tuple in the caller's basis:
@@ -451,80 +343,3 @@ class HochschildHomology(HomologyHandle):
 def hochschild_homology(A: Algebra, n: int):
     """HH_n(A) as an FPAbelianGroup (over Z, Z/p^k) or FPModule (fields)."""
     return HochschildHomology(A, n).group(n)
-
-
-def cyclic_total_complex(A: Algebra, max_degree: int) -> ChainComplex:
-    """Total complex of the normalized (b, B) bicomplex of A over Q.
-
-    Tot_m = sum over p >= 0 of the normalized level m-2p; the differential is
-    b + B, whose square vanishing is exactly b^2 = 0, B^2 = 0, bB + Bb = 0,
-    all of which hold on the nose and are re-checked by the chain complex
-    constructor.  Its homology in degrees 0..max_degree is HC_*(A).
-    """
-    return _cyclic_normalized(A, max_degree).total_complex(max_degree + 1)
-
-
-def cyclic_core(A: Algebra, max_degree: int) -> ChainComplex:
-    """A small complex with the homology of cyclic_total_complex.
-
-    b and B (the weight-0 unit put in front, then a rotation) preserve
-    weight, so the total complex is built and reduced one weight block at a
-    time, as HochschildHomology.core does.
-    """
-    return _cyclic_normalized(A, max_degree).block_core(NormalizedComplex.total_complex, max_degree + 1)
-
-
-def _cyclic_normalized(A: Algebra, max_degree: int) -> NormalizedComplex:
-    if A.ring.kind != "Q":
-        raise UnsupportedRingError("cyclic homology is computed over Q only")
-    if max_degree < 0:
-        raise DegreeOutOfRangeError("degree must be >= 0")
-    reduced, _, _ = unit_first_presentation(A)
-    return NormalizedComplex(cyclic_bar(reduced, max_degree))
-
-
-def cyclic_homology(A: Algebra, n: int) -> FPModule:
-    """HC_n(A) over Q; see cyclic_core."""
-    return homology(cyclic_core(A, n), n).group
-
-# ---------------------------------------------------------------------------
-# the output of the algebra commands: hh and hc here, and those of trace
-# ---------------------------------------------------------------------------
-
-
-def algebra_line(A: Algebra) -> str:
-    return f"algebra {A.name or '(unnamed)'}: rank {A.rank} over {A.ring}"
-
-
-def coords_str(ring: BaseRing, coords) -> str:
-    if not coords:
-        return "()"
-    return "(" + ", ".join(ring.format_element(c) for c in coords) + ")"
-
-
-def degree_table(config, header: str, label: str, group, result: dict) -> tuple[bool, str]:
-    """The header, then ``label.format(d) = group(d)`` for d = 0..max_degree."""
-    from .formats import emit, group_json
-
-    groups = [group(d) for d in range(config.max_degree + 1)]
-    lines = [header] + [f"{label.format(d)} = {g}" for d, g in enumerate(groups)]
-    result["groups"] = [group_json(g) for g in groups]
-    return True, emit(config, lines, result)
-
-
-def algebra_table(config, A: Algebra, label: str, group) -> tuple[bool, str]:
-    from .formats import ring_spec
-
-    result = {"algebra": A.name, "ring": ring_spec(A.ring), "rank": A.rank}
-    return degree_table(config, algebra_line(A), label, group, result)
-
-
-def hh_command(config, A: Algebra) -> tuple[bool, str]:
-    """``chaintrace hh``: HH_0 .. HH_max_degree of A (see formats.emit)."""
-    return algebra_table(config, A, "HH_{}", HochschildHomology(A, config.max_degree).group)
-
-
-def hc_command(config, A: Algebra) -> tuple[bool, str]:
-    """``chaintrace hc``: HC_0 .. HC_max_degree of A over Q."""
-    core = cyclic_core(A, config.max_degree)
-    return algebra_table(config, A, "HC_{}", lambda d: homology(core, d).group)

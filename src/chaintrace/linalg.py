@@ -21,15 +21,10 @@ tables of an Algebra) and only drops zeros.
 
 smith_normal_form is the package's one dense elimination: kernels,
 membership, onto maps and homology() are read off its result.  Sparse
-unit-pivot cancellation (cancel_unit_pivots, on the column and row dicts
-of sparse_columns) lives beside it: chain.reduce_complex runs it before
-Smith where only isomorphism types are printed, and feeds Smith a small
-core with the same homology.  Over a field every cancelled pair adds one
-to the rank (rank_over_field), and the injectivity test of the
-finite-module categories hands it the socle columns directly: a rank over
-GF(p), for which no ``validate`` job loads chain.
-Generators and class coordinates still come from homology() on the full
-complex.  Image questions over Z/m go through the
+unit-pivot cancellation, which shrinks a complex before Smith where only
+isomorphism types are printed, is chaintrace.pivots: the jobs that read
+generators and class coordinates (the trace commands) never run it, so
+they do not compile it.  Image questions over Z/m go through the
 integer lift [M | m*I] built by lift_with_modulus, which is exact for every
 modulus: solve_membership and is_onto eliminate it directly, and
 chain._homology, the one routine behind homology() over every ring,
@@ -82,9 +77,6 @@ __all__ = [
     "symmetric_lift",
     "lift_with_modulus",
     "is_onto",
-    "sparse_columns",
-    "cancel_unit_pivots",
-    "rank_over_field",
 ]
 
 
@@ -548,72 +540,6 @@ def smith_cells(rows: range, ncols: int, factors) -> int:
         built |= {"U", "V"}
     side = {"U": k, "Uinv": k, "V": ncols, "Vinv": ncols}
     return k * ncols + sum(side[name] ** 2 for name in built)
-
-
-def sparse_columns(d: SparseMap, dead=frozenset()) -> tuple[dict[int, dict], dict[int, set]]:
-    """Mutable copy of d minus the dead rows: columns as {row: entry}, rows as column sets."""
-    cols = {j: {i: x for i, x in col if i not in dead} for j, col in enumerate(d.cols)}
-    rows: dict[int, set] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    return cols, rows
-
-
-def cancel_unit_pivots(ring: BaseRing, cols: dict[int, dict], rows: dict[int, set]) -> list[tuple[int, int]]:
-    """Cancel unit pivots of one sparse matrix in place; return the (column, row) pairs.
-
-    Cancelling (j, i) with a = M[i, j] a unit subtracts M[i, j'] a^-1 times
-    column j from every other column j' meeting row i, then deletes column j
-    and row i: the Schur complement D - c a^-1 b on the affected columns
-    only.  Columns are visited shortest first (ties by index) in repeated
-    passes until a pass cancels nothing; in a column the pivot is the unit
-    whose row is shortest (ties by index), which keeps fill-in low.
-    """
-    is_unit, is_zero, mul, sub, zero = ring.is_unit, ring.is_zero, ring.mul, ring.sub, ring.zero
-    pairs: list[tuple[int, int]] = []
-    while True:
-        before = len(pairs)
-        for j in sorted(cols, key=lambda j: (len(cols[j]), j)):
-            col = cols[j]
-            best = None
-            for i, x in col.items():
-                if is_unit(x) and (best is None or (len(rows[i]), i) < best):
-                    best = (len(rows[i]), i)
-            if best is None:
-                continue
-            i = best[1]
-            del cols[j]
-            for k in col:
-                rows[k].discard(j)
-            a_inv = ring.inv(col.pop(i))
-            for j2 in rows.pop(i):
-                target = cols[j2]
-                f = mul(target.pop(i), a_inv)
-                for k, c in col.items():
-                    v = sub(target.get(k, zero), mul(f, c))
-                    if is_zero(v):
-                        if k in target:
-                            del target[k]
-                            rows[k].discard(j2)
-                    else:
-                        if k not in target:
-                            rows[k].add(j2)
-                        target[k] = v
-            pairs.append((j, i))
-        if len(pairs) == before:
-            return pairs
-
-
-def rank_over_field(d: SparseMap) -> int:
-    """Rank of a linear map over a field, by unit-pivot cancellation.
-
-    Over a field every nonzero entry is a unit, so cancellation only stops
-    at the zero matrix and each cancelled pair adds one to the rank.
-    """
-    if not d.ring.is_field:
-        raise UnsupportedRingError(f"rank_over_field needs a field, got {d.ring}")
-    return len(cancel_unit_pivots(d.ring, *sparse_columns(d)))
 
 
 def symmetric_lift(values: Sequence, m: int) -> list[int]:

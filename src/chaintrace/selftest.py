@@ -33,15 +33,19 @@ import signal
 import threading
 import time
 
-from .algebra import base_algebra, cyclic_group, group_algebra, matrix_algebra, unit_inverse
+from .algebra import base_algebra, group_algebra, matrix_algebra, unit_inverse
+from .cyclic import connes_b
 from .endo import k0_retract_holds
 from .errors import InternalInvariantError
-from .formats import algebra_from_selector, emit
+from .formats import emit
+from .groups import cyclic_group
 from .hochschild import CyclicModule, HochschildHomology, cyclic_bar
 from .linalg import SparseMap
 from .rings import GF, QQ, ZZ
+from .selectors import algebra_from_selector
 from .sigma_delta import free_sigma_delta, ktheory_sigma_delta, sigma_delta_validate
-from .trace import bar_complex, dennis_trace_k1, group_to_hh, multitrace
+from .trace import bar_complex, group_to_hh, multitrace
+from .tracek1 import dennis_trace_k1
 from .validation import ValidationReport
 from .nerve import k0_via_diagonal, simplicial_identities
 from .waldhausen import grothendieck_k0, k0_via_sdot
@@ -122,13 +126,13 @@ def _suite_b_bb() -> ValidationReport:
         top = BB_MAX_DEGREE + 1
         for q in range(1, top):
             report.checks_run += 1
-            if not norm.boundary(q + 1).compose(norm.connes_b(q)).add(
-                norm.connes_b(q - 1).compose(norm.boundary(q))
+            if not norm.boundary(q + 1).compose(connes_b(norm, q)).add(
+                connes_b(norm, q - 1).compose(norm.boundary(q))
             ).is_zero_map():
                 report.record(f"{sel}: bB + Bb is nonzero at level {q}")
         for q in range(top - 1):
             report.checks_run += 1
-            if not norm.connes_b(q + 1).compose(norm.connes_b(q)).is_zero_map():
+            if not connes_b(norm, q + 1).compose(connes_b(norm, q)).is_zero_map():
                 report.record(f"{sel}: B^2 is nonzero at level {q}")
         for q in range(2, top + 1):
             report.checks_run += 1

@@ -36,6 +36,13 @@ act on strings through ``nerve.map_level``, one whole nerve level at
 a time (``SigmaDeltaDiagram.act_level``), and ``sigma_delta_validate``
 checks them against every operator ``nerve.simplicial_operators``
 lists, holding each image table only until the last check that reads it.
+
+The diagrams' entries S_{k_1}(S_{k_2}(C)) take S_{k_2}(C) as a base
+category, so they read its cofibrations and pushouts: the levelwise
+cofibrations whose top-row comparison maps are cofibrations
+(``flag_is_cofibration``) and the slotwise pushouts of grids
+(``flag_pushout_witness``).  waldhausen.SCategory's hooks call them here,
+since no ``k0`` job, which builds no iterated flag category, reads them.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from array import array
 from functools import partial
 from itertools import product
 
-from .errors import CapExceededError, InputParseError
+from .errors import CapExceededError, InputParseError, InternalInvariantError
 from .nerve import PointedSimplicialSet, map_level, simplicial_operators, weq_nerve
 from .validation import ValidationReport
 from .values import Value
@@ -53,6 +60,8 @@ from .wcat import WCategory
 
 __all__ = [
     "ENTRY_OBJECT_CAP",
+    "flag_is_cofibration",
+    "flag_pushout_witness",
     "weq_nerve",
     "SigmaDeltaDiagram",
     "ktheory_sigma_delta",
@@ -69,6 +78,110 @@ N_MAX = 2
 K_CAP = 2
 W_CAP = 2
 _KEYS = tuple((n, ks) for n in range(N_MAX + 1) for ks in product(range(K_CAP + 1), repeat=n))
+
+
+# ---------------------------------------------------------------------------
+# the Waldhausen structure of S_k C as a base category
+# ---------------------------------------------------------------------------
+
+
+def flag_is_cofibration(S: SCategory, payload, a: int, b: int) -> bool:
+    """Whether a natural map of flag grids is a cofibration of S_k C: levelwise
+    a cofibration, with every top-row comparison map
+    X(0,j) u_{X(0,j-1)} Y(0,j-1) -> Y(0,j) a cofibration too (and not one
+    when that pushout does not fit within the bound).  SCategory's hook."""
+    base = S.base
+    if not all(base.is_cofibration_id(c) for c in payload):
+        return False
+    if S.k < 2:
+        return True
+    Xh = S._obj_payloads[a][1]
+    Yh = S._obj_payloads[b][1]
+    for j in range(2, S.k + 1):
+        i_h = Xh[0][j - 1]
+        alpha_prev = payload[S._slot_pos[(0, j - 1)]]
+        w = base.pushout_witness(i_h, alpha_prev)
+        if w is None:
+            return False
+        _d, u, v = w
+        alpha_j = payload[S._slot_pos[(0, j)]]
+        h = base.mediating_id(u, v, alpha_j, Yh[0][j - 1])
+        if h is None:
+            raise InternalInvariantError(
+                "top-row comparison map is not unique; is the base category valid?"
+            )
+        base.confirm_witness(i_h, alpha_prev)
+        if not base.is_cofibration_id(h):
+            return False
+    return True
+
+def flag_pushout_witness(S: SCategory, i: int, f: int):
+    """The pushout of a span of S_k C, slot by slot in the base with the
+    grid's arrows induced through each slot's pushout, or None when a slot's
+    pushout does not fit within the bound.  SCategory's hook."""
+    base, k, n = S.base, S.k, S.k + 1
+    ip, fp = S._mor_payload[i], S._mor_payload[f]
+    Bp, Cp = S._obj_payloads[S._mor_tgt[i]], S._obj_payloads[S._mor_tgt[f]]
+    z = base.zero_index()
+    idz = base.identity_id(z)
+
+    slot_d: dict = {}
+    slot_u: dict = {}
+    slot_v: dict = {}
+    for t, (si, sj) in enumerate(S._slots):
+        w = base.pushout_witness(ip[t], fp[t])
+        if w is None:
+            return None
+        slot_d[(si, sj)], slot_u[(si, sj)], slot_v[(si, sj)] = w
+
+    def slot_obj(si: int, sj: int) -> int:
+        return slot_d[(si, sj)] if si < sj else z
+
+    entries = tuple(tuple(slot_obj(si, sj) for sj in range(n)) for si in range(n))
+
+    def induced(src_slot, dst_slot, b_arrow, c_arrow) -> int:
+        # arrow of the assembled grid between two slots, via the
+        # universal property of the source slot's pushout
+        ssi, ssj = src_slot
+        dsi, dsj = dst_slot
+        if ssi >= ssj and dsi >= dsj:
+            return idz
+        if ssi >= ssj:
+            return base.hom_ids(z, slot_d[dst_slot])[0]
+        if dsi >= dsj:
+            return base.hom_ids(slot_d[src_slot], z)[0]
+        p = base.compose_ids(slot_u[dst_slot], b_arrow)
+        q = base.compose_ids(slot_v[dst_slot], c_arrow)
+        h = base.mediating_id(slot_u[src_slot], slot_v[src_slot], p, q)
+        if h is None:
+            raise InternalInvariantError(
+                "pushout grid admits no unique induced arrow; "
+                "is the base category valid?"
+            )
+        return h
+
+    harr = tuple(
+        tuple(induced((si, sj), (si, sj + 1), Bp[1][si][sj], Cp[1][si][sj]) for sj in range(k))
+        for si in range(n)
+    )
+    varr = tuple(
+        tuple(induced((si, sj), (si + 1, sj), Bp[2][si][sj], Cp[2][si][sj]) for sj in range(n))
+        for si in range(k)
+    )
+    for i_t, f_t in zip(ip, fp):
+        base.confirm_witness(i_t, f_t)
+    return S._witness(
+        i,
+        f,
+        (entries, harr, varr),
+        tuple(slot_u[s] for s in S._slots),
+        tuple(slot_v[s] for s in S._slots),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the diagrams
+# ---------------------------------------------------------------------------
 
 
 def _identity_op(k: int) -> tuple:

@@ -72,12 +72,13 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputParseError, ValidationError
-from .formats import ring_from_spec
+from .selectors import ring_from_spec
 from .validation import ValidationReport
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
-    from .algebra import Algebra, FiniteGroup
+    from .algebra import Algebra
+    from .groups import FiniteGroup
     from .wcat import WCategory
 
 __all__ = [
@@ -306,7 +307,7 @@ def parse_group_text(text: str, where: str = "<group>", validate: bool = True) -
     identity = next(units, None)
     if identity is None:
         raise ValidationError(f"{where}: multiplication table has no identity element")
-    from .algebra import FiniteGroup
+    from .groups import FiniteGroup
 
     name = found["group"][0]
     G = FiniteGroup(table=tuple(table), identity=identity, names=tuple(elements), name=name)

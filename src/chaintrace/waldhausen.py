@@ -65,7 +65,11 @@ it runs.  So does the grid check ``validate_s_object``.
 
 The endomorphism category End(C) and the retract check K_0(C) ->
 K_0(End C) -> K_0(C) built on ``k0_presentation`` live in chaintrace.endo,
-which no ``k0`` job loads.
+which no ``k0`` job loads.  The cofibrations and pushouts of S_k C as a
+base category in its own right (the top-row comparison test and the
+slotwise pushout of grids) are read only by iterated flag categories, so
+their bodies live in chaintrace.sigma_delta, and SCategory's two hooks
+import them when they run.
 """
 
 from __future__ import annotations
@@ -426,91 +430,18 @@ class SCategory(WCategory):
     def _is_weq(self, payload, a: int, b: int) -> bool:
         return all(self.base.is_weq_id(c) for c in payload)
 
+    # read only where S_k C is itself the base of a flag category (the
+    # Sigma-Delta diagrams, selftest): no k0 job compiles their bodies
+
     def _is_cofibration(self, payload, a: int, b: int) -> bool:
-        base = self.base
-        if not all(base.is_cofibration_id(c) for c in payload):
-            return False
-        if self.k < 2:
-            return True
-        Xh = self._obj_payloads[a][1]
-        Yh = self._obj_payloads[b][1]
-        for j in range(2, self.k + 1):
-            i_h = Xh[0][j - 1]
-            alpha_prev = payload[self._slot_pos[(0, j - 1)]]
-            w = base.pushout_witness(i_h, alpha_prev)
-            if w is None:
-                return False
-            _d, u, v = w
-            alpha_j = payload[self._slot_pos[(0, j)]]
-            h = base.mediating_id(u, v, alpha_j, Yh[0][j - 1])
-            if h is None:
-                raise InternalInvariantError(
-                    "top-row comparison map is not unique; is the base category valid?"
-                )
-            base.confirm_witness(i_h, alpha_prev)
-            if not base.is_cofibration_id(h):
-                return False
-        return True
+        from .sigma_delta import flag_is_cofibration
+
+        return flag_is_cofibration(self, payload, a, b)
 
     def _pushout_witness(self, i: int, f: int):
-        base, k, n = self.base, self.k, self.k + 1
-        ip, fp = self._mor_payload[i], self._mor_payload[f]
-        Bp, Cp = self._obj_payloads[self._mor_tgt[i]], self._obj_payloads[self._mor_tgt[f]]
-        z = base.zero_index()
-        idz = base.identity_id(z)
+        from .sigma_delta import flag_pushout_witness
 
-        slot_d: dict = {}
-        slot_u: dict = {}
-        slot_v: dict = {}
-        for t, (si, sj) in enumerate(self._slots):
-            w = base.pushout_witness(ip[t], fp[t])
-            if w is None:
-                return None
-            slot_d[(si, sj)], slot_u[(si, sj)], slot_v[(si, sj)] = w
-
-        def slot_obj(si: int, sj: int) -> int:
-            return slot_d[(si, sj)] if si < sj else z
-
-        entries = tuple(tuple(slot_obj(si, sj) for sj in range(n)) for si in range(n))
-
-        def induced(src_slot, dst_slot, b_arrow, c_arrow) -> int:
-            # arrow of the assembled grid between two slots, via the
-            # universal property of the source slot's pushout
-            ssi, ssj = src_slot
-            dsi, dsj = dst_slot
-            if ssi >= ssj and dsi >= dsj:
-                return idz
-            if ssi >= ssj:
-                return base.hom_ids(z, slot_d[dst_slot])[0]
-            if dsi >= dsj:
-                return base.hom_ids(slot_d[src_slot], z)[0]
-            p = base.compose_ids(slot_u[dst_slot], b_arrow)
-            q = base.compose_ids(slot_v[dst_slot], c_arrow)
-            h = base.mediating_id(slot_u[src_slot], slot_v[src_slot], p, q)
-            if h is None:
-                raise InternalInvariantError(
-                    "pushout grid admits no unique induced arrow; "
-                    "is the base category valid?"
-                )
-            return h
-
-        harr = tuple(
-            tuple(induced((si, sj), (si, sj + 1), Bp[1][si][sj], Cp[1][si][sj]) for sj in range(k))
-            for si in range(n)
-        )
-        varr = tuple(
-            tuple(induced((si, sj), (si + 1, sj), Bp[2][si][sj], Cp[2][si][sj]) for sj in range(n))
-            for si in range(k)
-        )
-        for i_t, f_t in zip(ip, fp):
-            base.confirm_witness(i_t, f_t)
-        return self._witness(
-            i,
-            f,
-            (entries, harr, varr),
-            tuple(slot_u[s] for s in self._slots),
-            tuple(slot_v[s] for s in self._slots),
-        )
+        return flag_pushout_witness(self, i, f)
 
 
 # ---------------------------------------------------------------------------

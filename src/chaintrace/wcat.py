@@ -43,7 +43,9 @@ Two subclasses that few jobs run live elsewhere too: ``TableCategory``,
 the explicit tables of category files, in chaintrace.tablecat, and
 ``EndCategory`` with its exact functors in chaintrace.endo.  The
 injectivity test hands its socle columns straight to
-``linalg.cancel_unit_pivots``, so no ``validate`` job loads chain.
+``pivots.cancel_unit_pivots``, imported when a finite-module flag is first
+tested, so no ``validate`` job loads chain and no pointed-set job loads
+the kernel.
 
 Three caps bound what a category may cost before the work starts.  A
 category refuses to intern more than ``MORPHISM_CAP`` morphisms, and hom
@@ -72,7 +74,7 @@ from .errors import (
     ValidationError,
 )
 from .rings import GF, ZZ
-from .linalg import Matrix, cancel_unit_pivots, smith_normal_form
+from .linalg import Matrix, smith_normal_form
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
@@ -677,7 +679,9 @@ class FiniteModulesCategory(WCategory):
         # the summand Z/a_s, with coordinate t divided by b_t/p; nonzero
         # entries only, in the column and row dicts that the unit-pivot
         # cancellation runs on.  Over GF(p) it cancels every column exactly
-        # when the socle map is injective
+        # when the socle map is injective.  Only these families load it
+        from .pivots import cancel_unit_pivots
+
         p, src, dst = self.p, self._obj_payloads[a], self._obj_payloads[b]
         cols: dict = {}
         rows: dict = {}

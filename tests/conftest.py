@@ -21,8 +21,9 @@ which lifts the same way.
 
 import pytest
 
-from chaintrace.chain import ChainComplex, homology, reduce_complex
+from chaintrace.chain import ChainComplex, homology
 from chaintrace.errors import UnsupportedRingError
+from chaintrace.reduction import reduce_complex
 from smith_reference import assert_same_factors, smith_inputs
 
 try:

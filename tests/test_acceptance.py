@@ -14,14 +14,19 @@ import time
 
 import pytest
 
-from chaintrace.algebra import base_algebra, cyclic_group, group_algebra, truncated_polynomial
+from chaintrace.algebra import base_algebra, group_algebra, truncated_polynomial
 from chaintrace.chain import DENSE_CELL_CAP, homology
 from chaintrace.cli import main
 from chaintrace.conventions import GROUP_ORDER_CAP
-from chaintrace.hochschild import HochschildHomology, cyclic_homology
+from chaintrace.cyclic import cyclic_homology
+from chaintrace.grouphomology import GroupHomology
+from chaintrace.groups import cyclic_group
+from chaintrace.hochschild import HochschildHomology
+from chaintrace.morita import morita_map
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import parse_category_file
-from chaintrace.trace import GroupHomology, dennis_trace_homology, dennis_trace_k1, morita_map
+from chaintrace.tracehomology import dennis_trace_homology
+from chaintrace.tracek1 import dennis_trace_k1
 from chaintrace.waldhausen import grothendieck_k0, k0_via_sdot
 from chaintrace.wcat import (
     finite_modules,
@@ -228,11 +233,11 @@ print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
 """
 
 
-# Runs the CLI on its arguments with trace.DEGREE_CAP lifted to the last
-# argument, the degree asked for.
+# Runs the CLI on its arguments with tracehomology.DEGREE_CAP lifted to the
+# last argument, the degree asked for.
 LIFT_DEGREE_CAP = (
-    "import sys; from chaintrace import cli, trace; "
-    "trace.DEGREE_CAP = int(sys.argv[-1]); sys.exit(cli.main(sys.argv[1:]))"
+    "import sys; from chaintrace import cli, tracehomology; "
+    "tracehomology.DEGREE_CAP = int(sys.argv[-1]); sys.exit(cli.main(sys.argv[1:]))"
 )
 
 

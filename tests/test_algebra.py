@@ -4,24 +4,23 @@ import hashlib
 
 import pytest
 
-from chaintrace import algebra
+from chaintrace import general_linear
 from chaintrace.algebra import (
     Algebra,
     NonUnitCertificate,
     base_algebra,
-    cyclic_group,
     general_linear_group,
     group_algebra,
     group_algebra_hom,
     make_algebra,
     matrix_algebra,
     matrix_entries_to_vec,
-    trivial_group,
     truncated_polynomial,
     unit_first_presentation,
     unit_inverse,
 )
 from chaintrace.errors import CapExceededError, UnsupportedRingError, ValidationError
+from chaintrace.groups import FiniteGroup, cyclic_group, trivial_group
 from chaintrace.linalg import SparseMap
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import validate_algebra, validate_group
@@ -114,8 +113,6 @@ def test_cyclic_group_table():
 
 
 def test_group_validator_names_bad_triple():
-    from chaintrace.algebra import FiniteGroup
-
     # left translations are bijections but (1*1)*2 != 1*(1*2)
     table = (
         (0, 1, 2),
@@ -164,7 +161,7 @@ def test_general_linear_group_is_pinned(monkeypatch, make, n, order, digest):
     # the digests were recorded when GL_n(A) was enumerated as nested n x n
     # tuples of A-vectors, tested on A^n and multiplied entry by entry, and
     # when the order cap was checked after the table, by the Dennis trace
-    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", order)
+    monkeypatch.setattr(general_linear, "GROUP_ORDER_CAP", order)
     gl = general_linear_group(make(), n)
     key = (gl.group.table, gl.group.identity, gl.embedding.matrix.cols)
     assert gl.group.order == order
@@ -173,9 +170,9 @@ def test_general_linear_group_is_pinned(monkeypatch, make, n, order, digest):
 
 def test_general_linear_group_refuses_at_the_first_unit_past_the_order_cap(monkeypatch):
     # GL_2(GF(2)) has 6 elements, so a cap of 5 refuses at the sixth unit
-    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", 6)
+    monkeypatch.setattr(general_linear, "GROUP_ORDER_CAP", 6)
     assert general_linear_group(base_algebra(GF(2)), 2).group.order == 6
-    monkeypatch.setattr(algebra, "GROUP_ORDER_CAP", 5)
+    monkeypatch.setattr(general_linear, "GROUP_ORDER_CAP", 5)
     products = []
     monkeypatch.setattr(Algebra, "mul_vec", lambda self, u, v: products.append((u, v)))
     with pytest.raises(CapExceededError, match=r"^\|GL_2\| > 5, above the group order cap 5$"):
@@ -187,8 +184,8 @@ def test_general_linear_group_skips_candidates_with_a_zero_row(monkeypatch):
     # of the 16 matrices over GF(2), 7 have a zero row; the other 9 are
     # tested and 6 of them are units
     tested = []
-    onto = algebra.is_onto
-    monkeypatch.setattr(algebra, "is_onto", lambda M: tested.append(M) or onto(M))
+    onto = general_linear.is_onto
+    monkeypatch.setattr(general_linear, "is_onto", lambda M: tested.append(M) or onto(M))
     assert general_linear_group(base_algebra(GF(2)), 2).group.order == 6
     assert len(tested) == 9
 

@@ -8,11 +8,13 @@ import time
 import pytest
 
 from chaintrace import cli, wcat
-from chaintrace.algebra import cyclic_group, group_algebra
+from chaintrace.algebra import group_algebra
 from chaintrace.cli import main
 from chaintrace.errors import InputParseError, ValidationError
-from chaintrace.formats import parse_matrix_literal, ring_from_spec
+from chaintrace.formats import parse_matrix_literal
+from chaintrace.groups import cyclic_group
 from chaintrace.rings import ZZ
+from chaintrace.selectors import ring_from_spec
 from chaintrace.tables import (
     parse_algebra_text,
     parse_category_file,

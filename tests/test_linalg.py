@@ -3,7 +3,7 @@
 import pytest
 
 from chaintrace import chain, linalg
-from chaintrace.algebra import base_algebra, cyclic_group, group_algebra
+from chaintrace.algebra import base_algebra, group_algebra
 from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology, predicted_dense_cells
 from chaintrace.errors import (
     CapExceededError,
@@ -12,6 +12,7 @@ from chaintrace.errors import (
     UnsupportedRingError,
     ValidationError,
 )
+from chaintrace.groups import cyclic_group
 from chaintrace.hochschild import HochschildHomology
 from chaintrace.linalg import (
     Matrix,

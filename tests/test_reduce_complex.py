@@ -10,15 +10,11 @@ fixture runs the same check on every complex the rest of the suite builds.
 
 import pytest
 
-from chaintrace.chain import (
-    ChainComplex,
-    FPAbelianGroup,
-    FPModule,
-    homology,
-    reduce_complex,
-)
+from chaintrace.chain import ChainComplex, FPAbelianGroup, FPModule, homology
 from chaintrace.errors import UnsupportedRingError
-from chaintrace.linalg import Matrix, SparseMap, rank_over_field, smith_normal_form
+from chaintrace.linalg import Matrix, SparseMap, smith_normal_form
+from chaintrace.pivots import rank_over_field
+from chaintrace.reduction import reduce_complex
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 
 from conftest import assert_core_matches

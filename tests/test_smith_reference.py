@@ -24,7 +24,7 @@ from chaintrace import linalg  # noqa: E402
 from chaintrace.algebra import base_algebra  # noqa: E402
 from chaintrace.linalg import Matrix  # noqa: E402
 from chaintrace.rings import GF, QQ, ZZ, Zmod  # noqa: E402
-from chaintrace.trace import dennis_trace_homology  # noqa: E402
+from chaintrace.tracehomology import dennis_trace_homology  # noqa: E402
 
 from smith_reference import TRANSFORMS, assert_same_factors, smith_inputs  # noqa: E402
 

@@ -23,15 +23,35 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = {p.stem for p in (SRC / "chaintrace").glob("*.py") if p.stem != "__init__"} - {"cli"}
 
-HOCHSCHILD_SIDE = {"algebra", "chain", "hochschild", "trace"}
+# Modules of the algebra and group commands; no category job loads any of
+# them but chain, and --help none.  No command loads trace: its whole-level
+# chain maps are for selftest's checks.
+ALGEBRA_SIDE = {"algebra", "chain", "hochschild", "selectors", "groups", "trace", "tracemaps"}
 CATEGORY_SIDE = {"wcat", "waldhausen", "sigma_delta", "axioms", "nerve"}
+# The module of each algebra-side command, which only that command (and
+# selftest) loads: the output function and the code no other command runs.
+# trace-homology runs group homology too, so it loads grouphomology.
+COMMAND_MODULE = {
+    "hh": "weights",
+    "hc": "cyclic",
+    "group-homology": "grouphomology",
+    "trace-k1": "tracek1",
+    "trace-homology": "tracehomology",
+    "morita": "morita",
+}
+# The invariants-only path: unit-pivot reduction, which no job that reads
+# class coordinates (the trace commands) runs; and GL_n(A), which only
+# trace-homology enumerates.
+REDUCTION = {"reduction", "pivots"}
+GL = "general_linear"
 # Code that only some category jobs run: the axiom checks (validate, category
 # files, selftest) and the simplicial sets of strings (the diagonal, the
 # Sigma-Delta diagrams, selftest).
 AXIOM_CHECKS = "axioms"
 NERVE = "nerve"
-# All that --help loads of the package: the selectors, ring specs and
-# output of formats, and rings under them, are for computing jobs only.
+# All that --help loads of the package: the output of formats, the
+# selectors and ring specs, and rings under them, are for computing jobs
+# only.
 FRONT_END = {"errors", "values"}
 # dataclasses loads inspect (and with it ast, dis, tokenize); fractions
 # loads decimal.  No command needs them unless it computes over Q.
@@ -86,22 +106,53 @@ def loaded_modules(argv: list[str]) -> set[str]:
     return command_imports(argv)[0]
 
 
+def modules_of_others(command: str) -> set[str]:
+    """The modules of the algebra-side commands other than command."""
+    return {m for c, m in COMMAND_MODULE.items() if c != command}
+
+
 # command: (modules it must load, modules it must not load)
 EXPECTED = {
-    "hh Z --max-degree 1": ({"hochschild"}, CATEGORY_SIDE | {"validation"}),
-    "hc Q --max-degree 1": ({"hochschild"}, CATEGORY_SIDE),
-    "group-homology C2 --max-degree 1": ({"trace"}, CATEGORY_SIDE),
-    # k0 reads w_1 S_1 as flat strings and checks no axiom of a built-in family
+    "hh Z --max-degree 1": (
+        {"hochschild", "weights"} | REDUCTION,
+        CATEGORY_SIDE | modules_of_others("hh") | {"validation", "trace", GL},
+    ),
+    "hc Q --max-degree 1": (
+        {"hochschild", "cyclic", "weights"} | REDUCTION,
+        CATEGORY_SIDE | modules_of_others("hc") - {"weights"} | {"trace", GL},
+    ),
+    # group homology is a table computation: no algebra code
+    "group-homology C2 --max-degree 1": (
+        {"grouphomology", "groups", "reduction"},
+        CATEGORY_SIDE | modules_of_others("group-homology") | {"algebra", "hochschild", "trace", "tracemaps", GL},
+    ),
+    # no trace command loads another trace command's module, hh's block-wise
+    # core or hc's cyclic complex
+    "trace-k1 Z[C2] 0,1": (
+        {"tracek1", "tracemaps"},
+        CATEGORY_SIDE | modules_of_others("trace-k1") | REDUCTION | {"trace", GL},
+    ),
+    "trace-homology GF:2 --size 1 --degree 1": (
+        {"tracehomology", "tracemaps", "grouphomology", GL},
+        CATEGORY_SIDE | modules_of_others("trace-homology") - {"grouphomology"} | REDUCTION | {"trace"},
+    ),
+    "morita GF:2 --size 1 --max-degree 1": (
+        {"morita", "tracemaps"},
+        CATEGORY_SIDE | modules_of_others("morita") | REDUCTION | {"trace", GL},
+    ),
+    # k0 reads w_1 S_1 as flat strings and checks no axiom of a built-in
+    # family; the Waldhausen structure of S_k C itself is sigma_delta's
     "k0 trivial": (
         {"waldhausen"},
-        {"hochschild", "trace", "sigma_delta", AXIOM_CHECKS, NERVE, "validation"},
+        ALGEBRA_SIDE - {"chain"} | set(COMMAND_MODULE.values()) | {"sigma_delta", AXIOM_CHECKS, NERVE, "validation"},
     ),
-    # the injectivity test runs on linalg's cancellation kernel, not on chain
+    # the injectivity test of finite modules runs on the pivots kernel, not
+    # on chain, and pointed sets do not load even that
     "validate pointed_sets:1": (
         {"wcat", AXIOM_CHECKS},
-        {"hochschild", "trace", "sigma_delta", "chain", "waldhausen", NERVE},
+        ALGEBRA_SIDE | REDUCTION | set(COMMAND_MODULE.values()) | {"sigma_delta", "waldhausen", NERVE},
     ),
-    "--help": (FRONT_END, HOCHSCHILD_SIDE | CATEGORY_SIDE | {"formats", "rings"}),
+    "--help": (FRONT_END, ALGEBRA_SIDE | CATEGORY_SIDE | REDUCTION | {"formats", "rings"}),
 }
 
 
@@ -179,9 +230,10 @@ def test_algebra_and_group_files_skip_the_category_modules(tmp_path, command, te
 
 
 def test_selftest_loads_every_module_but_dataclasses():
-    # selftest reads no file, so the file tables are the modules it skips
+    # selftest reads no file and enumerates no GL_n(A), so the file tables
+    # and general_linear are the modules it skips
     ours, others = command_imports(["selftest"])
-    assert ours == PACKAGE - FILE_TABLES, sorted((PACKAGE - FILE_TABLES) ^ ours)
+    assert ours == PACKAGE - FILE_TABLES - {GL}, sorted((PACKAGE - FILE_TABLES - {GL}) ^ ours)
     assert "dataclasses" not in others
     assert not pool_modules(others), sorted(pool_modules(others))
 
@@ -189,18 +241,23 @@ def test_selftest_loads_every_module_but_dataclasses():
 # Source a command compiles, in ast nodes (a count that does not change
 # across Python 3.10-3.13, where tokenize's does): the chaintrace modules it
 # loads and cli.py, which runs as __main__.  Pinned about 1% above the
-# counts when the handlers moved out of cli.py and the axiom checks, the
-# nerve code and the rank kernel out of the modules k0 and validate load
-# (2,275, 19,818, 22,922, 22,922, 23,623 and 16,662; before it 5,552,
-# 21,077, 23,446, 23,446, 28,772 and 21,029).  A command that starts
-# compiling code it never runs fails here first.
+# counts when each algebra-side command got a module of its own and the
+# group, GL_n, reduction, cyclic and selector code left the modules every
+# algebra job loads (18,239, 18,981, 13,709, 17,716, 18,771, 17,386,
+# 21,758 and 15,609; before it 19,818, 19,818, 22,922 for each of the
+# three trace commands and group-homology, 23,623 and 16,662).  --help
+# compiles 2,300 (2,275 before: the package's table of public names grew).
+# A command that starts compiling code it never runs fails here first.
 COMPILED_BUDGET = {
     "--help": 2_300,
-    "hh Z --max-degree 1": 20_000,
-    "group-homology C2 --max-degree 1": 23_150,
-    "trace-k1 Z[C2] 0,1": 23_150,
-    "k0 trivial": 23_850,
-    "validate pointed_sets:1": 16_850,
+    "hh Z --max-degree 1": 18_400,
+    "hc Q --max-degree 1": 19_150,
+    "group-homology C2 --max-degree 1": 13_850,
+    "trace-k1 Z[C2] 0,1": 17_900,
+    "trace-homology GF:2 --size 1 --degree 1": 18_950,
+    "morita GF:2 --size 1 --max-degree 1": 17_550,
+    "k0 trivial": 21_950,
+    "validate pointed_sets:1": 15_750,
 }
 
 

@@ -7,28 +7,21 @@ import pytest
 
 from chaintrace.algebra import (
     base_algebra,
-    cyclic_group,
     general_linear_group,
     group_algebra,
     matrix_algebra,
-    trivial_group,
     truncated_polynomial,
 )
 from chaintrace.errors import CapExceededError, NotInvertibleError
+from chaintrace.grouphomology import GroupHomology, group_homology
+from chaintrace.groups import cyclic_group, trivial_group
 from chaintrace.hochschild import cyclic_bar, tuple_index
 from chaintrace.linalg import SparseMap
+from chaintrace.morita import fp_map_is_iso, morita_map
 from chaintrace.rings import GF, QQ, ZZ
-from chaintrace.trace import (
-    GroupHomology,
-    bar_complex,
-    dennis_trace_homology,
-    dennis_trace_k1,
-    fp_map_is_iso,
-    group_homology,
-    group_to_hh,
-    morita_map,
-    multitrace,
-)
+from chaintrace.trace import bar_complex, group_to_hh, multitrace
+from chaintrace.tracehomology import dennis_trace_homology
+from chaintrace.tracek1 import dennis_trace_k1
 
 
 def test_group_homology_frozen_tables():
@@ -69,9 +62,9 @@ def forbidden(*args, **kwargs):
 
 
 def test_group_homology_construction_builds_no_boundary(monkeypatch):
-    from chaintrace import trace
+    from chaintrace import grouphomology
 
-    monkeypatch.setattr(trace, "basis_map_columns", forbidden)
+    monkeypatch.setattr(grouphomology, "basis_map_columns", forbidden)
     work = GroupHomology(cyclic_group(5), ZZ, 3)
     assert "complex" not in vars(work) and "core" not in vars(work)
 
@@ -79,10 +72,10 @@ def test_group_homology_construction_builds_no_boundary(monkeypatch):
 def test_group_homology_dense_cell_cap_refuses_from_ranks(monkeypatch):
     # degree 3 of C24 has ranks 23^2, 23^3, 23^4; the refusal reads only
     # them, so no level is enumerated and no boundary is built before it
-    from chaintrace import trace
+    from chaintrace import grouphomology
 
-    monkeypatch.setattr(trace, "basis_map_columns", forbidden)
-    monkeypatch.setattr(trace, "LevelRows", forbidden)
+    monkeypatch.setattr(grouphomology, "basis_map_columns", forbidden)
+    monkeypatch.setattr(grouphomology, "LevelRows", forbidden)
     work = GroupHomology(cyclic_group(24), ZZ, 3)
     message = "homology in degree 3 (ranks 529, 12167, 279841) needs 4003405346 dense cells"
     with pytest.raises(CapExceededError, match=re.escape(message)):
@@ -264,14 +257,14 @@ def test_morita_map_refuses_before_any_elimination(monkeypatch):
 def test_cap_refusals_come_before_any_complex_is_built(monkeypatch, run):
     # both refuse on DENSE_CELL_CAP; the decision reads ranks only, so no
     # boundary, no group homology and no elimination may precede it
-    from chaintrace import chain, hochschild, trace
+    from chaintrace import chain, hochschild, tracehomology
 
     def forbidden(*args, **kwargs):
         raise AssertionError("built before the refusal")
 
     monkeypatch.setattr(hochschild.NormalizedComplex, "boundary", forbidden)
     monkeypatch.setattr(hochschild.CyclicModule, "boundary", forbidden)
-    monkeypatch.setattr(trace, "GroupHomology", forbidden)
+    monkeypatch.setattr(tracehomology, "GroupHomology", forbidden)
     monkeypatch.setattr(chain, "smith_normal_form", forbidden)
     with pytest.raises(CapExceededError, match=r"homology in degree \d .* above the cap"):
         run()
@@ -357,9 +350,9 @@ def test_dennis_trace_homology_beyond_the_degree_cap(monkeypatch, algebra, n, d,
     # H_4(S_3; F_2) = H_4(C_2; F_2) = F_2 and HH_4(F_2) = 0; H_d(C_2; F_2) =
     # F_2 and HH_d(F_2[C_2]) = HH_d(F_2[x]/x^2) = F_2^2 (Burghelea); the
     # coordinates and representatives are those of the whole-level composite
-    from chaintrace import trace
+    from chaintrace import tracehomology
 
-    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    monkeypatch.setattr(tracehomology, "DEGREE_CAP", d)
     res = dennis_trace_homology(algebra, n, d)
     assert (str(res.source), str(res.target)) == (source, target)
     assert [(c.coordinates, c.representative) for c in res.classes] == classes
@@ -371,9 +364,9 @@ def test_dennis_trace_homology_reaches_past_the_full_level_cap(monkeypatch, d, c
     # tuples, but the class is one tuple pushed through the chain maps and
     # its normalized level has rank 2: H_d(C_2; F_2) = F_2 goes to the
     # generator of HH_d(F_2[C_2]) = F_2^2 of the degree's parity
-    from chaintrace import trace
+    from chaintrace import tracehomology
 
-    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    monkeypatch.setattr(tracehomology, "DEGREE_CAP", d)
     res = dennis_trace_homology(group_algebra(cyclic_group(2), GF(2)), 1, d)
     assert (str(res.source), str(res.target)) == ("GF(2)", "GF(2)^2")
     assert [(c.coordinates, c.representative) for c in res.classes] == [
@@ -405,10 +398,10 @@ def boundary(A, n, chain):
 def test_trace_representatives_are_normalized_cycles(monkeypatch, algebra, n, d, lifted):
     # the representatives are cycles of the normalized complex lifted by
     # chain_of: their boundary is degenerate, and here not zero
-    from chaintrace import trace
+    from chaintrace import tracehomology
     from chaintrace.hochschild import HochschildHomology
 
-    monkeypatch.setattr(trace, "DEGREE_CAP", d)
+    monkeypatch.setattr(tracehomology, "DEGREE_CAP", d)
     work = HochschildHomology(algebra, d)
     reps = [c.representative for c in dennis_trace_homology(algebra, n, d).classes]
     assert len(reps) == lifted

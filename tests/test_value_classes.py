@@ -8,23 +8,19 @@ get fresh lists per instance.
 
 import pytest
 
-from chaintrace.algebra import (
-    Algebra,
-    AlgebraHom,
-    FiniteGroup,
-    GeneralLinearData,
-    NonUnitCertificate,
-    base_algebra,
-    cyclic_group,
-)
+from chaintrace.algebra import Algebra, AlgebraHom, NonUnitCertificate, base_algebra
 from chaintrace.chain import FPAbelianGroup, FPModule, HomologyData
 from chaintrace.cli import JobConfig
 from chaintrace.errors import InputParseError
+from chaintrace.general_linear import GeneralLinearData
+from chaintrace.groups import FiniteGroup, cyclic_group
 from chaintrace.linalg import Matrix, MembershipResult, SmithDecomposition, SparseMap
+from chaintrace.morita import MoritaResult
 from chaintrace.nerve import PointedSimplicialSet
 from chaintrace.rings import GF, ZZ, BaseRing, Zmod
 from chaintrace.sigma_delta import SigmaDeltaDiagram
-from chaintrace.trace import DennisTraceResult, HomologyClass, MoritaResult
+from chaintrace.tracehomology import DennisTraceResult
+from chaintrace.tracemaps import HomologyClass
 from chaintrace.validation import ValidationReport
 from chaintrace.waldhausen import K0Presentation
 from chaintrace.wcat import pointed_sets
