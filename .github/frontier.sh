@@ -20,12 +20,16 @@ morita_iso() {  # morita_iso SIZE ALGEBRA_LINE A HH_0 HH_1 HH_2: ISO in degrees 
   check "$expected"$'\n''verdict: ISO' morita "$algebra" --size "$n" --max-degree 2
 }
 
-refuses() {  # refuses MESSAGE ARGV...: the job exits 4 within 10 s, naming MESSAGE on stderr
-  local message=$1 status=0 err
-  shift
+exits() {  # exits STATUS MESSAGE ARGV...: the job exits STATUS within 10 s, naming MESSAGE on stderr
+  local expected=$1 message=$2 status=0 err
+  shift 2
   err=$(timeout 10 python3 -m chaintrace.cli "$@" 2>&1 >/dev/null) || status=$?
-  if [[ $status -ne 4 || $err != *"$message"* ]]; then
-    printf 'expected exit 4 naming "%s" from: %s\ngot exit %s: %s\n' "$message" "$*" "$status" "$err" >&2
+  if [[ $status -ne $expected || $err != *"$message"* ]]; then
+    printf 'expected exit %s naming "%s" from: %s\ngot exit %s: %s\n' "$expected" "$message" "$*" "$status" "$err" >&2
     return 1
   fi
+}
+
+refuses() {  # refuses MESSAGE ARGV...: the job exits 4 within 10 s, naming MESSAGE on stderr
+  exits 4 "$@"
 }

@@ -14,17 +14,18 @@ here as the public entry point, but the enumeration and GeneralLinearData
 live in chaintrace.general_linear, which it imports when it runs: only
 ``trace-homology`` enters them, so no other algebra job compiles them.
 
-Linear maps between algebras (AlgebraHom, the embedding, the unit-first
-change of basis) are SparseMaps.  A dense Matrix is built only where it is
-eliminated: left multiplication, whose Smith form decides invertibility.
+Linear maps between algebras (GL_n(A)'s embedding, the unit-first change
+of basis) are plain SparseMaps.  A dense Matrix is built only where it is
+eliminated: left multiplication, whose one Smith form decides invertibility
+and gives the inverse (unit_inverse).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationError
-from .linalg import Matrix, SparseMap, smith_normal_form, solve_membership
+from .errors import InternalInvariantError, ValidationError
+from .linalg import Matrix, SparseMap, lift_with_modulus, smith_normal_form, symmetric_lift
 from .rings import BaseRing
 from .values import Value
 
@@ -32,14 +33,10 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing at run time
 if TYPE_CHECKING:
     from .general_linear import GeneralLinearData
     from .groups import FiniteGroup
-    from .validation import ValidationReport
 
 __all__ = [
     "Algebra",
-    "AlgebraHom",
-    "NonUnitCertificate",
     "group_algebra",
-    "group_algebra_hom",
     "matrix_algebra",
     "truncated_polynomial",
     "base_algebra",
@@ -135,59 +132,10 @@ def make_algebra(ring: BaseRing, basis_names, unit, products: dict, name: str = 
     )
 
 
-class AlgebraHom(Value):
-    """Base-linear map between algebras, expected to be unital multiplicative."""
-
-    __slots__ = ("source", "target", "matrix", "name")
-    _fields = __slots__
-
-    def __init__(self, source: Algebra, target: Algebra, matrix: SparseMap, name: str = "") -> None:
-        self.source = source
-        self.target = target
-        self.matrix = matrix  # target.rank x source.rank
-        self.name = name
-
-    def apply(self, u) -> tuple:
-        return self.matrix.apply(self.source.normalize_vec(u))
-
-    def validate(self) -> ValidationReport:
-        from .validation import ValidationReport
-
-        report = ValidationReport(subject=self.name or "algebra hom")
-        report.checks_run += 1
-        if self.apply(self.source.unit) != self.target.unit:
-            report.record("unit is not preserved")
-        for i in range(self.source.rank):
-            for j in range(self.source.rank):
-                e_i, e_j = self.source.basis_vector(i), self.source.basis_vector(j)
-                lhs = self.apply(self.source.mul_vec(e_i, e_j))
-                rhs = self.target.mul_vec(self.apply(e_i), self.apply(e_j))
-                report.checks_run += 1
-                if lhs != rhs:
-                    report.record(
-                        f"multiplicativity fails on ({self.source.basis_names[i]}, "
-                        f"{self.source.basis_names[j]})"
-                    )
-        return report
-
-    def compose(self, inner: "AlgebraHom") -> "AlgebraHom":
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("hom composition mismatch")
-        return AlgebraHom(inner.source, self.target, self.matrix.compose(inner.matrix))
-
-
 def group_algebra(G: FiniteGroup, ring: BaseRing) -> Algebra:
     products = {(i, j): {G.table[i][j]: ring.one} for i in range(G.order) for j in range(G.order)}
     unit = [ring.one if i == G.identity else ring.zero for i in range(G.order)]
     return make_algebra(ring, G.names, unit, products, f"{ring}[{G.name or 'G'}]")
-
-
-def group_algebra_hom(f: dict[int, int], G: FiniteGroup, H: FiniteGroup, ring: BaseRing) -> AlgebraHom:
-    """Algebra map R[G] -> R[H] induced by a group homomorphism f."""
-    source = group_algebra(G, ring)
-    target = group_algebra(H, ring)
-    cols = [{f[i]: ring.one} for i in range(G.order)]
-    return AlgebraHom(source, target, SparseMap.from_col_dicts(ring, H.order, cols), name="group hom")
 
 
 # -- standard constructions ------------------------------------------------
@@ -264,34 +212,28 @@ def general_linear_group(A: Algebra, n: int) -> GeneralLinearData:
     return unit_group(A, n)
 
 
-class NonUnitCertificate(Value):
-    """Witness that an element is not invertible."""
+def unit_inverse(A: Algebra, u) -> tuple | None:
+    """Two-sided inverse of u, or None when u is not a unit.
 
-    __slots__ = ("reason",)
-    _fields = __slots__
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-
-    def __bool__(self) -> bool:
-        return False
-
-
-def unit_inverse(A: Algebra, u):
-    """Two-sided inverse of u, or a NonUnitCertificate.
-
-    Solves the left-multiplication linear system L_u x = 1 over the base
-    ring and then confirms both u*x = 1 and x*u = 1.
+    u is a unit iff left multiplication L by u is onto: A is free of finite
+    rank, so an onto L is bijective, and u(xu) = u for the x with ux = 1
+    makes x a left inverse too.  One Smith form U L V = S decides it, over
+    Z/m of the integer lift of lift_with_modulus: L is onto iff S = [I | 0]
+    (SmithDecomposition.onto, the test of linalg.is_onto).  Then V (U 1, 0)
+    solves L x = 1, and its first rank(A) entries are the inverse.
     """
     u = A.normalize_vec(u)
-    res = solve_membership(A.left_mult_matrix(u), A.unit)
-    if not res.found:
-        return NonUnitCertificate(f"1 is not in the image of left multiplication: {res.reason}")
-    x = tuple(res.witness)
-    if A.mul_vec(u, x) != A.unit:
-        return NonUnitCertificate("left system solved but u*x != 1")
-    if A.mul_vec(x, u) != A.unit:
-        return NonUnitCertificate("right inverse is not a left inverse")
+    ring, one = A.ring, A.unit
+    L = A.left_mult_matrix(u)
+    if ring.kind == "Zmod":
+        L, one = lift_with_modulus(L), symmetric_lift(one, ring.modulus)
+    dec = smith_normal_form(L, factors=("U", "V"))
+    if not dec.onto:
+        return None
+    y = dec.U.apply(one) + (L.ring.zero,) * (L.ncols - L.nrows)  # (U 1, 0)
+    x = A.normalize_vec(dec.V.apply(y)[: A.rank])
+    if A.mul_vec(u, x) != A.unit or A.mul_vec(x, u) != A.unit:
+        raise InternalInvariantError("the inverse read off the Smith factors fails u*x = x*u = 1")
     return x
 
 

@@ -1,19 +1,21 @@
 """GL_n(A) over a finite base ring, as a finite group.
 
-unit_group enumerates the units of M = M_n(A) by the test
-algebra.unit_inverse answers too: left multiplication by g on M is onto
-(no determinant over a possibly noncommutative A).  It refuses at the
-first unit past GROUP_ORDER_CAP, before any product, and returns the group
-with the embedding R[GL_n(A)] -> M_n(A) (GeneralLinearData).  Only the
-Dennis trace on group homology (``trace-homology``) enters it, so it lives
-apart from algebra, whose ``general_linear_group`` imports it when it runs.
+unit_group enumerates the units of M = M_n(A) by the test that
+algebra.unit_inverse reads off its Smith form too: left multiplication by g
+on M is onto (linalg.is_onto, which builds no transform; no determinant
+over a possibly noncommutative A).  It refuses at the first unit past
+GROUP_ORDER_CAP, before any product, and returns the group with the
+embedding R[GL_n(A)] -> M_n(A), the SparseMap whose column k is the k-th
+unit (GeneralLinearData).  Only the Dennis trace on group homology
+(``trace-homology``) enters it, so it lives apart from algebra, whose
+``general_linear_group`` imports it when it runs.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import Algebra, AlgebraHom, group_algebra, matrix_algebra
+from .algebra import Algebra, matrix_algebra
 from .conventions import GROUP_ORDER_CAP
 from .errors import CapExceededError, InternalInvariantError
 from .groups import FiniteGroup
@@ -27,12 +29,13 @@ ENUMERATION_CAP = 65536
 
 
 class GeneralLinearData(Value):
-    """GL_n(A) as a finite group, with the embedding R[GL_n(A)] -> M_n(A)."""
+    """GL_n(A) as a finite group, with the embedding R[GL_n(A)] -> M_n(A):
+    the SparseMap whose column k is the k-th unit, a vector of M_n(A)."""
 
     __slots__ = ("group", "embedding")
     _fields = __slots__
 
-    def __init__(self, group: FiniteGroup, embedding: AlgebraHom) -> None:
+    def __init__(self, group: FiniteGroup, embedding: SparseMap) -> None:
         self.group = group
         self.embedding = embedding
 
@@ -75,10 +78,5 @@ def unit_group(A: Algebra, n: int) -> GeneralLinearData:
         raise InternalInvariantError("units of M_n(A) not closed under multiplication; onto test broken") from None
     names = tuple(f"g{i}" for i in range(len(elements)))
     group = FiniteGroup(table=table, identity=identity, names=names, name=f"GL{n}({A.name or A.ring})")
-    embedding = AlgebraHom(
-        source=group_algebra(group, ring),
-        target=M,
-        matrix=SparseMap.from_col_dicts(ring, M.rank, [dict(enumerate(g)) for g in elements]),
-        name=f"{ring}[{group.name}] -> {M.name}",
-    )
+    embedding = SparseMap.from_col_dicts(ring, M.rank, [dict(enumerate(g)) for g in elements])
     return GeneralLinearData(group=group, embedding=embedding)

@@ -19,14 +19,14 @@ Smith factors) skip that pass, and so does every SparseMap:
 SparseMap.from_col_dicts takes ring values (ring arithmetic, the normalized
 tables of an Algebra) and only drops zeros.
 
-smith_normal_form is the package's one dense elimination: kernels,
-membership, onto maps and homology() are read off its result.  Sparse
-unit-pivot cancellation, which shrinks a complex before Smith where only
-isomorphism types are printed, is chaintrace.pivots: the jobs that read
-generators and class coordinates (the trace commands) never run it, so
-they do not compile it.  Image questions over Z/m go through the
+smith_normal_form is the package's one dense elimination: kernels, onto
+maps, unit inverses (algebra.unit_inverse) and homology() are read off its
+result.  Sparse unit-pivot cancellation, which shrinks a complex before
+Smith where only isomorphism types are printed, is chaintrace.pivots: the
+jobs that read generators and class coordinates (the trace commands) never
+run it, so they do not compile it.  Image questions over Z/m go through the
 integer lift [M | m*I] built by lift_with_modulus, which is exact for every
-modulus: solve_membership and is_onto eliminate it directly, and
+modulus: is_onto and algebra.unit_inverse eliminate it directly, and
 chain._homology, the one routine behind homology() over every ring,
 eliminates the lift of d_n and then [d_{n+1} | m*I] written in the kernel
 basis that elimination gives.  Every residue is lifted by symmetric_lift,
@@ -41,9 +41,9 @@ order.  Diagonal entries are normalized: positive over Z, 1 over a field.
 
 Of the transforms U, V, Uinv and Vinv, the elimination builds only those
 its caller names: homology() reads V and Vinv of its first elimination and
-U and Uinv of its second, and is_onto reads S alone.  Each
-transform's updates read S and itself only, so a built factor has the same
-entries whichever others are built.  The kernel's cost follows the nonzero
+U and Uinv of its second, is_onto reads S alone, and algebra.unit_inverse
+reads U and V.  Each transform's updates read S and itself only, so a
+built factor has the same entries whichever others are built.  The kernel's cost follows the nonzero
 entries: each row or column operation, scaling and pivot search skips
 zeros, since x - q*0 is x again in value and in type, and Matrix.mul
 multiplies only nonzero pairs.  The boundaries of the complexes here are a
@@ -72,8 +72,6 @@ __all__ = [
     "SmithDecomposition",
     "smith_normal_form",
     "smith_cells",
-    "solve_membership",
-    "MembershipResult",
     "symmetric_lift",
     "lift_with_modulus",
     "is_onto",
@@ -306,6 +304,12 @@ class SmithDecomposition(Value):
     def invariant_factors(self) -> tuple:
         ring = self.S.ring
         return tuple(d for d in self.diagonal if not ring.is_zero(d))
+
+    @property
+    def onto(self) -> bool:
+        """Whether the eliminated matrix is onto: S = [I | 0], one invariant
+        factor 1 in every row."""
+        return self.rank == self.S.nrows and all(d == 1 for d in self.invariant_factors)
 
 
 def _support(row: list, start: int = 0) -> list:
@@ -572,50 +576,4 @@ def is_onto(mat: Matrix) -> bool:
     and there are nrows of them.  Over Z/m this is read off the lift."""
     if mat.ring.kind == "Zmod":
         mat = lift_with_modulus(mat)
-    dec = smith_normal_form(mat, factors=())
-    return dec.rank == mat.nrows and all(d == 1 for d in dec.invariant_factors)
-
-
-class MembershipResult(Value):
-    """Witness for v in im(M) (found, x with M x = v) or a refusal reason."""
-
-    __slots__ = ("found", "witness", "reason")
-    _fields = __slots__
-
-    def __init__(self, found: bool, witness: tuple | None = None, reason: str = "") -> None:
-        self.found = found
-        self.witness = witness
-        self.reason = reason
-
-
-def solve_membership(mat: Matrix, vec: Sequence) -> MembershipResult:
-    """Decide v in column-image of M and produce an exact witness.
-
-    Works over Z, Q, GF(p), and Z/m for arbitrary m >= 2 (via the integer
-    lift [M | m*I], which is exact for every modulus).
-    """
-    ring = mat.ring
-    vec = tuple(ring.normalize(x) for x in vec)
-    if len(vec) != mat.nrows:
-        raise ValueError("vector length mismatch")
-    if ring.kind == "Zmod":
-        res = solve_membership(lift_with_modulus(mat), symmetric_lift(vec, ring.modulus))
-        if not res.found:
-            return MembershipResult(False, None, res.reason)
-        return MembershipResult(True, tuple(ring.normalize(x) for x in res.witness[: mat.ncols]))
-    dec = smith_normal_form(mat, factors=("U", "V"))
-    y = dec.U.apply(vec)
-    rank = dec.rank
-    x = [ring.zero] * mat.ncols
-    for i in range(mat.nrows):
-        if i < rank:
-            d = dec.S.rows[i][i]
-            x[i] = _quotient(ring, y[i], d)
-            if ring.mul(x[i], d) != y[i]:
-                return MembershipResult(False, None, f"row {i}: {y[i]} not divisible by invariant {d}")
-        elif not ring.is_zero(y[i]):
-            return MembershipResult(False, None, f"row {i}: residue {y[i]} outside image")
-    witness = dec.V.apply(x)
-    if __debug__ and mat.apply(witness) != vec:
-        raise InternalInvariantError("membership witness failed M x == v")
-    return MembershipResult(True, witness)
+    return smith_normal_form(mat, factors=()).onto

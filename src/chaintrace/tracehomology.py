@@ -9,8 +9,9 @@ with three explicit chain maps:
 * the bar-to-cyclic map phi_q(g_1, ..., g_q) =
   (g_q^-1 ... g_1^-1) x g_1 x ... x g_q, a chain map on the nose
   (phi_rule);
-* the map induced by the algebra embedding R[GL_n(A)] -> M_n(A) (its
-  matrix in every slot, hochschild.tensor_rule);
+* the map induced by the algebra embedding R[GL_n(A)] -> M_n(A)
+  (GeneralLinearData.embedding, whose column k is the k-th unit, in every
+  slot, hochschild.tensor_rule);
 * the multitrace tr(x_0 x ... x x_q) = sum over index cycles of
   (x_0)_{i_0 i_1} x (x_1)_{i_1 i_2} x ... x (x_q)_{i_q i_0}
   (tracemaps.trace_rule).
@@ -102,7 +103,7 @@ def dennis_trace_homology(A: Algebra, n: int, d: int) -> DennisTraceResult:
 
     src = GH.homology_data(d)
     tgt = WA.homology_data(d)
-    rules = (phi_rule(G, ring.one), tensor_rule(gl.embedding.matrix), trace_rule(A, n))
+    rules = (phi_rule(G, ring.one), tensor_rule(gl.embedding), trace_rule(A, n))
     classes = []
     for gen in src.generators:
         chain = {x: c for x, c in zip(GH.level(d), gen) if not ring.is_zero(c)}

@@ -11,7 +11,7 @@ degenerate.  The command's matrix literal is parsed here too
 
 from __future__ import annotations
 
-from .algebra import Algebra, NonUnitCertificate, matrix_algebra, matrix_entries_to_vec, unit_inverse
+from .algebra import Algebra, matrix_algebra, matrix_entries_to_vec, unit_inverse
 from .chain import push
 from .errors import InputParseError, NotInvertibleError
 from .hochschild import HochschildHomology, check_full_level
@@ -55,25 +55,27 @@ def dennis_trace_k1(A: Algebra, g, work: HochschildHomology | None = None) -> Ho
     """Class of tr(g^-1 x g) in HH_1(A) for an invertible matrix g over A.
 
     g is given as an n x n nested tuple/list of A coefficient vectors.
-    Non-invertible input is rejected with the solver's certificate, and a
-    size whose level 1 of M_n(A) exceeds LEVEL_CAP before the inverse is
-    sought.  Only the support of g^-1 x g is pushed through the multitrace.
-    The identity matrix maps to zero (its cycle is degenerate).
+    Refusals come in the order ``hh`` gives them: a base ring without
+    homology (HochschildHomology), then a size whose level 1 of M_n(A)
+    exceeds LEVEL_CAP, and only then a matrix that is not invertible
+    (algebra.unit_inverse).  Only the support of g^-1 x g is pushed through
+    the multitrace.  The identity matrix maps to zero (its cycle is
+    degenerate).
     """
+    if work is None:
+        work = HochschildHomology(A, 1)
     n = len(g)
     check_full_level(n * n * A.rank, 1, f" of M_{n}")
     g = tuple(tuple(A.normalize_vec(g[i][j]) for j in range(n)) for i in range(n))
     M = matrix_algebra(A, n)
     gv = matrix_entries_to_vec(A, n, g)
     inv = unit_inverse(M, gv)
-    if isinstance(inv, NonUnitCertificate):
-        raise NotInvertibleError(f"matrix is not invertible over {A.name or A.ring}: {inv.reason}")
+    if inv is None:
+        raise NotInvertibleError(f"matrix is not invertible over {A.name or A.ring}")
     ring = A.ring
     support = [(u, a) for u, a in enumerate(inv) if not ring.is_zero(a)]
     tensor = {(u, v): ring.mul(a, b) for u, a in support for v, b in enumerate(gv) if not ring.is_zero(b)}
     chain = push(ring, tensor, trace_rule(A, n))
-    if work is None:
-        work = HochschildHomology(A, 1)
     data = work.homology_data(1)
     return HomologyClass(1, data.coordinates(work.normalize(1, chain)), tuple(sorted(chain.items())), data.group)
 

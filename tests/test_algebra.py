@@ -1,17 +1,17 @@
 """Structure-constant algebras, finite groups, GL_n, and units."""
 
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from chaintrace import general_linear
 from chaintrace.algebra import (
     Algebra,
-    NonUnitCertificate,
     base_algebra,
     general_linear_group,
     group_algebra,
-    group_algebra_hom,
     make_algebra,
     matrix_algebra,
     matrix_entries_to_vec,
@@ -21,7 +21,7 @@ from chaintrace.algebra import (
 )
 from chaintrace.errors import CapExceededError, UnsupportedRingError, ValidationError
 from chaintrace.groups import FiniteGroup, cyclic_group, trivial_group
-from chaintrace.linalg import SparseMap
+from chaintrace.linalg import SparseMap, is_onto
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.tables import validate_algebra, validate_group
 
@@ -125,20 +125,20 @@ def test_group_validator_names_bad_triple():
     assert any("associativity" in msg or "(" in msg for msg in report.issues)
 
 
-def test_group_algebra_hom_quotient():
-    G4, G2 = cyclic_group(4), cyclic_group(2)
-    f = group_algebra_hom({0: 0, 1: 1, 2: 0, 3: 1}, G4, G2, ZZ)
-    assert f.validate().ok
-    image = f.apply((0, 1, 0, 0))
-    assert image == (0, 1)
-
-
 def test_general_linear_group_orders():
     A = base_algebra(GF(2))
     gl2 = general_linear_group(A, 2)
     assert gl2.group.order == 6
     assert validate_group(gl2.group).ok
-    assert gl2.embedding.validate().ok
+    # the embedding R[GL_2] -> M_2(A) is unital and multiplicative
+    G, M, ring = gl2.group, matrix_algebra(A, 2), A.ring
+
+    def image(g):
+        return gl2.embedding.apply(tuple(ring.one if h == g else ring.zero for h in range(G.order)))
+
+    assert image(G.identity) == M.unit
+    for g, h in itertools.product(range(G.order), repeat=2):
+        assert image(G.table[g][h]) == M.mul_vec(image(g), image(h))
     dual = truncated_polynomial(GF(2), 2)
     gl1 = general_linear_group(dual, 1)
     assert gl1.group.order == 2
@@ -163,7 +163,7 @@ def test_general_linear_group_is_pinned(monkeypatch, make, n, order, digest):
     # when the order cap was checked after the table, by the Dennis trace
     monkeypatch.setattr(general_linear, "GROUP_ORDER_CAP", order)
     gl = general_linear_group(make(), n)
-    key = (gl.group.table, gl.group.identity, gl.embedding.matrix.cols)
+    key = (gl.group.table, gl.group.identity, gl.embedding.cols)
     assert gl.group.order == order
     assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
 
@@ -194,22 +194,69 @@ def test_unit_inverse_dual_numbers():
     A = truncated_polynomial(GF(2), 2)
     inv = unit_inverse(A, (1, 1))
     assert inv == (1, 1)
-    cert = unit_inverse(A, (0, 1))
-    assert isinstance(cert, NonUnitCertificate)
-    assert cert.reason
+    assert unit_inverse(A, (0, 1)) is None
 
 
 def test_unit_inverse_group_algebra():
     A = group_algebra(cyclic_group(2), ZZ)
     assert unit_inverse(A, (0, 1)) == (0, 1)
     assert unit_inverse(A, (-1, 0)) == (-1, 0)
-    assert isinstance(unit_inverse(A, (1, 1)), NonUnitCertificate)
+    assert unit_inverse(A, (1, 1)) is None
     B = group_algebra(cyclic_group(2), QQ)
     u = B.normalize_vec((2, 1))
     inv = unit_inverse(B, u)
     assert B.mul_vec(u, inv) == B.unit
     assert B.mul_vec(inv, u) == B.unit
-    assert isinstance(unit_inverse(B, B.normalize_vec((1, 1))), NonUnitCertificate)
+    assert unit_inverse(B, B.normalize_vec((1, 1))) is None
+
+
+FINITE_ALGEBRAS = {
+    "GF(2)[C2]": lambda: group_algebra(cyclic_group(2), GF(2)),
+    "Z/4[C2]": lambda: group_algebra(cyclic_group(2), Zmod(4)),
+    "Z/4[C3]": lambda: group_algebra(cyclic_group(3), Zmod(4)),
+    "GF(3)[x]/x^2": lambda: truncated_polynomial(GF(3), 2),
+    "Z/8[x]/x^2": lambda: truncated_polynomial(Zmod(8), 2),
+    "M2(GF(2))": lambda: matrix_algebra(base_algebra(GF(2)), 2),
+    "M2(Z/4)": lambda: matrix_algebra(base_algebra(Zmod(4)), 2),
+    "Z/6[C2]": lambda: group_algebra(cyclic_group(2), Zmod(6)),
+    "Z/12": lambda: base_algebra(Zmod(12)),
+}
+INFINITE_ALGEBRAS = {
+    "Z[C2]": lambda: group_algebra(cyclic_group(2), ZZ),
+    "Z[C3]": lambda: group_algebra(cyclic_group(3), ZZ),
+    "M2(Z)": lambda: matrix_algebra(base_algebra(ZZ), 2),
+    "Q[C2]": lambda: group_algebra(cyclic_group(2), QQ),
+    "Q[x]/x^3": lambda: truncated_polynomial(QQ, 3),
+}
+
+
+def check_unit_inverse(A, elements):
+    """unit_inverse is None exactly where left multiplication is not onto,
+    and otherwise a two-sided inverse; returns the number of units."""
+    units = 0
+    for u in elements:
+        u = A.normalize_vec(u)
+        x = unit_inverse(A, u)
+        assert (x is None) is not is_onto(A.left_mult_matrix(u)), u
+        if x is not None:
+            assert A.mul_vec(u, x) == A.unit == A.mul_vec(x, u), (u, x)
+            units += 1
+    return units
+
+
+@pytest.mark.parametrize("name", FINITE_ALGEBRAS)
+def test_unit_inverse_on_every_element(name):
+    A = FINITE_ALGEBRAS[name]()
+    assert check_unit_inverse(A, itertools.product(range(A.ring.modulus), repeat=A.rank)) > 1
+
+
+@pytest.mark.parametrize("name", INFINITE_ALGEBRAS)
+def test_unit_inverse_on_seeded_elements(name):
+    A = INFINITE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    elements = [tuple(rng.randint(-3, 3) for _ in range(A.rank)) for _ in range(200)]
+    # the unit itself and its negative are units of every algebra
+    assert check_unit_inverse(A, [A.unit, tuple(-c for c in A.unit), *elements]) >= 2
 
 
 def test_unit_first_presentation():

@@ -320,21 +320,35 @@ def test_cli_exit_codes(capsys):
     assert err.startswith("error (cap)")
 
 
+# level 1 of M_22(A) for A of rank 2 has 968^2 = 937,024 basis tensors
+ZERO_22 = "; ".join(" ".join("0,0" for _ in range(22)) for _ in range(22))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("hh", "Zmod:6"),
         ("hh", "M2(Zmod:6)", "--max-degree", "1"),
         ("trace-k1", "M2(Zmod:6)", "1,0,0,1"),
+        ("trace-k1", "Zmod:6[C2]", "1,1"),
+        ("trace-k1", "Zmod:6[C2]", ZERO_22),
     ],
-    ids=["hh", "hh-matrix", "trace-k1-matrix"],
+    ids=["hh", "hh-matrix", "trace-k1-matrix", "trace-k1-non-unit", "trace-k1-above-level-cap"],
 )
 def test_cli_refuses_a_composite_modulus_in_one_message(capsys, argv):
     # a matrix algebra reaches the unit-first Smith elimination before any
-    # homology, so the refusal must come before it too
+    # homology, so the refusal must come before it too; trace-k1 refuses
+    # the ring before the level cap and before it inverts the matrix (1 + g
+    # is a zero divisor of R[C2])
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error (parse): homology over Z/6 is supported for prime powers only\n"
+
+
+def test_cli_trace_k1_refuses_the_level_cap_before_a_non_unit(capsys):
+    code, out, err = run_cli(capsys, "trace-k1", "Z[C2]", ZERO_22)
+    assert (code, out) == (4, "")
+    assert "968^2 = 937024 > cap 500000" in err
 
 
 def test_cli_out_of_memory_exits_on_the_cap_code(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from chaintrace import hochschild, weights
 from chaintrace.algebra import (
     base_algebra,
     group_algebra,
-    group_algebra_hom,
     matrix_algebra,
     truncated_polynomial,
     unit_first_presentation,
@@ -41,7 +40,7 @@ from chaintrace.hochschild import (
     tensor_rule,
     tuple_index,
 )
-from chaintrace.linalg import Matrix, SparseMap, smith_normal_form, solve_membership
+from chaintrace.linalg import Matrix, SparseMap, smith_normal_form
 from chaintrace.reduction import reduce_complex
 from chaintrace.rings import GF, QQ, ZZ, Zmod
 from chaintrace.selectors import algebra_from_selector
@@ -354,11 +353,11 @@ def full_level_rule(d: SparseMap, base: int, length: int):
 
 def test_induced_chain_map_is_chain_map():
     # b . f^tensor = f^tensor . b on every basis tuple, f in every slot
-    G4, G2 = cyclic_group(4), cyclic_group(2)
-    f = group_algebra_hom({0: 0, 1: 1, 2: 0, 3: 1}, G4, G2, ZZ)
-    src = cyclic_bar(f.source, 2)
-    dst = cyclic_bar(f.target, 2)
-    induced = tensor_rule(f.matrix)
+    # f: Z[C4] -> Z[C2], the quotient g^i -> g^(i mod 2)
+    f = SparseMap.from_col_dicts(ZZ, 2, [{i % 2: 1} for i in range(4)])
+    src = cyclic_bar(group_algebra(cyclic_group(4), ZZ), 2)
+    dst = cyclic_bar(group_algebra(cyclic_group(2), ZZ), 2)
+    induced = tensor_rule(f)
     for q in (1, 2):
         b_src, b_dst = full_level_rule(src.boundary(q), 4, q), full_level_rule(dst.boundary(q), 2, q)
         for x in src.tuples(q):
@@ -421,12 +420,19 @@ def connes_lambda_complex(A, N):
         inv_q, _ = bases[q]
         inv_p, avg_p = bases[q - 1]
         basis_mat = Matrix.from_cols(QQ, list(inv_p), cm.level_rank(q - 1))
+        # the k columns are independent, so U B V = [I_k; 0] and B x = w
+        # has the one solution x = V (U w)[:k], where (U w)[k:] = 0
+        k = len(inv_p)
+        dec = smith_normal_form(basis_mat, factors=("U", "V"))
+        assert dec.rank == k
         cols = []
         for v in inv_q:
             w = avg_p.apply(cm.boundary(q).apply(v))
-            res = solve_membership(basis_mat, w)
-            assert res.found
-            cols.append({i: c for i, c in enumerate(res.witness) if c != 0})
+            y = dec.U.apply(w)
+            assert not any(y[k:])
+            x = dec.V.apply(y[:k])
+            assert basis_mat.apply(x) == w
+            cols.append({i: c for i, c in enumerate(x) if c != 0})
         diffs[q] = SparseMap.from_col_dicts(QQ, len(inv_p), cols)
     return ChainComplex(QQ, ranks, diffs)
 

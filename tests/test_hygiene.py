@@ -5,8 +5,10 @@ is passed by some call.
 
 The scans are syntactic.  An imported name counts as used when it appears as
 a name anywhere else in the module (including annotations) or is listed in
-the module's ``__all__``.  ``from __future__`` imports are directives, not
-names, and are skipped.  A name in ``__all__`` counts as bound when a
+the module's ``__all__``: a string in its value, or in the value of a
+module-level name it refers to (the values of a dict, whose keys are not
+names), as in the package's ``__all__ = [*_OWNER, "__version__"]``.
+``from __future__`` imports are directives, not names, and are skipped.  A name in ``__all__`` counts as bound when a
 module-level statement (also inside if/try/with blocks) defines, assigns or
 imports it.
 """
@@ -20,12 +22,26 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chaintrace"
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return set()
+    assigned = {
+        t.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    names: set[str] = set()
+    todo, seen = [ast.Name("__all__")], set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            if node.id in assigned and node.id not in seen:
+                seen.add(node.id)
+                todo.append(assigned[node.id])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        else:  # a dict lists names in its values only
+            todo.extend(node.values if isinstance(node, ast.Dict) else ast.iter_child_nodes(node))
+    return names
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -69,6 +85,17 @@ def unbound_exports(source: str) -> list[str]:
 def test_scan_flags_unused_and_spares_exports():
     source = "from os import path, sep\nimport sys\n__all__ = ['sep']\nprint(sys.argv)\n"
     assert unused_imports(source) == [(1, "path")]
+
+
+def test_scan_reads_an_all_built_from_a_table():
+    source = (
+        "from os import path, sep\nfrom sys import argv\n"
+        "_OWNERS = {'os': ('path', 'gone'), 'sys': ()}\n"
+        "_OWNER = {name: module for module, names in _OWNERS.items() for name in names}\n"
+        "__all__ = [*_OWNER, 'sep']\n"
+    )
+    assert unused_imports(source) == [(2, "argv")]
+    assert unbound_exports(source) == ["gone"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -1,4 +1,4 @@
-"""Smith normal form, kernels, membership, and chain complex homology."""
+"""Smith normal form, kernels, onto maps, and chain complex homology."""
 
 import pytest
 
@@ -20,7 +20,6 @@ from chaintrace.linalg import (
     is_onto,
     lift_with_modulus,
     smith_normal_form,
-    solve_membership,
     symmetric_lift,
 )
 from chaintrace.rings import GF, QQ, ZZ, Zmod
@@ -121,27 +120,12 @@ def test_snf_deterministic():
     assert a.V.rows == b.V.rows
 
 
-def test_solve_membership_found():
-    M = Matrix(ZZ, [[2, 0], [0, 3]])
-    res = solve_membership(M, (4, 3))
-    assert res.found
-    assert list(M.apply(res.witness)) == [4, 3]
-
-
-def test_solve_membership_not_found():
-    M = Matrix(ZZ, [[2, 0], [0, 3]])
-    res = solve_membership(M, (1, 0))
-    assert not res.found
-    assert res.reason
-
-
-def test_solve_membership_composite_modulus():
+def test_lift_with_modulus_composite_modulus():
+    # diag(2, 3) over Z/6 misses (1, 0); diag(5, 1) is onto
     M = Matrix(Zmod(6), [[2, 0], [0, 3]])
     assert lift_with_modulus(M).rows == [[2, 0, 6, 0], [0, 3, 0, 6]]
-    res = solve_membership(M, (4, 3))
-    assert res.found
-    assert M.apply(res.witness) == (4, 3)
-    assert not solve_membership(M, (1, 0)).found
+    assert not is_onto(M)
+    assert is_onto(Matrix(Zmod(6), [[5, 0], [0, 1]]))
 
 
 def test_residues_lift_to_symmetric_representatives():
